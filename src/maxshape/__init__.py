@@ -8,8 +8,6 @@ eigenvalue discretization, until a selected eigenvalue hits its target.
 __version__ = "0.1.0"
 
 from .adjoint_gradient import (
-    AdjointPair,
-    QGradient,
     reduced_derivative,
     riesz_gradient,
     solve_adjoint,
@@ -17,7 +15,6 @@ from .adjoint_gradient import (
 )
 from .bfgs_optimizer import (
     BfgsHistory,
-    IterationRecord,
     OptimizeStatus,
     OptimizerConfig,
     apply_inverse_hessian,
@@ -25,15 +22,8 @@ from .bfgs_optimizer import (
     damp,
     optimize,
 )
-from .eigensolver import (
-    EigenSelection,
-    MixedEigenPair,
-    select_and_normalize,
-    solve_gevp,
-)
-from .errors import MaxshapeError
+from .eigensolver import EigenSelection, select_and_normalize, solve_gevp
 from .fem_assembly import (
-    AssembledForms,
     DofMap,
     ShapeFunctional,
     apply_dirichlet,
@@ -45,27 +35,16 @@ from .fem_assembly import (
 from .mesh_io import Mesh, generate_unit_square, parse_msh, write_vtk
 from .objective import ObjectiveParams, derivative_lambda, derivative_q, evaluate
 from .problem import MaxwellShapeProblem
-from .reference_transform import (
-    DeformationField,
-    PointKinematics,
-    det_derivative,
-    gradient_at,
-    invT_derivative,
-    jacobian_range,
-    kinematics_at,
-)
+from .reference_transform import DeformationField, jacobian_range
 
 __all__ = [
-    "AdjointPair", "AssembledForms", "BfgsHistory", "DeformationField",
-    "DofMap", "EigenSelection", "IterationRecord", "MaxshapeError",
-    "MaxwellShapeProblem", "Mesh", "MixedEigenPair", "ObjectiveParams",
-    "OptimizeStatus", "OptimizerConfig", "PointKinematics", "QGradient",
-    "ShapeFunctional", "apply_dirichlet", "apply_inverse_hessian", "armijo",
-    "assemble_control_gram", "assemble_forms", "assemble_shape_derivative",
-    "damp", "derivative_lambda", "derivative_q", "det_derivative", "evaluate",
-    "generate_unit_square", "gradient_at", "gradient_incidence",
-    "invT_derivative", "jacobian_range", "kinematics_at", "optimize",
-    "parse_msh", "reduced_derivative", "riesz_gradient",
-    "select_and_normalize", "solve_adjoint", "solve_gevp", "solve_state",
-    "write_vtk",
+    "BfgsHistory", "DeformationField", "DofMap", "EigenSelection",
+    "MaxwellShapeProblem", "Mesh", "ObjectiveParams", "OptimizeStatus",
+    "OptimizerConfig", "ShapeFunctional", "apply_dirichlet",
+    "apply_inverse_hessian", "armijo", "assemble_control_gram",
+    "assemble_forms", "assemble_shape_derivative", "damp",
+    "derivative_lambda", "derivative_q", "evaluate", "generate_unit_square",
+    "gradient_incidence", "jacobian_range", "optimize", "parse_msh",
+    "reduced_derivative", "riesz_gradient", "select_and_normalize",
+    "solve_adjoint", "solve_gevp", "solve_state", "write_vtk",
 ]

@@ -10,7 +10,7 @@ problem and checks agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,9 +104,7 @@ def solve_adjoint(q: DeformationField, state: MixedEigenPair,
     if mesh is None or dofs is None or sel is None:
         raise ValueError("verification mode needs mesh, dofs and sel")
     forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
-    independent = EigenSelection(
-        index=sel.index, gap_min=sel.gap_min, nev=sel.nev,
-        shift=1.07 * sel.shift if sel.shift else None, tol=sel.tol)
+    independent = replace(sel, shift=1.07 * sel.shift if sel.shift else None)
     pairs = solve_gevp(forms, independent)
     direct = select_and_normalize(pairs, independent, forms.M)
     z_dir = dofs.expand_edge(direct.u)

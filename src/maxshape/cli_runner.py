@@ -18,7 +18,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +34,10 @@ from .bfgs_optimizer import (
 from .eigensolver import EigenSelection
 from .errors import ConfigError, MaxshapeError
 from .fem_assembly import apply_dirichlet, assemble_forms
-from .mesh_io import LOCAL_EDGES, Mesh, generate_unit_square, parse_msh, write_vtk
+from .mesh_io import Mesh, generate_unit_square, parse_msh, write_vtk
 from .objective import ObjectiveParams
 from .problem import MaxwellShapeProblem
-from .reference_transform import DeformationField, gradient_all, kinematics_at
+from .reference_transform import DeformationField, kinematics
 
 log = logging.getLogger(__name__)
 
@@ -258,19 +258,12 @@ def run(cfg: RunConfig) -> int:
 def _cell_field_magnitude(mesh: Mesh, q: DeformationField,
                           u: np.ndarray) -> np.ndarray:
     """|DF^-T u_h| at triangle centroids, for visualization."""
-    grads_q = gradient_all(q)
-    grads_l = mesh.barycentric_gradients
-    out = np.empty(mesh.n_triangles)
-    for t in range(mesh.n_triangles):
-        tri = mesh.triangles[t]
-        kin = kinematics_at(grads_q[t])
-        vec = np.zeros(2)
-        for k, (a, b) in enumerate(LOCAL_EDGES):
-            i, j = (a, b) if tri[a] < tri[b] else (b, a)
-            # Whitney function at the centroid (all barycentrics 1/3).
-            vec += u[mesh.triangle_edges[t, k]] * (grads_l[t, j] - grads_l[t, i]) / 3.0
-        out[t] = np.linalg.norm(kin.DFinvT @ vec)
-    return out
+    _, inv_t = kinematics(q)
+    values, _ = mesh.whitney
+    # Whitney functions are linear: the centroid value is the mean over the
+    # three quadrature points.
+    centroid = np.einsum("tk,tkpi->ti", u[mesh.triangle_edges], values) / 3.0
+    return np.linalg.norm(np.einsum("tij,tj->ti", inv_t, centroid), axis=1)
 
 
 # -- check-gradient ---------------------------------------------------------
@@ -350,8 +343,7 @@ def run_eigs(cfg: RunConfig, nev: int | None = None) -> int:
     sel = problem.sel
     if nev is not None:
         try:
-            sel = EigenSelection(index=sel.index, gap_min=sel.gap_min,
-                                 shift=sel.shift, nev=nev, tol=sel.tol)
+            sel = replace(sel, nev=nev)
         except ValueError as exc:
             raise ConfigError(str(exc))
     mesh = problem.mesh

@@ -33,24 +33,19 @@ class DimensionMismatch(MeshError):
 
 # -- deformation calculus ---------------------------------------------------
 
-class SingularDeformation(MaxshapeError):
-    """det(I + grad q) <= 0 at an evaluation point.
+class InadmissibleDeformation(MaxshapeError):
+    """The deformation jacobian is at or below its floor on some triangle.
 
-    This is a signal, not a fatal condition: line searches treat it as an
-    infinite objective value.
+    The floor is 0 for assembly and the barrier offset epsilon for the
+    barrier derivative.  Objective evaluation treats it as an infinite
+    value, which makes line searches backtrack.
     """
 
-    def __init__(self, jacobian: float, message: str | None = None):
+    def __init__(self, jacobian: float, triangle: int, floor: float):
         self.jacobian = jacobian
-        super().__init__(message or f"deformation jacobian {jacobian:g} <= 0")
-
-
-class InadmissibleDeformation(MaxshapeError):
-    """The deformation has non-positive jacobian on some triangle."""
-
-
-class InfeasibleBarrier(MaxshapeError):
-    """The deformation violates the barrier domain (jacobian <= offset)."""
+        self.triangle = triangle
+        super().__init__(
+            f"jacobian {jacobian:.3e} <= {floor:g} on triangle {triangle}")
 
 
 # -- eigenvalue solver ------------------------------------------------------

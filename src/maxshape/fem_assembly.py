@@ -24,22 +24,17 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InadmissibleDeformation
-from .mesh_io import LOCAL_EDGES, Mesh
+from .mesh_io import Mesh
 from .reference_transform import (
     DeformationField,
-    det_derivative,
-    gradient_all,
-    invT_derivative,
-    kinematics_at,
+    inv_t_derivative,
+    jacobian_derivative,
+    kinematics,
+    pulled_gradients,
 )
 
-# Degree-2 quadrature: edge midpoints in barycentric coordinates, equal weights.
-QP_BARY = np.array([
-    [0.5, 0.5, 0.0],
-    [0.0, 0.5, 0.5],
-    [0.5, 0.0, 0.5],
-])
+# Degree-2 quadrature: the three edge midpoints, where mesh.whitney holds the
+# edge basis, with equal weights.
 QP_WEIGHT = 1.0 / 3.0
 
 
@@ -150,30 +145,6 @@ class ShapeFunctional:
         return ShapeFunctional(self.coeffs + other.coeffs)
 
 
-def _local_edge_pairs(tri: np.ndarray) -> list[tuple[int, int]]:
-    """Local vertex index pairs, each ordered by ascending global index."""
-    pairs = []
-    for a, b in LOCAL_EDGES:
-        pairs.append((a, b) if tri[a] < tri[b] else (b, a))
-    return pairs
-
-
-def _triangle_kinematics(mesh: Mesh, q: DeformationField):
-    """Per-triangle kinematics for an admissible deformation.
-
-    Raises:
-        InadmissibleDeformation: jacobian <= 0 somewhere.
-    """
-    grads = gradient_all(q)
-    dets = (1.0 + grads[:, 0, 0]) * (1.0 + grads[:, 1, 1]) \
-        - grads[:, 0, 1] * grads[:, 1, 0]
-    if dets.min() <= 0.0:
-        bad = int(np.argmin(dets))
-        raise InadmissibleDeformation(
-            f"jacobian {dets[bad]:.3e} <= 0 on triangle {bad}")
-    return [kinematics_at(grads[t]) for t in range(mesh.n_triangles)]
-
-
 def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledForms:
     """Assemble the transformed curl-curl, coupling and mass forms.
 
@@ -182,57 +153,27 @@ def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledFo
     Raises:
         InadmissibleDeformation: jacobian <= 0 on some triangle.
     """
-    kins = _triangle_kinematics(mesh, q)
-    grads = mesh.barycentric_gradients
+    jac, inv_t = kinematics(q)
+    values, curls = mesh.whitney
     areas = mesh.areas
-    n_t = mesh.n_triangles
+    tn = np.einsum("tij,tkpj->tkpi", inv_t, values)  # DF^-T N, (T, 3, 3, 2)
+    tg = pulled_gradients(mesh, inv_t)               # DF^-T grad(lam)
 
-    rows_a, cols_a, vals_a = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-    vals_m = []
+    w = (QP_WEIGHT * areas * jac)[:, None, None]
+    m_loc = w * np.einsum("tkpi,tlpi->tkl", tn, tn)
+    b_loc = w * np.einsum("tkpi,tvi->tkv", tn, tg)
+    a_loc = (areas / jac)[:, None, None] * (curls[:, :, None] * curls[:, None, :])
 
-    for t in range(n_t):
-        tri = mesh.triangles[t]
-        glob_e = mesh.triangle_edges[t]
-        gl = grads[t]                                # (3, 2)
-        kin = kins[t]
-        area = areas[t]
-
-        pairs = _local_edge_pairs(tri)
-        curls = np.array([2.0 * (gl[i, 0] * gl[j, 1] - gl[i, 1] * gl[j, 0])
-                          for i, j in pairs])
-        # Whitney basis values at the quadrature points, already pulled back.
-        nval = np.empty((3, 3, 2))                   # (basis, point, 2)
-        for k, (i, j) in enumerate(pairs):
-            for p in range(3):
-                nval[k, p] = QP_BARY[p, i] * gl[j] - QP_BARY[p, j] * gl[i]
-        tn = nval @ kin.DFinvT.T                     # DFinvT @ N, batched
-        tg = gl @ kin.DFinvT.T                       # DFinvT @ grad(lam)
-
-        w = QP_WEIGHT * area * kin.J
-        m_loc = w * np.einsum("kpi,lpi->kl", tn, tn)
-        b_loc = w * np.einsum("kpi,vi->kv", tn, tg)
-        a_loc = (area / kin.J) * np.outer(curls, curls)
-
-        ee = np.broadcast_arrays(glob_e[:, None], glob_e[None, :])
-        rows_a.append(ee[0].ravel())
-        cols_a.append(ee[1].ravel())
-        vals_a.append(a_loc.ravel())
-        vals_m.append(m_loc.ravel())
-        ev = np.broadcast_arrays(glob_e[:, None], tri[None, :])
-        rows_b.append(ev[0].ravel())
-        cols_b.append(ev[1].ravel())
-        vals_b.append(b_loc.ravel())
-
+    # Triangle-major COO order; tocsr sums the duplicates.
+    edges = mesh.triangle_edges
+    rows = np.repeat(edges, 3, axis=1).ravel()
+    cols = np.tile(edges, (1, 3)).ravel()
     shape_ee = (dofs.n_edge, dofs.n_edge)
-    shape_ev = (dofs.n_edge, dofs.n_vertex)
-    ra = np.concatenate(rows_a)
-    ca = np.concatenate(cols_a)
-    a_mat = sp.coo_matrix((np.concatenate(vals_a), (ra, ca)), shape=shape_ee).tocsr()
-    m_mat = sp.coo_matrix((np.concatenate(vals_m), (ra, ca)), shape=shape_ee).tocsr()
+    a_mat = sp.coo_matrix((a_loc.ravel(), (rows, cols)), shape=shape_ee).tocsr()
+    m_mat = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape_ee).tocsr()
     b_mat = sp.coo_matrix(
-        (np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
-        shape=shape_ev).tocsr()
+        (b_loc.ravel(), (rows, np.tile(mesh.triangles, (1, 3)).ravel())),
+        shape=(dofs.n_edge, dofs.n_vertex)).tocsr()
     return AssembledForms(A=a_mat, B=b_mat, M=m_mat)
 
 
@@ -296,75 +237,46 @@ def assemble_shape_derivative(mesh: Mesh, dofs: DofMap, q: DeformationField,
     module.  Expects full-length coefficient vectors (zeros on constrained
     DOFs) in `state` (u, psi) and `adjoint` (z, chi).
     """
-    kins = _triangle_kinematics(mesh, q)
-    grads = mesh.barycentric_gradients
+    jac, inv_t = kinematics(q)
+    values, curls = mesh.whitney
     areas = mesh.areas
+    w = QP_WEIGHT * areas
+    edges, tris = mesh.triangle_edges, mesh.triangles
 
-    u = np.asarray(state.u)
-    psi = np.asarray(state.psi)
-    z = np.asarray(adjoint.z)
-    chi = np.asarray(adjoint.chi)
+    ue = np.asarray(state.u)[edges]                  # (T, 3)
+    ze = np.asarray(adjoint.z)[edges]
+    uvec = np.einsum("tk,tkpi->tpi", ue, values)     # u_h at the points
+    zvec = np.einsum("tk,tkpi->tpi", ze, values)
+    gpsi = np.einsum("tv,tvi->ti", np.asarray(state.psi)[tris],
+                     mesh.barycentric_gradients)     # grad psi_h
+    gchi = np.einsum("tv,tvi->ti", np.asarray(adjoint.chi)[tris],
+                     mesh.barycentric_gradients)
+    tu = np.einsum("tij,tpj->tpi", inv_t, uvec)
+    tz = np.einsum("tij,tpj->tpi", inv_t, zvec)
+    tgpsi = np.einsum("tij,tj->ti", inv_t, gpsi)
+    tgchi = np.einsum("tij,tj->ti", inv_t, gchi)
+    tu_sum, tz_sum = tu.sum(axis=1), tz.sum(axis=1)
+
+    def outer(x, y):
+        return x[:, :, None] * y[:, None, :]
+
+    # Product rule on all triangles at once: each form carries J or 1/J and
+    # DF^-T on both slots, so its derivative in the nodal direction
+    # [t, v, c] is factor_jac * J' + <weight_inv_t, d(DF^-T)>.
+    curl_uz = np.einsum("tk,tk->t", ue, curls) * np.einsum("tk,tk->t", ze, curls)
+    factor_jac = (areas * curl_uz / jac ** 2
+                  - w * (np.einsum("ti,ti->t", tz_sum, tgpsi)
+                         + np.einsum("ti,ti->t", tu_sum, tgchi))
+                  + lam * w * np.einsum("tpi,tpi->t", tu, tz))
+    weight_inv_t = (w * jac)[:, None, None] * (
+        lam * (np.einsum("tpi,tpj->tij", tz, uvec)
+               + np.einsum("tpi,tpj->tij", tu, zvec))
+        - outer(tgpsi, zvec.sum(axis=1)) - outer(tz_sum, gpsi)
+        - outer(tgchi, uvec.sum(axis=1)) - outer(tu_sum, gchi))
+    per_node = (jacobian_derivative(mesh, jac, inv_t) * factor_jac[:, None, None]
+                + np.einsum("tvcij,tij->tvc", inv_t_derivative(mesh, inv_t),
+                            weight_inv_t))
 
     coeffs = np.zeros((mesh.n_vertices, 2))
-    basis = np.eye(2)
-
-    for t in range(mesh.n_triangles):
-        tri = mesh.triangles[t]
-        glob_e = mesh.triangle_edges[t]
-        gl = grads[t]
-        kin = kins[t]
-        area = areas[t]
-        w = QP_WEIGHT * area
-
-        pairs = _local_edge_pairs(tri)
-        curls = np.array([2.0 * (gl[i, 0] * gl[j, 1] - gl[i, 1] * gl[j, 0])
-                          for i, j in pairs])
-        nval = np.empty((3, 3, 2))
-        for k, (i, j) in enumerate(pairs):
-            for p in range(3):
-                nval[k, p] = QP_BARY[p, i] * gl[j] - QP_BARY[p, j] * gl[i]
-
-        ue = u[glob_e]
-        ze = z[glob_e]
-        curl_u = float(ue @ curls)
-        curl_z = float(ze @ curls)
-        uvec = np.einsum("k,kpi->pi", ue, nval)      # (3 points, 2)
-        zvec = np.einsum("k,kpi->pi", ze, nval)
-        gpsi = psi[tri] @ gl                         # (2,)
-        gchi = chi[tri] @ gl
-
-        inv_t = kin.DFinvT
-        tu = uvec @ inv_t.T
-        tz = zvec @ inv_t.T
-        tgpsi = inv_t @ gpsi
-        tgchi = inv_t @ gchi
-
-        for v in range(3):
-            for c in range(2):
-                grad_p = np.outer(basis[c], gl[v])
-                jp = det_derivative(kin, grad_p)
-                dp = invT_derivative(kin, grad_p)
-
-                a_term = (-jp / kin.J ** 2) * curl_u * curl_z * area
-
-                dz = zvec @ dp.T
-                b_z_psi = w * (
-                    jp * (tz @ tgpsi).sum()
-                    + kin.J * (dz @ tgpsi).sum()
-                    + kin.J * (tz @ (dp @ gpsi)).sum())
-
-                du = uvec @ dp.T
-                b_u_chi = w * (
-                    jp * (tu @ tgchi).sum()
-                    + kin.J * (du @ tgchi).sum()
-                    + kin.J * (tu @ (dp @ gchi)).sum())
-
-                m_term = w * (
-                    jp * np.einsum("pi,pi->", tu, tz)
-                    + kin.J * np.einsum("pi,pi->", du, tz)
-                    + kin.J * np.einsum("pi,pi->", tu, dz))
-
-                coeffs[tri[v], c] += (
-                    -a_term - b_z_psi - b_u_chi + lam * m_term)
-
+    np.add.at(coeffs, tris, per_node)                # triangle-major order
     return ShapeFunctional(coeffs)

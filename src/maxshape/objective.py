@@ -18,15 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InfeasibleBarrier
 from .fem_assembly import ShapeFunctional, assemble_control_gram
 from .mesh_io import Mesh
 from .reference_transform import (
     DeformationField,
-    det_derivative,
-    gradient_all,
     jacobian_all,
-    kinematics_at,
+    jacobian_derivative,
+    kinematics,
+    require_jacobian_above,
 )
 
 
@@ -72,30 +71,16 @@ def derivative_q(mesh: Mesh, q: DeformationField,
     """Partial q-derivative of the cost functional as a nodal functional.
 
     Raises:
-        InfeasibleBarrier: jacobian <= epsilon somewhere.
+        InadmissibleDeformation: jacobian <= epsilon somewhere.
     """
-    jac = jacobian_all(q)
-    if jac.min() <= params.epsilon:
-        bad = int(np.argmin(jac))
-        raise InfeasibleBarrier(
-            f"jacobian {jac[bad]:.3e} <= eps on triangle {bad}")
-
+    jac, inv_t = kinematics(q)
+    require_jacobian_above(jac, params.epsilon)
     if gram is None:
         gram = assemble_control_gram(mesh)
-    coeffs = (params.alpha * (gram @ q.flat)).reshape(-1, 2).copy()
-
-    grads_q = gradient_all(q)
-    grads_l = mesh.barycentric_gradients
-    areas = mesh.areas
-    basis = np.eye(2)
-    for t in range(mesh.n_triangles):
-        kin = kinematics_at(grads_q[t])
-        factor = -params.beta * areas[t] / (kin.J - params.epsilon)
-        tri = mesh.triangles[t]
-        for v in range(3):
-            for c in range(2):
-                grad_p = np.outer(basis[c], grads_l[t, v])
-                coeffs[tri[v], c] += factor * det_derivative(kin, grad_p)
+    coeffs = (params.alpha * (gram @ q.flat)).reshape(-1, 2)
+    factor = -params.beta * mesh.areas / (jac - params.epsilon)
+    np.add.at(coeffs, mesh.triangles,
+              factor[:, None, None] * jacobian_derivative(mesh, jac, inv_t))
     return ShapeFunctional(coeffs)
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import adjoint_gradient, objective
 from .eigensolver import EigenSelection, MixedEigenPair
-from .errors import EigenSolverError, SingularDeformation
+from .errors import EigenSolverError, InadmissibleDeformation
 from .fem_assembly import DofMap, ShapeFunctional, assemble_control_gram
 from .mesh_io import Mesh
 from .objective import ObjectiveParams
@@ -34,11 +35,7 @@ class MaxwellShapeProblem:
         self.params = params
         if sel.shift is None:
             # Keep the spectral transform target near the eigenvalue we chase.
-            sel = EigenSelection(
-                index=sel.index, gap_min=sel.gap_min,
-                shift=max(0.9 * params.lambda_target, 1e-12),
-                nev=sel.nev, tol=sel.tol, strict_gap=sel.strict_gap,
-                maxiter=sel.maxiter)
+            sel = replace(sel, shift=max(0.9 * params.lambda_target, 1e-12))
         self.sel = sel
         self.dofs = DofMap.from_mesh(mesh)
         self.gram = assemble_control_gram(mesh)
@@ -91,7 +88,7 @@ class MaxwellShapeProblem:
         if lam is None:
             try:
                 lam = self.solve_state(q).lam
-            except (EigenSolverError, SingularDeformation) as exc:
+            except (EigenSolverError, InadmissibleDeformation) as exc:
                 log.debug("treating solver failure as infeasible: %s", exc)
                 return math.inf
         return objective.evaluate(self.mesh, field, lam, self.params,

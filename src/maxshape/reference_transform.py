@@ -1,19 +1,20 @@
-"""Pointwise deformation calculus for the method of mappings.
+"""Batched deformation calculus for the method of mappings.
 
 The control is a continuous piecewise-linear displacement field q on the
 reference mesh; the physical domain is the image of x + q(x).  Its gradient
 is constant per triangle, so all kinematic quantities (deformation gradient,
-jacobian, inverse transpose) are per-triangle as well.  The mesh coordinates
-are never moved: the deformation enters assembly only through these factors.
+jacobian, inverse transpose) are per-triangle as well and are computed for
+all triangles at once.  The mesh coordinates are never moved: the
+deformation enters assembly only through these factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularDeformation
+from .errors import InadmissibleDeformation
 from .mesh_io import Mesh
 
 _IDENTITY = np.eye(2)
@@ -47,63 +48,57 @@ class DeformationField:
         return self.values.reshape(-1)
 
 
-@dataclass(frozen=True)
-class PointKinematics:
-    """Deformation gradient, its determinant and inverse transpose at a point."""
-
-    DF: np.ndarray          # (2, 2)
-    J: float
-    DFinvT: np.ndarray      # (2, 2)
-
-    @property
-    def DFinv(self) -> np.ndarray:
-        return self.DFinvT.T
-
-
-def kinematics_at(grad_q: np.ndarray) -> PointKinematics:
-    """Kinematics induced by a displacement gradient at a point.
+def require_jacobian_above(jac: np.ndarray, floor: float) -> None:
+    """Check that every per-triangle jacobian exceeds floor.
 
     Raises:
-        SingularDeformation: det(I + grad_q) <= 0.
+        InadmissibleDeformation: the smallest jacobian is <= floor.
     """
-    df = _IDENTITY + np.asarray(grad_q, dtype=np.float64)
-    j = df[0, 0] * df[1, 1] - df[0, 1] * df[1, 0]
-    if j <= 0.0:
-        raise SingularDeformation(j)
-    inv_t = np.array([[df[1, 1], -df[1, 0]], [-df[0, 1], df[0, 0]]]) / j
-    return PointKinematics(DF=df, J=j, DFinvT=inv_t)
-
-
-def det_derivative(kin: PointKinematics, grad_p: np.ndarray) -> float:
-    """Directional derivative of the jacobian: J * tr(DF^-1 grad_p).
-
-    Evaluated through the 2x2 adjugate, so no division by J is required.
-    """
-    df = kin.DF
-    gp = grad_p
-    # tr(adj(DF) @ grad_p) for adj = [[d, -b], [-c, a]]
-    return (df[1, 1] * gp[0, 0] - df[0, 1] * gp[1, 0]
-            - df[1, 0] * gp[0, 1] + df[0, 0] * gp[1, 1])
-
-
-def invT_derivative(kin: PointKinematics, grad_p: np.ndarray) -> np.ndarray:
-    """Directional derivative of DF^-T: -DF^-T grad_p^T DF^-T."""
-    return -kin.DFinvT @ np.asarray(grad_p).T @ kin.DFinvT
-
-
-def gradient_at(q: DeformationField, triangle: int) -> np.ndarray:
-    """Exact gradient of the P1 interpolant of q on one triangle.
-
-    Returns the 2x2 matrix with entries d(q_i)/d(x_j).
-    """
-    verts = q.mesh.triangles[triangle]
-    return q.values[verts].T @ q.mesh.barycentric_gradients[triangle]
+    bad = int(np.argmin(jac))
+    if jac[bad] <= floor:
+        raise InadmissibleDeformation(float(jac[bad]), bad, floor)
 
 
 def gradient_all(q: DeformationField) -> np.ndarray:
     """(T, 2, 2) displacement gradients on every triangle at once."""
     vals = q.values[q.mesh.triangles]                   # (T, 3, 2)
     return np.einsum("tvi,tvj->tij", vals, q.mesh.barycentric_gradients)
+
+
+def kinematics(q: DeformationField) -> tuple[np.ndarray, np.ndarray]:
+    """J (T,) and DF^-T (T, 2, 2) on every triangle, for DF = I + grad q.
+
+    Raises:
+        InadmissibleDeformation: J <= 0 on some triangle.
+    """
+    df = _IDENTITY + gradient_all(q)
+    jac = df[:, 0, 0] * df[:, 1, 1] - df[:, 0, 1] * df[:, 1, 0]
+    require_jacobian_above(jac, 0.0)
+    inv_t = np.stack([df[:, 1, 1], -df[:, 1, 0], -df[:, 0, 1], df[:, 0, 0]],
+                     axis=1).reshape(-1, 2, 2) / jac[:, None, None]
+    return jac, inv_t
+
+
+def pulled_gradients(mesh: Mesh, inv_t: np.ndarray) -> np.ndarray:
+    """(T, 3, 2) transformed hat-function gradients DF^-T grad(lam_v)."""
+    return np.einsum("tij,tvj->tvi", inv_t, mesh.barycentric_gradients)
+
+
+def jacobian_derivative(mesh: Mesh, jac: np.ndarray,
+                        inv_t: np.ndarray) -> np.ndarray:
+    """(T, 3, 2) derivatives of J in the nodal directions e_c grad(lam_v)^T.
+
+    Entry [t, v, c] is J (DF^-T grad lam_v)_c on triangle t.
+    """
+    return jac[:, None, None] * pulled_gradients(mesh, inv_t)
+
+
+def inv_t_derivative(mesh: Mesh, inv_t: np.ndarray) -> np.ndarray:
+    """(T, 3, 2, 2, 2) derivatives of DF^-T in the nodal directions.
+
+    Entry [t, v, c] is the 2x2 matrix -(DF^-T grad lam_v)(DF^-1 e_c)^T.
+    """
+    return -np.einsum("tvi,tcj->tvcij", pulled_gradients(mesh, inv_t), inv_t)
 
 
 def jacobian_all(q: DeformationField) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from maxshape import (
     solve_adjoint,
     solve_state,
 )
-from maxshape.errors import VerificationMismatch
+from maxshape.errors import GapViolation, VerificationMismatch
 from maxshape.problem import MaxwellShapeProblem
 
 from conftest import random_feasible_control
@@ -89,6 +91,18 @@ class TestSolveAdjoint:
         with pytest.raises(VerificationMismatch):
             solve_adjoint(q, corrupted, 0.9 * state.lam, verify=True,
                           mesh=mesh, dofs=dofs, sel=sel)
+
+    def test_verification_keeps_strict_gap(self, setup6):
+        # The direct solve uses the caller's whole selection: a strict gap
+        # wider than the mesh splitting of the square's pi^2 pair must fail
+        # there instead of only logging a warning.
+        mesh, dofs, sel = setup6
+        q = DeformationField.zero(mesh)
+        state = solve_state(mesh, dofs, q, sel)
+        strict = replace(sel, gap_min=1.0, strict_gap=True)
+        with pytest.raises(GapViolation):
+            solve_adjoint(q, state, 0.9 * state.lam, verify=True,
+                          mesh=mesh, dofs=dofs, sel=strict)
 
 
 class TestRieszGradient:

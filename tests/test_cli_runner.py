@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from maxshape import gradient_incidence
 from maxshape.cli_runner import (
+    _cell_field_magnitude,
     check_gradient,
     load_config,
     main,
@@ -10,6 +12,8 @@ from maxshape.cli_runner import (
     run_eigs,
 )
 from maxshape.errors import ConfigError
+
+from conftest import dilation_control
 
 
 def config_text(extra="", mesh="mesh.unit_square = 4",
@@ -155,6 +159,17 @@ class TestRun:
         code = run(cfg)
         assert code in (0, 1)
         assert (tmp_path / "o" / "summary.txt").is_file()
+
+
+class TestCellFieldMagnitude:
+    @pytest.mark.parametrize("s", [0.0, -0.1, 0.25])
+    def test_gradient_of_x_under_dilation(self, square4, s):
+        # u = G x is the edge-element interpolant of grad x = e_x, which is
+        # exact; the deformation q = s (x - c) scales it by 1 / (1 + s).
+        u = gradient_incidence(square4) @ square4.vertices[:, 0]
+        mag = _cell_field_magnitude(square4, dilation_control(square4, s), u)
+        assert mag.shape == (square4.n_triangles,)
+        np.testing.assert_allclose(mag, 1.0 / (1.0 + s), rtol=1e-13)
 
 
 class TestCheckGradient:

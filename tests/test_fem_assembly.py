@@ -45,30 +45,29 @@ def _whitney_local(mesh, t):
 
 def _oracle_forms(mesh, q):
     """Dense A, B, M integrated with the degree-5 rule (independent path)."""
-    from maxshape.reference_transform import gradient_all, kinematics_at
-
     n_e, n_v = mesh.n_edges, mesh.n_vertices
     a = np.zeros((n_e, n_e))
     b = np.zeros((n_e, n_v))
     m = np.zeros((n_e, n_e))
-    grads_q = gradient_all(q)
     for t in range(mesh.n_triangles):
-        kin = kinematics_at(grads_q[t])
         gl = mesh.barycentric_gradients[t]
+        df = np.eye(2) + q.values[mesh.triangles[t]].T @ gl
+        jac = np.linalg.det(df)
+        inv_t = np.linalg.inv(df).T
         area = mesh.areas[t]
         pairs, curls, glob = _whitney_local(mesh, t)
         tri = mesh.triangles[t]
         for w, lam in zip(_QW, _QL):
-            nvals = [kin.DFinvT @ (lam[i] * gl[j] - lam[j] * gl[i])
+            nvals = [inv_t @ (lam[i] * gl[j] - lam[j] * gl[i])
                      for i, j in pairs]
-            tg = [kin.DFinvT @ gl[v] for v in range(3)]
+            tg = [inv_t @ gl[v] for v in range(3)]
             for k in range(3):
                 for l in range(3):
-                    m[glob[k], glob[l]] += w * area * kin.J * nvals[k] @ nvals[l]
-                    b[glob[k], tri[l]] += w * area * kin.J * nvals[k] @ tg[l]
+                    m[glob[k], glob[l]] += w * area * jac * nvals[k] @ nvals[l]
+                    b[glob[k], tri[l]] += w * area * jac * nvals[k] @ tg[l]
         for k in range(3):
             for l in range(3):
-                a[glob[k], glob[l]] += area / kin.J * curls[k] * curls[l]
+                a[glob[k], glob[l]] += area / jac * curls[k] * curls[l]
     return a, b, m
 
 

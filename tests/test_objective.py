@@ -10,7 +10,7 @@ from maxshape import (
     derivative_q,
     evaluate,
 )
-from maxshape.errors import InfeasibleBarrier
+from maxshape.errors import InadmissibleDeformation
 
 from conftest import dilation_control, random_feasible_control
 
@@ -111,7 +111,7 @@ class TestDerivativeQ:
 
     def test_infeasible_raises(self, square4, params):
         q = dilation_control(square4, -0.999)
-        with pytest.raises(InfeasibleBarrier):
+        with pytest.raises(InadmissibleDeformation):
             derivative_q(square4, q, params)
 
 

@@ -1,0 +1,67 @@
+"""The package namespace and the binding sites the benchmark traces.
+
+The traced benchmark (benchmarks/tracing.py) wraps each function it names
+at every module attribute bound to it, and its workloads require some of
+those bindings to be hit.  These tests load the benchmark files read-only
+and check that every such name still resolves in the program.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import maxshape
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_benchmark_module(name, monkeypatch):
+    """Import benchmarks/<name>.py without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(
+        f"_benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    return load_benchmark_module("tracing", monkeypatch)
+
+
+def traced_function(name):
+    module, attr = name.split(".")
+    return getattr(importlib.import_module(f"maxshape.{module}"), attr)
+
+
+class TestPublicSurface:
+    def test_all_names_resolve(self):
+        for name in maxshape.__all__:
+            assert hasattr(maxshape, name), name
+
+
+class TestBenchmarkBindings:
+    def test_traced_functions_resolve(self, tracing):
+        for name in tracing.TRACED:
+            assert callable(traced_function(name)), name
+        for attr in tracing.TRACED_METHODS.values():
+            assert callable(getattr(maxshape.MaxwellShapeProblem, attr)), attr
+
+    def test_required_binding_sites_exist(self, tracing, monkeypatch):
+        workloads = load_benchmark_module("workloads", monkeypatch)
+        traced = {id(traced_function(name)) for name in tracing.TRACED}
+        sites = {site for w in workloads.WORKLOADS.values() for site in w.sites}
+        for site in sorted(sites):
+            owner, attr = site.rsplit(".", 1)
+            if owner.startswith("maxshape"):
+                bound = getattr(importlib.import_module(owner), attr)
+                assert id(bound) in traced, f"{site} is not a traced function"
+            elif owner == "eigensolver.spla":
+                assert callable(getattr(maxshape.eigensolver.spla, attr)), site
+            else:
+                assert site in tracing.TRACED_METHODS, site

@@ -1,72 +1,96 @@
 import numpy as np
 import pytest
 
-from maxshape import (
-    DeformationField,
-    det_derivative,
-    gradient_at,
-    invT_derivative,
-    jacobian_range,
-    kinematics_at,
+from maxshape import DeformationField, jacobian_range, parse_msh
+from maxshape.errors import InadmissibleDeformation
+from maxshape.reference_transform import (
+    gradient_all,
+    inv_t_derivative,
+    jacobian_derivative,
+    kinematics,
 )
-from maxshape.errors import SingularDeformation
-from maxshape.reference_transform import gradient_all
 
-from conftest import dilation_control
+from conftest import SINGLE_TRIANGLE_MSH, dilation_control
+
+# The unit right triangle: the P1 gradient of an affine field is exact on it.
+TRIANGLE = parse_msh(SINGLE_TRIANGLE_MSH)
+
+
+def affine_field(mesh, g):
+    """Nodal coefficients of q(x) = g x, whose gradient is g everywhere."""
+    return DeformationField(mesh, mesh.vertices @ np.asarray(g).T)
+
+
+def kinematics_of(grad_q):
+    """J and DF^-T for the displacement gradient grad_q, via the batched code."""
+    jac, inv_t = kinematics(affine_field(TRIANGLE, grad_q))
+    return jac[0], inv_t[0]
+
+
+def jacobian_derivative_along(grad_q, grad_p):
+    """Derivative of J at grad_q in the direction of the field grad_p x."""
+    q = affine_field(TRIANGLE, grad_q)
+    jac, inv_t = kinematics(q)
+    d_jac = jacobian_derivative(TRIANGLE, jac, inv_t)[0]      # (3, 2)
+    return np.einsum("vc,vc->", affine_field(TRIANGLE, grad_p).values, d_jac)
+
+
+def inv_t_derivative_along(grad_q, grad_p):
+    """Derivative of DF^-T at grad_q in the direction of the field grad_p x."""
+    _, inv_t = kinematics(affine_field(TRIANGLE, grad_q))
+    d_inv_t = inv_t_derivative(TRIANGLE, inv_t)[0]            # (3, 2, 2, 2)
+    return np.einsum("vc,vcij->ij", affine_field(TRIANGLE, grad_p).values,
+                     d_inv_t)
 
 
 class TestKinematicsAt:
     def test_identity(self):
-        kin = kinematics_at(np.zeros((2, 2)))
-        np.testing.assert_array_equal(kin.DF, np.eye(2))
-        assert kin.J == 1.0
-        np.testing.assert_array_equal(kin.DFinvT, np.eye(2))
+        jac, inv_t = kinematics_of(np.zeros((2, 2)))
+        assert jac == 1.0
+        np.testing.assert_array_equal(inv_t, np.eye(2))
 
     @pytest.mark.parametrize("s", [-0.3, 0.1, 0.5])
     def test_uniform_dilation(self, s):
-        kin = kinematics_at(s * np.eye(2))
-        assert kin.J == pytest.approx((1 + s) ** 2, rel=1e-14)
-        np.testing.assert_allclose(kin.DFinvT, np.eye(2) / (1 + s), rtol=1e-14)
+        jac, inv_t = kinematics_of(s * np.eye(2))
+        assert jac == pytest.approx((1 + s) ** 2, rel=1e-14)
+        np.testing.assert_allclose(inv_t, np.eye(2) / (1 + s), rtol=1e-14)
 
     def test_shear_example(self):
-        kin = kinematics_at(np.array([[0.1, 0.2], [0.0, -0.1]]))
-        assert kin.J == pytest.approx(0.99, rel=1e-14)
+        jac, _ = kinematics_of(np.array([[0.1, 0.2], [0.0, -0.1]]))
+        assert jac == pytest.approx(0.99, rel=1e-14)
 
     def test_inverse_consistency(self, rng):
         for _ in range(10):
             g = 0.3 * rng.standard_normal((2, 2))
-            kin = kinematics_at(g)
-            np.testing.assert_allclose(kin.DF @ kin.DFinvT.T, np.eye(2),
+            _, inv_t = kinematics_of(g)
+            np.testing.assert_allclose((np.eye(2) + g) @ inv_t.T, np.eye(2),
                                        atol=1e-13)
 
     def test_singular_raises(self):
-        with pytest.raises(SingularDeformation):
-            kinematics_at(np.array([[-1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(SingularDeformation):
-            kinematics_at(np.array([[-2.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(InadmissibleDeformation):
+            kinematics_of(np.array([[-1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(InadmissibleDeformation):
+            kinematics_of(np.array([[-2.0, 0.0], [0.0, 0.0]]))
 
 
 class TestDetDerivative:
     def test_at_identity_is_divergence(self, rng):
-        kin = kinematics_at(np.zeros((2, 2)))
         for _ in range(5):
             gp = rng.standard_normal((2, 2))
-            assert det_derivative(kin, gp) == pytest.approx(np.trace(gp),
-                                                            rel=1e-14)
+            exact = jacobian_derivative_along(np.zeros((2, 2)), gp)
+            assert exact == pytest.approx(np.trace(gp), rel=1e-14)
 
     @pytest.mark.parametrize("s", [-0.2, 0.15])
     def test_dilation(self, s):
         # d/dt det((1+s+t) I) at t=0 equals 2 (1+s)
-        kin = kinematics_at(s * np.eye(2))
-        assert det_derivative(kin, np.eye(2)) == pytest.approx(2 * (1 + s),
-                                                               rel=1e-14)
+        exact = jacobian_derivative_along(s * np.eye(2), np.eye(2))
+        assert exact == pytest.approx(2 * (1 + s), rel=1e-14)
 
     def test_finite_difference(self, rng):
         for _ in range(10):
             gq = 0.3 * rng.standard_normal((2, 2))
             gp = rng.standard_normal((2, 2))
-            kin = kinematics_at(gq)
-            exact = det_derivative(kin, gp)
+            exact = jacobian_derivative_along(gq, gp)
             errs = []
             for h in (1e-4, 1e-5):
                 fd = (np.linalg.det(np.eye(2) + gq + h * gp)
@@ -76,25 +100,40 @@ class TestDetDerivative:
             # det of a 2x2 is quadratic: central differences are exact
             assert errs[1] <= 1e-9
 
+    def test_nodal_directions_on_mesh(self, square4, rng):
+        # Entry [t, v, c] is the derivative of J on triangle t when vertex
+        # triangles[t, v] moves along axis c.
+        q = DeformationField(square4,
+                             0.05 * rng.standard_normal((square4.n_vertices, 2)))
+        jac, inv_t = kinematics(q)
+        d_jac = jacobian_derivative(square4, jac, inv_t)
+        h = 1e-6
+        for t, v, c in ((0, 0, 0), (5, 1, 1), (17, 2, 0)):
+            p = np.zeros((square4.n_vertices, 2))
+            p[square4.triangles[t, v], c] = 1.0
+            plus, _ = kinematics(DeformationField(square4, q.values + h * p))
+            minus, _ = kinematics(DeformationField(square4, q.values - h * p))
+            fd = (plus[t] - minus[t]) / (2 * h)
+            assert abs(fd - d_jac[t, v, c]) <= 1e-8
+
 
 class TestInvTDerivative:
     def test_at_identity(self, rng):
-        kin = kinematics_at(np.zeros((2, 2)))
         gp = rng.standard_normal((2, 2))
-        np.testing.assert_allclose(invT_derivative(kin, gp), -gp.T, rtol=1e-14)
+        np.testing.assert_allclose(
+            inv_t_derivative_along(np.zeros((2, 2)), gp), -gp.T, rtol=1e-14)
 
     @pytest.mark.parametrize("s", [-0.2, 0.15])
     def test_dilation(self, s):
-        kin = kinematics_at(s * np.eye(2))
-        np.testing.assert_allclose(invT_derivative(kin, np.eye(2)),
-                                   -np.eye(2) / (1 + s) ** 2, rtol=1e-13)
+        np.testing.assert_allclose(
+            inv_t_derivative_along(s * np.eye(2), np.eye(2)),
+            -np.eye(2) / (1 + s) ** 2, rtol=1e-13)
 
     def test_finite_difference(self, rng):
         for _ in range(10):
             gq = 0.3 * rng.standard_normal((2, 2))
             gp = rng.standard_normal((2, 2))
-            kin = kinematics_at(gq)
-            exact = invT_derivative(kin, gp)
+            exact = inv_t_derivative_along(gq, gp)
             h = 1e-6
             plus = np.linalg.inv(np.eye(2) + gq + h * gp).T
             minus = np.linalg.inv(np.eye(2) + gq - h * gp).T
@@ -105,8 +144,7 @@ class TestInvTDerivative:
     def test_fd_order_two(self, rng):
         gq = 0.2 * rng.standard_normal((2, 2))
         gp = rng.standard_normal((2, 2))
-        kin = kinematics_at(gq)
-        exact = invT_derivative(kin, gp)
+        exact = inv_t_derivative_along(gq, gp)
         errs = []
         for h in (1e-2, 1e-3):
             plus = np.linalg.inv(np.eye(2) + gq + h * gp).T
@@ -114,18 +152,32 @@ class TestInvTDerivative:
             errs.append(np.linalg.norm((plus - minus) / (2 * h) - exact))
         assert errs[1] <= errs[0] / 50.0  # O(h^2) decay
 
+    def test_nodal_directions_on_mesh(self, square4, rng):
+        q = DeformationField(square4,
+                             0.05 * rng.standard_normal((square4.n_vertices, 2)))
+        _, inv_t = kinematics(q)
+        d_inv_t = inv_t_derivative(square4, inv_t)
+        h = 1e-6
+        for t, v, c in ((0, 0, 0), (5, 1, 1), (17, 2, 0)):
+            p = np.zeros((square4.n_vertices, 2))
+            p[square4.triangles[t, v], c] = 1.0
+            _, plus = kinematics(DeformationField(square4, q.values + h * p))
+            _, minus = kinematics(DeformationField(square4, q.values - h * p))
+            fd = (plus[t] - minus[t]) / (2 * h)
+            np.testing.assert_allclose(d_inv_t[t, v, c], fd, atol=1e-7)
+
 
 class TestGradientAt:
     def test_zero_field(self, square2):
         q = DeformationField.zero(square2)
-        for t in range(square2.n_triangles):
-            np.testing.assert_array_equal(gradient_at(q, t), np.zeros((2, 2)))
+        np.testing.assert_array_equal(gradient_all(q),
+                                      np.zeros((square2.n_triangles, 2, 2)))
 
     def test_affine_reproduction(self, square4, rng):
         a_mat = rng.standard_normal((2, 2))
-        q = DeformationField(square4, square4.vertices @ a_mat.T)
-        for t in range(square4.n_triangles):
-            np.testing.assert_allclose(gradient_at(q, t), a_mat, atol=1e-12)
+        q = affine_field(square4, a_mat)
+        for grad in gradient_all(q):
+            np.testing.assert_allclose(grad, a_mat, atol=1e-12)
 
     def test_pointwise_fd_inside_triangle(self, square4, rng):
         q = DeformationField(square4,
@@ -141,7 +193,7 @@ class TestGradientAt:
 
         t = 5
         centroid = square4.vertices[square4.triangles[t]].mean(axis=0)
-        grad = gradient_at(q, t)
+        grad = gradient_all(q)[t]
         h = 1e-7
         for j, e in enumerate(np.eye(2)):
             fd = (interpolate(centroid + h * e, t)
@@ -149,11 +201,17 @@ class TestGradientAt:
             np.testing.assert_allclose(grad[:, j], fd, atol=1e-6)
 
     def test_gradient_all_matches(self, square4, rng):
+        # Oracle: the edge vectors of the displaced and the reference
+        # triangle are related by grad q, so grad q = dQ dX^-1.
         q = DeformationField(square4,
                              0.1 * rng.standard_normal((square4.n_vertices, 2)))
         allg = gradient_all(q)
         for t in (0, 3, 17):
-            np.testing.assert_allclose(allg[t], gradient_at(q, t), atol=1e-14)
+            tri = square4.triangles[t]
+            d_x = (square4.vertices[tri[1:]] - square4.vertices[tri[0]]).T
+            d_q = (q.values[tri[1:]] - q.values[tri[0]]).T
+            np.testing.assert_allclose(allg[t], d_q @ np.linalg.inv(d_x),
+                                       atol=1e-14)
 
 
 class TestJacobianRange:
