@@ -73,13 +73,8 @@ def solve_state(mesh: Mesh, dofs: DofMap, q: DeformationField,
     forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
     pairs = solve_gevp(forms, sel, v0=v0)
     pair = select_and_normalize(pairs, sel, forms.M)
-    return MixedEigenPair(
-        lam=pair.lam,
-        u=dofs.expand_edge(pair.u),
-        psi=dofs.expand_vertex(pair.psi),
-        residual=pair.residual,
-        gap_warning=pair.gap_warning,
-    )
+    return replace(pair, u=dofs.expand_edge(pair.u),
+                   psi=dofs.expand_vertex(pair.psi))
 
 
 def solve_adjoint(q: DeformationField, state: MixedEigenPair,

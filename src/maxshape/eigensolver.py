@@ -17,6 +17,7 @@ systems fall back to a dense QZ solve of the same pencil.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +38,18 @@ log = logging.getLogger(__name__)
 # Below this pencil size the dense QZ path is both faster and more robust.
 DENSE_THRESHOLD = 300
 
+# Largest ||B^T u|| / ||M u|| a divergence-free (spurious-free) pair may show.
+DIVERGENCE_TOL = 1e-6
+
 
 @dataclass
 class MixedEigenPair:
     """Eigenvalue with edge-space eigenvector and vertex-space multiplier.
 
-    Invariants after select_and_normalize: u^T M u = 1, the largest-magnitude
-    entry of u is positive, and ||B^T u|| <= 1e-6 ||M u|| certifies the pair
-    as divergence-free (spurious-free).
+    Invariants after select_and_normalize: u^T M u = 1 and the
+    largest-magnitude entry of u is positive.  divergence is the certificate
+    ||B^T u|| / ||M u||; at most DIVERGENCE_TOL certifies the pair as
+    divergence-free (spurious-free).
     """
 
     lam: float
@@ -52,6 +57,7 @@ class MixedEigenPair:
     psi: np.ndarray
     residual: float
     gap_warning: bool = False
+    divergence: float = math.nan
 
 
 @dataclass
@@ -103,8 +109,9 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
                v0: np.ndarray | None = None) -> list[MixedEigenPair]:
     """Compute the nev finite eigenvalues nearest the shift, sorted ascending.
 
-    Each returned eigenvector is normalized to u^T M u = 1 and satisfies the
-    relative pencil residual bound of the selection tolerance.
+    Each returned eigenvector is normalized to u^T M u = 1, satisfies the
+    relative pencil residual bound of the selection tolerance and carries
+    its divergence certificate ||B^T u|| / ||M u||.
 
     Raises:
         FactorizationFailed: K - sigma*Mt is singular.
@@ -151,12 +158,15 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
         u = u / nrm
         psi = psi / nrm
         x = x / nrm
+        # divergence certificate of the normalized u, whose M u is mu / nrm
+        div = float(np.linalg.norm(forms.B.T @ u) / (np.linalg.norm(mu) / nrm))
         res = _pencil_residual(k_mat, mt, lam, x)
         if res > sel.tol:
             raise NoConvergence(
                 f"eigenpair {i} (lam={lam:.6g}) residual {res:.2e} "
                 f"exceeds tol {sel.tol:.2e}")
-        pairs.append(MixedEigenPair(lam=float(lam), u=u, psi=psi, residual=res))
+        pairs.append(MixedEigenPair(lam=float(lam), u=u, psi=psi, residual=res,
+                                    divergence=div))
     return pairs
 
 
@@ -216,7 +226,8 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
     The eigenvector is rescaled to u^T M u = 1 with the largest-magnitude
     entry of u positive (a deterministic representative); the multiplier is
     rescaled alongside.  The gap is checked against the other computed
-    eigenvalues only.
+    eigenvalues only.  A divergence certificate above DIVERGENCE_TOL is
+    logged as a warning, not raised.
 
     Raises:
         InsufficientSpectrum: index beyond the computed list.
@@ -249,5 +260,10 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
                         sel.gap_min)
             gap_warning = True
 
+    if chosen.divergence > DIVERGENCE_TOL:
+        log.warning("divergence certificate %.3e above %.1e at lam=%.6g",
+                    chosen.divergence, DIVERGENCE_TOL, chosen.lam)
+
     return MixedEigenPair(lam=chosen.lam, u=u, psi=psi,
-                          residual=chosen.residual, gap_warning=gap_warning)
+                          residual=chosen.residual, gap_warning=gap_warning,
+                          divergence=chosen.divergence)

@@ -2,8 +2,9 @@
 
 MaxwellShapeProblem owns everything that is deformation-independent (mesh,
 DOF maps, control-space Gram matrix and its factorization, eigensolver warm
-start) and exposes the callable surface the optimizer drives.  Controls
-cross this interface as flat coefficient vectors.
+start) plus the last solved state, and exposes the callable surface the
+optimizer drives.  Controls cross this interface as flat coefficient
+vectors.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ class MaxwellShapeProblem:
         self._gram_solve = spla.factorized(self.gram.tocsc())
         rng = np.random.default_rng(seed)
         self._warm = rng.standard_normal(self.dofs.n_free)
+        # (private copy of the last solved control, its state pair)
+        self._last_state: tuple[np.ndarray, MixedEigenPair] | None = None
 
     # -- control helpers ----------------------------------------------------
 
@@ -58,11 +61,28 @@ class MaxwellShapeProblem:
     # -- problem protocol ---------------------------------------------------
 
     def solve_state(self, q: np.ndarray) -> MixedEigenPair:
+        """State eigenpair at control q.
+
+        The last solved control and its pair are kept: a call at an equal
+        control returns that same pair without assembling or solving, and
+        leaves the warm start, which already holds its vector, as it is.
+        The Armijo trial that accepts a step has thus already solved the
+        state the optimizer needs at the new iterate.  A solve that raises
+        stores nothing.
+        """
+        if self._last_state is not None and \
+                np.array_equal(q, self._last_state[0]):
+            state = self._last_state[1]
+            log.debug("reused state: lam=%.10g", state.lam)
+            return state
         state = adjoint_gradient.solve_state(
             self.mesh, self.dofs, self.field(q), self.sel, v0=self._warm)
         self._warm = np.concatenate([
             self.dofs.restrict_edge(state.u),
             self.dofs.restrict_vertex(state.psi)])
+        self._last_state = (np.array(q, copy=True), state)
+        log.debug("solved state: lam=%.10g residual=%.2e divergence=%.2e",
+                  state.lam, state.residual, state.divergence)
         return state
 
     def solve_adjoint(self, q: np.ndarray, state: MixedEigenPair):

@@ -40,6 +40,7 @@ class TestSolveState:
         assert len(state.psi) == mesh.n_vertices
         assert np.all(state.u[mesh.boundary_edges] == 0.0)
         assert np.all(state.psi[mesh.boundary_vertices] == 0.0)
+        assert state.divergence <= 1e-6     # the certificate travels along
 
     def test_translation_invariance(self, setup6):
         mesh, dofs, sel = setup6

@@ -122,6 +122,39 @@ class TestRun:
             texts.append((tmp_path / name / "iterations.csv").read_bytes())
         assert texts[0] == texts[1]
 
+    def test_no_eigensolve_after_optimize(self, tmp_path, monkeypatch):
+        # the accepted trial's state also feeds the final VTK field
+        import maxshape.adjoint_gradient as ag
+        import maxshape.cli_runner as cli
+
+        log = []
+        real_solve, real_optimize = ag.solve_state, cli.optimize
+
+        def solve_state(*args, **kwargs):
+            log.append("solve")
+            return real_solve(*args, **kwargs)
+
+        def optimize(*args, **kwargs):
+            result = real_optimize(*args, **kwargs)
+            log.append("optimize returned")
+            return result
+
+        monkeypatch.setattr(ag, "solve_state", solve_state)
+        monkeypatch.setattr(cli, "optimize", optimize)
+        cfg = parse_config("\n".join([
+            "mesh.unit_square = 4",
+            "objective.lambda_target = 10.0",
+            "objective.alpha = 3e-4",
+            "eigen.shift = 9.0",
+            "eigen.tol = 1e-8",
+            "optimizer.k_max = 1",
+            f"output.dir = {tmp_path / 'out'}",
+        ]))
+        run(cfg)
+        assert (tmp_path / "out" / "deformed_final.vtk").is_file()
+        assert log.count("solve") >= 2
+        assert log[-1] == "optimize returned"
+
     def test_missing_mesh_is_config_error(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         out = tmp_path / "never"

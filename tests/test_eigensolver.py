@@ -53,6 +53,10 @@ class TestSolveGevp:
         for p in square16_pairs:
             assert np.linalg.norm(b_mat.T @ p.u) <= \
                 1e-6 * np.linalg.norm(m_mat @ p.u)
+            # the stored certificate is the same quantity
+            fresh = np.linalg.norm(b_mat.T @ p.u) / np.linalg.norm(m_mat @ p.u)
+            assert p.divergence == pytest.approx(fresh, rel=1e-12)
+            assert p.divergence <= 1e-6
 
     def test_mass_normalization(self, square16_forms, square16_pairs):
         for p in square16_pairs:

@@ -11,17 +11,36 @@ from maxshape import (
     generate_unit_square,
     optimize,
 )
+from maxshape import adjoint_gradient
 from maxshape.errors import NoConvergence
 from maxshape.problem import MaxwellShapeProblem
 
 
-@pytest.fixture(scope="module")
-def square8_problem():
+def _square8_problem():
     mesh = generate_unit_square(8)
     sel = EigenSelection(index=0, nev=6, shift=9.0, tol=1e-9)
     params = ObjectiveParams(lambda_target=9.0, alpha=1e-3, beta=1e-6,
                              epsilon=1e-4)
     return MaxwellShapeProblem(mesh, params, sel, seed=0)
+
+
+@pytest.fixture(scope="module")
+def square8_problem():
+    return _square8_problem()
+
+
+@pytest.fixture
+def state_solves(monkeypatch):
+    """Flat controls seen by maxshape.adjoint_gradient.solve_state, in order."""
+    seen = []
+    real = adjoint_gradient.solve_state
+
+    def counted(mesh, dofs, q, sel, v0=None):
+        seen.append(q.flat.copy())
+        return real(mesh, dofs, q, sel, v0=v0)
+
+    monkeypatch.setattr(adjoint_gradient, "solve_state", counted)
+    return seen
 
 
 class TestEvaluate:
@@ -119,3 +138,83 @@ class TestSelfTargetingRun:
         assert status is OptimizeStatus.CONVERGED
         assert records[-1].k == 0
         assert np.all(q == 0.0)
+
+
+class TestLastStateMemo:
+    def test_equal_control_reuses_state(self, state_solves):
+        prob = _square8_problem()
+        first = prob.solve_state(prob.zero_control())
+        again = prob.solve_state(prob.zero_control())
+        assert len(state_solves) == 1
+        assert again is first
+        assert again.lam == first.lam
+
+    def test_one_entry_changed_solves_again(self, state_solves):
+        prob = _square8_problem()
+        q = prob.zero_control()
+        prob.solve_state(q)
+        moved = q.copy()
+        moved[5] = 1e-3
+        prob.solve_state(moved)
+        assert len(state_solves) == 2
+        np.testing.assert_array_equal(state_solves[1], moved)
+
+    def test_caller_mutation_cannot_hit_stale_entry(self, state_solves):
+        prob = _square8_problem()
+        q = prob.zero_control()
+        at_zero = prob.solve_state(q)
+        q[5] = 1e-2                 # the caller reuses its buffer
+        moved = prob.solve_state(q)
+        assert len(state_solves) == 2
+        assert moved.lam != at_zero.lam
+
+    def test_failed_solve_stores_nothing(self, state_solves, monkeypatch):
+        prob = _square8_problem()
+        q = prob.zero_control()
+        counted = adjoint_gradient.solve_state
+
+        def boom(*args, **kwargs):
+            raise NoConvergence("forced")
+
+        monkeypatch.setattr(adjoint_gradient, "solve_state", boom)
+        with pytest.raises(NoConvergence):
+            prob.solve_state(q)
+        monkeypatch.setattr(adjoint_gradient, "solve_state", counted)
+        state = prob.solve_state(q)
+        assert len(state_solves) == 1
+        assert math.isfinite(state.lam)
+
+    def test_debug_log_names_solve_and_reuse(self, caplog):
+        prob = _square8_problem()
+        with caplog.at_level("DEBUG", logger="maxshape.problem"):
+            prob.solve_state(prob.zero_control())
+            prob.solve_state(prob.zero_control())
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "maxshape.problem"]
+        assert len(lines) == 2
+        assert lines[0].startswith("solved state: lam=")
+        assert "residual=" in lines[0] and "divergence=" in lines[0]
+        assert lines[1].startswith("reused state: lam=")
+
+
+class TestOneSolvePerControl:
+    def test_optimize_solves_each_control_once(self, state_solves,
+                                               monkeypatch):
+        prob = _square8_problem()
+        feasible_trials = []
+        real_evaluate = prob.evaluate
+
+        def evaluate(q, lam=None):
+            if lam is None and \
+                    prob.jacobian_range(q)[0] > prob.params.epsilon:
+                feasible_trials.append(np.array(q, copy=True))
+            return real_evaluate(q, lam)
+
+        monkeypatch.setattr(prob, "evaluate", evaluate)
+        cfg = OptimizerConfig(tol=1e-12, k_max=3, b0_scale=1e3)
+        _, records, _ = optimize(prob, prob.zero_control(), cfg)
+
+        assert sum(r.step > 0 for r in records) >= 1
+        keys = [q.tobytes() for q in state_solves]
+        assert len(set(keys)) == len(keys)
+        assert len(state_solves) == 1 + len(feasible_trials)
