@@ -304,8 +304,9 @@ def check_gradient(cfg: RunConfig, n_directions: int,
             rows.append({"h": step, "fd": fd, "exact": exact, "rel_error": rel})
         report["directions"].append(rows)
 
+    # np.max, unlike max, propagates a NaN error from an infinite trial value
     finest = [rows[-1]["rel_error"] for rows in report["directions"]]
-    report["max_rel_error"] = max(finest)
+    report["max_rel_error"] = float(np.max(finest))
     _print_report(report, rel_tol)
     return report, 0 if report["max_rel_error"] <= rel_tol else 1
 

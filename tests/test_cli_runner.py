@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from maxshape.cli_runner import (
     run_eigs,
 )
 from maxshape.errors import ConfigError
+from maxshape.problem import MaxwellShapeProblem
 
 from conftest import dilation_control
 
@@ -232,6 +235,27 @@ class TestCheckGradient:
             assert errs[0] > errs[1]           # coarse step is worse
             assert errs[0] / errs[1] >= 20.0   # roughly O(h^2)
             assert errs[2] <= errs[0]
+
+    def test_infinite_trial_fails(self, tmp_path, monkeypatch, capsys):
+        # fd = inf gives rel_error = nan, which max() drops unless it comes
+        # first; the check must fail instead of passing on the other rows.
+        calls = []
+        evaluate = MaxwellShapeProblem.evaluate
+
+        def evaluate_inf_on_dir1(self, q, lam=None):
+            calls.append(q)
+            # calls run dir 0 (+h, -h), then dir 1 (+h, -h)
+            return math.inf if len(calls) == 3 else evaluate(self, q, lam)
+
+        monkeypatch.setattr(MaxwellShapeProblem, "evaluate",
+                            evaluate_inf_on_dir1)
+        report, code = check_gradient(self.base_config(tmp_path, n=4), 2,
+                                      1e-5)
+        assert len(calls) == 4
+        assert math.isfinite(report["directions"][0][-1]["rel_error"])
+        assert not math.isfinite(report["max_rel_error"])
+        assert code == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_zero_directions(self, tmp_path):
         report, code = check_gradient(self.base_config(tmp_path, n=4), 0, 1e-5)

@@ -1,5 +1,9 @@
+import logging
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from maxshape import (
     DeformationField,
@@ -12,8 +16,9 @@ from maxshape import (
     solve_gevp,
 )
 from maxshape.errors import GapViolation, InsufficientSpectrum
+from maxshape.reference_transform import jacobian_range
 
-from conftest import SQUARE_SPECTRUM
+from conftest import SQUARE_SPECTRUM, random_feasible_control
 
 
 def _reduced_forms(mesh, q=None):
@@ -83,19 +88,68 @@ class TestSolveGevp:
         # n=8 runs dense, n=16 runs shift-invert ARPACK; eigenvalues of the
         # same continuous problem must land on the same analytic targets, and
         # the n=8 mesh re-solved through both paths must agree to solver tol.
+        # Inputs: the undeformed square, and a deformation near the jacobian
+        # floor (J_min ~ 0.1); shift 40 makes K - sigma*Mt strongly
+        # indefinite for the symmetric-mode LU.
         mesh = generate_unit_square(8)
+        deformed = random_feasible_control(mesh, np.random.default_rng(1),
+                                           0.06)
+        assert 0.05 < jacobian_range(deformed)[0] < 0.15
+        import maxshape.eigensolver as es
+        for field in (None, deformed):
+            forms, _ = _reduced_forms(mesh, field)
+            for shift in (9.0, 40.0):
+                sel = EigenSelection(nev=6, shift=shift, tol=1e-9)
+                dense = solve_gevp(forms, sel)
+                threshold = es.DENSE_THRESHOLD
+                try:
+                    es.DENSE_THRESHOLD = 0
+                    sparse = solve_gevp(forms, sel)
+                finally:
+                    es.DENSE_THRESHOLD = threshold
+                assert len(dense) == len(sparse) == 6
+                for pd, ps in zip(dense, sparse):
+                    assert abs(pd.lam - ps.lam) <= 1e-7 * abs(pd.lam)
+
+    def test_symmetric_lu_fill(self, monkeypatch):
+        # K - sigma*Mt is symmetric; minimum degree on A^T + A with diagonal
+        # pivots must keep the fill well below the general splu default.
+        mesh = generate_unit_square(32)
         forms, _ = _reduced_forms(mesh)
         import maxshape.eigensolver as es
-        sel = EigenSelection(nev=6, shift=9.0, tol=1e-9)
-        dense = solve_gevp(forms, sel)
-        threshold = es.DENSE_THRESHOLD
-        try:
-            es.DENSE_THRESHOLD = 0
-            sparse = solve_gevp(forms, sel)
-        finally:
-            es.DENSE_THRESHOLD = threshold
-        for pd, ps in zip(dense, sparse):
-            assert abs(pd.lam - ps.lam) <= 1e-7 * abs(pd.lam)
+        factors = []
+
+        class SpyLinalg:
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+            def splu(self, mat, **kwargs):
+                lu = spla.splu(mat, **kwargs)
+                factors.append((mat, lu))
+                return lu
+
+        monkeypatch.setattr(es, "spla", SpyLinalg())
+        solve_gevp(forms, EigenSelection(nev=6, shift=9.0, tol=1e-8))
+        assert len(factors) == 1
+        mat, lu = factors[0]
+        default = spla.splu(mat)
+        assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
+
+    def test_debug_line_per_arpack_solve(self, square16_forms, caplog):
+        sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
+        with caplog.at_level(logging.DEBUG, logger="maxshape.eigensolver"):
+            solve_gevp(square16_forms, sel)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "maxshape.eigensolver"]
+        assert len(lines) == 1
+        n = square16_forms.A.shape[0] + square16_forms.B.shape[1]
+        match = re.fullmatch(
+            r"arpack solve: sigma=9 n=(\d+) fill=(\d+) op_applies=(\d+)",
+            lines[0])
+        assert match is not None, lines[0]
+        assert int(match[1]) == n
+        assert int(match[2]) >= n
+        assert int(match[3]) > 0
 
     def test_warm_start_deterministic(self, square16_forms):
         sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
