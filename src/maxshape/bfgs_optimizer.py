@@ -14,6 +14,7 @@ All inner products here are taken with a caller-supplied bilinear form
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ import numpy as np
 from .errors import DegenerateCurvature, LineSearchFailed
 
 QDot = Callable[[np.ndarray, np.ndarray], float]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -148,27 +151,34 @@ def damp(y: np.ndarray, d_tilde: np.ndarray, hist: BfgsHistory,
 
 def armijo(j_eval: Callable[[np.ndarray], float], q: np.ndarray,
            d: np.ndarray, g_dot_d: float, cfg: OptimizerConfig,
-           j0: float | None = None) -> tuple[float, np.ndarray, float]:
-    """Backtracking line search on t in {1, rho, rho^2, ...}.
+           j0: float | None = None,
+           t0: float = 1.0) -> tuple[float, np.ndarray, float]:
+    """Backtracking line search on t in {t0, t0*rho, t0*rho^2, ...}.
 
     Accepts the first t with j(q + t*d) <= j(q) + gamma*t*(grad, d)_Q.
     Evaluations returning +inf (barrier violation, solver failure) simply
-    fail the test.
+    fail the test.  The first trial step t0 must lie in (0, 1]; the
+    default t0 = 1 tries the full step first.
 
     Raises:
+        ValueError: t0 outside (0, 1].
         LineSearchFailed: no step accepted within ls_max trials, or d is
             not a descent direction.
     """
+    if not 0.0 < t0 <= 1.0:
+        raise ValueError(f"t0 must lie in (0, 1], got {t0!r}")
     if g_dot_d >= 0.0:
         raise LineSearchFailed(
             f"not a descent direction: (grad, d)_Q = {g_dot_d:.3e} >= 0")
     if j0 is None:
         j0 = j_eval(q)
-    t = 1.0
+    t = t0
     for _ in range(cfg.ls_max + 1):
         q_new = q + t * d
         j_new = j_eval(q_new)
-        if j_new <= j0 + cfg.gamma * t * g_dot_d:
+        rhs = j0 + cfg.gamma * t * g_dot_d
+        log.debug("armijo trial: t=%g j=%.10g rhs=%.10g", t, j_new, rhs)
+        if j_new <= rhs:
             return t, q_new, j_new
         t *= cfg.rho_ls
     raise LineSearchFailed(
@@ -188,6 +198,7 @@ class IterationRecord:
     jq_min: float
     jq_max: float
     cos_angle: float = math.nan  # cosine of the angle between d and -grad
+    ls_trials: int = 0  # objective evaluations of this iterate's Armijo search
 
 
 class OptimizeStatus(enum.Enum):
@@ -206,10 +217,24 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
     evaluate(q, lam=None), q_inner(u, v) and jacobian_range(q); controls are
     flat coefficient vectors.  One IterationRecord is emitted per visited
     iterate; the terminal iterate carries step 0.
+
+    The first Armijo search starts at the full step t = 1.  Every later one
+    starts at min(1, t_prev / rho_ls), one backtracking factor longer than
+    the last accepted step t_prev (Nocedal & Wright, Numerical
+    Optimization, sec. 3.5): when B_0 is badly scaled, the searches stop
+    paying an eigensolve for each over-long trial, and they return to the
+    full step once the quasi-Newton scaling is right.
     """
     hist = BfgsHistory(qdot=problem.q_inner, b0_scale=cfg.b0_scale,
                        m_mem=cfg.m_mem)
     records: list[IterationRecord] = []
+    t0 = 1.0
+    ls_trials = 0
+
+    def evaluate_trial(x: np.ndarray) -> float:
+        nonlocal ls_trials
+        ls_trials += 1
+        return problem.evaluate(x)
 
     q = np.array(q0, dtype=np.float64, copy=True)
     state = problem.solve_state(q)
@@ -239,13 +264,16 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         if d_norm > 0 and grad.norm_q > 0:
             rec.cos_angle = -g_dot_d / (d_norm * grad.norm_q)
 
+        ls_trials = 0
         try:
-            t, q_new, j_new = armijo(problem.evaluate, q, d, g_dot_d, cfg,
-                                     j0=j_val)
+            t, q_new, j_new = armijo(evaluate_trial, q, d, g_dot_d, cfg,
+                                     j0=j_val, t0=t0)
         except LineSearchFailed:
             status = OptimizeStatus.STALLED
+            rec.ls_trials = ls_trials
             records.append(rec)
             break
+        t0 = min(1.0, t / cfg.rho_ls)
 
         state_new = problem.solve_state(q_new)
         grad_new = _gradient(problem, q_new, state_new)
@@ -260,7 +288,10 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
 
         rec.step = t
         rec.theta = theta
+        rec.ls_trials = ls_trials
         records.append(rec)
+        log.info("iterate k=%d lam=%.10g J=%.6e |g|_Q=%.3e t=%g ls_trials=%d",
+                 k, rec.lam, rec.j_value, rec.grad_norm, t, ls_trials)
         if callback is not None:
             callback(k, q_new, rec)
 

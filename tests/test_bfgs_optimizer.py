@@ -15,6 +15,7 @@ from maxshape import (
     generate_unit_square,
     optimize,
 )
+from maxshape import bfgs_optimizer
 from maxshape.errors import DegenerateCurvature, LineSearchFailed
 
 
@@ -225,6 +226,34 @@ class TestArmijo:
         assert j_new <= j0 + cfg.gamma * t * g_dot_d
 
 
+    def test_first_trial_at_t0_then_backtracks(self):
+        # j is +inf for x < 1 - 5e-4 along the ray, so the first trial
+        # t0 = 1e-3 fails and t0 * rho is the first feasible trial
+        calls = []
+
+        def j_eval(x):
+            calls.append(x.copy())
+            if x[0] < 1.0 - 5e-4:
+                return math.inf
+            return 0.5 * x[0] ** 2
+
+        q = np.array([1.0])
+        d = np.array([-1.0])
+        cfg = OptimizerConfig(gamma=0.1, rho_ls=0.1)
+        t, q_new, _ = armijo(j_eval, q, d, -1.0, cfg, j0=0.5, t0=1e-3)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], q + 1e-3 * d)
+        np.testing.assert_array_equal(calls[1], q + (1e-3 * 0.1) * d)
+        assert t == 1e-3 * 0.1
+        np.testing.assert_array_equal(q_new, calls[1])
+
+    @pytest.mark.parametrize("t0", [0.0, -1e-3, 1.5])
+    def test_t0_outside_unit_interval_rejected(self, t0):
+        with pytest.raises(ValueError):
+            armijo(lambda x: float(x[0]), np.array([1.0]), np.array([-1.0]),
+                   g_dot_d=-1.0, cfg=OptimizerConfig(), t0=t0)
+
+
 class QuadraticProblem:
     """min 0.5 (q - q*)^T H (q - q*) posed through the problem protocol."""
 
@@ -258,6 +287,25 @@ class QuadraticProblem:
 
     def jacobian_range(self, q):
         return 1.0, 1.0
+
+
+def record_trial_steps(monkeypatch):
+    """Per Armijo search of optimize, the steps t of its trials q + t d."""
+    searches = []
+    real = bfgs_optimizer.armijo
+
+    def recording(j_eval, q, d, g_dot_d, cfg, **kwargs):
+        steps = []
+        searches.append(steps)
+
+        def j_trial(x):
+            steps.append(float((x - q) @ d / (d @ d)))
+            return j_eval(x)
+
+        return real(j_trial, q, d, g_dot_d, cfg, **kwargs)
+
+    monkeypatch.setattr(bfgs_optimizer, "armijo", recording)
+    return searches
 
 
 class TestOptimize:
@@ -304,6 +352,57 @@ class TestOptimize:
                  callback=lambda k, q, rec: seen.append(k))
         assert seen == list(range(len(seen)))
         assert len(seen) >= 1
+
+    def test_each_search_starts_next_to_last_step(self, gram10, rng,
+                                                  monkeypatch):
+        # B0 = 1e3 I is far too long for this quadratic, so the first
+        # search backtracks; later ones start at min(1, t_prev / rho)
+        searches = record_trial_steps(monkeypatch)
+        prob = self.make_problem(gram10, rng)
+        cfg = OptimizerConfig(tol=1e-9, k_max=20, b0_scale=1e3)
+        _, records, _ = optimize(prob, np.zeros(10), cfg)
+        steps = [r.step for r in records if r.step > 0]
+        assert len(searches) == len(steps) >= 3
+        assert min(steps) < 1e-2
+        assert searches[0][0] == pytest.approx(1.0, rel=1e-9)
+        for k in range(1, len(searches)):
+            start = min(1.0, records[k - 1].step / cfg.rho_ls)
+            assert searches[k][0] == pytest.approx(start, rel=1e-9)
+        for trials, rec in zip(searches, records):
+            assert trials[-1] == pytest.approx(rec.step, rel=1e-9)
+            ratios = [b / a for a, b in zip(trials, trials[1:])]
+            np.testing.assert_allclose(ratios, cfg.rho_ls, rtol=1e-9)
+
+    def test_ls_trials_counts_search_evaluations(self, gram10, rng,
+                                                 monkeypatch):
+        searches = record_trial_steps(monkeypatch)
+        prob = self.make_problem(gram10, rng)
+        cfg = OptimizerConfig(tol=1e-9, k_max=20, b0_scale=1e3)
+        _, records, _ = optimize(prob, np.zeros(10), cfg)
+        assert [r.ls_trials for r in records[:-1]] == \
+            [len(s) for s in searches]
+        assert records[-1].ls_trials == 0    # terminal iterate: no search
+        assert sum(r.ls_trials for r in records) > len(records) - 1
+
+    def test_log_lines(self, gram10, rng, caplog):
+        prob = self.make_problem(gram10, rng)
+        cfg = OptimizerConfig(tol=1e-9, k_max=4, b0_scale=1e3)
+        with caplog.at_level("DEBUG", logger="maxshape.bfgs_optimizer"):
+            _, records, _ = optimize(prob, np.zeros(10), cfg)
+        mine = [r for r in caplog.records
+                if r.name == "maxshape.bfgs_optimizer"]
+        trials = [r.getMessage() for r in mine if r.levelname == "DEBUG"]
+        iterates = [r.getMessage() for r in mine if r.levelname == "INFO"]
+        assert len(trials) == sum(r.ls_trials for r in records)
+        assert all(m.startswith("armijo trial: t=") and " j=" in m
+                   and " rhs=" in m for m in trials)
+        accepted = [r for r in records if r.step > 0]
+        assert len(iterates) == len(accepted) == 4
+        for msg, rec in zip(iterates, accepted):
+            assert msg.startswith(f"iterate k={rec.k} lam=")
+            for key in ("J=", "|g|_Q=", "t=",
+                        f"ls_trials={rec.ls_trials}"):
+                assert key in msg
 
 
 class TestOptimizerConfigValidation:

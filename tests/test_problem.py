@@ -198,9 +198,8 @@ class TestLastStateMemo:
 
 
 class TestOneSolvePerControl:
-    def test_optimize_solves_each_control_once(self, state_solves,
-                                               monkeypatch):
-        prob = _square8_problem()
+    @staticmethod
+    def run_counting_feasible_trials(prob, monkeypatch, k_max):
         feasible_trials = []
         real_evaluate = prob.evaluate
 
@@ -211,10 +210,30 @@ class TestOneSolvePerControl:
             return real_evaluate(q, lam)
 
         monkeypatch.setattr(prob, "evaluate", evaluate)
-        cfg = OptimizerConfig(tol=1e-12, k_max=3, b0_scale=1e3)
+        cfg = OptimizerConfig(tol=1e-12, k_max=k_max,
+                              b0_scale=1.0 / prob.params.alpha)
         _, records, _ = optimize(prob, prob.zero_control(), cfg)
+        return records, feasible_trials
+
+    def test_optimize_solves_each_control_once(self, state_solves,
+                                               monkeypatch):
+        prob = _square8_problem()
+        records, feasible_trials = self.run_counting_feasible_trials(
+            prob, monkeypatch, k_max=3)
 
         assert sum(r.step > 0 for r in records) >= 1
         keys = [q.tobytes() for q in state_solves]
         assert len(set(keys)) == len(keys)
         assert len(state_solves) == 1 + len(feasible_trials)
+
+    def test_search_start_saves_solves(self, state_solves, monkeypatch):
+        # B0 = (1/alpha) I: starting every search at t = 1 cost 18
+        # eigensolves over these six steps; starting next to the last
+        # accepted step costs 10.
+        prob = _square8_problem()
+        records, feasible_trials = self.run_counting_feasible_trials(
+            prob, monkeypatch, k_max=6)
+
+        assert sum(r.step > 0 for r in records) == 6
+        assert len(state_solves) == 1 + len(feasible_trials)
+        assert len(state_solves) < 18
