@@ -4,8 +4,7 @@ Both bilinear forms of the eigenvalue problem are symmetric, so the adjoint
 eigenproblem coincides with the state problem and only the normalization of
 the adjoint pair differs: m(q; u, z) must equal the negative eigenvalue
 derivative of the cost, giving z = (lambda_target - lambda) * u.  This exact
-scaling is the production path; a verification mode re-solves the eigenvalue
-problem and checks agreement.
+scaling is the only path: no second eigensolve is needed.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import LinearSolveFailure, VerificationMismatch
+from .errors import LinearSolveFailure
 from .eigensolver import (
     EigenSelection,
     MixedEigenPair,
@@ -78,44 +77,10 @@ def solve_state(mesh: Mesh, dofs: DofMap, q: DeformationField,
 
 
 def solve_adjoint(q: DeformationField, state: MixedEigenPair,
-                  lambda_target: float, *, verify: bool = False,
-                  mesh: Mesh | None = None, dofs: DofMap | None = None,
-                  sel: EigenSelection | None = None,
-                  verify_tol: float = 1e-6) -> AdjointPair:
-    """Adjoint pair by exact scaling of the state eigenfunction.
-
-    With verify=True the adjoint eigenproblem is solved independently
-    through the eigensolver (requires mesh, dofs, sel) and compared against
-    the scaled state.
-
-    Raises:
-        VerificationMismatch: direct solve disagrees beyond verify_tol.
-    """
+                  lambda_target: float) -> AdjointPair:
+    """Adjoint pair by exact scaling of the state eigenfunction."""
     scale = lambda_target - state.lam
-    adj = AdjointPair(z=scale * state.u, chi=scale * state.psi, scale=scale)
-    if not verify:
-        return adj
-
-    if mesh is None or dofs is None or sel is None:
-        raise ValueError("verification mode needs mesh, dofs and sel")
-    forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
-    independent = replace(sel, shift=1.07 * sel.shift if sel.shift else None)
-    pairs = solve_gevp(forms, independent)
-    direct = select_and_normalize(pairs, independent, forms.M)
-    z_dir = dofs.expand_edge(direct.u)
-    chi_dir = dofs.expand_vertex(direct.psi)
-    # Align the arbitrary eigenvector sign with the state before scaling.
-    if float(z_dir @ state.u) < 0:
-        z_dir = -z_dir
-        chi_dir = -chi_dir
-    err = np.linalg.norm(scale * z_dir - adj.z) + \
-        np.linalg.norm(scale * chi_dir - adj.chi)
-    ref = max(np.linalg.norm(adj.z), 1.0)
-    if err > verify_tol * ref:
-        raise VerificationMismatch(
-            f"scaled state and direct adjoint differ by {err:.3e} "
-            f"(tolerance {verify_tol:.1e} * {ref:.3e})")
-    return adj
+    return AdjointPair(z=scale * state.u, chi=scale * state.psi, scale=scale)
 
 
 def reduced_derivative(mesh: Mesh, dofs: DofMap, q: DeformationField,

@@ -1,10 +1,10 @@
 """Damped inverse limited-memory BFGS in the control-space inner product.
 
 The inverse Hessian approximation B_k is never stored as a matrix.  Each
-update keeps the damped step d~, the gradient difference y, the cached
-action B_k y and two scalars; applying B_k unrolls the recursion over the
-stored records with B_0 = b0_scale * identity.  Powell-style damping of the
-step keeps every stored curvature (d~, y) positive, so B_k stays positive
+update keeps only the damped step d~, the gradient difference y and
+rho = 1 / (d~, y)_Q; the two-loop recursion applies B_k over the stored
+pairs with B_0 = b0_scale * identity.  Powell-style damping of the step
+keeps every stored curvature (d~, y) positive, so B_k stays positive
 definite and -B_k g is always a descent direction.
 
 All inner products here are taken with a caller-supplied bilinear form
@@ -57,38 +57,36 @@ class OptimizerConfig:
             raise ValueError("b0_scale must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _DampedPair:
     d_tilde: np.ndarray
     y: np.ndarray
-    by: np.ndarray     # action of the operator on y at push time
-    s1: float          # (d~, y)_Q
-    s2: float          # (d~ - By, y)_Q
+    rho: float         # 1 / (d~, y)_Q
 
 
 class BfgsHistory:
-    """Bounded history of damped update pairs defining the operator action.
+    """The last m_mem damped pairs (d~, y), which alone define B_k.
 
-    Dropping the oldest pair at capacity restarts the recursion from B_0, so
-    the cached actions B_k y and derived scalars of the surviving pairs are
-    recomputed against the truncated recursion.  Every stored curvature
-    (d~, y) stays positive, hence each truncated operator is again a chain
-    of positivity-preserving updates of B_0.
+    B_k is B_0 followed by one inverse BFGS update per stored pair, oldest
+    first.  At capacity a push drops the oldest pair, which restarts the
+    chain from B_0 one pair later.  Every stored curvature (d~, y) is
+    positive, so each truncated chain is again positive definite.
     """
 
     def __init__(self, qdot: QDot, b0_scale: float, m_mem: int = 20):
         if b0_scale <= 0:
             raise ValueError("b0_scale must be > 0")
+        if m_mem < 1:
+            raise ValueError("m_mem must be >= 1")
         self.qdot = qdot
         self.b0_scale = b0_scale
-        self.m_mem = m_mem
-        self.pairs: deque[_DampedPair] = deque()
+        self.pairs: deque[_DampedPair] = deque(maxlen=m_mem)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def push(self, d_tilde: np.ndarray, y: np.ndarray) -> None:
-        """Store a damped pair; the oldest record is evicted at capacity.
+        """Store a damped pair; the oldest pair is dropped at capacity.
 
         Raises:
             DegenerateCurvature: (d~, y) <= 0, which damping must prevent.
@@ -96,36 +94,26 @@ class BfgsHistory:
         s1 = self.qdot(d_tilde, y)
         if s1 <= 0.0:
             raise DegenerateCurvature(f"stored curvature {s1:.3e} <= 0")
-        if len(self.pairs) >= self.m_mem:
-            self.pairs.popleft()
-            self._rebase()
-        by = _apply(self.b0_scale, self.qdot, self.pairs, y)
-        s2 = self.qdot(d_tilde - by, y)
-        self.pairs.append(_DampedPair(
-            d_tilde=np.array(d_tilde, copy=True),
-            y=np.array(y, copy=True),
-            by=by, s1=s1, s2=s2))
-
-    def _rebase(self) -> None:
-        pairs = list(self.pairs)
-        for i, p in enumerate(pairs):
-            p.by = _apply(self.b0_scale, self.qdot, pairs[:i], p.y)
-            p.s2 = self.qdot(p.d_tilde - p.by, p.y)
-
-
-def _apply(b0_scale: float, qdot: QDot, pairs, g: np.ndarray) -> np.ndarray:
-    v = b0_scale * np.asarray(g, dtype=np.float64).copy()
-    for p in pairs:
-        w = p.d_tilde - p.by
-        dg = qdot(p.d_tilde, g)
-        wg = qdot(w, g)
-        v += (w * dg + p.d_tilde * wg) / p.s1 - p.d_tilde * (p.s2 / p.s1 ** 2) * dg
-    return v
+        self.pairs.append(_DampedPair(d_tilde=np.array(d_tilde, copy=True),
+                                      y=np.array(y, copy=True), rho=1.0 / s1))
 
 
 def apply_inverse_hessian(hist: BfgsHistory, g: np.ndarray) -> np.ndarray:
-    """Evaluate B_k g by unrolling the stored update records."""
-    return _apply(hist.b0_scale, hist.qdot, hist.pairs, g)
+    """Evaluate B_k g by the two-loop recursion over the stored pairs.
+
+    Each pair, newest outermost, maps the operator B of the pairs before it
+    to (I - rho d~ y^T Q) B (I - rho y d~^T Q) + rho d~ d~^T Q (Nocedal,
+    Math. Comp. 35, 1980; Nocedal & Wright, Algorithm 7.4).
+    """
+    v = np.array(g, dtype=np.float64, copy=True)
+    alphas = []
+    for p in reversed(hist.pairs):
+        alphas.append(p.rho * hist.qdot(p.d_tilde, v))
+        v -= alphas[-1] * p.y
+    v *= hist.b0_scale
+    for p, a in zip(hist.pairs, reversed(alphas)):
+        v += (a - p.rho * hist.qdot(p.y, v)) * p.d_tilde
+    return v
 
 
 def damp(y: np.ndarray, d_tilde: np.ndarray, hist: BfgsHistory,

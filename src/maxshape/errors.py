@@ -70,10 +70,6 @@ class GapViolation(MaxshapeError):
     """The selected eigenvalue is not separated from its neighbours."""
 
 
-class VerificationMismatch(MaxshapeError):
-    """Directly solved adjoint disagrees with the scaled state."""
-
-
 # -- gradient and optimization ----------------------------------------------
 
 class LinearSolveFailure(MaxshapeError):

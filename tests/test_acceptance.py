@@ -160,12 +160,14 @@ def test_damping_lemma_suite():
         return float(u @ (gram @ v))
 
     def dense_operator(hist):
-        b = hist.b0_scale * np.eye(10)
+        # product form from the pairs (d~, y) alone, rho from the Gram
+        eye = np.eye(10)
+        b = hist.b0_scale * eye
         for p in hist.pairs:
-            w = p.d_tilde - p.by
-            b = b + (np.outer(w, p.d_tilde)
-                     + np.outer(p.d_tilde, w)) @ gram / p.s1 \
-                - (p.s2 / p.s1 ** 2) * np.outer(p.d_tilde, p.d_tilde) @ gram
+            rho = 1.0 / (p.d_tilde @ gram @ p.y)
+            left = eye - rho * np.outer(p.d_tilde, p.y) @ gram
+            right = eye - rho * np.outer(p.y, p.d_tilde) @ gram
+            b = left @ b @ right + rho * np.outer(p.d_tilde, p.d_tilde) @ gram
         return b
 
     rng = np.random.default_rng(42)

@@ -31,13 +31,18 @@ def make_qdot(gram):
 
 
 def dense_operator(hist, gram):
-    """Independent dense realization of the stored update recursion."""
-    n = gram.shape[0]
-    b = hist.b0_scale * np.eye(n)
+    """Dense product form of the inverse updates, from the pairs (d~, y) alone.
+
+    B <- (I - rho d~ y^T Q) B (I - rho y d~^T Q) + rho d~ d~^T Q, oldest pair
+    first, with rho = 1 / (d~, y)_Q taken from the Gram.
+    """
+    eye = np.eye(gram.shape[0])
+    b = hist.b0_scale * eye
     for p in hist.pairs:
-        w = p.d_tilde - p.by
-        b = b + (np.outer(w, p.d_tilde) + np.outer(p.d_tilde, w)) @ gram / p.s1 \
-            - (p.s2 / p.s1 ** 2) * np.outer(p.d_tilde, p.d_tilde) @ gram
+        rho = 1.0 / (p.d_tilde @ gram @ p.y)
+        left = eye - rho * np.outer(p.d_tilde, p.y) @ gram
+        right = eye - rho * np.outer(p.y, p.d_tilde) @ gram
+        b = left @ b @ right + rho * np.outer(p.d_tilde, p.d_tilde) @ gram
     return b
 
 
@@ -143,7 +148,7 @@ class TestEviction:
         assert len(hist) == 3
 
     def test_positive_definite_after_eviction(self, gram10, rng):
-        # caches are rebased onto the truncated recursion, so the operator
+        # the surviving pairs restart the chain from B0, so the operator
         # stays a chain of positivity-preserving updates of B0
         qdot = make_qdot(gram10)
         hist = BfgsHistory(qdot, b0_scale=1.0, m_mem=2)
@@ -161,6 +166,49 @@ class TestEviction:
         g = rng.standard_normal(10)
         np.testing.assert_allclose(apply_inverse_hessian(hist, g), dense @ g,
                                    rtol=1e-12, atol=1e-12)
+
+    def test_eviction_leaves_only_last_pairs(self, gram10, rng):
+        # the operator after evictions is that of the surviving pairs alone
+        qdot = make_qdot(gram10)
+        hist = BfgsHistory(qdot, b0_scale=0.8, m_mem=3)
+        pushed = []
+        for _ in range(9):
+            y = rng.standard_normal(10)
+            d_damped, _ = damp(y, rng.standard_normal(10), hist, xi=0.2)
+            hist.push(d_damped, y)
+            pushed.append((d_damped, y))
+        fresh = BfgsHistory(qdot, b0_scale=0.8, m_mem=3)
+        for d_damped, y in pushed[-3:]:
+            fresh.push(d_damped, y)
+        for _ in range(5):
+            g = rng.standard_normal(10)
+            np.testing.assert_allclose(apply_inverse_hessian(hist, g),
+                                       apply_inverse_hessian(fresh, g),
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m_mem", [1, 3, 8])
+    def test_push_at_capacity_costs_one_qdot(self, gram10, rng, m_mem):
+        calls = 0
+        base = make_qdot(gram10)
+
+        def qdot(u, v):
+            nonlocal calls
+            calls += 1
+            return base(u, v)
+
+        hist = BfgsHistory(qdot, b0_scale=1.0, m_mem=m_mem)
+        push_random_pairs(hist, rng, m_mem, 10)
+        y = rng.standard_normal(10)
+        d_damped, _ = damp(y, rng.standard_normal(10), hist, xi=0.2)
+        calls = 0
+        hist.push(d_damped, y)
+        assert calls == 1
+        assert len(hist) == m_mem
+
+    @pytest.mark.parametrize("m_mem", [0, -1])
+    def test_rejects_capacity_below_one(self, gram10, m_mem):
+        with pytest.raises(ValueError):
+            BfgsHistory(make_qdot(gram10), b0_scale=1.0, m_mem=m_mem)
 
 
 class TestArmijo:
