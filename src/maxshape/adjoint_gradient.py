@@ -62,21 +62,26 @@ class QGradient:
 
 
 def solve_state(mesh: Mesh, dofs: DofMap, q: DeformationField,
-                sel: EigenSelection,
-                v0: np.ndarray | None = None) -> MixedEigenPair:
+                sel: EigenSelection, v0: np.ndarray | None = None,
+                block: np.ndarray | None = None) -> MixedEigenPair:
     """Solve the constrained eigenvalue problem at deformation q.
 
     Returns the selected, normalized pair with full-length coefficient
-    vectors (zeros on constrained DOFs).
+    vectors (zeros on constrained DOFs).  Its block holds the reduced
+    [u; psi] columns of the pairs up to the selected one's upper neighbour;
+    pass it as block to the next solve at a nearby deformation to start
+    that solve warm.  Without a block the solve is cold, from v0.
     """
     forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
-    pairs = solve_gevp(forms, sel, v0=v0)
+    pairs = solve_gevp(forms, sel, v0=v0, block=block)
     pair = select_and_normalize(pairs, sel, forms.M)
+    used = np.column_stack([np.concatenate([p.u, p.psi])
+                            for p in pairs[:sel.index + 2]])
     return replace(pair, u=dofs.expand_edge(pair.u),
-                   psi=dofs.expand_vertex(pair.psi))
+                   psi=dofs.expand_vertex(pair.psi), block=used)
 
 
-def solve_adjoint(q: DeformationField, state: MixedEigenPair,
+def solve_adjoint(state: MixedEigenPair,
                   lambda_target: float) -> AdjointPair:
     """Adjoint pair by exact scaling of the state eigenfunction."""
     scale = lambda_target - state.lam

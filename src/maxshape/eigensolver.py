@@ -12,6 +12,11 @@ infinite eigenvalues; under the shift-invert transform
 those map to theta = 0 and are discarded by a threshold, while the finite
 eigenvalues nearest the shift dominate the transformed spectrum.  Small
 systems fall back to a dense QZ solve of the same pencil.
+
+A solve handed a block of vectors from a nearby deformation (warm) runs
+block shift-invert subspace iteration with Rayleigh-Ritz on the block plus
+one fresh random guard column instead of Arnoldi (Saad, Numerical Methods
+for Large Eigenvalue Problems, 2nd ed., ch. 5).
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ DENSE_THRESHOLD = 300
 # Largest ||B^T u|| / ||M u|| a divergence-free (spurious-free) pair may show.
 DIVERGENCE_TOL = 1e-6
 
+# Iteration cap of a warm block solve when the selection sets no maxiter.
+BLOCK_MAXITER = 100
+
 # SuperLU settings for K - sigma*Mt, which is symmetric: minimum degree on the
 # pattern of A^T + A with diagonal pivots and symmetric mode (SuperLU Users'
 # Guide; Li, ACM TOMS 31, 2005) gives about half the fill of the general
@@ -60,7 +68,11 @@ class MixedEigenPair:
     Invariants after select_and_normalize: u^T M u = 1 and the
     largest-magnitude entry of u is positive.  divergence is the certificate
     ||B^T u|| / ||M u||; at most DIVERGENCE_TOL certifies the pair as
-    divergence-free (spurious-free).
+    divergence-free (spurious-free).  gap is the distance to the nearest
+    other computed eigenvalue (NaN when none was computed).  block, set by
+    adjoint_gradient.solve_state, holds the reduced [u; psi] columns of the
+    computed pairs up to the selected one's upper neighbour: the warm start
+    of solve_gevp at a nearby deformation.
     """
 
     lam: float
@@ -69,6 +81,8 @@ class MixedEigenPair:
     residual: float
     gap_warning: bool = False
     divergence: float = math.nan
+    gap: float = math.nan
+    block: np.ndarray | None = None
 
 
 @dataclass
@@ -77,8 +91,10 @@ class EigenSelection:
 
     index counts finite eigenvalues from the smallest; gap_min is the
     required separation from the rest of the computed spectrum; shift is the
-    spectral transform target (must not be an eigenvalue); nev defaults to
-    max(6, index + 3).
+    spectral transform target (must not be an eigenvalue); nev, the number
+    of pairs a cold solve computes, defaults to max(6, index + 3); maxiter
+    caps the Arnoldi restarts of a cold solve and the iterations of a warm
+    one (BLOCK_MAXITER when None).
     """
 
     index: int = 0
@@ -117,17 +133,26 @@ def build_pencil(forms: AssembledForms) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 def solve_gevp(forms: AssembledForms, sel: EigenSelection,
-               v0: np.ndarray | None = None) -> list[MixedEigenPair]:
-    """Compute the nev finite eigenvalues nearest the shift, sorted ascending.
+               v0: np.ndarray | None = None,
+               block: np.ndarray | None = None) -> list[MixedEigenPair]:
+    """Compute the finite eigenvalues nearest the shift, sorted ascending.
 
-    Each returned eigenvector is normalized to u^T M u = 1, satisfies the
-    relative pencil residual bound of the selection tolerance and carries
-    its divergence certificate ||B^T u|| / ||M u||.
+    A cold solve (no block) computes nev pairs: dense QZ for small pencils,
+    shift-invert Arnoldi from v0 otherwise.  A warm solve starts block
+    shift-invert iteration from block, reduced [u; psi] columns such as
+    MixedEigenPair.block of a solve at a nearby deformation, and computes
+    the lowest index + 2 pairs it finds; small pencils still go dense.
+
+    Each returned eigenvector is normalized to u^T M u = 1 and carries its
+    relative pencil residual and its divergence certificate
+    ||B^T u|| / ||M u||.  The pairs the selection uses, index and its
+    neighbours index +- 1, satisfy the residual bound of the selection
+    tolerance; the others only report their residual.
 
     Raises:
         FactorizationFailed: K - sigma*Mt is singular.
-        NoConvergence: the Krylov iteration hit its cap, or a computed pair
-            exceeds the residual tolerance.
+        NoConvergence: the iteration hit its cap, or a used pair exceeds the
+            residual tolerance.
         InsufficientSpectrum: fewer finite eigenvalues than requested.
     """
     if sel.shift is None:
@@ -136,6 +161,7 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     n_v = forms.B.shape[1]
     n = n_e + n_v
     nev = sel.nev_effective
+    count = nev      # pairs to return
     if n_e == 0:
         raise InsufficientSpectrum("no free edge DOFs")
     k_mat, mt = build_pencil(forms)
@@ -144,13 +170,25 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     if n <= max(DENSE_THRESHOLD, 2 * nev + 12):
         lams, vecs = _dense_finite_spectrum(k_mat, mt, sel)
     else:
-        lams, vecs = _arpack_finite_spectrum(k_mat, mt, sigma, nev, sel, v0)
+        try:
+            lu = spla.splu((k_mat - sigma * mt).tocsc(), **SYMMETRIC_LU)
+        except RuntimeError as exc:
+            raise FactorizationFailed(
+                f"factorization of K - sigma*M failed at sigma={sigma:g}: "
+                f"{exc}") from exc
+        if block is None:
+            lams, vecs = _arpack_finite_spectrum(k_mat, mt, lu, sigma, nev,
+                                                 sel, v0)
+        else:
+            count = sel.index + 2
+            lams, vecs = _block_finite_spectrum(k_mat, mt, lu, sigma, count,
+                                                sel, block)
 
-    if len(lams) < nev:
+    if len(lams) < count:
         raise InsufficientSpectrum(
-            f"found {len(lams)} finite eigenvalues, requested {nev}")
+            f"found {len(lams)} finite eigenvalues, requested {count}")
 
-    order = np.argsort(np.abs(lams - sigma))[:nev]
+    order = np.argsort(np.abs(lams - sigma))[:count]
     lams = lams[order]
     vecs = vecs[:, order]
     order = np.argsort(lams)
@@ -172,7 +210,7 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
         # divergence certificate of the normalized u, whose M u is mu / nrm
         div = float(np.linalg.norm(forms.B.T @ u) / (np.linalg.norm(mu) / nrm))
         res = _pencil_residual(k_mat, mt, lam, x)
-        if res > sel.tol:
+        if res > sel.tol and abs(i - sel.index) <= 1:
             raise NoConvergence(
                 f"eigenpair {i} (lam={lam:.6g}) residual {res:.2e} "
                 f"exceeds tol {sel.tol:.2e}")
@@ -199,16 +237,9 @@ def _dense_finite_spectrum(k_mat, mt, sel: EigenSelection):
     return w.real[real], vr.real[:, finite][:, real]
 
 
-def _arpack_finite_spectrum(k_mat, mt, sigma: float, nev: int,
+def _arpack_finite_spectrum(k_mat, mt, lu, sigma: float, nev: int,
                             sel: EigenSelection, v0: np.ndarray | None):
     n = k_mat.shape[0]
-    try:
-        lu = spla.splu((k_mat - sigma * mt).tocsc(), **SYMMETRIC_LU)
-    except RuntimeError as exc:
-        raise FactorizationFailed(
-            f"factorization of K - sigma*M failed at sigma={sigma:g}: {exc}"
-        ) from exc
-
     applies = 0
 
     def apply_op(x):
@@ -242,15 +273,67 @@ def _arpack_finite_spectrum(k_mat, mt, sigma: float, nev: int,
     return lams, x.real[:, keep]
 
 
+def _block_finite_spectrum(k_mat, mt, lu, sigma: float, count: int,
+                           sel: EigenSelection, block: np.ndarray):
+    """The lowest count pairs by block shift-invert iteration.
+
+    Each iteration solves Y = (K - sigma*Mt)^{-1} Mt X and replaces X by the
+    Ritz vectors of the pencil projected on Y; it stops once the count
+    lowest Ritz pairs meet the residual tolerance.  The block converges to
+    the pairs nearest sigma; keeping the lowest of them, not the nearest,
+    ranks pairs as a cold solve does when sigma lies above the tracked pair
+    (with sigma below, the two coincide).  Y carries no infinite modes: a
+    gradient part of X lands in the multiplier rows of Y, which both
+    projected forms ignore.
+    """
+    n = k_mat.shape[0]
+    if block.ndim != 2 or block.shape[0] != n or block.shape[1] + 1 < count:
+        raise ValueError(f"block of shape {block.shape} cannot start "
+                         f"{count} pairs of a pencil of size {n}")
+    # The guard is drawn anew for every solve: a mode that moved next to the
+    # shift since the block was computed has a component in it, which the
+    # iteration amplifies; the block alone would converge past that mode.
+    guard = np.random.default_rng(0).standard_normal((n, 1))
+    x = np.hstack([block, guard])
+    maxiter = sel.maxiter if sel.maxiter is not None else BLOCK_MAXITER
+    iterations = 0
+    try:
+        while iterations < maxiter:
+            iterations += 1
+            y = lu.solve(mt @ x)
+            ky = k_mat @ y
+            my = mt @ y
+            kr = y.T @ ky
+            mr = y.T @ my
+            w, c = scipy.linalg.eigh(0.5 * (kr + kr.T), 0.5 * (mr + mr.T))
+            x = y @ c
+            # eigh sorts ascending: the first count Ritz pairs are the lowest
+            mz = my @ c[:, :count]
+            num = np.linalg.norm(ky @ c[:, :count] - mz * w[:count], axis=0)
+            res = num / np.maximum(np.abs(w[:count])
+                                   * np.linalg.norm(mz, axis=0),
+                                   np.finfo(float).tiny)
+            if np.all(res <= sel.tol):
+                return w[:count], x[:, :count]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"block Rayleigh-Ritz failed: {exc}") from exc
+    finally:
+        log.debug("block solve: sigma=%.6g n=%d iterations=%d applies=%d",
+                  sigma, n, iterations, iterations * x.shape[1])
+    raise NoConvergence(
+        f"block iteration did not converge in {maxiter} iterations")
+
+
 def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
                          m_mat: sp.spmatrix) -> MixedEigenPair:
     """Pick the requested pair, normalize it and check its spectral gap.
 
     The eigenvector is rescaled to u^T M u = 1 with the largest-magnitude
     entry of u positive (a deterministic representative); the multiplier is
-    rescaled alongside.  The gap is checked against the other computed
-    eigenvalues only.  A divergence certificate above DIVERGENCE_TOL is
-    logged as a warning, not raised.
+    rescaled alongside.  The gap, the distance to the nearest other computed
+    eigenvalue, is stored on the result and checked against gap_min.  A
+    divergence certificate above DIVERGENCE_TOL is logged as a warning, not
+    raised.
 
     Raises:
         InsufficientSpectrum: index beyond the computed list.
@@ -270,18 +353,17 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
         u = -u
         psi = -psi
 
+    gap = min((abs(chosen.lam - p.lam) for i, p in enumerate(pairs)
+               if i != sel.index), default=math.nan)
     gap_warning = False
-    if sel.gap_min > 0 and len(pairs) > 1:
-        others = [p.lam for i, p in enumerate(pairs) if i != sel.index]
-        gap = min(abs(chosen.lam - l) for l in others)
-        if gap < sel.gap_min:
-            if sel.strict_gap:
-                raise GapViolation(
-                    f"gap {gap:.3e} below required {sel.gap_min:.3e} at "
-                    f"lam={chosen.lam:.6g}")
-            log.warning("eigenvalue gap %.3e below required %.3e", gap,
-                        sel.gap_min)
-            gap_warning = True
+    if gap < sel.gap_min:
+        if sel.strict_gap:
+            raise GapViolation(
+                f"gap {gap:.3e} below required {sel.gap_min:.3e} at "
+                f"lam={chosen.lam:.6g}")
+        log.warning("eigenvalue gap %.3e below required %.3e", gap,
+                    sel.gap_min)
+        gap_warning = True
 
     if chosen.divergence > DIVERGENCE_TOL:
         log.warning("divergence certificate %.3e above %.1e at lam=%.6g",
@@ -289,4 +371,4 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
 
     return MixedEigenPair(lam=chosen.lam, u=u, psi=psi,
                           residual=chosen.residual, gap_warning=gap_warning,
-                          divergence=chosen.divergence)
+                          divergence=chosen.divergence, gap=gap)

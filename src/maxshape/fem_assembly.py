@@ -89,16 +89,10 @@ class DofMap:
         full[self.free_edges] = u_red
         return full
 
-    def restrict_edge(self, u_full: np.ndarray) -> np.ndarray:
-        return np.asarray(u_full)[self.free_edges]
-
     def expand_vertex(self, p_red: np.ndarray) -> np.ndarray:
         full = np.zeros(self.n_vertex)
         full[self.free_vertices] = p_red
         return full
-
-    def restrict_vertex(self, p_full: np.ndarray) -> np.ndarray:
-        return np.asarray(p_full)[self.free_vertices]
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Reduced optimization problem: the glue between FEM, eigensolver and BFGS.
 
 MaxwellShapeProblem owns everything that is deformation-independent (mesh,
-DOF maps, control-space Gram matrix and its factorization, eigensolver warm
-start) plus the last solved state, and exposes the callable surface the
+DOF maps, control-space Gram matrix and its factorization, the start vector
+of its first eigensolve) plus the last solved state, whose block starts
+every later eigensolve warm, and exposes the callable surface the
 optimizer drives.  Controls cross this interface as flat coefficient
 vectors.
 """
@@ -41,8 +42,9 @@ class MaxwellShapeProblem:
         self.dofs = DofMap.from_mesh(mesh)
         self.gram = assemble_control_gram(mesh)
         self._gram_solve = spla.factorized(self.gram.tocsc())
-        rng = np.random.default_rng(seed)
-        self._warm = rng.standard_normal(self.dofs.n_free)
+        # Arnoldi start vector of the first, cold, state solve
+        self._v0 = np.random.default_rng(seed).standard_normal(
+            self.dofs.n_free)
         # (private copy of the last solved control, its state pair)
         self._last_state: tuple[np.ndarray, MixedEigenPair] | None = None
 
@@ -64,30 +66,29 @@ class MaxwellShapeProblem:
         """State eigenpair at control q.
 
         The last solved control and its pair are kept: a call at an equal
-        control returns that same pair without assembling or solving, and
-        leaves the warm start, which already holds its vector, as it is.
-        The Armijo trial that accepts a step has thus already solved the
-        state the optimizer needs at the new iterate.  A solve that raises
-        stores nothing.
+        control returns that same pair without assembling or solving.  The
+        Armijo trial that accepts a step has thus already solved the state
+        the optimizer needs at the new iterate.  The first solve is cold;
+        every later one starts warm from the kept pair's block.  A solve
+        that raises stores nothing, so the next one starts from the same
+        block.
         """
-        if self._last_state is not None and \
-                np.array_equal(q, self._last_state[0]):
-            state = self._last_state[1]
-            log.debug("reused state: lam=%.10g", state.lam)
-            return state
+        last = self._last_state
+        if last is not None and np.array_equal(q, last[0]):
+            log.debug("reused state: lam=%.10g", last[1].lam)
+            return last[1]
         state = adjoint_gradient.solve_state(
-            self.mesh, self.dofs, self.field(q), self.sel, v0=self._warm)
-        self._warm = np.concatenate([
-            self.dofs.restrict_edge(state.u),
-            self.dofs.restrict_vertex(state.psi)])
+            self.mesh, self.dofs, self.field(q), self.sel, v0=self._v0,
+            block=None if last is None else last[1].block)
         self._last_state = (np.array(q, copy=True), state)
-        log.debug("solved state: lam=%.10g residual=%.2e divergence=%.2e",
-                  state.lam, state.residual, state.divergence)
+        log.debug("solved state: lam=%.10g residual=%.2e divergence=%.2e "
+                  "gap=%.3e", state.lam, state.residual, state.divergence,
+                  state.gap)
         return state
 
     def solve_adjoint(self, q: np.ndarray, state: MixedEigenPair):
-        return adjoint_gradient.solve_adjoint(
-            self.field(q), state, self.params.lambda_target)
+        return adjoint_gradient.solve_adjoint(state,
+                                              self.params.lambda_target)
 
     def reduced_derivative(self, q: np.ndarray, state: MixedEigenPair,
                            adjoint) -> ShapeFunctional:

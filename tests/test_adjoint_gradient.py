@@ -82,7 +82,7 @@ class TestSolveAdjoint:
     def test_zero_at_target(self, setup6):
         mesh, dofs, sel = setup6
         state = solve_state(mesh, dofs, DeformationField.zero(mesh), sel)
-        adj = solve_adjoint(DeformationField.zero(mesh), state, state.lam)
+        adj = solve_adjoint(state, state.lam)
         assert np.all(adj.z == 0.0)
         assert np.all(adj.chi == 0.0)
 
@@ -92,7 +92,7 @@ class TestSolveAdjoint:
         q = DeformationField.zero(mesh)
         state = solve_state(mesh, dofs, q, sel)
         target = state.lam - 2.0
-        adj = solve_adjoint(q, state, target)
+        adj = solve_adjoint(state, target)
         forms = assemble_forms(mesh, dofs, q)
         m_uz = state.u @ (forms.M @ adj.z)
         assert m_uz == pytest.approx(target - state.lam, abs=1e-8)
@@ -102,7 +102,7 @@ class TestSolveAdjoint:
         mesh, dofs, sel = setup6
         q = DeformationField.zero(mesh)
         state = solve_state(mesh, dofs, q, sel)
-        adj = solve_adjoint(q, state, 0.9 * state.lam)
+        adj = solve_adjoint(state, 0.9 * state.lam)
         err, ref = direct_adjoint_mismatch(mesh, dofs, q, sel, state, adj)
         assert err <= 1e-6 * ref
         np.testing.assert_allclose(adj.z, (0.9 * state.lam - state.lam) * state.u,
@@ -114,7 +114,7 @@ class TestSolveAdjoint:
         state = solve_state(mesh, dofs, q, sel)
         corrupted = type(state)(lam=state.lam, u=2.0 * state.u, psi=state.psi,
                                 residual=state.residual)
-        adj = solve_adjoint(q, corrupted, 0.9 * state.lam)
+        adj = solve_adjoint(corrupted, 0.9 * state.lam)
         err, ref = direct_adjoint_mismatch(mesh, dofs, q, sel, corrupted, adj)
         assert err > 1e-6 * ref
 
@@ -158,7 +158,7 @@ class TestReducedDerivative:
         state = solve_state(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=state.lam, alpha=0.7,
                                  beta=1e-6, epsilon=1e-4)
-        adj = solve_adjoint(q, state, params.lambda_target)
+        adj = solve_adjoint(state, params.lambda_target)
         func = reduced_derivative(mesh, dofs, q, state, adj, params)
         from maxshape import derivative_q
 
@@ -173,7 +173,7 @@ class TestReducedDerivative:
         q = DeformationField.zero(mesh)
         state = solve_state(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=0.9 * state.lam, alpha=0.7)
-        adj = solve_adjoint(q, state, params.lambda_target)
+        adj = solve_adjoint(state, params.lambda_target)
         func = reduced_derivative(mesh, dofs, q, state, adj, params)
         for c in range(2):
             p = np.zeros((mesh.n_vertices, 2))
@@ -185,12 +185,12 @@ class TestReducedDerivative:
         q = DeformationField.zero(mesh)
         state = solve_state(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=0.9 * state.lam, alpha=0.7)
-        adj = solve_adjoint(q, state, params.lambda_target)
+        adj = solve_adjoint(state, params.lambda_target)
         func = reduced_derivative(mesh, dofs, q, state, adj, params)
 
         flipped = type(state)(lam=state.lam, u=-state.u, psi=-state.psi,
                               residual=state.residual)
-        adj_f = solve_adjoint(q, flipped, params.lambda_target)
+        adj_f = solve_adjoint(flipped, params.lambda_target)
         func_f = reduced_derivative(mesh, dofs, q, flipped, adj_f, params)
         np.testing.assert_array_equal(func.coeffs, func_f.coeffs)
 

@@ -15,7 +15,7 @@ from maxshape import (
     select_and_normalize,
     solve_gevp,
 )
-from maxshape.errors import GapViolation, InsufficientSpectrum
+from maxshape.errors import GapViolation, InsufficientSpectrum, NoConvergence
 from maxshape.reference_transform import jacobian_range
 
 from conftest import SQUARE_SPECTRUM, random_feasible_control
@@ -38,6 +38,36 @@ def square16_forms():
 def square16_pairs(square16_forms):
     sel = EigenSelection(nev=7, shift=9.0, tol=1e-8)
     return solve_gevp(square16_forms, sel)
+
+
+def smooth_control(mesh, amplitude):
+    """A smooth interior deformation that splits the double pi^2 pair."""
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    bump = np.sin(np.pi * x) * np.sin(np.pi * y)
+    return DeformationField(mesh, amplitude * np.column_stack(
+        [x * bump, 0.5 * np.sin(2.0 * np.pi * x) * np.sin(np.pi * y)]))
+
+
+def block_of(pairs):
+    """Reduced [u; psi] columns of pairs: a warm block for solve_gevp."""
+    return np.column_stack([np.concatenate([p.u, p.psi]) for p in pairs])
+
+
+@pytest.fixture
+def inflated_residual(monkeypatch):
+    """Make solve_gevp see a residual of 1 for its pair number i."""
+    import maxshape.eigensolver as es
+
+    def inflate(i):
+        real = es._pencil_residual
+        calls = []
+
+        def residual(k_mat, mt, lam, x):
+            calls.append(lam)       # solve_gevp checks the pairs in order
+            return 1.0 if len(calls) == i + 1 else real(k_mat, mt, lam, x)
+
+        monkeypatch.setattr(es, "_pencil_residual", residual)
+    return inflate
 
 
 class TestSolveGevp:
@@ -175,6 +205,98 @@ class TestSolveGevp:
         with pytest.raises(ValueError):
             solve_gevp(square16_forms, EigenSelection(nev=6, tol=1e-8))
 
+    @pytest.mark.parametrize("i", [2, 5])
+    def test_unused_pair_residual_is_only_reported(self, square16_forms,
+                                                   inflated_residual, i):
+        # index 0 uses pairs 0 and 1; any other pair just reports its residual
+        inflated_residual(i)
+        pairs = solve_gevp(square16_forms,
+                           EigenSelection(nev=6, shift=9.0, tol=1e-8))
+        assert len(pairs) == 6
+        assert pairs[i].residual == 1.0
+        assert all(p.residual <= 1e-8 for j, p in enumerate(pairs) if j != i)
+
+    @pytest.mark.parametrize("index, i", [(0, 0), (0, 1), (2, 1), (2, 3)])
+    def test_used_pair_residual_raises(self, square16_forms,
+                                       inflated_residual, index, i):
+        inflated_residual(i)
+        with pytest.raises(NoConvergence, match=f"eigenpair {i} "):
+            solve_gevp(square16_forms,
+                       EigenSelection(index=index, nev=6, shift=9.0, tol=1e-8))
+
+
+class TestWarmBlock:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("step", ["1e-3", "h/10"])
+    def test_warm_matches_cold(self, n, step):
+        mesh = generate_unit_square(n)
+        h = 1e-3 if step == "1e-3" else 0.1 / n
+        sel = EigenSelection(nev=8, shift=9.35, tol=1e-8)
+        base = smooth_control(mesh, 0.05)
+        d = smooth_control(mesh, 1.0).values[:, ::-1]
+        moved = DeformationField(mesh, base.values + h * d / np.abs(d).max())
+        start = solve_gevp(_reduced_forms(mesh, base)[0], sel)
+        forms, _ = _reduced_forms(mesh, moved)
+        warm = solve_gevp(forms, sel, block=block_of(start[:2]))
+        cold = solve_gevp(forms, sel)
+        assert len(warm) == 2
+        for pw, pc in zip(warm, cold):
+            assert abs(pw.lam - pc.lam) <= 1e-8 * pc.lam
+            assert pw.residual <= 1e-8
+            assert pw.divergence <= 1e-6
+            assert pw.u @ (forms.M @ pw.u) == pytest.approx(1.0, abs=1e-10)
+
+    def test_deficient_block_finds_the_lowest_pair(self):
+        # A block without the lowest mode, made of cold pairs 1 and 2 at the
+        # same point: only the fresh guard column can bring pair 0 back.
+        mesh = generate_unit_square(16)
+        forms, _ = _reduced_forms(mesh, smooth_control(mesh, 0.05))
+        sel = EigenSelection(nev=8, shift=9.35, tol=1e-8)
+        cold = solve_gevp(forms, sel)
+        assert cold[1].lam - cold[0].lam > 1e-3     # the pi^2 pair is split
+        warm = solve_gevp(forms, sel, block=block_of(cold[1:3]))
+        assert abs(warm[0].lam - cold[0].lam) <= 1e-8 * cold[0].lam
+        assert abs(warm[1].lam - cold[1].lam) <= 1e-8 * cold[1].lam
+
+    def test_shift_above_the_pair_keeps_the_cold_index(self):
+        # sigma = 17.7 lies nearer lambda_2 than the split pi^2 pair; the two
+        # pairs nearest sigma would put lambda_1 at index 0.
+        mesh = generate_unit_square(16)
+        sel = EigenSelection(nev=8, shift=17.7, tol=1e-8)
+        start = solve_gevp(_reduced_forms(mesh, smooth_control(mesh, 0.04))[0],
+                           sel)
+        forms, _ = _reduced_forms(mesh, smooth_control(mesh, 0.05))
+        cold = solve_gevp(forms, sel)
+        assert cold[2].lam - sel.shift < sel.shift - cold[1].lam
+        warm = solve_gevp(forms, sel, block=block_of(start[:2]))
+        for pw, pc in zip(warm, cold[:2]):
+            assert abs(pw.lam - pc.lam) <= 1e-8 * pc.lam
+
+    def test_debug_line_per_block_solve(self, square16_forms, square16_pairs,
+                                        caplog):
+        sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
+        with caplog.at_level(logging.DEBUG, logger="maxshape.eigensolver"):
+            solve_gevp(square16_forms, sel,
+                       block=block_of(square16_pairs[:2]))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "maxshape.eigensolver"]
+        assert len(lines) == 1
+        n = square16_forms.A.shape[0] + square16_forms.B.shape[1]
+        match = re.fullmatch(
+            r"block solve: sigma=9 n=(\d+) iterations=(\d+) applies=(\d+)",
+            lines[0])
+        assert match is not None, lines[0]
+        assert int(match[1]) == n
+        assert int(match[2]) >= 1
+        assert int(match[3]) == 3 * int(match[2])   # two pairs plus the guard
+
+    def test_iteration_cap_raises(self, square16_pairs):
+        mesh = generate_unit_square(16)
+        forms, _ = _reduced_forms(mesh, smooth_control(mesh, 0.05))
+        sel = EigenSelection(nev=6, shift=9.0, tol=1e-8, maxiter=1)
+        with pytest.raises(NoConvergence, match="1 iterations"):
+            solve_gevp(forms, sel, block=block_of(square16_pairs[:2]))
+
 
 class TestSelectAndNormalize:
     def test_rescaling(self, square16_forms, square16_pairs):
@@ -218,6 +340,21 @@ class TestSelectAndNormalize:
         sel = EigenSelection(index=1, gap_min=1.0, nev=7, shift=9.0)
         out = select_and_normalize(square16_pairs, sel, square16_forms.M)
         assert out.gap_warning
+
+    def test_gap_recorded_without_gap_min(self, square16_pairs,
+                                          square16_forms):
+        lams = [p.lam for p in square16_pairs]
+        for index in (0, 3):
+            out = select_and_normalize(
+                square16_pairs, EigenSelection(index=index, nev=7, shift=9.0),
+                square16_forms.M)
+            others = lams[:index] + lams[index + 1:]
+            assert out.gap == min(abs(lams[index] - l) for l in others)
+            assert not out.gap_warning
+        alone = select_and_normalize(square16_pairs[:1],
+                                     EigenSelection(nev=6, shift=9.0),
+                                     square16_forms.M)
+        assert np.isnan(alone.gap)
 
     def test_index_out_of_range(self, square16_pairs, square16_forms):
         sel = EigenSelection(index=0, nev=6, shift=9.0)

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from maxshape import (
     EigenSelection,
@@ -12,6 +14,7 @@ from maxshape import (
     optimize,
 )
 from maxshape import adjoint_gradient
+from maxshape import eigensolver
 from maxshape.errors import NoConvergence
 from maxshape.problem import MaxwellShapeProblem
 
@@ -35,9 +38,9 @@ def state_solves(monkeypatch):
     seen = []
     real = adjoint_gradient.solve_state
 
-    def counted(mesh, dofs, q, sel, v0=None):
+    def counted(mesh, dofs, q, sel, **kwargs):
         seen.append(q.flat.copy())
-        return real(mesh, dofs, q, sel, v0=v0)
+        return real(mesh, dofs, q, sel, **kwargs)
 
     monkeypatch.setattr(adjoint_gradient, "solve_state", counted)
     return seen
@@ -195,6 +198,83 @@ class TestLastStateMemo:
         assert lines[0].startswith("solved state: lam=")
         assert "residual=" in lines[0] and "divergence=" in lines[0]
         assert lines[1].startswith("reused state: lam=")
+
+
+    def test_debug_solved_line_prints_gap(self, caplog):
+        prob = _square8_problem()
+        with caplog.at_level("DEBUG", logger="maxshape.problem"):
+            state = prob.solve_state(prob.zero_control())
+        line = [r.getMessage() for r in caplog.records
+                if r.name == "maxshape.problem"][0]
+        assert 0.0 < state.gap < 1.0           # the split pi^2 pair
+        assert line.endswith(f" gap={state.gap:.3e}")
+
+
+def _square16_problem():
+    mesh = generate_unit_square(16)
+    sel = EigenSelection(index=0, nev=8, shift=9.35, tol=1e-8)
+    params = ObjectiveParams(lambda_target=10.4, alpha=1e-3, beta=1e-6,
+                             epsilon=1e-4)
+    return MaxwellShapeProblem(mesh, params, sel, seed=0)
+
+
+def _smooth_control(prob, amplitude):
+    x, y = prob.mesh.vertices[:, 0], prob.mesh.vertices[:, 1]
+    q = prob.zero_control()
+    q[0::2] = amplitude * x * np.sin(np.pi * x) * np.sin(np.pi * y)
+    q[1::2] = amplitude * np.sin(2.0 * np.pi * x) * np.sin(np.pi * y)
+    return q
+
+
+@pytest.fixture
+def arnoldi_calls(monkeypatch):
+    """Number of spla.eigs calls the eigensolver makes."""
+    calls = []
+
+    class SpyLinalg:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+        def eigs(self, *args, **kwargs):
+            calls.append(1)
+            return spla.eigs(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "spla", SpyLinalg())
+    return calls
+
+
+class TestWarmStateSolves:
+    def test_only_the_first_solve_runs_arnoldi(self, arnoldi_calls):
+        prob = _square16_problem()
+        first = prob.solve_state(prob.zero_control())
+        assert len(arnoldi_calls) == 1
+        assert first.block.shape == (prob.dofs.n_free, 2)
+        for amplitude in (1e-3, 0.02, 0.05):
+            state = prob.solve_state(_smooth_control(prob, amplitude))
+            assert state.residual <= 1e-8
+        assert len(arnoldi_calls) == 1
+
+    def test_failed_solve_keeps_the_block(self, arnoldi_calls):
+        # A warm solve capped at one iteration raises; the next solve must
+        # start from the block of the last solve that succeeded, exactly as
+        # if the failed one had never run.
+        prob = _square16_problem()
+        q_near = _smooth_control(prob, 0.01)
+        prob.solve_state(prob.zero_control())
+        sel = prob.sel
+        prob.sel = replace(sel, maxiter=1)
+        with pytest.raises(NoConvergence):
+            prob.solve_state(_smooth_control(prob, 0.05))
+        prob.sel = sel
+        after_failure = prob.solve_state(q_near)
+
+        ref = _square16_problem()
+        ref.solve_state(ref.zero_control())
+        expected = ref.solve_state(q_near)
+        assert len(arnoldi_calls) == 2          # the two first solves
+        assert after_failure.lam == expected.lam
+        np.testing.assert_array_equal(after_failure.u, expected.u)
+        np.testing.assert_array_equal(after_failure.block, expected.block)
 
 
 class TestOneSolvePerControl:
