@@ -75,10 +75,8 @@ def solve_state(mesh: Mesh, dofs: DofMap, q: DeformationField,
     forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
     pairs = solve_gevp(forms, sel, v0=v0, block=block)
     pair = select_and_normalize(pairs, sel, forms.M)
-    used = np.column_stack([np.concatenate([p.u, p.psi])
-                            for p in pairs[:sel.index + 2]])
     return replace(pair, u=dofs.expand_edge(pair.u),
-                   psi=dofs.expand_vertex(pair.psi), block=used)
+                   psi=dofs.expand_vertex(pair.psi))
 
 
 def solve_adjoint(state: MixedEigenPair,

@@ -113,30 +113,20 @@ def parse_config(text: str) -> RunConfig:
     if "objective.lambda_target" not in raw:
         raise ConfigError("objective.lambda_target is required")
 
+    def section(prefix: str) -> dict:
+        return {key[len(prefix):]: value for key, value in raw.items()
+                if key.startswith(prefix)}
+
+    opt = section("optimizer.")
+    if "rho" in opt:
+        opt["rho_ls"] = opt.pop("rho")
     try:
-        objective = ObjectiveParams(
-            lambda_target=raw["objective.lambda_target"],
-            alpha=raw.get("objective.alpha", 100.0),
-            beta=raw.get("objective.beta", 1e-6),
-            epsilon=raw.get("objective.epsilon", 1e-4))
-        eigen = EigenSelection(
-            index=raw.get("eigen.index", 0),
-            gap_min=raw.get("eigen.gap_min", 0.0),
-            shift=raw.get("eigen.shift"),
-            nev=raw.get("eigen.nev"),
-            tol=raw.get("eigen.tol", 1e-5),
-            strict_gap=raw.get("eigen.strict_gap", False))
-        alpha = objective.alpha
-        optimizer = OptimizerConfig(
-            tol=raw.get("optimizer.tol", 1e-7),
-            k_max=raw.get("optimizer.k_max", 100),
-            gamma=raw.get("optimizer.gamma", 0.1),
-            rho_ls=raw.get("optimizer.rho", 0.1),
-            ls_max=raw.get("optimizer.ls_max", 10),
-            xi=raw.get("optimizer.xi", 0.2),
-            m_mem=raw.get("optimizer.m_mem", 20),
-            b0_scale=raw.get("optimizer.b0_scale",
-                             1.0 / alpha if alpha > 0 else 1.0))
+        objective = ObjectiveParams(**section("objective."))
+        eigen = EigenSelection(**section("eigen."))
+        # CLI default: the initial inverse Hessian scales with 1 / alpha
+        opt.setdefault("b0_scale",
+                       1.0 / objective.alpha if objective.alpha > 0 else 1.0)
+        optimizer = OptimizerConfig(**opt)
     except ValueError as exc:
         raise ConfigError(str(exc))
 

@@ -70,7 +70,7 @@ class MixedEigenPair:
     ||B^T u|| / ||M u||; at most DIVERGENCE_TOL certifies the pair as
     divergence-free (spurious-free).  gap is the distance to the nearest
     other computed eigenvalue (NaN when none was computed).  block, set by
-    adjoint_gradient.solve_state, holds the reduced [u; psi] columns of the
+    select_and_normalize, holds the reduced [u; psi] columns of the
     computed pairs up to the selected one's upper neighbour: the warm start
     of solve_gevp at a nearby deformation.
     """
@@ -120,18 +120,6 @@ class EigenSelection:
         return self.nev if self.nev is not None else max(6, self.index + 3)
 
 
-def build_pencil(forms: AssembledForms) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Block matrices (K, Mt) of the mixed pencil from reduced forms."""
-    n_e = forms.A.shape[0]
-    n_v = forms.B.shape[1]
-    k_mat = sp.bmat([[forms.A, forms.B], [forms.B.T, None]], format="csr") \
-        if n_v else forms.A.tocsr()
-    zero = sp.csr_matrix((n_v, n_v))
-    mt = sp.bmat([[forms.M, None], [None, zero]], format="csr") \
-        if n_v else forms.M.tocsr()
-    return k_mat, mt
-
-
 def solve_gevp(forms: AssembledForms, sel: EigenSelection,
                v0: np.ndarray | None = None,
                block: np.ndarray | None = None) -> list[MixedEigenPair]:
@@ -157,14 +145,15 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     """
     if sel.shift is None:
         raise ValueError("EigenSelection.shift must be set before solving")
-    n_e = forms.A.shape[0]
-    n_v = forms.B.shape[1]
-    n = n_e + n_v
+    k_mat, mt, n_e = forms.K, forms.Mt, forms.n_edge
+    n = k_mat.shape[0]
+    if v0 is not None and len(v0) != n:
+        raise ValueError(f"v0 of length {len(v0)} cannot start a pencil of "
+                         f"size {n}")
     nev = sel.nev_effective
     count = nev      # pairs to return
     if n_e == 0:
         raise InsufficientSpectrum("no free edge DOFs")
-    k_mat, mt = build_pencil(forms)
     sigma = float(sel.shift)
 
     if n <= max(DENSE_THRESHOLD, 2 * nev + 12):
@@ -198,17 +187,17 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     pairs = []
     for i, lam in enumerate(lams):
         x = vecs[:, i]
-        u = x[:n_e]
-        psi = x[n_e:]
-        mu = forms.M @ u
-        nrm = np.sqrt(u @ mu)
+        mu = (mt @ x)[:n_e]         # M u
+        nrm = np.sqrt(x[:n_e] @ mu)
         if nrm <= 0:
             raise NoConvergence(f"eigenvector {i} has zero mass norm")
-        u = u / nrm
-        psi = psi / nrm
         x = x / nrm
-        # divergence certificate of the normalized u, whose M u is mu / nrm
-        div = float(np.linalg.norm(forms.B.T @ u) / (np.linalg.norm(mu) / nrm))
+        u = x[:n_e]
+        psi = x[n_e:]
+        # divergence certificate of the normalized u, whose M u is mu / nrm;
+        # the vertex rows of K x are B^T u
+        div = float(np.linalg.norm((k_mat @ x)[n_e:])
+                    / (np.linalg.norm(mu) / nrm))
         res = _pencil_residual(k_mat, mt, lam, x)
         if res > sel.tol and abs(i - sel.index) <= 1:
             raise NoConvergence(
@@ -251,8 +240,6 @@ def _arpack_finite_spectrum(k_mat, mt, lu, sigma: float, nev: int,
     # A couple of spare Ritz pairs guard against near-zero theta dropouts.
     k = min(nev + 2, n - 2)
     ncv = min(n, max(3 * k + 8, 30))
-    if v0 is not None and len(v0) != n:
-        v0 = None
     if v0 is None:
         # fixed starting vector keeps repeated solves bit-identical
         v0 = np.random.default_rng(0).standard_normal(n)
@@ -333,7 +320,8 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
     rescaled alongside.  The gap, the distance to the nearest other computed
     eigenvalue, is stored on the result and checked against gap_min.  A
     divergence certificate above DIVERGENCE_TOL is logged as a warning, not
-    raised.
+    raised.  The result's block stacks the [u; psi] columns of the pairs up
+    to index + 1: the warm start of the next solve.
 
     Raises:
         InsufficientSpectrum: index beyond the computed list.
@@ -369,6 +357,8 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
         log.warning("divergence certificate %.3e above %.1e at lam=%.6g",
                     chosen.divergence, DIVERGENCE_TOL, chosen.lam)
 
+    block = np.column_stack([np.concatenate([p.u, p.psi])
+                             for p in pairs[:sel.index + 2]])
     return MixedEigenPair(lam=chosen.lam, u=u, psi=psi,
                           residual=chosen.residual, gap_warning=gap_warning,
-                          divergence=chosen.divergence, gap=gap)
+                          divergence=chosen.divergence, gap=gap, block=block)

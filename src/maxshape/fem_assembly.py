@@ -97,17 +97,32 @@ class DofMap:
 
 @dataclass
 class AssembledForms:
-    """Sparse matrices of the three transformed bilinear forms.
+    """The mixed saddle-point pencil K x = lam * Mt x of the transformed forms.
 
+        K  = [[A, B], [B^T, 0]],      Mt = [[M, 0], [0, 0]],
+
+    with the n_edge edge DOFs first and the vertex DOFs after them.
     A: curl-curl form (edge x edge), symmetric positive semidefinite.
     B: constraint coupling (edge x vertex), b(u, phi) = u^T B phi.
     M: weighted vector mass (edge x edge), symmetric positive definite on
        free DOFs for admissible deformations.
     """
 
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    M: sp.csr_matrix
+    K: sp.csr_matrix
+    Mt: sp.csr_matrix
+    n_edge: int
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        return self.K[:self.n_edge, :self.n_edge]
+
+    @cached_property
+    def B(self) -> sp.csr_matrix:
+        return self.K[:self.n_edge, self.n_edge:]
+
+    @cached_property
+    def M(self) -> sp.csr_matrix:
+        return self.Mt[:self.n_edge, :self.n_edge]
 
 
 @dataclass
@@ -140,7 +155,7 @@ class ShapeFunctional:
 
 
 def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledForms:
-    """Assemble the transformed curl-curl, coupling and mass forms.
+    """Assemble the saddle-point pencil of the transformed forms.
 
     Matrices are full-sized (all DOFs); apply_dirichlet reduces them.
 
@@ -158,28 +173,27 @@ def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledFo
     b_loc = w * np.einsum("tkpi,tvi->tkv", tn, tg)
     a_loc = (areas / jac)[:, None, None] * (curls[:, :, None] * curls[:, None, :])
 
-    # Triangle-major COO order; tocsr sums the duplicates.
+    # Triangle-major COO order; tocsr sums the duplicates.  K takes A, then
+    # B in the vertex columns, then B^T in the vertex rows.
     edges = mesh.triangle_edges
     rows = np.repeat(edges, 3, axis=1).ravel()
     cols = np.tile(edges, (1, 3)).ravel()
-    shape_ee = (dofs.n_edge, dofs.n_edge)
-    a_mat = sp.coo_matrix((a_loc.ravel(), (rows, cols)), shape=shape_ee).tocsr()
-    m_mat = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape_ee).tocsr()
-    b_mat = sp.coo_matrix(
-        (b_loc.ravel(), (rows, np.tile(mesh.triangles, (1, 3)).ravel())),
-        shape=(dofs.n_edge, dofs.n_vertex)).tocsr()
-    return AssembledForms(A=a_mat, B=b_mat, M=m_mat)
+    verts = dofs.n_edge + np.tile(mesh.triangles, (1, 3)).ravel()
+    shape = (dofs.n_total, dofs.n_total)
+    b_vals = b_loc.ravel()
+    k_mat = sp.coo_matrix(
+        (np.concatenate([a_loc.ravel(), b_vals, b_vals]),
+         (np.concatenate([rows, rows, verts]),
+          np.concatenate([cols, verts, rows]))), shape=shape).tocsr()
+    mt = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape).tocsr()
+    return AssembledForms(K=k_mat, Mt=mt, n_edge=dofs.n_edge)
 
 
 def apply_dirichlet(forms: AssembledForms, dofs: DofMap) -> AssembledForms:
     """Eliminate constrained rows and columns by symmetric reduction."""
-    fe = dofs.free_edges
-    fv = dofs.free_vertices
-    return AssembledForms(
-        A=forms.A[fe][:, fe].tocsr(),
-        B=forms.B[fe][:, fv].tocsr(),
-        M=forms.M[fe][:, fe].tocsr(),
-    )
+    free = np.concatenate([dofs.free_edges, dofs.n_edge + dofs.free_vertices])
+    return AssembledForms(K=forms.K[free][:, free], Mt=forms.Mt[free][:, free],
+                          n_edge=dofs.n_free_edge)
 
 
 def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:

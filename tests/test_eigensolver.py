@@ -192,6 +192,12 @@ class TestSolveGevp:
             assert pa.lam == pb.lam
             np.testing.assert_array_equal(pa.u, pb.u)
 
+    def test_wrong_length_v0_raises(self, square16_forms):
+        sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
+        n = square16_forms.A.shape[0] + square16_forms.B.shape[1]
+        with pytest.raises(ValueError, match="v0"):
+            solve_gevp(square16_forms, sel, v0=np.ones(n - 1))
+
     def test_insufficient_spectrum(self):
         # n=2: 8 free edges, 1 free vertex -> exactly 7 finite eigenvalues.
         mesh = generate_unit_square(2)
@@ -325,6 +331,11 @@ class TestSelectAndNormalize:
         np.testing.assert_array_equal(plus.u, minus.u)
         np.testing.assert_array_equal(plus.psi, minus.psi)
         assert plus.u[np.argmax(np.abs(plus.u))] > 0
+
+    def test_block_holds_the_used_pairs(self, square16_forms, square16_pairs):
+        sel = EigenSelection(index=1, nev=7, shift=9.0)
+        out = select_and_normalize(square16_pairs, sel, square16_forms.M)
+        np.testing.assert_array_equal(out.block, block_of(square16_pairs[:3]))
 
     def test_gap_violation_on_degenerate_pair(self, square16_pairs,
                                               square16_forms):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from maxshape import (
     DeformationField,
@@ -184,6 +185,33 @@ class TestApplyDirichlet:
         dofs = DofMap.from_mesh(square2)
         u = dofs.expand_edge(rng.standard_normal(dofs.n_free_edge))
         assert np.all(u[dofs.constrained_edge] == 0.0)
+
+
+class TestPencilLayout:
+    """K = [[A, B], [B^T, 0]] and Mt = [[M, 0], [0, 0]], entry for entry."""
+
+    @staticmethod
+    def assert_same_csr(got, want):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_blocks(self, square4, rng, deformed, reduced):
+        dofs = DofMap.from_mesh(square4)
+        q = (random_feasible_control(square4, rng, 0.05) if deformed
+             else DeformationField.zero(square4))
+        forms = assemble_forms(square4, dofs, q)
+        if reduced:
+            forms = apply_dirichlet(forms, dofs)
+        a, b, m = forms.A, forms.B, forms.M
+        n_v = b.shape[1]
+        self.assert_same_csr(forms.K,
+                             sp.bmat([[a, b], [b.T, None]], format="csr"))
+        self.assert_same_csr(forms.Mt, sp.block_diag(
+            (m, sp.csr_matrix((n_v, n_v))), format="csr"))
 
 
 class TestEigenvalueScaling:

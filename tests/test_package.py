@@ -3,7 +3,8 @@
 The traced benchmark (benchmarks/tracing.py) wraps each function it names
 at every module attribute bound to it, and its workloads require some of
 those bindings to be hit.  These tests load the benchmark files read-only
-and check that every such name still resolves in the program.
+and check that every such name still resolves in the program, and that the
+API the workloads call directly still works.
 """
 
 import importlib
@@ -11,6 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import maxshape
@@ -65,3 +67,14 @@ class TestBenchmarkBindings:
                 assert callable(getattr(maxshape.eigensolver.spla, attr)), site
             else:
                 assert site in tracing.TRACED_METHODS, site
+
+    def test_divergence_certificate_runs(self, monkeypatch):
+        # The benchmark calls assemble_forms, apply_dirichlet, solve_gevp,
+        # select_and_normalize and the forms' M and B blocks directly.
+        workloads = load_benchmark_module("workloads", monkeypatch)
+        problem = maxshape.MaxwellShapeProblem(
+            maxshape.generate_unit_square(4),
+            maxshape.ObjectiveParams(lambda_target=10.36),
+            maxshape.EigenSelection())
+        q = 0.01 * np.sin(np.arange(problem.n_control))
+        assert workloads.divergence_certificate(problem, q) <= 1e-6
