@@ -58,7 +58,7 @@ class RunConfig:
 
 
 _KEY_TYPES = {
-    "mesh.msh_path": str,
+    "mesh.msh_path": Path,
     "mesh.unit_square": int,
     "objective.lambda_target": float,
     "objective.alpha": float,
@@ -78,9 +78,18 @@ _KEY_TYPES = {
     "optimizer.xi": float,
     "optimizer.m_mem": int,
     "optimizer.b0_scale": float,
-    "output.dir": str,
+    "output.dir": Path,
     "output.emit_vtk_every": int,
     "seed": int,
+}
+
+# Configuration keys outside the parameter sections, by RunConfig field.
+_RUN_FIELDS = {
+    "mesh.msh_path": "mesh_msh_path",
+    "mesh.unit_square": "mesh_unit_square",
+    "output.dir": "output_dir",
+    "output.emit_vtk_every": "emit_vtk_every",
+    "seed": "seed",
 }
 
 
@@ -130,19 +139,12 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    n = raw.get("mesh.unit_square")
-    if n is not None and n < 1:
+    if raw.get("mesh.unit_square", 1) < 1:
         raise ConfigError("mesh.unit_square must be >= 1")
-    return RunConfig(
-        mesh_msh_path=Path(raw["mesh.msh_path"]) if "mesh.msh_path" in raw else None,
-        mesh_unit_square=n,
-        objective=objective,
-        eigen=eigen,
-        optimizer=optimizer,
-        output_dir=Path(raw.get("output.dir", "out")),
-        emit_vtk_every=raw.get("output.emit_vtk_every", 0),
-        seed=raw.get("seed", 0),
-    )
+    # Only the keys present: RunConfig keeps its own defaults for the rest.
+    top = {name: raw[key] for key, name in _RUN_FIELDS.items() if key in raw}
+    return RunConfig(objective=objective, eigen=eigen, optimizer=optimizer,
+                     **top)
 
 
 def _convert(value: str, kind: type):

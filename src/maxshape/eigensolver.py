@@ -160,7 +160,7 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
         lams, vecs = _dense_finite_spectrum(k_mat, mt, sel)
     else:
         try:
-            lu = spla.splu((k_mat - sigma * mt).tocsc(), **SYMMETRIC_LU)
+            lu = spla.splu(forms.shifted(sigma), **SYMMETRIC_LU)
         except RuntimeError as exc:
             raise FactorizationFailed(
                 f"factorization of K - sigma*M failed at sigma={sigma:g}: "
@@ -194,11 +194,12 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
         x = x / nrm
         u = x[:n_e]
         psi = x[n_e:]
-        # divergence certificate of the normalized u, whose M u is mu / nrm;
-        # the vertex rows of K x are B^T u
-        div = float(np.linalg.norm((k_mat @ x)[n_e:])
-                    / (np.linalg.norm(mu) / nrm))
-        res = _pencil_residual(k_mat, mt, lam, x)
+        # One K x and one Mt x of the normalized pair serve the residual and
+        # the certificate ||B^T u|| / ||M u||: the vertex rows of K x are
+        # B^T u, and M u is mu / nrm.
+        kx = k_mat @ x
+        res = _pencil_residual(kx, mt @ x, lam)
+        div = float(np.linalg.norm(kx[n_e:]) / (np.linalg.norm(mu) / nrm))
         if res > sel.tol and abs(i - sel.index) <= 1:
             raise NoConvergence(
                 f"eigenpair {i} (lam={lam:.6g}) residual {res:.2e} "
@@ -208,9 +209,10 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     return pairs
 
 
-def _pencil_residual(k_mat, mt, lam: float, x: np.ndarray) -> float:
-    num = np.linalg.norm(k_mat @ x - lam * (mt @ x))
-    den = abs(lam) * np.linalg.norm(mt @ x)
+def _pencil_residual(kx: np.ndarray, mx: np.ndarray, lam: float) -> float:
+    """||K x - lam Mt x|| / (|lam| ||Mt x||) from the products K x, Mt x."""
+    num = np.linalg.norm(kx - lam * mx)
+    den = abs(lam) * np.linalg.norm(mx)
     return float(num / max(den, np.finfo(float).tiny))
 
 

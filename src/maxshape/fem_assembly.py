@@ -50,6 +50,7 @@ class DofMap:
     n_vertex: int
     constrained_edge: np.ndarray    # (E,) bool
     constrained_vertex: np.ndarray  # (V,) bool
+    pattern: "PencilPattern"        # fixed sparsity of the pencil
 
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "DofMap":
@@ -57,7 +58,11 @@ class DofMap:
         ce[mesh.boundary_edges] = True
         cv = np.zeros(mesh.n_vertices, dtype=bool)
         cv[mesh.boundary_vertices] = True
-        return cls(mesh.n_edges, mesh.n_vertices, ce, cv)
+        # The pattern lives as long as the DofMap.  Built here, before any
+        # solve, its arrays sit below the solves' large temporaries in the
+        # heap instead of pinning it above them (peak RSS).
+        return cls(mesh.n_edges, mesh.n_vertices, ce, cv,
+                   PencilPattern.build(mesh, ce, cv))
 
     @cached_property
     def free_edges(self) -> np.ndarray:
@@ -106,11 +111,17 @@ class AssembledForms:
     B: constraint coupling (edge x vertex), b(u, phi) = u^T B phi.
     M: weighted vector mass (edge x edge), symmetric positive definite on
        free DOFs for admissible deformations.
+    K and Mt own their data; their index arrays are the layout's, read-only
+    and shared by every pencil assembled on it.
     """
 
     K: sp.csr_matrix
     Mt: sp.csr_matrix
-    n_edge: int
+    layout: "PencilLayout"
+
+    @property
+    def n_edge(self) -> int:
+        return self.layout.n_edge
 
     @cached_property
     def A(self) -> sp.csr_matrix:
@@ -123,6 +134,120 @@ class AssembledForms:
     @cached_property
     def M(self) -> sp.csr_matrix:
         return self.Mt[:self.n_edge, :self.n_edge]
+
+    def shifted(self, sigma: float) -> sp.csc_matrix:
+        """K - sigma*Mt in CSC, as scipy's sparse subtraction would give it.
+
+        K and Mt are exactly symmetric, so K's CSR arrays are the CSC arrays
+        of K - sigma*Mt once Mt's entries are subtracted in their slots.
+        Entries that come out exactly zero (at q = 0 some entries of B
+        cancel) are dropped, as the subtraction drops them.
+        """
+        lay = self.layout
+        data = self.K.data.copy()
+        data[lay.mt_in_k] -= sigma * self.Mt.data
+        if data.all():
+            return sp.csc_matrix((data, lay.k_indices, lay.k_indptr),
+                                 shape=self.K.shape)
+        pencil = sp.csc_matrix((data, lay.k_indices.copy(),
+                                lay.k_indptr.copy()), shape=self.K.shape)
+        pencil.eliminate_zeros()
+        return pencil
+
+
+@dataclass(frozen=True)
+class PencilLayout:
+    """CSR sparsity of a pencil (K, Mt) of size n, with Mt's pattern inside
+    K's: mt_in_k[i] is the slot in K.data of Mt.data[i]."""
+
+    n: int
+    n_edge: int
+    k_indptr: np.ndarray
+    k_indices: np.ndarray
+    mt_indptr: np.ndarray
+    mt_indices: np.ndarray
+    mt_in_k: np.ndarray
+
+    @classmethod
+    def from_keys(cls, k_keys: np.ndarray, mt_keys: np.ndarray, n: int,
+                  n_edge: int) -> "PencilLayout":
+        """Layout of the sorted unique entry keys row * n + col."""
+        def csr(keys):
+            rows, cols = np.divmod(keys, n)
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+            return indptr, cols.astype(np.int32)
+
+        arrays = (*csr(k_keys), *csr(mt_keys),
+                  np.searchsorted(k_keys, mt_keys).astype(np.int32))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(n, n_edge, *arrays)
+
+    def forms(self, k_data: np.ndarray, mt_data: np.ndarray) -> AssembledForms:
+        shape = (self.n, self.n)
+        return AssembledForms(
+            K=sp.csr_matrix((k_data, self.k_indices, self.k_indptr),
+                            shape=shape),
+            Mt=sp.csr_matrix((mt_data, self.mt_indices, self.mt_indptr),
+                             shape=shape),
+            layout=self)
+
+
+@dataclass(frozen=True)
+class PencilPattern:
+    """The fixed sparsity of one DofMap's pencil, full and on free DOFs.
+
+    The deformation changes only the entries, so assembly scatters the local
+    matrices by precomputed slots (Cuvelier, Japhet & Scarella, BIT 56,
+    2016): k_slots[i] is the slot in the full K.data of the i-th entry of
+    a_loc, b_loc (as B) and b_loc (as B^T) in that order, mt_slots the slot
+    in the full Mt.data of each entry of m_loc.  The Dirichlet reduction is
+    a gather: the free K.data is the full K.data[k_free], likewise Mt.
+    """
+
+    k_slots: np.ndarray
+    mt_slots: np.ndarray
+    full: PencilLayout
+    free: PencilLayout
+    k_free: np.ndarray
+    mt_free: np.ndarray
+
+    @classmethod
+    def build(cls, mesh: Mesh, constrained_edge: np.ndarray,
+              constrained_vertex: np.ndarray) -> "PencilPattern":
+        free = ~np.concatenate([constrained_edge, constrained_vertex])
+        n, n_edge = len(free), mesh.n_edges
+        n_free, n_free_edge = int(free.sum()), int(free[:n_edge].sum())
+        edges = mesh.triangle_edges
+        # triangle-major local entries (k, l) of an edge x edge form and
+        # (k, v) of an edge x vertex form, keyed row * n + col
+        rows = np.repeat(edges, 3, axis=1).ravel()
+        cols = np.tile(edges, (1, 3)).ravel()
+        verts = n_edge + np.tile(mesh.triangles, (1, 3)).ravel()
+        k_keys, k_slots = np.unique(
+            np.concatenate([rows * n + cols, rows * n + verts,
+                            verts * n + rows]), return_inverse=True)
+        mt_keys, mt_slots = np.unique(rows * n + cols, return_inverse=True)
+
+        number = np.cumsum(free) - 1     # free DOF number of a free DOF
+
+        def restrict(keys):
+            r, c = np.divmod(keys, n)
+            kept = np.flatnonzero(free[r] & free[c])
+            return kept.astype(np.int32), number[r[kept]] * n_free \
+                + number[c[kept]]
+
+        k_free, free_k_keys = restrict(k_keys)
+        mt_free, free_mt_keys = restrict(mt_keys)
+        slots = (k_slots.astype(np.int32), mt_slots.astype(np.int32))
+        for arr in (*slots, k_free, mt_free):
+            arr.setflags(write=False)
+        return cls(*slots,
+                   PencilLayout.from_keys(k_keys, mt_keys, n, n_edge),
+                   PencilLayout.from_keys(free_k_keys, free_mt_keys, n_free,
+                                          n_free_edge),
+                   k_free, mt_free)
 
 
 @dataclass
@@ -154,10 +279,11 @@ class ShapeFunctional:
         return ShapeFunctional(self.coeffs + other.coeffs)
 
 
-def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledForms:
-    """Assemble the saddle-point pencil of the transformed forms.
-
-    Matrices are full-sized (all DOFs); apply_dirichlet reduces them.
+def local_forms(mesh: Mesh, q: DeformationField
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element matrices a_loc, b_loc and m_loc, each (T, 3, 3), of the
+    transformed forms: [t, k, l] couples local edges k and l of triangle t,
+    and b_loc[t, k, v] local edge k with local vertex v.
 
     Raises:
         InadmissibleDeformation: jacobian <= 0 on some triangle.
@@ -165,35 +291,46 @@ def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledFo
     jac, inv_t = kinematics(q)
     values, curls = mesh.whitney
     areas = mesh.areas
-    tn = np.einsum("tij,tkpj->tkpi", inv_t, values)  # DF^-T N, (T, 3, 3, 2)
+    # DF^-T N, (T, 3, 3, 2), as a batch of (9, 2) @ DF^-1 products
+    df_inv = np.ascontiguousarray(inv_t.transpose(0, 2, 1))
+    tn = (values.reshape(-1, 9, 2) @ df_inv).reshape(values.shape)
     tg = pulled_gradients(mesh, inv_t)               # DF^-T grad(lam)
 
     w = (QP_WEIGHT * areas * jac)[:, None, None]
     m_loc = w * np.einsum("tkpi,tlpi->tkl", tn, tn)
     b_loc = w * np.einsum("tkpi,tvi->tkv", tn, tg)
     a_loc = (areas / jac)[:, None, None] * (curls[:, :, None] * curls[:, None, :])
+    return a_loc, b_loc, m_loc
 
-    # Triangle-major COO order; tocsr sums the duplicates.  K takes A, then
-    # B in the vertex columns, then B^T in the vertex rows.
-    edges = mesh.triangle_edges
-    rows = np.repeat(edges, 3, axis=1).ravel()
-    cols = np.tile(edges, (1, 3)).ravel()
-    verts = dofs.n_edge + np.tile(mesh.triangles, (1, 3)).ravel()
-    shape = (dofs.n_total, dofs.n_total)
+
+def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledForms:
+    """Assemble the saddle-point pencil of the transformed forms.
+
+    Matrices are full-sized (all DOFs) on the full layout of dofs.pattern;
+    apply_dirichlet reduces them.  mesh must be the mesh of dofs.
+
+    Raises:
+        InadmissibleDeformation: jacobian <= 0 on some triangle.
+    """
+    a_loc, b_loc, m_loc = local_forms(mesh, q)
+    # Every entry sums at most two contributions, so no summation order
+    # can change its value.
+    pat = dofs.pattern
     b_vals = b_loc.ravel()
-    k_mat = sp.coo_matrix(
-        (np.concatenate([a_loc.ravel(), b_vals, b_vals]),
-         (np.concatenate([rows, rows, verts]),
-          np.concatenate([cols, verts, rows]))), shape=shape).tocsr()
-    mt = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape).tocsr()
-    return AssembledForms(K=k_mat, Mt=mt, n_edge=dofs.n_edge)
+    k_data = np.bincount(pat.k_slots,
+                         np.concatenate([a_loc.ravel(), b_vals, b_vals]),
+                         minlength=len(pat.full.k_indices))
+    mt_data = np.bincount(pat.mt_slots, m_loc.ravel(),
+                          minlength=len(pat.full.mt_indices))
+    return pat.full.forms(k_data, mt_data)
 
 
 def apply_dirichlet(forms: AssembledForms, dofs: DofMap) -> AssembledForms:
     """Eliminate constrained rows and columns by symmetric reduction."""
-    free = np.concatenate([dofs.free_edges, dofs.n_edge + dofs.free_vertices])
-    return AssembledForms(K=forms.K[free][:, free], Mt=forms.Mt[free][:, free],
-                          n_edge=dofs.n_free_edge)
+    pat = dofs.pattern
+    if forms.layout is not pat.full:
+        raise ValueError("forms were not assembled on this DofMap")
+    return pat.free.forms(forms.K.data[pat.k_free], forms.Mt.data[pat.mt_free])
 
 
 def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:

@@ -62,7 +62,7 @@ def require_jacobian_above(jac: np.ndarray, floor: float) -> None:
 def gradient_all(q: DeformationField) -> np.ndarray:
     """(T, 2, 2) displacement gradients on every triangle at once."""
     vals = q.values[q.mesh.triangles]                   # (T, 3, 2)
-    return np.einsum("tvi,tvj->tij", vals, q.mesh.barycentric_gradients)
+    return vals.transpose(0, 2, 1) @ q.mesh.barycentric_gradients
 
 
 def kinematics(q: DeformationField) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +81,8 @@ def kinematics(q: DeformationField) -> tuple[np.ndarray, np.ndarray]:
 
 def pulled_gradients(mesh: Mesh, inv_t: np.ndarray) -> np.ndarray:
     """(T, 3, 2) transformed hat-function gradients DF^-T grad(lam_v)."""
-    return np.einsum("tij,tvj->tvi", inv_t, mesh.barycentric_gradients)
+    return mesh.barycentric_gradients @ np.ascontiguousarray(
+        inv_t.transpose(0, 2, 1))
 
 
 def jacobian_derivative(mesh: Mesh, jac: np.ndarray,

@@ -62,6 +62,11 @@ def square8():
     return generate_unit_square(8)
 
 
+@pytest.fixture(scope="session")
+def square16():
+    return generate_unit_square(16)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -78,6 +83,14 @@ def random_feasible_control(mesh, rng, q_inf, epsilon=1e-4):
         if jacobian_range(q)[0] > 2.0 * epsilon:
             return q
     raise AssertionError("could not draw a feasible deformation")
+
+
+def assert_entries_close(got, want, rtol=1e-15):
+    """Largest entry difference at most rtol times the largest entry: the
+    tolerance of a reordered kernel, which a BLAS build may round apart."""
+    assert got.shape == want.shape
+    diff = np.abs(got - want).max()
+    assert diff <= rtol * np.abs(want).max(), f"largest difference {diff:.3e}"
 
 
 def dilation_control(mesh, s, center=(0.5, 0.5)):

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maxshape import gradient_incidence
 from maxshape.cli_runner import (
+    RunConfig,
     _cell_field_magnitude,
     check_gradient,
     load_config,
@@ -39,6 +41,20 @@ class TestParseConfig:
         assert cfg.optimizer.b0_scale == pytest.approx(0.01)  # 1/alpha
         assert cfg.eigen.tol == 1e-5
         assert cfg.seed == 0
+
+    def test_absent_top_level_keys_keep_run_config_defaults(self):
+        cfg = parse_config(config_text())
+        default = RunConfig()
+        assert cfg.output_dir == default.output_dir
+        assert cfg.emit_vtk_every == default.emit_vtk_every
+        assert cfg.seed == default.seed
+        assert cfg.mesh_msh_path is None
+
+    def test_top_level_keys(self):
+        cfg = parse_config(config_text(
+            extra="output.dir = res\noutput.emit_vtk_every = 2\nseed = 5"))
+        assert cfg.output_dir == Path("res")
+        assert (cfg.emit_vtk_every, cfg.seed) == (2, 5)
 
     def test_comments_and_spacing(self):
         cfg = parse_config(

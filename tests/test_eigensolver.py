@@ -62,9 +62,9 @@ def inflated_residual(monkeypatch):
         real = es._pencil_residual
         calls = []
 
-        def residual(k_mat, mt, lam, x):
+        def residual(kx, mx, lam):
             calls.append(lam)       # solve_gevp checks the pairs in order
-            return 1.0 if len(calls) == i + 1 else real(k_mat, mt, lam, x)
+            return 1.0 if len(calls) == i + 1 else real(kx, mx, lam)
 
         monkeypatch.setattr(es, "_pencil_residual", residual)
     return inflate

@@ -15,10 +15,23 @@ from maxshape import (
 )
 from maxshape.eigensolver import EigenSelection, solve_gevp
 from maxshape.errors import InadmissibleDeformation
-from maxshape.fem_assembly import assemble_scalar_h1
+from maxshape.fem_assembly import (
+    QP_WEIGHT,
+    PencilPattern,
+    assemble_scalar_h1,
+    local_forms,
+)
 from maxshape.mesh_io import LOCAL_EDGES
+from maxshape.objective import ObjectiveParams
+from maxshape.problem import MaxwellShapeProblem
+from maxshape.reference_transform import kinematics
 
-from conftest import TWO_TRIANGLE_MSH, dilation_control, random_feasible_control
+from conftest import (
+    TWO_TRIANGLE_MSH,
+    assert_entries_close,
+    dilation_control,
+    random_feasible_control,
+)
 
 
 # Degree-5 triangle quadrature (7 points), used as an independent oracle.
@@ -181,21 +194,142 @@ class TestApplyDirichlet:
         np.testing.assert_array_equal(red.B.toarray(),
                                       forms.B.toarray()[np.ix_(fe, fv)])
 
+    def test_rejects_forms_of_another_layout(self, square2):
+        dofs = DofMap.from_mesh(square2)
+        forms = assemble_forms(square2, dofs, DeformationField.zero(square2))
+        with pytest.raises(ValueError):
+            apply_dirichlet(forms, DofMap.from_mesh(square2))
+        with pytest.raises(ValueError):
+            apply_dirichlet(apply_dirichlet(forms, dofs), dofs)
+
     def test_expansion_zero_trace(self, square2, rng):
         dofs = DofMap.from_mesh(square2)
         u = dofs.expand_edge(rng.standard_normal(dofs.n_free_edge))
         assert np.all(u[dofs.constrained_edge] == 0.0)
 
 
+def assert_same_sparse(got, want):
+    """Same format, shape and compressed arrays, entry for entry."""
+    assert (got.format, got.shape) == (want.format, want.shape)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+def _coo_pencil(mesh, dofs, q):
+    """Full and reduced K and Mt by COO to CSR conversion and fancy
+    slicing, the path the fixed pattern replaced: its oracle."""
+    a_loc, b_loc, m_loc = local_forms(mesh, q)
+    edges = mesh.triangle_edges
+    rows = np.repeat(edges, 3, axis=1).ravel()
+    cols = np.tile(edges, (1, 3)).ravel()
+    verts = dofs.n_edge + np.tile(mesh.triangles, (1, 3)).ravel()
+    shape = (dofs.n_total, dofs.n_total)
+    b_vals = b_loc.ravel()
+    k_mat = sp.coo_matrix(
+        (np.concatenate([a_loc.ravel(), b_vals, b_vals]),
+         (np.concatenate([rows, rows, verts]),
+          np.concatenate([cols, verts, rows]))), shape=shape).tocsr()
+    mt = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape).tocsr()
+    free = np.concatenate([dofs.free_edges, dofs.n_edge + dofs.free_vertices])
+    return k_mat, mt, k_mat[free][:, free], mt[free][:, free]
+
+
+class TestFixedPattern:
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_bit_identical_to_coo_path(self, n, deformed, rng):
+        mesh = generate_unit_square(n)
+        dofs = DofMap.from_mesh(mesh)
+        q = (random_feasible_control(mesh, rng, 0.2 / n) if deformed
+             else DeformationField.zero(mesh))
+        full = assemble_forms(mesh, dofs, q)
+        red = apply_dirichlet(full, dofs)
+        k_mat, mt, k_red, mt_red = _coo_pencil(mesh, dofs, q)
+        assert_same_sparse(full.K, k_mat)
+        assert_same_sparse(full.Mt, mt)
+        assert_same_sparse(red.K, k_red)
+        assert_same_sparse(red.Mt, mt_red)
+        for sigma in (9.0, 40.0):
+            assert_same_sparse(red.shifted(sigma),
+                               (k_red - sigma * mt_red).tocsc())
+
+    def test_shift_drops_exact_zeros(self, square4):
+        # At q = 0 entries of B cancel exactly; the pattern keeps them as
+        # explicit zeros, and K - sigma*Mt drops them as scipy's subtraction
+        # does, so SuperLU sees the same matrix.
+        dofs = DofMap.from_mesh(square4)
+        red = apply_dirichlet(
+            assemble_forms(square4, dofs, DeformationField.zero(square4)), dofs)
+        assert np.any(red.K.data == 0.0)
+        shifted = red.shifted(9.0)
+        assert (red.K.nnz, shifted.nnz) == (364, 328)
+        assert np.all(shifted.data != 0.0)
+
+    def test_pencils_share_no_writable_array(self, square4, rng):
+        dofs = DofMap.from_mesh(square4)
+        full = assemble_forms(square4, dofs,
+                              random_feasible_control(square4, rng, 0.05))
+        one = apply_dirichlet(full, dofs)
+        two = apply_dirichlet(assemble_forms(
+            square4, dofs, random_feasible_control(square4, rng, 0.05)), dofs)
+        zero = apply_dirichlet(assemble_forms(
+            square4, dofs, DeformationField.zero(square4)), dofs)
+        pruned = zero.shifted(9.0)   # exact zeros dropped: own index arrays
+        matrices = [full.K, full.Mt, one.K, one.Mt, two.K, two.Mt,
+                    one.shifted(9.0), zero.K, pruned]
+        snapshot = [(m.data.copy(), m.indices.copy(), m.indptr.copy())
+                    for m in matrices]
+        for i, m in enumerate(matrices):
+            mutable = [m.data]
+            if m.indices.flags.writeable:
+                mutable += [m.indices, m.indptr]
+            else:   # the layout's arrays, shared and read-only
+                for arr in (m.indices, m.indptr):
+                    with pytest.raises(ValueError):
+                        arr[0] = 0
+            for arr in mutable:
+                arr += 1
+            for j, other in enumerate(matrices):
+                if j != i:
+                    for got, want in zip(
+                            (other.data, other.indices, other.indptr),
+                            snapshot[j]):
+                        np.testing.assert_array_equal(got, want)
+            for arr, orig in zip(mutable, snapshot[i]):
+                arr[:] = orig
+
+    def test_built_once_across_solve_state_calls(self, square8, monkeypatch):
+        built = []
+        real = PencilPattern.build
+
+        def spy(mesh, *constrained):
+            built.append(mesh)
+            return real(mesh, *constrained)
+
+        monkeypatch.setattr(PencilPattern, "build", spy)
+        problem = MaxwellShapeProblem(
+            square8, ObjectiveParams(lambda_target=9.0),
+            EigenSelection(nev=6, shift=9.0, tol=1e-9))
+        q = dilation_control(square8, 0.01).flat
+        for scale in (0.0, 1.0, 2.0):
+            problem.solve_state(scale * q)
+        assert built == [square8]
+
+    def test_local_forms_match_einsum_oracle(self, square16, rng):
+        q = random_feasible_control(square16, rng, 0.01)
+        jac, inv_t = kinematics(q)
+        values, _ = square16.whitney
+        tn = np.einsum("tij,tkpj->tkpi", inv_t, values)
+        tg = np.einsum("tij,tvj->tvi", inv_t, square16.barycentric_gradients)
+        w = (QP_WEIGHT * square16.areas * jac)[:, None, None]
+        _, b_loc, m_loc = local_forms(square16, q)
+        assert_entries_close(m_loc, w * np.einsum("tkpi,tlpi->tkl", tn, tn))
+        assert_entries_close(b_loc, w * np.einsum("tkpi,tvi->tkv", tn, tg))
+
+
 class TestPencilLayout:
     """K = [[A, B], [B^T, 0]] and Mt = [[M, 0], [0, 0]], entry for entry."""
-
-    @staticmethod
-    def assert_same_csr(got, want):
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got.indptr, want.indptr)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        np.testing.assert_array_equal(got.data, want.data)
 
     @pytest.mark.parametrize("deformed", [False, True])
     @pytest.mark.parametrize("reduced", [False, True])
@@ -208,9 +342,9 @@ class TestPencilLayout:
             forms = apply_dirichlet(forms, dofs)
         a, b, m = forms.A, forms.B, forms.M
         n_v = b.shape[1]
-        self.assert_same_csr(forms.K,
-                             sp.bmat([[a, b], [b.T, None]], format="csr"))
-        self.assert_same_csr(forms.Mt, sp.block_diag(
+        assert_same_sparse(forms.K,
+                           sp.bmat([[a, b], [b.T, None]], format="csr"))
+        assert_same_sparse(forms.Mt, sp.block_diag(
             (m, sp.csr_matrix((n_v, n_v))), format="csr"))
 
 

@@ -8,9 +8,15 @@ from maxshape.reference_transform import (
     inv_t_derivative,
     jacobian_derivative,
     kinematics,
+    pulled_gradients,
 )
 
-from conftest import SINGLE_TRIANGLE_MSH, dilation_control
+from conftest import (
+    SINGLE_TRIANGLE_MSH,
+    assert_entries_close,
+    dilation_control,
+    random_feasible_control,
+)
 
 # The unit right triangle: the P1 gradient of an affine field is exact on it.
 TRIANGLE = parse_msh(SINGLE_TRIANGLE_MSH)
@@ -212,6 +218,21 @@ class TestGradientAt:
             d_q = (q.values[tri[1:]] - q.values[tri[0]]).T
             np.testing.assert_allclose(allg[t], d_q @ np.linalg.inv(d_x),
                                        atol=1e-14)
+
+
+class TestMatmulKernels:
+    """The batched 2x2 products against the einsum forms they replaced."""
+
+    def test_gradient_all(self, square16, rng):
+        q = random_feasible_control(square16, rng, 0.01)
+        vals = q.values[square16.triangles]
+        assert_entries_close(gradient_all(q), np.einsum(
+            "tvi,tvj->tij", vals, square16.barycentric_gradients))
+
+    def test_pulled_gradients(self, square16, rng):
+        _, inv_t = kinematics(random_feasible_control(square16, rng, 0.01))
+        assert_entries_close(pulled_gradients(square16, inv_t), np.einsum(
+            "tij,tvj->tvi", inv_t, square16.barycentric_gradients))
 
 
 class TestJacobianRange:
