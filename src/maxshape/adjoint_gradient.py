@@ -10,10 +10,10 @@ scaling is the only path: no second eigensolve is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveFailure
 from .eigensolver import (
@@ -26,7 +26,6 @@ from .fem_assembly import (
     DofMap,
     ShapeFunctional,
     apply_dirichlet,
-    assemble_control_gram,
     assemble_forms,
     assemble_shape_derivative,
 )
@@ -89,22 +88,22 @@ def solve_adjoint(state: MixedEigenPair,
 def reduced_derivative(mesh: Mesh, dofs: DofMap, q: DeformationField,
                        state: MixedEigenPair, adjoint: AdjointPair,
                        params: ObjectiveParams,
-                       gram: sp.spmatrix | None = None) -> ShapeFunctional:
+                       gram: sp.spmatrix) -> ShapeFunctional:
     """Full derivative of the reduced cost: form terms plus cost terms."""
     form_part = assemble_shape_derivative(mesh, dofs, q, state, adjoint,
                                           state.lam)
-    cost_part = derivative_q(mesh, q, params, gram=gram)
+    cost_part = derivative_q(mesh, q, params, gram)
     return form_part + cost_part
 
 
 def riesz_gradient(mesh: Mesh, functional: ShapeFunctional,
-                   gram: sp.spmatrix | None = None,
-                   solve: "callable | None" = None) -> QGradient:
+                   gram: sp.spmatrix,
+                   solve: Callable[[np.ndarray], np.ndarray]) -> QGradient:
     """Invert the H1 Riesz map of the control space.
 
-    The control space carries no boundary conditions.  Pass the Gram matrix
-    and a prefactored solver (e.g. splu(...).solve) to amortize assembly and
-    factorization; neither depends on the deformation.
+    The control space carries no boundary conditions.  gram is its Gram
+    matrix and solve a prefactored solver of it (e.g. splu(...).solve);
+    neither depends on the deformation.
 
     Raises:
         LinearSolveFailure: relative residual above 1e-10.
@@ -112,10 +111,6 @@ def riesz_gradient(mesh: Mesh, functional: ShapeFunctional,
     rhs = functional.flat
     if not np.any(rhs):
         return QGradient(field=DeformationField.zero(mesh), norm_q=0.0)
-    if gram is None:
-        gram = assemble_control_gram(mesh)
-    if solve is None:
-        solve = spla.factorized(gram.tocsc())
     x = solve(rhs)
     res = np.linalg.norm(gram @ x - rhs) / np.linalg.norm(rhs)
     if res > 1e-10:

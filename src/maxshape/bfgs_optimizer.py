@@ -200,11 +200,12 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
              ) -> tuple[np.ndarray, list[IterationRecord], OptimizeStatus]:
     """Damped inverse BFGS loop on the reduced problem.
 
-    `problem` provides solve_state(q), solve_adjoint(q, state),
-    reduced_derivative(q, state, adjoint), riesz_gradient(functional),
-    evaluate(q, lam=None), q_inner(u, v) and jacobian_range(q); controls are
-    flat coefficient vectors.  One IterationRecord is emitted per visited
-    iterate; the terminal iterate carries step 0.
+    `problem` provides four methods on flat coefficient vectors:
+    gradient(q), the Riesz gradient (with .vector and .norm_q) and the
+    state eigenpair (with .lam) at q; evaluate(q, lam=None), the objective,
+    +inf where infeasible, with lam the known eigenvalue at q; q_inner(u, v),
+    the control inner product; and jacobian_range(q).  One IterationRecord
+    is emitted per visited iterate; the terminal iterate carries step 0.
 
     The first Armijo search starts at the full step t = 1.  Every later one
     starts at min(1, t_prev / rho_ls), one backtracking factor longer than
@@ -225,9 +226,8 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         return problem.evaluate(x)
 
     q = np.array(q0, dtype=np.float64, copy=True)
-    state = problem.solve_state(q)
+    grad, state = problem.gradient(q)
     j_val = problem.evaluate(q, lam=state.lam)
-    grad = _gradient(problem, q, state)
 
     status = OptimizeStatus.ITERATION_CAP
     k = 0
@@ -263,8 +263,7 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
             break
         t0 = min(1.0, t / cfg.rho_ls)
 
-        state_new = problem.solve_state(q_new)
-        grad_new = _gradient(problem, q_new, state_new)
+        grad_new, state_new = problem.gradient(q_new)
 
         d_step = t * d                     # equals q_new - q
         y = grad_new.vector - gvec
@@ -290,12 +289,6 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         k += 1
 
     return q, records, status
-
-
-def _gradient(problem, q: np.ndarray, state):
-    adjoint = problem.solve_adjoint(q, state)
-    functional = problem.reduced_derivative(q, state, adjoint)
-    return problem.riesz_gradient(functional)
 
 
 def write_iteration_csv(records: Sequence[IterationRecord]) -> str:

@@ -65,11 +65,9 @@ _KEY_TYPES = {
     "objective.beta": float,
     "objective.epsilon": float,
     "eigen.index": int,
-    "eigen.gap_min": float,
     "eigen.shift": float,
     "eigen.nev": int,
     "eigen.tol": float,
-    "eigen.strict_gap": bool,
     "optimizer.tol": float,
     "optimizer.k_max": int,
     "optimizer.gamma": float,
@@ -112,7 +110,7 @@ def parse_config(text: str) -> RunConfig:
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            raw[key] = _convert(value, _KEY_TYPES[key])
+            raw[key] = _KEY_TYPES[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}")
 
@@ -145,17 +143,6 @@ def parse_config(text: str) -> RunConfig:
     top = {name: raw[key] for key, name in _RUN_FIELDS.items() if key in raw}
     return RunConfig(objective=objective, eigen=eigen, optimizer=optimizer,
                      **top)
-
-
-def _convert(value: str, kind: type):
-    if kind is bool:
-        low = value.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {value!r}")
-    return kind(value)
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:

@@ -30,12 +30,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    FactorizationFailed,
-    GapViolation,
-    InsufficientSpectrum,
-    NoConvergence,
-)
+from .errors import FactorizationFailed, InsufficientSpectrum, NoConvergence
 from .fem_assembly import AssembledForms
 
 log = logging.getLogger(__name__)
@@ -79,7 +74,6 @@ class MixedEigenPair:
     u: np.ndarray
     psi: np.ndarray
     residual: float
-    gap_warning: bool = False
     divergence: float = math.nan
     gap: float = math.nan
     block: np.ndarray | None = None
@@ -89,8 +83,7 @@ class MixedEigenPair:
 class EigenSelection:
     """Which eigenpair to compute and how accurately.
 
-    index counts finite eigenvalues from the smallest; gap_min is the
-    required separation from the rest of the computed spectrum; shift is the
+    index counts finite eigenvalues from the smallest; shift is the
     spectral transform target (must not be an eigenvalue); nev, the number
     of pairs a cold solve computes, defaults to max(6, index + 3); maxiter
     caps the Arnoldi restarts of a cold solve and the iterations of a warm
@@ -98,22 +91,20 @@ class EigenSelection:
     """
 
     index: int = 0
-    gap_min: float = 0.0
     shift: float | None = None
     nev: int | None = None
     tol: float = 1e-5
-    strict_gap: bool = False
     maxiter: int | None = None
 
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("index must be >= 0")
-        if self.gap_min < 0:
-            raise ValueError("gap_min must be >= 0")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
         if self.nev is not None and self.nev < self.index + 2:
-            raise ValueError("nev must be >= index + 2 for the gap check")
+            raise ValueError(
+                "nev must be >= index + 2: the warm block holds the pairs "
+                "up to the tracked pair's upper neighbour")
 
     @property
     def nev_effective(self) -> int:
@@ -315,19 +306,18 @@ def _block_finite_spectrum(k_mat, mt, lu, sigma: float, count: int,
 
 def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
                          m_mat: sp.spmatrix) -> MixedEigenPair:
-    """Pick the requested pair, normalize it and check its spectral gap.
+    """Pick the requested pair, normalize it and record its spectral gap.
 
     The eigenvector is rescaled to u^T M u = 1 with the largest-magnitude
     entry of u positive (a deterministic representative); the multiplier is
     rescaled alongside.  The gap, the distance to the nearest other computed
-    eigenvalue, is stored on the result and checked against gap_min.  A
-    divergence certificate above DIVERGENCE_TOL is logged as a warning, not
-    raised.  The result's block stacks the [u; psi] columns of the pairs up
-    to index + 1: the warm start of the next solve.
+    eigenvalue, is stored on the result.  A divergence certificate above
+    DIVERGENCE_TOL is logged as a warning, not raised.  The result's block
+    stacks the [u; psi] columns of the pairs up to index + 1: the warm
+    start of the next solve.
 
     Raises:
         InsufficientSpectrum: index beyond the computed list.
-        GapViolation: separation below gap_min in strict mode.
     """
     if sel.index >= len(pairs):
         raise InsufficientSpectrum(
@@ -345,15 +335,6 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
 
     gap = min((abs(chosen.lam - p.lam) for i, p in enumerate(pairs)
                if i != sel.index), default=math.nan)
-    gap_warning = False
-    if gap < sel.gap_min:
-        if sel.strict_gap:
-            raise GapViolation(
-                f"gap {gap:.3e} below required {sel.gap_min:.3e} at "
-                f"lam={chosen.lam:.6g}")
-        log.warning("eigenvalue gap %.3e below required %.3e", gap,
-                    sel.gap_min)
-        gap_warning = True
 
     if chosen.divergence > DIVERGENCE_TOL:
         log.warning("divergence certificate %.3e above %.1e at lam=%.6g",
@@ -362,5 +343,5 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
     block = np.column_stack([np.concatenate([p.u, p.psi])
                              for p in pairs[:sel.index + 2]])
     return MixedEigenPair(lam=chosen.lam, u=u, psi=psi,
-                          residual=chosen.residual, gap_warning=gap_warning,
+                          residual=chosen.residual,
                           divergence=chosen.divergence, gap=gap, block=block)

@@ -66,10 +66,6 @@ class InsufficientSpectrum(EigenSolverError):
     """Fewer finite eigenvalues were found than requested."""
 
 
-class GapViolation(MaxshapeError):
-    """The selected eigenvalue is not separated from its neighbours."""
-
-
 # -- gradient and optimization ----------------------------------------------
 
 class LinearSolveFailure(MaxshapeError):

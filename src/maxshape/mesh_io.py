@@ -44,8 +44,9 @@ class Mesh:
     """
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
-        vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        # Private copies: orientation is fixed in place and both are frozen.
+        vertices = np.array(vertices, dtype=np.float64)
+        triangles = np.array(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MalformedSection(f"vertices must be (V, 2), got {vertices.shape}")
         if triangles.ndim != 2 or triangles.shape[1] != 3:

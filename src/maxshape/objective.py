@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_assembly import ShapeFunctional, assemble_control_gram
+from .fem_assembly import ShapeFunctional
 from .mesh_io import Mesh
 from .reference_transform import (
     DeformationField,
@@ -46,19 +46,17 @@ class ObjectiveParams:
 
 
 def evaluate(mesh: Mesh, q: DeformationField, lam: float,
-             params: ObjectiveParams, gram: sp.spmatrix | None = None) -> float:
+             params: ObjectiveParams, gram: sp.spmatrix) -> float:
     """Value of the cost functional; +inf signals barrier infeasibility.
 
     The regularization term is evaluated through the control-space Gram
-    matrix, i.e. with the same quadrature used everywhere else (exact for
-    piecewise-linear q).  Pass a precomputed Gram to skip its assembly.
+    matrix gram, i.e. with the same quadrature used everywhere else (exact
+    for piecewise-linear q).
     """
     jac = jacobian_all(q)
     if jac.min() <= params.epsilon:
         return math.inf
     target = 0.5 * (lam - params.lambda_target) ** 2
-    if gram is None:
-        gram = assemble_control_gram(mesh)
     flat = q.flat
     reg = 0.5 * params.alpha * float(flat @ (gram @ flat))
     barrier = -params.beta * float(mesh.areas @ np.log(jac - params.epsilon))
@@ -67,16 +65,16 @@ def evaluate(mesh: Mesh, q: DeformationField, lam: float,
 
 def derivative_q(mesh: Mesh, q: DeformationField,
                  params: ObjectiveParams,
-                 gram: sp.spmatrix | None = None) -> ShapeFunctional:
+                 gram: sp.spmatrix) -> ShapeFunctional:
     """Partial q-derivative of the cost functional as a nodal functional.
+
+    gram is the control-space Gram matrix of the H1 regularization.
 
     Raises:
         InadmissibleDeformation: jacobian <= epsilon somewhere.
     """
     jac, inv_t = kinematics(q)
     require_jacobian_above(jac, params.epsilon)
-    if gram is None:
-        gram = assemble_control_gram(mesh)
     coeffs = (params.alpha * (gram @ q.flat)).reshape(-1, 2)
     factor = -params.beta * mesh.areas / (jac - params.epsilon)
     np.add.at(coeffs, mesh.triangles,

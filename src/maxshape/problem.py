@@ -1,10 +1,12 @@
 """Reduced optimization problem: the glue between FEM, eigensolver and BFGS.
 
 MaxwellShapeProblem owns everything that is deformation-independent (mesh,
-DOF maps, control-space Gram matrix and its factorization, the start vector
-of its first eigensolve) plus the last solved state, whose block starts
-every later eigensolve warm, and exposes the callable surface the
-optimizer drives.  Controls cross this interface as flat coefficient
+DOF maps, the start vector of its first eigensolve, and the only copy of
+the control-space Gram matrix and its factorization) plus the last solved
+state, whose block starts every later eigensolve warm.  It alone chains
+state, adjoint, reduced derivative and Riesz map, and exposes the four
+methods the optimizer drives: gradient, evaluate, q_inner and
+jacobian_range.  Controls cross this interface as flat coefficient
 vectors.
 """
 
@@ -86,19 +88,12 @@ class MaxwellShapeProblem:
                   state.gap)
         return state
 
-    def solve_adjoint(self, q: np.ndarray, state: MixedEigenPair):
-        return adjoint_gradient.solve_adjoint(state,
-                                              self.params.lambda_target)
-
-    def reduced_derivative(self, q: np.ndarray, state: MixedEigenPair,
-                           adjoint) -> ShapeFunctional:
-        return adjoint_gradient.reduced_derivative(
-            self.mesh, self.dofs, self.field(q), state, adjoint, self.params,
-            gram=self.gram)
-
-    def riesz_gradient(self, functional: ShapeFunctional):
+    def gradient(self, q: np.ndarray
+                 ) -> tuple[adjoint_gradient.QGradient, MixedEigenPair]:
+        """H1 Riesz gradient of the reduced cost at q, and its state."""
+        functional, state = self.derivative_functional(q)
         return adjoint_gradient.riesz_gradient(
-            self.mesh, functional, gram=self.gram, solve=self._gram_solve)
+            self.mesh, functional, self.gram, self._gram_solve), state
 
     def evaluate(self, q: np.ndarray, lam: float | None = None) -> float:
         """Objective value at control q; +inf on infeasible/unsolvable points."""
@@ -130,5 +125,9 @@ class MaxwellShapeProblem:
                               ) -> tuple[ShapeFunctional, MixedEigenPair]:
         """Reduced derivative and the state it was computed from."""
         state = self.solve_state(q)
-        adjoint = self.solve_adjoint(q, state)
-        return self.reduced_derivative(q, state, adjoint), state
+        adjoint = adjoint_gradient.solve_adjoint(state,
+                                                 self.params.lambda_target)
+        functional = adjoint_gradient.reduced_derivative(
+            self.mesh, self.dofs, self.field(q), state, adjoint, self.params,
+            self.gram)
+        return functional, state

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from maxshape import (
     DeformationField,
@@ -32,6 +33,18 @@ def setup6():
     dofs = DofMap.from_mesh(mesh)
     sel = EigenSelection(index=0, nev=6, shift=8.0, tol=1e-9)
     return mesh, dofs, sel
+
+
+@pytest.fixture(scope="module")
+def gram6(setup6):
+    return assemble_control_gram(setup6[0])
+
+
+@pytest.fixture(scope="module")
+def gram4(square4):
+    """Control Gram of square4 and a prefactored solver of it."""
+    gram = assemble_control_gram(square4)
+    return gram, spla.factorized(gram.tocsc())
 
 
 def direct_adjoint_mismatch(mesh, dofs, q, sel, state, adj):
@@ -120,37 +133,36 @@ class TestSolveAdjoint:
 
 
 class TestRieszGradient:
-    def test_zero_functional(self, square4):
+    def test_zero_functional(self, square4, gram4):
         grad = riesz_gradient(square4, ShapeFunctional(
-            np.zeros((square4.n_vertices, 2))))
+            np.zeros((square4.n_vertices, 2))), *gram4)
         assert grad.norm_q == 0.0
         assert np.all(grad.field.values == 0.0)
 
-    def test_gram_round_trip(self, square4, rng):
-        gram = assemble_control_gram(square4)
+    def test_gram_round_trip(self, square4, gram4, rng):
+        gram, solve = gram4
         w = rng.standard_normal(2 * square4.n_vertices)
         func = ShapeFunctional((gram @ w).reshape(-1, 2))
-        grad = riesz_gradient(square4, func, gram=gram)
+        grad = riesz_gradient(square4, func, gram, solve)
         np.testing.assert_allclose(grad.field.flat, w, atol=1e-10)
 
-    def test_dual_norm_identity(self, square4, rng):
-        gram = assemble_control_gram(square4)
+    def test_dual_norm_identity(self, square4, gram4, rng):
         func = ShapeFunctional(rng.standard_normal((square4.n_vertices, 2)))
-        grad = riesz_gradient(square4, func, gram=gram)
+        grad = riesz_gradient(square4, func, *gram4)
         pairing = func.pair(grad.field.values)
         assert pairing == pytest.approx(grad.norm_q ** 2, rel=1e-10)
 
-    def test_no_boundary_conditions_on_control(self, square4):
+    def test_no_boundary_conditions_on_control(self, square4, gram4):
         # a functional supported on a boundary vertex still has a gradient
         coeffs = np.zeros((square4.n_vertices, 2))
         coeffs[square4.boundary_vertices[0], 0] = 1.0
-        grad = riesz_gradient(square4, ShapeFunctional(coeffs))
+        grad = riesz_gradient(square4, ShapeFunctional(coeffs), *gram4)
         assert grad.norm_q > 0
         assert np.abs(grad.field.values[square4.boundary_vertices[0]]).max() > 0
 
 
 class TestReducedDerivative:
-    def test_reduces_to_barrier_term_at_target(self, setup6):
+    def test_reduces_to_barrier_term_at_target(self, setup6, gram6):
         # lam = lam_*: the adjoint vanishes and only the cost's own
         # q-derivative survives; at q = 0 that is the barrier part alone.
         mesh, dofs, sel = setup6
@@ -159,14 +171,14 @@ class TestReducedDerivative:
         params = ObjectiveParams(lambda_target=state.lam, alpha=0.7,
                                  beta=1e-6, epsilon=1e-4)
         adj = solve_adjoint(state, params.lambda_target)
-        func = reduced_derivative(mesh, dofs, q, state, adj, params)
+        func = reduced_derivative(mesh, dofs, q, state, adj, params, gram6)
         from maxshape import derivative_q
 
-        barrier_only = derivative_q(mesh, q, params)
+        barrier_only = derivative_q(mesh, q, params, gram6)
         np.testing.assert_allclose(func.coeffs, barrier_only.coeffs,
                                    atol=1e-14)
 
-    def test_rigid_translation_pairing(self, setup6, rng):
+    def test_rigid_translation_pairing(self, setup6, gram6, rng):
         # at q = 0 the form terms annihilate constants; the alpha-term pairs
         # (q, p) = 0 as well, so the whole functional vanishes on constants
         mesh, dofs, sel = setup6
@@ -174,24 +186,25 @@ class TestReducedDerivative:
         state = solve_state(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=0.9 * state.lam, alpha=0.7)
         adj = solve_adjoint(state, params.lambda_target)
-        func = reduced_derivative(mesh, dofs, q, state, adj, params)
+        func = reduced_derivative(mesh, dofs, q, state, adj, params, gram6)
         for c in range(2):
             p = np.zeros((mesh.n_vertices, 2))
             p[:, c] = 1.0
             assert abs(func.pair(p)) <= 1e-10 * np.abs(func.coeffs).max()
 
-    def test_sign_invariance_of_state(self, setup6):
+    def test_sign_invariance_of_state(self, setup6, gram6):
         mesh, dofs, sel = setup6
         q = DeformationField.zero(mesh)
         state = solve_state(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=0.9 * state.lam, alpha=0.7)
         adj = solve_adjoint(state, params.lambda_target)
-        func = reduced_derivative(mesh, dofs, q, state, adj, params)
+        func = reduced_derivative(mesh, dofs, q, state, adj, params, gram6)
 
         flipped = type(state)(lam=state.lam, u=-state.u, psi=-state.psi,
                               residual=state.residual)
         adj_f = solve_adjoint(flipped, params.lambda_target)
-        func_f = reduced_derivative(mesh, dofs, q, flipped, adj_f, params)
+        func_f = reduced_derivative(mesh, dofs, q, flipped, adj_f, params,
+                                    gram6)
         np.testing.assert_array_equal(func.coeffs, func_f.coeffs)
 
 
@@ -228,7 +241,6 @@ class TestFullGradientFiniteDifference:
         sel = EigenSelection(index=0, nev=6, shift=8.0, tol=1e-9)
         params = ObjectiveParams(lambda_target=8.0, alpha=0.5)
         prob = MaxwellShapeProblem(mesh, params, sel, seed=2)
-        func, _ = prob.derivative_functional(prob.zero_control())
-        grad = prob.riesz_gradient(func)
+        grad, _ = prob.gradient(prob.zero_control())
         assert grad.norm_q > 0
         assert prob.q_inner(grad.vector, -grad.vector) < 0

@@ -311,24 +311,16 @@ class QuadraticProblem:
         self.q_star = q_star
         self.gram_inv = np.linalg.inv(gram)
 
-    def solve_state(self, q):
-        return SimpleNamespace(lam=0.0)
+    def gradient(self, q):
+        coeffs = self.h_mat @ (q - self.q_star)
+        vec = self.gram_inv @ coeffs
+        norm = math.sqrt(max(float(coeffs @ vec), 0.0))
+        grad = SimpleNamespace(vector=vec, norm_q=norm)
+        return grad, SimpleNamespace(lam=0.0)
 
     def evaluate(self, q, lam=None):
         e = q - self.q_star
         return 0.5 * float(e @ (self.h_mat @ e))
-
-    def solve_adjoint(self, q, state):
-        return None
-
-    def reduced_derivative(self, q, state, adjoint):
-        coeffs = self.h_mat @ (q - self.q_star)
-        return SimpleNamespace(flat=coeffs, pair=lambda p: float(coeffs @ p))
-
-    def riesz_gradient(self, functional):
-        vec = self.gram_inv @ functional.flat
-        norm = math.sqrt(max(float(functional.flat @ vec), 0.0))
-        return SimpleNamespace(vector=vec, norm_q=norm)
 
     def q_inner(self, u, v):
         return float(u @ (self.gram @ v))

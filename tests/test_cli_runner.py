@@ -1,11 +1,19 @@
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxshape import gradient_incidence
+from maxshape import (
+    EigenSelection,
+    ObjectiveParams,
+    OptimizerConfig,
+    gradient_incidence,
+)
 from maxshape.cli_runner import (
+    _KEY_TYPES,
+    _RUN_FIELDS,
     RunConfig,
     _cell_field_magnitude,
     check_gradient,
@@ -88,6 +96,24 @@ class TestParseConfig:
     def test_invalid_parameter_range(self):
         with pytest.raises(ConfigError):
             parse_config(config_text(extra="optimizer.gamma = 0.9"))
+
+    @pytest.mark.parametrize("key", ["eigen.gap_min", "eigen.strict_gap"])
+    def test_removed_gap_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(config_text(extra=f"{key} = 1"))
+
+    def test_every_key_names_a_field(self):
+        sections = {"objective": ObjectiveParams, "eigen": EigenSelection,
+                    "optimizer": OptimizerConfig}
+        aliases = {"optimizer.rho": "rho_ls"}
+        run_fields = {f.name for f in fields(RunConfig)}
+        for key in _KEY_TYPES:
+            if key in _RUN_FIELDS:
+                assert _RUN_FIELDS[key] in run_fields, key
+                continue
+            section, _, name = key.partition(".")
+            names = {f.name for f in fields(sections[section])}
+            assert aliases.get(key, name) in names, key
 
 
 class TestRun:

@@ -15,7 +15,7 @@ from maxshape import (
     select_and_normalize,
     solve_gevp,
 )
-from maxshape.errors import GapViolation, InsufficientSpectrum, NoConvergence
+from maxshape.errors import InsufficientSpectrum, NoConvergence
 from maxshape.reference_transform import jacobian_range
 
 from conftest import SQUARE_SPECTRUM, random_feasible_control
@@ -337,21 +337,6 @@ class TestSelectAndNormalize:
         out = select_and_normalize(square16_pairs, sel, square16_forms.M)
         np.testing.assert_array_equal(out.block, block_of(square16_pairs[:3]))
 
-    def test_gap_violation_on_degenerate_pair(self, square16_pairs,
-                                              square16_forms):
-        # The two smallest discrete eigenvalues approximate the same double
-        # continuous eigenvalue pi^2, so index 1 with gap_min = 1 must fail.
-        sel = EigenSelection(index=1, gap_min=1.0, nev=7, shift=9.0,
-                             strict_gap=True)
-        with pytest.raises(GapViolation):
-            select_and_normalize(square16_pairs, sel, square16_forms.M)
-
-    def test_gap_warning_attached_when_not_strict(self, square16_pairs,
-                                                  square16_forms):
-        sel = EigenSelection(index=1, gap_min=1.0, nev=7, shift=9.0)
-        out = select_and_normalize(square16_pairs, sel, square16_forms.M)
-        assert out.gap_warning
-
     def test_gap_recorded_without_gap_min(self, square16_pairs,
                                           square16_forms):
         lams = [p.lam for p in square16_pairs]
@@ -361,7 +346,6 @@ class TestSelectAndNormalize:
                 square16_forms.M)
             others = lams[:index] + lams[index + 1:]
             assert out.gap == min(abs(lams[index] - l) for l in others)
-            assert not out.gap_warning
         alone = select_and_normalize(square16_pairs[:1],
                                      EigenSelection(nev=6, shift=9.0),
                                      square16_forms.M)

@@ -176,6 +176,21 @@ class TestMeshInvariants:
                     np.array([[0, 2, 1]]))
         assert mesh.areas[0] > 0
 
+    def test_rectangle_from_frozen_triangles(self, square4):
+        # the 1 x 0.8 rectangle on another mesh's read-only connectivity
+        rect = Mesh(square4.vertices * [1.0, 0.8], square4.triangles)
+        np.testing.assert_array_equal(rect.triangles, square4.triangles)
+        assert rect.areas.sum() == pytest.approx(0.8, rel=1e-12)
+
+    def test_caller_arrays_unchanged(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        triangles = np.array([[0, 2, 1]])        # clockwise
+        mesh = Mesh(vertices, triangles)
+        np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2]])
+        np.testing.assert_array_equal(triangles, [[0, 2, 1]])
+        assert triangles.flags.writeable and vertices.flags.writeable
+        assert not mesh.triangles.flags.writeable
+
 
 class TestWriteVtk:
     def test_zero_deformation_points(self, square2):

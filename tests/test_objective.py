@@ -6,6 +6,7 @@ import pytest
 from maxshape import (
     DeformationField,
     ObjectiveParams,
+    assemble_control_gram,
     derivative_lambda,
     derivative_q,
     evaluate,
@@ -15,6 +16,11 @@ from maxshape.errors import InadmissibleDeformation
 from conftest import dilation_control, random_feasible_control
 
 
+@pytest.fixture(scope="module")
+def gram(square4):
+    return assemble_control_gram(square4)
+
+
 @pytest.fixture
 def params():
     return ObjectiveParams(lambda_target=10.0, alpha=2.0, beta=1e-6,
@@ -22,36 +28,38 @@ def params():
 
 
 class TestEvaluate:
-    def test_reference_value_at_zero(self, square4, params):
+    def test_reference_value_at_zero(self, square4, params, gram):
         # q = 0, lam = lam_*: only the barrier survives, -beta*|O|*ln(1-eps).
-        val = evaluate(square4, DeformationField.zero(square4), 10.0, params)
+        zero = DeformationField.zero(square4)
+        val = evaluate(square4, zero, 10.0, params, gram)
         expected = -params.beta * math.log(1.0 - params.epsilon)
         assert val == pytest.approx(expected, rel=1e-12)
         assert abs(val) < 2e-10
 
-    def test_target_term(self, square4, params):
-        base = evaluate(square4, DeformationField.zero(square4), 10.0, params)
-        val = evaluate(square4, DeformationField.zero(square4), 11.0, params)
+    def test_target_term(self, square4, params, gram):
+        zero = DeformationField.zero(square4)
+        base = evaluate(square4, zero, 10.0, params, gram)
+        val = evaluate(square4, zero, 11.0, params, gram)
         assert val - base == pytest.approx(0.5, rel=1e-12)
 
-    def test_regularization_term(self, square4, params):
+    def test_regularization_term(self, square4, params, gram):
         # q(x) = (x, 0): ||q||^2 + ||grad q||^2 = 1/3 + 1 exactly.
         vals = np.zeros((square4.n_vertices, 2))
         vals[:, 0] = square4.vertices[:, 0]
         q = DeformationField(square4, vals)
-        val = evaluate(square4, q, 10.0, params)
+        val = evaluate(square4, q, 10.0, params, gram)
         reg = 0.5 * params.alpha * (1.0 / 3.0 + 1.0)
         barrier = -params.beta * 2.0 * math.log(2.0 - params.epsilon) / 2.0
         # jacobian is 2 on every triangle for this stretch
         assert val == pytest.approx(reg - params.beta * math.log(2.0 - params.epsilon),
                                     rel=1e-10)
 
-    def test_infeasible_returns_inf(self, square4, params):
+    def test_infeasible_returns_inf(self, square4, params, gram):
         # jacobian (1+s)^2 <= eps for s close to -1
         q = dilation_control(square4, -0.999)
-        assert evaluate(square4, q, 10.0, params) == math.inf
+        assert evaluate(square4, q, 10.0, params, gram) == math.inf
 
-    def test_barrier_monotonicity(self, square4, params):
+    def test_barrier_monotonicity(self, square4, params, gram):
         # larger shrink -> jacobian closer to eps -> strictly larger barrier
         vals = []
         for s in (-0.3, -0.6, -0.9):
@@ -60,59 +68,63 @@ class TestEvaluate:
             reg = evaluate(square4, q, lam,
                            ObjectiveParams(lambda_target=lam, alpha=0.0,
                                            beta=params.beta,
-                                           epsilon=params.epsilon))
+                                           epsilon=params.epsilon), gram)
             vals.append(reg)
         assert vals[0] < vals[1] < vals[2]
 
-    def test_term_sum_decomposition(self, square4, rng):
+    def test_term_sum_decomposition(self, square4, rng, gram):
         q = random_feasible_control(square4, rng, 0.05)
         lam, lam_t = 9.3, 10.0
         full = ObjectiveParams(lambda_target=lam_t, alpha=1.7, beta=1e-5,
                                epsilon=1e-4)
         target_only = evaluate(square4, q, lam,
-                               ObjectiveParams(lam_t, alpha=0.0, beta=0.0))
+                               ObjectiveParams(lam_t, alpha=0.0, beta=0.0),
+                               gram)
         with_reg = evaluate(square4, q, lam,
-                            ObjectiveParams(lam_t, alpha=1.7, beta=0.0))
-        with_all = evaluate(square4, q, lam, full)
+                            ObjectiveParams(lam_t, alpha=1.7, beta=0.0), gram)
+        with_all = evaluate(square4, q, lam, full, gram)
         barrier_only = evaluate(square4, q, lam_t,
-                                ObjectiveParams(lam_t, alpha=0.0, beta=1e-5))
+                                ObjectiveParams(lam_t, alpha=0.0, beta=1e-5),
+                                gram)
         assert with_all == pytest.approx(
             target_only + (with_reg - target_only) + barrier_only, rel=1e-12)
 
 
 class TestDerivativeQ:
-    def test_zero_on_constants_at_origin(self, square4, params):
-        func = derivative_q(square4, DeformationField.zero(square4), params)
+    def test_zero_on_constants_at_origin(self, square4, params, gram):
+        zero = DeformationField.zero(square4)
+        func = derivative_q(square4, zero, params, gram)
         for c in range(2):
             assert abs(func.coeffs[:, c].sum()) <= 1e-14
 
-    def test_identity_gradient_direction(self, square4, params):
+    def test_identity_gradient_direction(self, square4, params, gram):
         # pairing with p(x) = x gives -2*beta*|O|/(1-eps) at q = 0
-        func = derivative_q(square4, DeformationField.zero(square4), params)
+        zero = DeformationField.zero(square4)
+        func = derivative_q(square4, zero, params, gram)
         p = square4.vertices.copy()
         expected = -2.0 * params.beta / (1.0 - params.epsilon)
         assert func.pair(p) == pytest.approx(expected, rel=1e-12)
 
-    def test_finite_difference(self, square4, rng, params):
+    def test_finite_difference(self, square4, rng, params, gram):
         for _ in range(5):
             q = random_feasible_control(square4, rng, 0.05)
-            func = derivative_q(square4, q, params)
+            func = derivative_q(square4, q, params, gram)
             h = 1e-6
             p = rng.standard_normal((square4.n_vertices, 2))
             p /= np.abs(p).max()
             plus = evaluate(square4,
                             DeformationField(square4, q.values + h * p),
-                            params.lambda_target, params)
+                            params.lambda_target, params, gram)
             minus = evaluate(square4,
                              DeformationField(square4, q.values - h * p),
-                             params.lambda_target, params)
+                             params.lambda_target, params, gram)
             fd = (plus - minus) / (2 * h)
             assert abs(func.pair(p) - fd) <= 1e-6 * max(1.0, abs(fd))
 
-    def test_infeasible_raises(self, square4, params):
+    def test_infeasible_raises(self, square4, params, gram):
         q = dilation_control(square4, -0.999)
         with pytest.raises(InadmissibleDeformation):
-            derivative_q(square4, q, params)
+            derivative_q(square4, q, params, gram)
 
 
 class TestDerivativeLambda:

@@ -10,6 +10,7 @@ API the workloads call directly still works.
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -78,3 +79,25 @@ class TestBenchmarkBindings:
             maxshape.EigenSelection())
         q = 0.01 * np.sin(np.arange(problem.n_control))
         assert workloads.divergence_certificate(problem, q) <= 1e-6
+
+    def test_counting_problem_counts_one_repeat_per_step(self, monkeypatch):
+        # Each accepted point is solved once by its Armijo trial and
+        # requested once more for its gradient: the repeat solves the
+        # benchmark reports.
+        workloads = load_benchmark_module("workloads", monkeypatch)
+        inputs = workloads.target_inputs(4, 0)
+        counts = Counter()
+        problem = workloads.counting_problem(counts)(
+            maxshape.generate_unit_square(4),
+            maxshape.ObjectiveParams(lambda_target=inputs.lam_star,
+                                     alpha=inputs.alpha),
+            maxshape.EigenSelection(index=0, nev=8,
+                                    shift=0.9 * inputs.lam_star, tol=1e-8),
+            seed=0)
+        cfg = maxshape.OptimizerConfig(tol=1e-12, k_max=2,
+                                       b0_scale=1.0 / inputs.alpha)
+        _, records, _ = maxshape.optimize(problem, problem.zero_control(),
+                                          cfg)
+        steps = sum(r.step > 0 for r in records)
+        assert steps == 2
+        assert counts["repeat_solves"] == steps

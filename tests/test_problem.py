@@ -69,6 +69,57 @@ class TestEvaluate:
         assert math.isfinite(val)
 
 
+class TestGradient:
+    def test_riesz_map_of_derivative_functional(self, state_solves):
+        prob = _square8_problem()
+        q = _smooth_control(prob, 0.02)
+        grad, state = prob.gradient(q)
+        functional, state_again = prob.derivative_functional(q)
+        expected = adjoint_gradient.riesz_gradient(
+            prob.mesh, functional, prob.gram,
+            spla.factorized(prob.gram.tocsc()))
+        np.testing.assert_array_equal(grad.vector, expected.vector)
+        assert grad.norm_q == expected.norm_q
+        assert state is state_again
+        assert len(state_solves) == 1
+
+    def test_memoized_control_solves_nothing(self, state_solves):
+        prob = _square8_problem()
+        q = _smooth_control(prob, 0.02)
+        state = prob.solve_state(q)
+        _, grad_state = prob.gradient(q)
+        assert grad_state is state
+        assert len(state_solves) == 1
+
+    def test_optimize_builds_gram_once(self, monkeypatch):
+        import maxshape.problem as problem_module
+
+        calls = {"assemble": 0, "factorize": 0}
+        assemble = problem_module.assemble_control_gram
+        factorize = problem_module.spla.factorized
+
+        def counted_assemble(*args, **kwargs):
+            calls["assemble"] += 1
+            return assemble(*args, **kwargs)
+
+        def counted_factorize(*args, **kwargs):
+            calls["factorize"] += 1
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(problem_module, "assemble_control_gram",
+                            counted_assemble)
+        monkeypatch.setattr(problem_module.spla, "factorized",
+                            counted_factorize)
+        mesh = generate_unit_square(4)
+        sel = EigenSelection(index=0, nev=6, shift=9.0, tol=1e-9)
+        params = ObjectiveParams(lambda_target=9.0, alpha=1e-3)
+        prob = MaxwellShapeProblem(mesh, params, sel, seed=0)
+        cfg = OptimizerConfig(tol=1e-12, k_max=3, b0_scale=1e3)
+        _, records, _ = optimize(prob, prob.zero_control(), cfg)
+        assert sum(r.step > 0 for r in records) >= 1
+        assert calls == {"assemble": 1, "factorize": 1}
+
+
 class TestInnerProduct:
     def test_symmetric_positive(self, square8_problem, rng):
         prob = square8_problem
