@@ -51,9 +51,12 @@ BLOCK_MAXITER = 100
 # diagonal pivot unless it is exactly zero, where SuperLU falls back to the
 # largest entry of the column, so the zero block of the saddle point still
 # factors.  The pencil residual check in solve_gevp catches an inaccurate
-# factorization.
+# factorization.  scipy's supernode settings, panel_size 20 and relax 10,
+# are sized for wide supernodes; those of this 2-D saddle matrix are a few
+# columns wide, and single-column panels factor it 14-18 % faster at the
+# same fill (n = 16, 32 and 64; tools/lu_sweep.py, tools/lu_sweep.json).
 SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
+                    panel_size=1, relax=4, options=dict(SymmetricMode=True))
 
 
 @dataclass

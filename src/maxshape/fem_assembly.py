@@ -24,18 +24,70 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh_io import Mesh
+from .mesh_io import EDGE_MIDPOINTS, LOCAL_EDGES, Mesh
 from .reference_transform import (
     DeformationField,
     inv_t_derivative,
     jacobian_derivative,
     kinematics,
     pulled_gradients,
+    sum_to_nodes,
 )
 
 # Degree-2 quadrature: the three edge midpoints, where mesh.whitney holds the
 # edge basis, with equal weights.
 QP_WEIGHT = 1.0 / 3.0
+
+
+# The pairs (v, w), v <= w, of a symmetric 3 x 3 element array.
+_UPPER = np.triu_indices(3)
+
+
+def _gram_map() -> tuple[np.ndarray, np.ndarray]:
+    """The fixed linear map from the Gram of the pulled gradients,
+    Gamma[v, w] = (DF^-T grad lam_v) . (DF^-T grad lam_w), to the element
+    matrices before their weight and edge signs.
+
+    The pulled Whitney function of local edge k = (a, b) is
+    s_k (lam_a g_b - lam_b g_a) with g = DF^-T grad lam, so its midpoint-rule
+    products are linear in Gamma (Kirby & Logg, ACM TOMS 32, 2006):
+
+        sum_p N_k . g_v = s_k (Gamma[b, v] - Gamma[a, v])  (sum_p lam_a = 1),
+        sum_p N_k . N_l = s_k s_l (Q[a,c] Gamma[b,d] - Q[a,d] Gamma[b,c]
+                                   - Q[b,c] Gamma[a,d] + Q[b,d] Gamma[a,c])
+
+    for l = (c, d) and Q = EDGE_MIDPOINTS^T EDGE_MIDPOINTS.  Returns the
+    (6, 15) map from Gamma's distinct entries (the _UPPER pairs) to the m
+    entries of the _UPPER pairs (k, l) and then the nine b entries (k, v),
+    and the (3, 3) index of each m[k, l] among the six, which makes m
+    exactly symmetric.
+    """
+    eye = np.eye(3)
+    a, b = np.array(LOCAL_EDGES).T
+    q = EDGE_MIDPOINTS.T @ EDGE_MIDPOINTS
+    e_a, e_b = eye[a], eye[b]            # [k, x] = delta(x, a_k), delta(x, b_k)
+
+    def outer(x, y):                     # [k, l, v, w] = x[k, v] y[l, w]
+        return x[:, None, :, None] * y[None, :, None, :]
+
+    def coef(i, j):
+        return q[np.ix_(i, j)][:, :, None, None]
+
+    m = (coef(a, a) * outer(e_b, e_b) - coef(a, b) * outer(e_b, e_a)
+         - coef(b, a) * outer(e_a, e_b) + coef(b, b) * outer(e_a, e_a))
+    bk = outer(e_b - e_a, eye)
+    v, w = _UPPER
+
+    def fold(c):                         # Gamma[w, v] is Gamma[v, w]
+        return c[..., v, w] + (v != w) * c[..., w, v]
+
+    gmap = np.vstack([fold(m)[_UPPER], fold(bk).reshape(9, -1)]).T
+    sym = np.zeros((3, 3), dtype=np.intp)
+    sym[_UPPER] = sym.T[_UPPER] = np.arange(6)
+    return gmap, sym
+
+
+_GRAM_MAP, _M_INDEX = _gram_map()
 
 
 @dataclass
@@ -289,16 +341,19 @@ def local_forms(mesh: Mesh, q: DeformationField
         InadmissibleDeformation: jacobian <= 0 on some triangle.
     """
     jac, inv_t = kinematics(q)
-    values, curls = mesh.whitney
+    _, curls = mesh.whitney
     areas = mesh.areas
-    # DF^-T N, (T, 3, 3, 2), as a batch of (9, 2) @ DF^-1 products
-    df_inv = np.ascontiguousarray(inv_t.transpose(0, 2, 1))
-    tn = (values.reshape(-1, 9, 2) @ df_inv).reshape(values.shape)
     tg = pulled_gradients(mesh, inv_t)               # DF^-T grad(lam)
+    v, u = _UPPER
+    x, y = tg[..., 0], tg[..., 1]
+    gram = x[:, v] * x[:, u] + y[:, v] * y[:, u]     # Gamma[v, u], v <= u
+    unsigned = gram @ _GRAM_MAP                      # (T, 15), see _gram_map
 
-    w = (QP_WEIGHT * areas * jac)[:, None, None]
-    m_loc = w * np.einsum("tkpi,tlpi->tkl", tn, tn)
-    b_loc = w * np.einsum("tkpi,tvi->tkv", tn, tg)
+    w = QP_WEIGHT * areas * jac
+    signs = mesh.triangle_edge_signs
+    m_loc = ((w[:, None] * (signs[:, v] * signs[:, u]))
+             * unsigned[:, :6])[:, _M_INDEX]
+    b_loc = (w[:, None] * signs)[:, :, None] * unsigned[:, 6:].reshape(-1, 3, 3)
     a_loc = (areas / jac)[:, None, None] * (curls[:, :, None] * curls[:, None, :])
     return a_loc, b_loc, m_loc
 
@@ -396,14 +451,13 @@ def assemble_shape_derivative(mesh: Mesh, dofs: DofMap, q: DeformationField,
                      mesh.barycentric_gradients)     # grad psi_h
     gchi = np.einsum("tv,tvi->ti", np.asarray(adjoint.chi)[tris],
                      mesh.barycentric_gradients)
-    tu = np.einsum("tij,tpj->tpi", inv_t, uvec)
-    tz = np.einsum("tij,tpj->tpi", inv_t, zvec)
+    df_inv = np.ascontiguousarray(inv_t.transpose(0, 2, 1))
+    tu, tz = uvec @ df_inv, zvec @ df_inv            # DF^-T u, DF^-T z
     tgpsi = np.einsum("tij,tj->ti", inv_t, gpsi)
     tgchi = np.einsum("tij,tj->ti", inv_t, gchi)
-    tu_sum, tz_sum = tu.sum(axis=1), tz.sum(axis=1)
-
-    def outer(x, y):
-        return x[:, :, None] * y[:, None, :]
+    # sums over the points (einsum: a reduction over the middle axis is slow)
+    u_sum, z_sum, tu_sum, tz_sum = (np.einsum("tpi->ti", x)
+                                    for x in (uvec, zvec, tu, tz))
 
     # Product rule on all triangles at once: each form carries J or 1/J and
     # DF^-T on both slots, so its derivative in the nodal direction
@@ -413,15 +467,16 @@ def assemble_shape_derivative(mesh: Mesh, dofs: DofMap, q: DeformationField,
                   - w * (np.einsum("ti,ti->t", tz_sum, tgpsi)
                          + np.einsum("ti,ti->t", tu_sum, tgchi))
                   + lam * w * np.einsum("tpi,tpi->t", tu, tz))
-    weight_inv_t = (w * jac)[:, None, None] * (
-        lam * (np.einsum("tpi,tpj->tij", tz, uvec)
-               + np.einsum("tpi,tpj->tij", tu, zvec))
-        - outer(tgpsi, zvec.sum(axis=1)) - outer(tz_sum, gpsi)
-        - outer(tgchi, uvec.sum(axis=1)) - outer(tu_sum, gchi))
+    # weight_inv_t is a sum of outer products x y^T: lam tz_p u_p^T and
+    # lam tu_p z_p^T at the three points, minus four rank-one terms; the
+    # rows of left and right hold the pairs, so it is one batched product.
+    left = np.concatenate([lam * tz, lam * tu,
+                           -np.stack([tgpsi, tz_sum, tgchi, tu_sum], axis=1)],
+                          axis=1)
+    right = np.concatenate([uvec, zvec,
+                            np.stack([z_sum, gpsi, u_sum, gchi], axis=1)],
+                           axis=1)
+    weight_inv_t = (w * jac)[:, None, None] * (left.transpose(0, 2, 1) @ right)
     per_node = (jacobian_derivative(mesh, jac, inv_t) * factor_jac[:, None, None]
-                + np.einsum("tvcij,tij->tvc", inv_t_derivative(mesh, inv_t),
-                            weight_inv_t))
-
-    coeffs = np.zeros((mesh.n_vertices, 2))
-    np.add.at(coeffs, tris, per_node)                # triangle-major order
-    return ShapeFunctional(coeffs)
+                + inv_t_derivative(mesh, inv_t, weight_inv_t))
+    return ShapeFunctional(sum_to_nodes(mesh, per_node))

@@ -26,6 +26,7 @@ from .reference_transform import (
     jacobian_derivative,
     kinematics,
     require_jacobian_above,
+    sum_to_nodes,
 )
 
 
@@ -75,11 +76,10 @@ def derivative_q(mesh: Mesh, q: DeformationField,
     """
     jac, inv_t = kinematics(q)
     require_jacobian_above(jac, params.epsilon)
-    coeffs = (params.alpha * (gram @ q.flat)).reshape(-1, 2)
     factor = -params.beta * mesh.areas / (jac - params.epsilon)
-    np.add.at(coeffs, mesh.triangles,
-              factor[:, None, None] * jacobian_derivative(mesh, jac, inv_t))
-    return ShapeFunctional(coeffs)
+    return ShapeFunctional(sum_to_nodes(
+        mesh, factor[:, None, None] * jacobian_derivative(mesh, jac, inv_t),
+        initial=params.alpha * (gram @ q.flat)))
 
 
 def derivative_lambda(lam: float, params: ObjectiveParams) -> float:

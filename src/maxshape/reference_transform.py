@@ -94,12 +94,30 @@ def jacobian_derivative(mesh: Mesh, jac: np.ndarray,
     return jac[:, None, None] * pulled_gradients(mesh, inv_t)
 
 
-def inv_t_derivative(mesh: Mesh, inv_t: np.ndarray) -> np.ndarray:
-    """(T, 3, 2, 2, 2) derivatives of DF^-T in the nodal directions.
+def inv_t_derivative(mesh: Mesh, inv_t: np.ndarray,
+                     weight: np.ndarray) -> np.ndarray:
+    """(T, 3, 2) derivatives of <weight, DF^-T> in the nodal directions.
 
-    Entry [t, v, c] is the 2x2 matrix -(DF^-T grad lam_v)(DF^-1 e_c)^T.
+    The derivative of DF^-T in the direction e_c grad(lam_v)^T is
+    -(DF^-T grad lam_v)(DF^-1 e_c)^T, so entry [t, v, c], its pairing with
+    the (T, 2, 2) weight, is row v, column c of -(DF^-T grad lam) weight DF^-1.
     """
-    return -np.einsum("tvi,tcj->tvcij", pulled_gradients(mesh, inv_t), inv_t)
+    df_inv = np.ascontiguousarray(inv_t.transpose(0, 2, 1))
+    return -(pulled_gradients(mesh, inv_t) @ (weight @ df_inv))
+
+
+def sum_to_nodes(mesh: Mesh, per_node: np.ndarray,
+                 initial: np.ndarray | None = None) -> np.ndarray:
+    """(V, 2) sums of the (T, 3, 2) per-triangle nodal values [t, v, c] at
+    vertex triangles[t, v], component c, added to initial in triangle-major
+    order (as np.add.at would, in one bincount)."""
+    slots = (2 * mesh.triangles[:, :, None] + np.arange(2)).ravel()
+    values = per_node.ravel()
+    if initial is not None:
+        slots = np.concatenate([np.arange(2 * mesh.n_vertices), slots])
+        values = np.concatenate([np.ravel(initial), values])
+    return np.bincount(slots, values,
+                       minlength=2 * mesh.n_vertices).reshape(-1, 2)
 
 
 def jacobian_all(q: DeformationField) -> np.ndarray:

@@ -165,6 +165,23 @@ class TestSolveGevp:
         default = spla.splu(mat)
         assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
 
+    def test_supernode_settings_keep_fill_and_accuracy(self):
+        # SYMMETRIC_LU's panel_size and relax against scipy's defaults on a
+        # deformed n = 32 pencil: the same ordering and pivots, so the fill
+        # stays within 1 % and a solve stays accurate.
+        mesh = generate_unit_square(32)
+        q = random_feasible_control(mesh, np.random.default_rng(3), 0.1 / 32)
+        mat = _reduced_forms(mesh, q)[0].shifted(9.3)
+        import maxshape.eigensolver as es
+        tuned = spla.splu(mat, **es.SYMMETRIC_LU)
+        default = spla.splu(mat, **{k: v for k, v in es.SYMMETRIC_LU.items()
+                                    if k not in ("panel_size", "relax")})
+        fill = default.L.nnz + default.U.nnz
+        assert abs(tuned.L.nnz + tuned.U.nnz - fill) <= 0.01 * fill
+        b = np.random.default_rng(4).standard_normal(mat.shape[0])
+        x = tuned.solve(b)
+        assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
+
     def test_debug_line_per_arpack_solve(self, square16_forms, caplog):
         sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
         with caplog.at_level(logging.DEBUG, logger="maxshape.eigensolver"):

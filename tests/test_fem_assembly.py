@@ -21,7 +21,7 @@ from maxshape.fem_assembly import (
     assemble_scalar_h1,
     local_forms,
 )
-from maxshape.mesh_io import LOCAL_EDGES
+from maxshape.mesh_io import LOCAL_EDGES, Mesh
 from maxshape.objective import ObjectiveParams
 from maxshape.problem import MaxwellShapeProblem
 from maxshape.reference_transform import kinematics
@@ -208,6 +208,43 @@ class TestApplyDirichlet:
         assert np.all(u[dofs.constrained_edge] == 0.0)
 
 
+@pytest.fixture(scope="module")
+def shuffled_mesh():
+    """The 8x8 square with interior vertices moved by up to h/5 per
+    coordinate and all vertices renumbered at random: every local edge-sign
+    pattern occurs, and some triangles are obtuse."""
+    base = generate_unit_square(8)
+    rng = np.random.default_rng(11)
+    verts = base.vertices.copy()
+    interior = np.setdiff1d(np.arange(base.n_vertices), base.boundary_vertices)
+    verts[interior] += rng.uniform(-0.2, 0.2, (len(interior), 2)) / 8
+    number = rng.permutation(base.n_vertices)   # new number of each vertex
+    shuffled = np.empty_like(verts)
+    shuffled[number] = verts
+    return Mesh(shuffled, number[base.triangles])
+
+
+def _largest_angle(mesh):
+    corners = mesh.vertices[mesh.triangles]                  # (T, 3, 2)
+    u = np.roll(corners, -1, axis=1) - corners
+    v = np.roll(corners, 1, axis=1) - corners
+    cos = np.einsum("tvi,tvi->tv", u, v) / (
+        np.linalg.norm(u, axis=2) * np.linalg.norm(v, axis=2))
+    return float(np.arccos(cos.min()))
+
+
+def _einsum_local_forms(mesh, q):
+    """b_loc and m_loc as midpoint sums of DF^-T N: the element einsums that
+    the Gram closed form of local_forms replaced."""
+    jac, inv_t = kinematics(q)
+    values, _ = mesh.whitney
+    tn = np.einsum("tij,tkpj->tkpi", inv_t, values)
+    tg = np.einsum("tij,tvj->tvi", inv_t, mesh.barycentric_gradients)
+    w = (QP_WEIGHT * mesh.areas * jac)[:, None, None]
+    return (w * np.einsum("tkpi,tvi->tkv", tn, tg),
+            w * np.einsum("tkpi,tlpi->tkl", tn, tn))
+
+
 def assert_same_sparse(got, want):
     """Same format, shape and compressed arrays, entry for entry."""
     assert (got.format, got.shape) == (want.format, want.shape)
@@ -318,14 +355,22 @@ class TestFixedPattern:
 
     def test_local_forms_match_einsum_oracle(self, square16, rng):
         q = random_feasible_control(square16, rng, 0.01)
-        jac, inv_t = kinematics(q)
-        values, _ = square16.whitney
-        tn = np.einsum("tij,tkpj->tkpi", inv_t, values)
-        tg = np.einsum("tij,tvj->tvi", inv_t, square16.barycentric_gradients)
-        w = (QP_WEIGHT * square16.areas * jac)[:, None, None]
         _, b_loc, m_loc = local_forms(square16, q)
-        assert_entries_close(m_loc, w * np.einsum("tkpi,tlpi->tkl", tn, tn))
-        assert_entries_close(b_loc, w * np.einsum("tkpi,tvi->tkv", tn, tg))
+        b_want, m_want = _einsum_local_forms(square16, q)
+        assert_entries_close(m_loc, m_want)
+        assert_entries_close(b_loc, b_want)
+
+    def test_local_forms_match_einsum_oracle_on_shuffled_mesh(
+            self, shuffled_mesh, rng):
+        mesh = shuffled_mesh
+        assert len({tuple(s) for s in mesh.triangle_edge_signs}) == 6
+        assert _largest_angle(mesh) > 0.55 * np.pi
+        q = random_feasible_control(mesh, rng, 0.01)
+        _, b_loc, m_loc = local_forms(mesh, q)
+        b_want, m_want = _einsum_local_forms(mesh, q)
+        assert_entries_close(m_loc, m_want)
+        assert_entries_close(b_loc, b_want)
+        assert np.array_equal(m_loc, m_loc.transpose(0, 2, 1))
 
 
 class TestPencilLayout:

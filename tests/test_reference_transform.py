@@ -9,6 +9,7 @@ from maxshape.reference_transform import (
     jacobian_derivative,
     kinematics,
     pulled_gradients,
+    sum_to_nodes,
 )
 
 from conftest import (
@@ -41,10 +42,22 @@ def jacobian_derivative_along(grad_q, grad_p):
     return np.einsum("vc,vc->", affine_field(TRIANGLE, grad_p).values, d_jac)
 
 
+# Weights e_i e_j^T: pairing with them reads DF^-T's derivative entry (i, j).
+UNIT_WEIGHTS = np.eye(4).reshape(4, 2, 2)
+
+
+def nodal_inv_t_derivative(mesh, inv_t):
+    """(T, 3, 2, 2, 2) derivatives of DF^-T in the nodal directions, entry
+    (i, j) of [t, v, c] read from inv_t_derivative with weight e_i e_j^T."""
+    entries = [inv_t_derivative(mesh, inv_t, np.broadcast_to(e, inv_t.shape))
+               for e in UNIT_WEIGHTS]
+    return np.stack(entries, axis=-1).reshape(*entries[0].shape, 2, 2)
+
+
 def inv_t_derivative_along(grad_q, grad_p):
     """Derivative of DF^-T at grad_q in the direction of the field grad_p x."""
     _, inv_t = kinematics(affine_field(TRIANGLE, grad_q))
-    d_inv_t = inv_t_derivative(TRIANGLE, inv_t)[0]            # (3, 2, 2, 2)
+    d_inv_t = nodal_inv_t_derivative(TRIANGLE, inv_t)[0]      # (3, 2, 2, 2)
     return np.einsum("vc,vcij->ij", affine_field(TRIANGLE, grad_p).values,
                      d_inv_t)
 
@@ -162,7 +175,7 @@ class TestInvTDerivative:
         q = DeformationField(square4,
                              0.05 * rng.standard_normal((square4.n_vertices, 2)))
         _, inv_t = kinematics(q)
-        d_inv_t = inv_t_derivative(square4, inv_t)
+        d_inv_t = nodal_inv_t_derivative(square4, inv_t)
         h = 1e-6
         for t, v, c in ((0, 0, 0), (5, 1, 1), (17, 2, 0)):
             p = np.zeros((square4.n_vertices, 2))
@@ -256,3 +269,17 @@ class TestDeformationField:
     def test_shape_validation(self, square2):
         with pytest.raises(ValueError):
             DeformationField(square2, np.zeros((3, 2)))
+
+
+class TestSumToNodes:
+    def test_matches_add_at_bit_for_bit(self, square4, rng):
+        # the bincount sums in input order, as np.add.at does
+        per_node = rng.standard_normal((square4.n_triangles, 3, 2))
+        initial = rng.standard_normal((square4.n_vertices, 2))
+        want = np.zeros_like(initial)
+        np.add.at(want, square4.triangles, per_node)
+        np.testing.assert_array_equal(sum_to_nodes(square4, per_node), want)
+        want = initial.copy()
+        np.add.at(want, square4.triangles, per_node)
+        np.testing.assert_array_equal(
+            sum_to_nodes(square4, per_node, initial), want)

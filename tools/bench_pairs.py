@@ -1,0 +1,177 @@
+"""Compare a change with its parent commit by alternating benchmark pairs.
+
+    python3 tools/bench_pairs.py --parent HEAD --seeds 201-210 \\
+        --label prNN --out BENCH_prNN.json
+
+The parent revision is exported with ``git archive`` into a temporary
+directory (no worktree is registered in the repository); the change is the
+working tree this script lives in.  For every workload of BENCHMARK.json
+and every seed the two sides run ``benchmarks/run.py --trace 0`` for the
+benchmark's run_seconds, one after the other and one process at a time;
+the side that runs first alternates from seed to seed.  The
+record holds every pair and, per end-to-end metric, both sides' quartiles,
+the pairs the change won, the parent's interquartile range and whether the
+pairs rule holds: the change better in at least 9 of 10 pairs (the same
+share of more), and its median better than the parent's by more than the
+parent's interquartile range.  With --traced-seed each side also makes one
+traced run, whose correctness, counts and per-layer metrics are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
+if any(m["better"] != "lower" for m in BENCHMARK["end_to_end"]):
+    raise SystemExit("bench_pairs counts a pair as won by the lower value")
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+SECONDS = BENCHMARK["run_seconds"]
+WIN_SHARE = 0.9
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'201-210' or '3,5,8' to a list of seeds."""
+    if "-" in text:
+        lo, hi = (int(x) for x in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(x) for x in text.split(",")]
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write the tree of rev into dest; return its full commit id."""
+    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return commit
+
+
+def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One run of benchmarks/run.py in tree: its last output line as JSON,
+    and for a traced run also the self-test failures and each call's
+    status and counts from the run's record."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace",
+         str(trace)], cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{workload} seed {seed} in {tree} exited "
+                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if trace:
+        record = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-"
+                             "trace1.json").read_text())
+        result["self_test_failures"] = record["self_test_failures"]
+        result["calls"] = [{"status": call["status"],
+                            "counts": call["counts"]}
+                           for call in record["calls"]]
+    return result
+
+
+def end_to_end(result: dict) -> dict:
+    row = {name: result["metrics"][name]["value"] for name in METRICS}
+    row.update(correct=result.get("correct"), attempted=result["attempted"],
+               failed=result["failed"])
+    return row
+
+
+def quartiles(values: list[float]) -> list[float]:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, med, q3]
+
+
+def summarize(pairs: list[dict]) -> dict:
+    out = {}
+    for name in METRICS:
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        pq, cq = quartiles(parent), quartiles(change)
+        won = sum(c < p for p, c in zip(parent, change))
+        iqr = pq[2] - pq[0]
+        gap = pq[1] - cq[1]
+        out[name] = {
+            "parent_q1_median_q3": pq, "change_q1_median_q3": cq,
+            "change_better_pairs": won, "pairs": len(pairs),
+            "median_change_rel": -gap / pq[1], "parent_iqr": iqr,
+            "median_gap": gap,
+            "pairs_rule_holds": (len(pairs) >= 10
+                                 and won >= math.ceil(WIN_SHARE * len(pairs))
+                                 and gap > iqr),
+        }
+    out["failed"] = {side: sum(p[side]["failed"] for p in pairs)
+                     for side in ("parent", "change")}
+    out["attempted"] = {side: [p[side]["attempted"] for p in pairs]
+                        for side in ("parent", "change")}
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", default="HEAD",
+                        help="git revision of the parent side")
+    parser.add_argument("--seeds", required=True, help="'201-210' or '1,4,9'")
+    parser.add_argument("--traced-seed", type=int, default=None)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    seeds = parse_seeds(args.seeds)
+
+    with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
+        parent_tree = Path(tmp)
+        commit = export(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        record = {
+            "label": args.label,
+            "command": "python3 benchmarks/run.py --workload W --seed S "
+                       f"--seconds {SECONDS:g} --trace T",
+            "units": "setup_s, run_s: reference seconds "
+                     "(benchmarks/hostspeed.py); peak_rss_mb: MB",
+            "commits": {"parent": commit, "change": "working tree"},
+            "protocol": f"{len(seeds)} alternating parent/change pairs per "
+                        f"workload on seeds {args.seeds}; the side that runs "
+                        "first alternates from seed to seed; one process at "
+                        "a time",
+            "end_to_end_summary": {}, "end_to_end_pairs": {},
+        }
+        for workload in WORKLOADS:
+            pairs = []
+            for i, seed in enumerate(seeds):
+                order = ("parent", "change") if i % 2 == 0 \
+                    else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = end_to_end(bench(trees[side], workload,
+                                                  seed, 0))
+                pairs.append(pair)
+                print(f"{workload} seed {seed}: run_s parent "
+                      f"{pair['parent']['run_s']:.3f} change "
+                      f"{pair['change']['run_s']:.3f}", flush=True)
+            record["end_to_end_pairs"][workload] = pairs
+            record["end_to_end_summary"][workload] = summarize(pairs)
+        if args.traced_seed is not None:
+            record["traced"] = {
+                workload: {side: bench(trees[side], workload,
+                                       args.traced_seed, 1)
+                           for side in ("parent", "change")}
+                for workload in WORKLOADS}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    for workload, summary in record["end_to_end_summary"].items():
+        for name in METRICS:
+            s = summary[name]
+            print(f"{workload} {name}: {s['median_change_rel']:+.1%} "
+                  f"won {s['change_better_pairs']}/{s['pairs']} "
+                  f"rule {'holds' if s['pairs_rule_holds'] else 'fails'}")
+
+
+if __name__ == "__main__":
+    main()
