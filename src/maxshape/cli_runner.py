@@ -31,13 +31,13 @@ from .bfgs_optimizer import (
     optimize,
     write_iteration_csv,
 )
-from .eigensolver import EigenSelection
+from .eigensolver import EigenSelection, solve_gevp
 from .errors import ConfigError, MaxshapeError
 from .fem_assembly import apply_dirichlet, assemble_forms
 from .mesh_io import Mesh, generate_unit_square, parse_msh, write_vtk
 from .objective import ObjectiveParams
 from .problem import MaxwellShapeProblem
-from .reference_transform import DeformationField, kinematics
+from .reference_transform import DeformationField
 
 log = logging.getLogger(__name__)
 
@@ -237,12 +237,11 @@ def run(cfg: RunConfig) -> int:
 def _cell_field_magnitude(mesh: Mesh, q: DeformationField,
                           u: np.ndarray) -> np.ndarray:
     """|DF^-T u_h| at triangle centroids, for visualization."""
-    _, inv_t = kinematics(q)
     values, _ = mesh.whitney
     # Whitney functions are linear: the centroid value is the mean over the
     # three quadrature points.
     centroid = np.einsum("tk,tkpi->ti", u[mesh.triangle_edges], values) / 3.0
-    return np.linalg.norm(np.einsum("tij,tj->ti", inv_t, centroid), axis=1)
+    return np.linalg.norm(np.einsum("tij,tj->ti", q.inv_t, centroid), axis=1)
 
 
 # -- check-gradient ---------------------------------------------------------
@@ -330,7 +329,6 @@ def run_eigs(cfg: RunConfig, nev: int | None = None) -> int:
     forms = apply_dirichlet(
         assemble_forms(mesh, problem.dofs,
                        DeformationField.zero(mesh)), problem.dofs)
-    from .eigensolver import solve_gevp
     pairs = solve_gevp(forms, sel)
     print(f"dofs_total = {problem.dofs.n_total}  dofs_free = {problem.dofs.n_free}")
     print("  i  lambda            residual   div_certificate")

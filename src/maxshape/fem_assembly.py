@@ -29,8 +29,6 @@ from .reference_transform import (
     DeformationField,
     inv_t_derivative,
     jacobian_derivative,
-    kinematics,
-    pulled_gradients,
     sum_to_nodes,
 )
 
@@ -340,10 +338,10 @@ def local_forms(mesh: Mesh, q: DeformationField
     Raises:
         InadmissibleDeformation: jacobian <= 0 on some triangle.
     """
-    jac, inv_t = kinematics(q)
+    tg = q.pulled_gradients                          # DF^-T grad(lam)
+    jac = q.jacobian
     _, curls = mesh.whitney
     areas = mesh.areas
-    tg = pulled_gradients(mesh, inv_t)               # DF^-T grad(lam)
     v, u = _UPPER
     x, y = tg[..., 0], tg[..., 1]
     gram = x[:, v] * x[:, u] + y[:, v] * y[:, u]     # Gamma[v, u], v <= u
@@ -437,7 +435,7 @@ def assemble_shape_derivative(mesh: Mesh, dofs: DofMap, q: DeformationField,
     module.  Expects full-length coefficient vectors (zeros on constrained
     DOFs) in `state` (u, psi) and `adjoint` (z, chi).
     """
-    jac, inv_t = kinematics(q)
+    inv_t, jac = q.inv_t, q.jacobian
     values, curls = mesh.whitney
     areas = mesh.areas
     w = QP_WEIGHT * areas
@@ -477,6 +475,6 @@ def assemble_shape_derivative(mesh: Mesh, dofs: DofMap, q: DeformationField,
                             np.stack([z_sum, gpsi, u_sum, gchi], axis=1)],
                            axis=1)
     weight_inv_t = (w * jac)[:, None, None] * (left.transpose(0, 2, 1) @ right)
-    per_node = (jacobian_derivative(mesh, jac, inv_t) * factor_jac[:, None, None]
-                + inv_t_derivative(mesh, inv_t, weight_inv_t))
+    per_node = (jacobian_derivative(q) * factor_jac[:, None, None]
+                + inv_t_derivative(q, weight_inv_t))
     return ShapeFunctional(sum_to_nodes(mesh, per_node))

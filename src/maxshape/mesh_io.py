@@ -78,12 +78,11 @@ class Mesh:
     def _build_edges(self) -> None:
         tris = self.triangles
         pairs = np.concatenate([tris[:, [a, b]] for a, b in LOCAL_EDGES])
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        keys = np.stack([lo, hi], axis=1)
-        edges, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)   # shape differs across numpy versions
-        self.edges = edges
+        # key lo * V + hi sorts as the pair (lo, hi)
+        n = len(self.vertices)
+        keys, inverse = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1),
+                                  return_inverse=True)
+        self.edges = edges = np.stack(np.divmod(keys, n), axis=1)
         # Concatenation order above is (local edge 0 of all tris, local edge 1
         # of all tris, ...), so reshape with the triangle index varying fastest.
         self.triangle_edges = inverse.reshape(3, -1).T.copy()

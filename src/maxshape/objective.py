@@ -22,9 +22,7 @@ from .fem_assembly import ShapeFunctional
 from .mesh_io import Mesh
 from .reference_transform import (
     DeformationField,
-    jacobian_all,
     jacobian_derivative,
-    kinematics,
     require_jacobian_above,
     sum_to_nodes,
 )
@@ -54,7 +52,7 @@ def evaluate(mesh: Mesh, q: DeformationField, lam: float,
     matrix gram, i.e. with the same quadrature used everywhere else (exact
     for piecewise-linear q).
     """
-    jac = jacobian_all(q)
+    jac = q.jacobian
     if jac.min() <= params.epsilon:
         return math.inf
     target = 0.5 * (lam - params.lambda_target) ** 2
@@ -74,11 +72,11 @@ def derivative_q(mesh: Mesh, q: DeformationField,
     Raises:
         InadmissibleDeformation: jacobian <= epsilon somewhere.
     """
-    jac, inv_t = kinematics(q)
+    jac = q.jacobian
     require_jacobian_above(jac, params.epsilon)
     factor = -params.beta * mesh.areas / (jac - params.epsilon)
     return ShapeFunctional(sum_to_nodes(
-        mesh, factor[:, None, None] * jacobian_derivative(mesh, jac, inv_t),
+        mesh, factor[:, None, None] * jacobian_derivative(q),
         initial=params.alpha * (gram @ q.flat)))
 
 

@@ -3,10 +3,11 @@
 MaxwellShapeProblem owns everything that is deformation-independent (mesh,
 DOF maps, the start vector of its first eigensolve, and the only copy of
 the control-space Gram matrix and its factorization) plus the last solved
-state, whose block starts every later eigensolve warm.  It alone chains
-state, adjoint, reduced derivative and Riesz map, and exposes the four
-methods the optimizer drives: gradient, evaluate, q_inner and
-jacobian_range.  Controls cross this interface as flat coefficient
+state, whose block starts every later eigensolve warm, and the last
+deformation field, so that each control's kinematics are computed once.
+It alone chains state, adjoint, reduced derivative and Riesz map, and
+exposes the four methods the optimizer drives: gradient, evaluate, q_inner
+and jacobian_range.  Controls cross this interface as flat coefficient
 vectors.
 """
 
@@ -47,8 +48,9 @@ class MaxwellShapeProblem:
         # Arnoldi start vector of the first, cold, state solve
         self._v0 = np.random.default_rng(seed).standard_normal(
             self.dofs.n_free)
-        # (private copy of the last solved control, its state pair)
-        self._last_state: tuple[np.ndarray, MixedEigenPair] | None = None
+        # the last field made; the last solved field and its state pair
+        self._field: DeformationField | None = None
+        self._last_state: tuple[DeformationField, MixedEigenPair] | None = None
 
     # -- control helpers ----------------------------------------------------
 
@@ -60,7 +62,12 @@ class MaxwellShapeProblem:
         return np.zeros(self.n_control)
 
     def field(self, q: np.ndarray) -> DeformationField:
-        return DeformationField.from_flat(self.mesh, q)
+        """The deformation field of control q: the same object as the last
+        call's for an equal control, so every layer reads one set of
+        kinematic factors per control."""
+        if self._field is None or not np.array_equal(q, self._field.flat):
+            self._field = DeformationField.from_flat(self.mesh, q)
+        return self._field
 
     # -- problem protocol ---------------------------------------------------
 
@@ -76,13 +83,14 @@ class MaxwellShapeProblem:
         block.
         """
         last = self._last_state
-        if last is not None and np.array_equal(q, last[0]):
+        if last is not None and np.array_equal(q, last[0].flat):
             log.debug("reused state: lam=%.10g", last[1].lam)
             return last[1]
+        field = self.field(q)
         state = adjoint_gradient.solve_state(
-            self.mesh, self.dofs, self.field(q), self.sel, v0=self._v0,
+            self.mesh, self.dofs, field, self.sel, v0=self._v0,
             block=None if last is None else last[1].block)
-        self._last_state = (np.array(q, copy=True), state)
+        self._last_state = (field, state)
         log.debug("solved state: lam=%.10g residual=%.2e divergence=%.2e "
                   "gap=%.3e", state.lam, state.residual, state.divergence,
                   state.gap)
@@ -98,8 +106,7 @@ class MaxwellShapeProblem:
     def evaluate(self, q: np.ndarray, lam: float | None = None) -> float:
         """Objective value at control q; +inf on infeasible/unsolvable points."""
         field = self.field(q)
-        jq_min, _ = jacobian_range(field)
-        if jq_min <= self.params.epsilon:
+        if field.jacobian.min() <= self.params.epsilon:
             return math.inf
         if lam is None:
             try:

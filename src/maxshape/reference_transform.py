@@ -3,36 +3,36 @@
 The control is a continuous piecewise-linear displacement field q on the
 reference mesh; the physical domain is the image of x + q(x).  Its gradient
 is constant per triangle, so all kinematic quantities (deformation gradient,
-jacobian, inverse transpose) are per-triangle as well and are computed for
-all triangles at once.  The mesh coordinates are never moved: the
-deformation enters assembly only through these factors.
+jacobian, inverse transpose) are per-triangle as well.  The field owns
+them: each is computed for all triangles at once, at most once per field,
+and every layer reads them from it.  The mesh coordinates are never moved:
+the deformation enters assembly only through these factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InadmissibleDeformation
 from .mesh_io import Mesh
 
-_IDENTITY = np.eye(2)
-
-
-@dataclass
 class DeformationField:
-    """Per-vertex displacement, the control variable of the optimization."""
+    """Per-vertex displacement, the control variable of the optimization.
 
-    mesh: Mesh
-    values: np.ndarray  # (V, 2)
+    values is a private, read-only (V, 2) copy, so each kinematic factor
+    below is computed at most once per field, on first use.
+    """
 
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.mesh.n_vertices, 2):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match mesh "
-                f"({self.mesh.n_vertices} vertices)")
+    def __init__(self, mesh: Mesh, values: np.ndarray):
+        values = np.array(values, dtype=np.float64, order="C")
+        if values.shape != (mesh.n_vertices, 2):
+            raise ValueError(f"values shape {values.shape} does not match "
+                             f"mesh ({mesh.n_vertices} vertices)")
+        values.setflags(write=False)
+        self.mesh = mesh
+        self.values = values
 
     @classmethod
     def zero(cls, mesh: Mesh) -> "DeformationField":
@@ -47,6 +47,38 @@ class DeformationField:
         """Coefficients as a flat vector (x0, y0, x1, y1, ...)."""
         return self.values.reshape(-1)
 
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        """(T, 2, 2) displacement gradients grad q on every triangle."""
+        vals = self.values[self.mesh.triangles]          # (T, 3, 2)
+        return vals.transpose(0, 2, 1) @ self.mesh.barycentric_gradients
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """(T,) jacobians J = det(I + grad q), one per triangle (any sign)."""
+        g = self.gradient
+        return (1.0 + g[:, 0, 0]) * (1.0 + g[:, 1, 1]) - g[:, 0, 1] * g[:, 1, 0]
+
+    @cached_property
+    def inv_t(self) -> np.ndarray:
+        """(T, 2, 2) DF^-T on every triangle, for DF = I + grad q.
+
+        Raises:
+            InadmissibleDeformation: J <= 0 on some triangle, on every access.
+        """
+        jac = self.jacobian
+        require_jacobian_above(jac, 0.0)
+        df = np.eye(2) + self.gradient
+        return np.stack([df[:, 1, 1], -df[:, 1, 0], -df[:, 0, 1], df[:, 0, 0]],
+                        axis=1).reshape(-1, 2, 2) / jac[:, None, None]
+
+    @cached_property
+    def pulled_gradients(self) -> np.ndarray:
+        """(T, 3, 2) transformed hat-function gradients DF^-T grad(lam_v);
+        raises as inv_t does."""
+        return self.mesh.barycentric_gradients @ np.ascontiguousarray(
+            self.inv_t.transpose(0, 2, 1))
+
 
 def require_jacobian_above(jac: np.ndarray, floor: float) -> None:
     """Check that every per-triangle jacobian exceeds floor.
@@ -59,51 +91,23 @@ def require_jacobian_above(jac: np.ndarray, floor: float) -> None:
         raise InadmissibleDeformation(float(jac[bad]), bad, floor)
 
 
-def gradient_all(q: DeformationField) -> np.ndarray:
-    """(T, 2, 2) displacement gradients on every triangle at once."""
-    vals = q.values[q.mesh.triangles]                   # (T, 3, 2)
-    return vals.transpose(0, 2, 1) @ q.mesh.barycentric_gradients
-
-
-def kinematics(q: DeformationField) -> tuple[np.ndarray, np.ndarray]:
-    """J (T,) and DF^-T (T, 2, 2) on every triangle, for DF = I + grad q.
-
-    Raises:
-        InadmissibleDeformation: J <= 0 on some triangle.
-    """
-    df = _IDENTITY + gradient_all(q)
-    jac = df[:, 0, 0] * df[:, 1, 1] - df[:, 0, 1] * df[:, 1, 0]
-    require_jacobian_above(jac, 0.0)
-    inv_t = np.stack([df[:, 1, 1], -df[:, 1, 0], -df[:, 0, 1], df[:, 0, 0]],
-                     axis=1).reshape(-1, 2, 2) / jac[:, None, None]
-    return jac, inv_t
-
-
-def pulled_gradients(mesh: Mesh, inv_t: np.ndarray) -> np.ndarray:
-    """(T, 3, 2) transformed hat-function gradients DF^-T grad(lam_v)."""
-    return mesh.barycentric_gradients @ np.ascontiguousarray(
-        inv_t.transpose(0, 2, 1))
-
-
-def jacobian_derivative(mesh: Mesh, jac: np.ndarray,
-                        inv_t: np.ndarray) -> np.ndarray:
+def jacobian_derivative(q: DeformationField) -> np.ndarray:
     """(T, 3, 2) derivatives of J in the nodal directions e_c grad(lam_v)^T.
 
     Entry [t, v, c] is J (DF^-T grad lam_v)_c on triangle t.
     """
-    return jac[:, None, None] * pulled_gradients(mesh, inv_t)
+    return q.jacobian[:, None, None] * q.pulled_gradients
 
 
-def inv_t_derivative(mesh: Mesh, inv_t: np.ndarray,
-                     weight: np.ndarray) -> np.ndarray:
+def inv_t_derivative(q: DeformationField, weight: np.ndarray) -> np.ndarray:
     """(T, 3, 2) derivatives of <weight, DF^-T> in the nodal directions.
 
     The derivative of DF^-T in the direction e_c grad(lam_v)^T is
     -(DF^-T grad lam_v)(DF^-1 e_c)^T, so entry [t, v, c], its pairing with
     the (T, 2, 2) weight, is row v, column c of -(DF^-T grad lam) weight DF^-1.
     """
-    df_inv = np.ascontiguousarray(inv_t.transpose(0, 2, 1))
-    return -(pulled_gradients(mesh, inv_t) @ (weight @ df_inv))
+    df_inv = np.ascontiguousarray(q.inv_t.transpose(0, 2, 1))
+    return -(q.pulled_gradients @ (weight @ df_inv))
 
 
 def sum_to_nodes(mesh: Mesh, per_node: np.ndarray,
@@ -120,13 +124,6 @@ def sum_to_nodes(mesh: Mesh, per_node: np.ndarray,
                        minlength=2 * mesh.n_vertices).reshape(-1, 2)
 
 
-def jacobian_all(q: DeformationField) -> np.ndarray:
-    """(T,) jacobians det(I + grad q), one per triangle (any sign)."""
-    g = gradient_all(q)
-    return (1.0 + g[:, 0, 0]) * (1.0 + g[:, 1, 1]) - g[:, 0, 1] * g[:, 1, 0]
-
-
 def jacobian_range(q: DeformationField) -> tuple[float, float]:
     """Extremes (min, max) of the deformation jacobian over all triangles."""
-    j = jacobian_all(q)
-    return float(j.min()), float(j.max())
+    return float(q.jacobian.min()), float(q.jacobian.max())

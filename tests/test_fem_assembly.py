@@ -24,7 +24,6 @@ from maxshape.fem_assembly import (
 from maxshape.mesh_io import LOCAL_EDGES, Mesh
 from maxshape.objective import ObjectiveParams
 from maxshape.problem import MaxwellShapeProblem
-from maxshape.reference_transform import kinematics
 
 from conftest import (
     TWO_TRIANGLE_MSH,
@@ -236,7 +235,7 @@ def _largest_angle(mesh):
 def _einsum_local_forms(mesh, q):
     """b_loc and m_loc as midpoint sums of DF^-T N: the element einsums that
     the Gram closed form of local_forms replaced."""
-    jac, inv_t = kinematics(q)
+    jac, inv_t = q.jacobian, q.inv_t
     values, _ = mesh.whitney
     tn = np.einsum("tij,tkpj->tkpi", inv_t, values)
     tg = np.einsum("tij,tvj->tvi", inv_t, mesh.barycentric_gradients)

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from maxshape import (
+    DeformationField,
     EigenSelection,
     ObjectiveParams,
     OptimizerConfig,
@@ -15,7 +17,7 @@ from maxshape import (
 )
 from maxshape import adjoint_gradient
 from maxshape import eigensolver
-from maxshape.errors import NoConvergence
+from maxshape.errors import InadmissibleDeformation, NoConvergence
 from maxshape.problem import MaxwellShapeProblem
 
 
@@ -238,6 +240,14 @@ class TestLastStateMemo:
         assert len(state_solves) == 1
         assert math.isfinite(state.lam)
 
+    def test_reuse_after_infeasible_evaluate(self, state_solves):
+        prob = _square8_problem()
+        q = _smooth_control(prob, 0.02)
+        state = prob.solve_state(q)
+        assert prob.evaluate(_folding_control(prob)) == math.inf
+        assert prob.solve_state(q.copy()) is state
+        assert len(state_solves) == 1
+
     def test_debug_log_names_solve_and_reuse(self, caplog):
         prob = _square8_problem()
         with caplog.at_level("DEBUG", logger="maxshape.problem"):
@@ -267,6 +277,12 @@ def _square16_problem():
     params = ObjectiveParams(lambda_target=10.4, alpha=1e-3, beta=1e-6,
                              epsilon=1e-4)
     return MaxwellShapeProblem(mesh, params, sel, seed=0)
+
+
+def _folding_control(prob):
+    q = prob.zero_control()
+    q[0::2] = -2.0 * prob.mesh.vertices[:, 0]     # x -> -x on every triangle
+    return q
 
 
 def _smooth_control(prob, amplitude):
@@ -368,3 +384,51 @@ class TestOneSolvePerControl:
         assert sum(r.step > 0 for r in records) == 6
         assert len(state_solves) == 1 + len(feasible_trials)
         assert len(state_solves) < 18
+
+
+class TestOneFieldPerControl:
+    def test_equal_control_same_field(self):
+        prob = _square8_problem()
+        q = _smooth_control(prob, 0.02)
+        field = prob.field(q)
+        assert prob.field(q.copy()) is field
+        moved = q.copy()
+        moved[5] += 1e-3
+        assert prob.field(moved) is not field
+
+    def test_folded_control(self):
+        prob = _square8_problem()
+        q = _folding_control(prob)
+        assert prob.evaluate(q) == math.inf
+        field = prob.field(q)
+        assert field.jacobian.min() < 0.0
+        for _ in range(2):
+            with pytest.raises(InadmissibleDeformation):
+                field.inv_t
+
+    def test_optimize_computes_one_gradient_per_control(self, monkeypatch):
+        computed = []
+        real = DeformationField.__dict__["gradient"].func
+
+        def counted(field):
+            computed.append(field.values.tobytes())
+            return real(field)
+
+        gradient = cached_property(counted)
+        gradient.__set_name__(DeformationField, "gradient")
+        monkeypatch.setattr(DeformationField, "gradient", gradient)
+
+        prob = _square8_problem()
+        controls = set()
+        for name in ("gradient", "evaluate", "jacobian_range"):
+            def seen(q, *args, _real=getattr(prob, name), **kwargs):
+                controls.add(np.asarray(q, dtype=np.float64).tobytes())
+                return _real(q, *args, **kwargs)
+            monkeypatch.setattr(prob, name, seen)
+        cfg = OptimizerConfig(tol=1e-12, k_max=3,
+                              b0_scale=1.0 / prob.params.alpha)
+        _, records, _ = optimize(prob, prob.zero_control(), cfg)
+
+        assert sum(r.step > 0 for r in records) == 3
+        assert len(computed) == len(set(computed))
+        assert set(computed) == controls

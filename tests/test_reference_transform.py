@@ -4,11 +4,8 @@ import pytest
 from maxshape import DeformationField, jacobian_range, parse_msh
 from maxshape.errors import InadmissibleDeformation
 from maxshape.reference_transform import (
-    gradient_all,
     inv_t_derivative,
     jacobian_derivative,
-    kinematics,
-    pulled_gradients,
     sum_to_nodes,
 )
 
@@ -30,15 +27,14 @@ def affine_field(mesh, g):
 
 def kinematics_of(grad_q):
     """J and DF^-T for the displacement gradient grad_q, via the batched code."""
-    jac, inv_t = kinematics(affine_field(TRIANGLE, grad_q))
-    return jac[0], inv_t[0]
+    q = affine_field(TRIANGLE, grad_q)
+    return q.jacobian[0], q.inv_t[0]
 
 
 def jacobian_derivative_along(grad_q, grad_p):
     """Derivative of J at grad_q in the direction of the field grad_p x."""
     q = affine_field(TRIANGLE, grad_q)
-    jac, inv_t = kinematics(q)
-    d_jac = jacobian_derivative(TRIANGLE, jac, inv_t)[0]      # (3, 2)
+    d_jac = jacobian_derivative(q)[0]                         # (3, 2)
     return np.einsum("vc,vc->", affine_field(TRIANGLE, grad_p).values, d_jac)
 
 
@@ -46,18 +42,17 @@ def jacobian_derivative_along(grad_q, grad_p):
 UNIT_WEIGHTS = np.eye(4).reshape(4, 2, 2)
 
 
-def nodal_inv_t_derivative(mesh, inv_t):
+def nodal_inv_t_derivative(q):
     """(T, 3, 2, 2, 2) derivatives of DF^-T in the nodal directions, entry
     (i, j) of [t, v, c] read from inv_t_derivative with weight e_i e_j^T."""
-    entries = [inv_t_derivative(mesh, inv_t, np.broadcast_to(e, inv_t.shape))
+    entries = [inv_t_derivative(q, np.broadcast_to(e, q.inv_t.shape))
                for e in UNIT_WEIGHTS]
     return np.stack(entries, axis=-1).reshape(*entries[0].shape, 2, 2)
 
 
 def inv_t_derivative_along(grad_q, grad_p):
     """Derivative of DF^-T at grad_q in the direction of the field grad_p x."""
-    _, inv_t = kinematics(affine_field(TRIANGLE, grad_q))
-    d_inv_t = nodal_inv_t_derivative(TRIANGLE, inv_t)[0]      # (3, 2, 2, 2)
+    d_inv_t = nodal_inv_t_derivative(affine_field(TRIANGLE, grad_q))[0]
     return np.einsum("vc,vcij->ij", affine_field(TRIANGLE, grad_p).values,
                      d_inv_t)
 
@@ -124,14 +119,13 @@ class TestDetDerivative:
         # triangles[t, v] moves along axis c.
         q = DeformationField(square4,
                              0.05 * rng.standard_normal((square4.n_vertices, 2)))
-        jac, inv_t = kinematics(q)
-        d_jac = jacobian_derivative(square4, jac, inv_t)
+        d_jac = jacobian_derivative(q)
         h = 1e-6
         for t, v, c in ((0, 0, 0), (5, 1, 1), (17, 2, 0)):
             p = np.zeros((square4.n_vertices, 2))
             p[square4.triangles[t, v], c] = 1.0
-            plus, _ = kinematics(DeformationField(square4, q.values + h * p))
-            minus, _ = kinematics(DeformationField(square4, q.values - h * p))
+            plus = DeformationField(square4, q.values + h * p).jacobian
+            minus = DeformationField(square4, q.values - h * p).jacobian
             fd = (plus[t] - minus[t]) / (2 * h)
             assert abs(fd - d_jac[t, v, c]) <= 1e-8
 
@@ -174,14 +168,13 @@ class TestInvTDerivative:
     def test_nodal_directions_on_mesh(self, square4, rng):
         q = DeformationField(square4,
                              0.05 * rng.standard_normal((square4.n_vertices, 2)))
-        _, inv_t = kinematics(q)
-        d_inv_t = nodal_inv_t_derivative(square4, inv_t)
+        d_inv_t = nodal_inv_t_derivative(q)
         h = 1e-6
         for t, v, c in ((0, 0, 0), (5, 1, 1), (17, 2, 0)):
             p = np.zeros((square4.n_vertices, 2))
             p[square4.triangles[t, v], c] = 1.0
-            _, plus = kinematics(DeformationField(square4, q.values + h * p))
-            _, minus = kinematics(DeformationField(square4, q.values - h * p))
+            plus = DeformationField(square4, q.values + h * p).inv_t
+            minus = DeformationField(square4, q.values - h * p).inv_t
             fd = (plus[t] - minus[t]) / (2 * h)
             np.testing.assert_allclose(d_inv_t[t, v, c], fd, atol=1e-7)
 
@@ -189,13 +182,13 @@ class TestInvTDerivative:
 class TestGradientAt:
     def test_zero_field(self, square2):
         q = DeformationField.zero(square2)
-        np.testing.assert_array_equal(gradient_all(q),
+        np.testing.assert_array_equal(q.gradient,
                                       np.zeros((square2.n_triangles, 2, 2)))
 
     def test_affine_reproduction(self, square4, rng):
         a_mat = rng.standard_normal((2, 2))
         q = affine_field(square4, a_mat)
-        for grad in gradient_all(q):
+        for grad in q.gradient:
             np.testing.assert_allclose(grad, a_mat, atol=1e-12)
 
     def test_pointwise_fd_inside_triangle(self, square4, rng):
@@ -212,7 +205,7 @@ class TestGradientAt:
 
         t = 5
         centroid = square4.vertices[square4.triangles[t]].mean(axis=0)
-        grad = gradient_all(q)[t]
+        grad = q.gradient[t]
         h = 1e-7
         for j, e in enumerate(np.eye(2)):
             fd = (interpolate(centroid + h * e, t)
@@ -224,7 +217,7 @@ class TestGradientAt:
         # triangle are related by grad q, so grad q = dQ dX^-1.
         q = DeformationField(square4,
                              0.1 * rng.standard_normal((square4.n_vertices, 2)))
-        allg = gradient_all(q)
+        allg = q.gradient
         for t in (0, 3, 17):
             tri = square4.triangles[t]
             d_x = (square4.vertices[tri[1:]] - square4.vertices[tri[0]]).T
@@ -239,13 +232,13 @@ class TestMatmulKernels:
     def test_gradient_all(self, square16, rng):
         q = random_feasible_control(square16, rng, 0.01)
         vals = q.values[square16.triangles]
-        assert_entries_close(gradient_all(q), np.einsum(
+        assert_entries_close(q.gradient, np.einsum(
             "tvi,tvj->tij", vals, square16.barycentric_gradients))
 
     def test_pulled_gradients(self, square16, rng):
-        _, inv_t = kinematics(random_feasible_control(square16, rng, 0.01))
-        assert_entries_close(pulled_gradients(square16, inv_t), np.einsum(
-            "tij,tvj->tvi", inv_t, square16.barycentric_gradients))
+        q = random_feasible_control(square16, rng, 0.01)
+        assert_entries_close(q.pulled_gradients, np.einsum(
+            "tij,tvj->tvi", q.inv_t, square16.barycentric_gradients))
 
 
 class TestJacobianRange:
@@ -269,6 +262,39 @@ class TestDeformationField:
     def test_shape_validation(self, square2):
         with pytest.raises(ValueError):
             DeformationField(square2, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_caller_array_changes_nothing(self, square4, rng, flat):
+        vals = 0.01 * rng.standard_normal((square4.n_vertices, 2))
+        want = DeformationField(square4, vals.copy())
+        q = (DeformationField.from_flat(square4, vals.reshape(-1)) if flat
+             else DeformationField(square4, vals))
+        jac = q.jacobian
+        vals[:] = 0.3                       # the caller reuses its buffer
+        np.testing.assert_array_equal(q.values, want.values)
+        np.testing.assert_array_equal(q.jacobian, want.jacobian)
+        assert q.jacobian is jac
+        assert vals.flags.writeable
+        with pytest.raises(ValueError):
+            q.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            q.flat[0] = 1.0
+
+    def test_kinematics_computed_once(self, square4, rng):
+        q = random_feasible_control(square4, rng, 0.01)
+        for name in ("gradient", "jacobian", "inv_t", "pulled_gradients"):
+            assert getattr(q, name) is getattr(q, name)
+
+    def test_folded_field(self, square4):
+        # DF = diag(-1, 1) mirrors every triangle: J = -1 everywhere
+        q = affine_field(square4, np.diag([-2.0, 0.0]))
+        np.testing.assert_allclose(q.jacobian, -1.0, rtol=1e-14)
+        assert jacobian_range(q) == pytest.approx((-1.0, -1.0), rel=1e-14)
+        for _ in range(2):                  # raises on every access
+            with pytest.raises(InadmissibleDeformation):
+                q.inv_t
+            with pytest.raises(InadmissibleDeformation):
+                q.pulled_gradients
 
 
 class TestSumToNodes:

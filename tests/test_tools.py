@@ -1,0 +1,45 @@
+"""The scripts under tools/ import from the package and run on small inputs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from maxshape import DofMap, generate_unit_square
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def load_tool(monkeypatch):
+    """Import a tools/ script by path; undo its sys.path and environment
+    edits afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "1")
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load
+
+
+def test_lu_sweep_deformed_pencil(load_tool):
+    lu_sweep = load_tool("lu_sweep")
+    pencil = lu_sweep.deformed_pencil(4, 0)
+    n_free = DofMap.from_mesh(generate_unit_square(4)).n_free
+    assert pencil.format == "csc"
+    assert pencil.shape == (n_free, n_free)
+    assert np.all(np.isfinite(pencil.data))
+    assert abs(pencil - pencil.T).max() == 0.0
+
+
+def test_bench_pairs_parse_seeds(load_tool):
+    bench_pairs = load_tool("bench_pairs")
+    assert bench_pairs.parse_seeds("201-203") == [201, 202, 203]
+    assert bench_pairs.parse_seeds("3,5") == [3, 5]
