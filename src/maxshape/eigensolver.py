@@ -13,6 +13,18 @@ those map to theta = 0 and are discarded by a threshold, while the finite
 eigenvalues nearest the shift dominate the transformed spectrum.  Small
 systems fall back to a dense QZ solve of the same pencil.
 
+The operator is applied without factoring the saddle matrix.  With
+S = A - sigma*M, the pencil's two identities B = M G and A G = 0 (curl grad
+= 0 on the Whitney/P1 pair; Boffi, Acta Numerica 19, 2010) give
+S G = -sigma B, so block elimination (Benzi, Golub & Liesen, Acta Numerica
+14, 2005) solves (K - sigma*Mt) [x; y] = [f; g] exactly by
+
+    z = S^{-1} f,    w = L^{-1} (g - B^T z),    [x; y] = [z + G w; sigma w]
+
+with L = B^T G, the P1 stiffness matrix in the deformed metric.  Only S and
+L are factored; the pencil and its eigenpairs stay those of the mixed
+problem, so the gradient kernel of (A, M) never enters the spectrum.
+
 A solve handed a block of vectors from a nearby deformation (warm) runs
 block shift-invert subspace iteration with Rayleigh-Ritz on the block plus
 one fresh random guard column instead of Arnoldi (Saad, Numerical Methods
@@ -44,19 +56,62 @@ DIVERGENCE_TOL = 1e-6
 # Iteration cap of a warm block solve when the selection sets no maxiter.
 BLOCK_MAXITER = 100
 
-# SuperLU settings for K - sigma*Mt, which is symmetric: minimum degree on the
-# pattern of A^T + A with diagonal pivots and symmetric mode (SuperLU Users'
-# Guide; Li, ACM TOMS 31, 2005) gives about half the fill of the general
-# default, COLAMD on A^T A with partial pivoting.  Threshold 0 takes every
-# diagonal pivot unless it is exactly zero, where SuperLU falls back to the
-# largest entry of the column, so the zero block of the saddle point still
-# factors.  The pencil residual check in solve_gevp catches an inaccurate
+# SuperLU settings for A - sigma*M and L = B^T G, which are symmetric:
+# minimum degree on the pattern of A^T + A with diagonal pivots and symmetric
+# mode (SuperLU Users' Guide; Li, ACM TOMS 31, 2005) gives about half the
+# fill of the general default, COLAMD on A^T A with partial pivoting.
+# Threshold 0 takes every diagonal pivot unless it is exactly zero; L is
+# positive definite, and small pivots of the indefinite A - sigma*M are not
+# guarded, so the pencil residual check in solve_gevp catches an inaccurate
 # factorization.  scipy's supernode settings, panel_size 20 and relax 10,
-# are sized for wide supernodes; those of this 2-D saddle matrix are a few
-# columns wide, and single-column panels factor it 14-18 % faster at the
-# same fill (n = 16, 32 and 64; tools/lu_sweep.py, tools/lu_sweep.json).
+# are sized for wide supernodes; those of these 2-D matrices are a few
+# columns wide, and single-column panels factor the pair 22-31 % faster at
+# the same fill (n = 16, 32 and 64; tools/lu_sweep.py, tools/lu_sweep.json).
 SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     panel_size=1, relax=4, options=dict(SymmetricMode=True))
+
+
+class ShiftInvert:
+    """Solves with K - sigma*Mt by the block elimination of the module
+    docstring: one LU of A - sigma*M and one of L = B^T G.
+
+    solve takes and returns vectors or column blocks of the pencil's size,
+    like SuperLU.solve.  sigma must not be 0 (S = A is singular on the
+    gradients) nor an eigenvalue of (A, M).
+
+    Raises:
+        FactorizationFailed: either factorization failed.
+    """
+
+    def __init__(self, forms: AssembledForms, sigma: float):
+        self.sigma = sigma
+        self.n_edge = forms.n_edge
+        self.bt = forms.BT
+        self.g = forms.layout.gradient
+        self.edge = _splu(forms.edge_shift(sigma), "A - sigma*M", sigma)
+        # L's CSR arrays are the CSC arrays of L^T: factor L^T without a
+        # conversion and solve with its transpose
+        self.vertex = _splu((self.bt @ self.g).T, "L = B^T G", sigma)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        z = self.edge.solve(rhs[:self.n_edge])
+        w = self.vertex.solve(rhs[self.n_edge:] - self.bt @ z, trans="T")
+        return np.concatenate([z + self.g @ w, self.sigma * w])
+
+    @property
+    def fill(self) -> tuple[int, int]:
+        """nnz(L) + nnz(U) of each factorization.  SuperLU builds copies
+        of the factors to count them: for diagnostics only."""
+        return tuple(lu.L.nnz + lu.U.nnz for lu in (self.edge, self.vertex))
+
+
+def _splu(mat: sp.csc_matrix, name: str, sigma: float):
+    try:
+        return spla.splu(mat, **SYMMETRIC_LU)
+    except RuntimeError as exc:
+        raise FactorizationFailed(
+            f"factorization of {name} failed at sigma={sigma:g}: "
+            f"{exc}") from exc
 
 
 @dataclass
@@ -132,7 +187,7 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     tolerance; the others only report their residual.
 
     Raises:
-        FactorizationFailed: K - sigma*Mt is singular.
+        FactorizationFailed: A - sigma*M or B^T G is singular.
         NoConvergence: the iteration hit its cap, or a used pair exceeds the
             residual tolerance.
         InsufficientSpectrum: fewer finite eigenvalues than requested.
@@ -145,62 +200,54 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
         raise ValueError(f"v0 of length {len(v0)} cannot start a pencil of "
                          f"size {n}")
     nev = sel.nev_effective
-    count = nev      # pairs to return
     if n_e == 0:
         raise InsufficientSpectrum("no free edge DOFs")
     sigma = float(sel.shift)
 
     if n <= max(DENSE_THRESHOLD, 2 * nev + 12):
-        lams, vecs = _dense_finite_spectrum(k_mat, mt, sel)
+        spectrum = _dense_finite_spectrum(k_mat, mt, sigma, nev)
     else:
-        try:
-            lu = spla.splu(forms.shifted(sigma), **SYMMETRIC_LU)
-        except RuntimeError as exc:
-            raise FactorizationFailed(
-                f"factorization of K - sigma*M failed at sigma={sigma:g}: "
-                f"{exc}") from exc
+        op = ShiftInvert(forms, sigma)
         if block is None:
-            lams, vecs = _arpack_finite_spectrum(k_mat, mt, lu, sigma, nev,
-                                                 sel, v0)
+            spectrum = _arpack_finite_spectrum(k_mat, mt, op, sigma, nev,
+                                               sel, v0)
         else:
-            count = sel.index + 2
-            lams, vecs = _block_finite_spectrum(k_mat, mt, lu, sigma, count,
-                                                sel, block)
+            spectrum = _block_finite_spectrum(k_mat, mt, op, sigma,
+                                              sel.index + 2, sel, block)
 
-    if len(lams) < count:
-        raise InsufficientSpectrum(
-            f"found {len(lams)} finite eigenvalues, requested {count}")
-
-    order = np.argsort(np.abs(lams - sigma))[:count]
-    lams = lams[order]
-    vecs = vecs[:, order]
-    order = np.argsort(lams)
-    lams = lams[order]
-    vecs = vecs[:, order]
-
+    # K x and Mt x of each unnormalized pair serve the residual, which does
+    # not depend on the scale, and the certificate ||B^T u|| / ||M u||: the
+    # vertex rows of K x are B^T u.
+    lams, vecs, kxs, mxs = spectrum
     pairs = []
     for i, lam in enumerate(lams):
-        x = vecs[:, i]
-        mu = (mt @ x)[:n_e]         # M u
-        nrm = np.sqrt(x[:n_e] @ mu)
+        x, kx, mx = vecs[:, i], kxs[:, i], mxs[:, i]
+        nrm = np.sqrt(x[:n_e] @ mx[:n_e])
         if nrm <= 0:
             raise NoConvergence(f"eigenvector {i} has zero mass norm")
-        x = x / nrm
-        u = x[:n_e]
-        psi = x[n_e:]
-        # One K x and one Mt x of the normalized pair serve the residual and
-        # the certificate ||B^T u|| / ||M u||: the vertex rows of K x are
-        # B^T u, and M u is mu / nrm.
-        kx = k_mat @ x
-        res = _pencil_residual(kx, mt @ x, lam)
-        div = float(np.linalg.norm(kx[n_e:]) / (np.linalg.norm(mu) / nrm))
+        res = _pencil_residual(kx, mx, lam)
+        div = float(np.linalg.norm(kx[n_e:]) / np.linalg.norm(mx[:n_e]))
         if res > sel.tol and abs(i - sel.index) <= 1:
             raise NoConvergence(
                 f"eigenpair {i} (lam={lam:.6g}) residual {res:.2e} "
                 f"exceeds tol {sel.tol:.2e}")
-        pairs.append(MixedEigenPair(lam=float(lam), u=u, psi=psi, residual=res,
-                                    divergence=div))
+        x = x / nrm
+        pairs.append(MixedEigenPair(lam=float(lam), u=x[:n_e], psi=x[n_e:],
+                                    residual=res, divergence=div))
     return pairs
+
+
+def _nearest(k_mat, mt, lams: np.ndarray, vecs: np.ndarray, sigma: float,
+             count: int):
+    """The count eigenvalues nearest sigma, ascending, with their vectors
+    x and the products K x and Mt x."""
+    if len(lams) < count:
+        raise InsufficientSpectrum(
+            f"found {len(lams)} finite eigenvalues, requested {count}")
+    order = np.argsort(np.abs(lams - sigma))[:count]
+    order = order[np.argsort(lams[order])]
+    vecs = vecs[:, order]
+    return lams[order], vecs, k_mat @ vecs, mt @ vecs
 
 
 def _pencil_residual(kx: np.ndarray, mx: np.ndarray, lam: float) -> float:
@@ -210,7 +257,7 @@ def _pencil_residual(kx: np.ndarray, mx: np.ndarray, lam: float) -> float:
     return float(num / max(den, np.finfo(float).tiny))
 
 
-def _dense_finite_spectrum(k_mat, mt, sel: EigenSelection):
+def _dense_finite_spectrum(k_mat, mt, sigma: float, count: int):
     kd = k_mat.toarray()
     md = mt.toarray()
     (alpha, beta), vr = scipy.linalg.eig(kd, md, homogeneous_eigvals=True)
@@ -219,20 +266,22 @@ def _dense_finite_spectrum(k_mat, mt, sel: EigenSelection):
     finite = np.abs(beta) > 1e-8 * max(np.abs(beta).max(), 1e-300)
     w = alpha[finite] / beta[finite]
     real = np.abs(w.imag) <= 1e-8 * (1.0 + np.abs(w.real))
-    return w.real[real], vr.real[:, finite][:, real]
+    return _nearest(k_mat, mt, w.real[real], vr.real[:, finite][:, real],
+                    sigma, count)
 
 
-def _arpack_finite_spectrum(k_mat, mt, lu, sigma: float, nev: int,
-                            sel: EigenSelection, v0: np.ndarray | None):
+def _arpack_finite_spectrum(k_mat, mt, op: ShiftInvert, sigma: float,
+                            nev: int, sel: EigenSelection,
+                            v0: np.ndarray | None):
     n = k_mat.shape[0]
     applies = 0
 
     def apply_op(x):
         nonlocal applies
         applies += 1
-        return lu.solve(mt @ x)
+        return op.solve(mt @ x)
 
-    op = spla.LinearOperator((n, n), matvec=apply_op)
+    linear = spla.LinearOperator((n, n), matvec=apply_op)
     # A couple of spare Ritz pairs guard against near-zero theta dropouts.
     k = min(nev + 2, n - 2)
     ncv = min(n, max(3 * k + 8, 30))
@@ -240,25 +289,26 @@ def _arpack_finite_spectrum(k_mat, mt, lu, sigma: float, nev: int,
         # fixed starting vector keeps repeated solves bit-identical
         v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        theta, x = spla.eigs(op, k=k, which="LM", v0=v0, ncv=ncv,
+        theta, x = spla.eigs(linear, k=k, which="LM", v0=v0, ncv=ncv,
                              tol=sel.tol * 1e-2, maxiter=sel.maxiter)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(f"ARPACK did not converge: {exc}") from exc
     finally:
         if log.isEnabledFor(logging.DEBUG):
-            # lu.L and lu.U build copies of the factors: count fill only here
-            log.debug("arpack solve: sigma=%.6g n=%d fill=%d op_applies=%d",
-                      sigma, n, lu.L.nnz + lu.U.nnz, applies)
+            log.debug("arpack solve: sigma=%.6g n=%d fill=%d+%d "
+                      "op_applies=%d", sigma, n, *op.fill, applies)
 
     theta = theta.real
     keep = np.abs(theta) >= 10.0 * sel.tol
-    lams = sigma + 1.0 / theta[keep]
-    return lams, x.real[:, keep]
+    return _nearest(k_mat, mt, sigma + 1.0 / theta[keep], x.real[:, keep],
+                    sigma, nev)
 
 
-def _block_finite_spectrum(k_mat, mt, lu, sigma: float, count: int,
-                           sel: EigenSelection, block: np.ndarray):
-    """The lowest count pairs by block shift-invert iteration.
+def _block_finite_spectrum(k_mat, mt, op: ShiftInvert, sigma: float,
+                           count: int, sel: EigenSelection,
+                           block: np.ndarray):
+    """The lowest count pairs by block shift-invert iteration, ascending,
+    with their K x and Mt x taken from the last iteration's products.
 
     Each iteration solves Y = (K - sigma*Mt)^{-1} Mt X and replaces X by the
     Ritz vectors of the pencil projected on Y; it stops once the count
@@ -283,7 +333,7 @@ def _block_finite_spectrum(k_mat, mt, lu, sigma: float, count: int,
     try:
         while iterations < maxiter:
             iterations += 1
-            y = lu.solve(mt @ x)
+            y = op.solve(mt @ x)
             ky = k_mat @ y
             my = mt @ y
             kr = y.T @ ky
@@ -291,13 +341,14 @@ def _block_finite_spectrum(k_mat, mt, lu, sigma: float, count: int,
             w, c = scipy.linalg.eigh(0.5 * (kr + kr.T), 0.5 * (mr + mr.T))
             x = y @ c
             # eigh sorts ascending: the first count Ritz pairs are the lowest
+            kz = ky @ c[:, :count]
             mz = my @ c[:, :count]
-            num = np.linalg.norm(ky @ c[:, :count] - mz * w[:count], axis=0)
+            num = np.linalg.norm(kz - mz * w[:count], axis=0)
             res = num / np.maximum(np.abs(w[:count])
                                    * np.linalg.norm(mz, axis=0),
                                    np.finfo(float).tiny)
             if np.all(res <= sel.tol):
-                return w[:count], x[:, :count]
+                return w[:count], x[:, :count], kz, mz
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"block Rayleigh-Ritz failed: {exc}") from exc
     finally:

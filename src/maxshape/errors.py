@@ -55,7 +55,8 @@ class EigenSolverError(MaxshapeError):
 
 
 class FactorizationFailed(EigenSolverError):
-    """The shifted operator K - sigma*M could not be factorized."""
+    """A factor of the shift-invert solve, A - sigma*M or the vertex
+    stiffness L = B^T G, could not be factorized."""
 
 
 class NoConvergence(EigenSolverError):

@@ -185,30 +185,35 @@ class AssembledForms:
     def M(self) -> sp.csr_matrix:
         return self.Mt[:self.n_edge, :self.n_edge]
 
-    def shifted(self, sigma: float) -> sp.csc_matrix:
-        """K - sigma*Mt in CSC, as scipy's sparse subtraction would give it.
+    def edge_shift(self, sigma: float) -> sp.csc_matrix:
+        """A - sigma*M in CSC on Mt's layout.
 
-        K and Mt are exactly symmetric, so K's CSR arrays are the CSC arrays
-        of K - sigma*Mt once Mt's entries are subtracted in their slots.
-        Entries that come out exactly zero (at q = 0 some entries of B
-        cancel) are dropped, as the subtraction drops them.
+        Mt's pattern is K's edge block and both blocks are exactly
+        symmetric, so Mt's CSR index arrays are the CSC arrays of
+        A - sigma*M; K.data[mt_in_k] are A's entries in Mt's slots.
         """
         lay = self.layout
-        data = self.K.data.copy()
-        data[lay.mt_in_k] -= sigma * self.Mt.data
-        if data.all():
-            return sp.csc_matrix((data, lay.k_indices, lay.k_indptr),
-                                 shape=self.K.shape)
-        pencil = sp.csc_matrix((data, lay.k_indices.copy(),
-                                lay.k_indptr.copy()), shape=self.K.shape)
-        pencil.eliminate_zeros()
-        return pencil
+        n_e = lay.n_edge
+        data = self.K.data[lay.mt_in_k] - sigma * self.Mt.data
+        return sp.csc_matrix((data, lay.mt_indices, lay.mt_indptr[:n_e + 1]),
+                             shape=(n_e, n_e))
+
+    @property
+    def BT(self) -> sp.csr_matrix:
+        """B^T as a view of K's vertex rows, which hold no other entry."""
+        lay = self.layout
+        start = lay.k_indptr[lay.n_edge]
+        return sp.csr_matrix((self.K.data[start:], lay.k_indices[start:],
+                              lay.k_indptr[lay.n_edge:] - start),
+                             shape=(lay.n - lay.n_edge, lay.n_edge))
 
 
 @dataclass(frozen=True)
 class PencilLayout:
     """CSR sparsity of a pencil (K, Mt) of size n, with Mt's pattern inside
-    K's: mt_in_k[i] is the slot in K.data of Mt.data[i]."""
+    K's: mt_in_k[i] is the slot in K.data of Mt.data[i].  edge_ends[e]
+    holds the vertex numbers, counted from the first vertex DOF, of edge
+    DOF e's low and high endpoint, -1 for an endpoint without a DOF here."""
 
     n: int
     n_edge: int
@@ -217,10 +222,11 @@ class PencilLayout:
     mt_indptr: np.ndarray
     mt_indices: np.ndarray
     mt_in_k: np.ndarray
+    edge_ends: np.ndarray
 
     @classmethod
     def from_keys(cls, k_keys: np.ndarray, mt_keys: np.ndarray, n: int,
-                  n_edge: int) -> "PencilLayout":
+                  edge_ends: np.ndarray) -> "PencilLayout":
         """Layout of the sorted unique entry keys row * n + col."""
         def csr(keys):
             rows, cols = np.divmod(keys, n)
@@ -229,10 +235,17 @@ class PencilLayout:
             return indptr, cols.astype(np.int32)
 
         arrays = (*csr(k_keys), *csr(mt_keys),
-                  np.searchsorted(k_keys, mt_keys).astype(np.int32))
+                  np.searchsorted(k_keys, mt_keys).astype(np.int32),
+                  edge_ends)
         for arr in arrays:
             arr.setflags(write=False)
-        return cls(n, n_edge, *arrays)
+        return cls(n, len(edge_ends), *arrays)
+
+    @cached_property
+    def gradient(self) -> sp.csr_matrix:
+        """G, the gradient incidence on this layout's DOFs (edge x vertex):
+        B = M G and A G = 0 hold on the pencil.  Built at first use."""
+        return _incidence(self.edge_ends, self.n - self.n_edge)
 
     def forms(self, k_data: np.ndarray, mt_data: np.ndarray) -> AssembledForms:
         shape = (self.n, self.n)
@@ -293,10 +306,13 @@ class PencilPattern:
         slots = (k_slots.astype(np.int32), mt_slots.astype(np.int32))
         for arr in (*slots, k_free, mt_free):
             arr.setflags(write=False)
+        ends = mesh.edges[~constrained_edge]
+        free_ends = np.where(free[n_edge + ends],
+                             number[n_edge + ends] - n_free_edge, -1)
         return cls(*slots,
-                   PencilLayout.from_keys(k_keys, mt_keys, n, n_edge),
+                   PencilLayout.from_keys(k_keys, mt_keys, n, mesh.edges),
                    PencilLayout.from_keys(free_k_keys, free_mt_keys, n_free,
-                                          n_free_edge),
+                                          free_ends.astype(np.int32)),
                    k_free, mt_free)
 
 
@@ -389,12 +405,16 @@ def apply_dirichlet(forms: AssembledForms, dofs: DofMap) -> AssembledForms:
 def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:
     """Edge-gradient map G (edges x vertices): grad of a P1 function psi,
     expressed in the Whitney edge basis, has coefficients (G psi)."""
-    e = np.arange(mesh.n_edges)
-    rows = np.concatenate([e, e])
-    cols = np.concatenate([mesh.edges[:, 0], mesh.edges[:, 1]])
-    vals = np.concatenate([-np.ones(mesh.n_edges), np.ones(mesh.n_edges)])
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(mesh.n_edges, mesh.n_vertices)).tocsr()
+    return _incidence(mesh.edges, mesh.n_vertices)
+
+
+def _incidence(ends: np.ndarray, n_vertex: int) -> sp.csr_matrix:
+    """-1 at each edge's low end, +1 at its high end; ends < 0 are left out."""
+    signs = np.broadcast_to([-1.0, 1.0], ends.shape)
+    kept = ends >= 0
+    rows = np.broadcast_to(np.arange(len(ends))[:, None], ends.shape)
+    return sp.csr_matrix((signs[kept], (rows[kept], ends[kept])),
+                         shape=(len(ends), n_vertex))
 
 
 def assemble_scalar_h1(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:

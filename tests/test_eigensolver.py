@@ -15,7 +15,13 @@ from maxshape import (
     select_and_normalize,
     solve_gevp,
 )
-from maxshape.errors import InsufficientSpectrum, NoConvergence
+import maxshape.eigensolver as es
+from maxshape.errors import (
+    FactorizationFailed,
+    InsufficientSpectrum,
+    NoConvergence,
+)
+from maxshape.mesh_io import Mesh
 from maxshape.reference_transform import jacobian_range
 
 from conftest import SQUARE_SPECTRUM, random_feasible_control
@@ -56,8 +62,6 @@ def block_of(pairs):
 @pytest.fixture
 def inflated_residual(monkeypatch):
     """Make solve_gevp see a residual of 1 for its pair number i."""
-    import maxshape.eigensolver as es
-
     def inflate(i):
         real = es._pencil_residual
         calls = []
@@ -125,7 +129,6 @@ class TestSolveGevp:
         deformed = random_feasible_control(mesh, np.random.default_rng(1),
                                            0.06)
         assert 0.05 < jacobian_range(deformed)[0] < 0.15
-        import maxshape.eigensolver as es
         for field in (None, deformed):
             forms, _ = _reduced_forms(mesh, field)
             for shift in (9.0, 40.0):
@@ -142,11 +145,10 @@ class TestSolveGevp:
                     assert abs(pd.lam - ps.lam) <= 1e-7 * abs(pd.lam)
 
     def test_symmetric_lu_fill(self, monkeypatch):
-        # K - sigma*Mt is symmetric; minimum degree on A^T + A with diagonal
-        # pivots must keep the fill well below the general splu default.
+        # The factors of A - sigma*M and L = B^T G together hold well under
+        # the fill of the symmetric-mode LU of the saddle matrix
+        # K - sigma*Mt they replace (0.56 of it at q = 0, 0.46 deformed).
         mesh = generate_unit_square(32)
-        forms, _ = _reduced_forms(mesh)
-        import maxshape.eigensolver as es
         factors = []
 
         class SpyLinalg:
@@ -155,24 +157,29 @@ class TestSolveGevp:
 
             def splu(self, mat, **kwargs):
                 lu = spla.splu(mat, **kwargs)
-                factors.append((mat, lu))
+                factors.append(lu)
                 return lu
 
         monkeypatch.setattr(es, "spla", SpyLinalg())
-        solve_gevp(forms, EigenSelection(nev=6, shift=9.0, tol=1e-8))
-        assert len(factors) == 1
-        mat, lu = factors[0]
-        default = spla.splu(mat)
-        assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
+        deformed = random_feasible_control(mesh, np.random.default_rng(3),
+                                           0.1 / 32)
+        for q in (None, deformed):
+            forms, _ = _reduced_forms(mesh, q)
+            factors.clear()
+            solve_gevp(forms, EigenSelection(nev=6, shift=9.0, tol=1e-8))
+            assert len(factors) == 2
+            saddle = spla.splu((forms.K - 9.0 * forms.Mt).tocsc(),
+                               **es.SYMMETRIC_LU)
+            fill = sum(lu.L.nnz + lu.U.nnz for lu in factors)
+            assert fill <= 0.6 * (saddle.L.nnz + saddle.U.nnz)
 
     def test_supernode_settings_keep_fill_and_accuracy(self):
-        # SYMMETRIC_LU's panel_size and relax against scipy's defaults on a
-        # deformed n = 32 pencil: the same ordering and pivots, so the fill
-        # stays within 1 % and a solve stays accurate.
+        # SYMMETRIC_LU's panel_size and relax against scipy's defaults on
+        # A - sigma*M of a deformed n = 32 pencil: the same ordering and
+        # pivots, so the fill stays within 1 % and a solve stays accurate.
         mesh = generate_unit_square(32)
         q = random_feasible_control(mesh, np.random.default_rng(3), 0.1 / 32)
-        mat = _reduced_forms(mesh, q)[0].shifted(9.3)
-        import maxshape.eigensolver as es
+        mat = _reduced_forms(mesh, q)[0].edge_shift(9.3)
         tuned = spla.splu(mat, **es.SYMMETRIC_LU)
         default = spla.splu(mat, **{k: v for k, v in es.SYMMETRIC_LU.items()
                                     if k not in ("panel_size", "relax")})
@@ -189,14 +196,16 @@ class TestSolveGevp:
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "maxshape.eigensolver"]
         assert len(lines) == 1
-        n = square16_forms.A.shape[0] + square16_forms.B.shape[1]
+        n_e, n_v = square16_forms.B.shape
         match = re.fullmatch(
-            r"arpack solve: sigma=9 n=(\d+) fill=(\d+) op_applies=(\d+)",
-            lines[0])
+            r"arpack solve: sigma=9 n=(\d+) fill=(\d+)\+(\d+) "
+            r"op_applies=(\d+)", lines[0])
         assert match is not None, lines[0]
-        assert int(match[1]) == n
-        assert int(match[2]) >= n
-        assert int(match[3]) > 0
+        assert int(match[1]) == n_e + n_v
+        # the edge factor, then the vertex factor
+        assert int(match[2]) >= n_e
+        assert n_v <= int(match[3]) < int(match[2])
+        assert int(match[4]) > 0
 
     def test_warm_start_deterministic(self, square16_forms):
         sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
@@ -246,6 +255,74 @@ class TestSolveGevp:
         with pytest.raises(NoConvergence, match=f"eigenpair {i} "):
             solve_gevp(square16_forms,
                        EigenSelection(index=index, nev=6, shift=9.0, tol=1e-8))
+
+
+class TestShiftInvert:
+    """Block elimination against a direct factorization of the saddle."""
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_matches_saddle_lu(self, deformed):
+        mesh = generate_unit_square(32)
+        q = (random_feasible_control(mesh, np.random.default_rng(3), 0.1 / 32)
+             if deformed else None)
+        forms, _ = _reduced_forms(mesh, q)
+        sigma = 9.3
+        op = es.ShiftInvert(forms, sigma)
+        saddle = spla.splu((forms.K - sigma * forms.Mt).tocsc())
+        rng = np.random.default_rng(5)
+        n = forms.K.shape[0]
+        # random right-hand sides: nonzero vertex rows too
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            want = saddle.solve(rhs)
+            got = op.solve(rhs)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("failing, name", [(0, "A - sigma"),
+                                               (1, "L = B")])
+    def test_either_factorization_failure_raises(self, square16_forms,
+                                                 monkeypatch, failing, name):
+        calls = []
+
+        class FailingLinalg:
+            def __getattr__(self, attr):
+                return getattr(spla, attr)
+
+            def splu(self, mat, **kwargs):
+                calls.append(mat.shape)
+                if len(calls) == failing + 1:
+                    raise RuntimeError("Factor is exactly singular")
+                return spla.splu(mat, **kwargs)
+
+        monkeypatch.setattr(es, "spla", FailingLinalg())
+        with pytest.raises(FactorizationFailed, match=re.escape(name)):
+            solve_gevp(square16_forms,
+                       EigenSelection(nev=6, shift=9.0, tol=1e-8))
+        assert len(calls) == failing + 1
+
+    def test_strip_without_free_vertex(self, monkeypatch):
+        # A one-cell-wide strip: every vertex lies on the boundary, so L is
+        # empty, yet the 319 free edges put the pencil on the sparse path.
+        cells = 160
+        x = np.arange(cells + 1, dtype=float)
+        vertices = np.concatenate([np.column_stack([x, np.zeros_like(x)]),
+                                   np.column_stack([x, np.ones_like(x)])])
+        lo = np.arange(cells)
+        hi = lo + cells + 1
+        triangles = np.concatenate([np.column_stack([lo, lo + 1, hi + 1]),
+                                    np.column_stack([lo, hi + 1, hi])])
+        mesh = Mesh(vertices, triangles)
+        forms, dofs = _reduced_forms(mesh)
+        assert dofs.n_free_vertex == 0
+        assert forms.K.shape[0] == 319 > es.DENSE_THRESHOLD
+        sel = EigenSelection(nev=6, shift=0.05, tol=1e-9)
+        sparse = solve_gevp(forms, sel)
+        monkeypatch.setattr(es, "DENSE_THRESHOLD", 1000)
+        dense = solve_gevp(forms, sel)
+        assert len(sparse) == len(dense) == 6
+        for ps, pd in zip(sparse, dense):
+            assert abs(ps.lam - pd.lam) <= 1e-8 * abs(pd.lam)
+            assert ps.psi.shape == (0,)
 
 
 class TestWarmBlock:

@@ -142,6 +142,23 @@ class TestFormInvariants:
         np.testing.assert_allclose((forms.B - forms.M @ g_inc).toarray(), 0.0,
                                    atol=1e-13)
 
+    @pytest.mark.parametrize("case", ["square16", "shuffled", "random"])
+    def test_elimination_premises_on_free_dofs(self, case, square16,
+                                               shuffled_mesh, rng):
+        # B = M G and A G = 0 on the reduced pencil, with G the layout's
+        # gradient incidence: the identities the shift-invert solve uses.
+        mesh = shuffled_mesh if case == "shuffled" else square16
+        q = (random_feasible_control(mesh, rng, 0.02) if case == "random"
+             else DeformationField.zero(mesh))
+        dofs = DofMap.from_mesh(mesh)
+        red = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
+        g = red.layout.gradient
+        assert g.shape == (dofs.n_free_edge, dofs.n_free_vertex)
+        assert g is red.layout.gradient              # built once
+        assert np.abs(red.B - red.M @ g).max() <= \
+            1e-13 * np.abs(red.B).max()
+        assert np.abs(red.A @ g).max() <= 1e-13 * np.abs(red.A).max()
+
     def test_mass_positive_definite_on_free_dofs(self, square2, rng):
         dofs = DofMap.from_mesh(square2)
         q = random_feasible_control(square2, rng, 0.05)
@@ -287,19 +304,21 @@ class TestFixedPattern:
         assert_same_sparse(red.K, k_red)
         assert_same_sparse(red.Mt, mt_red)
         for sigma in (9.0, 40.0):
-            assert_same_sparse(red.shifted(sigma),
-                               (k_red - sigma * mt_red).tocsc())
+            assert_same_sparse(red.edge_shift(sigma),
+                               (red.A - sigma * red.M).tocsc())
+        assert_same_sparse(red.BT, red.B.T.tocsr())
 
-    def test_shift_drops_exact_zeros(self, square4):
-        # At q = 0 entries of B cancel exactly; the pattern keeps them as
-        # explicit zeros, and K - sigma*Mt drops them as scipy's subtraction
-        # does, so SuperLU sees the same matrix.
+    def test_edge_shift_keeps_the_mass_pattern(self, square4):
+        # At q = 0 entries of B cancel exactly and stay explicit zeros of K
+        # and of its B^T view; no entry of A - sigma*M cancels, so its
+        # factorization sees Mt's pattern at every control.
         dofs = DofMap.from_mesh(square4)
         red = apply_dirichlet(
             assemble_forms(square4, dofs, DeformationField.zero(square4)), dofs)
-        assert np.any(red.K.data == 0.0)
-        shifted = red.shifted(9.0)
-        assert (red.K.nnz, shifted.nnz) == (364, 328)
+        assert np.any(red.BT.data == 0.0)
+        shifted = red.edge_shift(9.0)
+        assert shifted.nnz == red.Mt.nnz == 172
+        assert red.K.nnz == shifted.nnz + 2 * red.BT.nnz
         assert np.all(shifted.data != 0.0)
 
     def test_pencils_share_no_writable_array(self, square4, rng):
@@ -311,9 +330,8 @@ class TestFixedPattern:
             square4, dofs, random_feasible_control(square4, rng, 0.05)), dofs)
         zero = apply_dirichlet(assemble_forms(
             square4, dofs, DeformationField.zero(square4)), dofs)
-        pruned = zero.shifted(9.0)   # exact zeros dropped: own index arrays
         matrices = [full.K, full.Mt, one.K, one.Mt, two.K, two.Mt,
-                    one.shifted(9.0), zero.K, pruned]
+                    one.edge_shift(9.0), zero.K, zero.edge_shift(9.0)]
         snapshot = [(m.data.copy(), m.indices.copy(), m.indptr.copy())
                     for m in matrices]
         for i, m in enumerate(matrices):

@@ -31,12 +31,16 @@ def load_tool(monkeypatch):
 
 def test_lu_sweep_deformed_pencil(load_tool):
     lu_sweep = load_tool("lu_sweep")
-    pencil = lu_sweep.deformed_pencil(4, 0)
-    n_free = DofMap.from_mesh(generate_unit_square(4)).n_free
-    assert pencil.format == "csc"
-    assert pencil.shape == (n_free, n_free)
-    assert np.all(np.isfinite(pencil.data))
-    assert abs(pencil - pencil.T).max() == 0.0
+    edge, vertex = lu_sweep.deformed_pencil(4, 0)
+    dofs = DofMap.from_mesh(generate_unit_square(4))
+    for mat, n in ((edge, dofs.n_free_edge), (vertex, dofs.n_free_vertex)):
+        assert mat.format == "csc"
+        assert mat.shape == (n, n)
+        assert np.all(np.isfinite(mat.data))
+    assert abs(edge - edge.T).max() == 0.0
+    # B^T G is symmetric up to rounding and positive definite
+    assert abs(vertex - vertex.T).max() <= 1e-14 * abs(vertex).max()
+    assert np.linalg.eigvalsh(vertex.toarray()).min() > 0.0
 
 
 def test_bench_pairs_parse_seeds(load_tool):

@@ -3,14 +3,15 @@
     python3 tools/lu_sweep.py --out tools/lu_sweep.json
 
 For n = 16, 32 and 64 the script assembles the reduced pencil (K, Mt) of
-the unit square at a fixed random deformation and factors K - sigma*Mt with
-eigensolver.SYMMETRIC_LU's ordering and pivoting for every (panel_size,
-relax) pair of the grid, and with scipy's defaults (None, None), which
-SuperLU resolves to (20, 10).  Rounds run the candidates in a fresh random
+the unit square at a fixed random deformation and factors the two matrices
+of the eigensolver's shift-invert solve, S = A - sigma*M and L = B^T G (as
+L^T, whose CSC arrays are L's CSR arrays), with eigensolver.SYMMETRIC_LU's
+ordering and pivoting for every (panel_size, relax) pair of the grid, and
+with scipy's defaults (None, None), which SuperLU resolves to (20, 10).  Rounds run the candidates in a fresh random
 order each, so a slow stretch of the host spreads over all of them.  Per
-candidate it reports the median factor time, the fill nnz(L) + nnz(U) and
-the relative residual ||S x - b|| / ||b|| of one solve, S = K - sigma*Mt,
-and it ranks the candidates (see rank).
+candidate it reports the median time to factor both matrices, their total
+fill nnz(L) + nnz(U) and the larger relative residual ||X x - b|| / ||b||
+of one solve with each matrix X, and it ranks the candidates (see rank).
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ ORDERING = {k: v for k, v in SYMMETRIC_LU.items()
 
 
 def deformed_pencil(n: int, seed: int):
-    """K - sigma*Mt at a random nodal deformation of size h / 10."""
+    """A - sigma*M and L^T, L = B^T G, both CSC, at a random nodal
+    deformation of size h / 10: the matrices eigensolver.ShiftInvert
+    factors."""
     mesh = generate_unit_square(n)
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-1.0, 1.0, size=(mesh.n_vertices, 2))
@@ -64,40 +67,46 @@ def deformed_pencil(n: int, seed: int):
     if jacobian_range(q)[0] <= 0.0:
         raise AssertionError("the random deformation folds a triangle")
     dofs = DofMap.from_mesh(mesh)
-    return apply_dirichlet(assemble_forms(mesh, dofs, q), dofs).shifted(SIGMA)
+    forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
+    return (forms.edge_shift(SIGMA),
+            (forms.BT @ forms.layout.gradient).T)
 
 
-def factor(mat, panel_size, relax):
+def factor(mats, panel_size, relax):
     start = time.perf_counter()
-    lu = spla.splu(mat, panel_size=panel_size, relax=relax, **ORDERING)
-    return time.perf_counter() - start, lu
+    lus = [spla.splu(mat, panel_size=panel_size, relax=relax, **ORDERING)
+           for mat in mats]
+    return time.perf_counter() - start, lus
 
 
 def sweep(n: int, seed: int) -> dict:
-    mat = deformed_pencil(n, seed)
-    b = np.random.default_rng(seed + 1).standard_normal(mat.shape[0])
+    mats = deformed_pencil(n, seed)
+    rng = np.random.default_rng(seed + 1)
+    bs = [rng.standard_normal(mat.shape[0]) for mat in mats]
     candidates = [(None, None)] + [(p, r) for p in PANEL_SIZES
                                    for r in RELAXES]
     times = {c: [] for c in candidates}
     rng = np.random.default_rng(seed + 2)
     for _ in range(ROUNDS[n]):
         for i in rng.permutation(len(candidates)):
-            elapsed, _ = factor(mat, *candidates[i])
+            elapsed, _ = factor(mats, *candidates[i])
             times[candidates[i]].append(elapsed)
     rows = []
     for c in candidates:
-        _, lu = factor(mat, *c)
-        x = lu.solve(b)
+        _, lus = factor(mats, *c)
         rows.append({
             "panel_size": c[0], "relax": c[1],
             "median_ms": 1e3 * statistics.median(times[c]),
-            "fill_nnz": int(lu.L.nnz + lu.U.nnz),
-            "residual": float(np.linalg.norm(mat @ x - b) / np.linalg.norm(b)),
+            "fill_nnz": sum(int(lu.L.nnz + lu.U.nnz) for lu in lus),
+            "residual": max(float(np.linalg.norm(mat @ lu.solve(b) - b)
+                                  / np.linalg.norm(b))
+                            for mat, lu, b in zip(mats, lus, bs)),
         })
     default = rows[0]
     for row in rows:
         row["time_vs_default"] = row["median_ms"] / default["median_ms"]
-    return {"n": n, "size": mat.shape[0], "nnz": int(mat.nnz),
+    return {"n": n, "size": [mat.shape[0] for mat in mats],
+            "nnz": [int(mat.nnz) for mat in mats],
             "rounds": ROUNDS[n], "candidates": rows}
 
 
