@@ -33,7 +33,7 @@ from .bfgs_optimizer import (
 )
 from .eigensolver import EigenSelection, solve_gevp
 from .errors import ConfigError, MaxshapeError
-from .fem_assembly import apply_dirichlet, assemble_forms
+from .fem_assembly import LOCAL_INCIDENCE, apply_dirichlet, assemble_forms
 from .mesh_io import Mesh, generate_unit_square, parse_msh, write_vtk
 from .objective import ObjectiveParams
 from .problem import MaxwellShapeProblem
@@ -237,11 +237,11 @@ def run(cfg: RunConfig) -> int:
 def _cell_field_magnitude(mesh: Mesh, q: DeformationField,
                           u: np.ndarray) -> np.ndarray:
     """|DF^-T u_h| at triangle centroids, for visualization."""
-    values, _ = mesh.whitney
-    # Whitney functions are linear: the centroid value is the mean over the
-    # three quadrature points.
-    centroid = np.einsum("tk,tkpi->ti", u[mesh.triangle_edges], values) / 3.0
-    return np.linalg.norm(np.einsum("tij,tj->ti", q.inv_t, centroid), axis=1)
+    # Every lam is 1/3 at the centroid, so the pulled Whitney function of
+    # local edge k = (a, b) is s_k (P[b] - P[a]) / 3, P = DF^-T grad(lam).
+    su = mesh.triangle_edge_signs * u[mesh.triangle_edges]
+    weights = (su @ LOCAL_INCIDENCE / 3.0)[:, None, :]          # (T, 1, 3)
+    return np.linalg.norm((weights @ q.pulled_gradients)[:, 0], axis=1)
 
 
 # -- check-gradient ---------------------------------------------------------

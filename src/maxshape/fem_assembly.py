@@ -24,17 +24,16 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh_io import EDGE_MIDPOINTS, LOCAL_EDGES, Mesh
-from .reference_transform import (
-    DeformationField,
-    inv_t_derivative,
-    jacobian_derivative,
-    sum_to_nodes,
-)
+from .mesh_io import LOCAL_EDGES, Mesh
+from .reference_transform import DeformationField, sum_to_nodes
 
-# Degree-2 quadrature: the three edge midpoints, where mesh.whitney holds the
-# edge basis, with equal weights.
+# Degree-2 quadrature: the barycentric coordinates of the three edge
+# midpoints, in LOCAL_EDGES order, with equal weights.  _gram_map folds it
+# into the closed form of the element matrices.
+EDGE_MIDPOINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 QP_WEIGHT = 1.0 / 3.0
+# Local edge-vertex incidence: row k is e_b - e_a for LOCAL_EDGES[k] = (a, b).
+LOCAL_INCIDENCE = np.diff(np.eye(3)[np.array(LOCAL_EDGES)], axis=1)[:, 0]
 
 
 # The pairs (v, w), v <= w, of a symmetric 3 x 3 element array.
@@ -73,7 +72,7 @@ def _gram_map() -> tuple[np.ndarray, np.ndarray]:
 
     m = (coef(a, a) * outer(e_b, e_b) - coef(a, b) * outer(e_b, e_a)
          - coef(b, a) * outer(e_a, e_b) + coef(b, b) * outer(e_a, e_a))
-    bk = outer(e_b - e_a, eye)
+    bk = outer(LOCAL_INCIDENCE, eye)
     v, w = _UPPER
 
     def fold(c):                         # Gamma[w, v] is Gamma[v, w]
@@ -86,6 +85,12 @@ def _gram_map() -> tuple[np.ndarray, np.ndarray]:
 
 
 _GRAM_MAP, _M_INDEX = _gram_map()
+# Its transpose: the (18, 9) map from the products of element-matrix
+# coefficients, the m entries (k, l) and then the b entries (k, v), to the
+# symmetric coefficient C[v, w] they put on Gamma; C's two off-diagonal
+# entries share Gamma's distinct entry.
+_COEF_MAP = (np.hstack([_GRAM_MAP[:, _M_INDEX.ravel()], _GRAM_MAP[:, 6:]]).T
+             [:, _M_INDEX.ravel()] * np.where(np.eye(3), 1.0, 0.5).ravel())
 
 
 @dataclass
@@ -356,7 +361,6 @@ def local_forms(mesh: Mesh, q: DeformationField
     """
     tg = q.pulled_gradients                          # DF^-T grad(lam)
     jac = q.jacobian
-    _, curls = mesh.whitney
     areas = mesh.areas
     v, u = _UPPER
     x, y = tg[..., 0], tg[..., 1]
@@ -368,7 +372,9 @@ def local_forms(mesh: Mesh, q: DeformationField
     m_loc = ((w[:, None] * (signs[:, v] * signs[:, u]))
              * unsigned[:, :6])[:, _M_INDEX]
     b_loc = (w[:, None] * signs)[:, :, None] * unsigned[:, 6:].reshape(-1, 3, 3)
-    a_loc = (areas / jac)[:, None, None] * (curls[:, :, None] * curls[:, None, :])
+    # the curl of local edge k's Whitney function is s_k / |T|
+    a_loc = ((1.0 / (areas * jac))[:, None] * signs)[:, :, None] \
+        * signs[:, None, :]
     return a_loc, b_loc, m_loc
 
 
@@ -454,47 +460,33 @@ def assemble_shape_derivative(mesh: Mesh, dofs: DofMap, q: DeformationField,
     functional's own q-derivative is added separately by the objective
     module.  Expects full-length coefficient vectors (zeros on constrained
     DOFs) in `state` (u, psi) and `adjoint` (z, chi).
+
+    It is the exact q-derivative of local_forms' element form: with su, sz
+    the signed local coefficients of u and z, w = |T| / 3, P = DF^-T grad(lam)
+    and C the symmetric coefficient that lam m - b(z,psi) - b(u,chi) puts on
+    the Gram Gamma = P P^T (_COEF_MAP), triangle t adds
+    f = -sum(su) sum(sz) / (|T| J) + w J <C, Gamma>.  As dJ = J P[v', c] and
+    dP[v] = -P[v, c] P[v'] in the nodal direction (v', c), f' is row v',
+    column c of (alpha I - 2 w J Gamma C) P with
+    alpha = sum(su) sum(sz) / (|T| J) + w J <C, Gamma>.
     """
-    inv_t, jac = q.inv_t, q.jacobian
-    values, curls = mesh.whitney
+    p = q.pulled_gradients
+    jac = q.jacobian
     areas = mesh.areas
-    w = QP_WEIGHT * areas
-    edges, tris = mesh.triangle_edges, mesh.triangles
-
-    ue = np.asarray(state.u)[edges]                  # (T, 3)
-    ze = np.asarray(adjoint.z)[edges]
-    uvec = np.einsum("tk,tkpi->tpi", ue, values)     # u_h at the points
-    zvec = np.einsum("tk,tkpi->tpi", ze, values)
-    gpsi = np.einsum("tv,tvi->ti", np.asarray(state.psi)[tris],
-                     mesh.barycentric_gradients)     # grad psi_h
-    gchi = np.einsum("tv,tvi->ti", np.asarray(adjoint.chi)[tris],
-                     mesh.barycentric_gradients)
-    df_inv = np.ascontiguousarray(inv_t.transpose(0, 2, 1))
-    tu, tz = uvec @ df_inv, zvec @ df_inv            # DF^-T u, DF^-T z
-    tgpsi = np.einsum("tij,tj->ti", inv_t, gpsi)
-    tgchi = np.einsum("tij,tj->ti", inv_t, gchi)
-    # sums over the points (einsum: a reduction over the middle axis is slow)
-    u_sum, z_sum, tu_sum, tz_sum = (np.einsum("tpi->ti", x)
-                                    for x in (uvec, zvec, tu, tz))
-
-    # Product rule on all triangles at once: each form carries J or 1/J and
-    # DF^-T on both slots, so its derivative in the nodal direction
-    # [t, v, c] is factor_jac * J' + <weight_inv_t, d(DF^-T)>.
-    curl_uz = np.einsum("tk,tk->t", ue, curls) * np.einsum("tk,tk->t", ze, curls)
-    factor_jac = (areas * curl_uz / jac ** 2
-                  - w * (np.einsum("ti,ti->t", tz_sum, tgpsi)
-                         + np.einsum("ti,ti->t", tu_sum, tgchi))
-                  + lam * w * np.einsum("tpi,tpi->t", tu, tz))
-    # weight_inv_t is a sum of outer products x y^T: lam tz_p u_p^T and
-    # lam tu_p z_p^T at the three points, minus four rank-one terms; the
-    # rows of left and right hold the pairs, so it is one batched product.
-    left = np.concatenate([lam * tz, lam * tu,
-                           -np.stack([tgpsi, tz_sum, tgchi, tu_sum], axis=1)],
-                          axis=1)
-    right = np.concatenate([uvec, zvec,
-                            np.stack([z_sum, gpsi, u_sum, gchi], axis=1)],
-                           axis=1)
-    weight_inv_t = (w * jac)[:, None, None] * (left.transpose(0, 2, 1) @ right)
-    per_node = (jacobian_derivative(q) * factor_jac[:, None, None]
-                + inv_t_derivative(q, weight_inv_t))
+    signs = mesh.triangle_edge_signs
+    su = signs * np.asarray(state.u)[mesh.triangle_edges]
+    sz = signs * np.asarray(adjoint.z)[mesh.triangle_edges]
+    psi = np.asarray(state.psi)[mesh.triangles]
+    chi = np.asarray(adjoint.chi)[mesh.triangles]
+    products = np.concatenate(
+        [lam * su[:, :, None] * sz[:, None, :],
+         -(sz[:, :, None] * psi[:, None, :] + su[:, :, None] * chi[:, None, :])],
+        axis=1).reshape(-1, 18)
+    coef = (products @ _COEF_MAP).reshape(-1, 3, 3)          # C
+    pcp = p.transpose(0, 2, 1) @ (coef @ p)   # P^T C P, trace <C, Gamma>
+    wj = QP_WEIGHT * areas * jac
+    alpha = (su.sum(axis=1) * sz.sum(axis=1) / (areas * jac)
+             + wj * (pcp[:, 0, 0] + pcp[:, 1, 1]))
+    # Gamma C P = P (P^T C P)
+    per_node = alpha[:, None, None] * p - (2.0 * wj)[:, None, None] * (p @ pcp)
     return ShapeFunctional(sum_to_nodes(mesh, per_node))

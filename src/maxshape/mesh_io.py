@@ -3,8 +3,9 @@
 The mesh is the fixed reference domain of the whole toolkit.  All edges carry
 a global orientation from their low-index vertex to their high-index vertex;
 element-local tangential degrees of freedom derive their signs from it, which
-makes tangential continuity independent of element ordering.  Each mesh
-tabulates its edge basis once (Mesh.whitney).
+makes tangential continuity independent of element ordering.  The mesh
+holds topology and reference geometry only (areas, hat-function gradients);
+the edge basis enters assembly in closed form (fem_assembly).
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .errors import (
 
 # Local edges of a triangle (v0, v1, v2), traversed counterclockwise.
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
-# Barycentric coordinates of the local edge midpoints, in LOCAL_EDGES order.
-EDGE_MIDPOINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 
 class Mesh:
@@ -134,31 +133,6 @@ class Mesh:
         grads[:, 0] = -grads[:, 1] - grads[:, 2]
         grads.setflags(write=False)
         return grads
-
-    @cached_property
-    def whitney(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lowest-order edge basis of every triangle at its edge midpoints.
-
-        Returns values (T, 3, 3, 2) indexed [triangle, local edge, midpoint,
-        component] and the constant curls (T, 3).  The function of local
-        edge k is lam_i grad(lam_j) - lam_j grad(lam_i), where (i, j) is
-        LOCAL_EDGES[k] ordered by ascending global vertex index, as
-        triangle_edge_signs records.
-        """
-        first, second = np.array(LOCAL_EDGES).T
-        forward = self.triangle_edge_signs > 0
-        lo = np.where(forward, first, second)           # (T, 3) local vertex
-        hi = np.where(forward, second, first)
-        rows = np.arange(self.n_triangles)[:, None]
-        g_lo = self.barycentric_gradients[rows, lo]     # (T, 3, 2)
-        g_hi = self.barycentric_gradients[rows, hi]
-        curls = 2.0 * (g_lo[..., 0] * g_hi[..., 1] - g_lo[..., 1] * g_hi[..., 0])
-        bary = EDGE_MIDPOINTS.T                         # (vertex, midpoint)
-        values = (bary[lo][..., None] * g_hi[:, :, None, :]
-                  - bary[hi][..., None] * g_lo[:, :, None, :])
-        values.setflags(write=False)
-        curls.setflags(write=False)
-        return values, curls
 
     def __repr__(self) -> str:
         return (f"Mesh(vertices={self.n_vertices}, triangles={self.n_triangles}, "

@@ -99,17 +99,6 @@ def jacobian_derivative(q: DeformationField) -> np.ndarray:
     return q.jacobian[:, None, None] * q.pulled_gradients
 
 
-def inv_t_derivative(q: DeformationField, weight: np.ndarray) -> np.ndarray:
-    """(T, 3, 2) derivatives of <weight, DF^-T> in the nodal directions.
-
-    The derivative of DF^-T in the direction e_c grad(lam_v)^T is
-    -(DF^-T grad lam_v)(DF^-1 e_c)^T, so entry [t, v, c], its pairing with
-    the (T, 2, 2) weight, is row v, column c of -(DF^-T grad lam) weight DF^-1.
-    """
-    df_inv = np.ascontiguousarray(q.inv_t.transpose(0, 2, 1))
-    return -(q.pulled_gradients @ (weight @ df_inv))
-
-
 def sum_to_nodes(mesh: Mesh, per_node: np.ndarray,
                  initial: np.ndarray | None = None) -> np.ndarray:
     """(V, 2) sums of the (T, 3, 2) per-triangle nodal values [t, v, c] at

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from maxshape import DeformationField, generate_unit_square
+from maxshape.fem_assembly import EDGE_MIDPOINTS, QP_WEIGHT
+from maxshape.mesh_io import LOCAL_EDGES, Mesh
+from maxshape.reference_transform import jacobian_derivative, sum_to_nodes
 
 # Smallest finite eigenvalues of the PEC Maxwell problem on the unit square:
 # pi^2 * (m^2 + n^2) for integers m, n >= 0, not both zero.
@@ -67,6 +70,22 @@ def square16():
     return generate_unit_square(16)
 
 
+@pytest.fixture(scope="session")
+def shuffled_mesh():
+    """The 8x8 square with interior vertices moved by up to h/5 per
+    coordinate and all vertices renumbered at random: every local edge-sign
+    pattern occurs, and some triangles are obtuse."""
+    base = generate_unit_square(8)
+    rng = np.random.default_rng(11)
+    verts = base.vertices.copy()
+    interior = np.setdiff1d(np.arange(base.n_vertices), base.boundary_vertices)
+    verts[interior] += rng.uniform(-0.2, 0.2, (len(interior), 2)) / 8
+    number = rng.permutation(base.n_vertices)   # new number of each vertex
+    shuffled = np.empty_like(verts)
+    shuffled[number] = verts
+    return Mesh(shuffled, number[base.triangles])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -96,3 +115,98 @@ def assert_entries_close(got, want, rtol=1e-15):
 def dilation_control(mesh, s, center=(0.5, 0.5)):
     """Nodal coefficients of q(x) = s * (x - center)."""
     return DeformationField(mesh, s * (mesh.vertices - np.asarray(center)))
+
+
+# -- quadrature-point oracles ------------------------------------------------
+# The element kernels that the Gram closed forms of fem_assembly replaced:
+# the Whitney basis tabulated at the edge midpoints, and the shape
+# derivative summed over those points through the derivative of DF^-T.
+
+def _whitney_local(mesh, t):
+    """Per-triangle Whitney data: (ordered pairs, curls, global edges)."""
+    tri = mesh.triangles[t]
+    gl = mesh.barycentric_gradients[t]
+    pairs, curls = [], []
+    for a, b in LOCAL_EDGES:
+        i, j = (a, b) if tri[a] < tri[b] else (b, a)
+        pairs.append((i, j))
+        curls.append(2.0 * (gl[i, 0] * gl[j, 1] - gl[i, 1] * gl[j, 0]))
+    return pairs, np.array(curls), mesh.triangle_edges[t]
+
+
+def whitney_table(mesh):
+    """Lowest-order edge basis of every triangle at its edge midpoints.
+
+    Returns values (T, 3, 3, 2) indexed [triangle, local edge, midpoint,
+    component] and the constant curls (T, 3).  The function of local edge k
+    is lam_i grad(lam_j) - lam_j grad(lam_i), where (i, j) is LOCAL_EDGES[k]
+    ordered by ascending global vertex index.
+    """
+    first, second = np.array(LOCAL_EDGES).T
+    forward = mesh.triangle_edge_signs > 0
+    lo = np.where(forward, first, second)           # (T, 3) local vertex
+    hi = np.where(forward, second, first)
+    rows = np.arange(mesh.n_triangles)[:, None]
+    g_lo = mesh.barycentric_gradients[rows, lo]     # (T, 3, 2)
+    g_hi = mesh.barycentric_gradients[rows, hi]
+    curls = 2.0 * (g_lo[..., 0] * g_hi[..., 1] - g_lo[..., 1] * g_hi[..., 0])
+    bary = EDGE_MIDPOINTS.T                         # (vertex, midpoint)
+    values = (bary[lo][..., None] * g_hi[:, :, None, :]
+              - bary[hi][..., None] * g_lo[:, :, None, :])
+    return values, curls
+
+
+def inv_t_derivative(q, weight):
+    """(T, 3, 2) derivatives of <weight, DF^-T> in the nodal directions.
+
+    The derivative of DF^-T in the direction e_c grad(lam_v)^T is
+    -(DF^-T grad lam_v)(DF^-1 e_c)^T, so entry [t, v, c], its pairing with
+    the (T, 2, 2) weight, is row v, column c of -(DF^-T grad lam) weight DF^-1.
+    """
+    df_inv = np.ascontiguousarray(q.inv_t.transpose(0, 2, 1))
+    return -(q.pulled_gradients @ (weight @ df_inv))
+
+
+def _quadrature_shape_derivative(mesh, q, state, adjoint, lam):
+    """(V, 2) coefficients of -a'(u,z) - b'(z,psi) - b'(u,chi) + lam m'(u,z)
+    by the product rule on the forms summed over the edge midpoints."""
+    inv_t, jac = q.inv_t, q.jacobian
+    values, curls = whitney_table(mesh)
+    areas = mesh.areas
+    w = QP_WEIGHT * areas
+    edges, tris = mesh.triangle_edges, mesh.triangles
+
+    ue = np.asarray(state.u)[edges]                  # (T, 3)
+    ze = np.asarray(adjoint.z)[edges]
+    uvec = np.einsum("tk,tkpi->tpi", ue, values)     # u_h at the points
+    zvec = np.einsum("tk,tkpi->tpi", ze, values)
+    gpsi = np.einsum("tv,tvi->ti", np.asarray(state.psi)[tris],
+                     mesh.barycentric_gradients)     # grad psi_h
+    gchi = np.einsum("tv,tvi->ti", np.asarray(adjoint.chi)[tris],
+                     mesh.barycentric_gradients)
+    df_inv = np.ascontiguousarray(inv_t.transpose(0, 2, 1))
+    tu, tz = uvec @ df_inv, zvec @ df_inv            # DF^-T u, DF^-T z
+    tgpsi = np.einsum("tij,tj->ti", inv_t, gpsi)
+    tgchi = np.einsum("tij,tj->ti", inv_t, gchi)
+    u_sum, z_sum, tu_sum, tz_sum = (np.einsum("tpi->ti", x)
+                                    for x in (uvec, zvec, tu, tz))
+
+    # Each form carries J or 1/J and DF^-T on both slots, so its derivative
+    # in the nodal direction [t, v, c] is factor_jac * J' + <weight, d(DF^-T)>.
+    curl_uz = np.einsum("tk,tk->t", ue, curls) * np.einsum("tk,tk->t", ze, curls)
+    factor_jac = (areas * curl_uz / jac ** 2
+                  - w * (np.einsum("ti,ti->t", tz_sum, tgpsi)
+                         + np.einsum("ti,ti->t", tu_sum, tgchi))
+                  + lam * w * np.einsum("tpi,tpi->t", tu, tz))
+    # the weight is a sum of outer products x y^T: lam tz_p u_p^T and
+    # lam tu_p z_p^T at the three points, minus four rank-one terms
+    left = np.concatenate([lam * tz, lam * tu,
+                           -np.stack([tgpsi, tz_sum, tgchi, tu_sum], axis=1)],
+                          axis=1)
+    right = np.concatenate([uvec, zvec,
+                            np.stack([z_sum, gpsi, u_sum, gchi], axis=1)],
+                           axis=1)
+    weight = (w * jac)[:, None, None] * (left.transpose(0, 2, 1) @ right)
+    per_node = (jacobian_derivative(q) * factor_jac[:, None, None]
+                + inv_t_derivative(q, weight))
+    return sum_to_nodes(mesh, per_node)

@@ -26,7 +26,7 @@ from maxshape.cli_runner import (
 from maxshape.errors import ConfigError
 from maxshape.problem import MaxwellShapeProblem
 
-from conftest import dilation_control
+from conftest import _whitney_local, dilation_control, random_feasible_control
 
 
 def config_text(extra="", mesh="mesh.unit_square = 4",
@@ -248,6 +248,23 @@ class TestCellFieldMagnitude:
         mag = _cell_field_magnitude(square4, dilation_control(square4, s), u)
         assert mag.shape == (square4.n_triangles,)
         np.testing.assert_allclose(mag, 1.0 / (1.0 + s), rtol=1e-13)
+
+    def test_every_edge_sign_pattern(self, shuffled_mesh, rng):
+        # Triangle by triangle: u_h at the centroid, where every lam is 1/3,
+        # pushed forward by DF^-T of that triangle.
+        mesh = shuffled_mesh
+        q = random_feasible_control(mesh, rng, 0.02)
+        u = rng.standard_normal(mesh.n_edges)
+        want = np.empty(mesh.n_triangles)
+        for t in range(mesh.n_triangles):
+            pairs, _, glob = _whitney_local(mesh, t)
+            gl = mesh.barycentric_gradients[t]
+            u_h = sum(u[e] * (gl[j] - gl[i]) / 3.0
+                      for e, (i, j) in zip(glob, pairs))
+            df = np.eye(2) + q.values[mesh.triangles[t]].T @ gl
+            want[t] = np.linalg.norm(np.linalg.inv(df).T @ u_h)
+        np.testing.assert_allclose(_cell_field_magnitude(mesh, q, u), want,
+                                   rtol=1e-13)
 
 
 class TestCheckGradient:

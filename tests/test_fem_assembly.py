@@ -21,15 +21,17 @@ from maxshape.fem_assembly import (
     assemble_scalar_h1,
     local_forms,
 )
-from maxshape.mesh_io import LOCAL_EDGES, Mesh
 from maxshape.objective import ObjectiveParams
 from maxshape.problem import MaxwellShapeProblem
 
 from conftest import (
     TWO_TRIANGLE_MSH,
+    _quadrature_shape_derivative,
+    _whitney_local,
     assert_entries_close,
     dilation_control,
     random_feasible_control,
+    whitney_table,
 )
 
 
@@ -42,18 +44,6 @@ _QL = np.array([
     [_a1, _b1, _b1], [_b1, _a1, _b1], [_b1, _b1, _a1],
     [_a2, _b2, _b2], [_b2, _a2, _b2], [_b2, _b2, _a2],
 ])
-
-
-def _whitney_local(mesh, t):
-    """Per-triangle Whitney data: (ordered pairs, curls, global edges)."""
-    tri = mesh.triangles[t]
-    gl = mesh.barycentric_gradients[t]
-    pairs, curls = [], []
-    for a, b in LOCAL_EDGES:
-        i, j = (a, b) if tri[a] < tri[b] else (b, a)
-        pairs.append((i, j))
-        curls.append(2.0 * (gl[i, 0] * gl[j, 1] - gl[i, 1] * gl[j, 0]))
-    return pairs, np.array(curls), mesh.triangle_edges[t]
 
 
 def _oracle_forms(mesh, q):
@@ -224,22 +214,6 @@ class TestApplyDirichlet:
         assert np.all(u[dofs.constrained_edge] == 0.0)
 
 
-@pytest.fixture(scope="module")
-def shuffled_mesh():
-    """The 8x8 square with interior vertices moved by up to h/5 per
-    coordinate and all vertices renumbered at random: every local edge-sign
-    pattern occurs, and some triangles are obtuse."""
-    base = generate_unit_square(8)
-    rng = np.random.default_rng(11)
-    verts = base.vertices.copy()
-    interior = np.setdiff1d(np.arange(base.n_vertices), base.boundary_vertices)
-    verts[interior] += rng.uniform(-0.2, 0.2, (len(interior), 2)) / 8
-    number = rng.permutation(base.n_vertices)   # new number of each vertex
-    shuffled = np.empty_like(verts)
-    shuffled[number] = verts
-    return Mesh(shuffled, number[base.triangles])
-
-
 def _largest_angle(mesh):
     corners = mesh.vertices[mesh.triangles]                  # (T, 3, 2)
     u = np.roll(corners, -1, axis=1) - corners
@@ -253,7 +227,7 @@ def _einsum_local_forms(mesh, q):
     """b_loc and m_loc as midpoint sums of DF^-T N: the element einsums that
     the Gram closed form of local_forms replaced."""
     jac, inv_t = q.jacobian, q.inv_t
-    values, _ = mesh.whitney
+    values, _ = whitney_table(mesh)
     tn = np.einsum("tij,tkpj->tkpi", inv_t, values)
     tg = np.einsum("tij,tvj->tvi", inv_t, mesh.barycentric_gradients)
     w = (QP_WEIGHT * mesh.areas * jac)[:, None, None]
@@ -472,36 +446,57 @@ class TestShapeDerivative:
         for c in range(2):
             assert abs(func.coeffs[:, c].sum()) <= 1e-12 * scale
 
-    def test_frozen_coefficient_finite_difference(self, square4, rng):
+    @pytest.mark.parametrize("case", ["square16", "shuffled"])
+    def test_matches_quadrature_oracle(self, case, square16, shuffled_mesh,
+                                       rng):
+        # The Gram closed form against the midpoint-rule product-rule kernel
+        # it replaced, on every edge-sign pattern.
+        mesh = shuffled_mesh if case == "shuffled" else square16
+        if case == "shuffled":
+            assert len({tuple(s) for s in mesh.triangle_edge_signs}) == 6
+        dofs = DofMap.from_mesh(mesh)
+        q = random_feasible_control(mesh, rng, 0.01)
+        state = _Frozen(u=rng.standard_normal(mesh.n_edges),
+                        psi=rng.standard_normal(mesh.n_vertices))
+        adj = _Frozen(z=rng.standard_normal(mesh.n_edges),
+                      chi=rng.standard_normal(mesh.n_vertices))
+        func = assemble_shape_derivative(mesh, dofs, q, state, adj, 12.3)
+        assert_entries_close(
+            func.coeffs, _quadrature_shape_derivative(mesh, q, state, adj, 12.3),
+            rtol=1e-14)
+
+    def test_frozen_coefficient_finite_difference(self, square4, shuffled_mesh,
+                                                  rng):
         # Central differences of q -> -a(u,z) - b(z,psi) - b(u,chi) + lam*m(u,z)
         # with frozen coefficient vectors, evaluated through the assembled
-        # matrices (a path independent of the derivative assembly).
-        mesh = square4
-        dofs = DofMap.from_mesh(mesh)
-        qv = random_feasible_control(mesh, rng, 0.04)
-        lam = 2.7
-        state = _Frozen(u=rng.standard_normal(mesh.n_edges),
-                        psi=0.3 * rng.standard_normal(mesh.n_vertices))
-        adj = _Frozen(z=rng.standard_normal(mesh.n_edges),
-                      chi=0.3 * rng.standard_normal(mesh.n_vertices))
-        func = assemble_shape_derivative(mesh, dofs, qv, state, adj, lam)
+        # matrices (a path independent of the derivative assembly), on
+        # square4's two edge-sign patterns and the shuffled mesh's six.
+        for mesh in (square4, shuffled_mesh):
+            dofs = DofMap.from_mesh(mesh)
+            qv = random_feasible_control(mesh, rng, 0.04)
+            lam = 2.7
+            state = _Frozen(u=rng.standard_normal(mesh.n_edges),
+                            psi=0.3 * rng.standard_normal(mesh.n_vertices))
+            adj = _Frozen(z=rng.standard_normal(mesh.n_edges),
+                          chi=0.3 * rng.standard_normal(mesh.n_vertices))
+            func = assemble_shape_derivative(mesh, dofs, qv, state, adj, lam)
 
-        def frozen_value(qfield):
-            forms = assemble_forms(mesh, dofs, qfield)
-            return (-state.u @ (forms.A @ adj.z)
-                    - adj.z @ (forms.B @ state.psi)
-                    - state.u @ (forms.B @ adj.chi)
-                    + lam * state.u @ (forms.M @ adj.z))
+            def frozen_value(qfield):
+                forms = assemble_forms(mesh, dofs, qfield)
+                return (-state.u @ (forms.A @ adj.z)
+                        - adj.z @ (forms.B @ state.psi)
+                        - state.u @ (forms.B @ adj.chi)
+                        + lam * state.u @ (forms.M @ adj.z))
 
-        h = 1e-6
-        for _ in range(5):
-            p = rng.standard_normal((mesh.n_vertices, 2))
-            p /= np.abs(p).max()
-            plus = frozen_value(DeformationField(mesh, qv.values + h * p))
-            minus = frozen_value(DeformationField(mesh, qv.values - h * p))
-            fd = (plus - minus) / (2 * h)
-            exact = func.pair(p)
-            assert abs(exact - fd) <= 1e-4 * max(1.0, abs(fd))
+            h = 1e-6
+            for _ in range(5):
+                p = rng.standard_normal((mesh.n_vertices, 2))
+                p /= np.abs(p).max()
+                plus = frozen_value(DeformationField(mesh, qv.values + h * p))
+                minus = frozen_value(DeformationField(mesh, qv.values - h * p))
+                fd = (plus - minus) / (2 * h)
+                exact = func.pair(p)
+                assert abs(exact - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
 class TestControlGram:

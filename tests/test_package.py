@@ -7,6 +7,7 @@ and check that every such name still resolves in the program, and that the
 API the workloads call directly still works.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -19,6 +20,7 @@ import pytest
 import maxshape
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+PACKAGE = Path(maxshape.__file__).resolve().parent
 
 
 def load_benchmark_module(name, monkeypatch):
@@ -42,10 +44,49 @@ def traced_function(name):
     return getattr(importlib.import_module(f"maxshape.{module}"), attr)
 
 
+def unused_imports(source):
+    """Names a module imports and never reads: neither as a name, nor in a
+    string annotation, nor in its __all__."""
+    tree = ast.parse(source)
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:                         # __all__ entries, string annotations
+                expr = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
 class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in maxshape.__all__:
             assert hasattr(maxshape, name), name
+
+    @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                             ids=lambda p: p.name)
+    def test_every_import_is_used(self, path):
+        assert unused_imports(path.read_text()) == []
+
+    def test_unused_import_check(self):
+        source = ("from __future__ import annotations\n"
+                  "import os.path\nimport numpy as np\n"
+                  "from .mesh_io import Mesh, LOCAL_EDGES\n"
+                  "__all__ = ['LOCAL_EDGES']\n"
+                  "def f(m: 'Mesh | None') -> 'np.ndarray':\n"
+                  "    return os.path.join(m)\n")
+        assert unused_imports(source) == []
+        assert unused_imports(source.replace("'np.", "'")) == ["np"]
+        assert unused_imports("import os.path\nfrom a import b as c\n") \
+            == ["c", "os"]
 
 
 class TestBenchmarkBindings:

@@ -3,16 +3,13 @@ import pytest
 
 from maxshape import DeformationField, jacobian_range, parse_msh
 from maxshape.errors import InadmissibleDeformation
-from maxshape.reference_transform import (
-    inv_t_derivative,
-    jacobian_derivative,
-    sum_to_nodes,
-)
+from maxshape.reference_transform import jacobian_derivative, sum_to_nodes
 
 from conftest import (
     SINGLE_TRIANGLE_MSH,
     assert_entries_close,
     dilation_control,
+    inv_t_derivative,
     random_feasible_control,
 )
 
