@@ -1,10 +1,14 @@
 """State and adjoint eigenproblem solves, reduced derivative, Riesz gradient.
 
-Both bilinear forms of the eigenvalue problem are symmetric, so the adjoint
-eigenproblem coincides with the state problem and only the normalization of
-the adjoint pair differs: m(q; u, z) must equal the negative eigenvalue
-derivative of the cost, giving z = (lambda_target - lambda) * u.  This exact
-scaling is the only path: no second eigensolve is needed.
+Both bilinear forms are symmetric, so the adjoint eigenproblem is the state
+problem with another normalization: m(q; u, z) = -dJ/dlambda gives
+z = (lambda_target - lambda) * u, and no second eigensolve is needed.  The
+multiplier is zero at every discrete eigenpair (Kikuchi, CMAME 64, 1987):
+G^T times the first pencil row A u + B psi = lambda M u gives L psi = 0, as
+G^T A = 0, G^T B = L and G^T M u = B^T u = 0, and L = B^T G is positive
+definite.  So the adjoint multiplier chi = (lambda_target - lambda) psi is
+zero, and the form part of the reduced derivative is
+-(a'(u, z) - lambda m'(u, z)) = (lambda - lambda_target) lambda'.
 """
 
 from __future__ import annotations
@@ -36,15 +40,10 @@ from .reference_transform import DeformationField
 
 @dataclass
 class AdjointPair:
-    """Adjoint eigenfunction and multiplier.
-
-    scale is the factor relating the adjoint to the normalized state
-    eigenfunction: z = scale * u with scale = lambda_target - lambda, which
-    realizes the normalization m(q; u, z) = -dJ/dlambda.
-    """
+    """Adjoint eigenfunction z = scale * u of the normalized state, with
+    scale = lambda_target - lambda: m(q; u, z) = -dJ/dlambda."""
 
     z: np.ndarray
-    chi: np.ndarray
     scale: float
 
 
@@ -82,18 +81,16 @@ def solve_adjoint(state: MixedEigenPair,
                   lambda_target: float) -> AdjointPair:
     """Adjoint pair by exact scaling of the state eigenfunction."""
     scale = lambda_target - state.lam
-    return AdjointPair(z=scale * state.u, chi=scale * state.psi, scale=scale)
+    return AdjointPair(z=scale * state.u, scale=scale)
 
 
-def reduced_derivative(mesh: Mesh, dofs: DofMap, q: DeformationField,
+def reduced_derivative(mesh: Mesh, q: DeformationField,
                        state: MixedEigenPair, adjoint: AdjointPair,
                        params: ObjectiveParams,
                        gram: sp.spmatrix) -> ShapeFunctional:
-    """Full derivative of the reduced cost: form terms plus cost terms."""
-    form_part = assemble_shape_derivative(mesh, dofs, q, state, adjoint,
-                                          state.lam)
-    cost_part = derivative_q(mesh, q, params, gram)
-    return form_part + cost_part
+    """Full derivative of the reduced cost: cost terms plus form terms."""
+    return derivative_q(mesh, q, params, gram) - assemble_shape_derivative(
+        mesh, q, state.u, adjoint.z, state.lam)
 
 
 def riesz_gradient(mesh: Mesh, functional: ShapeFunctional,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -111,6 +112,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             raw[key] = _KEY_TYPES[key](value)
+            if isinstance(raw[key], float) and not math.isfinite(raw[key]):
+                raise ValueError(f"{value!r} is not finite")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}")
 
@@ -191,7 +194,7 @@ def run(cfg: RunConfig) -> int:
 
     every = cfg.emit_vtk_every
 
-    def snapshot(k: int, q: np.ndarray, rec: IterationRecord) -> None:
+    def snapshot(k: int, q: np.ndarray, _rec: IterationRecord) -> None:
         if every > 0 and (k % every) == 0:
             field_q = problem.field(q)
             text = write_vtk(mesh, field_q, title=f"iteration {k}")

@@ -85,12 +85,11 @@ def _gram_map() -> tuple[np.ndarray, np.ndarray]:
 
 
 _GRAM_MAP, _M_INDEX = _gram_map()
-# Its transpose: the (18, 9) map from the products of element-matrix
-# coefficients, the m entries (k, l) and then the b entries (k, v), to the
-# symmetric coefficient C[v, w] they put on Gamma; C's two off-diagonal
-# entries share Gamma's distinct entry.
-_COEF_MAP = (np.hstack([_GRAM_MAP[:, _M_INDEX.ravel()], _GRAM_MAP[:, 6:]]).T
-             [:, _M_INDEX.ravel()] * np.where(np.eye(3), 1.0, 0.5).ravel())
+# The transpose of its mass columns: the (9, 9) map from the products of the
+# mass coefficients (k, l) to the symmetric coefficient C[v, w] they put on
+# Gamma; C's two off-diagonal entries share Gamma's distinct entry.
+_COEF_MAP = (_GRAM_MAP[:, _M_INDEX.ravel()].T[:, _M_INDEX.ravel()]
+             * np.where(np.eye(3), 1.0, 0.5).ravel())
 
 
 @dataclass
@@ -346,8 +345,8 @@ class ShapeFunctional:
         """Apply the functional to a nodal direction ((V,2) or flat)."""
         return float(self.flat @ np.asarray(direction).reshape(-1))
 
-    def __add__(self, other: "ShapeFunctional") -> "ShapeFunctional":
-        return ShapeFunctional(self.coeffs + other.coeffs)
+    def __sub__(self, other: "ShapeFunctional") -> "ShapeFunctional":
+        return ShapeFunctional(self.coeffs - other.coeffs)
 
 
 def local_forms(mesh: Mesh, q: DeformationField
@@ -451,42 +450,37 @@ def assemble_control_gram(mesh: Mesh) -> sp.csr_matrix:
     return sp.kron(mass + stiff, sp.identity(2), format="csr")
 
 
-def assemble_shape_derivative(mesh: Mesh, dofs: DofMap, q: DeformationField,
-                              state, adjoint, lam: float) -> ShapeFunctional:
-    """Assemble the form part of the reduced shape derivative.
+def assemble_shape_derivative(mesh: Mesh, q: DeformationField, u: np.ndarray,
+                              v: np.ndarray, lam: float) -> ShapeFunctional:
+    """The nodal q-derivative of the bilinear form a(u, v) - lam m(u, v).
 
-    Returns the functional p -> -a'(u,z)p - b'(z,psi)p - b'(u,chi)p
-    + lam * m'(u,z)p against the nodal basis of the control space; the cost
-    functional's own q-derivative is added separately by the objective
-    module.  Expects full-length coefficient vectors (zeros on constrained
-    DOFs) in `state` (u, psi) and `adjoint` (z, chi).
+    Returns the functional p -> a'(u,v)p - lam m'(u,v)p against the nodal
+    basis of the control space, for full-length edge coefficient vectors u
+    and v (zeros on constrained DOFs).  At a mass-normalized eigenpair
+    (lam, u), whose multiplier is zero, the functional at v = u is lam',
+    the shape derivative of the eigenvalue.
 
-    It is the exact q-derivative of local_forms' element form: with su, sz
-    the signed local coefficients of u and z, w = |T| / 3, P = DF^-T grad(lam)
-    and C the symmetric coefficient that lam m - b(z,psi) - b(u,chi) puts on
-    the Gram Gamma = P P^T (_COEF_MAP), triangle t adds
-    f = -sum(su) sum(sz) / (|T| J) + w J <C, Gamma>.  As dJ = J P[v', c] and
+    It is the exact q-derivative of local_forms' element form: with su, sv
+    the signed local coefficients of u and v, w = |T| / 3, P = DF^-T grad(lam)
+    and C the symmetric coefficient that lam m(u, v) puts on the Gram
+    Gamma = P P^T (_COEF_MAP), triangle t adds
+    f = sum(su) sum(sv) / (|T| J) - w J <C, Gamma>.  As dJ = J P[v', c] and
     dP[v] = -P[v, c] P[v'] in the nodal direction (v', c), f' is row v',
-    column c of (alpha I - 2 w J Gamma C) P with
-    alpha = sum(su) sum(sz) / (|T| J) + w J <C, Gamma>.
+    column c of (2 w J Gamma C - alpha I) P with
+    alpha = sum(su) sum(sv) / (|T| J) + w J <C, Gamma>.
     """
     p = q.pulled_gradients
     jac = q.jacobian
     areas = mesh.areas
     signs = mesh.triangle_edge_signs
-    su = signs * np.asarray(state.u)[mesh.triangle_edges]
-    sz = signs * np.asarray(adjoint.z)[mesh.triangle_edges]
-    psi = np.asarray(state.psi)[mesh.triangles]
-    chi = np.asarray(adjoint.chi)[mesh.triangles]
-    products = np.concatenate(
-        [lam * su[:, :, None] * sz[:, None, :],
-         -(sz[:, :, None] * psi[:, None, :] + su[:, :, None] * chi[:, None, :])],
-        axis=1).reshape(-1, 18)
+    su = signs * np.asarray(u)[mesh.triangle_edges]
+    sv = signs * np.asarray(v)[mesh.triangle_edges]
+    products = (lam * su[:, :, None] * sv[:, None, :]).reshape(-1, 9)
     coef = (products @ _COEF_MAP).reshape(-1, 3, 3)          # C
     pcp = p.transpose(0, 2, 1) @ (coef @ p)   # P^T C P, trace <C, Gamma>
     wj = QP_WEIGHT * areas * jac
-    alpha = (su.sum(axis=1) * sz.sum(axis=1) / (areas * jac)
+    alpha = (su.sum(axis=1) * sv.sum(axis=1) / (areas * jac)
              + wj * (pcp[:, 0, 0] + pcp[:, 1, 1]))
     # Gamma C P = P (P^T C P)
-    per_node = alpha[:, None, None] * p - (2.0 * wj)[:, None, None] * (p @ pcp)
+    per_node = (2.0 * wj)[:, None, None] * (p @ pcp) - alpha[:, None, None] * p
     return ShapeFunctional(sum_to_nodes(mesh, per_node))

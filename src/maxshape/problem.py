@@ -135,6 +135,5 @@ class MaxwellShapeProblem:
         adjoint = adjoint_gradient.solve_adjoint(state,
                                                  self.params.lambda_target)
         functional = adjoint_gradient.reduced_derivative(
-            self.mesh, self.dofs, self.field(q), state, adjoint, self.params,
-            self.gram)
+            self.mesh, self.field(q), state, adjoint, self.params, self.gram)
         return functional, state

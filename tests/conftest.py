@@ -167,7 +167,7 @@ def inv_t_derivative(q, weight):
     return -(q.pulled_gradients @ (weight @ df_inv))
 
 
-def _quadrature_shape_derivative(mesh, q, state, adjoint, lam):
+def _quadrature_shape_derivative(mesh, q, u, psi, z, chi, lam):
     """(V, 2) coefficients of -a'(u,z) - b'(z,psi) - b'(u,chi) + lam m'(u,z)
     by the product rule on the forms summed over the edge midpoints."""
     inv_t, jac = q.inv_t, q.jacobian
@@ -176,13 +176,13 @@ def _quadrature_shape_derivative(mesh, q, state, adjoint, lam):
     w = QP_WEIGHT * areas
     edges, tris = mesh.triangle_edges, mesh.triangles
 
-    ue = np.asarray(state.u)[edges]                  # (T, 3)
-    ze = np.asarray(adjoint.z)[edges]
+    ue = np.asarray(u)[edges]                        # (T, 3)
+    ze = np.asarray(z)[edges]
     uvec = np.einsum("tk,tkpi->tpi", ue, values)     # u_h at the points
     zvec = np.einsum("tk,tkpi->tpi", ze, values)
-    gpsi = np.einsum("tv,tvi->ti", np.asarray(state.psi)[tris],
+    gpsi = np.einsum("tv,tvi->ti", np.asarray(psi)[tris],
                      mesh.barycentric_gradients)     # grad psi_h
-    gchi = np.einsum("tv,tvi->ti", np.asarray(adjoint.chi)[tris],
+    gchi = np.einsum("tv,tvi->ti", np.asarray(chi)[tris],
                      mesh.barycentric_gradients)
     df_inv = np.ascontiguousarray(inv_t.transpose(0, 2, 1))
     tu, tz = uvec @ df_inv, zvec @ df_inv            # DF^-T u, DF^-T z

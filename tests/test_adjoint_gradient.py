@@ -13,6 +13,7 @@ from maxshape import (
     apply_dirichlet,
     assemble_control_gram,
     assemble_forms,
+    assemble_shape_derivative,
     reduced_derivative,
     riesz_gradient,
     select_and_normalize,
@@ -20,6 +21,7 @@ from maxshape import (
     solve_gevp,
     solve_state,
 )
+from maxshape.eigensolver import DENSE_THRESHOLD
 from maxshape.problem import MaxwellShapeProblem
 
 from conftest import random_feasible_control
@@ -51,23 +53,19 @@ def direct_adjoint_mismatch(mesh, dofs, q, sel, state, adj):
     """Oracle: re-solve the adjoint eigenproblem and compare with adj.
 
     The adjoint problem equals the state problem, so an independent solve
-    at a shifted shift, scaled by adj.scale, must reproduce (z, chi).
-    Returns (err, ref): the summed 2-norm mismatch of z and chi, and
-    max(|z|, 1).
+    at a shifted shift, scaled by adj.scale, must reproduce z.
+    Returns (err, ref): the 2-norm mismatch of z and max(|z|, 1).
     """
     forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
     independent = replace(sel, shift=1.07 * sel.shift if sel.shift else None)
     direct = select_and_normalize(solve_gevp(forms, independent),
                                   independent, forms.M)
     z_dir = dofs.expand_edge(direct.u)
-    chi_dir = dofs.expand_vertex(direct.psi)
     # Align the arbitrary eigenvector sign with the state before scaling.
     if float(z_dir @ state.u) < 0:
         z_dir = -z_dir
-        chi_dir = -chi_dir
-    err = np.linalg.norm(adj.scale * z_dir - adj.z) + \
-        np.linalg.norm(adj.scale * chi_dir - adj.chi)
-    return err, max(np.linalg.norm(adj.z), 1.0)
+    return (np.linalg.norm(adj.scale * z_dir - adj.z),
+            max(np.linalg.norm(adj.z), 1.0))
 
 
 class TestSolveState:
@@ -91,13 +89,63 @@ class TestSolveState:
         assert shifted.lam == pytest.approx(base.lam, rel=1e-9)
 
 
+class TestMultiplierIsZero:
+    """psi = 0 at every discrete eigenpair, since L psi = 0 (the module
+    docstring of adjoint_gradient): the reduced derivative drops it."""
+
+    @staticmethod
+    def assert_psi_vanishes(state):
+        assert np.abs(state.psi).max() <= 1e-8 * np.abs(state.u).max()
+
+    def test_dense_qz(self, shuffled_mesh, rng):
+        dofs = DofMap.from_mesh(shuffled_mesh)
+        assert dofs.n_free <= DENSE_THRESHOLD
+        sel = EigenSelection(index=0, nev=6, shift=8.0, tol=1e-9)
+        q = random_feasible_control(shuffled_mesh, rng, 0.01)
+        self.assert_psi_vanishes(solve_state(shuffled_mesh, dofs, q, sel))
+
+    def test_cold_arpack_and_warm_block(self, square16, rng):
+        prob = MaxwellShapeProblem(
+            square16, ObjectiveParams(lambda_target=1.05 * np.pi ** 2),
+            EigenSelection(index=0, nev=8, tol=1e-8), seed=0)
+        assert prob.dofs.n_free > DENSE_THRESHOLD
+        # the problem's first solve runs ARPACK, the second starts warm
+        # from the first one's block
+        for _ in range(2):
+            q = random_feasible_control(square16, rng, 0.01).flat
+            self.assert_psi_vanishes(prob.solve_state(q))
+
+
+class TestEigenvalueDerivative:
+    @pytest.mark.parametrize("case", ["square16", "shuffled"])
+    def test_matches_central_differences(self, case, square16, shuffled_mesh,
+                                         rng):
+        # kernel(u, u, lam) is lam': compare it with central differences
+        # of the tracked eigenvalue, re-solved at q +- h p.
+        mesh = shuffled_mesh if case == "shuffled" else square16
+        dofs = DofMap.from_mesh(mesh)
+        sel = EigenSelection(index=0, nev=6, shift=8.0, tol=1e-10)
+        q = random_feasible_control(mesh, rng, 0.01)
+        state = solve_state(mesh, dofs, q, sel)
+        lam_prime = assemble_shape_derivative(mesh, q, state.u, state.u,
+                                              state.lam)
+        h = 1e-5
+        for _ in range(3):
+            p = rng.standard_normal((mesh.n_vertices, 2))
+            p /= np.abs(p).max()
+            plus, minus = (solve_state(
+                mesh, dofs, DeformationField(mesh, q.values + s * h * p),
+                sel).lam for s in (1.0, -1.0))
+            fd = (plus - minus) / (2 * h)
+            assert abs(lam_prime.pair(p) - fd) <= 1e-5 * abs(fd)
+
+
 class TestSolveAdjoint:
     def test_zero_at_target(self, setup6):
         mesh, dofs, sel = setup6
         state = solve_state(mesh, dofs, DeformationField.zero(mesh), sel)
         adj = solve_adjoint(state, state.lam)
         assert np.all(adj.z == 0.0)
-        assert np.all(adj.chi == 0.0)
 
     def test_normalization_scaling(self, setup6):
         # m(u, z) = lambda_target - lambda for the mass-normalized state
@@ -171,7 +219,7 @@ class TestReducedDerivative:
         params = ObjectiveParams(lambda_target=state.lam, alpha=0.7,
                                  beta=1e-6, epsilon=1e-4)
         adj = solve_adjoint(state, params.lambda_target)
-        func = reduced_derivative(mesh, dofs, q, state, adj, params, gram6)
+        func = reduced_derivative(mesh, q, state, adj, params, gram6)
         from maxshape import derivative_q
 
         barrier_only = derivative_q(mesh, q, params, gram6)
@@ -186,7 +234,7 @@ class TestReducedDerivative:
         state = solve_state(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=0.9 * state.lam, alpha=0.7)
         adj = solve_adjoint(state, params.lambda_target)
-        func = reduced_derivative(mesh, dofs, q, state, adj, params, gram6)
+        func = reduced_derivative(mesh, q, state, adj, params, gram6)
         for c in range(2):
             p = np.zeros((mesh.n_vertices, 2))
             p[:, c] = 1.0
@@ -198,12 +246,12 @@ class TestReducedDerivative:
         state = solve_state(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=0.9 * state.lam, alpha=0.7)
         adj = solve_adjoint(state, params.lambda_target)
-        func = reduced_derivative(mesh, dofs, q, state, adj, params, gram6)
+        func = reduced_derivative(mesh, q, state, adj, params, gram6)
 
         flipped = type(state)(lam=state.lam, u=-state.u, psi=-state.psi,
                               residual=state.residual)
         adj_f = solve_adjoint(flipped, params.lambda_target)
-        func_f = reduced_derivative(mesh, dofs, q, flipped, adj_f, params,
+        func_f = reduced_derivative(mesh, q, flipped, adj_f, params,
                                     gram6)
         np.testing.assert_array_equal(func.coeffs, func_f.coeffs)
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -92,6 +93,20 @@ class TestParseConfig:
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             parse_config(config_text(extra="optimizer.gamma = big"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", [k for k, t in _KEY_TYPES.items() if t is float])
+    def test_non_finite_float_rejected(self, key, value):
+        # a NaN optimizer.tol, say, can never be met
+        entry = f"{key} = {value}"
+        if key == "objective.lambda_target":
+            text, line = config_text(target=entry), 2
+        else:
+            text, line = config_text(extra=entry), 3
+        message = f"line {line}: bad value for '{key}': '{value}' is not finite"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
 
     def test_invalid_parameter_range(self):
         with pytest.raises(ConfigError):

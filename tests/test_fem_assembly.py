@@ -416,32 +416,20 @@ class TestEigenvalueScaling:
             assert abs(p1.lam - p0.lam) <= 1e-8 + 1e-8 * abs(p0.lam)
 
 
-class _Frozen:
-    def __init__(self, u=None, psi=None, z=None, chi=None):
-        self.u, self.psi, self.z, self.chi = u, psi, z, chi
-
-
 class TestShapeDerivative:
     def test_zero_state_gives_zero_functional(self, square2):
-        dofs = DofMap.from_mesh(square2)
-        state = _Frozen(u=np.zeros(square2.n_edges),
-                        psi=np.zeros(square2.n_vertices))
-        adj = _Frozen(z=np.zeros(square2.n_edges),
-                      chi=np.zeros(square2.n_vertices))
+        zero = np.zeros(square2.n_edges)
         func = assemble_shape_derivative(
-            square2, dofs, DeformationField.zero(square2), state, adj, 3.0)
+            square2, DeformationField.zero(square2), zero, zero, 3.0)
         assert np.all(func.coeffs == 0.0)
 
     def test_translation_directions_annihilated(self, square4, rng):
         # The functional depends on p only through its gradient, so pairing
         # with any constant field must vanish identically.
-        dofs = DofMap.from_mesh(square4)
         q = random_feasible_control(square4, rng, 0.05)
-        state = _Frozen(u=rng.standard_normal(square4.n_edges),
-                        psi=rng.standard_normal(square4.n_vertices))
-        adj = _Frozen(z=rng.standard_normal(square4.n_edges),
-                      chi=rng.standard_normal(square4.n_vertices))
-        func = assemble_shape_derivative(square4, dofs, q, state, adj, 2.5)
+        u = rng.standard_normal(square4.n_edges)
+        v = rng.standard_normal(square4.n_edges)
+        func = assemble_shape_derivative(square4, q, u, v, 2.5)
         scale = np.abs(func.coeffs).max()
         for c in range(2):
             assert abs(func.coeffs[:, c].sum()) <= 1e-12 * scale
@@ -450,43 +438,39 @@ class TestShapeDerivative:
     def test_matches_quadrature_oracle(self, case, square16, shuffled_mesh,
                                        rng):
         # The Gram closed form against the midpoint-rule product-rule kernel
-        # it replaced, on every edge-sign pattern.
+        # it replaced, on every edge-sign pattern.  The oracle is the
+        # derivative of -a(u,z) - b(z,psi) - b(u,chi) + lam m(u,z); with
+        # psi = chi = 0 it is the negated kernel.
         mesh = shuffled_mesh if case == "shuffled" else square16
         if case == "shuffled":
             assert len({tuple(s) for s in mesh.triangle_edge_signs}) == 6
-        dofs = DofMap.from_mesh(mesh)
         q = random_feasible_control(mesh, rng, 0.01)
-        state = _Frozen(u=rng.standard_normal(mesh.n_edges),
-                        psi=rng.standard_normal(mesh.n_vertices))
-        adj = _Frozen(z=rng.standard_normal(mesh.n_edges),
-                      chi=rng.standard_normal(mesh.n_vertices))
-        func = assemble_shape_derivative(mesh, dofs, q, state, adj, 12.3)
+        u = rng.standard_normal(mesh.n_edges)
+        z = rng.standard_normal(mesh.n_edges)
+        zero = np.zeros(mesh.n_vertices)
+        func = assemble_shape_derivative(mesh, q, u, z, 12.3)
         assert_entries_close(
-            func.coeffs, _quadrature_shape_derivative(mesh, q, state, adj, 12.3),
+            func.coeffs,
+            -_quadrature_shape_derivative(mesh, q, u, zero, z, zero, 12.3),
             rtol=1e-14)
 
     def test_frozen_coefficient_finite_difference(self, square4, shuffled_mesh,
                                                   rng):
-        # Central differences of q -> -a(u,z) - b(z,psi) - b(u,chi) + lam*m(u,z)
-        # with frozen coefficient vectors, evaluated through the assembled
-        # matrices (a path independent of the derivative assembly), on
-        # square4's two edge-sign patterns and the shuffled mesh's six.
+        # Central differences of q -> a(u,v) - lam*m(u,v) with frozen
+        # coefficient vectors, evaluated through the assembled matrices (a
+        # path independent of the derivative assembly), on square4's two
+        # edge-sign patterns and the shuffled mesh's six.
         for mesh in (square4, shuffled_mesh):
             dofs = DofMap.from_mesh(mesh)
             qv = random_feasible_control(mesh, rng, 0.04)
             lam = 2.7
-            state = _Frozen(u=rng.standard_normal(mesh.n_edges),
-                            psi=0.3 * rng.standard_normal(mesh.n_vertices))
-            adj = _Frozen(z=rng.standard_normal(mesh.n_edges),
-                          chi=0.3 * rng.standard_normal(mesh.n_vertices))
-            func = assemble_shape_derivative(mesh, dofs, qv, state, adj, lam)
+            u = rng.standard_normal(mesh.n_edges)
+            v = rng.standard_normal(mesh.n_edges)
+            func = assemble_shape_derivative(mesh, qv, u, v, lam)
 
             def frozen_value(qfield):
                 forms = assemble_forms(mesh, dofs, qfield)
-                return (-state.u @ (forms.A @ adj.z)
-                        - adj.z @ (forms.B @ state.psi)
-                        - state.u @ (forms.B @ adj.chi)
-                        + lam * state.u @ (forms.M @ adj.z))
+                return u @ (forms.A @ v) - lam * u @ (forms.M @ v)
 
             h = 1e-6
             for _ in range(5):

@@ -66,6 +66,27 @@ def unused_imports(source):
     return sorted(imported - used)
 
 
+def unread_parameters(source):
+    """The parameters, as function.parameter, that their function's body
+    never reads, nested functions included; a leading underscore exempts
+    a parameter."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, [args.vararg, args.kwarg])]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}.{a.arg}" for a in params
+                   if not a.arg.startswith("_") and a.arg not in read]
+    return unread
+
+
 class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in maxshape.__all__:
@@ -75,6 +96,19 @@ class TestPublicSurface:
                              ids=lambda p: p.name)
     def test_every_import_is_used(self, path):
         assert unused_imports(path.read_text()) == []
+
+    @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                             ids=lambda p: p.name)
+    def test_every_parameter_is_read(self, path):
+        assert unread_parameters(path.read_text()) == []
+
+    def test_unread_parameter_check(self):
+        source = ("def f(a, b, *args, c=1, _d=2, **kw):\n"
+                  "    def g(x):\n"
+                  "        return a + args[0]\n"
+                  "    return g(c)\n"
+                  "h = lambda y, z: y\n")
+        assert unread_parameters(source) == ["f.b", "f.kw", "g.x", "<lambda>.z"]
 
     def test_unused_import_check(self):
         source = ("from __future__ import annotations\n"
