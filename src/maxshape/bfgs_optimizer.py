@@ -1,11 +1,15 @@
 """Damped inverse limited-memory BFGS in the control-space inner product.
 
 The inverse Hessian approximation B_k is never stored as a matrix.  Each
-update keeps only the damped step d~, the gradient difference y and
-rho = 1 / (d~, y)_Q; the two-loop recursion applies B_k over the stored
-pairs with B_0 = b0_scale * identity.  Powell-style damping of the step
-keeps every stored curvature (d~, y) positive, so B_k stays positive
-definite and -B_k g is always a descent direction.
+update keeps only the damped step d~, the gradient difference y,
+rho = 1 / (d~, y)_Q and (y, y)_Q; the two-loop recursion applies B_k over
+the stored pairs starting from B_0 = gamma_k * identity, where
+gamma_k = (d~, y)_Q / (y, y)_Q of the newest pair (Nocedal & Wright,
+Numerical Optimization, eq. 7.20; Shanno & Phua, Math. Prog. 14, 1978).
+Only the first iterate, which has no pairs, uses B_0 = b0_scale * identity.
+Powell-style damping of the step keeps every stored curvature (d~, y)
+positive, so B_k stays positive definite and -B_k g is always a descent
+direction.
 
 All inner products here are taken with a caller-supplied bilinear form
 (the H1 Gram of the control space); coefficient dot products never appear.
@@ -27,6 +31,9 @@ from .errors import DegenerateCurvature, LineSearchFailed
 QDot = Callable[[np.ndarray, np.ndarray], float]
 
 log = logging.getLogger(__name__)
+
+# The first search's first trial step, as a fraction of the step limit.
+FIRST_STEP = 0.5
 
 
 @dataclass
@@ -62,15 +69,17 @@ class _DampedPair:
     d_tilde: np.ndarray
     y: np.ndarray
     rho: float         # 1 / (d~, y)_Q
+    yy: float          # (y, y)_Q
 
 
 class BfgsHistory:
     """The last m_mem damped pairs (d~, y), which alone define B_k.
 
-    B_k is B_0 followed by one inverse BFGS update per stored pair, oldest
-    first.  At capacity a push drops the oldest pair, which restarts the
-    chain from B_0 one pair later.  Every stored curvature (d~, y) is
-    positive, so each truncated chain is again positive definite.
+    B_k is B_0 = gamma * identity followed by one inverse BFGS update per
+    stored pair, oldest first.  At capacity a push drops the oldest pair,
+    which restarts the chain one pair later.  Every stored curvature
+    (d~, y) is positive, so gamma > 0 and each truncated chain is again
+    positive definite.
     """
 
     def __init__(self, qdot: QDot, b0_scale: float, m_mem: int = 20):
@@ -85,8 +94,20 @@ class BfgsHistory:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def push(self, d_tilde: np.ndarray, y: np.ndarray) -> None:
+    @property
+    def gamma(self) -> float:
+        """Scale of B_0: (d~, y)_Q / (y, y)_Q of the newest pair, or
+        b0_scale while no pair is stored."""
+        if not self.pairs:
+            return self.b0_scale
+        newest = self.pairs[-1]
+        return 1.0 / (newest.rho * newest.yy)
+
+    def push(self, d_tilde: np.ndarray, y: np.ndarray, yy: float) -> None:
         """Store a damped pair; the oldest pair is dropped at capacity.
+
+        yy is (y, y)_Q, which the caller has computed already to see that y
+        carries curvature information.
 
         Raises:
             DegenerateCurvature: (d~, y) <= 0, which damping must prevent.
@@ -95,7 +116,8 @@ class BfgsHistory:
         if s1 <= 0.0:
             raise DegenerateCurvature(f"stored curvature {s1:.3e} <= 0")
         self.pairs.append(_DampedPair(d_tilde=np.array(d_tilde, copy=True),
-                                      y=np.array(y, copy=True), rho=1.0 / s1))
+                                      y=np.array(y, copy=True), rho=1.0 / s1,
+                                      yy=yy))
 
 
 def apply_inverse_hessian(hist: BfgsHistory, g: np.ndarray) -> np.ndarray:
@@ -103,14 +125,15 @@ def apply_inverse_hessian(hist: BfgsHistory, g: np.ndarray) -> np.ndarray:
 
     Each pair, newest outermost, maps the operator B of the pairs before it
     to (I - rho d~ y^T Q) B (I - rho y d~^T Q) + rho d~ d~^T Q (Nocedal,
-    Math. Comp. 35, 1980; Nocedal & Wright, Algorithm 7.4).
+    Math. Comp. 35, 1980; Nocedal & Wright, Algorithm 7.4); the innermost
+    B is B_0 = hist.gamma * identity.
     """
     v = np.array(g, dtype=np.float64, copy=True)
     alphas = []
     for p in reversed(hist.pairs):
         alphas.append(p.rho * hist.qdot(p.d_tilde, v))
         v -= alphas[-1] * p.y
-    v *= hist.b0_scale
+    v *= hist.gamma
     for p, a in zip(hist.pairs, reversed(alphas)):
         v += (a - p.rho * hist.qdot(p.y, v)) * p.d_tilde
     return v
@@ -200,24 +223,27 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
              ) -> tuple[np.ndarray, list[IterationRecord], OptimizeStatus]:
     """Damped inverse BFGS loop on the reduced problem.
 
-    `problem` provides four methods on flat coefficient vectors:
+    `problem` provides five methods on flat coefficient vectors:
     gradient(q), the Riesz gradient (with .vector and .norm_q) and the
     state eigenpair (with .lam) at q; evaluate(q, lam=None), the objective,
     +inf where infeasible, with lam the known eigenvalue at q; q_inner(u, v),
-    the control inner product; and jacobian_range(q).  One IterationRecord
-    is emitted per visited iterate; the terminal iterate carries step 0.
+    the control inner product; jacobian_range(q); and step_limit(d), the
+    step t at which q + t d first moves some vertex by one shortest
+    reference edge.  One IterationRecord is emitted per visited iterate;
+    the terminal iterate carries step 0.
 
-    The first Armijo search starts at the full step t = 1.  Every later one
-    starts at min(1, t_prev / rho_ls), one backtracking factor longer than
-    the last accepted step t_prev (Nocedal & Wright, Numerical
-    Optimization, sec. 3.5): when B_0 is badly scaled, the searches stop
-    paying an eigensolve for each over-long trial, and they return to the
-    full step once the quasi-Newton scaling is right.
+    The first Armijo search starts at min(1, FIRST_STEP * step_limit(d)),
+    so its first trial moves no vertex by more than half the shortest
+    reference edge; with b0_scale = 1/alpha, a first search from t = 1
+    spent most of its trials on folded meshes and over-long steps.  Every
+    later search starts at min(1, t_prev / rho_ls), one backtracking factor
+    longer than the last accepted step t_prev (Nocedal & Wright, Numerical
+    Optimization, sec. 3.5), so the searches return to the full step once
+    the quasi-Newton scaling gamma_k makes full steps acceptable.
     """
     hist = BfgsHistory(qdot=problem.q_inner, b0_scale=cfg.b0_scale,
                        m_mem=cfg.m_mem)
     records: list[IterationRecord] = []
-    t0 = 1.0
     ls_trials = 0
 
     def evaluate_trial(x: np.ndarray) -> float:
@@ -246,7 +272,10 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
             break
 
         gvec = grad.vector
+        gamma = hist.gamma
         d = -apply_inverse_hessian(hist, gvec)
+        if k == 0:
+            t0 = min(1.0, FIRST_STEP * problem.step_limit(d))
         g_dot_d = problem.q_inner(gvec, d)
         d_norm = math.sqrt(max(problem.q_inner(d, d), 0.0))
         if d_norm > 0 and grad.norm_q > 0:
@@ -261,15 +290,15 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
             rec.ls_trials = ls_trials
             records.append(rec)
             break
-        t0 = min(1.0, t / cfg.rho_ls)
 
         grad_new, state_new = problem.gradient(q_new)
 
         d_step = t * d                     # equals q_new - q
         y = grad_new.vector - gvec
-        if problem.q_inner(y, y) > 0.0:
+        yy = problem.q_inner(y, y)
+        if yy > 0.0:
             d_damped, theta = damp(y, d_step, hist, cfg.xi)
-            hist.push(d_damped, y)
+            hist.push(d_damped, y, yy)
         else:
             theta = 1.0                    # no curvature information
 
@@ -277,8 +306,9 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         rec.theta = theta
         rec.ls_trials = ls_trials
         records.append(rec)
-        log.info("iterate k=%d lam=%.10g J=%.6e |g|_Q=%.3e t=%g ls_trials=%d",
-                 k, rec.lam, rec.j_value, rec.grad_norm, t, ls_trials)
+        log.info("iterate k=%d lam=%.10g J=%.6e |g|_Q=%.3e t=%g ls_trials=%d "
+                 "gamma=%g t0=%g", k, rec.lam, rec.j_value, rec.grad_norm, t,
+                 ls_trials, gamma, t0)
         if callback is not None:
             callback(k, q_new, rec)
 
@@ -286,6 +316,7 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         state = state_new
         grad = grad_new
         j_val = j_new
+        t0 = min(1.0, t / cfg.rho_ls)
         k += 1
 
     return q, records, status

@@ -114,6 +114,13 @@ def parse_config(text: str) -> RunConfig:
             raw[key] = _KEY_TYPES[key](value)
             if isinstance(raw[key], float) and not math.isfinite(raw[key]):
                 raise ValueError(f"{value!r} is not finite")
+            # A - shift*M is singular at shift 0 (A has the gradients in its
+            # kernel), and the derived shift 0.9*lambda_target needs a
+            # positive target; negative shifts leave A + |shift|*M definite.
+            if key == "eigen.shift" and raw[key] == 0.0:
+                raise ValueError("shift 0 makes A - shift*M singular")
+            if key == "objective.lambda_target" and raw[key] <= 0.0:
+                raise ValueError(f"{value!r} is not > 0")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}")
 

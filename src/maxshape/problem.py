@@ -6,9 +6,9 @@ the control-space Gram matrix and its factorization) plus the last solved
 state, whose block starts every later eigensolve warm, and the last
 deformation field, so that each control's kinematics are computed once.
 It alone chains state, adjoint, reduced derivative and Riesz map, and
-exposes the four methods the optimizer drives: gradient, evaluate, q_inner
-and jacobian_range.  Controls cross this interface as flat coefficient
-vectors.
+exposes the five methods the optimizer drives: gradient, evaluate, q_inner,
+jacobian_range and step_limit.  Controls cross this interface as flat
+coefficient vectors.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ class MaxwellShapeProblem:
         self.dofs = DofMap.from_mesh(mesh)
         self.gram = assemble_control_gram(mesh)
         self._gram_solve = spla.factorized(self.gram.tocsc())
+        # the shortest reference edge
+        ends = mesh.vertices[mesh.edges]
+        self._h_min = float(np.linalg.norm(ends[:, 1] - ends[:, 0],
+                                           axis=1).min())
         # Arnoldi start vector of the first, cold, state solve
         self._v0 = np.random.default_rng(seed).standard_normal(
             self.dofs.n_free)
@@ -125,6 +129,12 @@ class MaxwellShapeProblem:
 
     def jacobian_range(self, q: np.ndarray) -> tuple[float, float]:
         return jacobian_range(self.field(q))
+
+    def step_limit(self, d: np.ndarray) -> float:
+        """h_min / max_v |d_v|: the step t at which q + t d first moves a
+        vertex by the shortest reference edge."""
+        return self._h_min / float(np.linalg.norm(
+            np.reshape(d, (-1, 2)), axis=1).max())
 
     # -- derived quantities -------------------------------------------------
 

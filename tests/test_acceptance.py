@@ -8,6 +8,7 @@ module-scoped fixture.
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ from maxshape import (
     DeformationField,
     DofMap,
     EigenSelection,
+    Mesh,
     ObjectiveParams,
+    OptimizeStatus,
     OptimizerConfig,
     apply_dirichlet,
     assemble_control_gram,
@@ -160,9 +163,16 @@ def test_damping_lemma_suite():
         return float(u @ (gram @ v))
 
     def dense_operator(hist):
-        # product form from the pairs (d~, y) alone, rho from the Gram
+        # product form from the pairs (d~, y) alone, rho from the Gram,
+        # from B_0 = gamma I with gamma = (d~, y)_Q / (y, y)_Q of the newest
+        # pair (b0_scale without pairs)
         eye = np.eye(10)
-        b = hist.b0_scale * eye
+        gamma = hist.b0_scale
+        if hist.pairs:
+            newest = hist.pairs[-1]
+            gamma = ((newest.d_tilde @ gram @ newest.y)
+                     / (newest.y @ gram @ newest.y))
+        b = gamma * eye
         for p in hist.pairs:
             rho = 1.0 / (p.d_tilde @ gram @ p.y)
             left = eye - rho * np.outer(p.d_tilde, p.y) @ gram
@@ -179,7 +189,7 @@ def test_damping_lemma_suite():
             y = rng.standard_normal(10)
             d = rng.standard_normal(10)
             d_damped, _ = damp(y, d, hist, xi)
-            hist.push(d_damped, y)
+            hist.push(d_damped, y, qdot(y, y))
 
         y = rng.standard_normal(10)
         d = rng.standard_normal(10)
@@ -187,7 +197,7 @@ def test_damping_lemma_suite():
         yby = qdot(y, by)
         d_damped, theta = damp(y, d, hist, xi)
         assert qdot(y, d_damped) >= xi * yby - 1e-12 * abs(yby), trial
-        hist.push(d_damped, y)
+        hist.push(d_damped, y, qdot(y, y))
 
         for _ in range(20):
             p = rng.standard_normal(10)
@@ -207,16 +217,15 @@ def test_damping_lemma_suite():
 
 # -- 5: end-to-end optimization, desk scale -----------------------------------
 
-@pytest.fixture(scope="module")
-def desk_run():
-    """Shared desk-scale optimization on the 16x16 unit square.
+def _desk_problem(mesh):
+    """The desk configuration on mesh: lambda* = 1.05 lambda0 probed there.
 
     The regularization weight is scaled so that alpha / lambda0^2 keeps the
     reference cavity weighting CAVITY_ALPHA / CAVITY_TARGET^2; with the raw
     weight 100 the eigenvalue-targeting term could never reach J <= 1e-6 at
-    this eigenvalue scale.
+    this eigenvalue scale.  Returns the problem, lambda0 and the optimizer
+    configuration without its k_max.
     """
-    mesh = generate_unit_square(16)
     probe_sel = EigenSelection(index=0, nev=8, shift=9.0, tol=1e-8)
     probe = MaxwellShapeProblem(
         mesh, ObjectiveParams(lambda_target=1.0, alpha=0.0), probe_sel, seed=0)
@@ -228,12 +237,19 @@ def desk_run():
                              beta=1e-6, epsilon=1e-4)
     sel = EigenSelection(index=0, nev=8, shift=0.9 * lam_star, tol=1e-8)
     problem = MaxwellShapeProblem(mesh, params, sel, seed=0)
-    cfg = OptimizerConfig(tol=1e-7, k_max=50, b0_scale=1.0 / alpha)
+    return problem, lam0, OptimizerConfig(tol=1e-7, b0_scale=1.0 / alpha)
 
+
+@pytest.fixture(scope="module")
+def desk_run():
+    """Shared desk-scale optimization on the 16x16 unit square."""
+    problem, lam0, cfg = _desk_problem(generate_unit_square(16))
     start = time.perf_counter()
-    q, records, status = optimize(problem, problem.zero_control(), cfg)
+    q, records, status = optimize(problem, problem.zero_control(),
+                                  replace(cfg, k_max=50))
     elapsed = time.perf_counter() - start
-    return dict(problem=problem, lam0=lam0, lam_star=lam_star, q=q,
+    return dict(problem=problem, lam0=lam0,
+                lam_star=problem.params.lambda_target, q=q,
                 records=records, status=status, elapsed=elapsed)
 
 
@@ -288,6 +304,89 @@ def test_desk_scale_jacobian_window(desk_run):
     ok = 0.95 < rec.jq_min and rec.jq_max < 1.05
     assert _report("5 jacobian window", ok,
                    f"J in [{rec.jq_min:.5f}, {rec.jq_max:.5f}] vs (0.95, 1.05)")
+
+
+def test_desk_first_search_is_short():
+    """The first line search makes <= 3 trials, none of them infeasible."""
+    problem, _, cfg = _desk_problem(generate_unit_square(16))
+    values = []
+    evaluate = problem.evaluate
+
+    def recording(q, lam=None):
+        value = evaluate(q, lam)
+        if lam is None:                      # an Armijo trial
+            values.append(value)
+        return value
+
+    problem.evaluate = recording
+    _, records, _ = optimize(problem, problem.zero_control(),
+                             replace(cfg, k_max=1))
+    assert records[0].ls_trials == len(values)
+    ok = len(values) <= 3 and all(math.isfinite(v) for v in values)
+    assert _report("5 first search", ok,
+                   f"{len(values)} trials vs 3, "
+                   f"{sum(math.isinf(v) for v in values)} infinite vs 0")
+
+
+# -- 5b: a simple eigenvalue converges, independently of the mesh -------------
+
+@pytest.fixture(scope="module")
+def rectangle_run():
+    """The desk configuration on the 1 x 0.8 rectangle at n x n, by n.
+
+    The rectangle's ground eigenvalue pi^2 is simple (the next one is
+    pi^2 / 0.64), unlike the square's double pi^2, so the optimizer can stop
+    at a stationary point.
+    """
+    runs = {}
+
+    def run(n):
+        if n not in runs:
+            square = generate_unit_square(n)
+            mesh = Mesh(square.vertices * [1.0, 0.8], square.triangles)
+            problem, _, cfg = _desk_problem(mesh)
+            q, records, status = optimize(problem, problem.zero_control(),
+                                          replace(cfg, k_max=100))
+            runs[n] = dict(problem=problem, q=q, records=records,
+                           status=status)
+        return runs[n]
+
+    return run
+
+
+def test_rectangle_converges(rectangle_run):
+    """CONVERGED within 100 iterates, monotone J, certified final state."""
+    run = rectangle_run(16)
+    records = run["records"]
+    assert _report("5b rectangle status",
+                   run["status"] is OptimizeStatus.CONVERGED,
+                   f"{run['status'].value} at k={records[-1].k}, "
+                   f"|g|_Q = {records[-1].grad_norm:.2e}")
+    values = [r.j_value for r in records]
+    assert _report("5b rectangle monotone descent",
+                   all(b <= a for a, b in zip(values, values[1:])),
+                   f"j {values[0]:.3e} -> {values[-1]:.3e}")
+
+    problem = run["problem"]
+    forms = apply_dirichlet(
+        assemble_forms(problem.mesh, problem.dofs, problem.field(run["q"])),
+        problem.dofs)
+    worst = _divergence_certificate(forms, solve_gevp(forms, problem.sel))
+    assert _report("5b rectangle divergence certificate", worst <= 1e-6,
+                   f"max ||B^T u|| / ||M u|| = {worst:.3e} vs 1e-6")
+
+
+def test_rectangle_mesh_independence(rectangle_run):
+    """Both n = 16 and n = 32 converge, with k_32 <= 1.5 k_16."""
+    k = {}
+    for n in (16, 32):
+        run = rectangle_run(n)
+        assert _report(f"5b rectangle n={n}",
+                       run["status"] is OptimizeStatus.CONVERGED,
+                       f"{run['status'].value} at k={run['records'][-1].k}")
+        k[n] = run["records"][-1].k
+    assert _report("5b mesh independence", k[32] <= 1.5 * k[16],
+                   f"k_32 = {k[32]} vs 1.5 k_16 = {1.5 * k[16]:g}")
 
 
 # -- 6: cavity reproduction (needs the external mesh) -------------------------

@@ -34,10 +34,17 @@ def dense_operator(hist, gram):
     """Dense product form of the inverse updates, from the pairs (d~, y) alone.
 
     B <- (I - rho d~ y^T Q) B (I - rho y d~^T Q) + rho d~ d~^T Q, oldest pair
-    first, with rho = 1 / (d~, y)_Q taken from the Gram.
+    first, with rho = 1 / (d~, y)_Q taken from the Gram, starting from
+    B_0 = gamma I, gamma = (d~, y)_Q / (y, y)_Q of the newest pair (b0_scale
+    without pairs).
     """
     eye = np.eye(gram.shape[0])
-    b = hist.b0_scale * eye
+    gamma = hist.b0_scale
+    if hist.pairs:
+        newest = hist.pairs[-1]
+        gamma = ((newest.d_tilde @ gram @ newest.y)
+                 / (newest.y @ gram @ newest.y))
+    b = gamma * eye
     for p in hist.pairs:
         rho = 1.0 / (p.d_tilde @ gram @ p.y)
         left = eye - rho * np.outer(p.d_tilde, p.y) @ gram
@@ -52,7 +59,7 @@ def push_random_pairs(hist, rng, count, dim):
         y = rng.standard_normal(dim)
         d = rng.standard_normal(dim)
         d_damped, _ = damp(y, d, hist, xi=0.2)
-        hist.push(d_damped, y)
+        hist.push(d_damped, y, hist.qdot(y, y))
 
 
 class TestApplyInverseHessian:
@@ -66,7 +73,7 @@ class TestApplyInverseHessian:
         # d~ = B0 y makes every correction term cancel
         hist = BfgsHistory(make_qdot(gram10), b0_scale=0.7)
         y = rng.standard_normal(10)
-        hist.push(0.7 * y, y)
+        hist.push(0.7 * y, y, make_qdot(gram10)(y, y))
         g = rng.standard_normal(10)
         np.testing.assert_allclose(apply_inverse_hessian(hist, g), 0.7 * g,
                                    rtol=1e-12, atol=1e-14)
@@ -82,6 +89,26 @@ class TestApplyInverseHessian:
             np.testing.assert_allclose(recursive, dense @ g, rtol=1e-12,
                                        atol=1e-12)
 
+    def test_b0_scale_read_only_while_empty(self, gram10, rng):
+        # after the first pair, B_0 = gamma I with gamma = (d~, y)_Q / (y, y)_Q
+        # of the newest pair, whatever b0_scale was
+        qdot = make_qdot(gram10)
+        source = BfgsHistory(qdot, b0_scale=1.0, m_mem=10)
+        push_random_pairs(source, rng, 4, 10)
+        small = BfgsHistory(qdot, b0_scale=1e-3, m_mem=10)
+        large = BfgsHistory(qdot, b0_scale=1e3, m_mem=10)
+        for p in source.pairs:
+            for hist in (small, large):
+                hist.push(p.d_tilde, p.y, qdot(p.y, p.y))
+        newest = source.pairs[-1]
+        assert small.gamma == large.gamma == pytest.approx(
+            qdot(newest.d_tilde, newest.y) / qdot(newest.y, newest.y),
+            rel=1e-14)
+        for _ in range(5):
+            g = rng.standard_normal(10)
+            np.testing.assert_array_equal(apply_inverse_hessian(small, g),
+                                          apply_inverse_hessian(large, g))
+
     def test_secant_property_when_undamped(self, gram10, rng):
         # theta = 1 pushes the raw pair; the update must map y to d~
         qdot = make_qdot(gram10)
@@ -91,7 +118,7 @@ class TestApplyInverseHessian:
         d = by + 3.0 * y  # (y, d)_Q > (y, By)_Q: no damping needed
         d_damped, theta = damp(y, d, hist, xi=0.2)
         assert theta == 1.0
-        hist.push(d_damped, y)
+        hist.push(d_damped, y, qdot(y, y))
         np.testing.assert_allclose(apply_inverse_hessian(hist, y), d,
                                    rtol=1e-10)
 
@@ -138,7 +165,7 @@ class TestDamp:
         hist = BfgsHistory(make_qdot(gram10), b0_scale=1.0)
         y = rng.standard_normal(10)
         with pytest.raises(DegenerateCurvature):
-            hist.push(-y, y)
+            hist.push(-y, y, make_qdot(gram10)(y, y))
 
 
 class TestEviction:
@@ -175,11 +202,11 @@ class TestEviction:
         for _ in range(9):
             y = rng.standard_normal(10)
             d_damped, _ = damp(y, rng.standard_normal(10), hist, xi=0.2)
-            hist.push(d_damped, y)
+            hist.push(d_damped, y, qdot(y, y))
             pushed.append((d_damped, y))
         fresh = BfgsHistory(qdot, b0_scale=0.8, m_mem=3)
         for d_damped, y in pushed[-3:]:
-            fresh.push(d_damped, y)
+            fresh.push(d_damped, y, qdot(y, y))
         for _ in range(5):
             g = rng.standard_normal(10)
             np.testing.assert_allclose(apply_inverse_hessian(hist, g),
@@ -200,8 +227,9 @@ class TestEviction:
         push_random_pairs(hist, rng, m_mem, 10)
         y = rng.standard_normal(10)
         d_damped, _ = damp(y, rng.standard_normal(10), hist, xi=0.2)
+        yy = base(y, y)
         calls = 0
-        hist.push(d_damped, y)
+        hist.push(d_damped, y, yy)
         assert calls == 1
         assert len(hist) == m_mem
 
@@ -303,12 +331,17 @@ class TestArmijo:
 
 
 class QuadraticProblem:
-    """min 0.5 (q - q*)^T H (q - q*) posed through the problem protocol."""
+    """min 0.5 (q - q*)^T H (q - q*) posed through the problem protocol.
 
-    def __init__(self, gram, h_mat, q_star):
+    step_limit returns the fixed `limit`; the default leaves the first
+    search at t = 1.
+    """
+
+    def __init__(self, gram, h_mat, q_star, limit=math.inf):
         self.gram = gram
         self.h_mat = h_mat
         self.q_star = q_star
+        self.limit = limit
         self.gram_inv = np.linalg.inv(gram)
 
     def gradient(self, q):
@@ -327,6 +360,9 @@ class QuadraticProblem:
 
     def jacobian_range(self, q):
         return 1.0, 1.0
+
+    def step_limit(self, d):
+        return self.limit
 
 
 def record_trial_steps(monkeypatch):
@@ -393,6 +429,17 @@ class TestOptimize:
         assert seen == list(range(len(seen)))
         assert len(seen) >= 1
 
+    @pytest.mark.parametrize("limit", [0.1, 4.0])
+    def test_first_search_starts_at_step_limit(self, gram10, rng,
+                                               monkeypatch, limit):
+        searches = record_trial_steps(monkeypatch)
+        prob = self.make_problem(gram10, rng)
+        prob.limit = limit
+        cfg = OptimizerConfig(tol=1e-9, k_max=3, b0_scale=1e3)
+        optimize(prob, np.zeros(10), cfg)
+        start = min(1.0, bfgs_optimizer.FIRST_STEP * limit)
+        assert searches[0][0] == pytest.approx(start, rel=1e-12)
+
     def test_each_search_starts_next_to_last_step(self, gram10, rng,
                                                   monkeypatch):
         # B0 = 1e3 I is far too long for this quadratic, so the first
@@ -441,8 +488,14 @@ class TestOptimize:
         for msg, rec in zip(iterates, accepted):
             assert msg.startswith(f"iterate k={rec.k} lam=")
             for key in ("J=", "|g|_Q=", "t=",
-                        f"ls_trials={rec.ls_trials}"):
+                        f"ls_trials={rec.ls_trials}", "gamma=", "t0="):
                 assert key in msg
+        # the first direction uses B_0 = b0_scale I and starts at t = 1
+        assert " gamma=1000 t0=1" in iterates[0]
+        for msg, prev in zip(iterates[1:], accepted):
+            t0 = float(msg.rsplit("t0=", 1)[1])
+            assert t0 == pytest.approx(min(1.0, prev.step / cfg.rho_ls),
+                                       rel=1e-5)
 
 
 class TestOptimizerConfigValidation:

@@ -108,6 +108,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
 
+    @pytest.mark.parametrize("value", ["0", "-0.0", "0e3"])
+    def test_zero_shift_rejected(self, value):
+        # A - 0*M is singular: the first sparse solve would fail to factor
+        message = "line 3: bad value for 'eigen.shift': shift 0 makes"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(config_text(extra=f"eigen.shift = {value}"))
+
+    def test_negative_shift_accepted(self):
+        cfg = parse_config(config_text(extra="eigen.shift = -2.5"))
+        assert cfg.eigen.shift == -2.5
+
+    @pytest.mark.parametrize("value", ["0", "-5", "-1e-300"])
+    def test_non_positive_target_rejected(self, value):
+        # the derived shift max(0.9 lambda*, 1e-12) would sit at 1e-12
+        message = ("line 2: bad value for 'objective.lambda_target': "
+                   f"'{value}' is not > 0")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(config_text(
+                target=f"objective.lambda_target = {value}"))
+
     def test_invalid_parameter_range(self):
         with pytest.raises(ConfigError):
             parse_config(config_text(extra="optimizer.gamma = 0.9"))

@@ -139,6 +139,19 @@ class TestInnerProduct:
         assert prob.q_norm(q) == pytest.approx(1.0, rel=1e-12)
 
 
+class TestStepLimit:
+    def test_shortest_edge_over_largest_vertex_move(self, square8_problem):
+        prob = square8_problem
+        d = np.zeros(prob.n_control)
+        d[2 * 5:2 * 5 + 2] = (3.0, -4.0)      # vertex 5 moves by 5
+        d[2 * 9] = 1.0
+        # the 8 x 8 square's shortest edges are the sides, 1/8
+        assert prob.step_limit(d) == pytest.approx((1.0 / 8.0) / 5.0,
+                                                   rel=1e-14)
+        assert prob.step_limit(-2.0 * d) == pytest.approx(
+            prob.step_limit(d) / 2.0, rel=1e-14)
+
+
 class TestDeterminism:
     def test_same_seed_same_state(self):
         mesh = generate_unit_square(8)
@@ -376,7 +389,8 @@ class TestOneSolvePerControl:
     def test_search_start_saves_solves(self, state_solves, monkeypatch):
         # B0 = (1/alpha) I: starting every search at t = 1 cost 18
         # eigensolves over these six steps; starting next to the last
-        # accepted step costs 10.
+        # accepted step cost 10, and with the first step bounded by the
+        # step limit and B0 = gamma_k I it costs 9.
         prob = _square8_problem()
         records, feasible_trials = self.run_counting_feasible_trials(
             prob, monkeypatch, k_max=6)
