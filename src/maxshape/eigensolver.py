@@ -13,22 +13,25 @@ those map to theta = 0 and are discarded by a threshold, while the finite
 eigenvalues nearest the shift dominate the transformed spectrum.  Small
 systems fall back to a dense QZ solve of the same pencil.
 
-The operator is applied without factoring the saddle matrix.  With
-S = A - sigma*M, the pencil's two identities B = M G and A G = 0 (curl grad
-= 0 on the Whitney/P1 pair; Boffi, Acta Numerica 19, 2010) give
-S G = -sigma B, so block elimination (Benzi, Golub & Liesen, Acta Numerica
-14, 2005) solves (K - sigma*Mt) [x; y] = [f; g] exactly by
+A cold solve does not factor the saddle matrix.  With S = A - sigma*M, the
+pencil's identities B = M G and A G = 0 (curl grad = 0 on the Whitney/P1
+pair; Boffi, Acta Numerica 19, 2010) give S G = -sigma B, so block
+elimination (Benzi, Golub & Liesen, Acta Numerica 14, 2005) solves
+(K - sigma*Mt) [x; y] = [f; g] exactly by
 
     z = S^{-1} f,    w = L^{-1} (g - B^T z),    [x; y] = [z + G w; sigma w]
 
-with L = B^T G, the P1 stiffness matrix in the deformed metric.  Only S and
-L are factored; the pencil and its eigenpairs stay those of the mixed
-problem, so the gradient kernel of (A, M) never enters the spectrum.
+with L = B^T G, the P1 stiffness matrix in the deformed metric.
 
 A solve handed a block of vectors from a nearby deformation (warm) runs
-block shift-invert subspace iteration with Rayleigh-Ritz on the block plus
-one fresh random guard column instead of Arnoldi (Saad, Numerical Methods
-for Large Eigenvalue Problems, 2nd ed., ch. 5).
+block subspace iteration with Rayleigh-Ritz on the block plus one fresh
+random guard column instead of Arnoldi (Saad, Numerical Methods for Large
+Eigenvalue Problems, 2nd ed., ch. 5), on edge vectors and with S alone:
+psi = 0 at every eigenpair (G^T times the first row gives L psi = 0), and
+on divergence-free vectors (B^T u = 0) S^{-1} M is the edge part of OP.
+It maps a gradient G phi to -G phi / sigma, so the start block is filtered
+once by F = S^{-1} M + I / sigma, which annihilates gradients exactly and
+scales each divergence-free mode by lam / (sigma (lam - sigma)), never 0.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 
 class ShiftInvert:
     """Solves with K - sigma*Mt by the block elimination of the module
-    docstring: one LU of A - sigma*M and one of L = B^T G.
+    docstring, one LU of A - sigma*M and one of L = B^T G: cold solves.
 
     solve takes and returns vectors or column blocks of the pencil's size,
     like SuperLU.solve.  sigma must not be 0 (S = A is singular on the
@@ -119,13 +122,13 @@ class MixedEigenPair:
     """Eigenvalue with edge-space eigenvector and vertex-space multiplier.
 
     Invariants after select_and_normalize: u^T M u = 1 and the
-    largest-magnitude entry of u is positive.  divergence is the certificate
-    ||B^T u|| / ||M u||; at most DIVERGENCE_TOL certifies the pair as
-    divergence-free (spurious-free).  gap is the distance to the nearest
-    other computed eigenvalue (NaN when none was computed).  block, set by
-    select_and_normalize, holds the reduced [u; psi] columns of the
-    computed pairs up to the selected one's upper neighbour: the warm start
-    of solve_gevp at a nearby deformation.
+    largest-magnitude entry of u is positive.  psi is 0 at an eigenpair,
+    exactly so from a warm solve.  divergence, ||B^T u|| / ||M u||, at most
+    DIVERGENCE_TOL certifies the pair as divergence-free (spurious-free).
+    gap is the distance to the nearest other computed eigenvalue (NaN if
+    none).  block, set by select_and_normalize, holds the reduced [u; psi]
+    columns of the computed pairs up to the selected one's upper
+    neighbour: the warm start of solve_gevp at a nearby deformation.
     """
 
     lam: float
@@ -141,11 +144,10 @@ class MixedEigenPair:
 class EigenSelection:
     """Which eigenpair to compute and how accurately.
 
-    index counts finite eigenvalues from the smallest; shift is the
-    spectral transform target (must not be an eigenvalue); nev, the number
-    of pairs a cold solve computes, defaults to max(6, index + 3); maxiter
-    caps the Arnoldi restarts of a cold solve and the iterations of a warm
-    one (BLOCK_MAXITER when None).
+    index counts finite eigenvalues from the smallest; shift, the transform
+    target, is finite, not 0 and no eigenvalue; nev, the pairs a cold solve
+    computes, defaults to max(6, index + 3); maxiter caps a cold solve's
+    Arnoldi restarts and a warm one's iterations (BLOCK_MAXITER if None).
     """
 
     index: int = 0
@@ -159,6 +161,8 @@ class EigenSelection:
             raise ValueError("index must be >= 0")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+        if self.shift is not None and not 0 < abs(self.shift) < math.inf:
+            raise ValueError("shift must be finite and not 0")
         if self.nev is not None and self.nev < self.index + 2:
             raise ValueError(
                 "nev must be >= index + 2: the warm block holds the pairs "
@@ -206,18 +210,15 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
 
     if n <= max(DENSE_THRESHOLD, 2 * nev + 12):
         spectrum = _dense_finite_spectrum(k_mat, mt, sigma, nev)
-    else:
+    elif block is None:
         op = ShiftInvert(forms, sigma)
-        if block is None:
-            spectrum = _arpack_finite_spectrum(k_mat, mt, op, sigma, nev,
-                                               sel, v0)
-        else:
-            spectrum = _block_finite_spectrum(k_mat, mt, op, sigma,
-                                              sel.index + 2, sel, block)
+        spectrum = _arpack_finite_spectrum(k_mat, mt, op, sigma, nev, sel, v0)
+    else:
+        spectrum = _block_finite_spectrum(forms, sigma, sel.index + 2, sel,
+                                          block)
 
     # K x and Mt x of each unnormalized pair serve the residual, which does
-    # not depend on the scale, and the certificate ||B^T u|| / ||M u||: the
-    # vertex rows of K x are B^T u.
+    # not depend on the scale, and the certificate (B^T u: K x's vertex rows).
     lams, vecs, kxs, mxs = spectrum
     pairs = []
     for i, lam in enumerate(lams):
@@ -304,56 +305,68 @@ def _arpack_finite_spectrum(k_mat, mt, op: ShiftInvert, sigma: float,
                     sigma, nev)
 
 
-def _block_finite_spectrum(k_mat, mt, op: ShiftInvert, sigma: float,
-                           count: int, sel: EigenSelection,
-                           block: np.ndarray):
-    """The lowest count pairs by block shift-invert iteration, ascending,
-    with their K x and Mt x taken from the last iteration's products.
+def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
+                           sel: EigenSelection, block: np.ndarray):
+    """The lowest count pairs by block subspace iteration on edge vectors
+    (module docstring), ascending, as [u; 0] columns with K x and Mt x.
 
-    Each iteration solves Y = (K - sigma*Mt)^{-1} Mt X and replaces X by the
-    Ritz vectors of the pencil projected on Y; it stops once the count
-    lowest Ritz pairs meet the residual tolerance.  The block converges to
-    the pairs nearest sigma; keeping the lowest of them, not the nearest,
-    ranks pairs as a cold solve does when sigma lies above the tracked pair
-    (with sigma below, the two coincide).  Y carries no infinite modes: a
-    gradient part of X lands in the multiplier rows of Y, which both
-    projected forms ignore.
+    Each iteration replaces X by the Ritz vectors of (A, M) on S^{-1} M X
+    until the count lowest Ritz pairs meet the residual tolerance.  The
+    block converges to the pairs nearest sigma; keeping the lowest of them,
+    not the nearest, ranks pairs as a cold solve does when sigma lies above
+    the tracked pair (with sigma below, the two coincide).  S^{-1} M grows
+    the gradient parts rounding leaves against a kept pair farther than
+    sigma from the shift; then, while a kept Ritz vector's ||B^T u|| /
+    ||M u|| exceeds tol / 100, the iteration goes on and its next step
+    applies F.  The log's applies count the start filter's solves.
     """
-    n = k_mat.shape[0]
+    k_mat, mt, lay = forms.K, forms.Mt, forms.layout
+    n, n_e = lay.n, lay.n_edge
     if block.ndim != 2 or block.shape[0] != n or block.shape[1] + 1 < count:
         raise ValueError(f"block of shape {block.shape} cannot start "
                          f"{count} pairs of a pencil of size {n}")
-    # The guard is drawn anew for every solve: a mode that moved next to the
-    # shift since the block was computed has a component in it, which the
-    # iteration amplifies; the block alone would converge past that mode.
-    guard = np.random.default_rng(0).standard_normal((n, 1))
-    x = np.hstack([block, guard])
+    edge = _splu(forms.edge_shift(sigma), "A - sigma*M", sigma)
+    # A and M on Mt's layout, as edge_shift builds A - sigma*M
+    pattern = (lay.mt_indices, lay.mt_indptr[:n_e + 1])
+    a = sp.csr_matrix((k_mat.data[lay.mt_in_k], *pattern), shape=(n_e, n_e))
+    m = sp.csr_matrix((mt.data, *pattern), shape=(n_e, n_e))
+    # A guard drawn anew for every solve has a component in any mode that
+    # moved next to the shift since the block; the block alone would miss it.
+    guard = np.random.default_rng(0).standard_normal((n_e, 1))
+    x = np.hstack([block[:n_e], guard])
+    x = edge.solve(m @ x) + x / sigma               # F x
     maxiter = sel.maxiter if sel.maxiter is not None else BLOCK_MAXITER
-    iterations = 0
+    iterations, gradients = 0, False
     try:
         while iterations < maxiter:
             iterations += 1
-            y = op.solve(mt @ x)
-            ky = k_mat @ y
-            my = mt @ y
-            kr = y.T @ ky
+            y = edge.solve(m @ x)
+            if gradients:
+                y += x / sigma                      # F x
+            ay = a @ y
+            my = m @ y
+            ar = y.T @ ay
             mr = y.T @ my
-            w, c = scipy.linalg.eigh(0.5 * (kr + kr.T), 0.5 * (mr + mr.T))
+            w, c = scipy.linalg.eigh(0.5 * (ar + ar.T), 0.5 * (mr + mr.T))
             x = y @ c
             # eigh sorts ascending: the first count Ritz pairs are the lowest
-            kz = ky @ c[:, :count]
+            az = ay @ c[:, :count]
             mz = my @ c[:, :count]
-            num = np.linalg.norm(kz - mz * w[:count], axis=0)
-            res = num / np.maximum(np.abs(w[:count])
-                                   * np.linalg.norm(mz, axis=0),
-                                   np.finfo(float).tiny)
-            if np.all(res <= sel.tol):
-                return w[:count], x[:, :count], kz, mz
+            # an F step leaves one solve's rounding: the next may stop
+            far = np.abs(w[:count] - sigma).max() > abs(sigma)
+            gradients = far and not gradients and np.any(
+                np.linalg.norm(forms.BT @ x[:, :count], axis=0)
+                > 1e-2 * sel.tol * np.linalg.norm(mz, axis=0))
+            num = np.linalg.norm(az - mz * w[:count], axis=0)
+            if not gradients and np.all(num <= sel.tol * np.abs(w[:count])
+                                        * np.linalg.norm(mz, axis=0)):
+                z = np.vstack([x[:, :count], np.zeros((n - n_e, count))])
+                return w[:count], z, k_mat @ z, mt @ z
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"block Rayleigh-Ritz failed: {exc}") from exc
     finally:
         log.debug("block solve: sigma=%.6g n=%d iterations=%d applies=%d",
-                  sigma, n, iterations, iterations * x.shape[1])
+                  sigma, n, iterations, (iterations + 1) * x.shape[1])
     raise NoConvergence(
         f"block iteration did not converge in {maxiter} iterations")
 
@@ -377,15 +390,10 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
         raise InsufficientSpectrum(
             f"index {sel.index} outside the {len(pairs)} computed pairs")
     chosen = pairs[sel.index]
-    u = chosen.u.copy()
-    psi = chosen.psi.copy()
-
-    nrm = np.sqrt(u @ (m_mat @ u))
-    u /= nrm
-    psi /= nrm
-    if u[np.argmax(np.abs(u))] < 0:
-        u = -u
-        psi = -psi
+    scale = np.sqrt(chosen.u @ (m_mat @ chosen.u))
+    if chosen.u[np.argmax(np.abs(chosen.u))] < 0:
+        scale = -scale
+    u, psi = chosen.u / scale, chosen.psi / scale
 
     gap = min((abs(chosen.lam - p.lam) for i, p in enumerate(pairs)
                if i != sel.index), default=math.nan)

@@ -38,6 +38,8 @@ class ObjectiveParams:
     epsilon: float = 1e-4
 
     def __post_init__(self):
+        if not 0 < self.lambda_target < math.inf:
+            raise ValueError("lambda_target must be finite and > 0")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if not 0.0 < self.epsilon < 1.0:

@@ -40,7 +40,7 @@ class MaxwellShapeProblem:
         self.params = params
         if sel.shift is None:
             # Keep the spectral transform target near the eigenvalue we chase.
-            sel = replace(sel, shift=max(0.9 * params.lambda_target, 1e-12))
+            sel = replace(sel, shift=0.9 * params.lambda_target)
         self.sel = sel
         self.dofs = DofMap.from_mesh(mesh)
         self.gram = assemble_control_gram(mesh)

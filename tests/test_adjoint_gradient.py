@@ -96,6 +96,7 @@ class TestMultiplierIsZero:
     @staticmethod
     def assert_psi_vanishes(state):
         assert np.abs(state.psi).max() <= 1e-8 * np.abs(state.u).max()
+        assert state.divergence <= 1e-10
 
     def test_dense_qz(self, shuffled_mesh, rng):
         dofs = DofMap.from_mesh(shuffled_mesh)

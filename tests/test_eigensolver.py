@@ -388,7 +388,8 @@ class TestWarmBlock:
         assert match is not None, lines[0]
         assert int(match[1]) == n
         assert int(match[2]) >= 1
-        assert int(match[3]) == 3 * int(match[2])   # two pairs plus the guard
+        # two pairs plus the guard, filtered once, then once per iteration
+        assert int(match[3]) == 3 * (int(match[2]) + 1)
 
     def test_iteration_cap_raises(self, square16_pairs):
         mesh = generate_unit_square(16)
@@ -396,6 +397,106 @@ class TestWarmBlock:
         sel = EigenSelection(nev=6, shift=9.0, tol=1e-8, maxiter=1)
         with pytest.raises(NoConvergence, match="1 iterations"):
             solve_gevp(forms, sel, block=block_of(square16_pairs[:2]))
+
+
+@pytest.fixture(scope="module")
+def deformed16():
+    """The reduced pencil of a 16 x 16 square at a random deformation."""
+    mesh = generate_unit_square(16)
+    q = random_feasible_control(mesh, np.random.default_rng(3), 0.1 / 16)
+    forms, _ = _reduced_forms(mesh, q)
+    assert forms.K.shape[0] > es.DENSE_THRESHOLD
+    return forms
+
+
+def certificate(forms, u):
+    """||B^T u|| / ||M u|| of each column of u."""
+    return (np.linalg.norm(forms.BT @ u, axis=0)
+            / np.linalg.norm(forms.M @ u, axis=0))
+
+
+class TestWarmEdgeIteration:
+    """The warm path's S^{-1} M on edge vectors and its gradient filter
+    F = S^{-1} M + I / sigma, S = A - sigma*M."""
+
+    sigma = 9.3
+
+    def edge_lu(self, forms):
+        return spla.splu(forms.edge_shift(self.sigma), **es.SYMMETRIC_LU)
+
+    def test_filter_annihilates_gradients(self, deformed16):
+        forms = deformed16
+        rng = np.random.default_rng(6)
+        g = forms.layout.gradient @ rng.standard_normal((forms.B.shape[1], 3))
+        fg = self.edge_lu(forms).solve(forms.M @ g) + g / self.sigma
+        assert np.all(np.linalg.norm(fg, axis=0)
+                      <= 1e-10 * np.linalg.norm(g, axis=0))
+
+    def test_divergence_free_stays_divergence_free(self, deformed16):
+        forms = deformed16
+        grad = forms.layout.gradient
+        r = np.random.default_rng(7).standard_normal((forms.n_edge, 2))
+        # M-orthogonal projection onto B^T u = 0: u = r - G L^{-1} B^T r
+        lap = (forms.BT @ grad).tocsc()
+        u = r - grad @ spla.spsolve(lap, forms.BT @ r)
+        assert np.all(certificate(forms, u) <= 1e-12)
+        y = self.edge_lu(forms).solve(forms.M @ u)
+        assert np.all(certificate(forms, y) <= 1e-10)
+
+    @pytest.mark.parametrize("shift", [4.0, 9.3])
+    def test_polluted_block_converges_to_the_cold_pairs(self, deformed16,
+                                                        shift):
+        # F removes the block's gradient part before the iteration.  At
+        # sigma = 4 both pairs lie farther than sigma from the shift, where
+        # S^{-1} M alone lets gradients (theta = -1/sigma) outgrow them.
+        forms = deformed16
+        sel = EigenSelection(nev=6, shift=shift, tol=1e-10)
+        cold = solve_gevp(forms, sel)
+        block = block_of(cold[:2])
+        phi = np.random.default_rng(8).standard_normal((forms.B.shape[1], 2))
+        block[:forms.n_edge] += 10.0 * (forms.layout.gradient @ phi)
+        warm = solve_gevp(forms, sel, block=block)
+        assert len(warm) == 2
+        for pw, pc in zip(warm, cold):
+            assert abs(pw.lam - pc.lam) <= 1e-10 * pc.lam
+            assert pw.divergence <= 1e-10
+            assert np.all(pw.psi == 0.0)
+
+    def test_far_neighbour_stays_divergence_free(self):
+        # On the 1 x 0.5 rectangle the upper neighbour 4 pi^2 lies farther
+        # than sigma from the shift: S^{-1} M lets the gradient parts that
+        # rounding leaves outgrow it, unless a step applies F again.
+        square = generate_unit_square(16)
+        mesh = Mesh(square.vertices * [1.0, 0.5], square.triangles)
+        sel = EigenSelection(nev=6, shift=9.3, tol=1e-8)
+        start = solve_gevp(_reduced_forms(mesh)[0], sel)
+        forms, _ = _reduced_forms(mesh, smooth_control(mesh, 0.03))
+        cold = solve_gevp(forms, sel)
+        assert cold[1].lam - sel.shift > 3.0 * sel.shift
+        warm = solve_gevp(forms, sel, block=block_of(start[:2]))
+        for pw, pc in zip(warm, cold):
+            assert abs(pw.lam - pc.lam) <= 1e-10 * pc.lam
+            assert pw.divergence <= 1e-10
+
+    def test_warm_factors_once_cold_twice(self, deformed16, monkeypatch):
+        factors = []
+
+        class SpyLinalg:
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+            def splu(self, mat, **kwargs):
+                factors.append(mat.shape)
+                return spla.splu(mat, **kwargs)
+
+        monkeypatch.setattr(es, "spla", SpyLinalg())
+        forms = deformed16
+        sel = EigenSelection(nev=6, shift=self.sigma, tol=1e-8)
+        cold = solve_gevp(forms, sel)
+        assert factors == [(forms.n_edge,) * 2, (forms.B.shape[1],) * 2]
+        factors.clear()
+        solve_gevp(forms, sel, block=block_of(cold[:2]))
+        assert factors == [(forms.n_edge,) * 2]
 
 
 class TestSelectAndNormalize:
@@ -465,3 +566,13 @@ class TestEigenSelectionValidation:
     def test_default_nev(self):
         assert EigenSelection(index=0).nev_effective == 6
         assert EigenSelection(index=7).nev_effective == 10
+
+    @pytest.mark.parametrize("shift", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_shift_finite_and_not_zero(self, shift):
+        # A - shift*M is singular at 0, and the warm filter divides by it
+        with pytest.raises(ValueError, match="shift"):
+            EigenSelection(shift=shift)
+
+    def test_negative_or_unset_shift_accepted(self):
+        assert EigenSelection(shift=-2.5).shift == -2.5
+        assert EigenSelection().shift is None

@@ -153,3 +153,9 @@ class TestObjectiveParams:
     def test_nonnegative_weights(self):
         with pytest.raises(ValueError):
             ObjectiveParams(lambda_target=1.0, alpha=-1.0)
+
+    @pytest.mark.parametrize("target", [0.0, -5.0, math.nan, math.inf])
+    def test_positive_finite_target(self, target):
+        # the derived shift 0.9 * lambda_target must be finite and not 0
+        with pytest.raises(ValueError, match="lambda_target"):
+            ObjectiveParams(lambda_target=target)

@@ -47,3 +47,13 @@ def test_bench_pairs_parse_seeds(load_tool):
     bench_pairs = load_tool("bench_pairs")
     assert bench_pairs.parse_seeds("201-203") == [201, 202, 203]
     assert bench_pairs.parse_seeds("3,5") == [3, 5]
+
+
+def test_solve_anatomy_smoke(load_tool):
+    solve_anatomy = load_tool("solve_anatomy")
+    row = solve_anatomy.anatomy(16, repeats=2)
+    assert row["pencil"] == DofMap.from_mesh(generate_unit_square(16)).n_free
+    assert all(row[column] > 0.0 for column in solve_anatomy.COLUMNS)
+    assert row["warm iterations"] >= 1
+    table = solve_anatomy.table([row])
+    assert table.splitlines()[2].startswith("| 16 | 961 | ")

@@ -4,8 +4,9 @@
 
 For n = 16, 32 and 64 the script assembles the reduced pencil (K, Mt) of
 the unit square at a fixed random deformation and factors the two matrices
-of the eigensolver's shift-invert solve, S = A - sigma*M and L = B^T G (as
-L^T, whose CSC arrays are L's CSR arrays), with eigensolver.SYMMETRIC_LU's
+of the eigensolver's shift-invert solve, S = A - sigma*M, which every sparse
+solve factors, and L = B^T G, which only cold solves factor (as L^T, whose
+CSC arrays are L's CSR arrays), with eigensolver.SYMMETRIC_LU's
 ordering and pivoting for every (panel_size, relax) pair of the grid, and
 with scipy's defaults (None, None), which SuperLU resolves to (20, 10).  Rounds run the candidates in a fresh random
 order each, so a slow stretch of the host spreads over all of them.  Per

@@ -1,0 +1,183 @@
+"""Time the parts of one state solve on a deformed unit square.
+
+    python3 tools/solve_anatomy.py [--out tools/solve_anatomy.json]
+
+For n = 16, 32 and 64 the script assembles the reduced pencil of the unit
+square at a random nodal deformation of size 0.05 / n, with the desk run's
+shift sigma = 0.9 * 1.05 * pi^2, and reports the median of 20 timings of
+each part of a state solve:
+
+- assemble: assemble_forms and apply_dirichlet;
+- factor S: splu of S = A - sigma*M, which every sparse solve factors;
+- factor L: splu of L = B^T G (as L^T), which only cold solves factor;
+- block iteration: one iteration of the warm solve on a 3-column block,
+  S^{-1} M X and its Rayleigh-Ritz step;
+- warm solve: solve_gevp from the block of a cold solve at a deformation
+  0.005 / n away, with the block iterations it took;
+- cold solve: solve_gevp by ARPACK, nev = 8.
+
+BLAS runs on one thread, as in tools/lu_sweep.py.  The printed table is
+the "Anatomy of one state solve" of ROADMAP.md's Baseline.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import logging
+import os
+import platform
+import re
+import statistics
+import sys
+import time
+from pathlib import Path
+
+os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS",
+                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+import scipy.linalg  # noqa: E402
+import scipy.sparse.linalg as spla  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from maxshape import (  # noqa: E402
+    DeformationField,
+    DofMap,
+    EigenSelection,
+    apply_dirichlet,
+    assemble_forms,
+    generate_unit_square,
+    select_and_normalize,
+    solve_gevp,
+)
+from maxshape.eigensolver import SYMMETRIC_LU  # noqa: E402
+from maxshape.reference_transform import jacobian_range  # noqa: E402
+
+SIZES = (16, 32, 64)
+REPEATS = 20
+SIGMA = 0.9 * 1.05 * np.pi ** 2
+SEED = 0
+COLUMNS = ("assemble", "factor S", "factor L", "block iteration",
+           "warm solve", "cold solve")
+
+
+def random_field(mesh, rng, size: float) -> np.ndarray:
+    vals = rng.uniform(-1.0, 1.0, size=(mesh.n_vertices, 2))
+    return vals * size / np.abs(vals).max()
+
+
+def median_ms(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+class _Iterations(logging.Handler):
+    """Keeps the iteration count of the last warm solve's debug line."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.last = 0
+
+    def emit(self, record):
+        match = re.search(r"iterations=(\d+)", record.getMessage())
+        if match:
+            self.last = int(match[1])
+
+
+def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
+    """Median milliseconds of each part of a state solve at n x n."""
+    mesh = generate_unit_square(n)
+    dofs = DofMap.from_mesh(mesh)
+    rng = np.random.default_rng(seed)
+    base = random_field(mesh, rng, 0.05 / n)
+    start_q = DeformationField(mesh, base)
+    q = DeformationField(mesh, base + random_field(mesh, rng, 0.005 / n))
+    if min(jacobian_range(start_q)[0], jacobian_range(q)[0]) <= 0.0:
+        raise AssertionError("the random deformation folds a triangle")
+    sel = EigenSelection(index=0, nev=8, shift=SIGMA, tol=1e-8)
+
+    def assemble(field):
+        return apply_dirichlet(assemble_forms(mesh, dofs, field), dofs)
+
+    start = assemble(start_q)
+    block = select_and_normalize(solve_gevp(start, sel), sel, start.M).block
+    forms = assemble(q)
+    s_mat = forms.edge_shift(SIGMA)
+    l_mat = (forms.BT @ forms.layout.gradient).T
+    edge = spla.splu(s_mat, **SYMMETRIC_LU)
+    a, m = forms.A, forms.M
+    x = np.hstack([block[:forms.n_edge],
+                   rng.standard_normal((forms.n_edge, 1))])
+
+    def block_iteration():
+        y = edge.solve(m @ x)
+        ay, my = a @ y, m @ y
+        _, c = scipy.linalg.eigh(y.T @ ay, y.T @ my)
+        return y @ c
+
+    counter = _Iterations()
+    log = logging.getLogger("maxshape.eigensolver")
+    level = log.level
+    log.addHandler(counter)
+    log.setLevel(logging.DEBUG)
+    try:
+        warm_ms = median_ms(lambda: solve_gevp(forms, sel, block=block),
+                            repeats)
+    finally:
+        log.removeHandler(counter)
+        log.setLevel(level)
+    return {
+        "n": n, "pencil": forms.K.shape[0],
+        "assemble": median_ms(lambda: assemble(q), repeats),
+        "factor S": median_ms(lambda: spla.splu(s_mat, **SYMMETRIC_LU),
+                              repeats),
+        "factor L": median_ms(lambda: spla.splu(l_mat, **SYMMETRIC_LU),
+                              repeats),
+        "block iteration": median_ms(block_iteration, repeats),
+        "warm solve": warm_ms,
+        "warm iterations": counter.last,
+        "cold solve": median_ms(lambda: solve_gevp(forms, sel), repeats),
+    }
+
+
+def table(rows: list[dict]) -> str:
+    """The rows as a markdown table."""
+    cells = ["n", "pencil", *COLUMNS, "warm iterations"]
+    lines = ["| " + " | ".join(cells) + " |", "|" + "---|" * len(cells)]
+    for row in rows:
+        lines.append("| " + " | ".join(
+            [str(row["n"]), str(row["pencil"]),
+             *(f"{row[c]:.2f} ms" for c in COLUMNS),
+             str(row["warm iterations"])]) + " |")
+    return "\n".join(lines)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args()
+    rows = [anatomy(n) for n in SIZES]
+    print(table(rows))
+    if args.out is not None:
+        record = {
+            "command": "python3 tools/solve_anatomy.py --out "
+                       + str(args.out),
+            "sigma": SIGMA, "repeats": REPEATS, "seed": SEED,
+            "machine": {"python": platform.python_version(),
+                        "numpy": np.__version__, "scipy": scipy.__version__,
+                        "nproc": os.cpu_count(),
+                        "machine": platform.machine()},
+            "rows": rows,
+        }
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
