@@ -64,17 +64,16 @@ def solve_state(mesh: Mesh, dofs: DofMap, q: DeformationField,
                 block: np.ndarray | None = None) -> MixedEigenPair:
     """Solve the constrained eigenvalue problem at deformation q.
 
-    Returns the selected, normalized pair with full-length coefficient
-    vectors (zeros on constrained DOFs).  Its block holds the reduced
-    [u; psi] columns of the pairs up to the selected one's upper neighbour;
-    pass it as block to the next solve at a nearby deformation to start
-    that solve warm.  Without a block the solve is cold, from v0.
+    Returns the selected, normalized pair with a full-length u (zeros on
+    constrained DOFs).  Its block holds the reduced u columns of the pairs
+    up to the selected one's upper neighbour; pass it as block to the next
+    solve at a nearby deformation to start that solve warm.  Without a
+    block the solve is cold, from v0.
     """
     forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
     pairs = solve_gevp(forms, sel, v0=v0, block=block)
     pair = select_and_normalize(pairs, sel, forms.M)
-    return replace(pair, u=dofs.expand_edge(pair.u),
-                   psi=dofs.expand_vertex(pair.psi))
+    return replace(pair, u=dofs.expand_edge(pair.u))
 
 
 def solve_adjoint(state: MixedEigenPair,

@@ -50,8 +50,8 @@ class OptimizerConfig:
     b0_scale: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
         if not 0.0 < self.gamma < 0.5:
             raise ValueError("gamma must lie in (0, 0.5)")
         if not 0.0 < self.rho_ls < 1.0:
@@ -60,8 +60,8 @@ class OptimizerConfig:
             raise ValueError("xi must lie in (0, 1)")
         if self.ls_max < 1 or self.m_mem < 1 or self.k_max < 0:
             raise ValueError("ls_max, m_mem must be >= 1 and k_max >= 0")
-        if self.b0_scale <= 0:
-            raise ValueError("b0_scale must be > 0")
+        if not 0 < self.b0_scale < math.inf:
+            raise ValueError("b0_scale must be finite and > 0")
 
 
 @dataclass(frozen=True)

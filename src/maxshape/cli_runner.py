@@ -380,8 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run(cfg)
         if args.command == "check-gradient":
-            steps = [float(tok) for tok in str(args.h).split(",") if tok]
-            _, code = check_gradient(cfg, args.dirs, steps, q_inf=args.qinf)
+            _, code = check_gradient(cfg, args.dirs, _steps(args.h),
+                                     q_inf=args.qinf)
             return code
         if args.command == "eigs":
             return run_eigs(cfg, args.nev)
@@ -392,6 +392,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _steps(text: str) -> list[float]:
+    """The --h steps: at least one, each finite and > 0."""
+    try:
+        steps = [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        steps = []
+    if not steps or not all(0 < h < math.inf for h in steps):
+        raise ConfigError(f"--h needs steps that are numbers, finite and "
+                          f"> 0, got {text!r}")
+    return steps
 
 
 def _setup_logging() -> None:

@@ -27,11 +27,14 @@ A solve handed a block of vectors from a nearby deformation (warm) runs
 block subspace iteration with Rayleigh-Ritz on the block plus one fresh
 random guard column instead of Arnoldi (Saad, Numerical Methods for Large
 Eigenvalue Problems, 2nd ed., ch. 5), on edge vectors and with S alone:
-psi = 0 at every eigenpair (G^T times the first row gives L psi = 0), and
 on divergence-free vectors (B^T u = 0) S^{-1} M is the edge part of OP.
 It maps a gradient G phi to -G phi / sigma, so the start block is filtered
 once by F = S^{-1} M + I / sigma, which annihilates gradients exactly and
 scales each divergence-free mode by lam / (sigma (lam - sigma)), never 0.
+
+Every path returns eigenvalues and edge vectors u, each checked as
+(lam, [u; 0]) against the pencil: G^T times its first row gives
+L psi = lam B^T u = 0 at an eigenpair (Kikuchi, CMAME 64, 1987).
 """
 
 from __future__ import annotations
@@ -119,21 +122,20 @@ def _splu(mat: sp.csc_matrix, name: str, sigma: float):
 
 @dataclass
 class MixedEigenPair:
-    """Eigenvalue with edge-space eigenvector and vertex-space multiplier.
+    """Eigenvalue and edge-space eigenvector (the multiplier is 0).
 
     Invariants after select_and_normalize: u^T M u = 1 and the
-    largest-magnitude entry of u is positive.  psi is 0 at an eigenpair,
-    exactly so from a warm solve.  divergence, ||B^T u|| / ||M u||, at most
-    DIVERGENCE_TOL certifies the pair as divergence-free (spurious-free).
-    gap is the distance to the nearest other computed eigenvalue (NaN if
-    none).  block, set by select_and_normalize, holds the reduced [u; psi]
-    columns of the computed pairs up to the selected one's upper
-    neighbour: the warm start of solve_gevp at a nearby deformation.
+    largest-magnitude entry of u is positive.  divergence,
+    ||B^T u|| / ||M u||, at most DIVERGENCE_TOL certifies the pair as
+    divergence-free (spurious-free).  gap is the distance to the nearest
+    other computed eigenvalue (NaN if none).  block, set by
+    select_and_normalize, holds the reduced u columns of the computed pairs
+    up to the selected one's upper neighbour: the warm start of solve_gevp
+    at a nearby deformation.
     """
 
     lam: float
     u: np.ndarray
-    psi: np.ndarray
     residual: float
     divergence: float = math.nan
     gap: float = math.nan
@@ -159,8 +161,8 @@ class EigenSelection:
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("index must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
         if self.shift is not None and not 0 < abs(self.shift) < math.inf:
             raise ValueError("shift must be finite and not 0")
         if self.nev is not None and self.nev < self.index + 2:
@@ -180,15 +182,15 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
 
     A cold solve (no block) computes nev pairs: dense QZ for small pencils,
     shift-invert Arnoldi from v0 otherwise.  A warm solve starts block
-    shift-invert iteration from block, reduced [u; psi] columns such as
+    shift-invert iteration from block, reduced u columns such as
     MixedEigenPair.block of a solve at a nearby deformation, and computes
     the lowest index + 2 pairs it finds; small pencils still go dense.
 
-    Each returned eigenvector is normalized to u^T M u = 1 and carries its
-    relative pencil residual and its divergence certificate
-    ||B^T u|| / ||M u||.  The pairs the selection uses, index and its
-    neighbours index +- 1, satisfy the residual bound of the selection
-    tolerance; the others only report their residual.
+    Each returned eigenvector u is normalized to u^T M u = 1 and carries
+    the relative pencil residual of (lam, [u; 0]) and its divergence
+    certificate ||B^T u|| / ||M u||.  The pairs the selection uses, index
+    and its neighbours index +- 1, satisfy the residual bound of the
+    selection tolerance; the others only report their residual.
 
     Raises:
         FactorizationFailed: A - sigma*M or B^T G is singular.
@@ -198,8 +200,7 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     """
     if sel.shift is None:
         raise ValueError("EigenSelection.shift must be set before solving")
-    k_mat, mt, n_e = forms.K, forms.Mt, forms.n_edge
-    n = k_mat.shape[0]
+    n, n_e = forms.layout.n, forms.n_edge
     if v0 is not None and len(v0) != n:
         raise ValueError(f"v0 of length {len(v0)} cannot start a pencil of "
                          f"size {n}")
@@ -209,72 +210,67 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     sigma = float(sel.shift)
 
     if n <= max(DENSE_THRESHOLD, 2 * nev + 12):
-        spectrum = _dense_finite_spectrum(k_mat, mt, sigma, nev)
+        lams, u = _dense_finite_spectrum(forms, sigma, nev)
     elif block is None:
-        op = ShiftInvert(forms, sigma)
-        spectrum = _arpack_finite_spectrum(k_mat, mt, op, sigma, nev, sel, v0)
+        lams, u = _arpack_finite_spectrum(forms, sigma, nev, sel, v0)
     else:
-        spectrum = _block_finite_spectrum(forms, sigma, sel.index + 2, sel,
-                                          block)
+        lams, u = _block_finite_spectrum(forms, sigma, sel.index + 2, sel,
+                                         block)
 
-    # K x and Mt x of each unnormalized pair serve the residual, which does
-    # not depend on the scale, and the certificate (B^T u: K x's vertex rows).
-    lams, vecs, kxs, mxs = spectrum
+    # the residual and certificate do not depend on the scale of u
+    au, mu, btu = forms.A @ u, forms.M @ u, forms.BT @ u
     pairs = []
     for i, lam in enumerate(lams):
-        x, kx, mx = vecs[:, i], kxs[:, i], mxs[:, i]
-        nrm = np.sqrt(x[:n_e] @ mx[:n_e])
+        nrm = np.sqrt(u[:, i] @ mu[:, i])
         if nrm <= 0:
             raise NoConvergence(f"eigenvector {i} has zero mass norm")
-        res = _pencil_residual(kx, mx, lam)
-        div = float(np.linalg.norm(kx[n_e:]) / np.linalg.norm(mx[:n_e]))
+        res = _pencil_residual(au[:, i], mu[:, i], btu[:, i], lam)
+        div = float(np.linalg.norm(btu[:, i]) / np.linalg.norm(mu[:, i]))
         if res > sel.tol and abs(i - sel.index) <= 1:
             raise NoConvergence(
                 f"eigenpair {i} (lam={lam:.6g}) residual {res:.2e} "
                 f"exceeds tol {sel.tol:.2e}")
-        x = x / nrm
-        pairs.append(MixedEigenPair(lam=float(lam), u=x[:n_e], psi=x[n_e:],
+        pairs.append(MixedEigenPair(lam=float(lam), u=u[:, i] / nrm,
                                     residual=res, divergence=div))
     return pairs
 
 
-def _nearest(k_mat, mt, lams: np.ndarray, vecs: np.ndarray, sigma: float,
+def _nearest(lams: np.ndarray, vecs: np.ndarray, n_edge: int, sigma: float,
              count: int):
-    """The count eigenvalues nearest sigma, ascending, with their vectors
-    x and the products K x and Mt x."""
+    """The count eigenvalues nearest sigma, ascending, and edge vectors."""
     if len(lams) < count:
         raise InsufficientSpectrum(
             f"found {len(lams)} finite eigenvalues, requested {count}")
     order = np.argsort(np.abs(lams - sigma))[:count]
     order = order[np.argsort(lams[order])]
-    vecs = vecs[:, order]
-    return lams[order], vecs, k_mat @ vecs, mt @ vecs
+    return lams[order], vecs[:n_edge, order]
 
 
-def _pencil_residual(kx: np.ndarray, mx: np.ndarray, lam: float) -> float:
-    """||K x - lam Mt x|| / (|lam| ||Mt x||) from the products K x, Mt x."""
-    num = np.linalg.norm(kx - lam * mx)
-    den = abs(lam) * np.linalg.norm(mx)
+def _pencil_residual(au: np.ndarray, mu: np.ndarray, btu: np.ndarray,
+                     lam: float) -> float:
+    """||K x - lam Mt x|| / (|lam| ||Mt x||) at x = [u; 0], where
+    K x - lam Mt x = [A u - lam M u; B^T u] and Mt x = [M u; 0]."""
+    num = np.hypot(np.linalg.norm(au - lam * mu), np.linalg.norm(btu))
+    den = abs(lam) * np.linalg.norm(mu)
     return float(num / max(den, np.finfo(float).tiny))
 
 
-def _dense_finite_spectrum(k_mat, mt, sigma: float, count: int):
-    kd = k_mat.toarray()
-    md = mt.toarray()
-    (alpha, beta), vr = scipy.linalg.eig(kd, md, homogeneous_eigvals=True)
+def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int):
+    (alpha, beta), vr = scipy.linalg.eig(
+        forms.K.toarray(), forms.Mt.toarray(), homogeneous_eigvals=True)
     # The zero mass block yields structurally infinite eigenvalues: beta = 0
     # up to rounding.  Anything with a non-negligible beta is finite.
     finite = np.abs(beta) > 1e-8 * max(np.abs(beta).max(), 1e-300)
     w = alpha[finite] / beta[finite]
     real = np.abs(w.imag) <= 1e-8 * (1.0 + np.abs(w.real))
-    return _nearest(k_mat, mt, w.real[real], vr.real[:, finite][:, real],
+    return _nearest(w.real[real], vr.real[:, finite][:, real], forms.n_edge,
                     sigma, count)
 
 
-def _arpack_finite_spectrum(k_mat, mt, op: ShiftInvert, sigma: float,
-                            nev: int, sel: EigenSelection,
-                            v0: np.ndarray | None):
-    n = k_mat.shape[0]
+def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, nev: int,
+                            sel: EigenSelection, v0: np.ndarray | None):
+    op = ShiftInvert(forms, sigma)
+    mt, n = forms.Mt, forms.layout.n
     applies = 0
 
     def apply_op(x):
@@ -301,14 +297,14 @@ def _arpack_finite_spectrum(k_mat, mt, op: ShiftInvert, sigma: float,
 
     theta = theta.real
     keep = np.abs(theta) >= 10.0 * sel.tol
-    return _nearest(k_mat, mt, sigma + 1.0 / theta[keep], x.real[:, keep],
+    return _nearest(sigma + 1.0 / theta[keep], x.real[:, keep], forms.n_edge,
                     sigma, nev)
 
 
 def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
                            sel: EigenSelection, block: np.ndarray):
     """The lowest count pairs by block subspace iteration on edge vectors
-    (module docstring), ascending, as [u; 0] columns with K x and Mt x.
+    (module docstring), ascending.
 
     Each iteration replaces X by the Ritz vectors of (A, M) on S^{-1} M X
     until the count lowest Ritz pairs meet the residual tolerance.  The
@@ -320,20 +316,15 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
     ||M u|| exceeds tol / 100, the iteration goes on and its next step
     applies F.  The log's applies count the start filter's solves.
     """
-    k_mat, mt, lay = forms.K, forms.Mt, forms.layout
-    n, n_e = lay.n, lay.n_edge
-    if block.ndim != 2 or block.shape[0] != n or block.shape[1] + 1 < count:
+    a, m, n_e = forms.A, forms.M, forms.n_edge
+    if block.ndim != 2 or block.shape[0] != n_e or block.shape[1] + 1 < count:
         raise ValueError(f"block of shape {block.shape} cannot start "
-                         f"{count} pairs of a pencil of size {n}")
+                         f"{count} pairs on {n_e} edge DOFs")
     edge = _splu(forms.edge_shift(sigma), "A - sigma*M", sigma)
-    # A and M on Mt's layout, as edge_shift builds A - sigma*M
-    pattern = (lay.mt_indices, lay.mt_indptr[:n_e + 1])
-    a = sp.csr_matrix((k_mat.data[lay.mt_in_k], *pattern), shape=(n_e, n_e))
-    m = sp.csr_matrix((mt.data, *pattern), shape=(n_e, n_e))
     # A guard drawn anew for every solve has a component in any mode that
     # moved next to the shift since the block; the block alone would miss it.
     guard = np.random.default_rng(0).standard_normal((n_e, 1))
-    x = np.hstack([block[:n_e], guard])
+    x = np.hstack([block, guard])
     x = edge.solve(m @ x) + x / sigma               # F x
     maxiter = sel.maxiter if sel.maxiter is not None else BLOCK_MAXITER
     iterations, gradients = 0, False
@@ -360,13 +351,13 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
             num = np.linalg.norm(az - mz * w[:count], axis=0)
             if not gradients and np.all(num <= sel.tol * np.abs(w[:count])
                                         * np.linalg.norm(mz, axis=0)):
-                z = np.vstack([x[:, :count], np.zeros((n - n_e, count))])
-                return w[:count], z, k_mat @ z, mt @ z
+                return w[:count], x[:, :count]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"block Rayleigh-Ritz failed: {exc}") from exc
     finally:
         log.debug("block solve: sigma=%.6g n=%d iterations=%d applies=%d",
-                  sigma, n, iterations, (iterations + 1) * x.shape[1])
+                  sigma, forms.layout.n, iterations,
+                  (iterations + 1) * x.shape[1])
     raise NoConvergence(
         f"block iteration did not converge in {maxiter} iterations")
 
@@ -376,12 +367,11 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
     """Pick the requested pair, normalize it and record its spectral gap.
 
     The eigenvector is rescaled to u^T M u = 1 with the largest-magnitude
-    entry of u positive (a deterministic representative); the multiplier is
-    rescaled alongside.  The gap, the distance to the nearest other computed
-    eigenvalue, is stored on the result.  A divergence certificate above
-    DIVERGENCE_TOL is logged as a warning, not raised.  The result's block
-    stacks the [u; psi] columns of the pairs up to index + 1: the warm
-    start of the next solve.
+    entry of u positive (a deterministic representative).  The gap, the
+    distance to the nearest other computed eigenvalue, is stored on the
+    result.  A divergence certificate above DIVERGENCE_TOL is logged as a
+    warning, not raised.  The result's block stacks the u columns of the
+    pairs up to index + 1: the warm start of the next solve.
 
     Raises:
         InsufficientSpectrum: index beyond the computed list.
@@ -393,7 +383,7 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
     scale = np.sqrt(chosen.u @ (m_mat @ chosen.u))
     if chosen.u[np.argmax(np.abs(chosen.u))] < 0:
         scale = -scale
-    u, psi = chosen.u / scale, chosen.psi / scale
+    u = chosen.u / scale
 
     gap = min((abs(chosen.lam - p.lam) for i, p in enumerate(pairs)
                if i != sel.index), default=math.nan)
@@ -402,8 +392,6 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
         log.warning("divergence certificate %.3e above %.1e at lam=%.6g",
                     chosen.divergence, DIVERGENCE_TOL, chosen.lam)
 
-    block = np.column_stack([np.concatenate([p.u, p.psi])
-                             for p in pairs[:sel.index + 2]])
-    return MixedEigenPair(lam=chosen.lam, u=u, psi=psi,
-                          residual=chosen.residual,
+    block = np.column_stack([p.u for p in pairs[:sel.index + 2]])
+    return MixedEigenPair(lam=chosen.lam, u=u, residual=chosen.residual,
                           divergence=chosen.divergence, gap=gap, block=block)

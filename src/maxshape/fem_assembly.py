@@ -148,11 +148,6 @@ class DofMap:
         full[self.free_edges] = u_red
         return full
 
-    def expand_vertex(self, p_red: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.n_vertex)
-        full[self.free_vertices] = p_red
-        return full
-
 
 @dataclass
 class AssembledForms:
@@ -166,7 +161,10 @@ class AssembledForms:
     M: weighted vector mass (edge x edge), symmetric positive definite on
        free DOFs for admissible deformations.
     K and Mt own their data; their index arrays are the layout's, read-only
-    and shared by every pencil assembled on it.
+    and shared by every pencil assembled on it.  No block is sliced: A and
+    M are CSR matrices on Mt's index arrays (Mt's pattern is K's edge
+    block; K.data[mt_in_k] are A's entries in Mt's slots), B^T a view of
+    K's vertex rows.
     """
 
     K: sp.csr_matrix
@@ -178,29 +176,28 @@ class AssembledForms:
         return self.layout.n_edge
 
     @cached_property
-    def A(self) -> sp.csr_matrix:
-        return self.K[:self.n_edge, :self.n_edge]
-
-    @cached_property
-    def B(self) -> sp.csr_matrix:
-        return self.K[:self.n_edge, self.n_edge:]
-
-    @cached_property
     def M(self) -> sp.csr_matrix:
-        return self.Mt[:self.n_edge, :self.n_edge]
+        lay = self.layout
+        return sp.csr_matrix((self.Mt.data, lay.mt_indices,
+                              lay.mt_indptr[:lay.n_edge + 1]),
+                             shape=(lay.n_edge, lay.n_edge))
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        m = self.M
+        return sp.csr_matrix((self.K.data[self.layout.mt_in_k], m.indices,
+                              m.indptr), shape=m.shape)
+
+    @property
+    def B(self) -> sp.csc_matrix:
+        return self.BT.T
 
     def edge_shift(self, sigma: float) -> sp.csc_matrix:
-        """A - sigma*M in CSC on Mt's layout.
-
-        Mt's pattern is K's edge block and both blocks are exactly
-        symmetric, so Mt's CSR index arrays are the CSC arrays of
-        A - sigma*M; K.data[mt_in_k] are A's entries in Mt's slots.
-        """
-        lay = self.layout
-        n_e = lay.n_edge
-        data = self.K.data[lay.mt_in_k] - sigma * self.Mt.data
-        return sp.csc_matrix((data, lay.mt_indices, lay.mt_indptr[:n_e + 1]),
-                             shape=(n_e, n_e))
+        """A - sigma*M in CSC: both are exactly symmetric, so their CSR
+        index arrays are the CSC arrays."""
+        a, m = self.A, self.M
+        return sp.csc_matrix((a.data - sigma * m.data, a.indices, a.indptr),
+                             shape=a.shape)
 
     @property
     def BT(self) -> sp.csr_matrix:

@@ -48,6 +48,9 @@ class Mesh:
         triangles = np.array(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MalformedSection(f"vertices must be (V, 2), got {vertices.shape}")
+        if not np.isfinite(vertices).all():
+            bad = int(np.argmin(np.isfinite(vertices).all(axis=1)))
+            raise MalformedSection(f"vertex {bad} has a non-finite coordinate")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MalformedSection(f"triangles must be (T, 3), got {triangles.shape}")
         if len(triangles) == 0:

@@ -40,8 +40,8 @@ class ObjectiveParams:
     def __post_init__(self):
         if not 0 < self.lambda_target < math.inf:
             raise ValueError("lambda_target must be finite and > 0")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and >= 0")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1) so that q = 0 is feasible")
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from maxshape import DeformationField, generate_unit_square
 from maxshape.fem_assembly import EDGE_MIDPOINTS, QP_WEIGHT
@@ -102,6 +103,13 @@ def random_feasible_control(mesh, rng, q_inf, epsilon=1e-4):
         if jacobian_range(q)[0] > 2.0 * epsilon:
             return q
     raise AssertionError("could not draw a feasible deformation")
+
+
+def implied_multiplier(forms, grad, lam, u):
+    """psi = lam L^{-1} B^T u, L = B^T G: the multiplier that G^T times
+    the first pencil row A u + B psi = lam M u implies for a pair (lam, u)
+    of the reduced forms, with grad the gradient incidence on their DOFs."""
+    return lam * spla.spsolve((forms.BT @ grad).tocsc(), forms.BT @ u)
 
 
 def assert_entries_close(got, want, rtol=1e-15):

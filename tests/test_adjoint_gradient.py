@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from maxshape import (
@@ -14,6 +15,7 @@ from maxshape import (
     assemble_control_gram,
     assemble_forms,
     assemble_shape_derivative,
+    gradient_incidence,
     reduced_derivative,
     riesz_gradient,
     select_and_normalize,
@@ -24,7 +26,7 @@ from maxshape import (
 from maxshape.eigensolver import DENSE_THRESHOLD
 from maxshape.problem import MaxwellShapeProblem
 
-from conftest import random_feasible_control
+from conftest import implied_multiplier, random_feasible_control
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +76,7 @@ class TestSolveState:
         state = solve_state(mesh, dofs, DeformationField.zero(mesh), sel)
         assert state.lam == pytest.approx(np.pi ** 2, rel=0.03)
         assert len(state.u) == mesh.n_edges
-        assert len(state.psi) == mesh.n_vertices
         assert np.all(state.u[mesh.boundary_edges] == 0.0)
-        assert np.all(state.psi[mesh.boundary_vertices] == 0.0)
         assert state.divergence <= 1e-6     # the certificate travels along
 
     def test_translation_invariance(self, setup6):
@@ -91,11 +91,17 @@ class TestSolveState:
 
 class TestMultiplierIsZero:
     """psi = 0 at every discrete eigenpair, since L psi = 0 (the module
-    docstring of adjoint_gradient): the reduced derivative drops it."""
+    docstring of adjoint_gradient): the solver returns u alone and the
+    reduced derivative drops psi."""
 
     @staticmethod
-    def assert_psi_vanishes(state):
-        assert np.abs(state.psi).max() <= 1e-8 * np.abs(state.u).max()
+    def assert_psi_vanishes(mesh, dofs, q, state):
+        # the multiplier the pair implies, with L = B^T G built here
+        forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
+        grad = gradient_incidence(mesh)[dofs.free_edges][:, dofs.free_vertices]
+        psi = implied_multiplier(forms, grad, state.lam,
+                                 state.u[dofs.free_edges])
+        assert np.abs(psi).max() <= 1e-8 * np.abs(state.u).max()
         assert state.divergence <= 1e-10
 
     def test_dense_qz(self, shuffled_mesh, rng):
@@ -103,7 +109,25 @@ class TestMultiplierIsZero:
         assert dofs.n_free <= DENSE_THRESHOLD
         sel = EigenSelection(index=0, nev=6, shift=8.0, tol=1e-9)
         q = random_feasible_control(shuffled_mesh, rng, 0.01)
-        self.assert_psi_vanishes(solve_state(shuffled_mesh, dofs, q, sel))
+        self.assert_psi_vanishes(shuffled_mesh, dofs, q,
+                                 solve_state(shuffled_mesh, dofs, q, sel))
+
+    def test_raw_qz_oracle(self, square8, rng):
+        # scipy's QZ on the whole mixed pencil, no solver code in between:
+        # the vertex rows of every finite eigenvector are rounding.
+        dofs = DofMap.from_mesh(square8)
+        q = random_feasible_control(square8, rng, 0.01)
+        forms = apply_dirichlet(assemble_forms(square8, dofs, q), dofs)
+        (alpha, beta), vr = scipy.linalg.eig(
+            forms.K.toarray(), forms.Mt.toarray(), homogeneous_eigvals=True)
+        finite = np.abs(beta) > 1e-8 * np.abs(beta).max()
+        # one finite eigenvalue per edge DOF that is not a gradient
+        assert finite.sum() == dofs.n_free_edge - dofs.n_free_vertex
+        assert np.all(np.abs((alpha[finite] / beta[finite]).imag) <= 1e-8)
+        x = vr[:, finite].real
+        n_e = forms.n_edge
+        assert np.all(np.abs(x[n_e:]).max(axis=0)
+                      <= 1e-8 * np.abs(x[:n_e]).max(axis=0))
 
     def test_cold_arpack_and_warm_block(self, square16, rng):
         prob = MaxwellShapeProblem(
@@ -113,8 +137,9 @@ class TestMultiplierIsZero:
         # the problem's first solve runs ARPACK, the second starts warm
         # from the first one's block
         for _ in range(2):
-            q = random_feasible_control(square16, rng, 0.01).flat
-            self.assert_psi_vanishes(prob.solve_state(q))
+            q = random_feasible_control(square16, rng, 0.01)
+            self.assert_psi_vanishes(square16, prob.dofs, q,
+                                     prob.solve_state(q.flat))
 
 
 class TestEigenvalueDerivative:
@@ -174,7 +199,7 @@ class TestSolveAdjoint:
         mesh, dofs, sel = setup6
         q = DeformationField.zero(mesh)
         state = solve_state(mesh, dofs, q, sel)
-        corrupted = type(state)(lam=state.lam, u=2.0 * state.u, psi=state.psi,
+        corrupted = type(state)(lam=state.lam, u=2.0 * state.u,
                                 residual=state.residual)
         adj = solve_adjoint(corrupted, 0.9 * state.lam)
         err, ref = direct_adjoint_mismatch(mesh, dofs, q, sel, corrupted, adj)
@@ -249,7 +274,7 @@ class TestReducedDerivative:
         adj = solve_adjoint(state, params.lambda_target)
         func = reduced_derivative(mesh, q, state, adj, params, gram6)
 
-        flipped = type(state)(lam=state.lam, u=-state.u, psi=-state.psi,
+        flipped = type(state)(lam=state.lam, u=-state.u,
                               residual=state.residual)
         adj_f = solve_adjoint(flipped, params.lambda_target)
         func_f = reduced_derivative(mesh, q, flipped, adj_f, params,

@@ -506,3 +506,13 @@ class TestOptimizerConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-7])
+    def test_tol_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            OptimizerConfig(tol=tol)
+
+    @pytest.mark.parametrize("b0_scale", [math.nan, math.inf, -1.0])
+    def test_b0_scale_finite_and_positive(self, b0_scale):
+        with pytest.raises(ValueError, match="b0_scale"):
+            OptimizerConfig(b0_scale=b0_scale)

@@ -24,6 +24,7 @@ from maxshape.cli_runner import (
     run,
     run_eigs,
 )
+import maxshape.cli_runner as cli_runner
 from maxshape.errors import ConfigError
 from maxshape.problem import MaxwellShapeProblem
 
@@ -400,3 +401,17 @@ class TestMain:
         ]))
         assert main(["check-gradient", "--config", str(cfg_file),
                      "--dirs", "2", "--h", "1e-5"]) == 0
+
+    @pytest.mark.parametrize("h", ["0", ",", "nan", "abc", "inf", "-1e-5",
+                                   "1e-4,0"])
+    def test_check_gradient_bad_step(self, tmp_path, capsys, monkeypatch, h):
+        def never(*args, **kwargs):
+            raise AssertionError("check_gradient ran")
+
+        monkeypatch.setattr(cli_runner, "check_gradient", never)
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text("mesh.unit_square = 4\n"
+                            "objective.lambda_target = 8.9\n")
+        assert main(["check-gradient", "--config", str(cfg_file),
+                     f"--h={h}"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: --h")

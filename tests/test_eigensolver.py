@@ -24,7 +24,11 @@ from maxshape.errors import (
 from maxshape.mesh_io import Mesh
 from maxshape.reference_transform import jacobian_range
 
-from conftest import SQUARE_SPECTRUM, random_feasible_control
+from conftest import (
+    SQUARE_SPECTRUM,
+    implied_multiplier,
+    random_feasible_control,
+)
 
 
 def _reduced_forms(mesh, q=None):
@@ -55,8 +59,8 @@ def smooth_control(mesh, amplitude):
 
 
 def block_of(pairs):
-    """Reduced [u; psi] columns of pairs: a warm block for solve_gevp."""
-    return np.column_stack([np.concatenate([p.u, p.psi]) for p in pairs])
+    """Reduced u columns of pairs: a warm block for solve_gevp."""
+    return np.column_stack([p.u for p in pairs])
 
 
 @pytest.fixture
@@ -66,9 +70,9 @@ def inflated_residual(monkeypatch):
         real = es._pencil_residual
         calls = []
 
-        def residual(kx, mx, lam):
+        def residual(au, mu, btu, lam):
             calls.append(lam)       # solve_gevp checks the pairs in order
-            return 1.0 if len(calls) == i + 1 else real(kx, mx, lam)
+            return 1.0 if len(calls) == i + 1 else real(au, mu, btu, lam)
 
         monkeypatch.setattr(es, "_pencil_residual", residual)
     return inflate
@@ -96,6 +100,25 @@ class TestSolveGevp:
             fresh = np.linalg.norm(b_mat.T @ p.u) / np.linalg.norm(m_mat @ p.u)
             assert p.divergence == pytest.approx(fresh, rel=1e-12)
             assert p.divergence <= 1e-6
+
+    def test_residual_of_u_and_zero_multiplier(self, square16_forms,
+                                               square16_pairs):
+        # the residual from A u, M u and B^T u is that of the mixed pencil
+        # at x = [u; 0], B^T u rows included: checked on a vector with a
+        # gradient part, whose B^T u is not zero
+        forms = square16_forms
+        p = square16_pairs[0]
+        phi = np.random.default_rng(2).standard_normal(forms.B.shape[1])
+        u = p.u + 0.1 * (forms.layout.gradient @ phi)
+        x = np.concatenate([u, np.zeros(forms.B.shape[1])])
+        mx = forms.Mt @ x
+        want = (np.linalg.norm(forms.K @ x - p.lam * mx)
+                / (p.lam * np.linalg.norm(mx)))
+        got = es._pencil_residual(forms.A @ u, forms.M @ u, forms.BT @ u,
+                                  p.lam)
+        assert np.linalg.norm(forms.BT @ u) > 0.1 * np.linalg.norm(
+            forms.A @ u - p.lam * (forms.M @ u))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_mass_normalization(self, square16_forms, square16_pairs):
         for p in square16_pairs:
@@ -322,7 +345,7 @@ class TestShiftInvert:
         assert len(sparse) == len(dense) == 6
         for ps, pd in zip(sparse, dense):
             assert abs(ps.lam - pd.lam) <= 1e-8 * abs(pd.lam)
-            assert ps.psi.shape == (0,)
+            assert ps.u.shape == pd.u.shape == (dofs.n_free_edge,)
 
 
 class TestWarmBlock:
@@ -454,13 +477,15 @@ class TestWarmEdgeIteration:
         cold = solve_gevp(forms, sel)
         block = block_of(cold[:2])
         phi = np.random.default_rng(8).standard_normal((forms.B.shape[1], 2))
-        block[:forms.n_edge] += 10.0 * (forms.layout.gradient @ phi)
+        block += 10.0 * (forms.layout.gradient @ phi)
         warm = solve_gevp(forms, sel, block=block)
         assert len(warm) == 2
         for pw, pc in zip(warm, cold):
             assert abs(pw.lam - pc.lam) <= 1e-10 * pc.lam
             assert pw.divergence <= 1e-10
-            assert np.all(pw.psi == 0.0)
+            psi = implied_multiplier(forms, forms.layout.gradient, pw.lam,
+                                     pw.u)
+            assert np.abs(psi).max() <= 1e-8 * np.abs(pw.u).max()
 
     def test_far_neighbour_stays_divergence_free(self):
         # On the 1 x 0.5 rectangle the upper neighbour 4 pi^2 lies farther
@@ -505,7 +530,7 @@ class TestSelectAndNormalize:
 
         base = square16_pairs[0]
         doubled = [MixedEigenPair(lam=base.lam, u=2.0 * base.u,
-                                  psi=2.0 * base.psi, residual=base.residual)]
+                                  residual=base.residual)]
         sel = EigenSelection(index=0, nev=6, shift=9.0)
         out = select_and_normalize(doubled, sel, square16_forms.M)
         assert out.lam == base.lam
@@ -518,13 +543,12 @@ class TestSelectAndNormalize:
         base = square16_pairs[0]
         sel = EigenSelection(index=0, nev=6, shift=9.0)
         plus = select_and_normalize(
-            [MixedEigenPair(base.lam, base.u, base.psi, base.residual)],
+            [MixedEigenPair(base.lam, base.u, base.residual)],
             sel, square16_forms.M)
         minus = select_and_normalize(
-            [MixedEigenPair(base.lam, -base.u, -base.psi, base.residual)],
+            [MixedEigenPair(base.lam, -base.u, base.residual)],
             sel, square16_forms.M)
         np.testing.assert_array_equal(plus.u, minus.u)
-        np.testing.assert_array_equal(plus.psi, minus.psi)
         assert plus.u[np.argmax(np.abs(plus.u))] > 0
 
     def test_block_holds_the_used_pairs(self, square16_forms, square16_pairs):
@@ -562,6 +586,12 @@ class TestEigenSelectionValidation:
     def test_positive_tol(self):
         with pytest.raises(ValueError):
             EigenSelection(tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_tol_finite(self, tol):
+        # tol = nan would run ARPACK to its iteration cap
+        with pytest.raises(ValueError, match="tol"):
+            EigenSelection(tol=tol)
 
     def test_default_nev(self):
         assert EigenSelection(index=0).nev_effective == 6

@@ -383,6 +383,27 @@ class TestPencilLayout:
         assert_same_sparse(forms.Mt, sp.block_diag(
             (m, sp.csr_matrix((n_v, n_v))), format="csr"))
 
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_edge_blocks_on_the_mass_layout(self, square4, rng, reduced):
+        # A and M are built on Mt's index arrays, not sliced from K and Mt,
+        # and equal the slices entry for entry
+        dofs = DofMap.from_mesh(square4)
+        forms = assemble_forms(square4, dofs,
+                               random_feasible_control(square4, rng, 0.05))
+        if reduced:
+            forms = apply_dirichlet(forms, dofs)
+        n_e = forms.n_edge
+        for block, whole in ((forms.A, forms.K), (forms.M, forms.Mt)):
+            assert np.shares_memory(block.indices, forms.Mt.indices)
+            assert np.shares_memory(block.indptr, forms.Mt.indptr)
+            assert_same_sparse(block, whole[:n_e, :n_e])
+        for sigma in (9.3, -2.5):
+            shifted = forms.edge_shift(sigma)
+            np.testing.assert_array_equal(
+                shifted.data, forms.A.data - sigma * forms.M.data)
+            np.testing.assert_array_equal(
+                shifted.toarray(), (forms.A - sigma * forms.M).toarray())
+
 
 class TestEigenvalueScaling:
     """Transform correctness stated at the eigenvalue level."""

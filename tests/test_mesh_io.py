@@ -103,6 +103,20 @@ $EndElements
         with pytest.raises(MalformedSection):
             parse_msh(text)
 
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    def test_non_finite_vertex(self, coord):
+        # node 2 is vertex 1
+        text = SINGLE_TRIANGLE_MSH.replace("2 1 0 0", f"2 1 {coord} 0")
+        with pytest.raises(MalformedSection, match="vertex 1 "):
+            parse_msh(text)
+
+    @pytest.mark.parametrize("coord", [np.nan, np.inf])
+    def test_non_finite_vertex_in_mesh(self, coord):
+        vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        vertices[3][0] = coord
+        with pytest.raises(MalformedSection, match="vertex 3 "):
+            Mesh(np.array(vertices), np.array([[0, 1, 2], [1, 3, 2]]))
+
 
 class TestGenerateUnitSquare:
     def test_n1(self):

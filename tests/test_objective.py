@@ -154,6 +154,16 @@ class TestObjectiveParams:
         with pytest.raises(ValueError):
             ObjectiveParams(lambda_target=1.0, alpha=-1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_alpha_finite_and_nonnegative(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ObjectiveParams(lambda_target=1.0, alpha=alpha)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1e-6])
+    def test_beta_finite_and_nonnegative(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            ObjectiveParams(lambda_target=1.0, beta=beta)
+
     @pytest.mark.parametrize("target", [0.0, -5.0, math.nan, math.inf])
     def test_positive_finite_target(self, target):
         # the derived shift 0.9 * lambda_target must be finite and not 0

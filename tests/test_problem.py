@@ -328,7 +328,7 @@ class TestWarmStateSolves:
         prob = _square16_problem()
         first = prob.solve_state(prob.zero_control())
         assert len(arnoldi_calls) == 1
-        assert first.block.shape == (prob.dofs.n_free, 2)
+        assert first.block.shape == (prob.dofs.n_free_edge, 2)
         for amplitude in (1e-3, 0.02, 0.05):
             state = prob.solve_state(_smooth_control(prob, amplitude))
             assert state.residual <= 1e-8

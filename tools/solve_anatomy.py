@@ -113,8 +113,7 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     l_mat = (forms.BT @ forms.layout.gradient).T
     edge = spla.splu(s_mat, **SYMMETRIC_LU)
     a, m = forms.A, forms.M
-    x = np.hstack([block[:forms.n_edge],
-                   rng.standard_normal((forms.n_edge, 1))])
+    x = np.hstack([block, rng.standard_normal((forms.n_edge, 1))])
 
     def block_iteration():
         y = edge.solve(m @ x)
