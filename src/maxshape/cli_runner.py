@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -265,10 +266,12 @@ def check_gradient(cfg: RunConfig, n_directions: int,
     full objective (re-solving the eigenvalue problem at each trial point)
     for random Q-normalized directions, at q = 0 or at a random feasible
     deformation with max-norm q_inf.  Exit status 0 iff every relative
-    error at the smallest step is below rel_tol.
+    error at the smallest step is below rel_tol.  h is a step or a sequence
+    of steps; ConfigError rejects it, before any mesh is built, unless it
+    holds a step and every step is a number, finite and > 0.
     """
+    steps = sorted(_checked_steps(h, "h"), reverse=True)
     problem = build_problem(cfg)
-    steps = sorted([h] if isinstance(h, float) else list(h), reverse=True)
     rng = np.random.default_rng(cfg.seed)
     q = _feasible_control(problem, rng, q_inf)
 
@@ -297,6 +300,16 @@ def check_gradient(cfg: RunConfig, n_directions: int,
     report["max_rel_error"] = float(np.max(finest))
     _print_report(report, rel_tol)
     return report, 0 if report["max_rel_error"] <= rel_tol else 1
+
+
+def _checked_steps(h, name: str) -> list[float]:
+    """The steps h as floats, checked; name names h in the error."""
+    steps = np.ravel(h).tolist()
+    if not steps or not all(isinstance(step, numbers.Real)
+                            and 0 < step < math.inf for step in steps):
+        raise ConfigError(f"{name} needs steps that are numbers, finite and "
+                          f"> 0, got {h!r}")
+    return [float(step) for step in steps]
 
 
 def _feasible_control(problem: MaxwellShapeProblem, rng: np.random.Generator,
@@ -395,15 +408,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _steps(text: str) -> list[float]:
-    """The --h steps: at least one, each finite and > 0."""
+    """The comma-separated --h steps, checked as check_gradient checks
+    them, so that an error names the option."""
     try:
         steps = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
-        steps = []
-    if not steps or not all(0 < h < math.inf for h in steps):
-        raise ConfigError(f"--h needs steps that are numbers, finite and "
-                          f"> 0, got {text!r}")
-    return steps
+        steps = [text]              # not numbers: rejected as such
+    return _checked_steps(steps, "--h")
 
 
 def _setup_logging() -> None:

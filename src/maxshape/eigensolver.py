@@ -4,8 +4,8 @@ The discrete problem is K x = lam * Mt x with
 
     K  = [[A, B], [B^T, 0]],      Mt = [[M, 0], [0, 0]],
 
-assembled on free DOFs.  Mt is singular, so the pencil carries a cluster of
-infinite eigenvalues; under the shift-invert transform
+posed by the forms A, M and B^T on free DOFs.  Mt is singular, so the
+pencil carries infinite eigenvalues; under the shift-invert transform
 
     OP = (K - sigma * Mt)^{-1} Mt,    theta = 1 / (lam - sigma),
 
@@ -200,7 +200,7 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     """
     if sel.shift is None:
         raise ValueError("EigenSelection.shift must be set before solving")
-    n, n_e = forms.layout.n, forms.n_edge
+    n, n_e = forms.n, forms.n_edge
     if v0 is not None and len(v0) != n:
         raise ValueError(f"v0 of length {len(v0)} cannot start a pencil of "
                          f"size {n}")
@@ -256,8 +256,12 @@ def _pencil_residual(au: np.ndarray, mu: np.ndarray, btu: np.ndarray,
 
 
 def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int):
+    bt = forms.BT.toarray()
+    zero = np.zeros((len(bt), len(bt)))
     (alpha, beta), vr = scipy.linalg.eig(
-        forms.K.toarray(), forms.Mt.toarray(), homogeneous_eigvals=True)
+        np.block([[forms.A.toarray(), bt.T], [bt, zero]]),
+        scipy.linalg.block_diag(forms.M.toarray(), zero),
+        homogeneous_eigvals=True)
     # The zero mass block yields structurally infinite eigenvalues: beta = 0
     # up to rounding.  Anything with a non-negligible beta is finite.
     finite = np.abs(beta) > 1e-8 * max(np.abs(beta).max(), 1e-300)
@@ -270,13 +274,13 @@ def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int):
 def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, nev: int,
                             sel: EigenSelection, v0: np.ndarray | None):
     op = ShiftInvert(forms, sigma)
-    mt, n = forms.Mt, forms.layout.n
+    m, n, n_e = forms.M, forms.n, forms.n_edge
     applies = 0
 
-    def apply_op(x):
+    def apply_op(x):                                # OP x, Mt x = [M x_e; 0]
         nonlocal applies
         applies += 1
-        return op.solve(mt @ x)
+        return op.solve(np.concatenate([m @ x[:n_e], np.zeros(n - n_e)]))
 
     linear = spla.LinearOperator((n, n), matvec=apply_op)
     # A couple of spare Ritz pairs guard against near-zero theta dropouts.
@@ -356,7 +360,7 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
         raise NoConvergence(f"block Rayleigh-Ritz failed: {exc}") from exc
     finally:
         log.debug("block solve: sigma=%.6g n=%d iterations=%d applies=%d",
-                  sigma, forms.layout.n, iterations,
+                  sigma, forms.n, iterations,
                   (iterations + 1) * x.shape[1])
     raise NoConvergence(
         f"block iteration did not converge in {maxiter} iterations")

@@ -104,7 +104,7 @@ class DofMap:
     n_vertex: int
     constrained_edge: np.ndarray    # (E,) bool
     constrained_vertex: np.ndarray  # (V,) bool
-    pattern: "PencilPattern"        # fixed sparsity of the pencil
+    pattern: "PencilPattern"        # fixed sparsity of the forms
 
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "DofMap":
@@ -151,42 +151,29 @@ class DofMap:
 
 @dataclass
 class AssembledForms:
-    """The mixed saddle-point pencil K x = lam * Mt x of the transformed forms.
-
-        K  = [[A, B], [B^T, 0]],      Mt = [[M, 0], [0, 0]],
-
-    with the n_edge edge DOFs first and the vertex DOFs after them.
+    """The forms of the mixed problem a(u, v) + b(v, psi) = lam m(u, v),
+    b(u, phi) = 0 (Kikuchi, CMAME 64, 1987) on layout's DOFs, edges first:
+    they pose the saddle pencil K = [[A, B], [B^T, 0]], Mt = [[M, 0], [0, 0]].
     A: curl-curl form (edge x edge), symmetric positive semidefinite.
-    B: constraint coupling (edge x vertex), b(u, phi) = u^T B phi.
     M: weighted vector mass (edge x edge), symmetric positive definite on
        free DOFs for admissible deformations.
-    K and Mt own their data; their index arrays are the layout's, read-only
-    and shared by every pencil assembled on it.  No block is sliced: A and
-    M are CSR matrices on Mt's index arrays (Mt's pattern is K's edge
-    block; K.data[mt_in_k] are A's entries in Mt's slots), B^T a view of
-    K's vertex rows.
+    BT: B^T (vertex x edge) of the constraint coupling b(u, phi) = u^T B phi.
+    Each owns its data; its index arrays are the layout's, read-only and
+    shared by every assembly on it, A's and M's the same arrays.
     """
 
-    K: sp.csr_matrix
-    Mt: sp.csr_matrix
+    A: sp.csr_matrix
+    M: sp.csr_matrix
+    BT: sp.csr_matrix
     layout: "PencilLayout"
 
     @property
     def n_edge(self) -> int:
         return self.layout.n_edge
 
-    @cached_property
-    def M(self) -> sp.csr_matrix:
-        lay = self.layout
-        return sp.csr_matrix((self.Mt.data, lay.mt_indices,
-                              lay.mt_indptr[:lay.n_edge + 1]),
-                             shape=(lay.n_edge, lay.n_edge))
-
-    @cached_property
-    def A(self) -> sp.csr_matrix:
-        m = self.M
-        return sp.csr_matrix((self.K.data[self.layout.mt_in_k], m.indices,
-                              m.indptr), shape=m.shape)
+    @property
+    def n(self) -> int:
+        return self.layout.n
 
     @property
     def B(self) -> sp.csc_matrix:
@@ -199,122 +186,116 @@ class AssembledForms:
         return sp.csc_matrix((a.data - sigma * m.data, a.indices, a.indptr),
                              shape=a.shape)
 
-    @property
-    def BT(self) -> sp.csr_matrix:
-        """B^T as a view of K's vertex rows, which hold no other entry."""
-        lay = self.layout
-        start = lay.k_indptr[lay.n_edge]
-        return sp.csr_matrix((self.K.data[start:], lay.k_indices[start:],
-                              lay.k_indptr[lay.n_edge:] - start),
-                             shape=(lay.n - lay.n_edge, lay.n_edge))
-
 
 @dataclass(frozen=True)
 class PencilLayout:
-    """CSR sparsity of a pencil (K, Mt) of size n, with Mt's pattern inside
-    K's: mt_in_k[i] is the slot in K.data of Mt.data[i].  edge_ends[e]
-    holds the vertex numbers, counted from the first vertex DOF, of edge
-    DOF e's low and high endpoint, -1 for an endpoint without a DOF here."""
+    """CSR sparsity of the forms on n DOFs, the n_edge edge DOFs first:
+    edge_indptr and edge_indices of A and M (edge x edge), bt_indptr and
+    bt_indices of B^T (vertex x edge).  edge_ends[e] holds the vertex
+    numbers, counted from the first vertex DOF, of edge DOF e's low and
+    high endpoint, -1 for an endpoint without a DOF here."""
 
     n: int
     n_edge: int
-    k_indptr: np.ndarray
-    k_indices: np.ndarray
-    mt_indptr: np.ndarray
-    mt_indices: np.ndarray
-    mt_in_k: np.ndarray
+    edge_indptr: np.ndarray
+    edge_indices: np.ndarray
+    bt_indptr: np.ndarray
+    bt_indices: np.ndarray
     edge_ends: np.ndarray
 
     @classmethod
-    def from_keys(cls, k_keys: np.ndarray, mt_keys: np.ndarray, n: int,
-                  edge_ends: np.ndarray) -> "PencilLayout":
-        """Layout of the sorted unique entry keys row * n + col."""
-        def csr(keys):
-            rows, cols = np.divmod(keys, n)
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    def from_keys(cls, edge_keys: np.ndarray, bt_keys: np.ndarray,
+                  n_vertex: int, edge_ends: np.ndarray) -> "PencilLayout":
+        """Layout of the sorted unique entry keys row * n_edge + col."""
+        n_edge = len(edge_ends)
+
+        def csr(keys, n_rows):
+            rows, cols = np.divmod(keys, n_edge)
+            indptr = np.zeros(n_rows + 1, dtype=np.int32)
+            np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
             return indptr, cols.astype(np.int32)
 
-        arrays = (*csr(k_keys), *csr(mt_keys),
-                  np.searchsorted(k_keys, mt_keys).astype(np.int32),
-                  edge_ends)
+        arrays = (*csr(edge_keys, n_edge), *csr(bt_keys, n_vertex), edge_ends)
         for arr in arrays:
             arr.setflags(write=False)
-        return cls(n, len(edge_ends), *arrays)
+        return cls(n_edge + n_vertex, n_edge, *arrays)
 
     @cached_property
     def gradient(self) -> sp.csr_matrix:
         """G, the gradient incidence on this layout's DOFs (edge x vertex):
-        B = M G and A G = 0 hold on the pencil.  Built at first use."""
+        B = M G and A G = 0 hold on the forms.  Built at first use."""
         return _incidence(self.edge_ends, self.n - self.n_edge)
 
-    def forms(self, k_data: np.ndarray, mt_data: np.ndarray) -> AssembledForms:
-        shape = (self.n, self.n)
+    def forms(self, a_data: np.ndarray, m_data: np.ndarray,
+              bt_data: np.ndarray) -> AssembledForms:
+        edge, n_e = (self.edge_indices, self.edge_indptr), self.n_edge
         return AssembledForms(
-            K=sp.csr_matrix((k_data, self.k_indices, self.k_indptr),
-                            shape=shape),
-            Mt=sp.csr_matrix((mt_data, self.mt_indices, self.mt_indptr),
-                             shape=shape),
-            layout=self)
+            sp.csr_matrix((a_data, *edge), shape=(n_e, n_e)),
+            sp.csr_matrix((m_data, *edge), shape=(n_e, n_e)),
+            sp.csr_matrix((bt_data, self.bt_indices, self.bt_indptr),
+                          shape=(self.n - n_e, n_e)), self)
 
 
 @dataclass(frozen=True)
 class PencilPattern:
-    """The fixed sparsity of one DofMap's pencil, full and on free DOFs.
+    """The fixed sparsity of one DofMap's forms, full and on free DOFs.
 
     The deformation changes only the entries, so assembly scatters the local
     matrices by precomputed slots (Cuvelier, Japhet & Scarella, BIT 56,
-    2016): k_slots[i] is the slot in the full K.data of the i-th entry of
-    a_loc, b_loc (as B) and b_loc (as B^T) in that order, mt_slots the slot
-    in the full Mt.data of each entry of m_loc.  The Dirichlet reduction is
-    a gather: the free K.data is the full K.data[k_free], likewise Mt.
+    2016): edge_slots[i] is the slot in the full A.data and M.data of the
+    i-th entry of a_loc and of m_loc, bt_slots the slot in the full BT.data
+    of the i-th entry of b_loc.  The Dirichlet reduction is a gather: the
+    free A.data is the full A.data[edge_free], likewise M, and the free
+    BT.data the full BT.data[bt_free].
     """
 
-    k_slots: np.ndarray
-    mt_slots: np.ndarray
+    edge_slots: np.ndarray
+    bt_slots: np.ndarray
     full: PencilLayout
     free: PencilLayout
-    k_free: np.ndarray
-    mt_free: np.ndarray
+    edge_free: np.ndarray
+    bt_free: np.ndarray
 
     @classmethod
     def build(cls, mesh: Mesh, constrained_edge: np.ndarray,
               constrained_vertex: np.ndarray) -> "PencilPattern":
-        free = ~np.concatenate([constrained_edge, constrained_vertex])
-        n, n_edge = len(free), mesh.n_edges
-        n_free, n_free_edge = int(free.sum()), int(free[:n_edge].sum())
+        free_edge, free_vertex = ~constrained_edge, ~constrained_vertex
+        n_edge, n_vertex = mesh.n_edges, mesh.n_vertices
+        n_free_edge = int(free_edge.sum())
         edges = mesh.triangle_edges
         # triangle-major local entries (k, l) of an edge x edge form and
-        # (k, v) of an edge x vertex form, keyed row * n + col
+        # (k, v) of b_loc as B^T, keyed row * n_edge + col
         rows = np.repeat(edges, 3, axis=1).ravel()
         cols = np.tile(edges, (1, 3)).ravel()
-        verts = n_edge + np.tile(mesh.triangles, (1, 3)).ravel()
-        k_keys, k_slots = np.unique(
-            np.concatenate([rows * n + cols, rows * n + verts,
-                            verts * n + rows]), return_inverse=True)
-        mt_keys, mt_slots = np.unique(rows * n + cols, return_inverse=True)
+        verts = np.tile(mesh.triangles, (1, 3)).ravel()
+        edge_keys, edge_slots = np.unique(rows * n_edge + cols,
+                                          return_inverse=True)
+        bt_keys, bt_slots = np.unique(verts * n_edge + rows,
+                                      return_inverse=True)
+        # free DOF number of a free edge or vertex
+        edge_number = np.cumsum(free_edge) - 1
+        vertex_number = np.cumsum(free_vertex) - 1
 
-        number = np.cumsum(free) - 1     # free DOF number of a free DOF
+        def restrict(keys, row_free, row_number):
+            r, c = np.divmod(keys, n_edge)
+            kept = np.flatnonzero(row_free[r] & free_edge[c])
+            return kept.astype(np.int32), row_number[r[kept]] * n_free_edge \
+                + edge_number[c[kept]]
 
-        def restrict(keys):
-            r, c = np.divmod(keys, n)
-            kept = np.flatnonzero(free[r] & free[c])
-            return kept.astype(np.int32), number[r[kept]] * n_free \
-                + number[c[kept]]
-
-        k_free, free_k_keys = restrict(k_keys)
-        mt_free, free_mt_keys = restrict(mt_keys)
-        slots = (k_slots.astype(np.int32), mt_slots.astype(np.int32))
-        for arr in (*slots, k_free, mt_free):
+        edge_free, free_edge_keys = restrict(edge_keys, free_edge, edge_number)
+        bt_free, free_bt_keys = restrict(bt_keys, free_vertex, vertex_number)
+        slots = (edge_slots.astype(np.int32), bt_slots.astype(np.int32))
+        for arr in (*slots, edge_free, bt_free):
             arr.setflags(write=False)
-        ends = mesh.edges[~constrained_edge]
-        free_ends = np.where(free[n_edge + ends],
-                             number[n_edge + ends] - n_free_edge, -1)
+        ends = mesh.edges[free_edge]
+        free_ends = np.where(free_vertex[ends], vertex_number[ends], -1)
         return cls(*slots,
-                   PencilLayout.from_keys(k_keys, mt_keys, n, mesh.edges),
-                   PencilLayout.from_keys(free_k_keys, free_mt_keys, n_free,
+                   PencilLayout.from_keys(edge_keys, bt_keys, n_vertex,
+                                          mesh.edges),
+                   PencilLayout.from_keys(free_edge_keys, free_bt_keys,
+                                          int(free_vertex.sum()),
                                           free_ends.astype(np.int32)),
-                   k_free, mt_free)
+                   edge_free, bt_free)
 
 
 @dataclass
@@ -375,7 +356,7 @@ def local_forms(mesh: Mesh, q: DeformationField
 
 
 def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledForms:
-    """Assemble the saddle-point pencil of the transformed forms.
+    """Assemble A, M and B^T of the transformed forms.
 
     Matrices are full-sized (all DOFs) on the full layout of dofs.pattern;
     apply_dirichlet reduces them.  mesh must be the mesh of dofs.
@@ -387,13 +368,12 @@ def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledFo
     # Every entry sums at most two contributions, so no summation order
     # can change its value.
     pat = dofs.pattern
-    b_vals = b_loc.ravel()
-    k_data = np.bincount(pat.k_slots,
-                         np.concatenate([a_loc.ravel(), b_vals, b_vals]),
-                         minlength=len(pat.full.k_indices))
-    mt_data = np.bincount(pat.mt_slots, m_loc.ravel(),
-                          minlength=len(pat.full.mt_indices))
-    return pat.full.forms(k_data, mt_data)
+    n_entries = len(pat.full.edge_indices)
+    return pat.full.forms(
+        np.bincount(pat.edge_slots, a_loc.ravel(), minlength=n_entries),
+        np.bincount(pat.edge_slots, m_loc.ravel(), minlength=n_entries),
+        np.bincount(pat.bt_slots, b_loc.ravel(),
+                    minlength=len(pat.full.bt_indices)))
 
 
 def apply_dirichlet(forms: AssembledForms, dofs: DofMap) -> AssembledForms:
@@ -401,7 +381,9 @@ def apply_dirichlet(forms: AssembledForms, dofs: DofMap) -> AssembledForms:
     pat = dofs.pattern
     if forms.layout is not pat.full:
         raise ValueError("forms were not assembled on this DofMap")
-    return pat.free.forms(forms.K.data[pat.k_free], forms.Mt.data[pat.mt_free])
+    return pat.free.forms(forms.A.data[pat.edge_free],
+                          forms.M.data[pat.edge_free],
+                          forms.BT.data[pat.bt_free])
 
 
 def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:

@@ -151,7 +151,8 @@ def parse_msh(text: str) -> Mesh:
 
     Raises:
         UnsupportedVersion: not MSH 2.2 ASCII.
-        MalformedSection: a section cannot be parsed.
+        MalformedSection: a section cannot be parsed, or $Nodes lists a
+            node id twice.
         EmptyMesh: no triangles present.
         NonManifoldEdge: an edge with more than two adjacent triangles.
     """
@@ -170,17 +171,17 @@ def parse_msh(text: str) -> Mesh:
         raise MalformedSection("missing $Nodes section")
     try:
         n_nodes = int(node_lines[0])
-        ids = np.empty(n_nodes, dtype=np.int64)
+        id_to_index: dict[int, int] = {}
         coords = np.empty((n_nodes, 2))
         for k, ln in enumerate(node_lines[1:1 + n_nodes]):
             parts = ln.split()
-            ids[k] = int(parts[0])
+            if id_to_index.setdefault(int(parts[0]), k) != k:
+                raise ValueError(f"node id {parts[0]} listed twice")
             coords[k] = (float(parts[1]), float(parts[2]))
         if len(node_lines) - 1 != n_nodes:
             raise ValueError("node count mismatch")
     except (ValueError, IndexError) as exc:
         raise MalformedSection(f"cannot parse $Nodes: {exc}") from exc
-    id_to_index = {int(i): k for k, i in enumerate(ids)}
 
     elem_lines = sections.get("Elements")
     if elem_lines is None:

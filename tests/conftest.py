@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from maxshape import DeformationField, generate_unit_square
@@ -103,6 +104,16 @@ def random_feasible_control(mesh, rng, q_inf, epsilon=1e-4):
         if jacobian_range(q)[0] > 2.0 * epsilon:
             return q
     raise AssertionError("could not draw a feasible deformation")
+
+
+def saddle_pencil(forms):
+    """The whole mixed pencil (K, Mt) of the forms, CSR, edge DOFs first:
+    K = [[A, B], [B^T, 0]] and Mt = [[M, 0], [0, 0]]."""
+    n_v = forms.BT.shape[0]
+    k_mat = sp.bmat([[forms.A, forms.B], [forms.BT, None]], format="csr")
+    mt = sp.bmat([[forms.M, None], [None, sp.csr_matrix((n_v, n_v))]],
+                 format="csr")
+    return k_mat, mt
 
 
 def implied_multiplier(forms, grad, lam, u):

@@ -357,6 +357,25 @@ class TestCheckGradient:
         assert code == 0
         assert report["directions"] == []
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5, math.inf, math.nan, [],
+                                   [1e-3, math.nan], [1e-3, 0], "1e-5",
+                                   None])
+    def test_bad_steps_rejected_before_the_mesh(self, tmp_path, monkeypatch,
+                                                h):
+        def never(cfg):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(cli_runner, "build_problem", never)
+        with pytest.raises(ConfigError, match="^h needs steps"):
+            check_gradient(self.base_config(tmp_path, n=4), 1, h)
+
+    @pytest.mark.parametrize("h", [1, np.float64(1e-5), (1e-2, 1e-3)])
+    def test_steps_of_any_number_type(self, tmp_path, h):
+        report, _ = check_gradient(self.base_config(tmp_path, n=4), 0, h)
+        steps = sorted(np.atleast_1d(h).astype(float).tolist(), reverse=True)
+        assert report["steps"] == steps
+        assert all(type(step) is float for step in report["steps"])
+
 
 class TestEigsCommand:
     def test_prints_spectrum(self, tmp_path, capsys):

@@ -28,6 +28,7 @@ from conftest import (
     SQUARE_SPECTRUM,
     implied_multiplier,
     random_feasible_control,
+    saddle_pencil,
 )
 
 
@@ -111,8 +112,9 @@ class TestSolveGevp:
         phi = np.random.default_rng(2).standard_normal(forms.B.shape[1])
         u = p.u + 0.1 * (forms.layout.gradient @ phi)
         x = np.concatenate([u, np.zeros(forms.B.shape[1])])
-        mx = forms.Mt @ x
-        want = (np.linalg.norm(forms.K @ x - p.lam * mx)
+        k_mat, mt = saddle_pencil(forms)
+        mx = mt @ x
+        want = (np.linalg.norm(k_mat @ x - p.lam * mx)
                 / (p.lam * np.linalg.norm(mx)))
         got = es._pencil_residual(forms.A @ u, forms.M @ u, forms.BT @ u,
                                   p.lam)
@@ -191,8 +193,8 @@ class TestSolveGevp:
             factors.clear()
             solve_gevp(forms, EigenSelection(nev=6, shift=9.0, tol=1e-8))
             assert len(factors) == 2
-            saddle = spla.splu((forms.K - 9.0 * forms.Mt).tocsc(),
-                               **es.SYMMETRIC_LU)
+            k_mat, mt = saddle_pencil(forms)
+            saddle = spla.splu((k_mat - 9.0 * mt).tocsc(), **es.SYMMETRIC_LU)
             fill = sum(lu.L.nnz + lu.U.nnz for lu in factors)
             assert fill <= 0.6 * (saddle.L.nnz + saddle.U.nnz)
 
@@ -291,9 +293,10 @@ class TestShiftInvert:
         forms, _ = _reduced_forms(mesh, q)
         sigma = 9.3
         op = es.ShiftInvert(forms, sigma)
-        saddle = spla.splu((forms.K - sigma * forms.Mt).tocsc())
+        k_mat, mt = saddle_pencil(forms)
+        saddle = spla.splu((k_mat - sigma * mt).tocsc())
         rng = np.random.default_rng(5)
-        n = forms.K.shape[0]
+        n = k_mat.shape[0]
         # random right-hand sides: nonzero vertex rows too
         for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
             want = saddle.solve(rhs)
@@ -337,7 +340,7 @@ class TestShiftInvert:
         mesh = Mesh(vertices, triangles)
         forms, dofs = _reduced_forms(mesh)
         assert dofs.n_free_vertex == 0
-        assert forms.K.shape[0] == 319 > es.DENSE_THRESHOLD
+        assert saddle_pencil(forms)[0].shape[0] == 319 > es.DENSE_THRESHOLD
         sel = EigenSelection(nev=6, shift=0.05, tol=1e-9)
         sparse = solve_gevp(forms, sel)
         monkeypatch.setattr(es, "DENSE_THRESHOLD", 1000)
@@ -428,7 +431,7 @@ def deformed16():
     mesh = generate_unit_square(16)
     q = random_feasible_control(mesh, np.random.default_rng(3), 0.1 / 16)
     forms, _ = _reduced_forms(mesh, q)
-    assert forms.K.shape[0] > es.DENSE_THRESHOLD
+    assert saddle_pencil(forms)[0].shape[0] > es.DENSE_THRESHOLD
     return forms
 
 

@@ -31,6 +31,7 @@ from conftest import (
     assert_entries_close,
     dilation_control,
     random_feasible_control,
+    saddle_pencil,
     whitney_table,
 )
 
@@ -273,26 +274,30 @@ class TestFixedPattern:
         full = assemble_forms(mesh, dofs, q)
         red = apply_dirichlet(full, dofs)
         k_mat, mt, k_red, mt_red = _coo_pencil(mesh, dofs, q)
-        assert_same_sparse(full.K, k_mat)
-        assert_same_sparse(full.Mt, mt)
-        assert_same_sparse(red.K, k_red)
-        assert_same_sparse(red.Mt, mt_red)
+        for forms, k_want, mt_want in ((full, k_mat, mt),
+                                       (red, k_red, mt_red)):
+            n_e = forms.n_edge
+            assert k_want.shape == (forms.n, forms.n)
+            assert_same_sparse(forms.A, k_want[:n_e, :n_e])
+            assert_same_sparse(forms.M, mt_want[:n_e, :n_e])
+            assert_same_sparse(forms.BT, k_want[n_e:, :n_e])
         for sigma in (9.0, 40.0):
             assert_same_sparse(red.edge_shift(sigma),
                                (red.A - sigma * red.M).tocsc())
         assert_same_sparse(red.BT, red.B.T.tocsr())
 
     def test_edge_shift_keeps_the_mass_pattern(self, square4):
-        # At q = 0 entries of B cancel exactly and stay explicit zeros of K
-        # and of its B^T view; no entry of A - sigma*M cancels, so its
-        # factorization sees Mt's pattern at every control.
+        # At q = 0 entries of B cancel exactly and stay explicit zeros of
+        # B^T and of the saddle matrix built from it; no entry of
+        # A - sigma*M cancels, so its factorization sees M's pattern at
+        # every control.
         dofs = DofMap.from_mesh(square4)
         red = apply_dirichlet(
             assemble_forms(square4, dofs, DeformationField.zero(square4)), dofs)
         assert np.any(red.BT.data == 0.0)
         shifted = red.edge_shift(9.0)
-        assert shifted.nnz == red.Mt.nnz == 172
-        assert red.K.nnz == shifted.nnz + 2 * red.BT.nnz
+        assert shifted.nnz == red.M.nnz == 172
+        assert saddle_pencil(red)[0].nnz == shifted.nnz + 2 * red.BT.nnz
         assert np.all(shifted.data != 0.0)
 
     def test_pencils_share_no_writable_array(self, square4, rng):
@@ -304,8 +309,9 @@ class TestFixedPattern:
             square4, dofs, random_feasible_control(square4, rng, 0.05)), dofs)
         zero = apply_dirichlet(assemble_forms(
             square4, dofs, DeformationField.zero(square4)), dofs)
-        matrices = [full.K, full.Mt, one.K, one.Mt, two.K, two.Mt,
-                    one.edge_shift(9.0), zero.K, zero.edge_shift(9.0)]
+        matrices = [full.A, full.M, full.BT, one.A, one.M, one.BT,
+                    two.A, two.M, two.BT, one.edge_shift(9.0), zero.A,
+                    zero.BT, zero.edge_shift(9.0)]
         snapshot = [(m.data.copy(), m.indices.copy(), m.indptr.copy())
                     for m in matrices]
         for i, m in enumerate(matrices):
@@ -365,38 +371,42 @@ class TestFixedPattern:
 
 
 class TestPencilLayout:
-    """K = [[A, B], [B^T, 0]] and Mt = [[M, 0], [0, 0]], entry for entry."""
+    """A, M and B^T on the layout's shared index arrays."""
 
     @pytest.mark.parametrize("deformed", [False, True])
     @pytest.mark.parametrize("reduced", [False, True])
     def test_blocks(self, square4, rng, deformed, reduced):
+        # A and M are exactly symmetric, which edge_shift's reading of
+        # their CSR arrays as CSC relies on; B^T has a row per vertex DOF
         dofs = DofMap.from_mesh(square4)
         q = (random_feasible_control(square4, rng, 0.05) if deformed
              else DeformationField.zero(square4))
         forms = assemble_forms(square4, dofs, q)
         if reduced:
             forms = apply_dirichlet(forms, dofs)
-        a, b, m = forms.A, forms.B, forms.M
-        n_v = b.shape[1]
-        assert_same_sparse(forms.K,
-                           sp.bmat([[a, b], [b.T, None]], format="csr"))
-        assert_same_sparse(forms.Mt, sp.block_diag(
-            (m, sp.csr_matrix((n_v, n_v))), format="csr"))
+        n_e = forms.n_edge
+        assert forms.n == (dofs.n_free if reduced else dofs.n_total)
+        assert n_e == (dofs.n_free_edge if reduced else dofs.n_edge)
+        for mat in (forms.A, forms.M):
+            assert mat.shape == (n_e, n_e)
+            assert_same_sparse(mat, mat.T.tocsr())
+        assert forms.BT.shape == (forms.n - n_e, n_e)
 
     @pytest.mark.parametrize("reduced", [False, True])
     def test_edge_blocks_on_the_mass_layout(self, square4, rng, reduced):
-        # A and M are built on Mt's index arrays, not sliced from K and Mt,
-        # and equal the slices entry for entry
+        # A and M are built on the layout's edge index arrays, B^T on its
+        # vertex-row arrays; no block is sliced from another matrix
         dofs = DofMap.from_mesh(square4)
         forms = assemble_forms(square4, dofs,
                                random_feasible_control(square4, rng, 0.05))
         if reduced:
             forms = apply_dirichlet(forms, dofs)
-        n_e = forms.n_edge
-        for block, whole in ((forms.A, forms.K), (forms.M, forms.Mt)):
-            assert np.shares_memory(block.indices, forms.Mt.indices)
-            assert np.shares_memory(block.indptr, forms.Mt.indptr)
-            assert_same_sparse(block, whole[:n_e, :n_e])
+        lay = forms.layout
+        for block in (forms.A, forms.M):
+            assert np.shares_memory(block.indices, lay.edge_indices)
+            assert np.shares_memory(block.indptr, lay.edge_indptr)
+        assert np.shares_memory(forms.BT.indices, lay.bt_indices)
+        assert np.shares_memory(forms.BT.indptr, lay.bt_indptr)
         for sigma in (9.3, -2.5):
             shifted = forms.edge_shift(sigma)
             np.testing.assert_array_equal(

@@ -98,6 +98,13 @@ $EndElements
         with pytest.raises(NonManifoldEdge):
             parse_msh(text)
 
+    def test_duplicate_node_id(self):
+        # without the check the second line for id 2 wins: vertex (2, 0)
+        text = TWO_TRIANGLE_MSH.replace("$Nodes\n4\n", "$Nodes\n5\n").replace(
+            "4 0 1 0\n", "4 0 1 0\n2 2 0 0\n")
+        with pytest.raises(MalformedSection, match="node id 2 listed twice"):
+            parse_msh(text)
+
     def test_degenerate_triangle(self):
         text = SINGLE_TRIANGLE_MSH.replace("3 0 1 0", "3 2 0 0")  # collinear
         with pytest.raises(MalformedSection):

@@ -49,6 +49,17 @@ def test_bench_pairs_parse_seeds(load_tool):
     assert bench_pairs.parse_seeds("3,5") == [3, 5]
 
 
+def test_bench_pairs_median_metrics(load_tool):
+    bench_pairs = load_tool("bench_pairs")
+    runs = [{"metrics": {"a.s": {"value": v, "unit": "s"},
+                         "a.calls": {"value": c, "unit": "count"}}}
+            for v, c in ((0.9, 4), (0.1, 4), (0.3, 5))]
+    assert bench_pairs.median_metrics(runs) == {
+        "a.s": {"value": 0.3, "unit": "s"},
+        "a.calls": {"value": 4, "unit": "count"}}
+    assert bench_pairs.median_metrics(runs[:1]) == runs[0]["metrics"]
+
+
 def test_solve_anatomy_smoke(load_tool):
     solve_anatomy = load_tool("solve_anatomy")
     row = solve_anatomy.anatomy(16, repeats=2)

@@ -13,8 +13,11 @@ record holds every pair and, per end-to-end metric, both sides' quartiles,
 the pairs the change won, the parent's interquartile range and whether the
 pairs rule holds: the change better in at least 9 of 10 pairs (the same
 share of more), and its median better than the parent's by more than the
-parent's interquartile range.  With --traced-seed each side also makes one
-traced run, whose correctness, counts and per-layer metrics are kept.
+parent's interquartile range.  With --traced-seed each side also makes
+TRACED_RUNS traced runs, the side that runs first alternating from run to
+run; each run's correctness, counts and per-layer metrics are kept, and so
+is the median of every per-layer metric over the runs, since a single
+traced run can read a one-off stall as a regression.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ if any(m["better"] != "lower" for m in BENCHMARK["end_to_end"]):
 WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 SECONDS = BENCHMARK["run_seconds"]
 WIN_SHARE = 0.9
+TRACED_RUNS = 3
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -88,6 +92,27 @@ def end_to_end(result: dict) -> dict:
 def quartiles(values: list[float]) -> list[float]:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, med, q3]
+
+
+def median_metrics(runs: list[dict]) -> dict:
+    """The median of every per-layer metric over traced runs, in the
+    metrics layout of one run."""
+    return {name: {"value": statistics.median(run["metrics"][name]["value"]
+                                              for run in runs),
+                   "unit": metric["unit"]}
+            for name, metric in runs[0]["metrics"].items()}
+
+
+def traced(trees: dict, workload: str, seed: int) -> dict:
+    """TRACED_RUNS traced runs per side, alternating which goes first,
+    and their per-layer medians."""
+    runs = {"parent": [], "change": []}
+    for i in range(TRACED_RUNS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(bench(trees[side], workload, seed, 1))
+    return {side: {"runs": side_runs, "median": median_metrics(side_runs)}
+            for side, side_runs in runs.items()}
 
 
 def summarize(pairs: list[dict]) -> dict:
@@ -160,9 +185,7 @@ def main() -> None:
             record["end_to_end_summary"][workload] = summarize(pairs)
         if args.traced_seed is not None:
             record["traced"] = {
-                workload: {side: bench(trees[side], workload,
-                                       args.traced_seed, 1)
-                           for side in ("parent", "change")}
+                workload: traced(trees, workload, args.traced_seed)
                 for workload in WORKLOADS}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, summary in record["end_to_end_summary"].items():

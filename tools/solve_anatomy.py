@@ -133,7 +133,7 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
         log.removeHandler(counter)
         log.setLevel(level)
     return {
-        "n": n, "pencil": forms.K.shape[0],
+        "n": n, "pencil": forms.n,
         "assemble": median_ms(lambda: assemble(q), repeats),
         "factor S": median_ms(lambda: spla.splu(s_mat, **SYMMETRIC_LU),
                               repeats),
