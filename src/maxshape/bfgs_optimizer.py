@@ -1,18 +1,19 @@
 """Damped inverse limited-memory BFGS in the control-space inner product.
 
 The inverse Hessian approximation B_k is never stored as a matrix.  Each
-update keeps only the damped step d~, the gradient difference y,
-rho = 1 / (d~, y)_Q and (y, y)_Q; the two-loop recursion applies B_k over
-the stored pairs starting from B_0 = gamma_k * identity, where
-gamma_k = (d~, y)_Q / (y, y)_Q of the newest pair (Nocedal & Wright,
-Numerical Optimization, eq. 7.20; Shanno & Phua, Math. Prog. 14, 1978).
-Only the first iterate, which has no pairs, uses B_0 = b0_scale * identity.
-Powell-style damping of the step keeps every stored curvature (d~, y)
-positive, so B_k stays positive definite and -B_k g is always a descent
-direction.
+update keeps only the damped step d~, the gradient difference y, their
+Gram products Q d~ and Q y, rho = 1 / (d~, y)_Q and (y, y)_Q; the two-loop
+recursion applies B_k over the stored pairs starting from
+B_0 = gamma_k * identity, where gamma_k = (d~, y)_Q / (y, y)_Q of the
+newest pair (Nocedal & Wright, Numerical Optimization, eq. 7.20 and
+Algorithm 7.4; Shanno & Phua, Math. Prog. 14, 1978).  Only the first
+iterate, which has no pairs, uses B_0 = b0_scale * identity.  Powell-style
+damping of the step keeps every stored curvature (d~, y) positive, so B_k
+stays positive definite and -B_k g is always a descent direction.
 
-All inner products here are taken with a caller-supplied bilinear form
-(the H1 Gram of the control space); coefficient dot products never appear.
+All inner products here are taken in the control space's H1 inner product
+(u, v)_Q = u . Q v.  The caller applies the Gram Q; with the products
+stored beside the pairs, the recursion takes plain dot products only.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateCurvature, LineSearchFailed
-
-QDot = Callable[[np.ndarray, np.ndarray], float]
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +67,8 @@ class OptimizerConfig:
 class _DampedPair:
     d_tilde: np.ndarray
     y: np.ndarray
+    qd: np.ndarray     # Q d~
+    qy: np.ndarray     # Q y
     rho: float         # 1 / (d~, y)_Q
     yy: float          # (y, y)_Q
 
@@ -82,12 +83,11 @@ class BfgsHistory:
     positive definite.
     """
 
-    def __init__(self, qdot: QDot, b0_scale: float, m_mem: int = 20):
+    def __init__(self, b0_scale: float, m_mem: int = 20):
         if b0_scale <= 0:
             raise ValueError("b0_scale must be > 0")
         if m_mem < 1:
             raise ValueError("m_mem must be >= 1")
-        self.qdot = qdot
         self.b0_scale = b0_scale
         self.pairs: deque[_DampedPair] = deque(maxlen=m_mem)
 
@@ -103,21 +103,21 @@ class BfgsHistory:
         newest = self.pairs[-1]
         return 1.0 / (newest.rho * newest.yy)
 
-    def push(self, d_tilde: np.ndarray, y: np.ndarray, yy: float) -> None:
-        """Store a damped pair; the oldest pair is dropped at capacity.
-
-        yy is (y, y)_Q, which the caller has computed already to see that y
-        carries curvature information.
+    def push(self, d_tilde: np.ndarray, y: np.ndarray, qd: np.ndarray,
+             qy: np.ndarray) -> None:
+        """Store a damped pair with its Gram products qd = Q d~ and
+        qy = Q y; the oldest pair is dropped at capacity.
 
         Raises:
             DegenerateCurvature: (d~, y) <= 0, which damping must prevent.
         """
-        s1 = self.qdot(d_tilde, y)
+        s1 = float(d_tilde @ qy)
         if s1 <= 0.0:
             raise DegenerateCurvature(f"stored curvature {s1:.3e} <= 0")
-        self.pairs.append(_DampedPair(d_tilde=np.array(d_tilde, copy=True),
-                                      y=np.array(y, copy=True), rho=1.0 / s1,
-                                      yy=yy))
+        self.pairs.append(_DampedPair(
+            d_tilde=np.array(d_tilde, copy=True), y=np.array(y, copy=True),
+            qd=np.array(qd, copy=True), qy=np.array(qy, copy=True),
+            rho=1.0 / s1, yy=float(y @ qy)))
 
 
 def apply_inverse_hessian(hist: BfgsHistory, g: np.ndarray) -> np.ndarray:
@@ -131,29 +131,29 @@ def apply_inverse_hessian(hist: BfgsHistory, g: np.ndarray) -> np.ndarray:
     v = np.array(g, dtype=np.float64, copy=True)
     alphas = []
     for p in reversed(hist.pairs):
-        alphas.append(p.rho * hist.qdot(p.d_tilde, v))
+        alphas.append(p.rho * float(p.qd @ v))
         v -= alphas[-1] * p.y
     v *= hist.gamma
     for p, a in zip(hist.pairs, reversed(alphas)):
-        v += (a - p.rho * hist.qdot(p.y, v)) * p.d_tilde
+        v += (a - p.rho * float(p.qy @ v)) * p.d_tilde
     return v
 
 
-def damp(y: np.ndarray, d_tilde: np.ndarray, hist: BfgsHistory,
-         xi: float) -> tuple[np.ndarray, float]:
+def damp(y: np.ndarray, qy: np.ndarray, d_tilde: np.ndarray,
+         hist: BfgsHistory, xi: float) -> tuple[np.ndarray, float]:
     """Powell damping of the step against the current operator.
 
-    Returns (d~', theta) with d~' = theta*d~ + (1-theta)*B_k y, which
-    guarantees (y, d~')_Q >= xi * (y, B_k y)_Q > 0.
+    qy is Q y.  Returns (d~', theta) with d~' = theta*d~ + (1-theta)*B_k y,
+    which guarantees (y, d~')_Q >= xi * (y, B_k y)_Q > 0.
 
     Raises:
         DegenerateCurvature: (y, B_k y) <= 0 (operator invariant broken).
     """
     by = apply_inverse_hessian(hist, y)
-    yby = hist.qdot(y, by)
+    yby = float(qy @ by)
     if yby <= 0.0:
         raise DegenerateCurvature(f"(y, B y) = {yby:.3e} <= 0")
-    yd = hist.qdot(y, d_tilde)
+    yd = float(qy @ d_tilde)
     if yd >= xi * yby:
         return np.array(d_tilde, copy=True), 1.0
     theta = (1.0 - xi) * yby / (yby - yd)
@@ -210,6 +210,8 @@ class IterationRecord:
     jq_max: float
     cos_angle: float = math.nan  # cosine of the angle between d and -grad
     ls_trials: int = 0  # objective evaluations of this iterate's Armijo search
+    gamma: float = math.nan  # scale of this iterate's B_0
+    t0: float = math.nan  # first trial step of this iterate's Armijo search
 
 
 class OptimizeStatus(enum.Enum):
@@ -226,11 +228,13 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
     `problem` provides five methods on flat coefficient vectors:
     gradient(q), the Riesz gradient (with .vector and .norm_q) and the
     state eigenpair (with .lam) at q; evaluate(q, lam=None), the objective,
-    +inf where infeasible, with lam the known eigenvalue at q; q_inner(u, v),
-    the control inner product; jacobian_range(q); and step_limit(d), the
-    step t at which q + t d first moves some vertex by one shortest
-    reference edge.  One IterationRecord is emitted per visited iterate;
-    the terminal iterate carries step 0.
+    +inf where infeasible, with lam the known eigenvalue at q; q_apply(v),
+    the Gram map Q v of the control inner product (u, v)_Q = u . Q v;
+    jacobian_range(q); and step_limit(d), the step t at which q + t d first
+    moves some vertex by one shortest reference edge.  Each iterate applies
+    Q three times: to its direction d, to the gradient difference y and to
+    the damped step d~ it stores.  One IterationRecord is emitted per
+    visited iterate; the terminal iterate carries step 0 and no t0.
 
     The first Armijo search starts at min(1, FIRST_STEP * step_limit(d)),
     so its first trial moves no vertex by more than half the shortest
@@ -241,8 +245,7 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
     Optimization, sec. 3.5), so the searches return to the full step once
     the quasi-Newton scaling gamma_k makes full steps acceptable.
     """
-    hist = BfgsHistory(qdot=problem.q_inner, b0_scale=cfg.b0_scale,
-                       m_mem=cfg.m_mem)
+    hist = BfgsHistory(b0_scale=cfg.b0_scale, m_mem=cfg.m_mem)
     records: list[IterationRecord] = []
     ls_trials = 0
 
@@ -261,7 +264,7 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         jq_min, jq_max = problem.jacobian_range(q)
         rec = IterationRecord(k=k, lam=state.lam, j_value=j_val,
                               grad_norm=grad.norm_q, step=0.0, theta=1.0,
-                              jq_min=jq_min, jq_max=jq_max)
+                              jq_min=jq_min, jq_max=jq_max, gamma=hist.gamma)
         if grad.norm_q <= cfg.tol:
             status = OptimizeStatus.CONVERGED
             records.append(rec)
@@ -272,12 +275,13 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
             break
 
         gvec = grad.vector
-        gamma = hist.gamma
         d = -apply_inverse_hessian(hist, gvec)
         if k == 0:
             t0 = min(1.0, FIRST_STEP * problem.step_limit(d))
-        g_dot_d = problem.q_inner(gvec, d)
-        d_norm = math.sqrt(max(problem.q_inner(d, d), 0.0))
+        rec.t0 = t0
+        qd = problem.q_apply(d)
+        g_dot_d = float(gvec @ qd)
+        d_norm = math.sqrt(max(float(d @ qd), 0.0))
         if d_norm > 0 and grad.norm_q > 0:
             rec.cos_angle = -g_dot_d / (d_norm * grad.norm_q)
 
@@ -295,10 +299,10 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
 
         d_step = t * d                     # equals q_new - q
         y = grad_new.vector - gvec
-        yy = problem.q_inner(y, y)
-        if yy > 0.0:
-            d_damped, theta = damp(y, d_step, hist, cfg.xi)
-            hist.push(d_damped, y, yy)
+        qy = problem.q_apply(y)
+        if float(y @ qy) > 0.0:
+            d_damped, theta = damp(y, qy, d_step, hist, cfg.xi)
+            hist.push(d_damped, y, problem.q_apply(d_damped), qy)
         else:
             theta = 1.0                    # no curvature information
 
@@ -308,7 +312,7 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         records.append(rec)
         log.info("iterate k=%d lam=%.10g J=%.6e |g|_Q=%.3e t=%g ls_trials=%d "
                  "gamma=%g t0=%g", k, rec.lam, rec.j_value, rec.grad_norm, t,
-                 ls_trials, gamma, t0)
+                 ls_trials, rec.gamma, t0)
         if callback is not None:
             callback(k, q_new, rec)
 

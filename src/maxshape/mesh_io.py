@@ -281,19 +281,6 @@ def write_vtk(mesh: Mesh, q, fields: Mapping[str, np.ndarray] | None = None,
             f"({mesh.n_vertices} vertices)")
     points = mesh.vertices + values
 
-    out = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_vertices} double",
-    ]
-    out.extend(f"{_g(p[0])} {_g(p[1])} 0" for p in points)
-    out.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
-    out.extend(f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles)
-    out.append(f"CELL_TYPES {mesh.n_triangles}")
-    out.extend("5" for _ in range(mesh.n_triangles))
-
     point_fields: dict[str, np.ndarray] = {"deformation": values}
     cell_fields: dict[str, np.ndarray] = {}
     for name, arr in (fields or {}).items():
@@ -307,31 +294,41 @@ def write_vtk(mesh: Mesh, q, fields: Mapping[str, np.ndarray] | None = None,
                 f"field {name!r} has length {len(arr)}, expected "
                 f"{mesh.n_vertices} (points) or {mesh.n_triangles} (cells)")
 
-    out.append(f"POINT_DATA {mesh.n_vertices}")
-    for name, arr in point_fields.items():
-        out.extend(_data_block(name, arr))
+    n_t = mesh.n_triangles
+    out = [
+        "# vtk DataFile Version 3.0\n",
+        f"{title}\n",
+        "ASCII\n",
+        "DATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {mesh.n_vertices} double\n",
+        _rows("%.17g %.17g 0\n", points),
+        f"CELLS {n_t} {4 * n_t}\n",
+        _rows("3 %d %d %d\n", mesh.triangles),
+        f"CELL_TYPES {n_t}\n",
+        "5\n" * n_t,
+        f"POINT_DATA {mesh.n_vertices}\n",
+    ]
+    out.extend(_field_block(name, arr) for name, arr in point_fields.items())
     if cell_fields:
-        out.append(f"CELL_DATA {mesh.n_triangles}")
-        for name, arr in cell_fields.items():
-            out.extend(_data_block(name, arr))
-    return "\n".join(out) + "\n"
+        out.append(f"CELL_DATA {n_t}\n")
+        out.extend(_field_block(name, arr)
+                   for name, arr in cell_fields.items())
+    return "".join(out)
 
 
-def _data_block(name: str, arr: np.ndarray) -> list[str]:
+def _field_block(name: str, arr: np.ndarray) -> str:
     safe = name.replace(" ", "_")
     if arr.ndim == 1:
-        block = [f"SCALARS {safe} double 1", "LOOKUP_TABLE default"]
-        block.extend(_g(v) for v in arr)
-        return block
-    if arr.ndim == 2 and arr.shape[1] in (2, 3):
-        block = [f"VECTORS {safe} double"]
-        if arr.shape[1] == 2:
-            block.extend(f"{_g(v[0])} {_g(v[1])} 0" for v in arr)
-        else:
-            block.extend(f"{_g(v[0])} {_g(v[1])} {_g(v[2])}" for v in arr)
-        return block
+        return (f"SCALARS {safe} double 1\nLOOKUP_TABLE default\n"
+                + _rows("%.17g\n", arr))
+    if arr.ndim == 2 and arr.shape[1] == 2:
+        return f"VECTORS {safe} double\n" + _rows("%.17g %.17g 0\n", arr)
+    if arr.ndim == 2 and arr.shape[1] == 3:
+        return f"VECTORS {safe} double\n" + _rows("%.17g %.17g %.17g\n", arr)
     raise DimensionMismatch(f"field {name!r} has unsupported shape {arr.shape}")
 
 
-def _g(x: float) -> str:
-    return format(float(x), ".17g")
+def _rows(line: str, arr: np.ndarray) -> str:
+    """One line per row of arr, rendered by a single %-format of the whole
+    array (%.17g prints a float as format(x, ".17g") does)."""
+    return (line * len(arr)) % tuple(arr.ravel().tolist())

@@ -2,13 +2,13 @@
 
 MaxwellShapeProblem owns everything that is deformation-independent (mesh,
 DOF maps, the start vector of its first eigensolve, and the only copy of
-the control-space Gram matrix and its factorization) plus the last solved
-state, whose block starts every later eigensolve warm, and the last
-deformation field, so that each control's kinematics are computed once.
-It alone chains state, adjoint, reduced derivative and Riesz map, and
-exposes the five methods the optimizer drives: gradient, evaluate, q_inner,
-jacobian_range and step_limit.  Controls cross this interface as flat
-coefficient vectors.
+the control-space Gram matrix and the factorization of its scalar block)
+plus the last solved state, whose block starts every later eigensolve
+warm, and the last deformation field, so that each control's kinematics
+are computed once.  It alone chains state, adjoint, reduced derivative and
+Riesz map, and exposes the five methods the optimizer drives: gradient,
+evaluate, q_apply (the Gram map), jacobian_range and step_limit.  Controls
+cross this interface as flat coefficient vectors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import adjoint_gradient, objective
-from .eigensolver import EigenSelection, MixedEigenPair
+from .eigensolver import SYMMETRIC_LU, EigenSelection, MixedEigenPair
 from .errors import EigenSolverError, InadmissibleDeformation
 from .fem_assembly import DofMap, ShapeFunctional, assemble_control_gram
 from .mesh_io import Mesh
@@ -44,7 +44,9 @@ class MaxwellShapeProblem:
         self.sel = sel
         self.dofs = DofMap.from_mesh(mesh)
         self.gram = assemble_control_gram(mesh)
-        self._gram_solve = spla.factorized(self.gram.tocsc())
+        # Both components carry the same scalar H1 block H, so the Gram
+        # kron(H, I_2) is solved by factoring H alone (H is SPD).
+        self._h_lu = spla.splu(self.gram[::2, ::2].tocsc(), **SYMMETRIC_LU)
         # the shortest reference edge
         ends = mesh.vertices[mesh.edges]
         self._h_min = float(np.linalg.norm(ends[:, 1] - ends[:, 0],
@@ -105,7 +107,11 @@ class MaxwellShapeProblem:
         """H1 Riesz gradient of the reduced cost at q, and its state."""
         functional, state = self.derivative_functional(q)
         return adjoint_gradient.riesz_gradient(
-            self.mesh, functional, self.gram, self._gram_solve), state
+            self.mesh, functional, self.gram, self._riesz_solve), state
+
+    def _riesz_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Gram^-1 rhs: one solve with H for the two component columns."""
+        return self._h_lu.solve(rhs.reshape(-1, 2)).ravel()
 
     def evaluate(self, q: np.ndarray, lam: float | None = None) -> float:
         """Objective value at control q; +inf on infeasible/unsolvable points."""
@@ -121,11 +127,12 @@ class MaxwellShapeProblem:
         return objective.evaluate(self.mesh, field, lam, self.params,
                                   gram=self.gram)
 
-    def q_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.asarray(u) @ (self.gram @ np.asarray(v)))
+    def q_apply(self, v: np.ndarray) -> np.ndarray:
+        """The Gram map: (u, v)_Q = u @ q_apply(v)."""
+        return self.gram @ np.asarray(v)
 
     def q_norm(self, u: np.ndarray) -> float:
-        return math.sqrt(max(self.q_inner(u, u), 0.0))
+        return math.sqrt(max(float(u @ self.q_apply(u)), 0.0))
 
     def jacobian_range(self, q: np.ndarray) -> tuple[float, float]:
         return jacobian_range(self.field(q))

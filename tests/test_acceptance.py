@@ -183,21 +183,20 @@ def test_damping_lemma_suite():
     rng = np.random.default_rng(42)
     xi = 0.2
     for trial in range(1000):
-        hist = BfgsHistory(qdot, b0_scale=float(rng.uniform(0.2, 3.0)),
-                           m_mem=4)
+        hist = BfgsHistory(b0_scale=float(rng.uniform(0.2, 3.0)), m_mem=4)
         for _ in range(int(rng.integers(0, 4))):
             y = rng.standard_normal(10)
             d = rng.standard_normal(10)
-            d_damped, _ = damp(y, d, hist, xi)
-            hist.push(d_damped, y, qdot(y, y))
+            d_damped, _ = damp(y, gram @ y, d, hist, xi)
+            hist.push(d_damped, y, gram @ d_damped, gram @ y)
 
         y = rng.standard_normal(10)
         d = rng.standard_normal(10)
         by = apply_inverse_hessian(hist, y)
         yby = qdot(y, by)
-        d_damped, theta = damp(y, d, hist, xi)
+        d_damped, theta = damp(y, gram @ y, d, hist, xi)
         assert qdot(y, d_damped) >= xi * yby - 1e-12 * abs(yby), trial
-        hist.push(d_damped, y, qdot(y, y))
+        hist.push(d_damped, y, gram @ d_damped, gram @ y)
 
         for _ in range(20):
             p = rng.standard_normal(10)
@@ -387,6 +386,24 @@ def test_rectangle_mesh_independence(rectangle_run):
         k[n] = run["records"][-1].k
     assert _report("5b mesh independence", k[32] <= 1.5 * k[16],
                    f"k_32 = {k[32]} vs 1.5 k_16 = {1.5 * k[16]:g}")
+
+
+def test_riesz_gradient_mesh_independence():
+    """||g_0||_Q on the desk square settles: |g_64 - g_32| <= |g_32 - g_16| / 3.
+
+    A wrong component layout or scaling in the Riesz map shows up as a norm
+    that drifts with n; the finite-difference checks hold n fixed.
+    """
+    norms = {}
+    for n in (16, 32, 64):
+        problem, _, _ = _desk_problem(generate_unit_square(n))
+        norms[n] = problem.gradient(problem.zero_control())[0].norm_q
+    coarse = abs(norms[32] - norms[16])
+    fine = abs(norms[64] - norms[32])
+    assert _report("5b Riesz gradient mesh independence",
+                   fine <= coarse / 3,
+                   "||g_0||_Q = " + ", ".join(f"{v:.4f}" for v in norms.values())
+                   + f"; ratio {fine / coarse:.3f} vs 1/3")
 
 
 # -- 6: cavity reproduction (needs the external mesh) -------------------------

@@ -322,4 +322,4 @@ class TestFullGradientFiniteDifference:
         prob = MaxwellShapeProblem(mesh, params, sel, seed=2)
         grad, _ = prob.gradient(prob.zero_control())
         assert grad.norm_q > 0
-        assert prob.q_inner(grad.vector, -grad.vector) < 0
+        assert grad.vector @ prob.q_apply(-grad.vector) < 0

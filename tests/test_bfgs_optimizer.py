@@ -26,8 +26,13 @@ def gram10():
     return gram[:10, :10]
 
 
-def make_qdot(gram):
-    return lambda u, v: float(u @ (gram @ v))
+def qdot(gram, u, v):
+    return float(u @ (gram @ v))
+
+
+def push_pair(hist, gram, d_tilde, y):
+    """Store (d~, y) with its Gram products Q d~ and Q y, as optimize does."""
+    hist.push(d_tilde, y, gram @ d_tilde, gram @ y)
 
 
 def dense_operator(hist, gram):
@@ -53,35 +58,34 @@ def dense_operator(hist, gram):
     return b
 
 
-def push_random_pairs(hist, rng, count, dim):
+def push_random_pairs(hist, gram, rng, count, dim):
     """Feed damped random pairs through the production path."""
     for _ in range(count):
         y = rng.standard_normal(dim)
         d = rng.standard_normal(dim)
-        d_damped, _ = damp(y, d, hist, xi=0.2)
-        hist.push(d_damped, y, hist.qdot(y, y))
+        d_damped, _ = damp(y, gram @ y, d, hist, xi=0.2)
+        push_pair(hist, gram, d_damped, y)
 
 
 class TestApplyInverseHessian:
-    def test_empty_history_is_scaled_identity(self, gram10, rng):
-        hist = BfgsHistory(make_qdot(gram10), b0_scale=2.5)
+    def test_empty_history_is_scaled_identity(self, rng):
+        hist = BfgsHistory(b0_scale=2.5)
         g = rng.standard_normal(10)
         np.testing.assert_allclose(apply_inverse_hessian(hist, g), 2.5 * g,
                                    rtol=1e-15)
 
     def test_degenerate_pair_is_identity_update(self, gram10, rng):
         # d~ = B0 y makes every correction term cancel
-        hist = BfgsHistory(make_qdot(gram10), b0_scale=0.7)
+        hist = BfgsHistory(b0_scale=0.7)
         y = rng.standard_normal(10)
-        hist.push(0.7 * y, y, make_qdot(gram10)(y, y))
+        push_pair(hist, gram10, 0.7 * y, y)
         g = rng.standard_normal(10)
         np.testing.assert_allclose(apply_inverse_hessian(hist, g), 0.7 * g,
                                    rtol=1e-12, atol=1e-14)
 
     def test_matches_dense_oracle(self, gram10, rng):
-        qdot = make_qdot(gram10)
-        hist = BfgsHistory(qdot, b0_scale=1.3, m_mem=10)
-        push_random_pairs(hist, rng, 3, 10)
+        hist = BfgsHistory(b0_scale=1.3, m_mem=10)
+        push_random_pairs(hist, gram10, rng, 3, 10)
         dense = dense_operator(hist, gram10)
         for _ in range(10):
             g = rng.standard_normal(10)
@@ -89,21 +93,29 @@ class TestApplyInverseHessian:
             np.testing.assert_allclose(recursive, dense @ g, rtol=1e-12,
                                        atol=1e-12)
 
+    def test_pairs_keep_their_gram_products(self, gram10, rng):
+        hist = BfgsHistory(b0_scale=1.0, m_mem=10)
+        push_random_pairs(hist, gram10, rng, 3, 10)
+        for p in hist.pairs:
+            np.testing.assert_array_equal(p.qd, gram10 @ p.d_tilde)
+            np.testing.assert_array_equal(p.qy, gram10 @ p.y)
+            assert p.rho == 1.0 / float(p.d_tilde @ p.qy)
+            assert p.yy == float(p.y @ p.qy)
+
     def test_b0_scale_read_only_while_empty(self, gram10, rng):
         # after the first pair, B_0 = gamma I with gamma = (d~, y)_Q / (y, y)_Q
         # of the newest pair, whatever b0_scale was
-        qdot = make_qdot(gram10)
-        source = BfgsHistory(qdot, b0_scale=1.0, m_mem=10)
-        push_random_pairs(source, rng, 4, 10)
-        small = BfgsHistory(qdot, b0_scale=1e-3, m_mem=10)
-        large = BfgsHistory(qdot, b0_scale=1e3, m_mem=10)
+        source = BfgsHistory(b0_scale=1.0, m_mem=10)
+        push_random_pairs(source, gram10, rng, 4, 10)
+        small = BfgsHistory(b0_scale=1e-3, m_mem=10)
+        large = BfgsHistory(b0_scale=1e3, m_mem=10)
         for p in source.pairs:
             for hist in (small, large):
-                hist.push(p.d_tilde, p.y, qdot(p.y, p.y))
+                push_pair(hist, gram10, p.d_tilde, p.y)
         newest = source.pairs[-1]
         assert small.gamma == large.gamma == pytest.approx(
-            qdot(newest.d_tilde, newest.y) / qdot(newest.y, newest.y),
-            rel=1e-14)
+            qdot(gram10, newest.d_tilde, newest.y)
+            / qdot(gram10, newest.y, newest.y), rel=1e-14)
         for _ in range(5):
             g = rng.standard_normal(10)
             np.testing.assert_array_equal(apply_inverse_hessian(small, g),
@@ -111,84 +123,79 @@ class TestApplyInverseHessian:
 
     def test_secant_property_when_undamped(self, gram10, rng):
         # theta = 1 pushes the raw pair; the update must map y to d~
-        qdot = make_qdot(gram10)
-        hist = BfgsHistory(qdot, b0_scale=1.0)
+        hist = BfgsHistory(b0_scale=1.0)
         y = rng.standard_normal(10)
         by = apply_inverse_hessian(hist, y)
         d = by + 3.0 * y  # (y, d)_Q > (y, By)_Q: no damping needed
-        d_damped, theta = damp(y, d, hist, xi=0.2)
+        d_damped, theta = damp(y, gram10 @ y, d, hist, xi=0.2)
         assert theta == 1.0
-        hist.push(d_damped, y, qdot(y, y))
+        push_pair(hist, gram10, d_damped, y)
         np.testing.assert_allclose(apply_inverse_hessian(hist, y), d,
                                    rtol=1e-10)
 
 
 class TestDamp:
     def test_no_damping_branch(self, gram10, rng):
-        hist = BfgsHistory(make_qdot(gram10), b0_scale=1.0)
+        hist = BfgsHistory(b0_scale=1.0)
         y = rng.standard_normal(10)
         d = apply_inverse_hessian(hist, y) * 2.0
-        d_new, theta = damp(y, d, hist, xi=0.2)
+        d_new, theta = damp(y, gram10 @ y, d, hist, xi=0.2)
         assert theta == 1.0
         np.testing.assert_array_equal(d_new, d)
 
     def test_strongly_negative_curvature(self, gram10, rng):
         # (y, d)_Q = -(y, By)_Q gives theta = (1-xi)/2 and post-damping
         # curvature exactly xi*(y, By)_Q
-        qdot = make_qdot(gram10)
-        hist = BfgsHistory(qdot, b0_scale=1.0)
+        hist = BfgsHistory(b0_scale=1.0)
         y = rng.standard_normal(10)
         by = apply_inverse_hessian(hist, y)
-        yby = qdot(y, by)
+        yby = qdot(gram10, y, by)
         d = rng.standard_normal(10)
-        d -= by * (qdot(y, d) / yby)        # (y, d)_Q = 0
-        d -= by                              # (y, d)_Q = -(y, By)_Q
-        assert qdot(y, d) == pytest.approx(-yby, rel=1e-12)
-        d_new, theta = damp(y, d, hist, xi=0.2)
+        d -= by * (qdot(gram10, y, d) / yby)        # (y, d)_Q = 0
+        d -= by                                      # (y, d)_Q = -(y, By)_Q
+        assert qdot(gram10, y, d) == pytest.approx(-yby, rel=1e-12)
+        d_new, theta = damp(y, gram10 @ y, d, hist, xi=0.2)
         assert theta == pytest.approx(0.4, rel=1e-12)
-        assert qdot(y, d_new) == pytest.approx(0.2 * yby, rel=1e-10)
+        assert qdot(gram10, y, d_new) == pytest.approx(0.2 * yby, rel=1e-10)
 
     def test_zero_curvature(self, gram10, rng):
-        qdot = make_qdot(gram10)
-        hist = BfgsHistory(qdot, b0_scale=1.0)
+        hist = BfgsHistory(b0_scale=1.0)
         y = rng.standard_normal(10)
         by = apply_inverse_hessian(hist, y)
-        yby = qdot(y, by)
+        yby = qdot(gram10, y, by)
         d = rng.standard_normal(10)
-        d -= by * (qdot(y, d) / yby)
-        assert abs(qdot(y, d)) <= 1e-12 * yby
-        d_new, theta = damp(y, d, hist, xi=0.2)
+        d -= by * (qdot(gram10, y, d) / yby)
+        assert abs(qdot(gram10, y, d)) <= 1e-12 * yby
+        d_new, theta = damp(y, gram10 @ y, d, hist, xi=0.2)
         assert theta == pytest.approx(0.8, rel=1e-10)
-        assert qdot(y, d_new) == pytest.approx(0.2 * yby, rel=1e-9)
+        assert qdot(gram10, y, d_new) == pytest.approx(0.2 * yby, rel=1e-9)
 
     def test_store_without_damping_rejected(self, gram10, rng):
-        hist = BfgsHistory(make_qdot(gram10), b0_scale=1.0)
+        hist = BfgsHistory(b0_scale=1.0)
         y = rng.standard_normal(10)
         with pytest.raises(DegenerateCurvature):
-            hist.push(-y, y, make_qdot(gram10)(y, y))
+            push_pair(hist, gram10, -y, y)
 
 
 class TestEviction:
     def test_capacity_respected(self, gram10, rng):
-        hist = BfgsHistory(make_qdot(gram10), b0_scale=1.0, m_mem=3)
-        push_random_pairs(hist, rng, 7, 10)
+        hist = BfgsHistory(b0_scale=1.0, m_mem=3)
+        push_random_pairs(hist, gram10, rng, 7, 10)
         assert len(hist) == 3
 
     def test_positive_definite_after_eviction(self, gram10, rng):
         # the surviving pairs restart the chain from B0, so the operator
         # stays a chain of positivity-preserving updates of B0
-        qdot = make_qdot(gram10)
-        hist = BfgsHistory(qdot, b0_scale=1.0, m_mem=2)
+        hist = BfgsHistory(b0_scale=1.0, m_mem=2)
         for k in range(12):
-            push_random_pairs(hist, rng, 1, 10)
+            push_random_pairs(hist, gram10, rng, 1, 10)
             for _ in range(20):
                 p = rng.standard_normal(10)
-                assert qdot(p, apply_inverse_hessian(hist, p)) > 0
+                assert qdot(gram10, p, apply_inverse_hessian(hist, p)) > 0
 
     def test_dense_oracle_after_eviction(self, gram10, rng):
-        qdot = make_qdot(gram10)
-        hist = BfgsHistory(qdot, b0_scale=0.8, m_mem=3)
-        push_random_pairs(hist, rng, 9, 10)
+        hist = BfgsHistory(b0_scale=0.8, m_mem=3)
+        push_random_pairs(hist, gram10, rng, 9, 10)
         dense = dense_operator(hist, gram10)
         g = rng.standard_normal(10)
         np.testing.assert_allclose(apply_inverse_hessian(hist, g), dense @ g,
@@ -196,59 +203,38 @@ class TestEviction:
 
     def test_eviction_leaves_only_last_pairs(self, gram10, rng):
         # the operator after evictions is that of the surviving pairs alone
-        qdot = make_qdot(gram10)
-        hist = BfgsHistory(qdot, b0_scale=0.8, m_mem=3)
+        hist = BfgsHistory(b0_scale=0.8, m_mem=3)
         pushed = []
         for _ in range(9):
             y = rng.standard_normal(10)
-            d_damped, _ = damp(y, rng.standard_normal(10), hist, xi=0.2)
-            hist.push(d_damped, y, qdot(y, y))
+            d_damped, _ = damp(y, gram10 @ y, rng.standard_normal(10), hist,
+                               xi=0.2)
+            push_pair(hist, gram10, d_damped, y)
             pushed.append((d_damped, y))
-        fresh = BfgsHistory(qdot, b0_scale=0.8, m_mem=3)
+        fresh = BfgsHistory(b0_scale=0.8, m_mem=3)
         for d_damped, y in pushed[-3:]:
-            fresh.push(d_damped, y, qdot(y, y))
+            push_pair(fresh, gram10, d_damped, y)
         for _ in range(5):
             g = rng.standard_normal(10)
             np.testing.assert_allclose(apply_inverse_hessian(hist, g),
                                        apply_inverse_hessian(fresh, g),
                                        rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("m_mem", [1, 3, 8])
-    def test_push_at_capacity_costs_one_qdot(self, gram10, rng, m_mem):
-        calls = 0
-        base = make_qdot(gram10)
-
-        def qdot(u, v):
-            nonlocal calls
-            calls += 1
-            return base(u, v)
-
-        hist = BfgsHistory(qdot, b0_scale=1.0, m_mem=m_mem)
-        push_random_pairs(hist, rng, m_mem, 10)
-        y = rng.standard_normal(10)
-        d_damped, _ = damp(y, rng.standard_normal(10), hist, xi=0.2)
-        yy = base(y, y)
-        calls = 0
-        hist.push(d_damped, y, yy)
-        assert calls == 1
-        assert len(hist) == m_mem
-
     @pytest.mark.parametrize("m_mem", [0, -1])
-    def test_rejects_capacity_below_one(self, gram10, m_mem):
+    def test_rejects_capacity_below_one(self, m_mem):
         with pytest.raises(ValueError):
-            BfgsHistory(make_qdot(gram10), b0_scale=1.0, m_mem=m_mem)
+            BfgsHistory(b0_scale=1.0, m_mem=m_mem)
 
 
 class TestArmijo:
     def test_quadratic_accepts_full_step(self, gram10, rng):
-        qdot = make_qdot(gram10)
         q = rng.standard_normal(10)
 
         def j_eval(x):
-            return 0.5 * qdot(x, x)
+            return 0.5 * qdot(gram10, x, x)
 
         d = -q
-        t, q_new, j_new = armijo(j_eval, q, d, qdot(q, d),
+        t, q_new, j_new = armijo(j_eval, q, d, qdot(gram10, q, d),
                                  OptimizerConfig(gamma=0.1))
         assert t == 1.0
         assert j_new == 0.0
@@ -285,19 +271,18 @@ class TestArmijo:
                    cfg=OptimizerConfig(ls_max=4))
 
     def test_never_accepts_above_armijo_line(self, gram10, rng):
-        qdot = make_qdot(gram10)
         q = rng.standard_normal(10)
         d = -q
         calls = []
 
         def j_eval(x):
-            val = 0.5 * qdot(x, x)
+            val = 0.5 * qdot(gram10, x, x)
             calls.append((x.copy(), val))
             return val
 
         cfg = OptimizerConfig(gamma=0.3, rho_ls=0.5)
-        j0 = 0.5 * qdot(q, q)
-        g_dot_d = qdot(q, d)
+        j0 = 0.5 * qdot(gram10, q, q)
+        g_dot_d = qdot(gram10, q, d)
         t, _, j_new = armijo(j_eval, q, d, g_dot_d, cfg, j0=j0)
         assert j_new <= j0 + cfg.gamma * t * g_dot_d
 
@@ -355,8 +340,8 @@ class QuadraticProblem:
         e = q - self.q_star
         return 0.5 * float(e @ (self.h_mat @ e))
 
-    def q_inner(self, u, v):
-        return float(u @ (self.gram @ v))
+    def q_apply(self, v):
+        return self.gram @ v
 
     def jacobian_range(self, q):
         return 1.0, 1.0
@@ -470,6 +455,58 @@ class TestOptimize:
             [len(s) for s in searches]
         assert records[-1].ls_trials == 0    # terminal iterate: no search
         assert sum(r.ls_trials for r in records) > len(records) - 1
+
+    @pytest.mark.parametrize("m_mem", [1, 3, 8])
+    def test_gram_applies_per_iterate(self, gram10, rng, m_mem):
+        # Q d, Q y and Q d~ for the stored pair: three applies per iterate,
+        # however many pairs the two-loop recursion runs over
+        prob = self.make_problem(gram10, rng)
+        applies = 0
+        gram_map = prob.q_apply
+
+        def counted(v):
+            nonlocal applies
+            applies += 1
+            return gram_map(v)
+
+        prob.q_apply = counted
+        seen = [0]
+        cfg = OptimizerConfig(tol=1e-16, k_max=12, m_mem=m_mem, b0_scale=0.05)
+        _, records, _ = optimize(prob, np.zeros(10), cfg,
+                                 callback=lambda k, q, rec: seen.append(applies))
+        assert sum(r.step > 0 for r in records) > m_mem
+        assert max(np.diff(seen)) <= 3
+        assert applies <= 3 * len(records)
+
+    def test_records_hold_gamma_and_t0(self, gram10, rng, monkeypatch):
+        # gamma: b0_scale at k = 0, then (d~, y)_Q / (y, y)_Q of the newest
+        # pair stored before the iterate; t0: the search's first trial step
+        searches = record_trial_steps(monkeypatch)
+        ratios = []
+        push = BfgsHistory.push
+
+        def spy(hist, d_tilde, y, qd, qy):
+            push(hist, d_tilde, y, qd, qy)
+            ratios.append(qdot(gram10, d_tilde, y) / qdot(gram10, y, y))
+
+        monkeypatch.setattr(BfgsHistory, "push", spy)
+        prob = self.make_problem(gram10, rng)
+        prob.limit = 0.1
+        newest = {}
+        cfg = OptimizerConfig(tol=1e-9, k_max=20, b0_scale=1e3)
+        _, records, _ = optimize(
+            prob, np.zeros(10), cfg,
+            callback=lambda k, q, rec: newest.update({k + 1: ratios[-1]}))
+        assert len(records) >= 4
+        assert records[0].gamma == cfg.b0_scale
+        for rec in records[1:]:
+            assert rec.gamma == pytest.approx(newest[rec.k], rel=1e-12)
+        assert records[0].t0 == min(1.0, bfgs_optimizer.FIRST_STEP * 0.1)
+        for rec, prev in zip(records[1:-1], records):
+            assert rec.t0 == min(1.0, prev.step / cfg.rho_ls)
+        for rec, trials in zip(records, searches):
+            assert trials[0] == pytest.approx(rec.t0, rel=1e-9)
+        assert math.isnan(records[-1].t0)     # terminal iterate: no search
 
     def test_log_lines(self, gram10, rng, caplog):
         prob = self.make_problem(gram10, rng)

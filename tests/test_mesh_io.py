@@ -242,6 +242,57 @@ class TestWriteVtk:
         np.testing.assert_allclose(
             parsed["point_vectors"]["deformation"][:, :2], 0.0)
 
+    def test_bytes_match_per_entry_oracle(self, square4, rng):
+        # every number as format(x, ".17g"), one line per point or cell,
+        # with a point scalar, 2- and 3-vector and a cell scalar
+        mesh = square4
+        values = 0.01 * rng.standard_normal((mesh.n_vertices, 2))
+        fields = {"height": rng.standard_normal(mesh.n_vertices),
+                  "flow": rng.standard_normal((mesh.n_vertices, 2)),
+                  "e field": 1e5 * rng.standard_normal((mesh.n_vertices, 3)),
+                  "magnitude": rng.standard_normal(mesh.n_triangles)}
+        text = write_vtk(mesh, DeformationField(mesh, values), fields=fields)
+
+        def g(x):
+            return format(float(x), ".17g")
+
+        def rows(arr):
+            if arr.ndim == 1:
+                return [g(v) for v in arr]
+            pad = [] if arr.shape[1] == 3 else ["0"]
+            return [" ".join([g(v) for v in row] + pad) for row in arr]
+
+        n_t = mesh.n_triangles
+        lines = ["# vtk DataFile Version 3.0", "maxshape output", "ASCII",
+                 "DATASET UNSTRUCTURED_GRID",
+                 f"POINTS {mesh.n_vertices} double",
+                 *rows(mesh.vertices + values),
+                 f"CELLS {n_t} {4 * n_t}",
+                 *(f"3 {a} {b} {c}" for a, b, c in mesh.triangles),
+                 f"CELL_TYPES {n_t}", *["5"] * n_t,
+                 f"POINT_DATA {mesh.n_vertices}",
+                 "VECTORS deformation double", *rows(values),
+                 "SCALARS height double 1", "LOOKUP_TABLE default",
+                 *rows(fields["height"]),
+                 "VECTORS flow double", *rows(fields["flow"]),
+                 "VECTORS e_field double", *rows(fields["e field"]),
+                 f"CELL_DATA {n_t}",
+                 "SCALARS magnitude double 1", "LOOKUP_TABLE default",
+                 *rows(fields["magnitude"])]
+        assert text == "\n".join(lines) + "\n"
+
+        # every number round-trips exactly through float(token)
+        parsed = _parse_vtk(text)
+        vectors = parsed["point_vectors"]
+        for got, want in [
+                (parsed["points"][:, :2], mesh.vertices + values),
+                (vectors["deformation"][:, :2], values),
+                (vectors["flow"][:, :2], fields["flow"]),
+                (vectors["e_field"], fields["e field"]),
+                (parsed["point_data"]["height"], fields["height"]),
+                (parsed["cell_data"]["magnitude"], fields["magnitude"])]:
+            np.testing.assert_array_equal(got, want)
+
     def test_dimension_mismatch(self, square2):
         with pytest.raises(DimensionMismatch):
             write_vtk(square2, DeformationField.zero(square2),
