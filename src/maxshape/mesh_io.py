@@ -10,6 +10,7 @@ the edge basis enters assembly in closed form (fem_assembly).
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Mapping
 
@@ -243,22 +244,20 @@ def generate_unit_square(n: int) -> Mesh:
     along the diagonal from its lower-left to its upper-right corner, so
     doubling n reproduces one uniform (red) refinement.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     side = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(side, side)      # row-major: y outer, x inner
     vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return Mesh(vertices, np.asarray(tris, dtype=np.int64))
+    # lower-left corner of each cell, cells in row-major order
+    v00 = ((np.arange(n) * (n + 1))[:, None] + np.arange(n)).ravel()
+    v10, v01 = v00 + 1, v00 + (n + 1)
+    v11 = v01 + 1
+    # each cell gives (v00, v10, v11), then (v00, v11, v01)
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return Mesh(vertices, tris)
 
 
 def write_vtk(mesh: Mesh, q, fields: Mapping[str, np.ndarray] | None = None,

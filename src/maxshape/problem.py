@@ -5,7 +5,11 @@ DOF maps, the start vector of its first eigensolve, and the only copy of
 the control-space Gram matrix and the factorization of its scalar block)
 plus the last solved state, whose block starts every later eigensolve
 warm, and the last deformation field, so that each control's kinematics
-are computed once.  It alone chains state, adjoint, reduced derivative and
+are computed once.  The Gram, the factor of its scalar block and the
+shortest reference edge are built at first use: a problem that only
+solves states (a lambda0 probe, ``maxshape eigs``) builds none of them,
+and one that never takes a Riesz gradient (``check_gradient``) never
+factors the Gram.  It alone chains state, adjoint, reduced derivative and
 Riesz map, and exposes the five methods the optimizer drives: gradient,
 evaluate, q_apply (the Gram map), jacobian_range and step_limit.  Controls
 cross this interface as flat coefficient vectors.
@@ -16,8 +20,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import adjoint_gradient, objective
@@ -32,7 +38,11 @@ log = logging.getLogger(__name__)
 
 
 class MaxwellShapeProblem:
-    """Eigenvalue-targeting shape problem on a fixed reference mesh."""
+    """Eigenvalue-targeting shape problem on a fixed reference mesh.
+
+    ``gram``, the factor of its scalar block and the shortest reference
+    edge are cached properties, each built once at its first use.
+    """
 
     def __init__(self, mesh: Mesh, params: ObjectiveParams,
                  sel: EigenSelection, seed: int = 0):
@@ -43,20 +53,31 @@ class MaxwellShapeProblem:
             sel = replace(sel, shift=0.9 * params.lambda_target)
         self.sel = sel
         self.dofs = DofMap.from_mesh(mesh)
-        self.gram = assemble_control_gram(mesh)
-        # Both components carry the same scalar H1 block H, so the Gram
-        # kron(H, I_2) is solved by factoring H alone (H is SPD).
-        self._h_lu = spla.splu(self.gram[::2, ::2].tocsc(), **SYMMETRIC_LU)
-        # the shortest reference edge
-        ends = mesh.vertices[mesh.edges]
-        self._h_min = float(np.linalg.norm(ends[:, 1] - ends[:, 0],
-                                           axis=1).min())
         # Arnoldi start vector of the first, cold, state solve
         self._v0 = np.random.default_rng(seed).standard_normal(
             self.dofs.n_free)
         # the last field made; the last solved field and its state pair
         self._field: DeformationField | None = None
         self._last_state: tuple[DeformationField, MixedEigenPair] | None = None
+
+    # -- control space, built at first use ---------------------------------
+
+    @cached_property
+    def gram(self) -> sp.csr_matrix:
+        """The control-space Gram matrix kron(H, I_2) of the H1 product."""
+        return assemble_control_gram(self.mesh)
+
+    @cached_property
+    def _h_lu(self):
+        # Both components carry the same scalar H1 block H, so the Gram
+        # kron(H, I_2) is solved by factoring H alone (H is SPD).
+        return spla.splu(self.gram[::2, ::2].tocsc(), **SYMMETRIC_LU)
+
+    @cached_property
+    def _h_min(self) -> float:
+        """The shortest reference edge."""
+        ends = self.mesh.vertices[self.mesh.edges]
+        return float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).min())
 
     # -- control helpers ----------------------------------------------------
 

@@ -152,6 +152,28 @@ class TestGenerateUnitSquare:
         with pytest.raises(ValueError):
             generate_unit_square(0)
 
+    def test_non_integer_n(self):
+        with pytest.raises(TypeError):
+            generate_unit_square(2.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_numbering_matches_cell_oracle(self, n):
+        # Every history depends on this order: vertices row-major, and per
+        # cell (row-major) the triangles (v00, v10, v11), (v00, v11, v01).
+        side = np.linspace(0.0, 1.0, n + 1)
+        vertices = [(side[i], side[j]) for j in range(n + 1)
+                    for i in range(n + 1)]
+        tris = []
+        for j in range(n):
+            for i in range(n):
+                v00 = j * (n + 1) + i
+                v10, v01 = v00 + 1, v00 + n + 1
+                v11 = v01 + 1
+                tris += [(v00, v10, v11), (v00, v11, v01)]
+        mesh = generate_unit_square(n)
+        assert np.array_equal(mesh.vertices, np.array(vertices))
+        assert np.array_equal(mesh.triangles, np.array(tris))
+
 
 class TestMeshInvariants:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

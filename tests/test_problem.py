@@ -35,6 +35,42 @@ def square8_problem():
     return _square8_problem()
 
 
+def _square4_problem():
+    mesh = generate_unit_square(4)
+    sel = EigenSelection(index=0, nev=6, shift=9.0, tol=1e-9)
+    params = ObjectiveParams(lambda_target=9.0, alpha=1e-3)
+    return MaxwellShapeProblem(mesh, params, sel, seed=0)
+
+
+@pytest.fixture
+def gram_builds(monkeypatch):
+    """Counts of Gram assemblies and H factorizations made by problem.py,
+    and the shapes of the matrices factored."""
+    import maxshape.problem as problem_module
+
+    calls = {"assemble": 0, "factorize": 0}
+    shapes = []
+    assemble = problem_module.assemble_control_gram
+    factorize = problem_module.spla.splu
+
+    def counted_assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return assemble(*args, **kwargs)
+
+    def counted_factorize(mat, **kwargs):
+        calls["factorize"] += 1
+        shapes.append(mat.shape)
+        return factorize(mat, **kwargs)
+
+    monkeypatch.setattr(problem_module, "assemble_control_gram",
+                        counted_assemble)
+    # problem.py's own spla name: the eigensolver's factorizations stay
+    # out of the count
+    monkeypatch.setattr(problem_module, "spla",
+                        SimpleNamespace(splu=counted_factorize))
+    return calls, shapes
+
+
 @pytest.fixture
 def state_solves(monkeypatch):
     """Flat controls seen by maxshape.adjoint_gradient.solve_state, in order."""
@@ -96,39 +132,49 @@ class TestGradient:
         assert grad_state is state
         assert len(state_solves) == 1
 
-    def test_optimize_builds_gram_once(self, monkeypatch):
-        import maxshape.problem as problem_module
-
-        calls = {"assemble": 0, "factorize": 0}
-        shapes = []
-        assemble = problem_module.assemble_control_gram
-        factorize = problem_module.spla.splu
-
-        def counted_assemble(*args, **kwargs):
-            calls["assemble"] += 1
-            return assemble(*args, **kwargs)
-
-        def counted_factorize(mat, **kwargs):
-            calls["factorize"] += 1
-            shapes.append(mat.shape)
-            return factorize(mat, **kwargs)
-
-        monkeypatch.setattr(problem_module, "assemble_control_gram",
-                            counted_assemble)
-        # problem.py's own spla name: the eigensolver's factorizations stay
-        # out of the count
-        monkeypatch.setattr(problem_module, "spla",
-                            SimpleNamespace(splu=counted_factorize))
-        mesh = generate_unit_square(4)
-        sel = EigenSelection(index=0, nev=6, shift=9.0, tol=1e-9)
-        params = ObjectiveParams(lambda_target=9.0, alpha=1e-3)
-        prob = MaxwellShapeProblem(mesh, params, sel, seed=0)
+    def test_optimize_builds_gram_once(self, gram_builds):
+        calls, shapes = gram_builds
+        prob = _square4_problem()
         cfg = OptimizerConfig(tol=1e-12, k_max=3, b0_scale=1e3)
         _, records, _ = optimize(prob, prob.zero_control(), cfg)
         assert sum(r.step > 0 for r in records) >= 1
         assert calls == {"assemble": 1, "factorize": 1}
         # the scalar H1 block only, not the interleaved 2V x 2V Gram
-        assert shapes == [(mesh.n_vertices, mesh.n_vertices)]
+        assert shapes == [(prob.mesh.n_vertices, prob.mesh.n_vertices)]
+
+
+class TestBuiltAtFirstUse:
+    """A problem builds the Gram and the factor of H only when it needs them."""
+
+    def test_state_solve_builds_nothing(self, gram_builds):
+        prob = _square4_problem()
+        prob.solve_state(prob.zero_control())
+        assert gram_builds[0] == {"assemble": 0, "factorize": 0}
+
+    @pytest.mark.parametrize("method", ["evaluate", "derivative_functional"])
+    def test_value_and_derivative_assemble_only(self, gram_builds, method):
+        prob = _square4_problem()
+        getattr(prob, method)(_smooth_control(prob, 0.02))
+        assert gram_builds[0] == {"assemble": 1, "factorize": 0}
+
+    def test_gradient_assembles_and_factors_once(self, gram_builds):
+        prob = _square4_problem()
+        q = _smooth_control(prob, 0.02)
+        prob.gradient(q)
+        prob.gradient(0.5 * q)
+        assert gram_builds[0] == {"assemble": 1, "factorize": 1}
+
+    def test_eigs_command_builds_nothing(self, gram_builds, capsys):
+        from maxshape import cli_runner
+
+        cfg = cli_runner.parse_config("\n".join([
+            "mesh.unit_square = 4",
+            "objective.lambda_target = 9.87",
+            "eigen.shift = 9.0",
+        ]))
+        assert cli_runner.run_eigs(cfg, nev=4) == 0
+        assert "dofs_total" in capsys.readouterr().out
+        assert gram_builds[0] == {"assemble": 0, "factorize": 0}
 
 
 class TestInnerProduct:

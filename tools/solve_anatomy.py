@@ -1,12 +1,16 @@
-"""Time the parts of one state solve on a deformed unit square.
+"""Time the parts of a problem's set-up and of one state solve.
 
     python3 tools/solve_anatomy.py [--out tools/solve_anatomy.json]
 
 For n = 16, 32 and 64 the script assembles the reduced pencil of the unit
 square at a random nodal deformation of size 0.05 / n, with the desk run's
 shift sigma = 0.9 * 1.05 * pi^2, and reports the median of 20 timings of
-each part of a state solve:
+each part of a problem's construction and of a state solve:
 
+- grid: generate_unit_square;
+- pattern: DofMap.from_mesh, with the sparsity pattern of the pencil;
+- Gram + H factor: assemble_control_gram and splu of its scalar block H,
+  which a problem builds at its first use of the Gram;
 - assemble: assemble_forms and apply_dirichlet;
 - factor S: splu of S = A - sigma*M, which every sparse solve factors;
 - factor L: splu of L = B^T G (as L^T), which only cold solves factor;
@@ -16,8 +20,9 @@ each part of a state solve:
   0.005 / n away, with the block iterations it took;
 - cold solve: solve_gevp by ARPACK, nev = 8.
 
-BLAS runs on one thread, as in tools/lu_sweep.py.  The printed table is
-the "Anatomy of one state solve" of ROADMAP.md's Baseline.
+BLAS runs on one thread, as in tools/lu_sweep.py.  The solve columns of
+the printed table are the "Anatomy of one state solve" of ROADMAP.md's
+Baseline, and its set-up columns are quoted under "Problem construction".
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from maxshape import (  # noqa: E402
     DofMap,
     EigenSelection,
     apply_dirichlet,
+    assemble_control_gram,
     assemble_forms,
     generate_unit_square,
     select_and_normalize,
@@ -60,8 +66,8 @@ SIZES = (16, 32, 64)
 REPEATS = 20
 SIGMA = 0.9 * 1.05 * np.pi ** 2
 SEED = 0
-COLUMNS = ("assemble", "factor S", "factor L", "block iteration",
-           "warm solve", "cold solve")
+COLUMNS = ("grid", "pattern", "Gram + H factor", "assemble", "factor S",
+           "factor L", "block iteration", "warm solve", "cold solve")
 
 
 def random_field(mesh, rng, size: float) -> np.ndarray:
@@ -92,7 +98,8 @@ class _Iterations(logging.Handler):
 
 
 def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
-    """Median milliseconds of each part of a state solve at n x n."""
+    """Median milliseconds of each part of set-up and a state solve at
+    n x n."""
     mesh = generate_unit_square(n)
     dofs = DofMap.from_mesh(mesh)
     rng = np.random.default_rng(seed)
@@ -132,8 +139,16 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     finally:
         log.removeHandler(counter)
         log.setLevel(level)
+
+    def gram_and_factor():
+        gram = assemble_control_gram(mesh)
+        return spla.splu(gram[::2, ::2].tocsc(), **SYMMETRIC_LU)
+
     return {
         "n": n, "pencil": forms.n,
+        "grid": median_ms(lambda: generate_unit_square(n), repeats),
+        "pattern": median_ms(lambda: DofMap.from_mesh(mesh), repeats),
+        "Gram + H factor": median_ms(gram_and_factor, repeats),
         "assemble": median_ms(lambda: assemble(q), repeats),
         "factor S": median_ms(lambda: spla.splu(s_mat, **SYMMETRIC_LU),
                               repeats),
