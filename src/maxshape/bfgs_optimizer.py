@@ -232,9 +232,8 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
     the Gram map Q v of the control inner product (u, v)_Q = u . Q v;
     jacobian_range(q); and step_limit(d), the step t at which q + t d first
     moves some vertex by one shortest reference edge.  Each iterate applies
-    Q three times: to its direction d, to the gradient difference y and to
-    the damped step d~ it stores.  One IterationRecord is emitted per
-    visited iterate; the terminal iterate carries step 0 and no t0.
+    Q to d, y and a damped d~ (an undamped d~ = t d stores t Q d).  One
+    IterationRecord per visited iterate; the terminal one has step 0, no t0.
 
     The first Armijo search starts at min(1, FIRST_STEP * step_limit(d)),
     so its first trial moves no vertex by more than half the shortest
@@ -302,7 +301,8 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         qy = problem.q_apply(y)
         if float(y @ qy) > 0.0:
             d_damped, theta = damp(y, qy, d_step, hist, cfg.xi)
-            hist.push(d_damped, y, problem.q_apply(d_damped), qy)
+            hist.push(d_damped, y, t * qd if theta == 1.0
+                      else problem.q_apply(d_damped), qy)
         else:
             theta = 1.0                    # no curvature information
 

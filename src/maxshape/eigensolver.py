@@ -5,32 +5,30 @@ The discrete problem is K x = lam * Mt x with
     K  = [[A, B], [B^T, 0]],      Mt = [[M, 0], [0, 0]],
 
 posed by the forms A, M and B^T on free DOFs.  Mt is singular, so the
-pencil carries infinite eigenvalues; under the shift-invert transform
+pencil carries infinite eigenvalues, which the dense QZ solve of small
+systems discards.  Sparse solves work on edge vectors: the identities
+B = M G and A G = 0 (curl grad = 0 on the Whitney/P1 pair; Boffi, Acta
+Numerica 19, 2010) give S G = -sigma B with S = A - sigma*M, so S^{-1} M
+maps a gradient G phi to -G phi / sigma and a divergence-free mode to
+u / (lam - sigma).
 
-    OP = (K - sigma * Mt)^{-1} Mt,    theta = 1 / (lam - sigma),
+A cold solve runs Arnoldi on T = P S^{-1} M, P = I - G L^{-1} B^T, with
+L = B^T G, the P1 stiffness matrix in the deformed metric: P removes the
+gradient part by one Poisson solve (Arbenz, Geus & Adam, Phys. Rev. ST
+Accel. Beams 4, 2001), so T maps gradients to 0, which a threshold
+discards, and each divergence-free mode to theta = 1 / (lam - sigma).
+T x is the edge block of (K - sigma*Mt)^{-1} [M x; 0] by block
+elimination (Benzi, Golub & Liesen, Acta Numerica 14, 2005).
 
-those map to theta = 0 and are discarded by a threshold, while the finite
-eigenvalues nearest the shift dominate the transformed spectrum.  Small
-systems fall back to a dense QZ solve of the same pencil.
-
-A cold solve does not factor the saddle matrix.  With S = A - sigma*M, the
-pencil's identities B = M G and A G = 0 (curl grad = 0 on the Whitney/P1
-pair; Boffi, Acta Numerica 19, 2010) give S G = -sigma B, so block
-elimination (Benzi, Golub & Liesen, Acta Numerica 14, 2005) solves
-(K - sigma*Mt) [x; y] = [f; g] exactly by
-
-    z = S^{-1} f,    w = L^{-1} (g - B^T z),    [x; y] = [z + G w; sigma w]
-
-with L = B^T G, the P1 stiffness matrix in the deformed metric.
-
-A solve handed a block of vectors from a nearby deformation (warm) runs
-block subspace iteration with Rayleigh-Ritz on the block plus one fresh
-random guard column instead of Arnoldi (Saad, Numerical Methods for Large
-Eigenvalue Problems, 2nd ed., ch. 5), on edge vectors and with S alone:
-on divergence-free vectors (B^T u = 0) S^{-1} M is the edge part of OP.
-It maps a gradient G phi to -G phi / sigma, so the start block is filtered
-once by F = S^{-1} M + I / sigma, which annihilates gradients exactly and
-scales each divergence-free mode by lam / (sigma (lam - sigma)), never 0.
+A warm solve, handed a block of vectors from a nearby deformation, runs
+block subspace iteration with Rayleigh-Ritz on the block and a fixed
+random guard column (Saad, Numerical Methods for Large Eigenvalue
+Problems, 2nd ed., ch. 5) with S alone, which is T on divergence-free
+vectors.  The start block is filtered once by F = S^{-1} M + I/sigma,
+which annihilates gradients exactly and scales each divergence-free mode
+by lam / (sigma (lam - sigma)), never 0.  A step Y = S^{-1} M X makes one
+sparse product, M Y: S Y = M X gives A Y = sigma M Y + M X, and the next
+block X C has M X C = (M Y) C.
 
 Every path returns eigenvalues and edge vectors u, each checked as
 (lam, [u; 0]) against the pencil: G^T times its first row gives
@@ -78,20 +76,18 @@ SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 
 
 class ShiftInvert:
-    """Solves with K - sigma*Mt by the block elimination of the module
-    docstring, one LU of A - sigma*M and one of L = B^T G: cold solves.
-
-    solve takes and returns vectors or column blocks of the pencil's size,
-    like SuperLU.solve.  sigma must not be 0 (S = A is singular on the
-    gradients) nor an eigenvalue of (A, M).
+    """The cold solve's T = P S^{-1} M on edge vectors or column blocks
+    (module docstring), one LU of S = A - sigma*M and one of L = B^T G;
+    applies counts its calls.  sigma must not be 0 (S = A is singular on
+    the gradients) nor an eigenvalue of (A, M).
 
     Raises:
         FactorizationFailed: either factorization failed.
     """
 
     def __init__(self, forms: AssembledForms, sigma: float):
-        self.sigma = sigma
-        self.n_edge = forms.n_edge
+        self.applies = 0
+        self.m = forms.M
         self.bt = forms.BT
         self.g = forms.layout.gradient
         self.edge = _splu(forms.edge_shift(sigma), "A - sigma*M", sigma)
@@ -99,16 +95,10 @@ class ShiftInvert:
         # conversion and solve with its transpose
         self.vertex = _splu((self.bt @ self.g).T, "L = B^T G", sigma)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        z = self.edge.solve(rhs[:self.n_edge])
-        w = self.vertex.solve(rhs[self.n_edge:] - self.bt @ z, trans="T")
-        return np.concatenate([z + self.g @ w, self.sigma * w])
-
-    @property
-    def fill(self) -> tuple[int, int]:
-        """nnz(L) + nnz(U) of each factorization.  SuperLU builds copies
-        of the factors to count them: for diagnostics only."""
-        return tuple(lu.L.nnz + lu.U.nnz for lu in (self.edge, self.vertex))
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        self.applies += 1
+        z = self.edge.solve(self.m @ x)
+        return z - self.g @ self.vertex.solve(self.bt @ z, trans="T")
 
 
 def _splu(mat: sp.csc_matrix, name: str, sigma: float):
@@ -181,9 +171,9 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     """Compute the finite eigenvalues nearest the shift, sorted ascending.
 
     A cold solve (no block) computes nev pairs: dense QZ for small pencils,
-    shift-invert Arnoldi from v0 otherwise.  A warm solve starts block
-    shift-invert iteration from block, reduced u columns such as
-    MixedEigenPair.block of a solve at a nearby deformation, and computes
+    shift-invert Arnoldi from v0, an edge vector, otherwise.  A warm solve
+    starts block shift-invert iteration from block, reduced u columns such
+    as MixedEigenPair.block of a solve at a nearby deformation, and computes
     the lowest index + 2 pairs it finds; small pencils still go dense.
 
     Each returned eigenvector u is normalized to u^T M u = 1 and carries
@@ -201,24 +191,23 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     if sel.shift is None:
         raise ValueError("EigenSelection.shift must be set before solving")
     n, n_e = forms.n, forms.n_edge
-    if v0 is not None and len(v0) != n:
-        raise ValueError(f"v0 of length {len(v0)} cannot start a pencil of "
-                         f"size {n}")
+    if v0 is not None and len(v0) != n_e:
+        raise ValueError(f"v0 of length {len(v0)} cannot start a solve on "
+                         f"{n_e} edge DOFs")
     nev = sel.nev_effective
     if n_e == 0:
         raise InsufficientSpectrum("no free edge DOFs")
     sigma = float(sel.shift)
 
     if n <= max(DENSE_THRESHOLD, 2 * nev + 12):
-        lams, u = _dense_finite_spectrum(forms, sigma, nev)
+        lams, u, au, mu = _dense_finite_spectrum(forms, sigma, nev)
     elif block is None:
-        lams, u = _arpack_finite_spectrum(forms, sigma, nev, sel, v0)
+        lams, u, au, mu = _arpack_finite_spectrum(forms, sigma, nev, sel, v0)
     else:
-        lams, u = _block_finite_spectrum(forms, sigma, sel.index + 2, sel,
-                                         block)
+        lams, u, au, mu = _block_finite_spectrum(forms, sigma, sel, block)
 
     # the residual and certificate do not depend on the scale of u
-    au, mu, btu = forms.A @ u, forms.M @ u, forms.BT @ u
+    btu = forms.BT @ u
     pairs = []
     for i, lam in enumerate(lams):
         nrm = np.sqrt(u[:, i] @ mu[:, i])
@@ -235,15 +224,16 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     return pairs
 
 
-def _nearest(lams: np.ndarray, vecs: np.ndarray, n_edge: int, sigma: float,
-             count: int):
-    """The count eigenvalues nearest sigma, ascending, and edge vectors."""
+def _nearest(forms: AssembledForms, lams: np.ndarray, vecs: np.ndarray,
+             sigma: float, count: int):
+    """The count eigenvalues nearest sigma, ascending, and u, A u, M u."""
     if len(lams) < count:
         raise InsufficientSpectrum(
             f"found {len(lams)} finite eigenvalues, requested {count}")
     order = np.argsort(np.abs(lams - sigma))[:count]
     order = order[np.argsort(lams[order])]
-    return lams[order], vecs[:n_edge, order]
+    u = vecs[:forms.n_edge, order]
+    return lams[order], u, forms.A @ u, forms.M @ u
 
 
 def _pencil_residual(au: np.ndarray, mu: np.ndarray, btu: np.ndarray,
@@ -267,22 +257,15 @@ def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int):
     finite = np.abs(beta) > 1e-8 * max(np.abs(beta).max(), 1e-300)
     w = alpha[finite] / beta[finite]
     real = np.abs(w.imag) <= 1e-8 * (1.0 + np.abs(w.real))
-    return _nearest(w.real[real], vr.real[:, finite][:, real], forms.n_edge,
-                    sigma, count)
+    return _nearest(forms, w.real[real], vr.real[:, finite][:, real], sigma,
+                    count)
 
 
 def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, nev: int,
                             sel: EigenSelection, v0: np.ndarray | None):
     op = ShiftInvert(forms, sigma)
-    m, n, n_e = forms.M, forms.n, forms.n_edge
-    applies = 0
-
-    def apply_op(x):                                # OP x, Mt x = [M x_e; 0]
-        nonlocal applies
-        applies += 1
-        return op.solve(np.concatenate([m @ x[:n_e], np.zeros(n - n_e)]))
-
-    linear = spla.LinearOperator((n, n), matvec=apply_op)
+    n = forms.n_edge
+    linear = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
     # A couple of spare Ritz pairs guard against near-zero theta dropouts.
     k = min(nev + 2, n - 2)
     ncv = min(n, max(3 * k + 8, 30))
@@ -295,67 +278,79 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, nev: int,
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(f"ARPACK did not converge: {exc}") from exc
     finally:
-        if log.isEnabledFor(logging.DEBUG):
+        if log.isEnabledFor(logging.DEBUG):     # SuperLU copies L and U
+            fill = (lu.L.nnz + lu.U.nnz for lu in (op.edge, op.vertex))
             log.debug("arpack solve: sigma=%.6g n=%d fill=%d+%d "
-                      "op_applies=%d", sigma, n, *op.fill, applies)
+                      "op_applies=%d", sigma, n, *fill, op.applies)
 
     theta = theta.real
     keep = np.abs(theta) >= 10.0 * sel.tol
-    return _nearest(sigma + 1.0 / theta[keep], x.real[:, keep], forms.n_edge,
-                    sigma, nev)
+    return _nearest(forms, sigma + 1.0 / theta[keep], x.real[:, keep], sigma,
+                    nev)
 
 
-def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
+def _block_finite_spectrum(forms: AssembledForms, sigma: float,
                            sel: EigenSelection, block: np.ndarray):
-    """The lowest count pairs by block subspace iteration on edge vectors
-    (module docstring), ascending.
+    """The lowest count = index + 2 pairs by block subspace iteration on
+    edge vectors (module docstring), ascending, with their A u and M u.
 
     Each iteration replaces X by the Ritz vectors of (A, M) on S^{-1} M X
     until the count lowest Ritz pairs meet the residual tolerance.  The
-    block converges to the pairs nearest sigma; keeping the lowest of them,
-    not the nearest, ranks pairs as a cold solve does when sigma lies above
-    the tracked pair (with sigma below, the two coincide).  S^{-1} M grows
-    the gradient parts rounding leaves against a kept pair farther than
-    sigma from the shift; then, while a kept Ritz vector's ||B^T u|| /
-    ||M u|| exceeds tol / 100, the iteration goes on and its next step
-    applies F.  The log's applies count the start filter's solves.
+    block converges to the pairs nearest sigma; keeping the lowest, not the
+    nearest, ranks pairs as a cold solve does when sigma lies above the
+    tracked pair.  S^{-1} M grows the gradient parts rounding leaves against
+    a kept pair farther than sigma from the shift: while a kept Ritz
+    vector's ||B^T u|| / ||M u|| then exceeds tol / 100, the next step
+    applies F, with a true A Y.  A Y = sigma M Y + M X is only as accurate
+    as the solve with S, so a true A u of the kept columns confirms a stop,
+    and after a failed one every step takes a true A Y.  The log's applies
+    count the start filter's solves.
     """
-    a, m, n_e = forms.A, forms.M, forms.n_edge
+    a, m, n_e, count = forms.A, forms.M, forms.n_edge, sel.index + 2
     if block.ndim != 2 or block.shape[0] != n_e or block.shape[1] + 1 < count:
         raise ValueError(f"block of shape {block.shape} cannot start "
                          f"{count} pairs on {n_e} edge DOFs")
     edge = _splu(forms.edge_shift(sigma), "A - sigma*M", sigma)
-    # A guard drawn anew for every solve has a component in any mode that
-    # moved next to the shift since the block; the block alone would miss it.
-    guard = np.random.default_rng(0).standard_normal((n_e, 1))
-    x = np.hstack([block, guard])
+    # the guard has a component in any mode that moved next to the shift
+    # since the block, which the block alone would miss
+    x = np.hstack([block, forms.layout.guard])
     x = edge.solve(m @ x) + x / sigma               # F x
+    mx = m @ x
     maxiter = sel.maxiter if sel.maxiter is not None else BLOCK_MAXITER
-    iterations, gradients = 0, False
+    iterations, gradients, exact = 0, False, False
+
+    def converged(az, mz, w):
+        return np.all(np.linalg.norm(az - mz * w, axis=0)
+                      <= sel.tol * np.abs(w) * np.linalg.norm(mz, axis=0))
+
     try:
         while iterations < maxiter:
             iterations += 1
-            y = edge.solve(m @ x)
+            y = edge.solve(mx)
+            true_ay = gradients or exact
             if gradients:
                 y += x / sigma                      # F x
-            ay = a @ y
             my = m @ y
-            ar = y.T @ ay
-            mr = y.T @ my
+            ay = a @ y if true_ay else sigma * my + mx
+            ar, mr = y.T @ ay, y.T @ my
             w, c = scipy.linalg.eigh(0.5 * (ar + ar.T), 0.5 * (mr + mr.T))
             x = y @ c
+            mx = my @ c
             # eigh sorts ascending: the first count Ritz pairs are the lowest
-            az = ay @ c[:, :count]
-            mz = my @ c[:, :count]
+            w, az, mz = w[:count], ay @ c[:, :count], mx[:, :count]
             # an F step leaves one solve's rounding: the next may stop
-            far = np.abs(w[:count] - sigma).max() > abs(sigma)
+            far = np.abs(w - sigma).max() > abs(sigma)
             gradients = far and not gradients and np.any(
                 np.linalg.norm(forms.BT @ x[:, :count], axis=0)
                 > 1e-2 * sel.tol * np.linalg.norm(mz, axis=0))
-            num = np.linalg.norm(az - mz * w[:count], axis=0)
-            if not gradients and np.all(num <= sel.tol * np.abs(w[:count])
-                                        * np.linalg.norm(mz, axis=0)):
-                return w[:count], x[:, :count]
+            if gradients or not converged(az, mz, w):
+                continue
+            if not true_ay:
+                az = a @ x[:, :count]
+                exact = not converged(az, mz, w)
+                if exact:
+                    continue
+            return w, x[:, :count], az, mz
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"block Rayleigh-Ritz failed: {exc}") from exc
     finally:

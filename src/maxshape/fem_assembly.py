@@ -226,6 +226,11 @@ class PencilLayout:
         B = M G and A G = 0 hold on the forms.  Built at first use."""
         return _incidence(self.edge_ends, self.n - self.n_edge)
 
+    @cached_property
+    def guard(self) -> np.ndarray:
+        """A warm eigensolve's fixed-seed random guard column, drawn once."""
+        return np.random.default_rng(0).standard_normal((self.n_edge, 1))
+
     def forms(self, a_data: np.ndarray, m_data: np.ndarray,
               bt_data: np.ndarray) -> AssembledForms:
         edge, n_e = (self.edge_indices, self.edge_indptr), self.n_edge

@@ -53,9 +53,9 @@ class MaxwellShapeProblem:
             sel = replace(sel, shift=0.9 * params.lambda_target)
         self.sel = sel
         self.dofs = DofMap.from_mesh(mesh)
-        # Arnoldi start vector of the first, cold, state solve
+        # Arnoldi start vector (free edges) of the first, cold, state solve
         self._v0 = np.random.default_rng(seed).standard_normal(
-            self.dofs.n_free)
+            self.dofs.n_free_edge)
         # the last field made; the last solved field and its state pair
         self._field: DeformationField | None = None
         self._last_state: tuple[DeformationField, MixedEigenPair] | None = None

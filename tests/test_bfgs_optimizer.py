@@ -457,9 +457,18 @@ class TestOptimize:
         assert sum(r.ls_trials for r in records) > len(records) - 1
 
     @pytest.mark.parametrize("m_mem", [1, 3, 8])
-    def test_gram_applies_per_iterate(self, gram10, rng, m_mem):
-        # Q d, Q y and Q d~ for the stored pair: three applies per iterate,
-        # however many pairs the two-loop recursion runs over
+    def test_gram_applies_per_iterate(self, gram10, rng, monkeypatch, m_mem):
+        # Q d and Q y per iterate, however many pairs the two-loop recursion
+        # runs over, and Q d~ only when damping changed the step (theta < 1):
+        # an undamped pair stores t (Q d), which equals Q d~ to rounding
+        stored = []
+        push = BfgsHistory.push
+
+        def spy(hist, d_tilde, y, qd, qy):
+            push(hist, d_tilde, y, qd, qy)
+            stored.append((d_tilde, qd))
+
+        monkeypatch.setattr(BfgsHistory, "push", spy)
         prob = self.make_problem(gram10, rng)
         applies = 0
         gram_map = prob.q_apply
@@ -471,12 +480,20 @@ class TestOptimize:
 
         prob.q_apply = counted
         seen = [0]
-        cfg = OptimizerConfig(tol=1e-16, k_max=12, m_mem=m_mem, b0_scale=0.05)
-        _, records, _ = optimize(prob, np.zeros(10), cfg,
-                                 callback=lambda k, q, rec: seen.append(applies))
+        thetas = []
+
+        def on_iterate(k, q, rec):
+            seen.append(applies)
+            thetas.append(rec.theta)
+
+        cfg = OptimizerConfig(tol=1e-16, k_max=12, m_mem=m_mem, b0_scale=1e3)
+        _, records, _ = optimize(prob, np.zeros(10), cfg, callback=on_iterate)
         assert sum(r.step > 0 for r in records) > m_mem
-        assert max(np.diff(seen)) <= 3
-        assert applies <= 3 * len(records)
+        assert 0 < sum(theta < 1.0 for theta in thetas) < len(thetas)
+        assert list(np.diff(seen)) == [2 + (theta < 1.0) for theta in thetas]
+        for d_tilde, qd in stored:
+            np.testing.assert_allclose(qd, gram10 @ d_tilde, rtol=1e-12,
+                                       atol=1e-14 * np.abs(qd).max())
 
     def test_records_hold_gamma_and_t0(self, gram10, rng, monkeypatch):
         # gamma: b0_scale at k = 0, then (d~, y)_Q / (y, y)_Q of the newest

@@ -1,8 +1,11 @@
+import dataclasses
 import logging
 import re
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from maxshape import (
@@ -226,7 +229,8 @@ class TestSolveGevp:
             r"arpack solve: sigma=9 n=(\d+) fill=(\d+)\+(\d+) "
             r"op_applies=(\d+)", lines[0])
         assert match is not None, lines[0]
-        assert int(match[1]) == n_e + n_v
+        # Arnoldi runs on edge vectors
+        assert int(match[1]) == n_e
         # the edge factor, then the vertex factor
         assert int(match[2]) >= n_e
         assert n_v <= int(match[3]) < int(match[2])
@@ -235,8 +239,7 @@ class TestSolveGevp:
     def test_warm_start_deterministic(self, square16_forms):
         sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
         rng = np.random.default_rng(7)
-        n = square16_forms.A.shape[0] + square16_forms.B.shape[1]
-        v0 = rng.standard_normal(n)
+        v0 = rng.standard_normal(square16_forms.n_edge)
         a = solve_gevp(square16_forms, sel, v0=v0.copy())
         b = solve_gevp(square16_forms, sel, v0=v0.copy())
         for pa, pb in zip(a, b):
@@ -244,10 +247,12 @@ class TestSolveGevp:
             np.testing.assert_array_equal(pa.u, pb.u)
 
     def test_wrong_length_v0_raises(self, square16_forms):
+        # v0 is an edge vector: the pencil's size is rejected too
         sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
-        n = square16_forms.A.shape[0] + square16_forms.B.shape[1]
-        with pytest.raises(ValueError, match="v0"):
-            solve_gevp(square16_forms, sel, v0=np.ones(n - 1))
+        n_e = square16_forms.n_edge
+        for n in (n_e - 1, n_e + 1, square16_forms.n):
+            with pytest.raises(ValueError, match="v0"):
+                solve_gevp(square16_forms, sel, v0=np.ones(n))
 
     def test_insufficient_spectrum(self):
         # n=2: 8 free edges, 1 free vertex -> exactly 7 finite eigenvalues.
@@ -283,10 +288,12 @@ class TestSolveGevp:
 
 
 class TestShiftInvert:
-    """Block elimination against a direct factorization of the saddle."""
+    """The cold operator T = P S^{-1} M on edge vectors against a direct
+    factorization of the saddle, and the cold solve against QZ."""
 
     @pytest.mark.parametrize("deformed", [False, True])
     def test_matches_saddle_lu(self, deformed):
+        # T x is the edge block of (K - sigma*Mt)^{-1} [M x; 0]
         mesh = generate_unit_square(32)
         q = (random_feasible_control(mesh, np.random.default_rng(3), 0.1 / 32)
              if deformed else None)
@@ -296,13 +303,37 @@ class TestShiftInvert:
         k_mat, mt = saddle_pencil(forms)
         saddle = spla.splu((k_mat - sigma * mt).tocsc())
         rng = np.random.default_rng(5)
-        n = k_mat.shape[0]
-        # random right-hand sides: nonzero vertex rows too
-        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-            want = saddle.solve(rhs)
-            got = op.solve(rhs)
+        n, n_e = k_mat.shape[0], forms.n_edge
+        for x in (rng.standard_normal(n_e), rng.standard_normal((n_e, 3))):
+            rhs = np.zeros((n,) + x.shape[1:])
+            rhs[:n_e] = forms.M @ x
+            want = saddle.solve(rhs)[:n_e]
+            got = op.apply(x)
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_cold_solve_matches_qz(self, deformed):
+        # the 16 x 16 square takes the ARPACK path; QZ on the whole saddle
+        # pencil is the oracle
+        mesh = generate_unit_square(16)
+        q = (random_feasible_control(mesh, np.random.default_rng(3), 0.1 / 16)
+             if deformed else None)
+        forms, _ = _reduced_forms(mesh, q)
+        assert forms.n > es.DENSE_THRESHOLD
+        sigma = 9.0
+        pairs = solve_gevp(forms, EigenSelection(nev=8, shift=sigma,
+                                                 tol=1e-8))
+        k_mat, mt = saddle_pencil(forms)
+        alpha, beta = scipy.linalg.eig(k_mat.toarray(), mt.toarray(),
+                                       right=False, homogeneous_eigvals=True)
+        finite = np.abs(beta) > 1e-8 * np.abs(beta).max()
+        lams = (alpha[finite] / beta[finite]).real
+        want = np.sort(lams[np.argsort(np.abs(lams - sigma))[:8]])
+        got = np.array([p.lam for p in pairs])
+        assert len(got) == 8
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+        assert all(p.divergence <= 1e-6 for p in pairs)
 
     @pytest.mark.parametrize("failing, name", [(0, "A - sigma"),
                                                (1, "L = B")])
@@ -494,14 +525,10 @@ class TestWarmEdgeIteration:
         # On the 1 x 0.5 rectangle the upper neighbour 4 pi^2 lies farther
         # than sigma from the shift: S^{-1} M lets the gradient parts that
         # rounding leaves outgrow it, unless a step applies F again.
-        square = generate_unit_square(16)
-        mesh = Mesh(square.vertices * [1.0, 0.5], square.triangles)
-        sel = EigenSelection(nev=6, shift=9.3, tol=1e-8)
-        start = solve_gevp(_reduced_forms(mesh)[0], sel)
-        forms, _ = _reduced_forms(mesh, smooth_control(mesh, 0.03))
+        forms, sel, block = far_neighbour_case()
         cold = solve_gevp(forms, sel)
         assert cold[1].lam - sel.shift > 3.0 * sel.shift
-        warm = solve_gevp(forms, sel, block=block_of(start[:2]))
+        warm = solve_gevp(forms, sel, block=block)
         for pw, pc in zip(warm, cold):
             assert abs(pw.lam - pc.lam) <= 1e-10 * pc.lam
             assert pw.divergence <= 1e-10
@@ -525,6 +552,95 @@ class TestWarmEdgeIteration:
         factors.clear()
         solve_gevp(forms, sel, block=block_of(cold[:2]))
         assert factors == [(forms.n_edge,) * 2]
+
+
+class _Counted:
+    """A sparse matrix whose products with vectors and blocks are counted
+    in counts[name]; every other attribute is the matrix's."""
+
+    def __init__(self, mat, counts, name):
+        self.mat, self.counts, self.name = mat, counts, name
+
+    def __matmul__(self, x):
+        self.counts[self.name] += 1
+        return self.mat @ x
+
+    def __getattr__(self, attr):
+        return getattr(self.mat, attr)
+
+
+def far_neighbour_case():
+    """The 1 x 0.5 rectangle at a smooth deformation, its selection and a
+    warm block from the undeformed rectangle: the upper neighbour 4 pi^2
+    lies farther than sigma from the shift, so the warm solve takes F
+    steps."""
+    square = generate_unit_square(16)
+    mesh = Mesh(square.vertices * [1.0, 0.5], square.triangles)
+    sel = EigenSelection(nev=6, shift=9.3, tol=1e-8)
+    start = solve_gevp(_reduced_forms(mesh)[0], sel)
+    forms, _ = _reduced_forms(mesh, smooth_control(mesh, 0.03))
+    return forms, sel, block_of(start[:2])
+
+
+class TestWarmProducts:
+    """The warm loop's one sparse product per step and its confirmed stop."""
+
+    @pytest.mark.parametrize("case", ["square", "far neighbour"])
+    def test_one_product_per_iteration(self, case, square16_pairs, caplog):
+        # The start block costs M twice (the filter and the first step's
+        # M X), each iteration M Y once, the stop one true A u, and each
+        # F step one true A Y; F steps are never consecutive.
+        if case == "square":
+            mesh = generate_unit_square(16)
+            forms, _ = _reduced_forms(mesh, smooth_control(mesh, 0.05))
+            sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
+            block = block_of(square16_pairs[:2])
+        else:
+            forms, sel, block = far_neighbour_case()
+        counts = {"A": 0, "M": 0}
+        counted = dataclasses.replace(
+            forms, A=_Counted(forms.A, counts, "A"),
+            M=_Counted(forms.M, counts, "M"))
+        with caplog.at_level(logging.DEBUG, logger="maxshape.eigensolver"):
+            warm = solve_gevp(counted, sel, block=block)
+        k = int(re.search(r"iterations=(\d+)", caplog.records[-1].getMessage())
+                [1])
+        assert counts["M"] == k + 2
+        f_steps = counts["A"] - 1
+        assert 0 <= f_steps <= (k + 1) // 2
+        assert (f_steps > 0) == (case == "far neighbour")
+        assert counts["A"] + counts["M"] <= k + 3 + f_steps
+        cold = solve_gevp(forms, sel)
+        for pw, pc in zip(warm, cold):
+            assert abs(pw.lam - pc.lam) <= 1e-10 * pc.lam
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6])
+    def test_inexact_factor_never_returns_a_failing_pair(
+            self, deformed16, monkeypatch, delta):
+        # A factor of S + delta*|diag S| breaks S Y = M X, so A Y =
+        # sigma M Y + M X is off by delta*|diag S| Y: the true A u that
+        # confirms the stop keeps a failing pair from being returned.
+        forms = deformed16
+        sel = EigenSelection(nev=6, shift=9.3, tol=1e-8)
+        block = block_of(solve_gevp(forms, sel)[:2])
+
+        class PerturbedLinalg:
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+            def splu(self, mat, **kwargs):
+                bump = sp.diags(delta * np.abs(mat.diagonal()))
+                return spla.splu((mat + bump).tocsc(), **kwargs)
+
+        monkeypatch.setattr(es, "spla", PerturbedLinalg())
+        try:
+            warm = solve_gevp(forms, sel, block=block)
+        except NoConvergence:
+            return
+        for p in warm:
+            residual = es._pencil_residual(forms.A @ p.u, forms.M @ p.u,
+                                           forms.BT @ p.u, p.lam)
+            assert residual <= sel.tol
 
 
 class TestSelectAndNormalize:

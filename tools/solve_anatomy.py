@@ -15,10 +15,13 @@ each part of a problem's construction and of a state solve:
 - factor S: splu of S = A - sigma*M, which every sparse solve factors;
 - factor L: splu of L = B^T G (as L^T), which only cold solves factor;
 - block iteration: one iteration of the warm solve on a 3-column block,
-  S^{-1} M X and its Rayleigh-Ritz step;
+  Y = S^{-1} (M X) with its one sparse product M Y, A Y = sigma M Y + M X,
+  the Rayleigh-Ritz step and the next block's M X = (M Y) C;
 - warm solve: solve_gevp from the block of a cold solve at a deformation
   0.005 / n away, with the block iterations it took;
-- cold solve: solve_gevp by ARPACK, nev = 8.
+- cold apply: one application of the cold solve's edge operator
+  T = P S^{-1} M, P = I - G L^{-1} B^T, to one edge vector;
+- cold solve: solve_gevp by ARPACK on T, nev = 8.
 
 BLAS runs on one thread, as in tools/lu_sweep.py.  The solve columns of
 the printed table are the "Anatomy of one state solve" of ROADMAP.md's
@@ -59,7 +62,7 @@ from maxshape import (  # noqa: E402
     select_and_normalize,
     solve_gevp,
 )
-from maxshape.eigensolver import SYMMETRIC_LU  # noqa: E402
+from maxshape.eigensolver import SYMMETRIC_LU, ShiftInvert  # noqa: E402
 from maxshape.reference_transform import jacobian_range  # noqa: E402
 
 SIZES = (16, 32, 64)
@@ -67,7 +70,8 @@ REPEATS = 20
 SIGMA = 0.9 * 1.05 * np.pi ** 2
 SEED = 0
 COLUMNS = ("grid", "pattern", "Gram + H factor", "assemble", "factor S",
-           "factor L", "block iteration", "warm solve", "cold solve")
+           "factor L", "block iteration", "warm solve", "cold apply",
+           "cold solve")
 
 
 def random_field(mesh, rng, size: float) -> np.ndarray:
@@ -119,14 +123,16 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     s_mat = forms.edge_shift(SIGMA)
     l_mat = (forms.BT @ forms.layout.gradient).T
     edge = spla.splu(s_mat, **SYMMETRIC_LU)
-    a, m = forms.A, forms.M
+    m = forms.M
     x = np.hstack([block, rng.standard_normal((forms.n_edge, 1))])
+    mx = m @ x
 
     def block_iteration():
-        y = edge.solve(m @ x)
-        ay, my = a @ y, m @ y
+        y = edge.solve(mx)
+        my = m @ y
+        ay = SIGMA * my + mx
         _, c = scipy.linalg.eigh(y.T @ ay, y.T @ my)
-        return y @ c
+        return y @ c, my @ c
 
     counter = _Iterations()
     log = logging.getLogger("maxshape.eigensolver")
@@ -139,6 +145,9 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     finally:
         log.removeHandler(counter)
         log.setLevel(level)
+
+    op = ShiftInvert(forms, SIGMA)
+    v = rng.standard_normal(forms.n_edge)
 
     def gram_and_factor():
         gram = assemble_control_gram(mesh)
@@ -157,6 +166,7 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
         "block iteration": median_ms(block_iteration, repeats),
         "warm solve": warm_ms,
         "warm iterations": counter.last,
+        "cold apply": median_ms(lambda: op.apply(v), repeats),
         "cold solve": median_ms(lambda: solve_gevp(forms, sel), repeats),
     }
 
