@@ -138,8 +138,8 @@ class EigenSelection:
 
     index counts finite eigenvalues from the smallest; shift, the transform
     target, is finite, not 0 and no eigenvalue; nev, the pairs a cold solve
-    computes, defaults to max(6, index + 3); maxiter caps a cold solve's
-    Arnoldi restarts and a warm one's iterations (BLOCK_MAXITER if None).
+    computes (ARPACK's k), defaults to max(6, index + 3); maxiter caps cold
+    Arnoldi restarts and warm iterations (BLOCK_MAXITER if None).
     """
 
     index: int = 0
@@ -266,8 +266,9 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, nev: int,
     op = ShiftInvert(forms, sigma)
     n = forms.n_edge
     linear = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
-    # A couple of spare Ritz pairs guard against near-zero theta dropouts.
-    k = min(nev + 2, n - 2)
+    # No spare pairs: T maps gradients to theta = 0, and the |theta| filter
+    # drops only Ritz values farthest from sigma, before any wanted pair.
+    k = min(nev, n - 2)
     ncv = min(n, max(3 * k + 8, 30))
     if v0 is None:
         # fixed starting vector keeps repeated solves bit-identical
@@ -303,8 +304,11 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
     vector's ||B^T u|| / ||M u|| then exceeds tol / 100, the next step
     applies F, with a true A Y.  A Y = sigma M Y + M X is only as accurate
     as the solve with S, so a true A u of the kept columns confirms a stop,
-    and after a failed one every step takes a true A Y.  The log's applies
-    count the start filter's solves.
+    and after a failed one every step takes a true A Y.  An inexact factor
+    of S can keep the true residual from converging: a step with a true A Y
+    whose largest kept residual exceeds tol and half its value three such
+    steps before ends the solve as stalled.  The log's applies count the
+    start filter's solves.
     """
     a, m, n_e, count = forms.A, forms.M, forms.n_edge, sel.index + 2
     if block.ndim != 2 or block.shape[0] != n_e or block.shape[1] + 1 < count:
@@ -317,11 +321,13 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
     x = edge.solve(m @ x) + x / sigma               # F x
     mx = m @ x
     maxiter = sel.maxiter if sel.maxiter is not None else BLOCK_MAXITER
-    iterations, gradients, exact = 0, False, False
+    iterations, gradients, exact, true_residuals = 0, False, False, []
 
-    def converged(az, mz, w):
-        return np.all(np.linalg.norm(az - mz * w, axis=0)
-                      <= sel.tol * np.abs(w) * np.linalg.norm(mz, axis=0))
+    def residual(az, mz, w):
+        """The largest relative residual of the Ritz pairs (w, z)."""
+        den = np.abs(w) * np.linalg.norm(mz, axis=0)
+        return np.max(np.linalg.norm(az - mz * w, axis=0)
+                      / np.maximum(den, np.finfo(float).tiny))
 
     try:
         while iterations < maxiter:
@@ -338,16 +344,25 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
             mx = my @ c
             # eigh sorts ascending: the first count Ritz pairs are the lowest
             w, az, mz = w[:count], ay @ c[:, :count], mx[:, :count]
+            res = residual(az, mz, w)
+            if true_ay:
+                true_residuals.append(res)
+                if len(true_residuals) > 3 and res > max(
+                        sel.tol, 0.5 * true_residuals[-4]):
+                    raise NoConvergence(
+                        f"block iteration stalled: residual {res:.2e} did "
+                        f"not halve over 3 steps with a true A Y, "
+                        f"{iterations} iterations")
             # an F step leaves one solve's rounding: the next may stop
             far = np.abs(w - sigma).max() > abs(sigma)
             gradients = far and not gradients and np.any(
                 np.linalg.norm(forms.BT @ x[:, :count], axis=0)
                 > 1e-2 * sel.tol * np.linalg.norm(mz, axis=0))
-            if gradients or not converged(az, mz, w):
+            if gradients or not res <= sel.tol:
                 continue
             if not true_ay:
                 az = a @ x[:, :count]
-                exact = not converged(az, mz, w)
+                exact = not residual(az, mz, w) <= sel.tol
                 if exact:
                     continue
             return w, x[:, :count], az, mz

@@ -35,6 +35,17 @@ from conftest import (
 )
 
 
+def qz_nearest(forms, sigma, count):
+    """The count finite eigenvalues nearest sigma, ascending, by QZ on the
+    whole saddle pencil: the oracle of the sparse paths."""
+    k_mat, mt = saddle_pencil(forms)
+    alpha, beta = scipy.linalg.eig(k_mat.toarray(), mt.toarray(),
+                                   right=False, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-8 * np.abs(beta).max()
+    lams = (alpha[finite] / beta[finite]).real
+    return np.sort(lams[np.argsort(np.abs(lams - sigma))[:count]])
+
+
 def _reduced_forms(mesh, q=None):
     dofs = DofMap.from_mesh(mesh)
     field = q if q is not None else DeformationField.zero(mesh)
@@ -234,7 +245,8 @@ class TestSolveGevp:
         # the edge factor, then the vertex factor
         assert int(match[2]) >= n_e
         assert n_v <= int(match[3]) < int(match[2])
-        assert int(match[4]) > 0
+        # one Arnoldi pass: ncv Krylov vectors for k = nev wanted pairs
+        assert 0 < int(match[4]) <= max(3 * sel.nev + 8, 30) + 1
 
     def test_warm_start_deterministic(self, square16_forms):
         sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
@@ -324,16 +336,32 @@ class TestShiftInvert:
         sigma = 9.0
         pairs = solve_gevp(forms, EigenSelection(nev=8, shift=sigma,
                                                  tol=1e-8))
-        k_mat, mt = saddle_pencil(forms)
-        alpha, beta = scipy.linalg.eig(k_mat.toarray(), mt.toarray(),
-                                       right=False, homogeneous_eigvals=True)
-        finite = np.abs(beta) > 1e-8 * np.abs(beta).max()
-        lams = (alpha[finite] / beta[finite]).real
-        want = np.sort(lams[np.argsort(np.abs(lams - sigma))[:8]])
+        want = qz_nearest(forms, sigma, 8)
         got = np.array([p.lam for p in pairs])
         assert len(got) == 8
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
         assert all(p.divergence <= 1e-6 for p in pairs)
+
+    @pytest.mark.parametrize("n, deformed, sigma", [(12, False, 9.0),
+                                                    (16, True, 30.0)])
+    def test_cold_sizing_matches_qz(self, n, deformed, sigma):
+        # ARPACK computes exactly nev Ritz pairs.  On the 12 x 12 square at
+        # sigma = 9 the 4th wanted pair (39.178) lies 1.8e-3 below its
+        # split partner; at sigma = 30 the wanted pairs lie on both sides
+        # of the shift.
+        mesh = generate_unit_square(n)
+        q = (random_feasible_control(mesh, np.random.default_rng(3), 0.1 / n)
+             if deformed else None)
+        forms, _ = _reduced_forms(mesh, q)
+        assert forms.n > es.DENSE_THRESHOLD
+        sel = EigenSelection(nev=4, shift=sigma, tol=1e-8)
+        pairs = solve_gevp(forms, sel)
+        got = np.array([p.lam for p in pairs])
+        assert len(got) == 4
+        want = qz_nearest(forms, sigma, 4)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+        assert all(p.residual <= sel.tol for p in pairs[:sel.index + 2])
+        assert all(p.divergence <= es.DIVERGENCE_TOL for p in pairs)
 
     @pytest.mark.parametrize("failing, name", [(0, "A - sigma"),
                                                (1, "L = B")])
@@ -616,10 +644,11 @@ class TestWarmProducts:
 
     @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6])
     def test_inexact_factor_never_returns_a_failing_pair(
-            self, deformed16, monkeypatch, delta):
+            self, deformed16, monkeypatch, caplog, delta):
         # A factor of S + delta*|diag S| breaks S Y = M X, so A Y =
         # sigma M Y + M X is off by delta*|diag S| Y: the true A u that
-        # confirms the stop keeps a failing pair from being returned.
+        # confirms the stop keeps a failing pair from being returned, and
+        # a true residual that stops falling ends the solve early.
         forms = deformed16
         sel = EigenSelection(nev=6, shift=9.3, tol=1e-8)
         block = block_of(solve_gevp(forms, sel)[:2])
@@ -634,8 +663,14 @@ class TestWarmProducts:
 
         monkeypatch.setattr(es, "spla", PerturbedLinalg())
         try:
-            warm = solve_gevp(forms, sel, block=block)
-        except NoConvergence:
+            with caplog.at_level(logging.DEBUG,
+                                 logger="maxshape.eigensolver"):
+                warm = solve_gevp(forms, sel, block=block)
+        except NoConvergence as exc:
+            assert "stalled" in str(exc)
+            k = re.search(r"iterations=(\d+)",
+                          caplog.records[-1].getMessage())
+            assert int(k[1]) <= 10
             return
         for p in warm:
             residual = es._pencil_residual(forms.A @ p.u, forms.M @ p.u,

@@ -66,5 +66,8 @@ def test_solve_anatomy_smoke(load_tool):
     assert row["pencil"] == DofMap.from_mesh(generate_unit_square(16)).n_free
     assert all(row[column] > 0.0 for column in solve_anatomy.COLUMNS)
     assert row["warm iterations"] >= 1
+    # one Arnoldi pass of ncv vectors for nev = 8 wanted pairs
+    ncv = max(3 * 8 + 8, 30)
+    assert 0 < row["cold applies"] <= ncv + 1
     table = solve_anatomy.table([row])
     assert table.splitlines()[2].startswith("| 16 | 961 | ")

@@ -2,17 +2,18 @@
 
     python3 tools/lu_sweep.py --out tools/lu_sweep.json
 
-For n = 16, 32 and 64 the script assembles the reduced pencil (K, Mt) of
-the unit square at a fixed random deformation and factors the two matrices
-of the eigensolver's shift-invert solve, S = A - sigma*M, which every sparse
-solve factors, and L = B^T G, which only cold solves factor (as L^T, whose
-CSC arrays are L's CSR arrays), with eigensolver.SYMMETRIC_LU's
+For n = 16, 32 and 64 the script assembles the reduced forms A, M and B^T
+of the unit square at a fixed random deformation and factors the two
+matrices of the eigensolver's shift-invert solve, S = A - sigma*M, which
+every sparse solve factors, and L = B^T G, which only cold solves factor
+(as L^T, whose CSC arrays are L's CSR arrays), with eigensolver.SYMMETRIC_LU's
 ordering and pivoting for every (panel_size, relax) pair of the grid, and
-with scipy's defaults (None, None), which SuperLU resolves to (20, 10).  Rounds run the candidates in a fresh random
-order each, so a slow stretch of the host spreads over all of them.  Per
-candidate it reports the median time to factor both matrices, their total
-fill nnz(L) + nnz(U) and the larger relative residual ||X x - b|| / ||b||
-of one solve with each matrix X, and it ranks the candidates (see rank).
+with scipy's defaults (None, None), which SuperLU resolves to (20, 10).
+Rounds run the candidates in a fresh random order each, so a slow stretch
+of the host spreads over all of them.  Per candidate it reports the median
+time to factor both matrices, their total fill nnz(L) + nnz(U) and the
+larger relative residual ||X x - b|| / ||b|| of one solve with each
+matrix X, and it ranks the candidates (see rank).
 """
 
 from __future__ import annotations

@@ -21,7 +21,10 @@ each part of a problem's construction and of a state solve:
   0.005 / n away, with the block iterations it took;
 - cold apply: one application of the cold solve's edge operator
   T = P S^{-1} M, P = I - G L^{-1} B^T, to one edge vector;
-- cold solve: solve_gevp by ARPACK on T, nev = 8.
+- cold solve: solve_gevp by ARPACK on T, nev = 8, with the applies of T
+  it made.
+
+The iteration and apply counts are read from the eigensolver's debug lines.
 
 BLAS runs on one thread, as in tools/lu_sweep.py.  The solve columns of
 the printed table are the "Anatomy of one state solve" of ROADMAP.md's
@@ -88,17 +91,20 @@ def median_ms(fn, repeats: int) -> float:
     return 1e3 * statistics.median(times)
 
 
-class _Iterations(logging.Handler):
-    """Keeps the iteration count of the last warm solve's debug line."""
+class _SolveCounts(logging.Handler):
+    """Keeps the counts of the last warm and cold solves' debug lines."""
+
+    FIELDS = {"warm iterations": "iterations", "cold applies": "op_applies"}
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.last = 0
+        self.last = dict.fromkeys(self.FIELDS, 0)
 
     def emit(self, record):
-        match = re.search(r"iterations=(\d+)", record.getMessage())
-        if match:
-            self.last = int(match[1])
+        for column, field in self.FIELDS.items():
+            match = re.search(rf"\b{field}=(\d+)", record.getMessage())
+            if match:
+                self.last[column] = int(match[1])
 
 
 def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
@@ -134,7 +140,7 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
         _, c = scipy.linalg.eigh(y.T @ ay, y.T @ my)
         return y @ c, my @ c
 
-    counter = _Iterations()
+    counter = _SolveCounts()
     log = logging.getLogger("maxshape.eigensolver")
     level = log.level
     log.addHandler(counter)
@@ -142,6 +148,7 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     try:
         warm_ms = median_ms(lambda: solve_gevp(forms, sel, block=block),
                             repeats)
+        cold_ms = median_ms(lambda: solve_gevp(forms, sel), repeats)
     finally:
         log.removeHandler(counter)
         log.setLevel(level)
@@ -165,21 +172,22 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
                               repeats),
         "block iteration": median_ms(block_iteration, repeats),
         "warm solve": warm_ms,
-        "warm iterations": counter.last,
         "cold apply": median_ms(lambda: op.apply(v), repeats),
-        "cold solve": median_ms(lambda: solve_gevp(forms, sel), repeats),
+        "cold solve": cold_ms,
+        **counter.last,
     }
 
 
 def table(rows: list[dict]) -> str:
     """The rows as a markdown table."""
-    cells = ["n", "pencil", *COLUMNS, "warm iterations"]
+    counts = tuple(_SolveCounts.FIELDS)
+    cells = ["n", "pencil", *COLUMNS, *counts]
     lines = ["| " + " | ".join(cells) + " |", "|" + "---|" * len(cells)]
     for row in rows:
         lines.append("| " + " | ".join(
             [str(row["n"]), str(row["pencil"]),
              *(f"{row[c]:.2f} ms" for c in COLUMNS),
-             str(row["warm iterations"])]) + " |")
+             *(str(row[c]) for c in counts)]) + " |")
     return "\n".join(lines)
 
 
