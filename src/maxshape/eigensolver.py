@@ -45,6 +45,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dsygvd
 
 from .errors import FactorizationFailed, InsufficientSpectrum, NoConvergence
 from .fem_assembly import AssembledForms
@@ -73,6 +74,12 @@ BLOCK_MAXITER = 100
 # the same fill (n = 16, 32 and 64; tools/lu_sweep.py, tools/lu_sweep.json).
 SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     panel_size=1, relax=4, options=dict(SymmetricMode=True))
+# A - sigma*M on free DOFs arrives in its pattern's minimum-degree numbering
+# (fem_assembly.PencilPattern), the order MMD_AT_PLUS_A would compute, so
+# SuperLU keeps it at the same fill instead of ordering every matrix again.
+PATTERN_ORDER_LU = dict(SYMMETRIC_LU, permc_spec="NATURAL")
+
+_TINY = np.finfo(float).tiny
 
 
 class ShiftInvert:
@@ -90,10 +97,11 @@ class ShiftInvert:
         self.m = forms.M
         self.bt = forms.BT
         self.g = forms.layout.gradient
-        self.edge = _splu(forms.edge_shift(sigma), "A - sigma*M", sigma)
+        self.edge = _factor_shift(forms, sigma)
         # L's CSR arrays are the CSC arrays of L^T: factor L^T without a
         # conversion and solve with its transpose
-        self.vertex = _splu((self.bt @ self.g).T, "L = B^T G", sigma)
+        self.vertex = _splu((self.bt @ self.g).T, "L = B^T G", sigma,
+                            SYMMETRIC_LU)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         self.applies += 1
@@ -101,9 +109,14 @@ class ShiftInvert:
         return z - self.g @ self.vertex.solve(self.bt @ z, trans="T")
 
 
-def _splu(mat: sp.csc_matrix, name: str, sigma: float):
+def _factor_shift(forms: AssembledForms, sigma: float):
+    return _splu(forms.edge_shift(sigma), "A - sigma*M", sigma,
+                 PATTERN_ORDER_LU)
+
+
+def _splu(mat: sp.csc_matrix, name: str, sigma: float, settings: dict):
     try:
-        return spla.splu(mat, **SYMMETRIC_LU)
+        return spla.splu(mat, **settings)
     except RuntimeError as exc:
         raise FactorizationFailed(
             f"factorization of {name} failed at sigma={sigma:g}: "
@@ -184,8 +197,9 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
 
     Raises:
         FactorizationFailed: A - sigma*M or B^T G is singular.
-        NoConvergence: the iteration hit its cap, or a used pair exceeds the
-            residual tolerance.
+        NoConvergence: the iteration hit its cap or stalled, a warm
+            Rayleigh-Ritz step met a non-finite value or failed, or a used
+            pair exceeds the residual tolerance.
         InsufficientSpectrum: fewer finite eigenvalues than requested.
     """
     if sel.shift is None:
@@ -208,20 +222,21 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
 
     # the residual and certificate do not depend on the scale of u
     btu = forms.BT @ u
-    pairs = []
-    for i, lam in enumerate(lams):
-        nrm = np.sqrt(u[:, i] @ mu[:, i])
-        if nrm <= 0:
-            raise NoConvergence(f"eigenvector {i} has zero mass norm")
-        res = _pencil_residual(au[:, i], mu[:, i], btu[:, i], lam)
-        div = float(np.linalg.norm(btu[:, i]) / np.linalg.norm(mu[:, i]))
-        if res > sel.tol and abs(i - sel.index) <= 1:
-            raise NoConvergence(
-                f"eigenpair {i} (lam={lam:.6g}) residual {res:.2e} "
-                f"exceeds tol {sel.tol:.2e}")
-        pairs.append(MixedEigenPair(lam=float(lam), u=u[:, i] / nrm,
-                                    residual=res, divergence=div))
-    return pairs
+    res = _residuals(au, mu, lams, btu)
+    div = _column_norms(btu) / _column_norms(mu)
+    nrm = np.sqrt([u[:, i] @ mu[:, i] for i in range(len(lams))])
+    used = np.abs(np.arange(len(lams)) - sel.index) <= 1
+    bad = ~(nrm > 0) | (used & ~(res <= sel.tol))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not nrm[i] > 0:
+            raise NoConvergence(f"eigenvector {i} has no positive mass norm")
+        raise NoConvergence(
+            f"eigenpair {i} (lam={lams[i]:.6g}) residual {res[i]:.2e} "
+            f"exceeds tol {sel.tol:.2e}")
+    return [MixedEigenPair(lam=float(lams[i]), u=u[:, i] / nrm[i],
+                           residual=float(res[i]), divergence=float(div[i]))
+            for i in range(len(lams))]
 
 
 def _nearest(forms: AssembledForms, lams: np.ndarray, vecs: np.ndarray,
@@ -236,13 +251,22 @@ def _nearest(forms: AssembledForms, lams: np.ndarray, vecs: np.ndarray,
     return lams[order], u, forms.A @ u, forms.M @ u
 
 
-def _pencil_residual(au: np.ndarray, mu: np.ndarray, btu: np.ndarray,
-                     lam: float) -> float:
-    """||K x - lam Mt x|| / (|lam| ||Mt x||) at x = [u; 0], where
-    K x - lam Mt x = [A u - lam M u; B^T u] and Mt x = [M u; 0]."""
-    num = np.hypot(np.linalg.norm(au - lam * mu), np.linalg.norm(btu))
-    den = abs(lam) * np.linalg.norm(mu)
-    return float(num / max(den, np.finfo(float).tiny))
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of a vector or of each column of a block."""
+    return np.sqrt(np.einsum("i...,i...->...", x, x))
+
+
+def _residuals(au: np.ndarray, mu: np.ndarray, lams,
+               btu: np.ndarray | None = None):
+    """The relative residual of each pair (lam, u), u a vector or the
+    columns of a block: ||A u - lam M u|| / (|lam| ||M u||) and, given
+    B^T u, the pencil residual ||K x - lam Mt x|| / (|lam| ||Mt x||) at
+    x = [u; 0], where K x - lam Mt x = [A u - lam M u; B^T u] and
+    Mt x = [M u; 0]."""
+    num = _column_norms(au - mu * lams)
+    if btu is not None:
+        num = np.hypot(num, _column_norms(btu))
+    return num / np.maximum(np.abs(lams) * _column_norms(mu), _TINY)
 
 
 def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int):
@@ -314,7 +338,7 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
     if block.ndim != 2 or block.shape[0] != n_e or block.shape[1] + 1 < count:
         raise ValueError(f"block of shape {block.shape} cannot start "
                          f"{count} pairs on {n_e} edge DOFs")
-    edge = _splu(forms.edge_shift(sigma), "A - sigma*M", sigma)
+    edge = _factor_shift(forms, sigma)
     # the guard has a component in any mode that moved next to the shift
     # since the block, which the block alone would miss
     x = np.hstack([block, forms.layout.guard])
@@ -322,12 +346,6 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
     mx = m @ x
     maxiter = sel.maxiter if sel.maxiter is not None else BLOCK_MAXITER
     iterations, gradients, exact, true_residuals = 0, False, False, []
-
-    def residual(az, mz, w):
-        """The largest relative residual of the Ritz pairs (w, z)."""
-        den = np.abs(w) * np.linalg.norm(mz, axis=0)
-        return np.max(np.linalg.norm(az - mz * w, axis=0)
-                      / np.maximum(den, np.finfo(float).tiny))
 
     try:
         while iterations < maxiter:
@@ -339,12 +357,22 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
             my = m @ y
             ay = a @ y if true_ay else sigma * my + mx
             ar, mr = y.T @ ay, y.T @ my
-            w, c = scipy.linalg.eigh(0.5 * (ar + ar.T), 0.5 * (mr + mr.T))
+            if not (np.isfinite(ar).all() and np.isfinite(mr).all()):
+                raise NoConvergence(
+                    f"block Rayleigh-Ritz met a non-finite value at "
+                    f"iteration {iterations}")
+            # the LAPACK routine scipy.linalg.eigh(a, b) calls, without its checks
+            w, c, info = dsygvd(0.5 * (ar + ar.T), 0.5 * (mr + mr.T),
+                                overwrite_a=1, overwrite_b=1)
+            if info != 0:
+                raise NoConvergence(
+                    f"block Rayleigh-Ritz failed: LAPACK dsygvd info {info}")
             x = y @ c
             mx = my @ c
-            # eigh sorts ascending: the first count Ritz pairs are the lowest
+            # dsygvd sorts ascending: the first count Ritz pairs are the
+            # lowest
             w, az, mz = w[:count], ay @ c[:, :count], mx[:, :count]
-            res = residual(az, mz, w)
+            res = _residuals(az, mz, w).max()
             if true_ay:
                 true_residuals.append(res)
                 if len(true_residuals) > 3 and res > max(
@@ -356,18 +384,16 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
             # an F step leaves one solve's rounding: the next may stop
             far = np.abs(w - sigma).max() > abs(sigma)
             gradients = far and not gradients and np.any(
-                np.linalg.norm(forms.BT @ x[:, :count], axis=0)
-                > 1e-2 * sel.tol * np.linalg.norm(mz, axis=0))
+                _column_norms(forms.BT @ x[:, :count])
+                > 1e-2 * sel.tol * _column_norms(mz))
             if gradients or not res <= sel.tol:
                 continue
             if not true_ay:
                 az = a @ x[:, :count]
-                exact = not residual(az, mz, w) <= sel.tol
+                exact = not _residuals(az, mz, w).max() <= sel.tol
                 if exact:
                     continue
             return w, x[:, :count], az, mz
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"block Rayleigh-Ritz failed: {exc}") from exc
     finally:
         log.debug("block solve: sigma=%.6g n=%d iterations=%d applies=%d",
                   sigma, forms.n, iterations,

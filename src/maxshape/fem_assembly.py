@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh_io import LOCAL_EDGES, Mesh
 from .reference_transform import DeformationField, sum_to_nodes
@@ -118,9 +119,11 @@ class DofMap:
         return cls(mesh.n_edges, mesh.n_vertices, ce, cv,
                    PencilPattern.build(mesh, ce, cv))
 
-    @cached_property
+    @property
     def free_edges(self) -> np.ndarray:
-        return np.nonzero(~self.constrained_edge)[0]
+        """The mesh edge of each free edge DOF, in the pattern's free
+        numbering (PencilPattern)."""
+        return self.pattern.free.edges
 
     @cached_property
     def free_vertices(self) -> np.ndarray:
@@ -191,9 +194,10 @@ class AssembledForms:
 class PencilLayout:
     """CSR sparsity of the forms on n DOFs, the n_edge edge DOFs first:
     edge_indptr and edge_indices of A and M (edge x edge), bt_indptr and
-    bt_indices of B^T (vertex x edge).  edge_ends[e] holds the vertex
-    numbers, counted from the first vertex DOF, of edge DOF e's low and
-    high endpoint, -1 for an endpoint without a DOF here."""
+    bt_indices of B^T (vertex x edge).  edges[e] is the mesh edge of edge
+    DOF e, and edge_ends[e] holds the vertex numbers, counted from the
+    first vertex DOF, of its low and high endpoint, -1 for an endpoint
+    without a DOF here."""
 
     n: int
     n_edge: int
@@ -201,24 +205,30 @@ class PencilLayout:
     edge_indices: np.ndarray
     bt_indptr: np.ndarray
     bt_indices: np.ndarray
+    edges: np.ndarray
     edge_ends: np.ndarray
 
     @classmethod
     def from_keys(cls, edge_keys: np.ndarray, bt_keys: np.ndarray,
-                  n_vertex: int, edge_ends: np.ndarray) -> "PencilLayout":
+                  n_vertex: int, edges: np.ndarray,
+                  edge_ends: np.ndarray) -> "PencilLayout":
         """Layout of the sorted unique entry keys row * n_edge + col."""
-        n_edge = len(edge_ends)
-
-        def csr(keys, n_rows):
-            rows, cols = np.divmod(keys, n_edge)
-            indptr = np.zeros(n_rows + 1, dtype=np.int32)
-            np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-            return indptr, cols.astype(np.int32)
-
-        arrays = (*csr(edge_keys, n_edge), *csr(bt_keys, n_vertex), edge_ends)
+        n_edge = len(edges)
+        arrays = (*_csr(*np.divmod(edge_keys, n_edge), n_edge),
+                  *_csr(*np.divmod(bt_keys, n_edge), n_vertex), edges,
+                  edge_ends)
         for arr in arrays:
             arr.setflags(write=False)
         return cls(n_edge + n_vertex, n_edge, *arrays)
+
+    def edge_draw(self, seed: int) -> np.ndarray:
+        """A standard normal value per edge DOF from seed, drawn in
+        ascending mesh-edge order: an edge's value does not depend on the
+        DOF numbering."""
+        draw = np.empty(self.n_edge)
+        draw[np.argsort(self.edges)] = \
+            np.random.default_rng(seed).standard_normal(self.n_edge)
+        return draw
 
     @cached_property
     def gradient(self) -> sp.csr_matrix:
@@ -229,7 +239,7 @@ class PencilLayout:
     @cached_property
     def guard(self) -> np.ndarray:
         """A warm eigensolve's fixed-seed random guard column, drawn once."""
-        return np.random.default_rng(0).standard_normal((self.n_edge, 1))
+        return self.edge_draw(0)[:, None]
 
     def forms(self, a_data: np.ndarray, m_data: np.ndarray,
               bt_data: np.ndarray) -> AssembledForms:
@@ -239,6 +249,38 @@ class PencilLayout:
             sp.csr_matrix((m_data, *edge), shape=(n_e, n_e)),
             sp.csr_matrix((bt_data, self.bt_indices, self.bt_indptr),
                           shape=(self.n - n_e, n_e)), self)
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray,
+         n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and int32 indices of entries sorted by row."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr, cols.astype(np.int32)
+
+
+def minimum_degree_order(indptr: np.ndarray,
+                         indices: np.ndarray) -> np.ndarray:
+    """The position of each row of a symmetric n x n pattern in SuperLU's
+    minimum-degree order of it: the perm_c that splu computes under
+    permc_spec="MMD_AT_PLUS_A" in symmetric mode (George & Liu, Computer
+    Solution of Large Sparse Positive Definite Systems, 1981).
+
+    The order depends on the pattern alone.  An incomplete factorization
+    that drops every computed entry orders the same way at a fraction of a
+    complete one's cost, and single-column supernodes halve what is left
+    of it; the diagonally dominant values on the pattern keep its pivots
+    nonzero.
+    """
+    n = len(indptr) - 1
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(n), counts)
+    values = np.where(rows == indices, counts[rows], -1.0)
+    ilu = spla.spilu(sp.csc_matrix((values, indices, indptr), shape=(n, n)),
+                     drop_tol=1e10, fill_factor=1, panel_size=1, relax=1,
+                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+    return ilu.perm_c.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -252,6 +294,12 @@ class PencilPattern:
     of the i-th entry of b_loc.  The Dirichlet reduction is a gather: the
     free A.data is the full A.data[edge_free], likewise M, and the free
     BT.data the full BT.data[bt_free].
+
+    The full layout numbers DOFs as the mesh does.  The free layout numbers
+    free vertices in mesh order and free edges in the minimum-degree order
+    of their edge x edge pattern, the one a sparse factorization of
+    A - sigma*M would compute: the pattern never changes, so it is ordered
+    once, here, and every factorization keeps that order.
     """
 
     edge_slots: np.ndarray
@@ -277,28 +325,44 @@ class PencilPattern:
                                           return_inverse=True)
         bt_keys, bt_slots = np.unique(verts * n_edge + rows,
                                       return_inverse=True)
-        # free DOF number of a free edge or vertex
+        # ascending free DOF number of a free edge or vertex
         edge_number = np.cumsum(free_edge) - 1
         vertex_number = np.cumsum(free_vertex) - 1
 
         def restrict(keys, row_free, row_number):
+            """Slots, free row numbers and ascending free edge columns of
+            the entries in free rows and columns, sorted by row."""
             r, c = np.divmod(keys, n_edge)
             kept = np.flatnonzero(row_free[r] & free_edge[c])
-            return kept.astype(np.int32), row_number[r[kept]] * n_free_edge \
-                + edge_number[c[kept]]
+            return kept, row_number[r[kept]], edge_number[c[kept]]
 
-        edge_free, free_edge_keys = restrict(edge_keys, free_edge, edge_number)
-        bt_free, free_bt_keys = restrict(bt_keys, free_vertex, vertex_number)
+        edge_kept, edge_rows, edge_cols = restrict(edge_keys, free_edge,
+                                                   edge_number)
+        rank = minimum_degree_order(*_csr(edge_rows, edge_cols, n_free_edge))
+
+        def renumber(kept, row_number, cols):
+            """The gather and sorted keys of the entries with their edge
+            columns in the minimum-degree numbering."""
+            keys = row_number * n_free_edge + rank[cols]
+            order = np.argsort(keys)
+            return kept[order].astype(np.int32), keys[order]
+
+        edge_free, free_edge_keys = renumber(edge_kept, rank[edge_rows],
+                                             edge_cols)
+        bt_free, free_bt_keys = renumber(*restrict(bt_keys, free_vertex,
+                                                   vertex_number))
         slots = (edge_slots.astype(np.int32), bt_slots.astype(np.int32))
         for arr in (*slots, edge_free, bt_free):
             arr.setflags(write=False)
-        ends = mesh.edges[free_edge]
+        free_edges = np.empty(n_free_edge, dtype=np.intp)
+        free_edges[rank] = np.flatnonzero(free_edge)
+        ends = mesh.edges[free_edges]
         free_ends = np.where(free_vertex[ends], vertex_number[ends], -1)
         return cls(*slots,
                    PencilLayout.from_keys(edge_keys, bt_keys, n_vertex,
-                                          mesh.edges),
+                                          np.arange(n_edge), mesh.edges),
                    PencilLayout.from_keys(free_edge_keys, free_bt_keys,
-                                          int(free_vertex.sum()),
+                                          int(free_vertex.sum()), free_edges,
                                           free_ends.astype(np.int32)),
                    edge_free, bt_free)
 

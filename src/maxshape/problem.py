@@ -54,8 +54,7 @@ class MaxwellShapeProblem:
         self.sel = sel
         self.dofs = DofMap.from_mesh(mesh)
         # Arnoldi start vector (free edges) of the first, cold, state solve
-        self._v0 = np.random.default_rng(seed).standard_normal(
-            self.dofs.n_free_edge)
+        self._v0 = self.dofs.pattern.free.edge_draw(seed)
         # the last field made; the last solved field and its state pair
         self._field: DeformationField | None = None
         self._last_state: tuple[DeformationField, MixedEigenPair] | None = None

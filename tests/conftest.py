@@ -93,6 +93,36 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def nan_second_solve(monkeypatch):
+    """Make every factor the eigensolver builds from now on put a NaN in
+    the result of its second solve."""
+    import maxshape.eigensolver as es
+
+    class NanOnSecondSolve:
+        def __init__(self, lu):
+            self.lu, self.solves = lu, 0
+
+        def solve(self, rhs, *args, **kwargs):
+            self.solves += 1
+            x = self.lu.solve(rhs, *args, **kwargs)
+            if self.solves == 2:
+                x.flat[0] = np.nan
+            return x
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    class NanLinalg:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+        def splu(self, mat, **kwargs):
+            return NanOnSecondSolve(spla.splu(mat, **kwargs))
+
+    monkeypatch.setattr(es, "spla", NanLinalg())
+
+
 def random_feasible_control(mesh, rng, q_inf, epsilon=1e-4):
     """Random nodal deformation with given max norm, redrawn until feasible."""
     from maxshape.reference_transform import jacobian_range

@@ -82,14 +82,15 @@ def block_of(pairs):
 def inflated_residual(monkeypatch):
     """Make solve_gevp see a residual of 1 for its pair number i."""
     def inflate(i):
-        real = es._pencil_residual
-        calls = []
+        real = es._residuals
 
-        def residual(au, mu, btu, lam):
-            calls.append(lam)       # solve_gevp checks the pairs in order
-            return 1.0 if len(calls) == i + 1 else real(au, mu, btu, lam)
+        def residuals(au, mu, lams, btu=None):
+            res = real(au, mu, lams, btu)
+            if btu is not None:     # solve_gevp's check of the pairs it returns
+                res[i] = 1.0
+            return res
 
-        monkeypatch.setattr(es, "_pencil_residual", residual)
+        monkeypatch.setattr(es, "_residuals", residuals)
     return inflate
 
 
@@ -130,8 +131,7 @@ class TestSolveGevp:
         mx = mt @ x
         want = (np.linalg.norm(k_mat @ x - p.lam * mx)
                 / (p.lam * np.linalg.norm(mx)))
-        got = es._pencil_residual(forms.A @ u, forms.M @ u, forms.BT @ u,
-                                  p.lam)
+        got = es._residuals(forms.A @ u, forms.M @ u, p.lam, forms.BT @ u)
         assert np.linalg.norm(forms.BT @ u) > 0.1 * np.linalg.norm(
             forms.A @ u - p.lam * (forms.M @ u))
         assert got == pytest.approx(want, rel=1e-12)
@@ -673,9 +673,51 @@ class TestWarmProducts:
             assert int(k[1]) <= 10
             return
         for p in warm:
-            residual = es._pencil_residual(forms.A @ p.u, forms.M @ p.u,
-                                           forms.BT @ p.u, p.lam)
+            residual = es._residuals(forms.A @ p.u, forms.M @ p.u, p.lam,
+                                     forms.BT @ p.u)
             assert residual <= sel.tol
+
+
+class TestRayleighRitzFailures:
+    """A warm solve whose Rayleigh-Ritz step cannot run raises
+    NoConvergence, the error a caller treats as an unsolvable point."""
+
+    def test_non_finite_solve_raises_no_convergence(self, deformed16,
+                                                    request):
+        # the start filter's solve is the factor's first, the first
+        # iteration's its second
+        sel = EigenSelection(nev=6, shift=9.3, tol=1e-8)
+        block = block_of(solve_gevp(deformed16, sel)[:2])
+        request.getfixturevalue("nan_second_solve")
+        with pytest.raises(NoConvergence, match="non-finite"):
+            solve_gevp(deformed16, sel, block=block)
+
+    def test_lapack_failure_raises_no_convergence(self, deformed16,
+                                                  monkeypatch):
+        sel = EigenSelection(nev=6, shift=9.3, tol=1e-8)
+        block = block_of(solve_gevp(deformed16, sel)[:2])
+        real = es.dsygvd
+
+        def failing(a, b, **kwargs):
+            w, c, _ = real(a, b, **kwargs)
+            return w, c, 3
+
+        monkeypatch.setattr(es, "dsygvd", failing)
+        with pytest.raises(NoConvergence, match="info 3"):
+            solve_gevp(deformed16, sel, block=block)
+
+    def test_rayleigh_ritz_matches_eigh(self, deformed16):
+        # dsygvd is the LAPACK routine scipy.linalg.eigh(a, b) calls
+        rng = np.random.default_rng(9)
+        y = rng.standard_normal((deformed16.n_edge, 3))
+        a, m = y.T @ (deformed16.A @ y), y.T @ (deformed16.M @ y)
+        a, m = 0.5 * (a + a.T), 0.5 * (m + m.T)
+        w, c = scipy.linalg.eigh(a, m)
+        w_got, c_got, info = es.dsygvd(a.copy(), m.copy(), overwrite_a=1,
+                                       overwrite_b=1)
+        assert info == 0
+        np.testing.assert_array_equal(w_got, w)
+        np.testing.assert_array_equal(c_got, c)
 
 
 class TestSelectAndNormalize:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from maxshape import (
     DeformationField,
@@ -13,7 +14,12 @@ from maxshape import (
     gradient_incidence,
     parse_msh,
 )
-from maxshape.eigensolver import EigenSelection, solve_gevp
+from maxshape.eigensolver import (
+    PATTERN_ORDER_LU,
+    SYMMETRIC_LU,
+    EigenSelection,
+    solve_gevp,
+)
 from maxshape.errors import InadmissibleDeformation
 from maxshape.fem_assembly import (
     QP_WEIGHT,
@@ -246,7 +252,9 @@ def assert_same_sparse(got, want):
 
 def _coo_pencil(mesh, dofs, q):
     """Full and reduced K and Mt by COO to CSR conversion and fancy
-    slicing, the path the fixed pattern replaced: its oracle."""
+    slicing, the path the fixed pattern replaced: its oracle.  The reduced
+    pair is sliced in the free numbering of dofs, with each row's indices
+    sorted."""
     a_loc, b_loc, m_loc = local_forms(mesh, q)
     edges = mesh.triangle_edges
     rows = np.repeat(edges, 3, axis=1).ravel()
@@ -260,7 +268,8 @@ def _coo_pencil(mesh, dofs, q):
           np.concatenate([cols, verts, rows]))), shape=shape).tocsr()
     mt = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape).tocsr()
     free = np.concatenate([dofs.free_edges, dofs.n_edge + dofs.free_vertices])
-    return k_mat, mt, k_mat[free][:, free], mt[free][:, free]
+    return (k_mat, mt, k_mat[np.ix_(free, free)].sorted_indices(),
+            mt[np.ix_(free, free)].sorted_indices())
 
 
 class TestFixedPattern:
@@ -332,6 +341,54 @@ class TestFixedPattern:
                         np.testing.assert_array_equal(got, want)
             for arr, orig in zip(mutable, snapshot[i]):
                 arr[:] = orig
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_free_numbering_is_a_permutation_of_the_free_edges(self, n):
+        mesh = generate_unit_square(n)
+        dofs = DofMap.from_mesh(mesh)
+        ascending = np.flatnonzero(~dofs.constrained_edge)
+        free = dofs.free_edges
+        np.testing.assert_array_equal(np.sort(free), ascending)
+        assert np.any(np.diff(free) < 0)
+        # the free layout's edge ends follow the same numbering
+        ends = mesh.edges[free]
+        number = np.cumsum(~dofs.constrained_vertex) - 1
+        np.testing.assert_array_equal(
+            dofs.pattern.free.edge_ends,
+            np.where(dofs.constrained_vertex[ends], -1, number[ends]))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_numbering_is_the_minimum_degree_order(self, n, rng):
+        # S = A - sigma*M factored in the free numbering without
+        # reordering has the fill, and the order, that MMD_AT_PLUS_A finds
+        # on the ascending numbering
+        mesh = generate_unit_square(n)
+        dofs = DofMap.from_mesh(mesh)
+        shift = apply_dirichlet(assemble_forms(
+            mesh, dofs, random_feasible_control(mesh, rng, 0.1 / n)),
+            dofs).edge_shift(9.3)
+        position = np.argsort(dofs.free_edges)    # of the k-th lowest edge
+        ascending = shift[position][:, position].tocsc().sorted_indices()
+        mmd = spla.splu(ascending, **SYMMETRIC_LU)
+        natural = spla.splu(shift, **PATTERN_ORDER_LU)
+        np.testing.assert_array_equal(mmd.perm_c, position)
+        np.testing.assert_array_equal(natural.perm_c, np.arange(len(position)))
+        assert (natural.L.nnz + natural.U.nnz
+                == mmd.L.nnz + mmd.U.nnz)
+
+    def test_draws_give_each_edge_its_ascending_value(self, square8):
+        # the cold start vector and the warm guard column draw one value
+        # per free edge in ascending edge order, whatever the numbering
+        problem = MaxwellShapeProblem(
+            square8, ObjectiveParams(lambda_target=9.0),
+            EigenSelection(nev=6, shift=9.0, tol=1e-9), seed=3)
+        dofs = problem.dofs
+        ascending = np.flatnonzero(~dofs.constrained_edge)
+        for drawn, seed in ((problem._v0, 3),
+                            (dofs.pattern.free.guard[:, 0], 0)):
+            np.testing.assert_array_equal(
+                dofs.expand_edge(drawn)[ascending],
+                np.random.default_rng(seed).standard_normal(len(ascending)))
 
     def test_built_once_across_solve_state_calls(self, square8, monkeypatch):
         built = []

@@ -17,7 +17,10 @@ parent's interquartile range.  With --traced-seed each side also makes
 TRACED_RUNS traced runs, the side that runs first alternating from run to
 run; each run's correctness, counts and per-layer metrics are kept, and so
 is the median of every per-layer metric over the runs, since a single
-traced run can read a one-off stall as a regression.
+traced run can read a one-off stall as a regression.  Span seconds are wall
+seconds, so each traced run's are scaled to reference seconds by the gauge
+of its traced call (benchmarks/hostspeed.py), the wall value kept beside
+the scaled one.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+from hostspeed import REF_S  # noqa: E402
+
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
 if any(m["better"] != "lower" for m in BENCHMARK["end_to_end"]):
@@ -40,6 +46,9 @@ WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 SECONDS = BENCHMARK["run_seconds"]
 WIN_SHARE = 0.9
 TRACED_RUNS = 3
+# A traced run's metrics in seconds that are already reference seconds:
+# run.py takes time_to_target_s from the untraced call.
+REFERENCE_SECONDS = ("time_to_target_s",)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -79,7 +88,20 @@ def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
         result["calls"] = [{"status": call["status"],
                             "counts": call["counts"]}
                            for call in record["calls"]]
+        host_normalize(result, record["calls"][1])
     return result
+
+
+def host_normalize(result: dict, traced_call: dict) -> None:
+    """Scale a traced run's span seconds, wall seconds, to reference
+    seconds by REF_S / reference_kernel_s of its traced call, keeping each
+    wall value as wall_value."""
+    scale = REF_S / traced_call["reference_kernel_s"]
+    result["reference_scale"] = scale
+    for name, metric in result["metrics"].items():
+        if metric["unit"] == "s" and name not in REFERENCE_SECONDS:
+            metric["wall_value"] = metric["value"]
+            metric["value"] *= scale
 
 
 def end_to_end(result: dict) -> dict:
@@ -95,11 +117,11 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def median_metrics(runs: list[dict]) -> dict:
-    """The median of every per-layer metric over traced runs, in the
-    metrics layout of one run."""
-    return {name: {"value": statistics.median(run["metrics"][name]["value"]
-                                              for run in runs),
-                   "unit": metric["unit"]}
+    """The median of every per-layer metric, and of its wall value where
+    it has one, over traced runs, in the metrics layout of one run."""
+    return {name: {key: (value if key == "unit" else statistics.median(
+                        run["metrics"][name][key] for run in runs))
+                   for key, value in metric.items()}
             for name, metric in runs[0]["metrics"].items()}
 
 

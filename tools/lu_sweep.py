@@ -6,9 +6,12 @@ For n = 16, 32 and 64 the script assembles the reduced forms A, M and B^T
 of the unit square at a fixed random deformation and factors the two
 matrices of the eigensolver's shift-invert solve, S = A - sigma*M, which
 every sparse solve factors, and L = B^T G, which only cold solves factor
-(as L^T, whose CSC arrays are L's CSR arrays), with eigensolver.SYMMETRIC_LU's
-ordering and pivoting for every (panel_size, relax) pair of the grid, and
-with scipy's defaults (None, None), which SuperLU resolves to (20, 10).
+(as L^T, whose CSC arrays are L's CSR arrays), the way the eigensolver
+does: S in its pattern's minimum-degree numbering, which
+eigensolver.PATTERN_ORDER_LU keeps, and L with eigensolver.SYMMETRIC_LU's
+ordering, both with symmetric-mode diagonal pivots.  Each (panel_size,
+relax) pair of the grid is tried, and scipy's defaults (None, None), which
+SuperLU resolves to (20, 10).
 Rounds run the candidates in a fresh random order each, so a slow stretch
 of the host spreads over all of them.  Per candidate it reports the median
 time to factor both matrices, their total fill nnz(L) + nnz(U) and the
@@ -43,7 +46,7 @@ from maxshape import (  # noqa: E402
     assemble_forms,
     generate_unit_square,
 )
-from maxshape.eigensolver import SYMMETRIC_LU  # noqa: E402
+from maxshape.eigensolver import PATTERN_ORDER_LU, SYMMETRIC_LU  # noqa: E402
 from maxshape.reference_transform import jacobian_range  # noqa: E402
 
 PANEL_SIZES = (1, 2, 4, 6, 8, 12, 20)
@@ -53,9 +56,11 @@ ROUNDS = {16: 41, 32: 21, 64: 11}
 # The default shift of the desk run: 0.9 times a target 5 % above pi^2.
 SIGMA = 0.9 * 1.05 * np.pi ** 2
 SEED = 0
-# SYMMETRIC_LU's ordering and pivoting, without its supernode settings.
-ORDERING = {k: v for k, v in SYMMETRIC_LU.items()
-            if k not in ("panel_size", "relax")}
+# The ordering and pivoting of S's and of L's factorization, without the
+# supernode settings.
+ORDERINGS = tuple({k: v for k, v in settings.items()
+                   if k not in ("panel_size", "relax")}
+                  for settings in (PATTERN_ORDER_LU, SYMMETRIC_LU))
 
 
 def deformed_pencil(n: int, seed: int):
@@ -76,8 +81,8 @@ def deformed_pencil(n: int, seed: int):
 
 def factor(mats, panel_size, relax):
     start = time.perf_counter()
-    lus = [spla.splu(mat, panel_size=panel_size, relax=relax, **ORDERING)
-           for mat in mats]
+    lus = [spla.splu(mat, panel_size=panel_size, relax=relax, **ordering)
+           for mat, ordering in zip(mats, ORDERINGS)]
     return time.perf_counter() - start, lus
 
 
@@ -140,7 +145,7 @@ def main() -> None:
     record = {
         "command": "python3 tools/lu_sweep.py --out " + str(args.out),
         "sigma": SIGMA,
-        "settings": ORDERING,
+        "settings": {"S": ORDERINGS[0], "L": ORDERINGS[1]},
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__,
                     "nproc": os.cpu_count(), "machine": platform.machine()},

@@ -9,16 +9,22 @@ each part of a problem's construction and of a state solve:
 
 - grid: generate_unit_square;
 - pattern: DofMap.from_mesh, with the sparsity pattern of the pencil;
+- ordering: the minimum-degree ordering of the free edge x edge pattern
+  that the pattern's build computes, part of "pattern";
 - Gram + H factor: assemble_control_gram and splu of its scalar block H,
   which a problem builds at its first use of the Gram;
 - assemble: assemble_forms and apply_dirichlet;
-- factor S: splu of S = A - sigma*M, which every sparse solve factors;
+- factor S: splu of S = A - sigma*M, which every sparse solve factors,
+  as they do: in the pattern's order, which SuperLU keeps;
 - factor L: splu of L = B^T G (as L^T), which only cold solves factor;
 - block iteration: one iteration of the warm solve on a 3-column block,
   Y = S^{-1} (M X) with its one sparse product M Y, A Y = sigma M Y + M X,
   the Rayleigh-Ritz step and the next block's M X = (M Y) C;
 - warm solve: solve_gevp from the block of a cold solve at a deformation
-  0.005 / n away, with the block iterations it took;
+  0.005 / n away, with the block iterations k it took;
+- bookkeeping: the warm solve less factor S and its k + 1 solves with the
+  3-column block (the start filter's and one per iteration), each timed
+  as "block solve" in the record;
 - cold apply: one application of the cold solve's edge operator
   T = P S^{-1} M, P = I - G L^{-1} B^T, to one edge vector;
 - cold solve: solve_gevp by ARPACK on T, nev = 8, with the applies of T
@@ -65,16 +71,21 @@ from maxshape import (  # noqa: E402
     select_and_normalize,
     solve_gevp,
 )
-from maxshape.eigensolver import SYMMETRIC_LU, ShiftInvert  # noqa: E402
+from maxshape.eigensolver import (  # noqa: E402
+    PATTERN_ORDER_LU,
+    SYMMETRIC_LU,
+    ShiftInvert,
+)
+from maxshape.fem_assembly import minimum_degree_order  # noqa: E402
 from maxshape.reference_transform import jacobian_range  # noqa: E402
 
 SIZES = (16, 32, 64)
 REPEATS = 20
 SIGMA = 0.9 * 1.05 * np.pi ** 2
 SEED = 0
-COLUMNS = ("grid", "pattern", "Gram + H factor", "assemble", "factor S",
-           "factor L", "block iteration", "warm solve", "cold apply",
-           "cold solve")
+COLUMNS = ("grid", "pattern", "ordering", "Gram + H factor", "assemble",
+           "factor S", "factor L", "block iteration", "warm solve",
+           "bookkeeping", "cold apply", "cold solve")
 
 
 def random_field(mesh, rng, size: float) -> np.ndarray:
@@ -128,7 +139,11 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     forms = assemble(q)
     s_mat = forms.edge_shift(SIGMA)
     l_mat = (forms.BT @ forms.layout.gradient).T
-    edge = spla.splu(s_mat, **SYMMETRIC_LU)
+    edge = spla.splu(s_mat, **PATTERN_ORDER_LU)
+    # the free edge x edge pattern in ascending edge order, which the
+    # pattern's build orders
+    position = np.argsort(dofs.free_edges)
+    ascending = s_mat[position][:, position].tocsc().sorted_indices()
     m = forms.M
     x = np.hstack([block, rng.standard_normal((forms.n_edge, 1))])
     mx = m @ x
@@ -160,18 +175,25 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
         gram = assemble_control_gram(mesh)
         return spla.splu(gram[::2, ::2].tocsc(), **SYMMETRIC_LU)
 
+    factor_ms = median_ms(lambda: spla.splu(s_mat, **PATTERN_ORDER_LU),
+                          repeats)
+    solve_ms = median_ms(lambda: edge.solve(mx), repeats)
     return {
         "n": n, "pencil": forms.n,
         "grid": median_ms(lambda: generate_unit_square(n), repeats),
         "pattern": median_ms(lambda: DofMap.from_mesh(mesh), repeats),
+        "ordering": median_ms(lambda: minimum_degree_order(
+            ascending.indptr, ascending.indices), repeats),
         "Gram + H factor": median_ms(gram_and_factor, repeats),
         "assemble": median_ms(lambda: assemble(q), repeats),
-        "factor S": median_ms(lambda: spla.splu(s_mat, **SYMMETRIC_LU),
-                              repeats),
+        "factor S": factor_ms,
         "factor L": median_ms(lambda: spla.splu(l_mat, **SYMMETRIC_LU),
                               repeats),
         "block iteration": median_ms(block_iteration, repeats),
         "warm solve": warm_ms,
+        "block solve": solve_ms,
+        "bookkeeping": warm_ms - factor_ms
+        - (counter.last["warm iterations"] + 1) * solve_ms,
         "cold apply": median_ms(lambda: op.apply(v), repeats),
         "cold solve": cold_ms,
         **counter.last,
