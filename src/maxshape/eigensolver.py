@@ -4,13 +4,15 @@ The discrete problem is K x = lam * Mt x with
 
     K  = [[A, B], [B^T, 0]],      Mt = [[M, 0], [0, 0]],
 
-posed by the forms A, M and B^T on free DOFs.  Mt is singular, so the
-pencil carries infinite eigenvalues, which the dense QZ solve of small
-systems discards.  Sparse solves work on edge vectors: the identities
-B = M G and A G = 0 (curl grad = 0 on the Whitney/P1 pair; Boffi, Acta
-Numerica 19, 2010) give S G = -sigma B with S = A - sigma*M, so S^{-1} M
-maps a gradient G phi to -G phi / sigma and a divergence-free mode to
-u / (lam - sigma).
+posed by the forms A, M and B^T on free DOFs.  Its finite eigenpairs are
+the pairs of (A, M) on divergence-free edge vectors (B^T u = 0), and
+every path solves on edge vectors.  The identities B = M G and A G = 0
+(curl grad = 0 on the Whitney/P1 pair; Boffi, Acta Numerica 19, 2010)
+make the gradients G phi the kernel of A.  A dense solve of a small
+pencil runs the symmetric-definite eigh(A, M) and drops those gradient
+pairs, the lowest, by their count.  With S = A - sigma*M the identities
+give S G = -sigma B, so S^{-1} M maps a gradient G phi to -G phi / sigma
+and a divergence-free mode to u / (lam - sigma).
 
 A cold solve runs Arnoldi on T = P S^{-1} M, P = I - G L^{-1} B^T, with
 L = B^T G, the P1 stiffness matrix in the deformed metric: P removes the
@@ -52,7 +54,7 @@ from .fem_assembly import AssembledForms
 
 log = logging.getLogger(__name__)
 
-# Below this pencil size the dense QZ path is both faster and more robust.
+# Up to this pencil size the dense eigh(A, M) beats a sparse solve.
 DENSE_THRESHOLD = 300
 
 # Largest ||B^T u|| / ||M u|| a divergence-free (spurious-free) pair may show.
@@ -71,7 +73,7 @@ BLOCK_MAXITER = 100
 # factorization.  scipy's supernode settings, panel_size 20 and relax 10,
 # are sized for wide supernodes; those of these 2-D matrices are a few
 # columns wide, and single-column panels factor the pair 22-31 % faster at
-# the same fill (n = 16, 32 and 64; tools/lu_sweep.py, tools/lu_sweep.json).
+# the same fill (deformed squares at n = 16, 32 and 64, 2-vCPU VM).
 SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     panel_size=1, relax=4, options=dict(SymmetricMode=True))
 # A - sigma*M on free DOFs arrives in its pattern's minimum-degree numbering
@@ -183,11 +185,12 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
                block: np.ndarray | None = None) -> list[MixedEigenPair]:
     """Compute the finite eigenvalues nearest the shift, sorted ascending.
 
-    A cold solve (no block) computes nev pairs: dense QZ for small pencils,
-    shift-invert Arnoldi from v0, an edge vector, otherwise.  A warm solve
-    starts block shift-invert iteration from block, reduced u columns such
-    as MixedEigenPair.block of a solve at a nearby deformation, and computes
-    the lowest index + 2 pairs it finds; small pencils still go dense.
+    A cold solve (no block) computes nev pairs: the dense eigh(A, M) on
+    the free edges for small pencils, shift-invert Arnoldi from v0, an edge
+    vector, otherwise.  A warm solve starts block shift-invert iteration
+    from block, reduced u columns such as MixedEigenPair.block of a solve
+    at a nearby deformation, and computes the lowest index + 2 pairs it
+    finds; small pencils still go dense.
 
     Each returned eigenvector u is normalized to u^T M u = 1 and carries
     the relative pencil residual of (lam, [u; 0]) and its divergence
@@ -197,9 +200,9 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
 
     Raises:
         FactorizationFailed: A - sigma*M or B^T G is singular.
-        NoConvergence: the iteration hit its cap or stalled, a warm
-            Rayleigh-Ritz step met a non-finite value or failed, or a used
-            pair exceeds the residual tolerance.
+        NoConvergence: ARPACK failed, the iteration hit its cap or stalled,
+            a warm Rayleigh-Ritz step met a non-finite value or failed, or a
+            used pair exceeds the residual tolerance.
         InsufficientSpectrum: fewer finite eigenvalues than requested.
     """
     if sel.shift is None:
@@ -247,7 +250,7 @@ def _nearest(forms: AssembledForms, lams: np.ndarray, vecs: np.ndarray,
             f"found {len(lams)} finite eigenvalues, requested {count}")
     order = np.argsort(np.abs(lams - sigma))[:count]
     order = order[np.argsort(lams[order])]
-    u = vecs[:forms.n_edge, order]
+    u = vecs[:, order]
     return lams[order], u, forms.A @ u, forms.M @ u
 
 
@@ -270,19 +273,13 @@ def _residuals(au: np.ndarray, mu: np.ndarray, lams,
 
 
 def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int):
-    bt = forms.BT.toarray()
-    zero = np.zeros((len(bt), len(bt)))
-    (alpha, beta), vr = scipy.linalg.eig(
-        np.block([[forms.A.toarray(), bt.T], [bt, zero]]),
-        scipy.linalg.block_diag(forms.M.toarray(), zero),
-        homogeneous_eigvals=True)
-    # The zero mass block yields structurally infinite eigenvalues: beta = 0
-    # up to rounding.  Anything with a non-negligible beta is finite.
-    finite = np.abs(beta) > 1e-8 * max(np.abs(beta).max(), 1e-300)
-    w = alpha[finite] / beta[finite]
-    real = np.abs(w.imag) <= 1e-8 * (1.0 + np.abs(w.real))
-    return _nearest(forms, w.real[real], vr.real[:, finite][:, real], sigma,
-                    count)
+    lams, vecs = scipy.linalg.eigh(forms.A.toarray(), forms.M.toarray())
+    # A G = 0 and M is positive definite, so the gradients are the lowest
+    # pairs (lam ~ 0), which B^T u = 0 removes; there are n_free_vertex of
+    # them while dim ker A = n_free_vertex, as on a connected, simply
+    # connected mesh (a hole adds a lam ~ 0 harmonic pair, which stays).
+    grads = forms.BT.shape[0]
+    return _nearest(forms, lams[grads:], vecs[:, grads:], sigma, count)
 
 
 def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, nev: int,
@@ -300,8 +297,8 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, nev: int,
     try:
         theta, x = spla.eigs(linear, k=k, which="LM", v0=v0, ncv=ncv,
                              tol=sel.tol * 1e-2, maxiter=sel.maxiter)
-    except spla.ArpackNoConvergence as exc:
-        raise NoConvergence(f"ARPACK did not converge: {exc}") from exc
+    except spla.ArpackError as exc:     # ArpackNoConvergence included
+        raise NoConvergence(f"ARPACK failed: {exc}") from exc
     finally:
         if log.isEnabledFor(logging.DEBUG):     # SuperLU copies L and U
             fill = (lu.L.nnz + lu.U.nnz for lu in (op.edge, op.vertex))

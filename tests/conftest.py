@@ -12,6 +12,12 @@ from maxshape.reference_transform import jacobian_derivative, sum_to_nodes
 # pi^2 * (m^2 + n^2) for integers m, n >= 0, not both zero.
 SQUARE_SPECTRUM = np.pi ** 2 * np.array([1.0, 1.0, 2.0, 4.0, 4.0, 5.0, 5.0])
 
+# Dauge's reference values of the five smallest eigenvalues on the L-shape
+# (-1, 1)^2 minus [0, 1] x [-1, 0] ("Benchmark computations for Maxwell
+# equations for the approximation of highly singular solutions", 2004).
+L_SHAPE_SPECTRUM = np.array([1.47562182408, 3.53403136678, 9.86960440109,
+                             9.86960440109, 11.3894793979])
+
 TWO_TRIANGLE_MSH = """$MeshFormat
 2.2 0 8
 $EndMeshFormat
@@ -88,25 +94,37 @@ def shuffled_mesh():
     return Mesh(shuffled, number[base.triangles])
 
 
+def l_shape(n):
+    """The L-shape of L_SHAPE_SPECTRUM with n cells per unit length: the
+    2n x 2n grid of (-1, 1)^2 (generate_unit_square's diagonals) without
+    the triangles of the cut quadrant, its vertices renumbered."""
+    square = generate_unit_square(2 * n)
+    vertices = 2.0 * square.vertices - 1.0
+    centroids = vertices[square.triangles].mean(axis=1)
+    cut = (centroids[:, 0] > 0.0) & (centroids[:, 1] < 0.0)
+    used, triangles = np.unique(square.triangles[~cut], return_inverse=True)
+    return Mesh(vertices[used], triangles.reshape(-1, 3))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 
 
 @pytest.fixture
-def nan_second_solve(monkeypatch):
-    """Make every factor the eigensolver builds from now on put a NaN in
-    the result of its second solve."""
+def nan_on_solve(monkeypatch):
+    """nan_on_solve(k) makes every factor the eigensolver builds from then
+    on put a NaN in the result of its k-th solve."""
     import maxshape.eigensolver as es
 
-    class NanOnSecondSolve:
-        def __init__(self, lu):
-            self.lu, self.solves = lu, 0
+    class NanOnSolve:
+        def __init__(self, lu, k):
+            self.lu, self.k, self.solves = lu, k, 0
 
         def solve(self, rhs, *args, **kwargs):
             self.solves += 1
             x = self.lu.solve(rhs, *args, **kwargs)
-            if self.solves == 2:
+            if self.solves == self.k:
                 x.flat[0] = np.nan
             return x
 
@@ -114,13 +132,18 @@ def nan_second_solve(monkeypatch):
             return getattr(self.lu, name)
 
     class NanLinalg:
+        def __init__(self, k):
+            self.k = k
+
         def __getattr__(self, name):
             return getattr(spla, name)
 
         def splu(self, mat, **kwargs):
-            return NanOnSecondSolve(spla.splu(mat, **kwargs))
+            return NanOnSolve(spla.splu(mat, **kwargs), self.k)
 
-    monkeypatch.setattr(es, "spla", NanLinalg())
+    def install(k):
+        monkeypatch.setattr(es, "spla", NanLinalg(k))
+    return install
 
 
 def random_feasible_control(mesh, rng, q_inf, epsilon=1e-4):

@@ -108,7 +108,7 @@ class TestMultiplierIsZero:
         assert np.abs(psi).max() <= 1e-8 * np.abs(state.u).max()
         assert state.divergence <= 1e-10
 
-    def test_dense_qz(self, shuffled_mesh, rng):
+    def test_dense(self, shuffled_mesh, rng):
         dofs = DofMap.from_mesh(shuffled_mesh)
         assert dofs.n_free <= DENSE_THRESHOLD
         sel = EigenSelection(index=0, nev=6, shift=8.0, tol=1e-9)

@@ -28,8 +28,10 @@ from maxshape.mesh_io import Mesh
 from maxshape.reference_transform import jacobian_range
 
 from conftest import (
+    L_SHAPE_SPECTRUM,
     SQUARE_SPECTRUM,
     implied_multiplier,
+    l_shape,
     random_feasible_control,
     saddle_pencil,
 )
@@ -161,6 +163,7 @@ class TestSolveGevp:
         # n=8 runs dense, n=16 runs shift-invert ARPACK; eigenvalues of the
         # same continuous problem must land on the same analytic targets, and
         # the n=8 mesh re-solved through both paths must agree to solver tol.
+        # The dense eigenvalues are QZ's on the whole saddle pencil.
         # Inputs: the undeformed square, and a deformation near the jacobian
         # floor (J_min ~ 0.1); shift 40 makes K - sigma*Mt strongly
         # indefinite for the symmetric-mode LU.
@@ -182,6 +185,17 @@ class TestSolveGevp:
                 assert len(dense) == len(sparse) == 6
                 for pd, ps in zip(dense, sparse):
                     assert abs(pd.lam - ps.lam) <= 1e-7 * abs(pd.lam)
+                np.testing.assert_allclose([p.lam for p in dense],
+                                           qz_nearest(forms, shift, 6),
+                                           rtol=1e-10, atol=0.0)
+
+    def test_arpack_failure_raises_no_convergence(self, square16_forms,
+                                                  nan_on_solve):
+        # a NaN in the fifth apply of T makes ARPACK itself fail
+        nan_on_solve(5)
+        with pytest.raises(NoConvergence, match="ARPACK"):
+            solve_gevp(square16_forms,
+                       EigenSelection(nev=8, shift=9.35, tol=1e-8))
 
     def test_symmetric_lu_fill(self, monkeypatch):
         # The factors of A - sigma*M and L = B^T G together hold well under
@@ -408,6 +422,47 @@ class TestShiftInvert:
         for ps, pd in zip(sparse, dense):
             assert abs(ps.lam - pd.lam) <= 1e-8 * abs(pd.lam)
             assert ps.u.shape == pd.u.shape == (dofs.n_free_edge,)
+
+
+class TestLShapeReference:
+    """Cold solves on Dauge's L-shape at q = 0 against its reference values:
+    a non-convex domain whose lowest eigenfunction is singular at the
+    re-entrant corner (r^(2/3)), so lam_1 converges at order 4/3 and the
+    smooth others at order 2."""
+
+    SEL = EigenSelection(nev=5, shift=1.0, tol=1e-9)
+
+    @pytest.fixture(scope="class")
+    def forms8(self):
+        return _reduced_forms(l_shape(8))[0]
+
+    @pytest.fixture(scope="class")
+    def ladder(self, forms8):
+        return {8: solve_gevp(forms8, self.SEL),
+                16: solve_gevp(_reduced_forms(l_shape(16))[0], self.SEL)}
+
+    def test_below_reference(self, ladder):
+        for pairs in ladder.values():
+            assert np.all(np.array([p.lam for p in pairs]) < L_SHAPE_SPECTRUM)
+
+    def test_observed_orders(self, ladder):
+        err = {n: L_SHAPE_SPECTRUM - [p.lam for p in pairs]
+               for n, pairs in ladder.items()}
+        order = np.log2(err[8] / err[16])
+        assert 1.2 <= order[0] <= 1.5
+        assert np.all((1.8 <= order[1:]) & (order[1:] <= 2.2)), order
+
+    def test_certificates(self, ladder):
+        for pairs in ladder.values():
+            assert all(p.divergence <= 1e-6 for p in pairs)
+
+    def test_dense_agrees_with_sparse(self, forms8, ladder, monkeypatch):
+        assert forms8.n > es.DENSE_THRESHOLD
+        monkeypatch.setattr(es, "DENSE_THRESHOLD", forms8.n)
+        dense = solve_gevp(forms8, self.SEL)
+        np.testing.assert_allclose([p.lam for p in dense],
+                                   [p.lam for p in ladder[8]],
+                                   rtol=1e-10, atol=0.0)
 
 
 class TestWarmBlock:
@@ -683,12 +738,12 @@ class TestRayleighRitzFailures:
     NoConvergence, the error a caller treats as an unsolvable point."""
 
     def test_non_finite_solve_raises_no_convergence(self, deformed16,
-                                                    request):
+                                                    nan_on_solve):
         # the start filter's solve is the factor's first, the first
         # iteration's its second
         sel = EigenSelection(nev=6, shift=9.3, tol=1e-8)
         block = block_of(solve_gevp(deformed16, sel)[:2])
-        request.getfixturevalue("nan_second_solve")
+        nan_on_solve(2)
         with pytest.raises(NoConvergence, match="non-finite"):
             solve_gevp(deformed16, sel, block=block)
 

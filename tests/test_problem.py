@@ -100,13 +100,19 @@ class TestEvaluate:
         monkeypatch.setattr(prob, "solve_state", boom)
         assert prob.evaluate(prob.zero_control()) == math.inf
 
-    def test_non_finite_warm_solve_is_inf(self, request):
+    def test_non_finite_warm_solve_is_inf(self, nan_on_solve):
         # the first, cold, solve succeeds; a NaN in the warm solve's first
         # iteration makes the point unsolvable, not the run
         prob = _square16_problem()
         prob.solve_state(prob.zero_control())
-        request.getfixturevalue("nan_second_solve")
+        nan_on_solve(2)
         assert prob.evaluate(_smooth_control(prob, 0.02)) == math.inf
+
+    def test_arpack_failure_is_inf(self, nan_on_solve):
+        # a NaN in the first, cold, solve's fifth apply makes ARPACK fail
+        prob = _square16_problem()
+        nan_on_solve(5)
+        assert prob.evaluate(prob.zero_control()) == math.inf
 
     def test_given_lambda_skips_solve(self, square8_problem, monkeypatch):
         prob = square8_problem

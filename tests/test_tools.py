@@ -4,7 +4,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from maxshape import DofMap, generate_unit_square
@@ -27,20 +26,6 @@ def load_tool(monkeypatch):
         spec.loader.exec_module(module)
         return module
     return load
-
-
-def test_lu_sweep_deformed_pencil(load_tool):
-    lu_sweep = load_tool("lu_sweep")
-    edge, vertex = lu_sweep.deformed_pencil(4, 0)
-    dofs = DofMap.from_mesh(generate_unit_square(4))
-    for mat, n in ((edge, dofs.n_free_edge), (vertex, dofs.n_free_vertex)):
-        assert mat.format == "csc"
-        assert mat.shape == (n, n)
-        assert np.all(np.isfinite(mat.data))
-    assert abs(edge - edge.T).max() == 0.0
-    # B^T G is symmetric up to rounding and positive definite
-    assert abs(vertex - vertex.T).max() <= 1e-14 * abs(vertex).max()
-    assert np.linalg.eigvalsh(vertex.toarray()).min() > 0.0
 
 
 def test_bench_pairs_parse_seeds(load_tool):

@@ -32,9 +32,9 @@ each part of a problem's construction and of a state solve:
 
 The iteration and apply counts are read from the eigensolver's debug lines.
 
-BLAS runs on one thread, as in tools/lu_sweep.py.  The solve columns of
-the printed table are the "Anatomy of one state solve" of ROADMAP.md's
-Baseline, and its set-up columns are quoted under "Problem construction".
+BLAS runs on one thread.  The solve columns of the printed table are the
+"Anatomy of one state solve" of ROADMAP.md's Baseline, and its set-up
+columns are quoted under "Problem construction".
 """
 
 from __future__ import annotations
