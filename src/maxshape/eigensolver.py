@@ -26,7 +26,10 @@ A warm solve, handed a block of vectors from a nearby deformation, runs
 block subspace iteration with Rayleigh-Ritz on the block and a fixed
 random guard column (Saad, Numerical Methods for Large Eigenvalue
 Problems, 2nd ed., ch. 5) with S alone, which is T on divergence-free
-vectors.  The start block is filtered once by F = S^{-1} M + I/sigma,
+vectors.  A positive shift first rises to just below the block's lowest
+Rayleigh quotient (Ericsson & Ruhe, Math. Comp. 35, 1980), never below
+the configured one; sigma below is the shift a path factors at.  The
+start block is filtered once by F = S^{-1} M + I/sigma,
 which annihilates gradients exactly and scales each divergence-free mode
 by lam / (sigma (lam - sigma)), never 0.  A step Y = S^{-1} M X makes one
 sparse product, M Y: S Y = M X gives A Y = sigma M Y + M X, and the next
@@ -62,6 +65,13 @@ DIVERGENCE_TOL = 1e-6
 
 # Iteration cap of a warm block solve when the selection sets no maxiter.
 BLOCK_MAXITER = 100
+
+# A warm solve with a positive shift factors S at the larger of the shift
+# and (1 - WARM_SHIFT_MARGIN) times its block's lowest Rayleigh quotient:
+# just below the tracked pairs, which then converge by the ratio
+# (lam - sigma) / (lam' - sigma), lam' the first eigenvalue above the
+# block, about 0.01 on the square instead of 0.05 at 0.9 lam*.
+WARM_SHIFT_MARGIN = 0.01
 
 # SuperLU settings for A - sigma*M and L = B^T G, which are symmetric:
 # minimum degree on the pattern of A^T + A with diagonal pivots and symmetric
@@ -151,8 +161,9 @@ class MixedEigenPair:
 class EigenSelection:
     """Which eigenpair to compute and how accurately.
 
-    index counts finite eigenvalues from the smallest; shift, the transform
-    target, is finite, not 0 and no eigenvalue; nev, the pairs a cold solve
+    index counts finite eigenvalues from the smallest; shift, finite, not 0
+    and no eigenvalue, is the cold solve's transform target and the floor
+    of a warm one's (solve_gevp); nev, the pairs a cold solve
     computes (ARPACK's k), defaults to max(6, index + 3); maxiter caps cold
     Arnoldi restarts and warm iterations (BLOCK_MAXITER if None).
     """
@@ -187,10 +198,13 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
 
     A cold solve (no block) computes nev pairs: the dense eigh(A, M) on
     the free edges for small pencils, shift-invert Arnoldi from v0, an edge
-    vector, otherwise.  A warm solve starts block shift-invert iteration
-    from block, reduced u columns such as MixedEigenPair.block of a solve
-    at a nearby deformation, and computes the lowest index + 2 pairs it
-    finds; small pencils still go dense.
+    vector, otherwise, with the selection's shift as its target.  A warm
+    solve starts block shift-invert iteration from block, reduced u columns
+    such as MixedEigenPair.block of a solve at a nearby deformation, and
+    computes the lowest index + 2 pairs it finds, at a shift no lower
+    than the selection's: a positive shift rises to (1 -
+    WARM_SHIFT_MARGIN) times the lowest Rayleigh quotient of the block's
+    columns when that is larger.  Small pencils still go dense.
 
     Each returned eigenvector u is normalized to u^T M u = 1 and carries
     the relative pencil residual of (lam, [u; 0]) and its divergence
@@ -316,30 +330,34 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
     """The lowest count = index + 2 pairs by block subspace iteration on
     edge vectors (module docstring), ascending, with their A u and M u.
 
-    Each iteration replaces X by the Ritz vectors of (A, M) on S^{-1} M X
-    until the count lowest Ritz pairs meet the residual tolerance.  The
-    block converges to the pairs nearest sigma; keeping the lowest, not the
-    nearest, ranks pairs as a cold solve does when sigma lies above the
-    tracked pair.  S^{-1} M grows the gradient parts rounding leaves against
-    a kept pair farther than sigma from the shift: while a kept Ritz
-    vector's ||B^T u|| / ||M u|| then exceeds tol / 100, the next step
-    applies F, with a true A Y.  A Y = sigma M Y + M X is only as accurate
-    as the solve with S, so a true A u of the kept columns confirms a stop,
-    and after a failed one every step takes a true A Y.  An inexact factor
-    of S can keep the true residual from converging: a step with a true A Y
-    whose largest kept residual exceeds tol and half its value three such
-    steps before ends the solve as stalled.  The log's applies count the
-    start filter's solves.
+    S is factored at the warm shift (_warm_shift), which is sigma from
+    there on, in the debug line too.  Each iteration replaces X by the
+    Ritz vectors of (A, M) on S^{-1} M X until the count lowest Ritz pairs
+    meet the residual tolerance.  The block converges to the pairs nearest
+    sigma; keeping the lowest, not the nearest, ranks pairs as a cold
+    solve does when sigma lies above the tracked pair.  S^{-1} M grows the
+    gradient parts rounding leaves against a kept pair farther than sigma
+    from the shift: while a kept Ritz vector's ||B^T u|| / ||M u|| then
+    exceeds tol / 100, the next step applies F, with a true A Y.
+    A Y = sigma M Y + M X is only as accurate as the solve with S, so a
+    true A u of the kept columns confirms a stop, and after a failed one
+    every step takes a true A Y.  An inexact factor of S can keep the true
+    residual from converging: a step with a true A Y whose largest kept
+    residual exceeds tol and half its value three such steps before ends
+    the solve as stalled.  The log's applies count the start filter's
+    solves.
     """
     a, m, n_e, count = forms.A, forms.M, forms.n_edge, sel.index + 2
     if block.ndim != 2 or block.shape[0] != n_e or block.shape[1] + 1 < count:
         raise ValueError(f"block of shape {block.shape} cannot start "
                          f"{count} pairs on {n_e} edge DOFs")
-    edge = _factor_shift(forms, sigma)
     # the guard has a component in any mode that moved next to the shift
     # since the block, which the block alone would miss
     x = np.hstack([block, forms.layout.guard])
-    x = edge.solve(m @ x) + x / sigma               # F x
+    mx = m @ x
+    sigma = _warm_shift(a, block, mx[:, :block.shape[1]], sigma)
+    edge = _factor_shift(forms, sigma)
+    x = edge.solve(mx) + x / sigma                  # F x
     mx = m @ x
     maxiter = sel.maxiter if sel.maxiter is not None else BLOCK_MAXITER
     iterations, gradients, exact, true_residuals = 0, False, False, []
@@ -397,6 +415,22 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
                   (iterations + 1) * x.shape[1])
     raise NoConvergence(
         f"block iteration did not converge in {maxiter} iterations")
+
+
+def _warm_shift(a: sp.spmatrix, block: np.ndarray, m_block: np.ndarray,
+                sigma: float) -> float:
+    """The shift a warm solve factors at: for sigma > 0 the larger of
+    sigma and (1 - WARM_SHIFT_MARGIN) times the lowest Rayleigh quotient
+    u^T A u / u^T M u of the block's columns, given M block; sigma
+    otherwise.  So the shift only rises toward the tracked pairs and never
+    crosses 0, where S = A is singular on the gradients.  A block with
+    gradient parts, which lower its quotients, keeps sigma."""
+    if not sigma > 0:
+        return sigma
+    quotients = (np.einsum("ij,ij->j", block, a @ block)
+                 / np.einsum("ij,ij->j", block, m_block))
+    lifted = (1.0 - WARM_SHIFT_MARGIN) * float(quotients.min())
+    return lifted if lifted > sigma else sigma      # a NaN keeps sigma
 
 
 def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,

@@ -31,6 +31,15 @@ class DimensionMismatch(MeshError):
     """An output field length matches neither vertex nor cell count."""
 
 
+class UnsupportedTopology(MeshError):
+    """The mesh has a hole or more than one connected component.
+
+    The solver assumes dim ker A = n_free_vertex, the gradients alone,
+    which holds on a connected, simply connected domain; each hole adds a
+    harmonic field at lam = 0 that no path removes.
+    """
+
+
 # -- deformation calculus ---------------------------------------------------
 
 class InadmissibleDeformation(MaxshapeError):

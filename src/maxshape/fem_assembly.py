@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .errors import UnsupportedTopology
 from .mesh_io import LOCAL_EDGES, Mesh
 from .reference_transform import DeformationField, sum_to_nodes
 
@@ -109,6 +110,18 @@ class DofMap:
 
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "DofMap":
+        """The DOFs of a connected mesh without holes.
+
+        Raises:
+            UnsupportedTopology: the mesh has a hole or more than one
+                component.
+        """
+        if mesh.n_components != 1 or mesh.n_holes != 0:
+            raise UnsupportedTopology(
+                f"mesh has {mesh.n_components} component(s) and "
+                f"{mesh.n_holes} hole(s): the eigensolver needs a connected "
+                f"mesh without holes, where the gradients alone span the "
+                f"kernel of the curl-curl form")
         ce = np.zeros(mesh.n_edges, dtype=bool)
         ce[mesh.boundary_edges] = True
         cv = np.zeros(mesh.n_vertices, dtype=bool)

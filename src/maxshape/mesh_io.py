@@ -15,6 +15,8 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -112,6 +114,22 @@ class Mesh:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def n_components(self) -> int:
+        """Connected components of the vertex graph (an unused vertex is
+        one)."""
+        n = self.n_vertices
+        graph = sp.coo_matrix((np.ones(self.n_edges), self.edges.T),
+                              shape=(n, n))
+        return int(connected_components(graph, directed=False)[0])
+
+    @property
+    def n_holes(self) -> int:
+        """C - (V - E + T): V - E + T = C - holes for a planar
+        triangulation with C components (Euler)."""
+        return self.n_components - (self.n_vertices - self.n_edges
+                                    + self.n_triangles)
 
     @cached_property
     def areas(self) -> np.ndarray:

@@ -3,16 +3,18 @@
 MaxwellShapeProblem owns everything that is deformation-independent (mesh,
 DOF maps, the start vector of its first eigensolve, and the only copy of
 the control-space Gram matrix and the factorization of its scalar block)
-plus the last solved state, whose block starts every later eigensolve
-warm, and the last deformation field, so that each control's kinematics
-are computed once.  The Gram, the factor of its scalar block and the
-shortest reference edge are built at first use: a problem that only
-solves states (a lambda0 probe, ``maxshape eigs``) builds none of them,
-and one that never takes a Riesz gradient (``check_gradient``) never
-factors the Gram.  It alone chains state, adjoint, reduced derivative and
-Riesz map, and exposes the five methods the optimizer drives: gradient,
-evaluate, q_apply (the Gram map), jacobian_range and step_limit.  Controls
-cross this interface as flat coefficient vectors.
+plus two states whose blocks start every later eigensolve warm: the
+anchor, the state where the reduced derivative last ran, and the last
+solved state.  It also keeps the last deformation field, so that each
+control's kinematics are computed once.  The Gram, the factor of its
+scalar block and the shortest reference edge are built at first use: a
+problem that only solves states (a lambda0 probe, ``maxshape eigs``)
+builds none of them, and one that never takes a Riesz gradient
+(``check_gradient``) never factors the Gram.  It alone chains state,
+adjoint, reduced derivative and Riesz map, and exposes the five methods
+the optimizer drives: gradient, evaluate, q_apply (the Gram map),
+jacobian_range and step_limit.  Controls cross this interface as flat
+coefficient vectors.
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ class MaxwellShapeProblem:
         self.dofs = DofMap.from_mesh(mesh)
         # Arnoldi start vector (free edges) of the first, cold, state solve
         self._v0 = self.dofs.pattern.free.edge_draw(seed)
-        # the last field made; the last solved field and its state pair
+        # the last field made; the last solved field and its state pair;
+        # the state where derivative_functional last ran
         self._field: DeformationField | None = None
         self._last_state: tuple[DeformationField, MixedEigenPair] | None = None
+        self._anchor: MixedEigenPair | None = None
 
     # -- control space, built at first use ---------------------------------
 
@@ -104,18 +108,23 @@ class MaxwellShapeProblem:
         control returns that same pair without assembling or solving.  The
         Armijo trial that accepts a step has thus already solved the state
         the optimizer needs at the new iterate.  The first solve is cold;
-        every later one starts warm from the kept pair's block.  A solve
-        that raises stores nothing, so the next one starts from the same
-        block.
+        every later one starts warm from the anchor's block, the state
+        where derivative_functional last ran, or from the kept pair's
+        before there is an anchor.  Armijo trials lie on a ray from the
+        anchor and finite-difference points around it, nearer than the
+        last trial.  A solve that raises stores nothing, so the next one
+        starts from the same block.
         """
         last = self._last_state
         if last is not None and np.array_equal(q, last[0].flat):
             log.debug("reused state: lam=%.10g", last[1].lam)
             return last[1]
+        start = self._anchor if self._anchor is not None else (
+            None if last is None else last[1])
         field = self.field(q)
         state = adjoint_gradient.solve_state(
             self.mesh, self.dofs, field, self.sel, v0=self._v0,
-            block=None if last is None else last[1].block)
+            block=None if start is None else start.block)
         self._last_state = (field, state)
         log.debug("solved state: lam=%.10g residual=%.2e divergence=%.2e "
                   "gap=%.3e", state.lam, state.residual, state.divergence,
@@ -167,8 +176,9 @@ class MaxwellShapeProblem:
 
     def derivative_functional(self, q: np.ndarray
                               ) -> tuple[ShapeFunctional, MixedEigenPair]:
-        """Reduced derivative and the state it was computed from."""
-        state = self.solve_state(q)
+        """Reduced derivative and the state it was computed from, which
+        becomes the anchor of later state solves."""
+        state = self._anchor = self.solve_state(q)
         adjoint = adjoint_gradient.solve_adjoint(state,
                                                  self.params.lambda_target)
         functional = adjoint_gradient.reduced_derivative(

@@ -106,6 +106,26 @@ def l_shape(n):
     return Mesh(vertices[used], triangles.reshape(-1, 3))
 
 
+def holed_square(n):
+    """The n x n unit-square grid without the cells whose centre lies
+    within 0.25 of (0.5, 0.5) in both coordinates, its vertices renumbered:
+    a square with one square hole, whose rim is a boundary."""
+    square = generate_unit_square(n)
+    corners = square.vertices[square.triangles]
+    centres = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
+    cut = np.all(np.abs(centres - 0.5) < 0.25, axis=1)
+    used, triangles = np.unique(square.triangles[~cut], return_inverse=True)
+    return Mesh(square.vertices[used], triangles.reshape(-1, 3))
+
+
+def two_squares(n):
+    """Two disjoint n x n unit squares, the second shifted by 2 in x."""
+    square = generate_unit_square(n)
+    vertices = np.concatenate([square.vertices, square.vertices + [2.0, 0.0]])
+    return Mesh(vertices, np.concatenate(
+        [square.triangles, square.triangles + square.n_vertices]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

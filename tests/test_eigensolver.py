@@ -523,13 +523,16 @@ class TestWarmBlock:
         assert len(lines) == 1
         n = square16_forms.A.shape[0] + square16_forms.B.shape[1]
         match = re.fullmatch(
-            r"block solve: sigma=9 n=(\d+) iterations=(\d+) applies=(\d+)",
-            lines[0])
+            r"block solve: sigma=(\S+) n=(\d+) iterations=(\d+) "
+            r"applies=(\d+)", lines[0])
         assert match is not None, lines[0]
-        assert int(match[1]) == n
-        assert int(match[2]) >= 1
+        # the warm shift lies between the configured one and the block's
+        # lowest Rayleigh quotient, here its lowest eigenvalue
+        assert sel.shift <= float(match[1]) < square16_pairs[0].lam
+        assert int(match[2]) == n
+        assert int(match[3]) >= 1
         # two pairs plus the guard, filtered once, then once per iteration
-        assert int(match[3]) == 3 * (int(match[2]) + 1)
+        assert int(match[4]) == 3 * (int(match[3]) + 1)
 
     def test_iteration_cap_raises(self, square16_pairs):
         mesh = generate_unit_square(16)
@@ -637,6 +640,62 @@ class TestWarmEdgeIteration:
         assert factors == [(forms.n_edge,) * 2]
 
 
+class TestWarmShift:
+    """A warm solve factors S at the larger of the configured shift and
+    (1 - WARM_SHIFT_MARGIN) times its block's lowest Rayleigh quotient."""
+
+    @staticmethod
+    def warm_shift(forms, block, sigma):
+        return es._warm_shift(forms.A, block, forms.M @ block, sigma)
+
+    def test_rises_to_just_below_the_lowest_quotient(self, square16_forms,
+                                                     square16_pairs):
+        block = block_of(square16_pairs[:2])
+        lam0 = square16_pairs[0].lam
+        assert self.warm_shift(square16_forms, block, 9.0) == pytest.approx(
+            (1.0 - es.WARM_SHIFT_MARGIN) * lam0, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [9.8, 12.0, 30.0, -1.0, -20.0])
+    def test_shift_kept_above_the_lift_or_below_zero(
+            self, square16_forms, square16_pairs, sigma):
+        block = block_of(square16_pairs[:2])
+        assert self.warm_shift(square16_forms, block, sigma) == sigma
+
+    def test_gradient_polluted_block_keeps_the_shift(self, square16_forms,
+                                                     square16_pairs):
+        forms = square16_forms
+        phi = np.random.default_rng(8).standard_normal((forms.B.shape[1], 2))
+        block = (block_of(square16_pairs[:2])
+                 + 10.0 * (forms.layout.gradient @ phi))
+        assert self.warm_shift(forms, block, 9.0) == 9.0
+
+    def test_fewer_iterations_and_the_cold_pairs(self, deformed16,
+                                                 square16_pairs, monkeypatch,
+                                                 caplog):
+        # a block from the undeformed square at the random deformation
+        sel = EigenSelection(nev=6, shift=9.0, tol=1e-10)
+        block = block_of(square16_pairs[:2])
+
+        def warm_solve():
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG,
+                                 logger="maxshape.eigensolver"):
+                pairs = solve_gevp(deformed16, sel, block=block)
+            line = caplog.records[-1].getMessage()
+            return (pairs, float(re.search(r"sigma=(\S+)", line)[1]),
+                    int(re.search(r"iterations=(\d+)", line)[1]))
+
+        warm, sigma, iterations = warm_solve()
+        monkeypatch.setattr(es, "_warm_shift", lambda a, b, mb, s: s)
+        _, configured_sigma, configured_iterations = warm_solve()
+        assert configured_sigma == sel.shift < sigma
+        assert iterations <= configured_iterations
+        cold = solve_gevp(deformed16, sel)
+        for pw, pc in zip(warm, cold):
+            assert abs(pw.lam - pc.lam) <= 1e-10 * pc.lam
+            assert pw.divergence <= 1e-6
+
+
 class _Counted:
     """A sparse matrix whose products with vectors and blocks are counted
     in counts[name]; every other attribute is the matrix's."""
@@ -671,8 +730,9 @@ class TestWarmProducts:
     @pytest.mark.parametrize("case", ["square", "far neighbour"])
     def test_one_product_per_iteration(self, case, square16_pairs, caplog):
         # The start block costs M twice (the filter and the first step's
-        # M X), each iteration M Y once, the stop one true A u, and each
-        # F step one true A Y; F steps are never consecutive.
+        # M X) and A once (its Rayleigh quotients, the warm shift), each
+        # iteration M Y once, the stop one true A u, and each F step one
+        # true A Y; F steps are never consecutive.
         if case == "square":
             mesh = generate_unit_square(16)
             forms, _ = _reduced_forms(mesh, smooth_control(mesh, 0.05))
@@ -689,10 +749,10 @@ class TestWarmProducts:
         k = int(re.search(r"iterations=(\d+)", caplog.records[-1].getMessage())
                 [1])
         assert counts["M"] == k + 2
-        f_steps = counts["A"] - 1
+        f_steps = counts["A"] - 2
         assert 0 <= f_steps <= (k + 1) // 2
         assert (f_steps > 0) == (case == "far neighbour")
-        assert counts["A"] + counts["M"] <= k + 3 + f_steps
+        assert counts["A"] + counts["M"] <= k + 4 + f_steps
         cold = solve_gevp(forms, sel)
         for pw, pc in zip(warm, cold):
             assert abs(pw.lam - pc.lam) <= 1e-10 * pc.lam

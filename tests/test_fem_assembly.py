@@ -20,24 +20,29 @@ from maxshape.eigensolver import (
     EigenSelection,
     solve_gevp,
 )
-from maxshape.errors import InadmissibleDeformation
+from maxshape.errors import InadmissibleDeformation, UnsupportedTopology
 from maxshape.fem_assembly import (
     QP_WEIGHT,
     PencilPattern,
     assemble_scalar_h1,
     local_forms,
 )
+from maxshape.mesh_io import Mesh
 from maxshape.objective import ObjectiveParams
 from maxshape.problem import MaxwellShapeProblem
 
 from conftest import (
+    SINGLE_TRIANGLE_MSH,
     TWO_TRIANGLE_MSH,
     _quadrature_shape_derivative,
     _whitney_local,
     assert_entries_close,
     dilation_control,
+    holed_square,
+    l_shape,
     random_feasible_control,
     saddle_pencil,
+    two_squares,
     whitney_table,
 )
 
@@ -181,6 +186,39 @@ class TestFormInvariants:
         dofs = DofMap.from_mesh(square2)
         with pytest.raises(InadmissibleDeformation):
             assemble_forms(square2, dofs, q)
+
+
+class TestDofMapTopology:
+    """DofMap.from_mesh takes connected meshes without holes only: on a
+    mesh with a hole the kernel of A holds a harmonic field besides the
+    gradients, and every solve failed."""
+
+    @pytest.mark.parametrize("make", [lambda: holed_square(8),
+                                      lambda: holed_square(16),
+                                      lambda: two_squares(4)],
+                             ids=["holed8", "holed16", "two squares"])
+    def test_rejected(self, make):
+        with pytest.raises(UnsupportedTopology,
+                           match="component.*hole.*connected mesh without "
+                                 "holes"):
+            DofMap.from_mesh(make())
+
+    @pytest.mark.parametrize("name", ["square2", "square4", "square8",
+                                      "square16", "shuffled_mesh"])
+    def test_fixtures_accepted(self, name, request):
+        mesh = request.getfixturevalue(name)
+        assert DofMap.from_mesh(mesh).n_edge == mesh.n_edges
+
+    @pytest.mark.parametrize("make", [
+        lambda: l_shape(4),
+        lambda: parse_msh(SINGLE_TRIANGLE_MSH),
+        lambda: parse_msh(TWO_TRIANGLE_MSH),
+        lambda: Mesh(generate_unit_square(4).vertices * [1.0, 0.5],
+                     generate_unit_square(4).triangles),
+    ], ids=["L-shape", "one triangle", "two triangles", "rectangle"])
+    def test_other_meshes_accepted(self, make):
+        mesh = make()
+        assert DofMap.from_mesh(mesh).n_vertex == mesh.n_vertices
 
 
 class TestApplyDirichlet:

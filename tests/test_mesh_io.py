@@ -10,7 +10,37 @@ from maxshape.errors import (
     UnsupportedVersion,
 )
 
-from conftest import SINGLE_TRIANGLE_MSH, TWO_TRIANGLE_MSH
+from conftest import (
+    SINGLE_TRIANGLE_MSH,
+    TWO_TRIANGLE_MSH,
+    holed_square,
+    l_shape,
+    two_squares,
+)
+
+
+class TestTopology:
+    """Components of the vertex graph and holes from the Euler
+    characteristic V - E + T = components - holes."""
+
+    @pytest.mark.parametrize("make, components, holes", [
+        (lambda: generate_unit_square(4), 1, 0),
+        (lambda: l_shape(2), 1, 0),
+        (lambda: parse_msh(SINGLE_TRIANGLE_MSH), 1, 0),
+        (lambda: holed_square(8), 1, 1),
+        (lambda: holed_square(16), 1, 1),
+        (lambda: two_squares(3), 2, 0),
+    ])
+    def test_counts(self, make, components, holes):
+        mesh = make()
+        assert mesh.n_components == components
+        assert mesh.n_holes == holes
+
+    def test_unused_vertex_is_a_component(self):
+        square = generate_unit_square(2)
+        mesh = Mesh(np.vstack([square.vertices, [[5.0, 5.0]]]),
+                    square.triangles)
+        assert (mesh.n_components, mesh.n_holes) == (2, 0)
 
 
 class TestParseMsh:

@@ -515,3 +515,66 @@ class TestOneFieldPerControl:
         assert sum(r.step > 0 for r in records) == 3
         assert len(computed) == len(set(computed))
         assert set(computed) == controls
+
+
+@pytest.fixture
+def start_blocks(monkeypatch):
+    """The block each maxshape.adjoint_gradient.solve_state call starts
+    from, in order (None for a cold solve)."""
+    blocks = []
+    real = adjoint_gradient.solve_state
+
+    def spy(mesh, dofs, q, sel, **kwargs):
+        blocks.append(kwargs["block"])
+        return real(mesh, dofs, q, sel, **kwargs)
+
+    monkeypatch.setattr(adjoint_gradient, "solve_state", spy)
+    return blocks
+
+
+class TestWarmStartAnchor:
+    """Every state solve after the first reduced derivative starts from the
+    state where the derivative last ran, the anchor."""
+
+    def test_trial_after_a_rejected_one_starts_from_the_anchor(
+            self, start_blocks):
+        prob = _square16_problem()
+        first = prob.solve_state(prob.zero_control())
+        q0 = _smooth_control(prob, 0.01)
+        _, anchor = prob.gradient(q0)
+        d = _smooth_control(prob, 1.0)
+        prob.evaluate(q0 + 0.04 * d)        # a rejected trial
+        prob.evaluate(q0 + 0.02 * d)
+        assert start_blocks[0] is None
+        # before any derivative: the last solved state
+        assert start_blocks[1] is first.block
+        assert start_blocks[2:] == [anchor.block, anchor.block]
+        # the anchor starts solves but answers none: its control, no longer
+        # the last solved one, is solved again, from the anchor
+        assert prob.solve_state(q0) is not anchor
+        assert start_blocks[4:] == [anchor.block]
+
+    def test_optimize_starts_each_solve_from_the_last_gradient(
+            self, start_blocks, monkeypatch):
+        prob = _square16_problem()
+        anchors = []
+        real = prob.derivative_functional
+
+        def derivative_functional(q):
+            functional, state = real(q)
+            anchors.append((len(start_blocks), state))
+            return functional, state
+
+        monkeypatch.setattr(prob, "derivative_functional",
+                            derivative_functional)
+        cfg = OptimizerConfig(tol=1e-12, k_max=4,
+                              b0_scale=1.0 / prob.params.alpha)
+        optimize(prob, prob.zero_control(), cfg)
+        trials_after_rejection = 0
+        for (begin, anchor), (end, _) in zip(anchors,
+                                             anchors[1:] + [(None, None)]):
+            blocks = start_blocks[begin:end]
+            assert all(b is anchor.block for b in blocks)
+            trials_after_rejection += max(len(blocks) - 1, 0)
+        assert start_blocks[0] is None
+        assert trials_after_rejection >= 1

@@ -76,6 +76,8 @@ def test_solve_anatomy_smoke(load_tool):
                if column != "bookkeeping")
     assert row["bookkeeping"] < row["warm solve"]
     assert row["warm iterations"] >= 1
+    # the warm shift rose above the configured one toward the block
+    assert row["warm sigma"] > solve_anatomy.SIGMA
     # one Arnoldi pass of ncv vectors for nev = 8 wanted pairs
     ncv = max(3 * 8 + 8, 30)
     assert 0 < row["cold applies"] <= ncv + 1

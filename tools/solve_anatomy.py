@@ -21,7 +21,9 @@ each part of a problem's construction and of a state solve:
   Y = S^{-1} (M X) with its one sparse product M Y, A Y = sigma M Y + M X,
   the Rayleigh-Ritz step and the next block's M X = (M Y) C;
 - warm solve: solve_gevp from the block of a cold solve at a deformation
-  0.005 / n away, with the block iterations k it took;
+  0.005 / n away, with the shift it factored at (warm sigma: sigma or,
+  when larger, just below the block's lowest Rayleigh quotient) and the
+  block iterations k it took;
 - bookkeeping: the warm solve less factor S and its k + 1 solves with the
   3-column block (the start filter's and one per iteration), each timed
   as "block solve" in the record;
@@ -30,7 +32,8 @@ each part of a problem's construction and of a state solve:
 - cold solve: solve_gevp by ARPACK on T, nev = 8, with the applies of T
   it made.
 
-The iteration and apply counts are read from the eigensolver's debug lines.
+The warm sigma and the iteration and apply counts are read from the
+eigensolver's debug lines.
 
 BLAS runs on one thread.  The solve columns of the printed table are the
 "Anatomy of one state solve" of ROADMAP.md's Baseline, and its set-up
@@ -103,19 +106,24 @@ def median_ms(fn, repeats: int) -> float:
 
 
 class _SolveCounts(logging.Handler):
-    """Keeps the counts of the last warm and cold solves' debug lines."""
+    """Keeps the shift and counts of the last warm and cold solves' debug
+    lines."""
 
-    FIELDS = {"warm iterations": "iterations", "cold applies": "op_applies"}
+    FIELDS = {"warm sigma": ("block solve", "sigma", float),
+              "warm iterations": ("block solve", "iterations", int),
+              "cold applies": ("arpack solve", "op_applies", int)}
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.last = dict.fromkeys(self.FIELDS, 0)
+        self.last = {column: kind(0) for column, (_, _, kind)
+                     in self.FIELDS.items()}
 
     def emit(self, record):
-        for column, field in self.FIELDS.items():
-            match = re.search(rf"\b{field}=(\d+)", record.getMessage())
-            if match:
-                self.last[column] = int(match[1])
+        message = record.getMessage()
+        for column, (line, field, kind) in self.FIELDS.items():
+            match = re.search(rf"\b{field}=(\S+)", message)
+            if message.startswith(line) and match:
+                self.last[column] = kind(match[1])
 
 
 def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
@@ -209,7 +217,7 @@ def table(rows: list[dict]) -> str:
         lines.append("| " + " | ".join(
             [str(row["n"]), str(row["pencil"]),
              *(f"{row[c]:.2f} ms" for c in COLUMNS),
-             *(str(row[c]) for c in counts)]) + " |")
+             *(f"{row[c]:.6g}" for c in counts)]) + " |")
     return "\n".join(lines)
 
 
