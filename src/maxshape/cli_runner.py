@@ -122,6 +122,9 @@ def parse_config(text: str) -> RunConfig:
                 raise ValueError("shift 0 makes A - shift*M singular")
             if key == "objective.lambda_target" and raw[key] <= 0.0:
                 raise ValueError(f"{value!r} is not > 0")
+            # numpy's generators take no negative seed
+            if key == "seed" and raw[key] < 0:
+                raise ValueError(f"{value!r} is not >= 0")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}")
 

@@ -63,7 +63,7 @@ DENSE_THRESHOLD = 300
 # Largest ||B^T u|| / ||M u|| a divergence-free (spurious-free) pair may show.
 DIVERGENCE_TOL = 1e-6
 
-# Iteration cap of a warm block solve when the selection sets no maxiter.
+# Iteration cap of a warm block solve; a cold solve keeps ARPACK's default.
 BLOCK_MAXITER = 100
 
 # A warm solve with a positive shift factors S at the larger of the shift
@@ -87,7 +87,7 @@ WARM_SHIFT_MARGIN = 0.01
 SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     panel_size=1, relax=4, options=dict(SymmetricMode=True))
 # A - sigma*M on free DOFs arrives in its pattern's minimum-degree numbering
-# (fem_assembly.PencilPattern), the order MMD_AT_PLUS_A would compute, so
+# (fem_assembly.DofMap), the order MMD_AT_PLUS_A would compute, so
 # SuperLU keeps it at the same fill instead of ordering every matrix again.
 PATTERN_ORDER_LU = dict(SYMMETRIC_LU, permc_spec="NATURAL")
 
@@ -164,15 +164,13 @@ class EigenSelection:
     index counts finite eigenvalues from the smallest; shift, finite, not 0
     and no eigenvalue, is the cold solve's transform target and the floor
     of a warm one's (solve_gevp); nev, the pairs a cold solve
-    computes (ARPACK's k), defaults to max(6, index + 3); maxiter caps cold
-    Arnoldi restarts and warm iterations (BLOCK_MAXITER if None).
+    computes (ARPACK's k), defaults to max(6, index + 3).
     """
 
     index: int = 0
     shift: float | None = None
     nev: int | None = None
     tol: float = 1e-5
-    maxiter: int | None = None
 
     def __post_init__(self):
         if self.index < 0:
@@ -310,7 +308,7 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, nev: int,
         v0 = np.random.default_rng(0).standard_normal(n)
     try:
         theta, x = spla.eigs(linear, k=k, which="LM", v0=v0, ncv=ncv,
-                             tol=sel.tol * 1e-2, maxiter=sel.maxiter)
+                             tol=sel.tol * 1e-2)
     except spla.ArpackError as exc:     # ArpackNoConvergence included
         raise NoConvergence(f"ARPACK failed: {exc}") from exc
     finally:
@@ -359,11 +357,10 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
     edge = _factor_shift(forms, sigma)
     x = edge.solve(mx) + x / sigma                  # F x
     mx = m @ x
-    maxiter = sel.maxiter if sel.maxiter is not None else BLOCK_MAXITER
     iterations, gradients, exact, true_residuals = 0, False, False, []
 
     try:
-        while iterations < maxiter:
+        while iterations < BLOCK_MAXITER:
             iterations += 1
             y = edge.solve(mx)
             true_ay = gradients or exact
@@ -414,7 +411,7 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
                   sigma, forms.n, iterations,
                   (iterations + 1) * x.shape[1])
     raise NoConvergence(
-        f"block iteration did not converge in {maxiter} iterations")
+        f"block iteration did not converge in {BLOCK_MAXITER} iterations")
 
 
 def _warm_shift(a: sp.spmatrix, block: np.ndarray, m_block: np.ndarray,

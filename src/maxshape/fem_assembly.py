@@ -95,77 +95,6 @@ _COEF_MAP = (_GRAM_MAP[:, _M_INDEX.ravel()].T[:, _M_INDEX.ravel()]
 
 
 @dataclass
-class DofMap:
-    """Degree-of-freedom bookkeeping for the mixed pair of spaces.
-
-    Tangential edge DOFs and vertex DOFs on the boundary are constrained
-    (perfect electric conductor wall / homogeneous Dirichlet multiplier).
-    """
-
-    n_edge: int
-    n_vertex: int
-    constrained_edge: np.ndarray    # (E,) bool
-    constrained_vertex: np.ndarray  # (V,) bool
-    pattern: "PencilPattern"        # fixed sparsity of the forms
-
-    @classmethod
-    def from_mesh(cls, mesh: Mesh) -> "DofMap":
-        """The DOFs of a connected mesh without holes.
-
-        Raises:
-            UnsupportedTopology: the mesh has a hole or more than one
-                component.
-        """
-        if mesh.n_components != 1 or mesh.n_holes != 0:
-            raise UnsupportedTopology(
-                f"mesh has {mesh.n_components} component(s) and "
-                f"{mesh.n_holes} hole(s): the eigensolver needs a connected "
-                f"mesh without holes, where the gradients alone span the "
-                f"kernel of the curl-curl form")
-        ce = np.zeros(mesh.n_edges, dtype=bool)
-        ce[mesh.boundary_edges] = True
-        cv = np.zeros(mesh.n_vertices, dtype=bool)
-        cv[mesh.boundary_vertices] = True
-        # The pattern lives as long as the DofMap.  Built here, before any
-        # solve, its arrays sit below the solves' large temporaries in the
-        # heap instead of pinning it above them (peak RSS).
-        return cls(mesh.n_edges, mesh.n_vertices, ce, cv,
-                   PencilPattern.build(mesh, ce, cv))
-
-    @property
-    def free_edges(self) -> np.ndarray:
-        """The mesh edge of each free edge DOF, in the pattern's free
-        numbering (PencilPattern)."""
-        return self.pattern.free.edges
-
-    @cached_property
-    def free_vertices(self) -> np.ndarray:
-        return np.nonzero(~self.constrained_vertex)[0]
-
-    @property
-    def n_free_edge(self) -> int:
-        return len(self.free_edges)
-
-    @property
-    def n_free_vertex(self) -> int:
-        return len(self.free_vertices)
-
-    @property
-    def n_total(self) -> int:
-        """Total DOF count of the assembled mixed system."""
-        return self.n_edge + self.n_vertex
-
-    @property
-    def n_free(self) -> int:
-        return self.n_free_edge + self.n_free_vertex
-
-    def expand_edge(self, u_red: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.n_edge)
-        full[self.free_edges] = u_red
-        return full
-
-
-@dataclass
 class AssembledForms:
     """The forms of the mixed problem a(u, v) + b(v, psi) = lam m(u, v),
     b(u, phi) = 0 (Kikuchi, CMAME 64, 1987) on layout's DOFs, edges first:
@@ -221,18 +150,10 @@ class PencilLayout:
     edges: np.ndarray
     edge_ends: np.ndarray
 
-    @classmethod
-    def from_keys(cls, edge_keys: np.ndarray, bt_keys: np.ndarray,
-                  n_vertex: int, edges: np.ndarray,
-                  edge_ends: np.ndarray) -> "PencilLayout":
-        """Layout of the sorted unique entry keys row * n_edge + col."""
-        n_edge = len(edges)
-        arrays = (*_csr(*np.divmod(edge_keys, n_edge), n_edge),
-                  *_csr(*np.divmod(bt_keys, n_edge), n_vertex), edges,
-                  edge_ends)
-        for arr in arrays:
+    def __post_init__(self):
+        for arr in (self.edge_indptr, self.edge_indices, self.bt_indptr,
+                    self.bt_indices, self.edges, self.edge_ends):
             arr.setflags(write=False)
-        return cls(n_edge + n_vertex, n_edge, *arrays)
 
     def edge_draw(self, seed: int) -> np.ndarray:
         """A standard normal value per edge DOF from seed, drawn in
@@ -297,8 +218,12 @@ def minimum_degree_order(indptr: np.ndarray,
 
 
 @dataclass(frozen=True)
-class PencilPattern:
-    """The fixed sparsity of one DofMap's forms, full and on free DOFs.
+class DofMap:
+    """Degree-of-freedom bookkeeping for the mixed pair of spaces, and the
+    fixed sparsity of its forms, full and on free DOFs.
+
+    Tangential edge DOFs and vertex DOFs on the boundary are constrained
+    (perfect electric conductor wall / homogeneous Dirichlet multiplier).
 
     The deformation changes only the entries, so assembly scatters the local
     matrices by precomputed slots (Cuvelier, Japhet & Scarella, BIT 56,
@@ -315,6 +240,8 @@ class PencilPattern:
     once, here, and every factorization keeps that order.
     """
 
+    constrained_edge: np.ndarray    # (E,) bool
+    constrained_vertex: np.ndarray  # (V,) bool
     edge_slots: np.ndarray
     bt_slots: np.ndarray
     full: PencilLayout
@@ -323,11 +250,28 @@ class PencilPattern:
     bt_free: np.ndarray
 
     @classmethod
-    def build(cls, mesh: Mesh, constrained_edge: np.ndarray,
-              constrained_vertex: np.ndarray) -> "PencilPattern":
-        free_edge, free_vertex = ~constrained_edge, ~constrained_vertex
+    def from_mesh(cls, mesh: Mesh) -> "DofMap":
+        """The DOFs of a connected mesh without holes.
+
+        The sparsity lives as long as the DofMap.  Built here, before any
+        solve, its arrays sit below the solves' large temporaries in the
+        heap instead of pinning it above them (peak RSS).
+
+        Raises:
+            UnsupportedTopology: the mesh has a hole or more than one
+                component.
+        """
+        if mesh.n_components != 1 or mesh.n_holes != 0:
+            raise UnsupportedTopology(
+                f"mesh has {mesh.n_components} component(s) and "
+                f"{mesh.n_holes} hole(s): the eigensolver needs a connected "
+                f"mesh without holes, where the gradients alone span the "
+                f"kernel of the curl-curl form")
         n_edge, n_vertex = mesh.n_edges, mesh.n_vertices
-        n_free_edge = int(free_edge.sum())
+        ce = np.zeros(n_edge, dtype=bool)
+        ce[mesh.boundary_edges] = True
+        cv = np.zeros(n_vertex, dtype=bool)
+        cv[mesh.boundary_vertices] = True
         edges = mesh.triangle_edges
         # triangle-major local entries (k, l) of an edge x edge form and
         # (k, v) of b_loc as B^T, keyed row * n_edge + col
@@ -338,46 +282,79 @@ class PencilPattern:
                                           return_inverse=True)
         bt_keys, bt_slots = np.unique(verts * n_edge + rows,
                                       return_inverse=True)
-        # ascending free DOF number of a free edge or vertex
-        edge_number = np.cumsum(free_edge) - 1
-        vertex_number = np.cumsum(free_vertex) - 1
+        full = PencilLayout(
+            n_edge + n_vertex, n_edge,
+            *_csr(*np.divmod(edge_keys, n_edge), n_edge),
+            *_csr(*np.divmod(bt_keys, n_edge), n_vertex),
+            np.arange(n_edge), mesh.edges)
 
-        def restrict(keys, row_free, row_number):
-            """Slots, free row numbers and ascending free edge columns of
-            the entries in free rows and columns, sorted by row."""
-            r, c = np.divmod(keys, n_edge)
-            kept = np.flatnonzero(row_free[r] & free_edge[c])
-            return kept, row_number[r[kept]], edge_number[c[kept]]
+        # The free layout is cut out of the full one: each entry's value is
+        # its full slot + 1, so the cut's data, less 1, is the gather.
+        def slots(indptr, indices):
+            return sp.csr_matrix(
+                (np.arange(1, len(indices) + 1, dtype=np.int32), indices,
+                 indptr), shape=(len(indptr) - 1, n_edge))
 
-        edge_kept, edge_rows, edge_cols = restrict(edge_keys, free_edge,
-                                                   edge_number)
-        rank = minimum_degree_order(*_csr(edge_rows, edge_cols, n_free_edge))
-
-        def renumber(kept, row_number, cols):
-            """The gather and sorted keys of the entries with their edge
-            columns in the minimum-degree numbering."""
-            keys = row_number * n_free_edge + rank[cols]
-            order = np.argsort(keys)
-            return kept[order].astype(np.int32), keys[order]
-
-        edge_free, free_edge_keys = renumber(edge_kept, rank[edge_rows],
-                                             edge_cols)
-        bt_free, free_bt_keys = renumber(*restrict(bt_keys, free_vertex,
-                                                   vertex_number))
-        slots = (edge_slots.astype(np.int32), bt_slots.astype(np.int32))
-        for arr in (*slots, edge_free, bt_free):
-            arr.setflags(write=False)
-        free_edges = np.empty(n_free_edge, dtype=np.intp)
-        free_edges[rank] = np.flatnonzero(free_edge)
+        fe, fv = np.flatnonzero(~ce), np.flatnonzero(~cv)
+        edge = slots(full.edge_indptr, full.edge_indices)[fe][:, fe]
+        order = np.argsort(minimum_degree_order(edge.indptr, edge.indices))
+        edge = edge[order][:, order].sorted_indices()
+        free_edges = fe[order]
+        bt = slots(full.bt_indptr, full.bt_indices)[fv][:, free_edges]
+        bt = bt.sorted_indices()
         ends = mesh.edges[free_edges]
-        free_ends = np.where(free_vertex[ends], vertex_number[ends], -1)
-        return cls(*slots,
-                   PencilLayout.from_keys(edge_keys, bt_keys, n_vertex,
-                                          np.arange(n_edge), mesh.edges),
-                   PencilLayout.from_keys(free_edge_keys, free_bt_keys,
-                                          int(free_vertex.sum()), free_edges,
-                                          free_ends.astype(np.int32)),
-                   edge_free, bt_free)
+        vertex_number = np.cumsum(~cv) - 1
+        free = PencilLayout(
+            len(fe) + len(fv), len(fe), edge.indptr, edge.indices, bt.indptr,
+            bt.indices, free_edges,
+            np.where(cv[ends], -1, vertex_number[ends]).astype(np.int32))
+        return cls(ce, cv, edge_slots.astype(np.int32),
+                   bt_slots.astype(np.int32), full, free, edge.data - 1,
+                   bt.data - 1)
+
+    def __post_init__(self):
+        for arr in (self.edge_slots, self.bt_slots, self.edge_free,
+                    self.bt_free):
+            arr.setflags(write=False)
+
+    @property
+    def n_edge(self) -> int:
+        return self.full.n_edge
+
+    @property
+    def n_vertex(self) -> int:
+        return self.full.n - self.full.n_edge
+
+    @property
+    def n_free_edge(self) -> int:
+        return self.free.n_edge
+
+    @property
+    def n_free_vertex(self) -> int:
+        return self.free.n - self.free.n_edge
+
+    @property
+    def n_total(self) -> int:
+        """Total DOF count of the assembled mixed system."""
+        return self.full.n
+
+    @property
+    def n_free(self) -> int:
+        return self.free.n
+
+    @property
+    def free_edges(self) -> np.ndarray:
+        """The mesh edge of each free edge DOF, in the free numbering."""
+        return self.free.edges
+
+    @cached_property
+    def free_vertices(self) -> np.ndarray:
+        return np.nonzero(~self.constrained_vertex)[0]
+
+    def expand_edge(self, u_red: np.ndarray) -> np.ndarray:
+        full = np.zeros(self.n_edge)
+        full[self.free_edges] = u_red
+        return full
 
 
 @dataclass
@@ -440,7 +417,7 @@ def local_forms(mesh: Mesh, q: DeformationField
 def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledForms:
     """Assemble A, M and B^T of the transformed forms.
 
-    Matrices are full-sized (all DOFs) on the full layout of dofs.pattern;
+    Matrices are full-sized (all DOFs) on the full layout of dofs;
     apply_dirichlet reduces them.  mesh must be the mesh of dofs.
 
     Raises:
@@ -449,23 +426,21 @@ def assemble_forms(mesh: Mesh, dofs: DofMap, q: DeformationField) -> AssembledFo
     a_loc, b_loc, m_loc = local_forms(mesh, q)
     # Every entry sums at most two contributions, so no summation order
     # can change its value.
-    pat = dofs.pattern
-    n_entries = len(pat.full.edge_indices)
-    return pat.full.forms(
-        np.bincount(pat.edge_slots, a_loc.ravel(), minlength=n_entries),
-        np.bincount(pat.edge_slots, m_loc.ravel(), minlength=n_entries),
-        np.bincount(pat.bt_slots, b_loc.ravel(),
-                    minlength=len(pat.full.bt_indices)))
+    n_entries = len(dofs.full.edge_indices)
+    return dofs.full.forms(
+        np.bincount(dofs.edge_slots, a_loc.ravel(), minlength=n_entries),
+        np.bincount(dofs.edge_slots, m_loc.ravel(), minlength=n_entries),
+        np.bincount(dofs.bt_slots, b_loc.ravel(),
+                    minlength=len(dofs.full.bt_indices)))
 
 
 def apply_dirichlet(forms: AssembledForms, dofs: DofMap) -> AssembledForms:
     """Eliminate constrained rows and columns by symmetric reduction."""
-    pat = dofs.pattern
-    if forms.layout is not pat.full:
+    if forms.layout is not dofs.full:
         raise ValueError("forms were not assembled on this DofMap")
-    return pat.free.forms(forms.A.data[pat.edge_free],
-                          forms.M.data[pat.edge_free],
-                          forms.BT.data[pat.bt_free])
+    return dofs.free.forms(forms.A.data[dofs.edge_free],
+                           forms.M.data[dofs.edge_free],
+                           forms.BT.data[dofs.bt_free])
 
 
 def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:

@@ -56,7 +56,7 @@ class MaxwellShapeProblem:
         self.sel = sel
         self.dofs = DofMap.from_mesh(mesh)
         # Arnoldi start vector (free edges) of the first, cold, state solve
-        self._v0 = self.dofs.pattern.free.edge_draw(seed)
+        self._v0 = self.dofs.free.edge_draw(seed)
         # the last field made; the last solved field and its state pair;
         # the state where derivative_functional last ran
         self._field: DeformationField | None = None

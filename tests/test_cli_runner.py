@@ -129,6 +129,13 @@ class TestParseConfig:
             parse_config(config_text(
                 target=f"objective.lambda_target = {value}"))
 
+    @pytest.mark.parametrize("value", ["-1", "-12"])
+    def test_negative_seed_rejected(self, value):
+        # numpy's generators raise a bare ValueError on a negative seed
+        message = f"line 3: bad value for 'seed': '{value}' is not >= 0"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(config_text(extra=f"seed = {value}"))
+
     def test_invalid_parameter_range(self):
         with pytest.raises(ConfigError):
             parse_config(config_text(extra="optimizer.gamma = 0.9"))
@@ -420,6 +427,16 @@ class TestMain:
         ]))
         assert main(["check-gradient", "--config", str(cfg_file),
                      "--dirs", "2", "--h", "1e-5"]) == 0
+
+    @pytest.mark.parametrize("command", ["eigs", "run"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text("mesh.unit_square = 4\n"
+                            "objective.lambda_target = 8.9\n"
+                            "seed = -1\n")
+        assert main([command, "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: line 3: bad value for 'seed'")
 
     @pytest.mark.parametrize("h", ["0", ",", "nan", "abc", "inf", "-1e-5",
                                    "1e-4,0"])

@@ -534,10 +534,11 @@ class TestWarmBlock:
         # two pairs plus the guard, filtered once, then once per iteration
         assert int(match[4]) == 3 * (int(match[3]) + 1)
 
-    def test_iteration_cap_raises(self, square16_pairs):
+    def test_iteration_cap_raises(self, square16_pairs, monkeypatch):
+        monkeypatch.setattr(es, "BLOCK_MAXITER", 1)
         mesh = generate_unit_square(16)
         forms, _ = _reduced_forms(mesh, smooth_control(mesh, 0.05))
-        sel = EigenSelection(nev=6, shift=9.0, tol=1e-8, maxiter=1)
+        sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
         with pytest.raises(NoConvergence, match="1 iterations"):
             solve_gevp(forms, sel, block=block_of(square16_pairs[:2]))
 

@@ -23,7 +23,6 @@ from maxshape.eigensolver import (
 from maxshape.errors import InadmissibleDeformation, UnsupportedTopology
 from maxshape.fem_assembly import (
     QP_WEIGHT,
-    PencilPattern,
     assemble_scalar_h1,
     local_forms,
 )
@@ -310,11 +309,22 @@ def _coo_pencil(mesh, dofs, q):
             mt[np.ix_(free, free)].sorted_indices())
 
 
+def _pattern_mesh(n, request):
+    """The mesh of a pattern test and its cells per unit length: the n x n
+    square, the shuffled 8 x 8 square or the L-shape with 4 cells per unit
+    length."""
+    if n == "shuffled":
+        return request.getfixturevalue("shuffled_mesh"), 8
+    if n == "L4":
+        return l_shape(4), 4
+    return generate_unit_square(n), n
+
+
 class TestFixedPattern:
-    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("n", [4, 16, "shuffled", "L4"])
     @pytest.mark.parametrize("deformed", [False, True])
-    def test_bit_identical_to_coo_path(self, n, deformed, rng):
-        mesh = generate_unit_square(n)
+    def test_bit_identical_to_coo_path(self, n, deformed, rng, request):
+        mesh, n = _pattern_mesh(n, request)
         dofs = DofMap.from_mesh(mesh)
         q = (random_feasible_control(mesh, rng, 0.2 / n) if deformed
              else DeformationField.zero(mesh))
@@ -380,9 +390,10 @@ class TestFixedPattern:
             for arr, orig in zip(mutable, snapshot[i]):
                 arr[:] = orig
 
-    @pytest.mark.parametrize("n", [4, 16])
-    def test_free_numbering_is_a_permutation_of_the_free_edges(self, n):
-        mesh = generate_unit_square(n)
+    @pytest.mark.parametrize("n", [4, 16, "shuffled", "L4"])
+    def test_free_numbering_is_a_permutation_of_the_free_edges(self, n,
+                                                                request):
+        mesh, _ = _pattern_mesh(n, request)
         dofs = DofMap.from_mesh(mesh)
         ascending = np.flatnonzero(~dofs.constrained_edge)
         free = dofs.free_edges
@@ -392,15 +403,15 @@ class TestFixedPattern:
         ends = mesh.edges[free]
         number = np.cumsum(~dofs.constrained_vertex) - 1
         np.testing.assert_array_equal(
-            dofs.pattern.free.edge_ends,
+            dofs.free.edge_ends,
             np.where(dofs.constrained_vertex[ends], -1, number[ends]))
 
-    @pytest.mark.parametrize("n", [16, 32])
-    def test_numbering_is_the_minimum_degree_order(self, n, rng):
+    @pytest.mark.parametrize("n", [16, 32, "shuffled", "L4"])
+    def test_numbering_is_the_minimum_degree_order(self, n, rng, request):
         # S = A - sigma*M factored in the free numbering without
         # reordering has the fill, and the order, that MMD_AT_PLUS_A finds
         # on the ascending numbering
-        mesh = generate_unit_square(n)
+        mesh, n = _pattern_mesh(n, request)
         dofs = DofMap.from_mesh(mesh)
         shift = apply_dirichlet(assemble_forms(
             mesh, dofs, random_feasible_control(mesh, rng, 0.1 / n)),
@@ -423,20 +434,20 @@ class TestFixedPattern:
         dofs = problem.dofs
         ascending = np.flatnonzero(~dofs.constrained_edge)
         for drawn, seed in ((problem._v0, 3),
-                            (dofs.pattern.free.guard[:, 0], 0)):
+                            (dofs.free.guard[:, 0], 0)):
             np.testing.assert_array_equal(
                 dofs.expand_edge(drawn)[ascending],
                 np.random.default_rng(seed).standard_normal(len(ascending)))
 
     def test_built_once_across_solve_state_calls(self, square8, monkeypatch):
         built = []
-        real = PencilPattern.build
+        real = DofMap.from_mesh
 
-        def spy(mesh, *constrained):
+        def spy(mesh):
             built.append(mesh)
-            return real(mesh, *constrained)
+            return real(mesh)
 
-        monkeypatch.setattr(PencilPattern, "build", spy)
+        monkeypatch.setattr(DofMap, "from_mesh", spy)
         problem = MaxwellShapeProblem(
             square8, ObjectiveParams(lambda_target=9.0),
             EigenSelection(nev=6, shift=9.0, tol=1e-9))

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -403,18 +402,17 @@ class TestWarmStateSolves:
             assert state.residual <= 1e-8
         assert len(arnoldi_calls) == 1
 
-    def test_failed_solve_keeps_the_block(self, arnoldi_calls):
+    def test_failed_solve_keeps_the_block(self, arnoldi_calls, monkeypatch):
         # A warm solve capped at one iteration raises; the next solve must
         # start from the block of the last solve that succeeded, exactly as
         # if the failed one had never run.
         prob = _square16_problem()
         q_near = _smooth_control(prob, 0.01)
         prob.solve_state(prob.zero_control())
-        sel = prob.sel
-        prob.sel = replace(sel, maxiter=1)
-        with pytest.raises(NoConvergence):
-            prob.solve_state(_smooth_control(prob, 0.05))
-        prob.sel = sel
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolver, "BLOCK_MAXITER", 1)
+            with pytest.raises(NoConvergence):
+                prob.solve_state(_smooth_control(prob, 0.05))
         after_failure = prob.solve_state(q_near)
 
         ref = _square16_problem()
