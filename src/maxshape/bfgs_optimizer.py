@@ -162,14 +162,17 @@ def damp(y: np.ndarray, qy: np.ndarray, d_tilde: np.ndarray,
 
 def armijo(j_eval: Callable[[np.ndarray], float], q: np.ndarray,
            d: np.ndarray, g_dot_d: float, cfg: OptimizerConfig,
-           j0: float | None = None,
-           t0: float = 1.0) -> tuple[float, np.ndarray, float]:
+           j0: float | None = None, t0: float = 1.0,
+           floor: Callable[[np.ndarray], float] | None = None,
+           ) -> tuple[float, np.ndarray, float]:
     """Backtracking line search on t in {t0, t0*rho, t0*rho^2, ...}.
 
     Accepts the first t with j(q + t*d) <= j(q) + gamma*t*(grad, d)_Q.
     Evaluations returning +inf (barrier violation, solver failure) simply
     fail the test.  The first trial step t0 must lie in (0, 1]; the
-    default t0 = 1 tries the full step first.
+    default t0 = 1 tries the full step first.  floor, if given, is a
+    lower bound of j_eval that is cheaper to take: a trial whose floor
+    lies above the right-hand side fails the test without calling j_eval.
 
     Raises:
         ValueError: t0 outside (0, 1].
@@ -186,11 +189,16 @@ def armijo(j_eval: Callable[[np.ndarray], float], q: np.ndarray,
     t = t0
     for _ in range(cfg.ls_max + 1):
         q_new = q + t * d
-        j_new = j_eval(q_new)
         rhs = j0 + cfg.gamma * t * g_dot_d
-        log.debug("armijo trial: t=%g j=%.10g rhs=%.10g", t, j_new, rhs)
-        if j_new <= rhs:
-            return t, q_new, j_new
+        j_floor = -math.inf if floor is None else floor(q_new)
+        if j_floor > rhs:
+            log.debug("armijo trial: t=%g floor=%.10g rhs=%.10g rejected "
+                      "without a state solve", t, j_floor, rhs)
+        else:
+            j_new = j_eval(q_new)
+            log.debug("armijo trial: t=%g j=%.10g rhs=%.10g", t, j_new, rhs)
+            if j_new <= rhs:
+                return t, q_new, j_new
         t *= cfg.rho_ls
     raise LineSearchFailed(
         f"no Armijo step within {cfg.ls_max} backtracking trials")
@@ -209,7 +217,9 @@ class IterationRecord:
     jq_min: float
     jq_max: float
     cos_angle: float = math.nan  # cosine of the angle between d and -grad
-    ls_trials: int = 0  # objective evaluations of this iterate's Armijo search
+    # trials of this iterate's Armijo search, those rejected by their
+    # cost floor without a state solve included
+    ls_trials: int = 0
     gamma: float = math.nan  # scale of this iterate's B_0
     t0: float = math.nan  # first trial step of this iterate's Armijo search
 
@@ -225,10 +235,12 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
              ) -> tuple[np.ndarray, list[IterationRecord], OptimizeStatus]:
     """Damped inverse BFGS loop on the reduced problem.
 
-    `problem` provides five methods on flat coefficient vectors:
+    `problem` provides six methods on flat coefficient vectors:
     gradient(q), the Riesz gradient (with .vector and .norm_q) and the
     state eigenpair (with .lam) at q; evaluate(q, lam=None), the objective,
-    +inf where infeasible, with lam the known eigenvalue at q; q_apply(v),
+    +inf where infeasible, with lam the known eigenvalue at q;
+    cost_floor(q), a lower bound of evaluate(q) that solves no state, so
+    that an Armijo trial it already rejects costs no eigensolve; q_apply(v),
     the Gram map Q v of the control inner product (u, v)_Q = u . Q v;
     jacobian_range(q); and step_limit(d), the step t at which q + t d first
     moves some vertex by one shortest reference edge.  Each iterate applies
@@ -248,10 +260,11 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
     records: list[IterationRecord] = []
     ls_trials = 0
 
-    def evaluate_trial(x: np.ndarray) -> float:
+    def trial_floor(x: np.ndarray) -> float:
+        # armijo takes each trial's floor once, evaluated or not
         nonlocal ls_trials
         ls_trials += 1
-        return problem.evaluate(x)
+        return problem.cost_floor(x)
 
     q = np.array(q0, dtype=np.float64, copy=True)
     grad, state = problem.gradient(q)
@@ -286,8 +299,8 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
 
         ls_trials = 0
         try:
-            t, q_new, j_new = armijo(evaluate_trial, q, d, g_dot_d, cfg,
-                                     j0=j_val, t0=t0)
+            t, q_new, j_new = armijo(problem.evaluate, q, d, g_dot_d, cfg,
+                                     j0=j_val, t0=t0, floor=trial_floor)
         except LineSearchFailed:
             status = OptimizeStatus.STALLED
             rec.ls_trials = ls_trials

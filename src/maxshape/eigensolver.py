@@ -236,9 +236,9 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
         lams, u, au, mu = _block_finite_spectrum(forms, sigma, sel, block)
 
     # the residual and certificate do not depend on the scale of u
-    btu = forms.BT @ u
-    res = _residuals(au, mu, lams, btu)
-    div = _column_norms(btu) / _column_norms(mu)
+    btu_norm, mu_norm = _column_norms(forms.BT @ u), _column_norms(mu)
+    res = _residuals(au, mu, lams, btu_norm, mu_norm)
+    div = btu_norm / mu_norm
     nrm = np.sqrt([u[:, i] @ mu[:, i] for i in range(len(lams))])
     used = np.abs(np.arange(len(lams)) - sel.index) <= 1
     bad = ~(nrm > 0) | (used & ~(res <= sel.tol))
@@ -268,20 +268,23 @@ def _nearest(forms: AssembledForms, lams: np.ndarray, vecs: np.ndarray,
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
     """The 2-norm of a vector or of each column of a block."""
-    return np.sqrt(np.einsum("i...,i...->...", x, x))
+    return np.sqrt(np.einsum("ij,ij->j" if x.ndim == 2 else "i,i->", x, x))
 
 
 def _residuals(au: np.ndarray, mu: np.ndarray, lams,
-               btu: np.ndarray | None = None):
+               btu_norm: np.ndarray | None = None,
+               mu_norm: np.ndarray | None = None):
     """The relative residual of each pair (lam, u), u a vector or the
     columns of a block: ||A u - lam M u|| / (|lam| ||M u||) and, given
-    B^T u, the pencil residual ||K x - lam Mt x|| / (|lam| ||Mt x||) at
+    ||B^T u||, the pencil residual ||K x - lam Mt x|| / (|lam| ||Mt x||) at
     x = [u; 0], where K x - lam Mt x = [A u - lam M u; B^T u] and
-    Mt x = [M u; 0]."""
+    Mt x = [M u; 0].  mu_norm, if given, is ||M u||."""
     num = _column_norms(au - mu * lams)
-    if btu is not None:
-        num = np.hypot(num, _column_norms(btu))
-    return num / np.maximum(np.abs(lams) * _column_norms(mu), _TINY)
+    if btu_norm is not None:
+        num = np.hypot(num, btu_norm)
+    if mu_norm is None:
+        mu_norm = _column_norms(mu)
+    return num / np.maximum(np.abs(lams) * mu_norm, _TINY)
 
 
 def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int):

@@ -11,9 +11,9 @@ scalar block and the shortest reference edge are built at first use: a
 problem that only solves states (a lambda0 probe, ``maxshape eigs``)
 builds none of them, and one that never takes a Riesz gradient
 (``check_gradient``) never factors the Gram.  It alone chains state,
-adjoint, reduced derivative and Riesz map, and exposes the five methods
-the optimizer drives: gradient, evaluate, q_apply (the Gram map),
-jacobian_range and step_limit.  Controls cross this interface as flat
+adjoint, reduced derivative and Riesz map, and exposes the six methods
+the optimizer drives: gradient, evaluate, cost_floor, q_apply (the Gram
+map), jacobian_range and step_limit.  Controls cross this interface as flat
 coefficient vectors.
 """
 
@@ -154,6 +154,16 @@ class MaxwellShapeProblem:
                 log.debug("treating solver failure as infeasible: %s", exc)
                 return math.inf
         return objective.evaluate(self.mesh, field, lam, self.params,
+                                  gram=self.gram)
+
+    def cost_floor(self, q: np.ndarray) -> float:
+        """A lower bound of evaluate(q) that solves no state: the objective
+        at lam = lambda_target, where the target term is 0, so the
+        regularization plus the barrier; +inf where evaluate is +inf for
+        the jacobian check.  Rounding keeps the bound, as the target term
+        is >= 0 and floating-point addition is monotone."""
+        return objective.evaluate(self.mesh, self.field(q),
+                                  self.params.lambda_target, self.params,
                                   gram=self.gram)
 
     def q_apply(self, v: np.ndarray) -> np.ndarray:

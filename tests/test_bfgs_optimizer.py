@@ -308,6 +308,62 @@ class TestArmijo:
         assert t == 1e-3 * 0.1
         np.testing.assert_array_equal(q_new, calls[1])
 
+    def test_floor_above_rhs_rejects_without_evaluating(self, caplog):
+        # j = x^2 / 2 from x = 1 would accept t = 1; a floor of 1 above
+        # every rhs (< 0.5) for x < 0.7 rejects t = 1 and 0.5 unevaluated,
+        # the same trials a j of +inf there rejects
+        q, d = np.array([1.0]), np.array([-1.0])
+        cfg = OptimizerConfig(gamma=0.1, rho_ls=0.5)
+
+        def search(with_floor):
+            floors, calls = [], []
+
+            def floor(x):
+                floors.append(x.copy())
+                return 1.0 if x[0] < 0.7 else -math.inf
+
+            def j_eval(x):
+                calls.append(x.copy())
+                if not with_floor and x[0] < 0.7:
+                    return math.inf
+                return 0.5 * x[0] ** 2
+
+            result = armijo(j_eval, q, d, -1.0, cfg, j0=0.5,
+                            floor=floor if with_floor else None)
+            return result, floors, calls
+
+        with caplog.at_level("DEBUG", logger="maxshape.bfgs_optimizer"):
+            (t, q_new, j_new), floors, calls = search(with_floor=True)
+        (t_ref, q_ref, j_ref), _, calls_ref = search(with_floor=False)
+        assert (t, j_new) == (t_ref, j_ref) == (0.25, 0.5 * 0.75 ** 2)
+        np.testing.assert_array_equal(q_new, q_ref)
+        np.testing.assert_array_equal(floors, calls_ref)
+        np.testing.assert_array_equal(calls, [[0.75]])
+        skipped = [r.getMessage() for r in caplog.records
+                   if "rejected without a state solve" in r.getMessage()]
+        assert len(skipped) == 2
+        assert all(m.startswith("armijo trial: t=") and " floor=1 " in m
+                   and " rhs=" in m for m in skipped)
+
+    def test_floor_below_rhs_evaluates_every_trial(self):
+        # j = x never meets the claimed slope; a floor 10 below it changes
+        # nothing: all ls_max + 1 trials are evaluated, as without one
+        def evaluated(floor):
+            calls = []
+
+            def j_eval(x):
+                calls.append(x.copy())
+                return float(x[0])
+
+            with pytest.raises(LineSearchFailed):
+                armijo(j_eval, np.array([1.0]), np.array([1.0]), g_dot_d=-5.0,
+                       cfg=OptimizerConfig(ls_max=4), j0=1.0, floor=floor)
+            return calls
+
+        with_floor = evaluated(lambda x: float(x[0]) - 10.0)
+        assert len(with_floor) == 5
+        np.testing.assert_array_equal(with_floor, evaluated(None))
+
     @pytest.mark.parametrize("t0", [0.0, -1e-3, 1.5])
     def test_t0_outside_unit_interval_rejected(self, t0):
         with pytest.raises(ValueError):
@@ -339,6 +395,9 @@ class QuadraticProblem:
     def evaluate(self, q, lam=None):
         e = q - self.q_star
         return 0.5 * float(e @ (self.h_mat @ e))
+
+    def cost_floor(self, q):
+        return -math.inf
 
     def q_apply(self, v):
         return self.gram @ v

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import cached_property
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from maxshape import (
     generate_unit_square,
     optimize,
 )
-from maxshape import adjoint_gradient
+from maxshape import adjoint_gradient, bfgs_optimizer
 from maxshape import eigensolver
 from maxshape.errors import InadmissibleDeformation, NoConvergence
 from maxshape.problem import MaxwellShapeProblem
@@ -576,3 +577,86 @@ class TestWarmStartAnchor:
             trials_after_rejection += max(len(blocks) - 1, 0)
         assert start_blocks[0] is None
         assert trials_after_rejection >= 1
+
+
+def _desk8_problem():
+    """The desk recipe on the 8 x 8 square: lambda* = 1.05 lambda0 and the
+    cavity-scaled alpha = 100 (lambda0 / 6017)^2; returns the problem and
+    its optimizer configuration.  Its fourth Armijo search starts with a
+    trial whose cost floor lies above the right-hand side."""
+    mesh = generate_unit_square(8)
+    probe = MaxwellShapeProblem(
+        mesh, ObjectiveParams(lambda_target=1.0, alpha=0.0),
+        EigenSelection(index=0, nev=8, shift=9.0, tol=1e-8), seed=0)
+    lam0 = probe.solve_state(probe.zero_control()).lam
+    lam_star = 1.05 * lam0
+    alpha = 100.0 * (lam0 / 6017.0) ** 2
+    params = ObjectiveParams(lambda_target=lam_star, alpha=alpha, beta=1e-6,
+                             epsilon=1e-4)
+    sel = EigenSelection(index=0, nev=8, shift=0.9 * lam_star, tol=1e-8)
+    return (MaxwellShapeProblem(mesh, params, sel, seed=0),
+            OptimizerConfig(tol=1e-7, k_max=4, b0_scale=1.0 / alpha))
+
+
+@pytest.fixture
+def armijo_trials(monkeypatch):
+    """Per trial of every Armijo search of optimize, in order: its floor,
+    its right-hand side and whether the search evaluated it."""
+    trials = []
+    real = bfgs_optimizer.armijo
+
+    def recording(j_eval, q, d, g_dot_d, cfg, j0=None, t0=1.0, floor=None):
+        step = [t0]
+
+        def trial_floor(x):
+            t = step[0]
+            step[0] = t * cfg.rho_ls
+            value = floor(x)
+            trials.append({"floor": value,
+                           "rhs": j0 + cfg.gamma * t * g_dot_d,
+                           "evaluated": False})
+            return value
+
+        def trial_j(x):
+            trials[-1]["evaluated"] = True
+            return j_eval(x)
+
+        return real(trial_j, q, d, g_dot_d, cfg, j0=j0, t0=t0,
+                    floor=trial_floor)
+
+    monkeypatch.setattr(bfgs_optimizer, "armijo", recording)
+    return trials
+
+
+class TestCostFloor:
+    def test_lower_bound_of_evaluate_without_a_solve(self, state_solves):
+        prob = _square16_problem()
+        q = _smooth_control(prob, 0.02)
+        floor = prob.cost_floor(q)
+        assert prob.cost_floor(_folding_control(prob)) == math.inf
+        assert state_solves == []
+        assert floor == prob.evaluate(q, lam=prob.params.lambda_target)
+        assert floor < prob.evaluate(q)
+
+    def test_skipped_trials_change_no_record(self, state_solves,
+                                             armijo_trials, monkeypatch):
+        prob, cfg = _desk8_problem()
+        ref, _ = _desk8_problem()
+        monkeypatch.setattr(ref, "cost_floor", lambda q: -math.inf)
+        runs = []
+        for p in (prob, ref):
+            state_solves.clear()
+            armijo_trials.clear()
+            _, records, _ = optimize(p, p.zero_control(), cfg)
+            runs.append((records, len(state_solves), list(armijo_trials)))
+        (records, solves, trials), (ref_records, ref_solves, ref_trials) = runs
+
+        np.testing.assert_equal([dataclasses.astuple(r) for r in records],
+                                [dataclasses.astuple(r) for r in ref_records])
+        skipped = [t for t in trials if not t["evaluated"]]
+        assert len(skipped) >= 1
+        assert solves == ref_solves - len(skipped)
+        assert len(trials) == len(ref_trials) == sum(
+            r.ls_trials for r in records)
+        assert all(t["evaluated"] for t in ref_trials)
+        assert all((t["floor"] > t["rhs"]) != t["evaluated"] for t in trials)
