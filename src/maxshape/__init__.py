@@ -25,7 +25,6 @@ from .bfgs_optimizer import (
 from .eigensolver import EigenSelection, select_and_normalize, solve_gevp
 from .fem_assembly import (
     DofMap,
-    ShapeFunctional,
     apply_dirichlet,
     assemble_control_gram,
     assemble_forms,
@@ -33,17 +32,16 @@ from .fem_assembly import (
     gradient_incidence,
 )
 from .mesh_io import Mesh, generate_unit_square, parse_msh, write_vtk
-from .objective import ObjectiveParams, derivative_lambda, derivative_q, evaluate
+from .objective import ObjectiveParams, derivative_q, evaluate
 from .problem import MaxwellShapeProblem
 from .reference_transform import DeformationField, jacobian_range
 
 __all__ = [
     "BfgsHistory", "DeformationField", "DofMap", "EigenSelection",
     "MaxwellShapeProblem", "Mesh", "ObjectiveParams", "OptimizeStatus",
-    "OptimizerConfig", "ShapeFunctional", "apply_dirichlet",
-    "apply_inverse_hessian", "armijo", "assemble_control_gram",
-    "assemble_forms", "assemble_shape_derivative", "damp",
-    "derivative_lambda", "derivative_q", "evaluate", "generate_unit_square",
+    "OptimizerConfig", "apply_dirichlet", "apply_inverse_hessian", "armijo",
+    "assemble_control_gram", "assemble_forms", "assemble_shape_derivative",
+    "damp", "derivative_q", "evaluate", "generate_unit_square",
     "gradient_incidence", "jacobian_range", "optimize", "parse_msh",
     "reduced_derivative", "riesz_gradient", "select_and_normalize",
     "solve_adjoint", "solve_gevp", "solve_state", "write_vtk",

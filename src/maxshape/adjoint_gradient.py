@@ -9,6 +9,11 @@ G^T A = 0, G^T B = L and G^T M u = B^T u = 0, and L = B^T G is positive
 definite.  So the adjoint multiplier chi = (lambda_target - lambda) psi is
 zero, and the form part of the reduced derivative is
 -(a'(u, z) - lambda m'(u, z)) = (lambda - lambda_target) lambda'.
+
+Derivatives are (V, 2) arrays of nodal coefficients.  The Riesz map solves
+with the control Gram H, the scalar H1 block that both components carry,
+for both component columns at once, and the gradient leaves as a flat
+vector (x0, y0, x1, y1, ...).
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .eigensolver import (
 )
 from .fem_assembly import (
     DofMap,
-    ShapeFunctional,
     apply_dirichlet,
     assemble_forms,
     assemble_shape_derivative,
@@ -49,14 +53,11 @@ class AdjointPair:
 
 @dataclass
 class QGradient:
-    """Riesz representative of the reduced derivative in the control space."""
+    """Riesz representative of the reduced derivative in the control space:
+    its flat coefficients (x0, y0, x1, y1, ...) and its H1 norm."""
 
-    field: DeformationField
+    vector: np.ndarray
     norm_q: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.field.flat
 
 
 def solve_state(mesh: Mesh, dofs: DofMap, q: DeformationField,
@@ -86,32 +87,34 @@ def solve_adjoint(state: MixedEigenPair,
 def reduced_derivative(mesh: Mesh, q: DeformationField,
                        state: MixedEigenPair, adjoint: AdjointPair,
                        params: ObjectiveParams,
-                       gram: sp.spmatrix) -> ShapeFunctional:
-    """Full derivative of the reduced cost: cost terms plus form terms."""
+                       gram: sp.spmatrix) -> np.ndarray:
+    """Full derivative of the reduced cost, cost terms plus form terms: its
+    (V, 2) coefficients on the nodal basis of the control space."""
     return derivative_q(mesh, q, params, gram) - assemble_shape_derivative(
         mesh, q, state.u, adjoint.z, state.lam)
 
 
-def riesz_gradient(mesh: Mesh, functional: ShapeFunctional,
-                   gram: sp.spmatrix,
+def riesz_gradient(functional: np.ndarray, gram: sp.spmatrix,
                    solve: Callable[[np.ndarray], np.ndarray]) -> QGradient:
     """Invert the H1 Riesz map of the control space.
 
-    The control space carries no boundary conditions.  gram is its Gram
-    matrix and solve a prefactored solver of it (e.g. splu(...).solve);
-    neither depends on the deformation.
+    The control space carries no boundary conditions.  functional holds
+    the (V, 2) nodal coefficients of a derivative, gram is the scalar H1
+    block H that both components carry, and solve a prefactored solver of
+    H for (V, 2) right-hand sides (e.g. splu(H).solve); none of them
+    depends on the deformation.
 
     Raises:
         LinearSolveFailure: relative residual above 1e-10.
     """
-    rhs = functional.flat
-    if not np.any(rhs):
-        return QGradient(field=DeformationField.zero(mesh), norm_q=0.0)
-    x = solve(rhs)
-    res = np.linalg.norm(gram @ x - rhs) / np.linalg.norm(rhs)
+    if not np.any(functional):
+        return QGradient(vector=np.zeros(functional.size), norm_q=0.0)
+    x = solve(functional)
+    res = (np.linalg.norm(gram @ x - functional)
+           / np.linalg.norm(functional))
     if res > 1e-10:
         raise LinearSolveFailure(f"Riesz solve residual {res:.3e} > 1e-10")
+    vector = x.ravel()
     # By the Riesz identity the squared norm is the duality pairing.
-    norm_sq = float(rhs @ x)
-    return QGradient(field=DeformationField.from_flat(mesh, x),
-                     norm_q=float(np.sqrt(max(norm_sq, 0.0))))
+    norm_sq = float(functional.ravel() @ vector)
+    return QGradient(vector=vector, norm_q=float(np.sqrt(max(norm_sq, 0.0))))

@@ -288,7 +288,7 @@ def check_gradient(cfg: RunConfig, n_directions: int,
     for i in range(n_directions):
         p = rng.standard_normal(problem.n_control)
         p /= problem.q_norm(p)
-        exact = functional.pair(p)
+        exact = float(functional.ravel() @ p)
         rows = []
         for step in steps:
             j_plus = problem.evaluate(q + step * p)

@@ -347,43 +347,10 @@ class DofMap:
         """The mesh edge of each free edge DOF, in the free numbering."""
         return self.free.edges
 
-    @cached_property
-    def free_vertices(self) -> np.ndarray:
-        return np.nonzero(~self.constrained_vertex)[0]
-
     def expand_edge(self, u_red: np.ndarray) -> np.ndarray:
         full = np.zeros(self.n_edge)
         full[self.free_edges] = u_red
         return full
-
-
-@dataclass
-class ShapeFunctional:
-    """A linear functional on the control space.
-
-    coeffs[v, c] is the value on the P1 vector nodal basis function of
-    vertex v, component c; pairing with a nodal field is the plain sum of
-    coefficient products.
-    """
-
-    coeffs: np.ndarray  # (V, 2)
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.ndim != 2 or self.coeffs.shape[1] != 2:
-            raise ValueError(
-                f"coeffs must be (V, 2), got {self.coeffs.shape}")
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.coeffs.reshape(-1)
-
-    def pair(self, direction: np.ndarray) -> float:
-        """Apply the functional to a nodal direction ((V,2) or flat)."""
-        return float(self.flat @ np.asarray(direction).reshape(-1))
-
-    def __sub__(self, other: "ShapeFunctional") -> "ShapeFunctional":
-        return ShapeFunctional(self.coeffs - other.coeffs)
 
 
 def local_forms(mesh: Mesh, q: DeformationField
@@ -477,24 +444,26 @@ def assemble_scalar_h1(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 def assemble_control_gram(mesh: Mesh) -> sp.csr_matrix:
-    """Gram matrix of the H1 inner product on the P1 vector control space.
+    """Gram matrix H = mass + stiffness (V x V) of the H1 inner product on
+    the P1 vector control space.
 
-    Layout matches DeformationField.flat (components interleaved per vertex);
-    both components carry the same scalar mass + stiffness block.
+    Both components of a control carry this same scalar block, so the H1
+    product of controls p and q, (V, 2) arrays, is sum(p * (H @ q)).
     """
     mass, stiff = assemble_scalar_h1(mesh)
-    return sp.kron(mass + stiff, sp.identity(2), format="csr")
+    return mass + stiff
 
 
 def assemble_shape_derivative(mesh: Mesh, q: DeformationField, u: np.ndarray,
-                              v: np.ndarray, lam: float) -> ShapeFunctional:
+                              v: np.ndarray, lam: float) -> np.ndarray:
     """The nodal q-derivative of the bilinear form a(u, v) - lam m(u, v).
 
-    Returns the functional p -> a'(u,v)p - lam m'(u,v)p against the nodal
-    basis of the control space, for full-length edge coefficient vectors u
-    and v (zeros on constrained DOFs).  At a mass-normalized eigenpair
-    (lam, u), whose multiplier is zero, the functional at v = u is lam',
-    the shape derivative of the eigenvalue.
+    Returns the (V, 2) coefficients [v, c] of the functional
+    p -> a'(u,v)p - lam m'(u,v)p on the nodal basis function of vertex v,
+    component c, of the control space, for full-length edge coefficient
+    vectors u and v (zeros on constrained DOFs).  At a mass-normalized
+    eigenpair (lam, u), whose multiplier is zero, the functional at v = u
+    is lam', the shape derivative of the eigenvalue.
 
     It is the exact q-derivative of local_forms' element form: with su, sv
     the signed local coefficients of u and v, w = |T| / 3, P = DF^-T grad(lam)
@@ -519,4 +488,4 @@ def assemble_shape_derivative(mesh: Mesh, q: DeformationField, u: np.ndarray,
              + wj * (pcp[:, 0, 0] + pcp[:, 1, 1]))
     # Gamma C P = P (P^T C P)
     per_node = (2.0 * wj)[:, None, None] * (p @ pcp) - alpha[:, None, None] * p
-    return ShapeFunctional(sum_to_nodes(mesh, per_node))
+    return sum_to_nodes(mesh, per_node)

@@ -8,6 +8,11 @@ The barrier keeps the deformation locally injective (jacobian above eps).
 Its q-derivative uses the factor 1/(J_q - eps), the actual derivative of
 the integrand; with eps = 1e-4 the difference to 1/J_q is tiny, but only
 the consistent form passes finite-difference validation.
+
+The regularization reads the control-space Gram matrix H = mass +
+stiffness (V x V), which both components of q carry: alpha/2 times the sum
+of q.values * (H @ q.values).  The q-derivative is returned as its (V, 2)
+nodal coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_assembly import ShapeFunctional
 from .mesh_io import Mesh
 from .reference_transform import (
     DeformationField,
@@ -51,25 +55,27 @@ def evaluate(mesh: Mesh, q: DeformationField, lam: float,
     """Value of the cost functional; +inf signals barrier infeasibility.
 
     The regularization term is evaluated through the control-space Gram
-    matrix gram, i.e. with the same quadrature used everywhere else (exact
-    for piecewise-linear q).
+    matrix gram, the scalar H1 block H that both components of q carry,
+    i.e. with the same quadrature used everywhere else (exact for
+    piecewise-linear q).
     """
     jac = q.jacobian
     if jac.min() <= params.epsilon:
         return math.inf
     target = 0.5 * (lam - params.lambda_target) ** 2
-    flat = q.flat
-    reg = 0.5 * params.alpha * float(flat @ (gram @ flat))
+    reg = 0.5 * params.alpha * float(q.flat @ (gram @ q.values).ravel())
     barrier = -params.beta * float(mesh.areas @ np.log(jac - params.epsilon))
     return target + reg + barrier
 
 
 def derivative_q(mesh: Mesh, q: DeformationField,
                  params: ObjectiveParams,
-                 gram: sp.spmatrix) -> ShapeFunctional:
-    """Partial q-derivative of the cost functional as a nodal functional.
+                 gram: sp.spmatrix) -> np.ndarray:
+    """Partial q-derivative of the cost functional: its (V, 2) coefficients
+    on the nodal basis of the control space.
 
-    gram is the control-space Gram matrix of the H1 regularization.
+    gram is the control-space Gram matrix H of the H1 regularization,
+    applied to each component of q.
 
     Raises:
         InadmissibleDeformation: jacobian <= epsilon somewhere.
@@ -77,11 +83,5 @@ def derivative_q(mesh: Mesh, q: DeformationField,
     jac = q.jacobian
     require_jacobian_above(jac, params.epsilon)
     factor = -params.beta * mesh.areas / (jac - params.epsilon)
-    return ShapeFunctional(sum_to_nodes(
-        mesh, factor[:, None, None] * jacobian_derivative(q),
-        initial=params.alpha * (gram @ q.flat)))
-
-
-def derivative_lambda(lam: float, params: ObjectiveParams) -> float:
-    """Partial derivative of the cost functional in the eigenvalue."""
-    return lam - params.lambda_target
+    return sum_to_nodes(mesh, factor[:, None, None] * jacobian_derivative(q),
+                        initial=params.alpha * (gram @ q.values))

@@ -2,19 +2,20 @@
 
 MaxwellShapeProblem owns everything that is deformation-independent (mesh,
 DOF maps, the start vector of its first eigensolve, and the only copy of
-the control-space Gram matrix and the factorization of its scalar block)
-plus two states whose blocks start every later eigensolve warm: the
-anchor, the state where the reduced derivative last ran, and the last
-solved state.  It also keeps the last deformation field, so that each
-control's kinematics are computed once.  The Gram, the factor of its
-scalar block and the shortest reference edge are built at first use: a
-problem that only solves states (a lambda0 probe, ``maxshape eigs``)
-builds none of them, and one that never takes a Riesz gradient
+the control-space Gram matrix, the scalar H1 block H that both components
+of a control carry, and of its factorization) plus two states whose blocks
+start every later eigensolve warm: the anchor, the state where the reduced
+derivative last ran, and the last solved state.  It also keeps the last
+deformation field, so that each control's kinematics are computed once.
+The Gram, its factor and the shortest reference edge are built at first
+use: a problem that only solves states (a lambda0 probe, ``maxshape
+eigs``) builds none of them, and one that never takes a Riesz gradient
 (``check_gradient``) never factors the Gram.  It alone chains state,
 adjoint, reduced derivative and Riesz map, and exposes the six methods
 the optimizer drives: gradient, evaluate, cost_floor, q_apply (the Gram
 map), jacobian_range and step_limit.  Controls cross this interface as flat
-coefficient vectors.
+coefficient vectors (x0, y0, x1, y1, ...); the Gram acts on their (V, 2)
+view, and derivatives are (V, 2) arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import scipy.sparse.linalg as spla
 from . import adjoint_gradient, objective
 from .eigensolver import SYMMETRIC_LU, EigenSelection, MixedEigenPair
 from .errors import EigenSolverError, InadmissibleDeformation
-from .fem_assembly import DofMap, ShapeFunctional, assemble_control_gram
+from .fem_assembly import DofMap, assemble_control_gram
 from .mesh_io import Mesh
 from .objective import ObjectiveParams
 from .reference_transform import DeformationField, jacobian_range
@@ -42,8 +43,8 @@ log = logging.getLogger(__name__)
 class MaxwellShapeProblem:
     """Eigenvalue-targeting shape problem on a fixed reference mesh.
 
-    ``gram``, the factor of its scalar block and the shortest reference
-    edge are cached properties, each built once at its first use.
+    ``gram``, its factor and the shortest reference edge are cached
+    properties, each built once at its first use.
     """
 
     def __init__(self, mesh: Mesh, params: ObjectiveParams,
@@ -67,14 +68,13 @@ class MaxwellShapeProblem:
 
     @cached_property
     def gram(self) -> sp.csr_matrix:
-        """The control-space Gram matrix kron(H, I_2) of the H1 product."""
+        """The control-space Gram matrix: the scalar H1 block H (V x V)
+        that both components of a control carry."""
         return assemble_control_gram(self.mesh)
 
     @cached_property
     def _h_lu(self):
-        # Both components carry the same scalar H1 block H, so the Gram
-        # kron(H, I_2) is solved by factoring H alone (H is SPD).
-        return spla.splu(self.gram[::2, ::2].tocsc(), **SYMMETRIC_LU)
+        return spla.splu(self.gram.tocsc(), **SYMMETRIC_LU)
 
     @cached_property
     def _h_min(self) -> float:
@@ -136,11 +136,7 @@ class MaxwellShapeProblem:
         """H1 Riesz gradient of the reduced cost at q, and its state."""
         functional, state = self.derivative_functional(q)
         return adjoint_gradient.riesz_gradient(
-            self.mesh, functional, self.gram, self._riesz_solve), state
-
-    def _riesz_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Gram^-1 rhs: one solve with H for the two component columns."""
-        return self._h_lu.solve(rhs.reshape(-1, 2)).ravel()
+            functional, self.gram, self._h_lu.solve), state
 
     def evaluate(self, q: np.ndarray, lam: float | None = None) -> float:
         """Objective value at control q; +inf on infeasible/unsolvable points."""
@@ -167,8 +163,9 @@ class MaxwellShapeProblem:
                                   gram=self.gram)
 
     def q_apply(self, v: np.ndarray) -> np.ndarray:
-        """The Gram map: (u, v)_Q = u @ q_apply(v)."""
-        return self.gram @ np.asarray(v)
+        """The Gram map: (u, v)_Q = u @ q_apply(v), H applied to each
+        component of v."""
+        return (self.gram @ np.reshape(v, (-1, 2))).ravel()
 
     def q_norm(self, u: np.ndarray) -> float:
         return math.sqrt(max(float(u @ self.q_apply(u)), 0.0))
@@ -185,9 +182,10 @@ class MaxwellShapeProblem:
     # -- derived quantities -------------------------------------------------
 
     def derivative_functional(self, q: np.ndarray
-                              ) -> tuple[ShapeFunctional, MixedEigenPair]:
-        """Reduced derivative and the state it was computed from, which
-        becomes the anchor of later state solves."""
+                              ) -> tuple[np.ndarray, MixedEigenPair]:
+        """Reduced derivative, (V, 2) nodal coefficients, and the state it
+        was computed from, which becomes the anchor of later state
+        solves."""
         state = self._anchor = self.solve_state(q)
         adjoint = adjoint_gradient.solve_adjoint(state,
                                                  self.params.lambda_target)

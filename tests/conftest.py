@@ -3,7 +3,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from maxshape import DeformationField, generate_unit_square
+from maxshape import (
+    DeformationField,
+    assemble_control_gram,
+    generate_unit_square,
+)
 from maxshape.fem_assembly import EDGE_MIDPOINTS, QP_WEIGHT
 from maxshape.mesh_io import LOCAL_EDGES, Mesh
 from maxshape.reference_transform import jacobian_derivative, sum_to_nodes
@@ -177,6 +181,22 @@ def random_feasible_control(mesh, rng, q_inf, epsilon=1e-4):
         if jacobian_range(q)[0] > 2.0 * epsilon:
             return q
     raise AssertionError("could not draw a feasible deformation")
+
+
+def kron_gram(mesh):
+    """Dense interleaved control Gram kron(H, I_2) on flat controls
+    (x0, y0, x1, y1, ...): the oracle of applying H to each component of a
+    (V, 2) control."""
+    return np.kron(assemble_control_gram(mesh).toarray(), np.eye(2))
+
+
+def oracle_mesh(case, request):
+    """The mesh of a kron oracle test: the shuffled 8 x 8 square, whose
+    interior vertices are moved, or the L-shape with 4 cells per unit
+    length."""
+    if case == "shuffled":
+        return request.getfixturevalue("shuffled_mesh")
+    return l_shape(4)
 
 
 def saddle_pencil(forms):

@@ -135,7 +135,7 @@ def test_adjoint_gradient_finite_differences():
         for i in range(5):
             p = rng.standard_normal(prob.n_control)
             p /= prob.q_norm(p)
-            exact = functional.pair(p)
+            exact = float(functional.ravel() @ p)
             errs = []
             for h in steps:
                 fd = (prob.evaluate(q + h * p)
@@ -157,7 +157,8 @@ def test_adjoint_gradient_finite_differences():
 def test_damping_lemma_suite():
     """1000 randomized damping events: curvature bound, positivity, oracle."""
     start = time.perf_counter()
-    gram = assemble_control_gram(generate_unit_square(2)).toarray()[:10, :10]
+    h = assemble_control_gram(generate_unit_square(2)).toarray()
+    gram = np.kron(h, np.eye(2))[:10, :10]
 
     def qdot(u, v):
         return float(u @ (gram @ v))

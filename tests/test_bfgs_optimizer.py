@@ -21,9 +21,10 @@ from maxshape.errors import DegenerateCurvature, LineSearchFailed
 
 @pytest.fixture(scope="module")
 def gram10():
-    """10-dimensional principal block of the control Gram of a 2x2 grid."""
-    gram = assemble_control_gram(generate_unit_square(2)).toarray()
-    return gram[:10, :10]
+    """10-dimensional principal block of the control Gram kron(H, I_2) of a
+    2x2 grid."""
+    h = assemble_control_gram(generate_unit_square(2)).toarray()
+    return np.kron(h, np.eye(2))[:10, :10]
 
 
 def qdot(gram, u, v):

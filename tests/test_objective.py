@@ -7,13 +7,17 @@ from maxshape import (
     DeformationField,
     ObjectiveParams,
     assemble_control_gram,
-    derivative_lambda,
     derivative_q,
     evaluate,
 )
 from maxshape.errors import InadmissibleDeformation
 
-from conftest import dilation_control, random_feasible_control
+from conftest import (
+    dilation_control,
+    kron_gram,
+    oracle_mesh,
+    random_feasible_control,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +57,17 @@ class TestEvaluate:
         # jacobian is 2 on every triangle for this stretch
         assert val == pytest.approx(reg - params.beta * math.log(2.0 - params.epsilon),
                                     rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["shuffled", "L4"])
+    def test_regularization_matches_kron_oracle(self, case, request, rng):
+        # H applied to the (V, 2) control against the interleaved Gram
+        mesh = oracle_mesh(case, request)
+        q = random_feasible_control(mesh, rng, 0.05)
+        params = ObjectiveParams(lambda_target=10.0, alpha=1.7, beta=0.0)
+        val = evaluate(mesh, q, params.lambda_target, params,
+                       assemble_control_gram(mesh))
+        want = 0.5 * params.alpha * q.flat @ (kron_gram(mesh) @ q.flat)
+        assert abs(val - want) <= 1e-14 * want
 
     def test_infeasible_returns_inf(self, square4, params, gram):
         # jacobian (1+s)^2 <= eps for s close to -1
@@ -95,7 +110,7 @@ class TestDerivativeQ:
         zero = DeformationField.zero(square4)
         func = derivative_q(square4, zero, params, gram)
         for c in range(2):
-            assert abs(func.coeffs[:, c].sum()) <= 1e-14
+            assert abs(func[:, c].sum()) <= 1e-14
 
     def test_identity_gradient_direction(self, square4, params, gram):
         # pairing with p(x) = x gives -2*beta*|O|/(1-eps) at q = 0
@@ -103,7 +118,8 @@ class TestDerivativeQ:
         func = derivative_q(square4, zero, params, gram)
         p = square4.vertices.copy()
         expected = -2.0 * params.beta / (1.0 - params.epsilon)
-        assert func.pair(p) == pytest.approx(expected, rel=1e-12)
+        assert float(func.ravel() @ p.ravel()) == pytest.approx(expected,
+                                                                rel=1e-12)
 
     def test_finite_difference(self, square4, rng, params, gram):
         for _ in range(5):
@@ -119,28 +135,13 @@ class TestDerivativeQ:
                              DeformationField(square4, q.values - h * p),
                              params.lambda_target, params, gram)
             fd = (plus - minus) / (2 * h)
-            assert abs(func.pair(p) - fd) <= 1e-6 * max(1.0, abs(fd))
+            exact = float(func.ravel() @ p.ravel())
+            assert abs(exact - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_infeasible_raises(self, square4, params, gram):
         q = dilation_control(square4, -0.999)
         with pytest.raises(InadmissibleDeformation):
             derivative_q(square4, q, params, gram)
-
-
-class TestDerivativeLambda:
-    def test_values(self, params):
-        assert derivative_lambda(10.0, params) == 0.0
-        assert derivative_lambda(13.0, params) == 3.0
-
-    def test_central_difference_exact(self, params):
-        # the target term is quadratic, so central differences carry no
-        # truncation error at any h (only rounding from the subtraction)
-        for lam in (8.0, 10.0, 12.5):
-            for h in (1e-1, 1e-3):
-                fd = (0.5 * (lam + h - 10.0) ** 2
-                      - 0.5 * (lam - h - 10.0) ** 2) / (2 * h)
-                assert derivative_lambda(lam, params) == pytest.approx(
-                    fd, abs=1e-9)
 
 
 class TestObjectiveParams:

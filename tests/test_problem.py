@@ -21,6 +21,8 @@ from maxshape import eigensolver
 from maxshape.errors import InadmissibleDeformation, NoConvergence
 from maxshape.problem import MaxwellShapeProblem
 
+from conftest import assert_entries_close, kron_gram, oracle_mesh
+
 
 def _square8_problem():
     mesh = generate_unit_square(8)
@@ -128,13 +130,14 @@ class TestGradient:
         q = _smooth_control(prob, 0.02)
         grad, state = prob.gradient(q)
         functional, state_again = prob.derivative_functional(q)
-        # dense solve with the whole interleaved Gram: the two-column solve
-        # with its scalar block must keep the component layout and scale
-        expected = np.linalg.solve(prob.gram.toarray(), functional.flat)
+        # dense solve with the whole interleaved Gram kron(H, I_2): the
+        # two-column solve with H must keep the component layout and scale
+        flat = functional.ravel()
+        expected = np.linalg.solve(kron_gram(prob.mesh), flat)
         np.testing.assert_allclose(grad.vector, expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max())
-        assert grad.norm_q == pytest.approx(
-            math.sqrt(functional.flat @ expected), rel=1e-12)
+        assert grad.norm_q == pytest.approx(math.sqrt(flat @ expected),
+                                            rel=1e-12)
         assert state is state_again
         assert len(state_solves) == 1
 
@@ -177,6 +180,8 @@ class TestBuiltAtFirstUse:
         prob.gradient(q)
         prob.gradient(0.5 * q)
         assert gram_builds[0] == {"assemble": 1, "factorize": 1}
+        n = prob.mesh.n_vertices
+        assert gram_builds[1] == [prob.gram.shape] == [(n, n)]
 
     def test_eigs_command_builds_nothing(self, gram_builds, capsys):
         from maxshape import cli_runner
@@ -199,6 +204,16 @@ class TestInnerProduct:
         assert u @ prob.q_apply(v) == pytest.approx(v @ prob.q_apply(u),
                                                     rel=1e-12)
         assert u @ prob.q_apply(u) > 0
+
+    @pytest.mark.parametrize("case", ["shuffled", "L4"])
+    def test_gram_map_matches_kron_oracle(self, case, request, rng):
+        # H applied to each component of v against the interleaved Gram
+        mesh = oracle_mesh(case, request)
+        prob = MaxwellShapeProblem(mesh, ObjectiveParams(lambda_target=9.0),
+                                   EigenSelection(index=0, nev=6))
+        v = rng.standard_normal(prob.n_control)
+        assert_entries_close(prob.q_apply(v), kron_gram(mesh) @ v,
+                             rtol=1e-14)
 
     def test_norm_of_constant_field(self, square8_problem):
         # constant unit displacement: L2 part 1, gradient part 0

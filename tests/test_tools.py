@@ -47,12 +47,12 @@ def test_bench_pairs_median_metrics(load_tool):
 
 def test_bench_pairs_host_normalize(load_tool):
     bench_pairs = load_tool("bench_pairs")
-    result = {"metrics": {"a.s": {"value": 0.3, "unit": "s"},
+    result = {"reference_kernel_s": 2.0 * bench_pairs.REF_S,
+              "metrics": {"a.s": {"value": 0.3, "unit": "s"},
                           "a.calls": {"value": 4, "unit": "count"},
                           "time_to_target_s": {"value": 0.5, "unit": "s"}}}
     # a host twice as slow as the reference runs the kernel in 2 REF_S
-    bench_pairs.host_normalize(
-        result, {"reference_kernel_s": 2.0 * bench_pairs.REF_S})
+    bench_pairs.host_normalize([result])
     assert result["reference_scale"] == 0.5
     assert result["metrics"] == {
         "a.s": {"value": 0.15, "unit": "s", "wall_value": 0.3},
@@ -64,6 +64,24 @@ def test_bench_pairs_host_normalize(load_tool):
         "time_to_target_s": {"value": 0.7, "unit": "s"}}}]
     assert bench_pairs.median_metrics(runs)["a.s"] == {
         "value": 0.2, "unit": "s", "wall_value": 0.25}
+
+
+def test_bench_pairs_outlier_gauge_keeps_side_medians(load_tool):
+    # Three traced runs of one side on a host at reference speed; the third
+    # call's gauge caught a stall and reads the kernel 4 times slower.
+    # Scaled by its own gauge that run's 0.4 s would read 0.1 s and pull
+    # the side's median from 0.3 to 0.2 s; the side's median gauge keeps
+    # every run at scale 1.
+    bench_pairs = load_tool("bench_pairs")
+    ref = bench_pairs.REF_S
+    runs = [{"reference_kernel_s": gauge,
+             "metrics": {"a.s": {"value": wall, "unit": "s"}}}
+            for gauge, wall in ((ref, 0.2), (ref, 0.3), (4.0 * ref, 0.4))]
+    bench_pairs.host_normalize(runs)
+    assert [run["reference_scale"] for run in runs] == [1.0, 1.0, 1.0]
+    assert [run["reference_kernel_s"] for run in runs] == [ref, ref, 4 * ref]
+    assert bench_pairs.median_metrics(runs)["a.s"] == {
+        "value": 0.3, "unit": "s", "wall_value": 0.3}
 
 
 def test_solve_anatomy_smoke(load_tool):

@@ -18,9 +18,11 @@ TRACED_RUNS traced runs, the side that runs first alternating from run to
 run; each run's correctness, counts and per-layer metrics are kept, and so
 is the median of every per-layer metric over the runs, since a single
 traced run can read a one-off stall as a regression.  Span seconds are wall
-seconds, so each traced run's are scaled to reference seconds by the gauge
-of its traced call (benchmarks/hostspeed.py), the wall value kept beside
-the scaled one.
+seconds, so every traced run of a side is scaled to reference seconds by
+the median gauge of that side's traced calls (benchmarks/hostspeed.py):
+the gauge of one call reads a single moment of the host, and one outlier
+would move that run's every span.  Each run keeps its own gauge, and each
+wall value stays beside the scaled one.
 """
 
 from __future__ import annotations
@@ -88,20 +90,22 @@ def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
         result["calls"] = [{"status": call["status"],
                             "counts": call["counts"]}
                            for call in record["calls"]]
-        host_normalize(result, record["calls"][1])
+        result["reference_kernel_s"] = record["calls"][1]["reference_kernel_s"]
     return result
 
 
-def host_normalize(result: dict, traced_call: dict) -> None:
-    """Scale a traced run's span seconds, wall seconds, to reference
-    seconds by REF_S / reference_kernel_s of its traced call, keeping each
-    wall value as wall_value."""
-    scale = REF_S / traced_call["reference_kernel_s"]
-    result["reference_scale"] = scale
-    for name, metric in result["metrics"].items():
-        if metric["unit"] == "s" and name not in REFERENCE_SECONDS:
-            metric["wall_value"] = metric["value"]
-            metric["value"] *= scale
+def host_normalize(runs: list[dict]) -> None:
+    """Scale the span seconds, wall seconds, of one side's traced runs to
+    reference seconds by REF_S / the median reference_kernel_s of their
+    traced calls, keeping each wall value as wall_value."""
+    scale = REF_S / statistics.median(run["reference_kernel_s"]
+                                      for run in runs)
+    for result in runs:
+        result["reference_scale"] = scale
+        for name, metric in result["metrics"].items():
+            if metric["unit"] == "s" and name not in REFERENCE_SECONDS:
+                metric["wall_value"] = metric["value"]
+                metric["value"] *= scale
 
 
 def end_to_end(result: dict) -> dict:
@@ -127,12 +131,14 @@ def median_metrics(runs: list[dict]) -> dict:
 
 def traced(trees: dict, workload: str, seed: int) -> dict:
     """TRACED_RUNS traced runs per side, alternating which goes first,
-    and their per-layer medians."""
+    scaled by their side's median gauge, and their per-layer medians."""
     runs = {"parent": [], "change": []}
     for i in range(TRACED_RUNS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(bench(trees[side], workload, seed, 1))
+    for side_runs in runs.values():
+        host_normalize(side_runs)
     return {side: {"runs": side_runs, "median": median_metrics(side_runs)}
             for side, side_runs in runs.items()}
 

@@ -11,8 +11,9 @@ each part of a problem's construction and of a state solve:
 - pattern: DofMap.from_mesh, with the sparsity pattern of the pencil;
 - ordering: the minimum-degree ordering of the free edge x edge pattern
   that the pattern's build computes, part of "pattern";
-- Gram + H factor: assemble_control_gram and splu of its scalar block H,
-  which a problem builds at its first use of the Gram;
+- Gram + H factor: assemble_control_gram, the scalar H1 block H that both
+  components of a control carry, and splu of H, which a problem builds at
+  its first use of the Gram;
 - assemble: assemble_forms and apply_dirichlet;
 - factor S: splu of S = A - sigma*M, which every sparse solve factors,
   as they do: in the pattern's order, which SuperLU keeps;
@@ -180,8 +181,7 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     v = rng.standard_normal(forms.n_edge)
 
     def gram_and_factor():
-        gram = assemble_control_gram(mesh)
-        return spla.splu(gram[::2, ::2].tocsc(), **SYMMETRIC_LU)
+        return spla.splu(assemble_control_gram(mesh).tocsc(), **SYMMETRIC_LU)
 
     factor_ms = median_ms(lambda: spla.splu(s_mat, **PATTERN_ORDER_LU),
                           repeats)
