@@ -12,6 +12,7 @@ from .adjoint_gradient import (
     riesz_gradient,
     solve_adjoint,
     solve_state,
+    state_forms,
 )
 from .bfgs_optimizer import (
     BfgsHistory,
@@ -29,7 +30,6 @@ from .fem_assembly import (
     assemble_control_gram,
     assemble_forms,
     assemble_shape_derivative,
-    gradient_incidence,
 )
 from .mesh_io import Mesh, generate_unit_square, parse_msh, write_vtk
 from .objective import ObjectiveParams, derivative_q, evaluate
@@ -42,7 +42,7 @@ __all__ = [
     "OptimizerConfig", "apply_dirichlet", "apply_inverse_hessian", "armijo",
     "assemble_control_gram", "assemble_forms", "assemble_shape_derivative",
     "damp", "derivative_q", "evaluate", "generate_unit_square",
-    "gradient_incidence", "jacobian_range", "optimize", "parse_msh",
-    "reduced_derivative", "riesz_gradient", "select_and_normalize",
-    "solve_adjoint", "solve_gevp", "solve_state", "write_vtk",
+    "jacobian_range", "optimize", "parse_msh", "reduced_derivative",
+    "riesz_gradient", "select_and_normalize", "solve_adjoint", "solve_gevp",
+    "solve_state", "state_forms", "write_vtk",
 ]

@@ -32,6 +32,7 @@ from .eigensolver import (
     solve_gevp,
 )
 from .fem_assembly import (
+    AssembledForms,
     DofMap,
     apply_dirichlet,
     assemble_forms,
@@ -60,10 +61,21 @@ class QGradient:
     norm_q: float
 
 
-def solve_state(mesh: Mesh, dofs: DofMap, q: DeformationField,
-                sel: EigenSelection, v0: np.ndarray | None = None,
+def state_forms(mesh: Mesh, dofs: DofMap,
+                q: DeformationField) -> AssembledForms:
+    """The forms of the state problem at deformation q, reduced to the
+    free DOFs of dofs: the pencil solve_state solves.
+
+    Raises:
+        InadmissibleDeformation: jacobian <= 0 on some triangle.
+    """
+    return apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
+
+
+def solve_state(forms: AssembledForms, dofs: DofMap, sel: EigenSelection,
+                v0: np.ndarray | None = None,
                 block: np.ndarray | None = None) -> MixedEigenPair:
-    """Solve the constrained eigenvalue problem at deformation q.
+    """Solve the constrained eigenvalue problem posed by state_forms.
 
     Returns the selected, normalized pair with a full-length u (zeros on
     constrained DOFs).  Its block holds the reduced u columns of the pairs
@@ -71,7 +83,6 @@ def solve_state(mesh: Mesh, dofs: DofMap, q: DeformationField,
     solve at a nearby deformation to start that solve warm.  Without a
     block the solve is cold, from v0.
     """
-    forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
     pairs = solve_gevp(forms, sel, v0=v0, block=block)
     pair = select_and_normalize(pairs, sel, forms.M)
     return replace(pair, u=dofs.expand_edge(pair.u))

@@ -433,6 +433,34 @@ def _warm_shift(a: sp.spmatrix, block: np.ndarray, m_block: np.ndarray,
     return lifted if lifted > sigma else sigma      # a NaN keeps sigma
 
 
+def ritz_ceiling(forms: AssembledForms, block: np.ndarray, index: int,
+                 l_floor: float) -> tuple[float, float]:
+    """An upper bound of the index-th finite eigenvalue of forms' pencil
+    from a block X of edge vectors, index < X's columns, without a solve;
+    and the eps it used.
+
+    l_floor must not exceed the smallest eigenvalue of L = B^T G.  P =
+    I - G L^{-1} B^T projects M-orthogonally onto the divergence-free
+    vectors, A P = A, and (P X)^T M (P X) = X^T M X - (B^T X)^T L^{-1} B^T X,
+    which is at least X^T M X - eps I with eps = ||B^T X||_2^2 / l_floor.
+    Courant-Fischer on the span of P X (Parlett, The Symmetric Eigenvalue
+    Problem, 1998) and X^T A X positive semidefinite make the index-th
+    eigenvalue theta of (X^T A X, X^T M X - eps I) at least lambda_index.
+    Returns (inf, eps) where X^T M X - eps I is not positive definite.
+    """
+    btx = forms.BT @ block
+    eps = float(np.linalg.eigvalsh(btx.T @ btx)[-1]) / l_floor
+    mr = block.T @ (forms.M @ block)
+    try:
+        # eigh reads the lower triangles only
+        theta = scipy.linalg.eigh(block.T @ (forms.A @ block),
+                                  mr - eps * np.eye(len(mr)),
+                                  eigvals_only=True)
+    except np.linalg.LinAlgError:
+        return math.inf, eps
+    return float(theta[index]), eps
+
+
 def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
                          m_mat: sp.spmatrix) -> MixedEigenPair:
     """Pick the requested pair, normalize it and record its spectral gap.

@@ -13,6 +13,9 @@ The regularization reads the control-space Gram matrix H = mass +
 stiffness (V x V), which both components of q carry: alpha/2 times the sum
 of q.values * (H @ q.values).  The q-derivative is returned as its (V, 2)
 nodal coefficients.
+
+Only the target term depends on the state: state_free_terms computes the
+other two once per control, and evaluate adds the target term for any lam.
 """
 
 from __future__ import annotations
@@ -50,21 +53,37 @@ class ObjectiveParams:
             raise ValueError("epsilon must lie in (0, 1) so that q = 0 is feasible")
 
 
-def evaluate(mesh: Mesh, q: DeformationField, lam: float,
-             params: ObjectiveParams, gram: sp.spmatrix) -> float:
-    """Value of the cost functional; +inf signals barrier infeasibility.
+def state_free_terms(mesh: Mesh, q: DeformationField,
+                     params: ObjectiveParams,
+                     gram: sp.spmatrix) -> tuple[float, float] | None:
+    """The terms of the cost that do not depend on the state at q: the H1
+    regularization and the log barrier; None where the jacobian is
+    <= epsilon somewhere (the barrier is infeasible).
 
-    The regularization term is evaluated through the control-space Gram
-    matrix gram, the scalar H1 block H that both components of q carry,
-    i.e. with the same quadrature used everywhere else (exact for
-    piecewise-linear q).
+    The regularization reads the control-space Gram matrix gram, the
+    scalar H1 block H that both components of q carry, i.e. the same
+    quadrature used everywhere else (exact for piecewise-linear q).
     """
     jac = q.jacobian
     if jac.min() <= params.epsilon:
-        return math.inf
-    target = 0.5 * (lam - params.lambda_target) ** 2
+        return None
     reg = 0.5 * params.alpha * float(q.flat @ (gram @ q.values).ravel())
     barrier = -params.beta * float(mesh.areas @ np.log(jac - params.epsilon))
+    return reg, barrier
+
+
+def evaluate(terms: tuple[float, float] | None, lam: float,
+             params: ObjectiveParams) -> float:
+    """Value of the cost functional at eigenvalue lam, given the control's
+    state_free_terms; +inf signals barrier infeasibility (terms None).
+
+    The sum runs (target + reg) + barrier, so the value is monotone in the
+    target term in floating point too.
+    """
+    if terms is None:
+        return math.inf
+    reg, barrier = terms
+    target = 0.5 * (lam - params.lambda_target) ** 2
     return target + reg + barrier
 
 

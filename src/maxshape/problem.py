@@ -6,14 +6,17 @@ the control-space Gram matrix, the scalar H1 block H that both components
 of a control carry, and of its factorization) plus two states whose blocks
 start every later eigensolve warm: the anchor, the state where the reduced
 derivative last ran, and the last solved state.  It also keeps the last
-deformation field, so that each control's kinematics are computed once.
-The Gram, its factor and the shortest reference edge are built at first
-use: a problem that only solves states (a lambda0 probe, ``maxshape
-eigs``) builds none of them, and one that never takes a Riesz gradient
-(``check_gradient``) never factors the Gram.  It alone chains state,
-adjoint, reduced derivative and Riesz map, and exposes the six methods
-the optimizer drives: gradient, evaluate, cost_floor, q_apply (the Gram
-map), jacobian_range and step_limit.  Controls cross this interface as flat
+deformation field, with its state-free cost terms and, until a state solve
+takes them, the state forms a cost floor assembled: each control's
+kinematics, regularization, barrier and forms are computed once.  The
+Gram, its factor, the shortest reference edge and the reference
+stiffness bound of the cost floor are built at first use: a problem that
+only solves states (a lambda0 probe, ``maxshape eigs``) builds none of
+them, and one that never takes a Riesz gradient (``check_gradient``)
+never factors the Gram.  It alone chains state, adjoint, reduced
+derivative and Riesz map, and exposes the six methods the optimizer
+drives: gradient, evaluate, cost_floor, q_apply (the Gram map),
+jacobian_range and step_limit.  Controls cross this interface as flat
 coefficient vectors (x0, y0, x1, y1, ...); the Gram acts on their (V, 2)
 view, and derivatives are (V, 2) arrays.
 """
@@ -30,12 +33,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import adjoint_gradient, objective
-from .eigensolver import SYMMETRIC_LU, EigenSelection, MixedEigenPair
+from .eigensolver import (
+    SYMMETRIC_LU,
+    EigenSelection,
+    MixedEigenPair,
+    ritz_ceiling,
+)
 from .errors import EigenSolverError, InadmissibleDeformation
-from .fem_assembly import DofMap, assemble_control_gram
+from .fem_assembly import (
+    AssembledForms,
+    DofMap,
+    assemble_control_gram,
+    stiffness_floor,
+)
 from .mesh_io import Mesh
 from .objective import ObjectiveParams
-from .reference_transform import DeformationField, jacobian_range
+from .reference_transform import DeformationField, jacobian_range, metric_floor
 
 log = logging.getLogger(__name__)
 
@@ -58,9 +71,12 @@ class MaxwellShapeProblem:
         self.dofs = DofMap.from_mesh(mesh)
         # Arnoldi start vector (free edges) of the first, cold, state solve
         self._v0 = self.dofs.free.edge_draw(seed)
-        # the last field made; the last solved field and its state pair;
-        # the state where derivative_functional last ran
+        # the last field made, with its state-free cost terms and, until a
+        # solve takes them, its forms; the last solved field and its state
+        # pair; the state where derivative_functional last ran
         self._field: DeformationField | None = None
+        self._terms: tuple[DeformationField, tuple | None] | None = None
+        self._forms: tuple[DeformationField, AssembledForms] | None = None
         self._last_state: tuple[DeformationField, MixedEigenPair] | None = None
         self._anchor: MixedEigenPair | None = None
 
@@ -82,6 +98,12 @@ class MaxwellShapeProblem:
         ends = self.mesh.vertices[self.mesh.edges]
         return float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).min())
 
+    @cached_property
+    def _l0_floor(self) -> float:
+        """A lower bound of the smallest eigenvalue of the reference P1
+        stiffness matrix on the free vertices."""
+        return stiffness_floor(self.mesh, self.dofs)
+
     # -- control helpers ----------------------------------------------------
 
     @property
@@ -98,6 +120,22 @@ class MaxwellShapeProblem:
         if self._field is None or not np.array_equal(q, self._field.flat):
             self._field = DeformationField.from_flat(self.mesh, q)
         return self._field
+
+    def _state_free_terms(self, field: DeformationField):
+        """objective.state_free_terms of field, computed once per field."""
+        if self._terms is None or self._terms[0] is not field:
+            self._terms = (field, objective.state_free_terms(
+                self.mesh, field, self.params, self.gram))
+        return self._terms[1]
+
+    def _assembled(self, field: DeformationField) -> AssembledForms:
+        """The state forms at field, assembled once for a cost floor and
+        the solve that may follow it."""
+        if self._forms is None or self._forms[0] is not field:
+            self._forms = None      # freed before the next assembly
+            self._forms = (field, adjoint_gradient.state_forms(
+                self.mesh, self.dofs, field))
+        return self._forms[1]
 
     # -- problem protocol ---------------------------------------------------
 
@@ -122,8 +160,10 @@ class MaxwellShapeProblem:
         start = self._anchor if self._anchor is not None else (
             None if last is None else last[1])
         field = self.field(q)
+        forms = self._assembled(field)
+        self._forms = None          # the solve takes them
         state = adjoint_gradient.solve_state(
-            self.mesh, self.dofs, field, self.sel, v0=self._v0,
+            forms, self.dofs, self.sel, v0=self._v0,
             block=None if start is None else start.block)
         self._last_state = (field, state)
         log.debug("solved state: lam=%.10g residual=%.2e divergence=%.2e "
@@ -140,8 +180,8 @@ class MaxwellShapeProblem:
 
     def evaluate(self, q: np.ndarray, lam: float | None = None) -> float:
         """Objective value at control q; +inf on infeasible/unsolvable points."""
-        field = self.field(q)
-        if field.jacobian.min() <= self.params.epsilon:
+        terms = self._state_free_terms(self.field(q))
+        if terms is None:
             return math.inf
         if lam is None:
             try:
@@ -149,18 +189,39 @@ class MaxwellShapeProblem:
             except (EigenSolverError, InadmissibleDeformation) as exc:
                 log.debug("treating solver failure as infeasible: %s", exc)
                 return math.inf
-        return objective.evaluate(self.mesh, field, lam, self.params,
-                                  gram=self.gram)
+        return objective.evaluate(terms, lam, self.params)
 
     def cost_floor(self, q: np.ndarray) -> float:
-        """A lower bound of evaluate(q) that solves no state: the objective
-        at lam = lambda_target, where the target term is 0, so the
-        regularization plus the barrier; +inf where evaluate is +inf for
-        the jacobian check.  Rounding keeps the bound, as the target term
-        is >= 0 and floating-point addition is monotone."""
-        return objective.evaluate(self.mesh, self.field(q),
-                                  self.params.lambda_target, self.params,
-                                  gram=self.gram)
+        """A lower bound of evaluate(q) that solves no state; +inf where
+        evaluate is +inf for the jacobian check.
+
+        It is the objective at lam = lambda_target, where the target term
+        is 0, or, once there is an anchor, at theta (1 + tol) where that is
+        lower: theta (eigensolver.ritz_ceiling of the anchor's block and
+        the state forms at q) bounds the tracked eigenvalue at q from
+        above, as L = B^T G at q is at least kappa_q
+        (reference_transform.metric_floor) times the reference stiffness,
+        whose eigenvalues are at least l_0 (fem_assembly.stiffness_floor);
+        tol, the selection's relative residual tolerance, covers the
+        solve's error.  Rounding keeps the bound, as the target term and
+        the sum are monotone in lam below lambda_target.  The forms stay
+        for a solve at q.
+        """
+        field = self.field(q)
+        terms = self._state_free_terms(field)
+        lam = self.params.lambda_target
+        theta = eps = kappa = math.nan
+        if terms is not None and self._anchor is not None:
+            kappa = metric_floor(field)
+            theta, eps = ritz_ceiling(
+                self._assembled(field), self._anchor.block, self.sel.index,
+                kappa * self._l0_floor)
+            lam = min(lam, theta * (1.0 + self.sel.tol))
+        floor = objective.evaluate(terms, lam, self.params)
+        log.debug("cost floor: R=%.10g theta=%.10g eps=%.3e kappa=%.6g "
+                  "floor=%.10g", math.inf if terms is None else sum(terms),
+                  theta, eps, kappa, floor)
+        return floor
 
     def q_apply(self, v: np.ndarray) -> np.ndarray:
         """The Gram map: (u, v)_Q = u @ q_apply(v), H applied to each

@@ -116,3 +116,21 @@ def sum_to_nodes(mesh: Mesh, per_node: np.ndarray,
 def jacobian_range(q: DeformationField) -> tuple[float, float]:
     """Extremes (min, max) of the deformation jacobian over all triangles."""
     return float(q.jacobian.min()), float(q.jacobian.max())
+
+
+def metric_floor(q: DeformationField) -> float:
+    """kappa = min over triangles of J sigma_min(DF^-T)^2, the largest
+    kappa with J |DF^-T g|^2 >= kappa |g|^2 for every vector g on every
+    triangle: the P1 stiffness matrix in the deformed metric is at least
+    kappa times the reference one.
+
+    sigma_min(DF^-T) = 1 / sigma_max(DF), and for DF = [[a, b], [c, d]]
+    sigma_max = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2, the
+    closed form from the Frobenius norm f and J: its two terms have
+    squares that sum to 2 f^2 and differ by 4 J, and their sum does not
+    cancel.  J must be > 0 on every triangle.
+    """
+    df = np.eye(2) + q.gradient
+    a, b, c, d = df[:, 0, 0], df[:, 0, 1], df[:, 1, 0], df[:, 1, 1]
+    sigma_max = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+    return float((q.jacobian / sigma_max ** 2).min())

@@ -14,13 +14,13 @@ from maxshape import (
     assemble_control_gram,
     assemble_forms,
     assemble_shape_derivative,
-    gradient_incidence,
     reduced_derivative,
     riesz_gradient,
     select_and_normalize,
     solve_adjoint,
     solve_gevp,
     solve_state,
+    state_forms,
 )
 from maxshape.eigensolver import DENSE_THRESHOLD
 from maxshape.problem import MaxwellShapeProblem
@@ -54,6 +54,11 @@ def gram4(square4):
     return gram, spla.splu(gram.tocsc()).solve
 
 
+def solve_at(mesh, dofs, q, sel):
+    """solve_state of the state forms at deformation q."""
+    return solve_state(state_forms(mesh, dofs, q), dofs, sel)
+
+
 def direct_adjoint_mismatch(mesh, dofs, q, sel, state, adj):
     """Oracle: re-solve the adjoint eigenproblem and compare with adj.
 
@@ -76,7 +81,7 @@ def direct_adjoint_mismatch(mesh, dofs, q, sel, state, adj):
 class TestSolveState:
     def test_unit_square_ground_state(self, setup6):
         mesh, dofs, sel = setup6
-        state = solve_state(mesh, dofs, DeformationField.zero(mesh), sel)
+        state = solve_at(mesh, dofs, DeformationField.zero(mesh), sel)
         assert state.lam == pytest.approx(np.pi ** 2, rel=0.03)
         assert len(state.u) == mesh.n_edges
         assert np.all(state.u[mesh.boundary_edges] == 0.0)
@@ -84,8 +89,8 @@ class TestSolveState:
 
     def test_translation_invariance(self, setup6):
         mesh, dofs, sel = setup6
-        base = solve_state(mesh, dofs, DeformationField.zero(mesh), sel)
-        shifted = solve_state(
+        base = solve_at(mesh, dofs, DeformationField.zero(mesh), sel)
+        shifted = solve_at(
             mesh, dofs,
             DeformationField(mesh, np.tile((0.4, -0.1), (mesh.n_vertices, 1))),
             sel)
@@ -101,7 +106,7 @@ class TestMultiplierIsZero:
     def assert_psi_vanishes(mesh, dofs, q, state):
         # the multiplier the pair implies, with L = B^T G built here
         forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
-        grad = gradient_incidence(mesh)[dofs.free_edges][
+        grad = dofs.full.gradient[dofs.free_edges][
             :, np.flatnonzero(~dofs.constrained_vertex)]
         psi = implied_multiplier(forms, grad, state.lam,
                                  state.u[dofs.free_edges])
@@ -114,7 +119,7 @@ class TestMultiplierIsZero:
         sel = EigenSelection(index=0, nev=6, shift=8.0, tol=1e-9)
         q = random_feasible_control(shuffled_mesh, rng, 0.01)
         self.assert_psi_vanishes(shuffled_mesh, dofs, q,
-                                 solve_state(shuffled_mesh, dofs, q, sel))
+                                 solve_at(shuffled_mesh, dofs, q, sel))
 
     def test_raw_qz_oracle(self, square8, rng):
         # scipy's QZ on the whole mixed pencil, no solver code in between:
@@ -127,7 +132,7 @@ class TestMultiplierIsZero:
             k_mat.toarray(), mt.toarray(), homogeneous_eigvals=True)
         finite = np.abs(beta) > 1e-8 * np.abs(beta).max()
         # one finite eigenvalue per edge DOF that is not a gradient
-        assert finite.sum() == dofs.n_free_edge - dofs.n_free_vertex
+        assert finite.sum() == dofs.free.n_edge - dofs.n_free_vertex
         assert np.all(np.abs((alpha[finite] / beta[finite]).imag) <= 1e-8)
         x = vr[:, finite].real
         n_e = forms.n_edge
@@ -157,14 +162,14 @@ class TestEigenvalueDerivative:
         dofs = DofMap.from_mesh(mesh)
         sel = EigenSelection(index=0, nev=6, shift=8.0, tol=1e-10)
         q = random_feasible_control(mesh, rng, 0.01)
-        state = solve_state(mesh, dofs, q, sel)
+        state = solve_at(mesh, dofs, q, sel)
         lam_prime = assemble_shape_derivative(mesh, q, state.u, state.u,
                                               state.lam)
         h = 1e-5
         for _ in range(3):
             p = rng.standard_normal((mesh.n_vertices, 2))
             p /= np.abs(p).max()
-            plus, minus = (solve_state(
+            plus, minus = (solve_at(
                 mesh, dofs, DeformationField(mesh, q.values + s * h * p),
                 sel).lam for s in (1.0, -1.0))
             fd = (plus - minus) / (2 * h)
@@ -175,7 +180,7 @@ class TestEigenvalueDerivative:
 class TestSolveAdjoint:
     def test_zero_at_target(self, setup6):
         mesh, dofs, sel = setup6
-        state = solve_state(mesh, dofs, DeformationField.zero(mesh), sel)
+        state = solve_at(mesh, dofs, DeformationField.zero(mesh), sel)
         adj = solve_adjoint(state, state.lam)
         assert np.all(adj.z == 0.0)
 
@@ -183,7 +188,7 @@ class TestSolveAdjoint:
         # m(u, z) = lambda_target - lambda for the mass-normalized state
         mesh, dofs, sel = setup6
         q = DeformationField.zero(mesh)
-        state = solve_state(mesh, dofs, q, sel)
+        state = solve_at(mesh, dofs, q, sel)
         target = state.lam - 2.0
         adj = solve_adjoint(state, target)
         forms = assemble_forms(mesh, dofs, q)
@@ -194,7 +199,7 @@ class TestSolveAdjoint:
     def test_direct_solve_verification(self, setup6):
         mesh, dofs, sel = setup6
         q = DeformationField.zero(mesh)
-        state = solve_state(mesh, dofs, q, sel)
+        state = solve_at(mesh, dofs, q, sel)
         adj = solve_adjoint(state, 0.9 * state.lam)
         err, ref = direct_adjoint_mismatch(mesh, dofs, q, sel, state, adj)
         assert err <= 1e-6 * ref
@@ -204,7 +209,7 @@ class TestSolveAdjoint:
     def test_verification_catches_corruption(self, setup6):
         mesh, dofs, sel = setup6
         q = DeformationField.zero(mesh)
-        state = solve_state(mesh, dofs, q, sel)
+        state = solve_at(mesh, dofs, q, sel)
         corrupted = type(state)(lam=state.lam, u=2.0 * state.u,
                                 residual=state.residual)
         adj = solve_adjoint(corrupted, 0.9 * state.lam)
@@ -247,7 +252,7 @@ class TestReducedDerivative:
         # q-derivative survives; at q = 0 that is the barrier part alone.
         mesh, dofs, sel = setup6
         q = DeformationField.zero(mesh)
-        state = solve_state(mesh, dofs, q, sel)
+        state = solve_at(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=state.lam, alpha=0.7,
                                  beta=1e-6, epsilon=1e-4)
         adj = solve_adjoint(state, params.lambda_target)
@@ -262,7 +267,7 @@ class TestReducedDerivative:
         # (q, p) = 0 as well, so the whole functional vanishes on constants
         mesh, dofs, sel = setup6
         q = DeformationField.zero(mesh)
-        state = solve_state(mesh, dofs, q, sel)
+        state = solve_at(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=0.9 * state.lam, alpha=0.7)
         adj = solve_adjoint(state, params.lambda_target)
         func = reduced_derivative(mesh, q, state, adj, params, gram6)
@@ -275,7 +280,7 @@ class TestReducedDerivative:
     def test_sign_invariance_of_state(self, setup6, gram6):
         mesh, dofs, sel = setup6
         q = DeformationField.zero(mesh)
-        state = solve_state(mesh, dofs, q, sel)
+        state = solve_at(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=0.9 * state.lam, alpha=0.7)
         adj = solve_adjoint(state, params.lambda_target)
         func = reduced_derivative(mesh, q, state, adj, params, gram6)

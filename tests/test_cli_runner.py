@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from maxshape import (
+    DofMap,
     EigenSelection,
     ObjectiveParams,
     OptimizerConfig,
-    gradient_incidence,
 )
 from maxshape.cli_runner import (
     _KEY_TYPES,
@@ -287,7 +287,8 @@ class TestCellFieldMagnitude:
     def test_gradient_of_x_under_dilation(self, square4, s):
         # u = G x is the edge-element interpolant of grad x = e_x, which is
         # exact; the deformation q = s (x - c) scales it by 1 / (1 + s).
-        u = gradient_incidence(square4) @ square4.vertices[:, 0]
+        grad = DofMap.from_mesh(square4).full.gradient
+        u = grad @ square4.vertices[:, 0]
         mag = _cell_field_magnitude(square4, dilation_control(square4, s), u)
         assert mag.shape == (square4.n_triangles,)
         np.testing.assert_allclose(mag, 1.0 / (1.0 + s), rtol=1e-13)

@@ -422,7 +422,7 @@ class TestShiftInvert:
         assert len(sparse) == len(dense) == 6
         for ps, pd in zip(sparse, dense):
             assert abs(ps.lam - pd.lam) <= 1e-8 * abs(pd.lam)
-            assert ps.u.shape == pd.u.shape == (dofs.n_free_edge,)
+            assert ps.u.shape == pd.u.shape == (dofs.free.n_edge,)
 
 
 class TestLShapeReference:

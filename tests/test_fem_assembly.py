@@ -11,7 +11,6 @@ from maxshape import (
     assemble_forms,
     assemble_shape_derivative,
     generate_unit_square,
-    gradient_incidence,
     parse_msh,
 )
 from maxshape.eigensolver import (
@@ -132,7 +131,7 @@ class TestFormInvariants:
         q = DeformationField.zero(square4) if deform == "zero" \
             else random_feasible_control(square4, rng, 0.05)
         forms = assemble_forms(square4, dofs, q)
-        g_inc = gradient_incidence(square4)
+        g_inc = forms.layout.gradient
         a_norm = np.abs(forms.A).max()
         for _ in range(5):
             psi = rng.standard_normal(square4.n_vertices)
@@ -154,7 +153,7 @@ class TestFormInvariants:
         dofs = DofMap.from_mesh(mesh)
         red = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
         g = red.layout.gradient
-        assert g.shape == (dofs.n_free_edge, dofs.n_free_vertex)
+        assert g.shape == (dofs.free.n_edge, dofs.n_free_vertex)
         assert g is red.layout.gradient              # built once
         assert np.abs(red.B - red.M @ g).max() <= \
             1e-13 * np.abs(red.B).max()
@@ -225,12 +224,12 @@ class TestApplyDirichlet:
         mesh = generate_unit_square(1)
         dofs = DofMap.from_mesh(mesh)
         assert dofs.n_free_vertex == 0
-        assert dofs.n_free_edge == 1
+        assert dofs.free.n_edge == 1
 
     def test_n2_counts(self, square2):
         dofs = DofMap.from_mesh(square2)
         assert dofs.n_free_vertex == 1
-        assert dofs.n_free_edge == 8
+        assert dofs.free.n_edge == 8
 
     def test_reduction_shapes_and_content(self, square2, rng):
         dofs = DofMap.from_mesh(square2)
@@ -254,7 +253,7 @@ class TestApplyDirichlet:
 
     def test_expansion_zero_trace(self, square2, rng):
         dofs = DofMap.from_mesh(square2)
-        u = dofs.expand_edge(rng.standard_normal(dofs.n_free_edge))
+        u = dofs.expand_edge(rng.standard_normal(dofs.free.n_edge))
         assert np.all(u[dofs.constrained_edge] == 0.0)
 
 
@@ -493,7 +492,7 @@ class TestPencilLayout:
             forms = apply_dirichlet(forms, dofs)
         n_e = forms.n_edge
         assert forms.n == (dofs.n_free if reduced else dofs.n_total)
-        assert n_e == (dofs.n_free_edge if reduced else dofs.n_edge)
+        assert n_e == (dofs.free.n_edge if reduced else dofs.n_edge)
         for mat in (forms.A, forms.M):
             assert mat.shape == (n_e, n_e)
             assert_same_sparse(mat, mat.T.tocsr())

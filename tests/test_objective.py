@@ -11,6 +11,7 @@ from maxshape import (
     evaluate,
 )
 from maxshape.errors import InadmissibleDeformation
+from maxshape.objective import state_free_terms
 
 from conftest import (
     dilation_control,
@@ -31,19 +32,24 @@ def params():
                            epsilon=1e-4)
 
 
+def value(mesh, q, lam, params, gram):
+    """The cost at (q, lam): the state-free terms at q plus the target."""
+    return evaluate(state_free_terms(mesh, q, params, gram), lam, params)
+
+
 class TestEvaluate:
     def test_reference_value_at_zero(self, square4, params, gram):
         # q = 0, lam = lam_*: only the barrier survives, -beta*|O|*ln(1-eps).
         zero = DeformationField.zero(square4)
-        val = evaluate(square4, zero, 10.0, params, gram)
+        val = value(square4, zero, 10.0, params, gram)
         expected = -params.beta * math.log(1.0 - params.epsilon)
         assert val == pytest.approx(expected, rel=1e-12)
         assert abs(val) < 2e-10
 
     def test_target_term(self, square4, params, gram):
         zero = DeformationField.zero(square4)
-        base = evaluate(square4, zero, 10.0, params, gram)
-        val = evaluate(square4, zero, 11.0, params, gram)
+        base = value(square4, zero, 10.0, params, gram)
+        val = value(square4, zero, 11.0, params, gram)
         assert val - base == pytest.approx(0.5, rel=1e-12)
 
     def test_regularization_term(self, square4, params, gram):
@@ -51,7 +57,7 @@ class TestEvaluate:
         vals = np.zeros((square4.n_vertices, 2))
         vals[:, 0] = square4.vertices[:, 0]
         q = DeformationField(square4, vals)
-        val = evaluate(square4, q, 10.0, params, gram)
+        val = value(square4, q, 10.0, params, gram)
         reg = 0.5 * params.alpha * (1.0 / 3.0 + 1.0)
         barrier = -params.beta * 2.0 * math.log(2.0 - params.epsilon) / 2.0
         # jacobian is 2 on every triangle for this stretch
@@ -64,7 +70,7 @@ class TestEvaluate:
         mesh = oracle_mesh(case, request)
         q = random_feasible_control(mesh, rng, 0.05)
         params = ObjectiveParams(lambda_target=10.0, alpha=1.7, beta=0.0)
-        val = evaluate(mesh, q, params.lambda_target, params,
+        val = value(mesh, q, params.lambda_target, params,
                        assemble_control_gram(mesh))
         want = 0.5 * params.alpha * q.flat @ (kron_gram(mesh) @ q.flat)
         assert abs(val - want) <= 1e-14 * want
@@ -72,7 +78,7 @@ class TestEvaluate:
     def test_infeasible_returns_inf(self, square4, params, gram):
         # jacobian (1+s)^2 <= eps for s close to -1
         q = dilation_control(square4, -0.999)
-        assert evaluate(square4, q, 10.0, params, gram) == math.inf
+        assert value(square4, q, 10.0, params, gram) == math.inf
 
     def test_barrier_monotonicity(self, square4, params, gram):
         # larger shrink -> jacobian closer to eps -> strictly larger barrier
@@ -80,7 +86,7 @@ class TestEvaluate:
         for s in (-0.3, -0.6, -0.9):
             q = dilation_control(square4, s)
             lam = params.lambda_target  # isolate the barrier + regularization
-            reg = evaluate(square4, q, lam,
+            reg = value(square4, q, lam,
                            ObjectiveParams(lambda_target=lam, alpha=0.0,
                                            beta=params.beta,
                                            epsilon=params.epsilon), gram)
@@ -92,13 +98,13 @@ class TestEvaluate:
         lam, lam_t = 9.3, 10.0
         full = ObjectiveParams(lambda_target=lam_t, alpha=1.7, beta=1e-5,
                                epsilon=1e-4)
-        target_only = evaluate(square4, q, lam,
+        target_only = value(square4, q, lam,
                                ObjectiveParams(lam_t, alpha=0.0, beta=0.0),
                                gram)
-        with_reg = evaluate(square4, q, lam,
+        with_reg = value(square4, q, lam,
                             ObjectiveParams(lam_t, alpha=1.7, beta=0.0), gram)
-        with_all = evaluate(square4, q, lam, full, gram)
-        barrier_only = evaluate(square4, q, lam_t,
+        with_all = value(square4, q, lam, full, gram)
+        barrier_only = value(square4, q, lam_t,
                                 ObjectiveParams(lam_t, alpha=0.0, beta=1e-5),
                                 gram)
         assert with_all == pytest.approx(
@@ -128,10 +134,10 @@ class TestDerivativeQ:
             h = 1e-6
             p = rng.standard_normal((square4.n_vertices, 2))
             p /= np.abs(p).max()
-            plus = evaluate(square4,
+            plus = value(square4,
                             DeformationField(square4, q.values + h * p),
                             params.lambda_target, params, gram)
-            minus = evaluate(square4,
+            minus = value(square4,
                              DeformationField(square4, q.values - h * p),
                              params.lambda_target, params, gram)
             fd = (plus - minus) / (2 * h)

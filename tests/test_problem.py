@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from maxshape import (
     DeformationField,
+    DofMap,
     EigenSelection,
     ObjectiveParams,
     OptimizerConfig,
@@ -19,9 +20,17 @@ from maxshape import (
 from maxshape import adjoint_gradient, bfgs_optimizer
 from maxshape import eigensolver
 from maxshape.errors import InadmissibleDeformation, NoConvergence
+from maxshape.fem_assembly import stiffness_floor
 from maxshape.problem import MaxwellShapeProblem
+from maxshape.reference_transform import metric_floor
 
-from conftest import assert_entries_close, kron_gram, oracle_mesh
+from conftest import (
+    assert_entries_close,
+    kron_gram,
+    l_shape,
+    oracle_mesh,
+    random_feasible_control,
+)
 
 
 def _square8_problem():
@@ -75,14 +84,22 @@ def gram_builds(monkeypatch):
 
 @pytest.fixture
 def state_solves(monkeypatch):
-    """Flat controls seen by maxshape.adjoint_gradient.solve_state, in order."""
-    seen = []
-    real = adjoint_gradient.solve_state
+    """Flat controls whose forms maxshape.adjoint_gradient.solve_state
+    solved, in order."""
+    seen, controls = [], {}
+    real_forms, real_solve = (adjoint_gradient.state_forms,
+                              adjoint_gradient.solve_state)
 
-    def counted(mesh, dofs, q, sel, **kwargs):
-        seen.append(q.flat.copy())
-        return real(mesh, dofs, q, sel, **kwargs)
+    def assembled(mesh, dofs, q):
+        forms = real_forms(mesh, dofs, q)
+        controls[id(forms)] = q.flat.copy()
+        return forms
 
+    def counted(forms, dofs, sel, **kwargs):
+        seen.append(controls[id(forms)])
+        return real_solve(forms, dofs, sel, **kwargs)
+
+    monkeypatch.setattr(adjoint_gradient, "state_forms", assembled)
     monkeypatch.setattr(adjoint_gradient, "solve_state", counted)
     return seen
 
@@ -412,7 +429,7 @@ class TestWarmStateSolves:
         prob = _square16_problem()
         first = prob.solve_state(prob.zero_control())
         assert len(arnoldi_calls) == 1
-        assert first.block.shape == (prob.dofs.n_free_edge, 2)
+        assert first.block.shape == (prob.dofs.free.n_edge, 2)
         for amplitude in (1e-3, 0.02, 0.05):
             state = prob.solve_state(_smooth_control(prob, amplitude))
             assert state.residual <= 1e-8
@@ -538,9 +555,9 @@ def start_blocks(monkeypatch):
     blocks = []
     real = adjoint_gradient.solve_state
 
-    def spy(mesh, dofs, q, sel, **kwargs):
+    def spy(forms, dofs, sel, **kwargs):
         blocks.append(kwargs["block"])
-        return real(mesh, dofs, q, sel, **kwargs)
+        return real(forms, dofs, sel, **kwargs)
 
     monkeypatch.setattr(adjoint_gradient, "solve_state", spy)
     return blocks
@@ -581,6 +598,9 @@ class TestWarmStartAnchor:
 
         monkeypatch.setattr(prob, "derivative_functional",
                             derivative_functional)
+        # without a cost floor every trial solves, rejected ones included,
+        # so some solve follows a rejected trial's
+        monkeypatch.setattr(prob, "cost_floor", lambda q: -math.inf)
         cfg = OptimizerConfig(tol=1e-12, k_max=4,
                               b0_scale=1.0 / prob.params.alpha)
         optimize(prob, prob.zero_control(), cfg)
@@ -675,3 +695,111 @@ class TestCostFloor:
             r.ls_trials for r in records)
         assert all(t["evaluated"] for t in ref_trials)
         assert all((t["floor"] > t["rhs"]) != t["evaluated"] for t in trials)
+
+    def test_floored_trials_fail_armijo_when_solved(self, monkeypatch):
+        # every trial solves anyway: a floored trial's J exceeds its
+        # right-hand side, and the floor never exceeds J
+        prob, cfg = _desk8_problem()
+        trials = []
+        real = bfgs_optimizer.armijo
+
+        def solving(j_eval, q, d, g_dot_d, cfg, j0=None, t0=1.0,
+                    floor=None):
+            step = [t0]
+
+            def trial_floor(x):
+                t = step[0]
+                step[0] = t * cfg.rho_ls
+                value = floor(x)
+                trials.append(dict(
+                    state_free=prob.evaluate(
+                        x, lam=prob.params.lambda_target),
+                    floor=value, j=j_eval(x),
+                    rhs=j0 + cfg.gamma * t * g_dot_d))
+                return value
+
+            return real(j_eval, q, d, g_dot_d, cfg, j0=j0, t0=t0,
+                        floor=trial_floor)
+
+        monkeypatch.setattr(bfgs_optimizer, "armijo", solving)
+        optimize(prob, prob.zero_control(), dataclasses.replace(cfg, k_max=8))
+        floored = [t for t in trials if t["floor"] > t["rhs"]]
+        assert all(t["floor"] <= t["j"] for t in trials)
+        assert all(t["j"] > t["rhs"] for t in floored)
+        # some trial only the Ritz bound rejects
+        assert any(t["state_free"] <= t["rhs"] for t in floored)
+
+    def test_debug_line_per_floor(self, caplog):
+        prob = _square16_problem()
+        q = _smooth_control(prob, 0.01)
+        with caplog.at_level("DEBUG", logger="maxshape.problem"):
+            prob.cost_floor(q)              # no anchor: R alone
+            prob.gradient(q)
+            floor = prob.cost_floor(1.01 * q)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("cost floor:")]
+        assert len(lines) == 2
+        assert "theta=nan eps=nan kappa=nan" in lines[0]
+        fields = dict(item.split("=") for item in lines[1].split()[2:])
+        assert 0 < float(fields["kappa"]) < 1.1
+        assert 0 <= float(fields["eps"]) < 1e-2
+        assert float(fields["R"]) <= float(fields["floor"]) \
+            == pytest.approx(floor, rel=1e-9)
+
+
+class TestRitzBound:
+    """The parts of the cost floor's bound of the tracked eigenvalue."""
+
+    @pytest.mark.parametrize("case", [*(f"square{n}" for n in range(4, 17)),
+                                      "l_shape4", "l_shape8", "shuffled"])
+    def test_stiffness_floor_below_smallest_eigenvalue(self, case,
+                                                       shuffled_mesh):
+        if case == "shuffled":
+            mesh = shuffled_mesh
+        elif case.startswith("l_shape"):
+            mesh = l_shape(int(case[7:]))
+        else:
+            mesh = generate_unit_square(int(case[6:]))
+        dofs = DofMap.from_mesh(mesh)
+        forms = adjoint_gradient.state_forms(mesh, dofs,
+                                             DeformationField.zero(mesh))
+        l_ref = (forms.BT @ forms.layout.gradient).toarray()
+        assert stiffness_floor(mesh, dofs) <= np.linalg.eigvalsh(l_ref)[0]
+
+    def test_metric_floor_matches_svd(self, square8, rng):
+        fields = [random_feasible_control(square8, rng, 0.03)
+                  for _ in range(4)]
+        # a sheared stretch, DF = [[2, 0.3], [0, 0.5]] on every triangle
+        x, y = square8.vertices.T
+        fields.append(DeformationField(
+            square8, np.column_stack([x + 0.3 * y, -0.5 * y])))
+        for field in fields:
+            sigma_min = np.linalg.svd(field.inv_t, compute_uv=False)[:, -1]
+            want = float((field.jacobian * sigma_min ** 2).min())
+            assert metric_floor(field) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_ritz_ceiling_above_solved_eigenvalue(self, n, index):
+        mesh = generate_unit_square(n)
+        sel = EigenSelection(index=index, nev=8, shift=9.35, tol=1e-8)
+        prob = MaxwellShapeProblem(
+            mesh, ObjectiveParams(lambda_target=10.4, alpha=1e-3), sel,
+            seed=0)
+        q0 = _smooth_control(prob, 0.01)
+        grad, anchor = prob.gradient(q0)
+        direction = -grad.vector / np.abs(grad.vector).max()
+        rng = np.random.default_rng(5)
+        l_floor = stiffness_floor(mesh, prob.dofs)
+        finite = 0
+        for size in (1e-5, 1e-4, 1e-3, 1e-2):
+            for d in (direction, rng.uniform(-1.0, 1.0, q0.shape)):
+                q = q0 + size / n * d / np.abs(d).max()
+                field = DeformationField.from_flat(mesh, q)
+                theta, eps = eigensolver.ritz_ceiling(
+                    adjoint_gradient.state_forms(mesh, prob.dofs, field),
+                    anchor.block, index, metric_floor(field) * l_floor)
+                assert eps >= 0.0
+                assert theta * (1.0 + sel.tol) >= prob.solve_state(q).lam
+                finite += math.isfinite(theta)
+        assert finite >= 4

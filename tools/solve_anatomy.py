@@ -5,7 +5,11 @@
 For n = 16, 32 and 64 the script assembles the reduced pencil of the unit
 square at a random nodal deformation of size 0.05 / n, with the desk run's
 shift sigma = 0.9 * 1.05 * pi^2, and reports the median of 20 timings of
-each part of a problem's construction and of a state solve:
+each part of a problem's construction, of a state solve and of an Armijo
+trial's cost floor, in reference milliseconds: each part's wall times are
+scaled by the host speed that a benchmarks/hostspeed.py Gauge samples just
+before and just after them, so records from different sessions on a
+shared host compare.  The parts:
 
 - grid: generate_unit_square;
 - pattern: DofMap.from_mesh, with the sparsity pattern of the pencil;
@@ -31,7 +35,12 @@ each part of a problem's construction and of a state solve:
 - cold apply: one application of the cold solve's edge operator
   T = P S^{-1} M, P = I - G L^{-1} B^T, to one edge vector;
 - cold solve: solve_gevp by ARPACK on T, nev = 8, with the applies of T
-  it made.
+  it made;
+- Ritz floor: what an Armijo trial's cost floor adds to the state-free
+  cost once there is an anchor: on a new field at the deformation, its
+  kinematics, the state forms and the Ritz bound of the tracked
+  eigenvalue from the warm solve's block (metric_floor and ritz_ceiling,
+  with the mesh's stiffness_floor computed once).
 
 The warm sigma and the iteration and apply counts are read from the
 eigensolver's debug lines.
@@ -62,7 +71,11 @@ import scipy  # noqa: E402
 import scipy.linalg  # noqa: E402
 import scipy.sparse.linalg as spla  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+from hostspeed import Gauge  # noqa: E402
 
 from maxshape import (  # noqa: E402
     DeformationField,
@@ -79,9 +92,16 @@ from maxshape.eigensolver import (  # noqa: E402
     PATTERN_ORDER_LU,
     SYMMETRIC_LU,
     ShiftInvert,
+    ritz_ceiling,
 )
-from maxshape.fem_assembly import minimum_degree_order  # noqa: E402
-from maxshape.reference_transform import jacobian_range  # noqa: E402
+from maxshape.fem_assembly import (  # noqa: E402
+    minimum_degree_order,
+    stiffness_floor,
+)
+from maxshape.reference_transform import (  # noqa: E402
+    jacobian_range,
+    metric_floor,
+)
 
 SIZES = (16, 32, 64)
 REPEATS = 20
@@ -89,7 +109,7 @@ SIGMA = 0.9 * 1.05 * np.pi ** 2
 SEED = 0
 COLUMNS = ("grid", "pattern", "ordering", "Gram + H factor", "assemble",
            "factor S", "factor L", "block iteration", "warm solve",
-           "bookkeeping", "cold apply", "cold solve")
+           "bookkeeping", "cold apply", "cold solve", "Ritz floor")
 
 
 def random_field(mesh, rng, size: float) -> np.ndarray:
@@ -98,12 +118,16 @@ def random_field(mesh, rng, size: float) -> np.ndarray:
 
 
 def median_ms(fn, repeats: int) -> float:
+    """The median of repeats timings of fn in reference milliseconds."""
+    gauge = Gauge()
+    gauge.sample()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times)
+    gauge.sample()
+    return 1e3 * gauge.to_reference(statistics.median(times))
 
 
 class _SolveCounts(logging.Handler):
@@ -128,8 +152,8 @@ class _SolveCounts(logging.Handler):
 
 
 def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
-    """Median milliseconds of each part of set-up and a state solve at
-    n x n."""
+    """Median reference milliseconds of each part of set-up, a state
+    solve and a cost floor at n x n."""
     mesh = generate_unit_square(n)
     dofs = DofMap.from_mesh(mesh)
     rng = np.random.default_rng(seed)
@@ -183,6 +207,13 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     def gram_and_factor():
         return spla.splu(assemble_control_gram(mesh).tocsc(), **SYMMETRIC_LU)
 
+    l_floor = stiffness_floor(mesh, dofs)
+
+    def ritz_floor():
+        trial = DeformationField(mesh, q.values)
+        return ritz_ceiling(assemble(trial), block, sel.index,
+                            metric_floor(trial) * l_floor)
+
     factor_ms = median_ms(lambda: spla.splu(s_mat, **PATTERN_ORDER_LU),
                           repeats)
     solve_ms = median_ms(lambda: edge.solve(mx), repeats)
@@ -204,6 +235,7 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
         - (counter.last["warm iterations"] + 1) * solve_ms,
         "cold apply": median_ms(lambda: op.apply(v), repeats),
         "cold solve": cold_ms,
+        "Ritz floor": median_ms(ritz_floor, repeats),
         **counter.last,
     }
 
@@ -231,6 +263,7 @@ def main() -> None:
         record = {
             "command": "python3 tools/solve_anatomy.py --out "
                        + str(args.out),
+            "units": "reference ms (benchmarks/hostspeed.py)",
             "sigma": SIGMA, "repeats": REPEATS, "seed": SEED,
             "machine": {"python": platform.python_version(),
                         "numpy": np.__version__, "scipy": scipy.__version__,
