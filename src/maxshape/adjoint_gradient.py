@@ -18,6 +18,7 @@ vector (x0, y0, x1, y1, ...).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -81,11 +82,19 @@ def solve_state(forms: AssembledForms, dofs: DofMap, sel: EigenSelection,
     constrained DOFs).  Its block holds the reduced u columns of the pairs
     up to the selected one's upper neighbour; pass it as block to the next
     solve at a nearby deformation to start that solve warm.  Without a
-    block the solve is cold, from v0.
+    block the solve is cold, from v0.  Either keeps only the index + 2
+    lowest pairs that the selection and the block use (solve_gevp's
+    count), and a warm one records its mode_overlap with the block.
+
+    Raises:
+        InsufficientSpectrum: a cold solve missed a pair below the shift
+            (solve_gevp), so index would not count from the smallest.
     """
-    pairs = solve_gevp(forms, sel, v0=v0, block=block)
+    pairs = solve_gevp(forms, sel, v0=v0, block=block, count=sel.index + 2)
     pair = select_and_normalize(pairs, sel, forms.M)
-    return replace(pair, u=dofs.expand_edge(pair.u))
+    overlap = math.nan if block is None else abs(
+        float(block[:, sel.index] @ (forms.M @ pair.u)))
+    return replace(pair, u=dofs.expand_edge(pair.u), mode_overlap=overlap)
 
 
 def solve_adjoint(state: MixedEigenPair,

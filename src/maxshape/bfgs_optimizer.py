@@ -222,6 +222,9 @@ class IterationRecord:
     ls_trials: int = 0
     gamma: float = math.nan  # scale of this iterate's B_0
     t0: float = math.nan  # first trial step of this iterate's Armijo search
+    # the state's |u_a^T M u| with the tracked vector it started from
+    # (MixedEigenPair.mode_overlap): near 0 where the index swapped modes
+    mode_overlap: float = math.nan
 
 
 class OptimizeStatus(enum.Enum):
@@ -237,8 +240,9 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
 
     `problem` provides six methods on flat coefficient vectors:
     gradient(q), the Riesz gradient (with .vector and .norm_q) and the
-    state eigenpair (with .lam) at q; evaluate(q, lam=None), the objective,
-    +inf where infeasible, with lam the known eigenvalue at q;
+    state eigenpair (with .lam and .mode_overlap) at q; evaluate(q,
+    lam=None), the objective, +inf where infeasible, with lam the known
+    eigenvalue at q;
     cost_floor(q), a lower bound of evaluate(q) that solves no state, so
     that an Armijo trial it already rejects costs no eigensolve; q_apply(v),
     the Gram map Q v of the control inner product (u, v)_Q = u . Q v;
@@ -276,7 +280,8 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         jq_min, jq_max = problem.jacobian_range(q)
         rec = IterationRecord(k=k, lam=state.lam, j_value=j_val,
                               grad_norm=grad.norm_q, step=0.0, theta=1.0,
-                              jq_min=jq_min, jq_max=jq_max, gamma=hist.gamma)
+                              jq_min=jq_min, jq_max=jq_max, gamma=hist.gamma,
+                              mode_overlap=state.mode_overlap)
         if grad.norm_q <= cfg.tol:
             status = OptimizeStatus.CONVERGED
             records.append(rec)
@@ -324,8 +329,8 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         rec.ls_trials = ls_trials
         records.append(rec)
         log.info("iterate k=%d lam=%.10g J=%.6e |g|_Q=%.3e t=%g ls_trials=%d "
-                 "gamma=%g t0=%g", k, rec.lam, rec.j_value, rec.grad_norm, t,
-                 ls_trials, rec.gamma, t0)
+                 "overlap=%.3g gamma=%g t0=%g", k, rec.lam, rec.j_value,
+                 rec.grad_norm, t, ls_trials, rec.mode_overlap, rec.gamma, t0)
         if callback is not None:
             callback(k, q_new, rec)
 

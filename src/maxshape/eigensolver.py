@@ -100,6 +100,14 @@ class ShiftInvert:
     applies counts its calls.  sigma must not be 0 (S = A is singular on
     the gradients) nor an eigenvalue of (A, M).
 
+    below is the number of finite eigenvalues below sigma, by Sylvester's
+    law of inertia on the factor of S (Parlett, The Symmetric Eigenvalue
+    Problem, 1998, sec. 3.3): with diagonal pivots in symmetric mode,
+    P S P^T = L U with U = D L^T, so S has as many negative eigenvalues
+    as U's diagonal has negative entries.  Those are the eigenvalues of
+    (A, M) below sigma; for sigma > 0 they include the n_free_vertex
+    gradients, S G = -sigma M G, which below leaves out.
+
     Raises:
         FactorizationFailed: either factorization failed.
     """
@@ -110,6 +118,11 @@ class ShiftInvert:
         self.bt = forms.BT
         self.g = forms.layout.gradient
         self.edge = _factor_shift(forms, sigma)
+        # read before L's factor and the Krylov workspace exist: SuperLU
+        # copies U, which is then dropped
+        self.below = int(np.count_nonzero(self.edge.U.diagonal() < 0.0))
+        if sigma > 0:
+            self.below -= self.bt.shape[0]
         # L's CSR arrays are the CSC arrays of L^T: factor L^T without a
         # conversion and solve with its transpose
         self.vertex = _splu((self.bt @ self.g).T, "L = B^T G", sigma,
@@ -146,7 +159,11 @@ class MixedEigenPair:
     other computed eigenvalue (NaN if none).  block, set by
     select_and_normalize, holds the reduced u columns of the computed pairs
     up to the selected one's upper neighbour: the warm start of solve_gevp
-    at a nearby deformation.
+    at a nearby deformation.  mode_overlap, set by a warm state solve
+    (adjoint_gradient.solve_state), is |u_a^T M u| for u_a the start
+    block's column of the selected index: near 1 where the index keeps
+    its mode, near 0 where two modes swapped ranks (NaN after a cold
+    solve).
     """
 
     lam: float
@@ -155,16 +172,20 @@ class MixedEigenPair:
     divergence: float = math.nan
     gap: float = math.nan
     block: np.ndarray | None = None
+    mode_overlap: float = math.nan
 
 
 @dataclass
 class EigenSelection:
     """Which eigenpair to compute and how accurately.
 
-    index counts finite eigenvalues from the smallest; shift, finite, not 0
-    and no eigenvalue, is the cold solve's transform target and the floor
-    of a warm one's (solve_gevp); nev, the pairs a cold solve
-    computes (ARPACK's k), defaults to max(6, index + 3).
+    index counts finite eigenvalues from the smallest; a state solve
+    (adjoint_gradient.solve_state) raises rather than return a pair that
+    does not.  shift, finite, not 0 and no eigenvalue, is the cold solve's
+    transform target and the floor of a warm one's (solve_gevp); nev, the
+    pairs a spectrum solve computes (solve_gevp without a count, as
+    ``maxshape eigs`` runs it), defaults to max(6, index + 3).  A state
+    solve ignores nev.
     """
 
     index: int = 0
@@ -191,18 +212,26 @@ class EigenSelection:
 
 def solve_gevp(forms: AssembledForms, sel: EigenSelection,
                v0: np.ndarray | None = None,
-               block: np.ndarray | None = None) -> list[MixedEigenPair]:
+               block: np.ndarray | None = None,
+               count: int | None = None) -> list[MixedEigenPair]:
     """Compute the finite eigenvalues nearest the shift, sorted ascending.
 
-    A cold solve (no block) computes nev pairs: the dense eigh(A, M) on
-    the free edges for small pencils, shift-invert Arnoldi from v0, an edge
-    vector, otherwise, with the selection's shift as its target.  A warm
-    solve starts block shift-invert iteration from block, reduced u columns
-    such as MixedEigenPair.block of a solve at a nearby deformation, and
-    computes the lowest index + 2 pairs it finds, at a shift no lower
-    than the selection's: a positive shift rises to (1 -
-    WARM_SHIFT_MARGIN) times the lowest Rayleigh quotient of the block's
-    columns when that is larger.  Small pencils still go dense.
+    A cold solve (no block) runs the dense eigh(A, M) on the free edges
+    for small pencils, shift-invert Arnoldi from v0, an edge vector,
+    otherwise, with the selection's shift sigma as its target.  A spectrum
+    solve (count None) returns the nev pairs nearest sigma.  A state solve
+    passes count, the lowest pairs it keeps (index + 2), and a cold one
+    returns the count + c pairs nearest sigma, c the eigenvalues below
+    sigma: counted by the dense path, read from the inertia of the factor
+    of A - sigma*M by the sparse one (ShiftInvert.below).  With all c
+    pairs below sigma among them, the lowest count returned pairs are the
+    lowest count of the pencil.  A warm solve starts block shift-invert
+    iteration from block, reduced u columns such as MixedEigenPair.block
+    of a solve at a nearby deformation, and computes the lowest index + 2
+    pairs it finds, at a shift no lower than the selection's: a positive
+    shift rises to (1 - WARM_SHIFT_MARGIN) times the lowest Rayleigh
+    quotient of the block's columns when that is larger.  Small pencils
+    still go dense.
 
     Each returned eigenvector u is normalized to u^T M u = 1 and carries
     the relative pencil residual of (lam, [u; 0]) and its divergence
@@ -215,7 +244,9 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
         NoConvergence: ARPACK failed, the iteration hit its cap or stalled,
             a warm Rayleigh-Ritz step met a non-finite value or failed, or a
             used pair exceeds the residual tolerance.
-        InsufficientSpectrum: fewer finite eigenvalues than requested.
+        InsufficientSpectrum: fewer finite eigenvalues than requested, or
+            a cold state solve found fewer than c pairs below sigma: the
+            nearest pairs above it left out some of the lowest.
     """
     if sel.shift is None:
         raise ValueError("EigenSelection.shift must be set before solving")
@@ -223,17 +254,27 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     if v0 is not None and len(v0) != n_e:
         raise ValueError(f"v0 of length {len(v0)} cannot start a solve on "
                          f"{n_e} edge DOFs")
-    nev = sel.nev_effective
+    state = count is not None
+    wanted = count if state else sel.nev_effective
     if n_e == 0:
         raise InsufficientSpectrum("no free edge DOFs")
     sigma = float(sel.shift)
 
-    if n <= max(DENSE_THRESHOLD, 2 * nev + 12):
-        lams, u, au, mu = _dense_finite_spectrum(forms, sigma, nev)
+    below = 0
+    if n <= max(DENSE_THRESHOLD, 2 * wanted + 12):
+        below, (lams, u, au, mu) = _dense_finite_spectrum(forms, sigma,
+                                                          wanted, state)
     elif block is None:
-        lams, u, au, mu = _arpack_finite_spectrum(forms, sigma, nev, sel, v0)
+        below, (lams, u, au, mu) = _arpack_finite_spectrum(
+            forms, sigma, wanted, state, sel, v0)
     else:
         lams, u, au, mu = _block_finite_spectrum(forms, sigma, sel, block)
+    found = int(np.count_nonzero(lams < sigma))
+    if found < below:
+        raise InsufficientSpectrum(
+            f"{below} eigenvalues lie below the shift {sigma:g}, but only "
+            f"{found} of the {len(lams)} nearest it: the lowest pairs are "
+            f"missing; lower eigen.shift")
 
     # the residual and certificate do not depend on the scale of u
     btu_norm, mu_norm = _column_norms(forms.BT @ u), _column_norms(mu)
@@ -287,25 +328,34 @@ def _residuals(au: np.ndarray, mu: np.ndarray, lams,
     return num / np.maximum(np.abs(lams) * mu_norm, _TINY)
 
 
-def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int):
+def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
+                           state: bool):
+    """c, the finite eigenvalues below sigma for a state solve (else 0),
+    and the count + c pairs nearest sigma (_nearest)."""
     lams, vecs = scipy.linalg.eigh(forms.A.toarray(), forms.M.toarray())
     # A G = 0 and M is positive definite, so the gradients are the lowest
     # pairs (lam ~ 0), which B^T u = 0 removes; there are n_free_vertex of
     # them while dim ker A = n_free_vertex, as on a connected, simply
     # connected mesh (a hole adds a lam ~ 0 harmonic pair, which stays).
     grads = forms.BT.shape[0]
-    return _nearest(forms, lams[grads:], vecs[:, grads:], sigma, count)
+    lams, vecs = lams[grads:], vecs[:, grads:]
+    below = int(np.count_nonzero(lams < sigma)) if state else 0
+    return below, _nearest(forms, lams, vecs, sigma, count + below)
 
 
-def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, nev: int,
-                            sel: EigenSelection, v0: np.ndarray | None):
+def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
+                            state: bool, sel: EigenSelection,
+                            v0: np.ndarray | None):
+    """As _dense_finite_spectrum, by Arnoldi on T, c from the inertia of
+    the factor of S (ShiftInvert.below)."""
     op = ShiftInvert(forms, sigma)
+    below = op.below if state else 0
     n = forms.n_edge
     linear = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
     # No spare pairs: T maps gradients to theta = 0, and the |theta| filter
     # drops only Ritz values farthest from sigma, before any wanted pair.
-    k = min(nev, n - 2)
-    ncv = min(n, max(3 * k + 8, 30))
+    k = min(count + below, n - 2)
+    ncv = min(n, 3 * k + 8)
     if v0 is None:
         # fixed starting vector keeps repeated solves bit-identical
         v0 = np.random.default_rng(0).standard_normal(n)
@@ -317,13 +367,14 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, nev: int,
     finally:
         if log.isEnabledFor(logging.DEBUG):     # SuperLU copies L and U
             fill = (lu.L.nnz + lu.U.nnz for lu in (op.edge, op.vertex))
-            log.debug("arpack solve: sigma=%.6g n=%d fill=%d+%d "
-                      "op_applies=%d", sigma, n, *fill, op.applies)
+            log.debug("arpack solve: sigma=%.6g n=%d k=%d ncv=%d below=%d "
+                      "fill=%d+%d op_applies=%d", sigma, n, k, ncv, op.below,
+                      *fill, op.applies)
 
     theta = theta.real
     keep = np.abs(theta) >= 10.0 * sel.tol
-    return _nearest(forms, sigma + 1.0 / theta[keep], x.real[:, keep], sigma,
-                    nev)
+    return below, _nearest(forms, sigma + 1.0 / theta[keep], x.real[:, keep],
+                           sigma, count + below)
 
 
 def _block_finite_spectrum(forms: AssembledForms, sigma: float,

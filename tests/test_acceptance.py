@@ -279,6 +279,18 @@ def test_desk_scale_monotone_descent(desk_run):
                    f"{len(values)} iterates, j {values[0]:.3e} -> {values[-1]:.3e}")
 
 
+def test_desk_scale_mode_swaps(desk_run):
+    """The square's tracked index swaps modes at each of the first four
+    steps: each lifts the tracked mode above its neighbour, so the new
+    index-0 vector is M-orthogonal to the last one."""
+    overlaps = [r.mode_overlap for r in desk_run["records"][:5]]
+    assert math.isnan(overlaps[0])        # the first state is cold
+    ok = all(o < 0.01 for o in overlaps[1:])
+    assert _report("5 mode swaps", ok,
+                   "overlaps at k = 1-4: "
+                   + ", ".join(f"{o:.2e}" for o in overlaps[1:]))
+
+
 def test_desk_scale_runtime(desk_run):
     elapsed = desk_run["elapsed"]
     assert _report("5 runtime", elapsed <= 300.0, f"{elapsed:.1f}s vs 300s")

@@ -391,7 +391,7 @@ class QuadraticProblem:
         vec = self.gram_inv @ coeffs
         norm = math.sqrt(max(float(coeffs @ vec), 0.0))
         grad = SimpleNamespace(vector=vec, norm_q=norm)
-        return grad, SimpleNamespace(lam=0.0)
+        return grad, SimpleNamespace(lam=0.0, mode_overlap=math.nan)
 
     def evaluate(self, q, lam=None):
         e = q - self.q_star
@@ -602,7 +602,8 @@ class TestOptimize:
         for msg, rec in zip(iterates, accepted):
             assert msg.startswith(f"iterate k={rec.k} lam=")
             for key in ("J=", "|g|_Q=", "t=",
-                        f"ls_trials={rec.ls_trials}", "gamma=", "t0="):
+                        f"ls_trials={rec.ls_trials}", "overlap=nan",
+                        "gamma=", "t0="):
                 assert key in msg
         # the first direction uses B_0 = b0_scale I and starts at t = 1
         assert " gamma=1000 t0=1" in iterates[0]

@@ -252,16 +252,20 @@ class TestSolveGevp:
         assert len(lines) == 1
         n_e, n_v = square16_forms.B.shape
         match = re.fullmatch(
-            r"arpack solve: sigma=9 n=(\d+) fill=(\d+)\+(\d+) "
-            r"op_applies=(\d+)", lines[0])
+            r"arpack solve: sigma=9 n=(\d+) k=(\d+) ncv=(\d+) below=(\d+) "
+            r"fill=(\d+)\+(\d+) op_applies=(\d+)", lines[0])
         assert match is not None, lines[0]
         # Arnoldi runs on edge vectors
         assert int(match[1]) == n_e
+        # a spectrum solve asks for nev pairs with 3 k + 8 Krylov vectors;
+        # no eigenvalue of the square lies below 9
+        assert (int(match[2]), int(match[3])) == (sel.nev, 3 * sel.nev + 8)
+        assert int(match[4]) == 0
         # the edge factor, then the vertex factor
-        assert int(match[2]) >= n_e
-        assert n_v <= int(match[3]) < int(match[2])
+        assert int(match[5]) >= n_e
+        assert n_v <= int(match[6]) < int(match[5])
         # one Arnoldi pass: ncv Krylov vectors for k = nev wanted pairs
-        assert 0 < int(match[4]) <= max(3 * sel.nev + 8, 30) + 1
+        assert 0 < int(match[7]) <= max(3 * sel.nev + 8, 30) + 1
 
     def test_warm_start_deterministic(self, square16_forms):
         sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
@@ -423,6 +427,122 @@ class TestShiftInvert:
         for ps, pd in zip(sparse, dense):
             assert abs(ps.lam - pd.lam) <= 1e-8 * abs(pd.lam)
             assert ps.u.shape == pd.u.shape == (dofs.free.n_edge,)
+
+
+@pytest.fixture
+def arnoldi_requests(monkeypatch):
+    """The (k, ncv) of each spla.eigs call the eigensolver makes."""
+    requests = []
+
+    class SpyLinalg:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+        def eigs(self, op, k, **kwargs):
+            requests.append((k, kwargs["ncv"]))
+            return spla.eigs(op, k, **kwargs)
+
+    monkeypatch.setattr(es, "spla", SpyLinalg())
+    return requests
+
+
+def dense_finite(forms):
+    """The finite eigenvalues of (A, M), ascending, by the dense eigh."""
+    return scipy.linalg.eigh(forms.A.toarray(), forms.M.toarray(),
+                             eigvals_only=True)[forms.BT.shape[0]:]
+
+
+def dense_below(forms, sigma):
+    return int(np.count_nonzero(dense_finite(forms) < sigma))
+
+
+@pytest.fixture(scope="module")
+def square16_finite(square16_forms):
+    return dense_finite(square16_forms)
+
+
+class TestColdStateSolve:
+    """A cold state solve (solve_gevp with a count) asks ARPACK for the
+    count + c pairs nearest sigma, c the eigenvalues below sigma by the
+    inertia of the factor of A - sigma*M, and raises where the nearest
+    pairs leave one below sigma out."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_lowest_pairs_of_the_spectrum(self, n, index, arnoldi_requests):
+        forms, _ = _reduced_forms(generate_unit_square(n))
+        assert forms.n > es.DENSE_THRESHOLD
+        sel = EigenSelection(index=index, nev=8, shift=9.0, tol=1e-8)
+        spectrum = solve_gevp(forms, sel)
+        state = solve_gevp(forms, sel, count=index + 2)
+        k = index + 2
+        assert arnoldi_requests == [(8, 32), (k, 3 * k + 8)]
+        assert len(state) == k
+        for ps, pt in zip(spectrum, state):
+            assert abs(pt.lam - ps.lam) <= 1e-10 * ps.lam
+            assert pt.residual <= sel.tol
+
+    @pytest.mark.parametrize("sigma, k", [(9.0, 2), (15.0, 4), (17.7, 4)])
+    def test_count_below_the_shift(self, square16_forms, square16_finite,
+                                   arnoldi_requests, sigma, k):
+        # the square's lowest pairs are 9.85, 9.87 and 19.76: sigma = 15
+        # and 17.7 add the two below them to the request
+        pairs = solve_gevp(square16_forms,
+                           EigenSelection(nev=8, shift=sigma, tol=1e-8),
+                           count=2)
+        assert arnoldi_requests == [(k, 3 * k + 8)]
+        np.testing.assert_allclose([p.lam for p in pairs[:2]],
+                                   square16_finite[:2], rtol=1e-10, atol=0.0)
+
+    def test_far_shift_raises(self, square16_forms, arnoldi_requests):
+        # the five pairs nearest sigma = 30 keep only 19.76 of the three
+        # below it
+        with pytest.raises(InsufficientSpectrum,
+                           match=r"3 eigenvalues lie below the shift 30, "
+                                 r"but only 1 .*lower eigen\.shift"):
+            solve_gevp(square16_forms,
+                       EigenSelection(nev=8, shift=30.0, tol=1e-8), count=2)
+        assert arnoldi_requests == [(5, 23)]
+
+    def test_spectrum_solve_is_unchecked(self, square16_forms,
+                                         square16_finite):
+        # the same shift without a count returns the nev pairs nearest it
+        pairs = solve_gevp(square16_forms,
+                           EigenSelection(nev=5, shift=30.0, tol=1e-8))
+        lams = square16_finite
+        want = np.sort(lams[np.argsort(np.abs(lams - 30.0))[:5]])
+        np.testing.assert_allclose([p.lam for p in pairs], want,
+                                   rtol=1e-10, atol=0.0)
+
+    def test_dense_path_counts_its_own(self):
+        # n = 4 goes dense: its lowest pairs 9.58, 9.83 and 20.02 lie below
+        # sigma = 21, and the 5 pairs nearest it keep them; the 9 pairs
+        # nearest sigma = 60 leave out the lowest of the 7 below it
+        forms, _ = _reduced_forms(generate_unit_square(4))
+        assert forms.n <= es.DENSE_THRESHOLD
+        assert dense_below(forms, 21.0) == 3
+        pairs = solve_gevp(forms, EigenSelection(nev=6, shift=21.0, tol=1e-8),
+                           count=2)
+        assert len(pairs) == 5
+        np.testing.assert_allclose([p.lam for p in pairs[:2]],
+                                   dense_finite(forms)[:2], rtol=1e-10)
+        with pytest.raises(InsufficientSpectrum, match="shift 60"):
+            solve_gevp(forms, EigenSelection(nev=6, shift=60.0, tol=1e-8),
+                       count=2)
+
+    @pytest.mark.parametrize("mesh", [generate_unit_square(8),
+                                      generate_unit_square(12), l_shape(6)],
+                             ids=["square8", "square12", "l_shape6"])
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_inertia_count_matches_dense(self, mesh, deformed):
+        q = (random_feasible_control(mesh, np.random.default_rng(5), 0.02)
+             if deformed else None)
+        forms, _ = _reduced_forms(mesh, q)
+        for sigma in (-2.5, 1.0, 9.0, 9.9, 15.0, 30.0, 50.0):
+            op = es.ShiftInvert(forms, sigma)
+            # diagonal pivots: the factor is a congruence of S
+            np.testing.assert_array_equal(op.edge.perm_r, op.edge.perm_c)
+            assert op.below == dense_below(forms, sigma), sigma
 
 
 class TestLShapeReference:

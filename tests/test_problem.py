@@ -19,7 +19,11 @@ from maxshape import (
 )
 from maxshape import adjoint_gradient, bfgs_optimizer
 from maxshape import eigensolver
-from maxshape.errors import InadmissibleDeformation, NoConvergence
+from maxshape.errors import (
+    InadmissibleDeformation,
+    InsufficientSpectrum,
+    NoConvergence,
+)
 from maxshape.fem_assembly import stiffness_floor
 from maxshape.problem import MaxwellShapeProblem
 from maxshape.reference_transform import metric_floor
@@ -455,6 +459,37 @@ class TestWarmStateSolves:
         assert after_failure.lam == expected.lam
         np.testing.assert_array_equal(after_failure.u, expected.u)
         np.testing.assert_array_equal(after_failure.block, expected.block)
+
+
+class TestColdStateGuard:
+    """The first, cold, state solve of the n = 16 square, whose lowest
+    pairs are 9.8505, 9.8676 and 19.760: a shift above them still gives
+    index 0, until the pairs nearest it leave the lowest out."""
+
+    @staticmethod
+    def problem(shift):
+        mesh = generate_unit_square(16)
+        params = ObjectiveParams(lambda_target=10.4, alpha=1e-3)
+        return MaxwellShapeProblem(
+            mesh, params, EigenSelection(nev=8, shift=shift, tol=1e-8))
+
+    def test_shift_above_the_lowest_pairs_keeps_index_0(self):
+        prob = self.problem(15.0)
+        state = prob.solve_state(prob.zero_control())
+        assert state.lam == pytest.approx(9.8505156, rel=1e-7)
+
+    def test_far_shift_raises_naming_it(self):
+        prob = self.problem(30.0)
+        with pytest.raises(InsufficientSpectrum, match="shift 30"):
+            prob.solve_state(prob.zero_control())
+
+
+class TestModeOverlap:
+    def test_cold_nan_warm_near_one(self):
+        prob = _square16_problem()
+        assert math.isnan(prob.solve_state(prob.zero_control()).mode_overlap)
+        near = prob.solve_state(_smooth_control(prob, 1e-3))
+        assert 0.99 < near.mode_overlap < 1.01
 
 
 class TestOneSolvePerControl:

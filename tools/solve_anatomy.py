@@ -6,10 +6,11 @@ For n = 16, 32 and 64 the script assembles the reduced pencil of the unit
 square at a random nodal deformation of size 0.05 / n, with the desk run's
 shift sigma = 0.9 * 1.05 * pi^2, and reports the median of 20 timings of
 each part of a problem's construction, of a state solve and of an Armijo
-trial's cost floor, in reference milliseconds: each part's wall times are
-scaled by the host speed that a benchmarks/hostspeed.py Gauge samples just
-before and just after them, so records from different sessions on a
-shared host compare.  The parts:
+trial's cost floor, in reference milliseconds: a benchmarks/hostspeed.py
+Gauge samples the host speed before the first timing and after each one,
+and each timing is scaled by the two samples around it, so records from
+different sessions on a shared host compare and a stall moves only the
+timings next to it.  The parts:
 
 - grid: generate_unit_square;
 - pattern: DofMap.from_mesh, with the sparsity pattern of the pencil;
@@ -34,8 +35,11 @@ shared host compare.  The parts:
   as "block solve" in the record;
 - cold apply: one application of the cold solve's edge operator
   T = P S^{-1} M, P = I - G L^{-1} B^T, to one edge vector;
-- cold solve: solve_gevp by ARPACK on T, nev = 8, with the applies of T
-  it made;
+- spectrum solve: solve_gevp by ARPACK on T for the nev = 8 pairs
+  nearest sigma, as ``maxshape eigs`` runs it, with the applies of T it
+  made;
+- cold state solve: the same for the index + 2 = 2 pairs a problem's
+  first state solve computes (solve_gevp's count), with its applies;
 - Ritz floor: what an Armijo trial's cost floor adds to the state-free
   cost once there is an anchor: on a new field at the deformation, its
   kinematics, the state forms and the Ritz bound of the tracked
@@ -75,7 +79,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
-from hostspeed import Gauge  # noqa: E402
+from hostspeed import REF_S, Gauge  # noqa: E402
 
 from maxshape import (  # noqa: E402
     DeformationField,
@@ -109,7 +113,10 @@ SIGMA = 0.9 * 1.05 * np.pi ** 2
 SEED = 0
 COLUMNS = ("grid", "pattern", "ordering", "Gram + H factor", "assemble",
            "factor S", "factor L", "block iteration", "warm solve",
-           "bookkeeping", "cold apply", "cold solve", "Ritz floor")
+           "bookkeeping", "cold apply", "spectrum solve", "cold state solve",
+           "Ritz floor")
+COUNTS = ("warm sigma", "warm iterations", "spectrum applies",
+          "cold state applies")
 
 
 def random_field(mesh, rng, size: float) -> np.ndarray:
@@ -118,37 +125,33 @@ def random_field(mesh, rng, size: float) -> np.ndarray:
 
 
 def median_ms(fn, repeats: int) -> float:
-    """The median of repeats timings of fn in reference milliseconds."""
+    """The median of repeats timings of fn in reference milliseconds, each
+    scaled by the gauge's samples just before and just after it.  The
+    reference kernel evicts fn's data from the caches, so an untimed call
+    follows each sample."""
     gauge = Gauge()
     gauge.sample()
     times = []
     for _ in range(repeats):
+        fn()
         start = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - start)
-    gauge.sample()
-    return 1e3 * gauge.to_reference(statistics.median(times))
+        wall = time.perf_counter() - start
+        gauge.sample()
+        times.append(wall * REF_S / statistics.fmean(gauge.samples[-2:]))
+    return 1e3 * statistics.median(times)
 
 
 class _SolveCounts(logging.Handler):
-    """Keeps the shift and counts of the last warm and cold solves' debug
-    lines."""
-
-    FIELDS = {"warm sigma": ("block solve", "sigma", float),
-              "warm iterations": ("block solve", "iterations", int),
-              "cold applies": ("arpack solve", "op_applies", int)}
+    """Keeps the fields of the last debug line of each kind of solve."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.last = {column: kind(0) for column, (_, _, kind)
-                     in self.FIELDS.items()}
+        self.last: dict[str, dict[str, str]] = {}
 
     def emit(self, record):
-        message = record.getMessage()
-        for column, (line, field, kind) in self.FIELDS.items():
-            match = re.search(rf"\b{field}=(\S+)", message)
-            if message.startswith(line) and match:
-                self.last[column] = kind(match[1])
+        kind, _, fields = record.getMessage().partition(": ")
+        self.last[kind] = dict(re.findall(r"(\w+)=(\S+)", fields))
 
 
 def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
@@ -196,10 +199,19 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     try:
         warm_ms = median_ms(lambda: solve_gevp(forms, sel, block=block),
                             repeats)
-        cold_ms = median_ms(lambda: solve_gevp(forms, sel), repeats)
+        warm = counter.last["block solve"]
+        spectrum_ms = median_ms(lambda: solve_gevp(forms, sel), repeats)
+        spectrum = counter.last["arpack solve"]
+        state_ms = median_ms(
+            lambda: solve_gevp(forms, sel, count=sel.index + 2), repeats)
+        state = counter.last["arpack solve"]
     finally:
         log.removeHandler(counter)
         log.setLevel(level)
+    counts = {"warm sigma": float(warm["sigma"]),
+              "warm iterations": int(warm["iterations"]),
+              "spectrum applies": int(spectrum["op_applies"]),
+              "cold state applies": int(state["op_applies"])}
 
     op = ShiftInvert(forms, SIGMA)
     v = rng.standard_normal(forms.n_edge)
@@ -232,24 +244,24 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
         "warm solve": warm_ms,
         "block solve": solve_ms,
         "bookkeeping": warm_ms - factor_ms
-        - (counter.last["warm iterations"] + 1) * solve_ms,
+        - (counts["warm iterations"] + 1) * solve_ms,
         "cold apply": median_ms(lambda: op.apply(v), repeats),
-        "cold solve": cold_ms,
+        "spectrum solve": spectrum_ms,
+        "cold state solve": state_ms,
         "Ritz floor": median_ms(ritz_floor, repeats),
-        **counter.last,
+        **counts,
     }
 
 
 def table(rows: list[dict]) -> str:
     """The rows as a markdown table."""
-    counts = tuple(_SolveCounts.FIELDS)
-    cells = ["n", "pencil", *COLUMNS, *counts]
+    cells = ["n", "pencil", *COLUMNS, *COUNTS]
     lines = ["| " + " | ".join(cells) + " |", "|" + "---|" * len(cells)]
     for row in rows:
         lines.append("| " + " | ".join(
             [str(row["n"]), str(row["pencil"]),
              *(f"{row[c]:.2f} ms" for c in COLUMNS),
-             *(f"{row[c]:.6g}" for c in counts)]) + " |")
+             *(f"{row[c]:.6g}" for c in COUNTS)]) + " |")
     return "\n".join(lines)
 
 
