@@ -181,11 +181,11 @@ class EigenSelection:
 
     index counts finite eigenvalues from the smallest; a cold state solve
     (adjoint_gradient.solve_state) raises rather than return a pair that
-    does not, and a warm one relies on its guard column.  shift, finite, not 0 and no eigenvalue, is the cold solve's
-    transform target and the floor of a warm one's (solve_gevp); nev, the
-    pairs a spectrum solve computes (solve_gevp without a count, as
-    ``maxshape eigs`` runs it), defaults to max(6, index + 3).  A state
-    solve ignores nev.
+    does not, and a warm one relies on its guard column.  shift, finite,
+    not 0 and no eigenvalue, is the cold solve's transform target and the
+    floor of a warm one's (solve_gevp); nev, the pairs a spectrum solve
+    computes (solve_gevp without a count, as ``maxshape eigs`` runs it),
+    defaults to max(6, index + 3).  A state solve ignores nev.
     """
 
     index: int = 0
