@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, adjoint_gradient
 from .bfgs_optimizer import (
     IterationRecord,
     OptimizeStatus,
@@ -35,7 +35,7 @@ from .bfgs_optimizer import (
 )
 from .eigensolver import EigenSelection, solve_gevp
 from .errors import ConfigError, MaxshapeError
-from .fem_assembly import LOCAL_INCIDENCE, apply_dirichlet, assemble_forms
+from .fem_assembly import LOCAL_INCIDENCE
 from .mesh_io import Mesh, generate_unit_square, parse_msh, write_vtk
 from .objective import ObjectiveParams
 from .problem import MaxwellShapeProblem
@@ -351,10 +351,8 @@ def run_eigs(cfg: RunConfig, nev: int | None = None) -> int:
             sel = replace(sel, nev=nev)
         except ValueError as exc:
             raise ConfigError(str(exc))
-    mesh = problem.mesh
-    forms = apply_dirichlet(
-        assemble_forms(mesh, problem.dofs,
-                       DeformationField.zero(mesh)), problem.dofs)
+    forms = adjoint_gradient.state_forms(
+        problem.mesh, problem.dofs, problem.field(problem.zero_control()))
     pairs = solve_gevp(forms, sel)
     print(f"dofs_total = {problem.dofs.n_total}  dofs_free = {problem.dofs.n_free}")
     print("  i  lambda            residual   div_certificate")

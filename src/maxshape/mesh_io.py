@@ -36,6 +36,7 @@ class Mesh:
     Attributes:
         vertices: (V, 2) float64 coordinates.
         triangles: (T, 3) int vertex indices, counterclockwise.
+        areas: (T,) float64 triangle areas, positive.
         edges: (E, 2) int vertex pairs with edges[:, 0] < edges[:, 1],
             sorted lexicographically.
         triangle_edges: (T, 3) int global edge index of each local edge.
@@ -74,8 +75,10 @@ class Mesh:
 
         self.vertices = vertices
         self.triangles = triangles
+        # flipping swaps e1 and e2, and fl(a - b) = -fl(b - a)
+        self.areas = 0.5 * np.abs(twice_area)
         self._build_edges()
-        for arr in (self.vertices, self.triangles, self.edges,
+        for arr in (self.vertices, self.triangles, self.areas, self.edges,
                     self.triangle_edges, self.triangle_edge_signs,
                     self.boundary_edges, self.boundary_vertices):
             arr.setflags(write=False)
@@ -132,20 +135,12 @@ class Mesh:
                                     + self.n_triangles)
 
     @cached_property
-    def areas(self) -> np.ndarray:
-        """(T,) triangle areas (positive by construction)."""
-        p0 = self.vertices[self.triangles[:, 0]]
-        e1 = self.vertices[self.triangles[:, 1]] - p0
-        e2 = self.vertices[self.triangles[:, 2]] - p0
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-    @cached_property
     def barycentric_gradients(self) -> np.ndarray:
         """(T, 3, 2) gradients of the three P1 hat functions per triangle."""
         verts = self.vertices[self.triangles]           # (T, 3, 2)
         e1 = verts[:, 1] - verts[:, 0]
         e2 = verts[:, 2] - verts[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        det = 2.0 * self.areas
         grads = np.empty((self.n_triangles, 3, 2))
         # Rows of the inverse of [e1 e2]; lambda_0 completes the partition.
         grads[:, 1, 0] = e2[:, 1] / det

@@ -25,6 +25,7 @@ from maxshape.errors import (
     NoConvergence,
 )
 from maxshape.fem_assembly import stiffness_floor
+from maxshape.mesh_io import Mesh
 from maxshape.problem import MaxwellShapeProblem
 from maxshape.reference_transform import metric_floor
 
@@ -649,12 +650,10 @@ class TestWarmStartAnchor:
         assert trials_after_rejection >= 1
 
 
-def _desk8_problem():
-    """The desk recipe on the 8 x 8 square: lambda* = 1.05 lambda0 and the
+def _desk_problem(mesh, k_max):
+    """The desk recipe on mesh: lambda* = 1.05 lambda0 and the
     cavity-scaled alpha = 100 (lambda0 / 6017)^2; returns the problem and
-    its optimizer configuration.  Its fourth Armijo search starts with a
-    trial whose cost floor lies above the right-hand side."""
-    mesh = generate_unit_square(8)
+    its optimizer configuration."""
     probe = MaxwellShapeProblem(
         mesh, ObjectiveParams(lambda_target=1.0, alpha=0.0),
         EigenSelection(index=0, nev=8, shift=9.0, tol=1e-8), seed=0)
@@ -665,7 +664,14 @@ def _desk8_problem():
                              epsilon=1e-4)
     sel = EigenSelection(index=0, nev=8, shift=0.9 * lam_star, tol=1e-8)
     return (MaxwellShapeProblem(mesh, params, sel, seed=0),
-            OptimizerConfig(tol=1e-7, k_max=4, b0_scale=1.0 / alpha))
+            OptimizerConfig(tol=1e-7, k_max=k_max, b0_scale=1.0 / alpha))
+
+
+def _desk8_problem():
+    """The desk recipe on the 8 x 8 square with k_max = 4.  Its fourth
+    Armijo search starts with a trial whose cost floor lies above the
+    right-hand side."""
+    return _desk_problem(generate_unit_square(8), k_max=4)
 
 
 @pytest.fixture
@@ -838,3 +844,70 @@ class TestRitzBound:
                 assert theta * (1.0 + sel.tol) >= prob.solve_state(q).lam
                 finite += math.isfinite(theta)
         assert finite >= 4
+
+
+def _renumbered(mesh, seed):
+    """mesh with its vertices renumbered at random, none moved."""
+    number = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[number] = mesh.vertices
+    return Mesh(vertices, number[mesh.triangles])
+
+
+def _mirror_error(mesh, values):
+    """max |v(y, x) - (v_y, v_x)(x, y)| / max |v| of nodal values v, a
+    flat control or a (V, 2) array, on a mesh that (x, y) -> (y, x) maps
+    to itself."""
+    number = {tuple(p): i for i, p in enumerate(mesh.vertices)}
+    mirror = [number[y, x] for x, y in mesh.vertices]
+    v = np.reshape(values, (-1, 2))
+    return np.abs(v[mirror] - v[:, ::-1]).max() / np.abs(v).max()
+
+
+def _mirror_control(mesh):
+    """q = (b x (1 - y), b y (1 - x)), b = 0.01 sin(pi x) sin(pi y): a
+    control that (x, y) -> (y, x) maps to itself, components swapped."""
+    x, y = mesh.vertices.T
+    b = 0.01 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    return np.column_stack([b * x * (1.0 - y), b * y * (1.0 - x)]).ravel()
+
+
+class TestMirrorSymmetry:
+    """The square, its mesh and the objective are invariant under the
+    mirror (x, y) -> (y, x), so Riesz gradients at mirror-symmetric
+    controls and the iterates of a desk run are mirror-symmetric: an
+    oracle for assembly and derivative numbering without finite
+    differences, with the square's numbering and a random one."""
+
+    @pytest.mark.parametrize("renumber", [False, True])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_riesz_gradient(self, n, renumber):
+        # n = 8 solves dense; n = 16 by ARPACK at q = 0, then warm from it.
+        # The warm mode is as symmetric as its residual allows: at tol 1e-8
+        # the gradient's mirror error reads about 1e-10.
+        mesh = generate_unit_square(n)
+        if renumber:
+            mesh = _renumbered(mesh, n)
+        prob = MaxwellShapeProblem(
+            mesh, ObjectiveParams(lambda_target=10.4, alpha=1e-3, beta=1e-6,
+                                  epsilon=1e-4),
+            EigenSelection(index=0, nev=8, shift=9.0, tol=1e-10), seed=0)
+        symmetric = _mirror_control(mesh)
+        assert _mirror_error(mesh, symmetric) <= 1e-15
+        for q in (prob.zero_control(), symmetric):
+            grad, _ = prob.gradient(q)
+            assert _mirror_error(mesh, grad.vector) <= 1e-9
+
+    @pytest.mark.parametrize("renumber", [False, True])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_desk_iterates(self, n, renumber):
+        mesh = generate_unit_square(n)
+        if renumber:
+            mesh = _renumbered(mesh, n)
+        prob, cfg = _desk_problem(mesh, k_max=5)
+        accepted = []
+        q, records, _ = optimize(prob, prob.zero_control(), cfg,
+                                 callback=lambda k, q, rec: accepted.append(q))
+        assert len(records) == 6
+        for q in [*accepted, q]:
+            assert _mirror_error(mesh, q) <= 1e-9

@@ -24,8 +24,8 @@ timings next to it.  The parts:
   as they do: in the pattern's order, which SuperLU keeps;
 - factor L: splu of L = B^T G (as L^T), which only cold solves factor;
 - block iteration: one iteration of the warm solve on a 3-column block,
-  Y = S^{-1} (M X) with its one sparse product M Y, A Y = sigma M Y + M X,
-  the Rayleigh-Ritz step and the next block's M X = (M Y) C;
+  Y = S^{-1} (M X) with its sparse products M Y and A Y, the
+  Rayleigh-Ritz step and the next block's M X = (M Y) C;
 - warm solve: solve_gevp from the block of a cold solve at a deformation
   0.005 / n away, with the shift it factored at (warm sigma: sigma or,
   when larger, just below the block's lowest Rayleigh quotient) and the
@@ -180,14 +180,13 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     # pattern's build orders
     position = np.argsort(dofs.free_edges)
     ascending = s_mat[position][:, position].tocsc().sorted_indices()
-    m = forms.M
+    a, m = forms.A, forms.M
     x = np.hstack([block, rng.standard_normal((forms.n_edge, 1))])
     mx = m @ x
 
     def block_iteration():
         y = edge.solve(mx)
-        my = m @ y
-        ay = SIGMA * my + mx
+        my, ay = m @ y, a @ y
         _, c = scipy.linalg.eigh(y.T @ ay, y.T @ my)
         return y @ c, my @ c
 
