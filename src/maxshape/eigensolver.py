@@ -8,11 +8,11 @@ posed by the forms A, M and B^T on free DOFs.  Its finite eigenpairs are
 the pairs of (A, M) on divergence-free edge vectors (B^T u = 0), and
 every path solves on edge vectors.  The identities B = M G and A G = 0
 (curl grad = 0 on the Whitney/P1 pair; Boffi, Acta Numerica 19, 2010)
-make the gradients G phi the kernel of A.  A dense solve of a small
-pencil runs the symmetric-definite eigh(A, M) and drops those gradient
-pairs, the lowest, by their count.  With S = A - sigma*M the identities
-give S G = -sigma B, so S^{-1} M maps a gradient G phi to -G phi / sigma
-and a divergence-free mode to u / (lam - sigma).
+make the gradients G phi the kernel of A.  A pencil too small for
+Arnoldi (solve_gevp) runs the symmetric-definite eigh(A, M) and drops
+those gradient pairs, the lowest, by their count.  With S = A - sigma*M
+the identities give S G = -sigma B, so S^{-1} M maps a gradient G phi to
+-G phi / sigma and a divergence-free mode to u / (lam - sigma).
 
 A cold solve runs Arnoldi on T = P S^{-1} M, P = I - G L^{-1} B^T, with
 L = B^T G, the P1 stiffness matrix in the deformed metric: P removes the
@@ -55,9 +55,6 @@ from .errors import FactorizationFailed, InsufficientSpectrum, NoConvergence
 from .fem_assembly import AssembledForms
 
 log = logging.getLogger(__name__)
-
-# Up to this pencil size the dense eigh(A, M) beats a sparse solve.
-DENSE_THRESHOLD = 300
 
 # Largest ||B^T u|| / ||M u|| a divergence-free (spurious-free) pair may show.
 DIVERGENCE_TOL = 1e-6
@@ -180,11 +177,12 @@ class EigenSelection:
 
     index counts finite eigenvalues from the smallest; a cold state solve
     (adjoint_gradient.solve_state) raises rather than return a pair that
-    does not, and a warm one relies on its guard column.  shift, finite,
-    not 0 and no eigenvalue, is the cold solve's transform target and the
-    floor of a warm one's (solve_gevp); nev, the pairs a spectrum solve
-    computes (solve_gevp without a count, as ``maxshape eigs`` runs it),
-    defaults to max(6, index + 3).  A state solve ignores nev.
+    does not, and a warm one relies on its guard column.  shift, finite, not
+    0 and no eigenvalue, is the cold solve's transform target and the floor
+    of a warm one's (solve_gevp).  nev, the pairs a spectrum solve computes
+    (solve_gevp without a count, as ``maxshape eigs`` runs it), defaults to
+    max(6, index + 3) and is at least index + 2, the pairs solve_gevp checks
+    and select_and_normalize stacks.  A state solve ignores nev.
     """
 
     index: int = 0
@@ -201,8 +199,8 @@ class EigenSelection:
             raise ValueError("shift must be finite and not 0")
         if self.nev is not None and self.nev < self.index + 2:
             raise ValueError(
-                "nev must be >= index + 2: the warm block holds the pairs "
-                "up to the tracked pair's upper neighbour")
+                "nev must be >= index + 2: a spectrum solve checks pairs "
+                "index +- 1, and select_and_normalize stacks index + 2")
 
     @property
     def nev_effective(self) -> int:
@@ -215,22 +213,20 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
                count: int | None = None) -> list[MixedEigenPair]:
     """Compute the finite eigenvalues nearest the shift, sorted ascending.
 
-    A cold solve (no block) runs the dense eigh(A, M) on the free edges
-    for small pencils, shift-invert Arnoldi from v0, an edge vector,
-    otherwise, with the selection's shift sigma as its target.  A spectrum
-    solve (count None) returns the nev pairs nearest sigma.  A state solve
-    passes count, the lowest pairs it keeps (index + 2), and a cold one
-    returns the count + c pairs nearest sigma, c the eigenvalues below
-    sigma: counted by the dense path, read from the inertia of the factor
-    of A - sigma*M by the sparse one (ShiftInvert.below).  With all c
-    pairs below sigma among them, the lowest count returned pairs are the
-    lowest count of the pencil.  A warm solve starts block shift-invert
-    iteration from block, reduced u columns such as MixedEigenPair.block
-    of a solve at a nearby deformation, and computes the lowest index + 2
-    pairs it finds, at a shift no lower than the selection's: a positive
-    shift rises to (1 - WARM_SHIFT_MARGIN) times the lowest Rayleigh
-    quotient of the block's columns when that is larger.  Small pencils
-    still go dense.
+    A cold solve (no block) runs shift-invert Arnoldi from v0, an edge vector,
+    at the selection's shift sigma.  A spectrum solve (count None) returns the
+    nev pairs nearest sigma.  A state solve passes count, the lowest pairs it
+    keeps (index + 2), and a cold one returns the count + c pairs nearest
+    sigma, c the eigenvalues below sigma by the inertia of the factor of
+    A - sigma*M (ShiftInvert.below).  With all c pairs below sigma among them,
+    the lowest count returned pairs are the lowest count of the pencil.  A
+    warm solve starts block shift-invert iteration from block, reduced u
+    columns such as MixedEigenPair.block of a solve at a nearby deformation,
+    and computes the lowest index + 2 pairs it finds, at a shift no lower than
+    the selection's: a positive shift rises to (1 - WARM_SHIFT_MARGIN) times
+    the lowest Rayleigh quotient of the block's columns when that is larger.
+    Any pencil of at most 2 wanted + 12 DOFs (wanted: count, else nev) leaves
+    Arnoldi no room: the dense eigh(A, M) on the free edges solves it.
 
     Each returned eigenvector u is normalized to u^T M u = 1 and carries
     the relative pencil residual of (lam, [u; 0]) and its divergence
@@ -260,7 +256,8 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     sigma = float(sel.shift)
 
     below = 0
-    if n <= max(DENSE_THRESHOLD, 2 * wanted + 12):
+    # Arnoldi's room: ARPACK returns at most n_edge - 2 pairs (Lehoucq 1998)
+    if n <= 2 * wanted + 12:
         below, (lams, u, au, mu) = _dense_finite_spectrum(forms, sigma,
                                                           wanted, state)
     elif block is None:

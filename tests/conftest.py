@@ -5,11 +5,15 @@ import scipy.sparse.linalg as spla
 
 from maxshape import (
     DeformationField,
+    EigenSelection,
+    ObjectiveParams,
+    OptimizerConfig,
     assemble_control_gram,
     generate_unit_square,
 )
 from maxshape.fem_assembly import EDGE_MIDPOINTS, QP_WEIGHT
 from maxshape.mesh_io import LOCAL_EDGES, Mesh
+from maxshape.problem import MaxwellShapeProblem
 from maxshape.reference_transform import jacobian_derivative, sum_to_nodes
 
 # Smallest finite eigenvalues of the PEC Maxwell problem on the unit square:
@@ -21,6 +25,10 @@ SQUARE_SPECTRUM = np.pi ** 2 * np.array([1.0, 1.0, 2.0, 4.0, 4.0, 5.0, 5.0])
 # equations for the approximation of highly singular solutions", 2004).
 L_SHAPE_SPECTRUM = np.array([1.47562182408, 3.53403136678, 9.86960440109,
                              9.86960440109, 11.3894793979])
+
+# Reference cavity weighting: regularization weight 100 at target scale 6017.
+CAVITY_ALPHA = 100.0
+CAVITY_TARGET = 6017.0
 
 TWO_TRIANGLE_MSH = """$MeshFormat
 2.2 0 8
@@ -181,6 +189,30 @@ def random_feasible_control(mesh, rng, q_inf, epsilon=1e-4):
         if jacobian_range(q)[0] > 2.0 * epsilon:
             return q
     raise AssertionError("could not draw a feasible deformation")
+
+
+def desk_problem(mesh):
+    """The desk configuration on mesh: lambda* = 1.05 lambda0, lambda0
+    probed there at shift 9.
+
+    The regularization weight is scaled so that alpha / lambda0^2 keeps the
+    reference cavity weighting CAVITY_ALPHA / CAVITY_TARGET^2; with the raw
+    weight 100 the eigenvalue-targeting term could never reach J <= 1e-6 at
+    this eigenvalue scale.  Returns the problem, lambda0 and the optimizer
+    configuration with the default k_max.
+    """
+    probe_sel = EigenSelection(index=0, nev=8, shift=9.0, tol=1e-8)
+    probe = MaxwellShapeProblem(
+        mesh, ObjectiveParams(lambda_target=1.0, alpha=0.0), probe_sel, seed=0)
+    lam0 = probe.solve_state(probe.zero_control()).lam
+
+    lam_star = 1.05 * lam0
+    alpha = CAVITY_ALPHA * (lam0 / CAVITY_TARGET) ** 2
+    params = ObjectiveParams(lambda_target=lam_star, alpha=alpha,
+                             beta=1e-6, epsilon=1e-4)
+    sel = EigenSelection(index=0, nev=8, shift=0.9 * lam_star, tol=1e-8)
+    problem = MaxwellShapeProblem(mesh, params, sel, seed=0)
+    return problem, lam0, OptimizerConfig(tol=1e-7, b0_scale=1.0 / alpha)
 
 
 def kron_gram(mesh):

@@ -33,11 +33,14 @@ from maxshape import (
 from maxshape.bfgs_optimizer import BfgsHistory, apply_inverse_hessian, damp
 from maxshape.problem import MaxwellShapeProblem
 
-from conftest import SQUARE_SPECTRUM, dilation_control, random_feasible_control
-
-# Reference cavity weighting: regularization weight 100 at target scale 6017.
-CAVITY_ALPHA = 100.0
-CAVITY_TARGET = 6017.0
+from conftest import (
+    CAVITY_ALPHA,
+    CAVITY_TARGET,
+    SQUARE_SPECTRUM,
+    desk_problem,
+    dilation_control,
+    random_feasible_control,
+)
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:
@@ -217,33 +220,10 @@ def test_damping_lemma_suite():
 
 # -- 5: end-to-end optimization, desk scale -----------------------------------
 
-def _desk_problem(mesh):
-    """The desk configuration on mesh: lambda* = 1.05 lambda0 probed there.
-
-    The regularization weight is scaled so that alpha / lambda0^2 keeps the
-    reference cavity weighting CAVITY_ALPHA / CAVITY_TARGET^2; with the raw
-    weight 100 the eigenvalue-targeting term could never reach J <= 1e-6 at
-    this eigenvalue scale.  Returns the problem, lambda0 and the optimizer
-    configuration without its k_max.
-    """
-    probe_sel = EigenSelection(index=0, nev=8, shift=9.0, tol=1e-8)
-    probe = MaxwellShapeProblem(
-        mesh, ObjectiveParams(lambda_target=1.0, alpha=0.0), probe_sel, seed=0)
-    lam0 = probe.solve_state(probe.zero_control()).lam
-
-    lam_star = 1.05 * lam0
-    alpha = CAVITY_ALPHA * (lam0 / CAVITY_TARGET) ** 2
-    params = ObjectiveParams(lambda_target=lam_star, alpha=alpha,
-                             beta=1e-6, epsilon=1e-4)
-    sel = EigenSelection(index=0, nev=8, shift=0.9 * lam_star, tol=1e-8)
-    problem = MaxwellShapeProblem(mesh, params, sel, seed=0)
-    return problem, lam0, OptimizerConfig(tol=1e-7, b0_scale=1.0 / alpha)
-
-
 @pytest.fixture(scope="module")
 def desk_run():
     """Shared desk-scale optimization on the 16x16 unit square."""
-    problem, lam0, cfg = _desk_problem(generate_unit_square(16))
+    problem, lam0, cfg = desk_problem(generate_unit_square(16))
     start = time.perf_counter()
     q, records, status = optimize(problem, problem.zero_control(),
                                   replace(cfg, k_max=50))
@@ -322,7 +302,7 @@ def test_desk_first_search_is_short():
     """The first line search makes <= 3 trials, none of them infeasible:
     every trial takes a cost floor, and those it does not reject an
     evaluation."""
-    problem, _, cfg = _desk_problem(generate_unit_square(16))
+    problem, _, cfg = desk_problem(generate_unit_square(16))
     floors, values = [], []
     cost_floor, evaluate = problem.cost_floor, problem.evaluate
 
@@ -363,7 +343,7 @@ def rectangle_run():
         if n not in runs:
             square = generate_unit_square(n)
             mesh = Mesh(square.vertices * [1.0, 0.8], square.triangles)
-            problem, _, cfg = _desk_problem(mesh)
+            problem, _, cfg = desk_problem(mesh)
             q, records, status = optimize(problem, problem.zero_control(),
                                           replace(cfg, k_max=100))
             runs[n] = dict(problem=problem, q=q, records=records,
@@ -416,7 +396,7 @@ def test_riesz_gradient_mesh_independence():
     """
     norms = {}
     for n in (16, 32, 64):
-        problem, _, _ = _desk_problem(generate_unit_square(n))
+        problem, _, _ = desk_problem(generate_unit_square(n))
         norms[n] = problem.gradient(problem.zero_control())[0].norm_q
     coarse = abs(norms[32] - norms[16])
     fine = abs(norms[64] - norms[32])

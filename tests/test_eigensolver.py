@@ -161,10 +161,9 @@ class TestSolveGevp:
         assert abs(selected[0] - selected[1]) <= 10 * 1e-8 * abs(selected[0])
 
     def test_dense_and_arpack_agree(self):
-        # n=8 runs dense, n=16 runs shift-invert ARPACK; eigenvalues of the
-        # same continuous problem must land on the same analytic targets, and
-        # the n=8 mesh re-solved through both paths must agree to solver tol.
-        # The dense eigenvalues are QZ's on the whole saddle pencil.
+        # The 8 x 8 square runs shift-invert ARPACK; its eigenvalues must
+        # agree with the dense eigh(A, M) on the free edges to solver tol
+        # and with QZ on the whole saddle pencil.
         # Inputs: the undeformed square, and a deformation near the jacobian
         # floor (J_min ~ 0.1); shift 40 makes K - sigma*Mt strongly
         # indefinite for the symmetric-mode LU.
@@ -176,17 +175,12 @@ class TestSolveGevp:
             forms, _ = _reduced_forms(mesh, field)
             for shift in (9.0, 40.0):
                 sel = EigenSelection(nev=6, shift=shift, tol=1e-9)
-                dense = solve_gevp(forms, sel)
-                threshold = es.DENSE_THRESHOLD
-                try:
-                    es.DENSE_THRESHOLD = 0
-                    sparse = solve_gevp(forms, sel)
-                finally:
-                    es.DENSE_THRESHOLD = threshold
-                assert len(dense) == len(sparse) == 6
-                for pd, ps in zip(dense, sparse):
-                    assert abs(pd.lam - ps.lam) <= 1e-7 * abs(pd.lam)
-                np.testing.assert_allclose([p.lam for p in dense],
+                sparse = [p.lam for p in solve_gevp(forms, sel)]
+                assert len(sparse) == 6
+                np.testing.assert_allclose(sparse,
+                                           dense_nearest(forms, shift, 6),
+                                           rtol=1e-7, atol=0.0)
+                np.testing.assert_allclose(sparse,
                                            qz_nearest(forms, shift, 6),
                                            rtol=1e-10, atol=0.0)
 
@@ -285,6 +279,29 @@ class TestSolveGevp:
             with pytest.raises(ValueError, match="v0"):
                 solve_gevp(square16_forms, sel, v0=np.ones(n))
 
+    def test_dispatch_by_arnoldi_room(self, arnoldi_requests, monkeypatch):
+        # a pencil of at most 2 wanted + 12 DOFs solves dense, a larger one
+        # by ARPACK cold and by block iteration warm
+        dense, real = [], es._dense_finite_spectrum
+
+        def spy(forms, sigma, count, state):
+            dense.append((forms.n, count))
+            return real(forms, sigma, count, state)
+
+        monkeypatch.setattr(es, "_dense_finite_spectrum", spy)
+        sel = EigenSelection(nev=7, shift=9.0, tol=1e-8)
+        square2, _ = _reduced_forms(generate_unit_square(2))
+        solve_gevp(square2, sel, count=2)
+        solve_gevp(square2, sel)
+        assert dense == [(9, 2), (9, 7)] and arnoldi_requests == []
+        square4, _ = _reduced_forms(generate_unit_square(4))
+        cold = solve_gevp(square4, sel, count=2)
+        assert arnoldi_requests == [(2, 14)]
+        warm = solve_gevp(square4, sel, block=block_of(cold), count=2)
+        assert dense == [(9, 2), (9, 7)] and arnoldi_requests == [(2, 14)]
+        for pw, pc in zip(warm, cold):
+            assert abs(pw.lam - pc.lam) <= 1e-8 * pc.lam
+
     def test_insufficient_spectrum(self):
         # n=2: 8 free edges, 1 free vertex -> exactly 7 finite eigenvalues.
         mesh = generate_unit_square(2)
@@ -351,7 +368,6 @@ class TestShiftInvert:
         q = (random_feasible_control(mesh, np.random.default_rng(3), 0.1 / 16)
              if deformed else None)
         forms, _ = _reduced_forms(mesh, q)
-        assert forms.n > es.DENSE_THRESHOLD
         sigma = 9.0
         pairs = solve_gevp(forms, EigenSelection(nev=8, shift=sigma,
                                                  tol=1e-8))
@@ -372,7 +388,6 @@ class TestShiftInvert:
         q = (random_feasible_control(mesh, np.random.default_rng(3), 0.1 / n)
              if deformed else None)
         forms, _ = _reduced_forms(mesh, q)
-        assert forms.n > es.DENSE_THRESHOLD
         sel = EigenSelection(nev=4, shift=sigma, tol=1e-8)
         pairs = solve_gevp(forms, sel)
         got = np.array([p.lam for p in pairs])
@@ -404,29 +419,29 @@ class TestShiftInvert:
                        EigenSelection(nev=6, shift=9.0, tol=1e-8))
         assert len(calls) == failing + 1
 
-    def test_strip_without_free_vertex(self, monkeypatch):
+    def test_strip_without_free_vertex(self):
         # A one-cell-wide strip: every vertex lies on the boundary, so L is
-        # empty, yet the 319 free edges put the pencil on the sparse path.
-        cells = 160
-        x = np.arange(cells + 1, dtype=float)
-        vertices = np.concatenate([np.column_stack([x, np.zeros_like(x)]),
-                                   np.column_stack([x, np.ones_like(x)])])
-        lo = np.arange(cells)
-        hi = lo + cells + 1
-        triangles = np.concatenate([np.column_stack([lo, lo + 1, hi + 1]),
-                                    np.column_stack([lo, hi + 1, hi])])
-        mesh = Mesh(vertices, triangles)
-        forms, dofs = _reduced_forms(mesh)
-        assert dofs.n_free_vertex == 0
-        assert saddle_pencil(forms)[0].shape[0] == 319 > es.DENSE_THRESHOLD
-        sel = EigenSelection(nev=6, shift=0.05, tol=1e-9)
-        sparse = solve_gevp(forms, sel)
-        monkeypatch.setattr(es, "DENSE_THRESHOLD", 1000)
-        dense = solve_gevp(forms, sel)
-        assert len(sparse) == len(dense) == 6
-        for ps, pd in zip(sparse, dense):
-            assert abs(ps.lam - pd.lam) <= 1e-8 * abs(pd.lam)
-            assert ps.u.shape == pd.u.shape == (dofs.free.n_edge,)
+        # empty and no gradient pair is dropped.  The 319 free edges of 160
+        # cells leave Arnoldi room; the 11 of 6 cells do not.
+        for cells, n in ((160, 319), (6, 11)):
+            x = np.arange(cells + 1, dtype=float)
+            vertices = np.concatenate(
+                [np.column_stack([x, np.zeros_like(x)]),
+                 np.column_stack([x, np.ones_like(x)])])
+            lo = np.arange(cells)
+            hi = lo + cells + 1
+            triangles = np.concatenate(
+                [np.column_stack([lo, lo + 1, hi + 1]),
+                 np.column_stack([lo, hi + 1, hi])])
+            forms, dofs = _reduced_forms(Mesh(vertices, triangles))
+            assert dofs.n_free_vertex == 0
+            assert saddle_pencil(forms)[0].shape[0] == n
+            pairs = solve_gevp(forms, EigenSelection(nev=6, shift=0.05,
+                                                     tol=1e-9))
+            assert len(pairs) == 6
+            for p, lam in zip(pairs, qz_nearest(forms, 0.05, 6)):
+                assert abs(p.lam - lam) <= 1e-8 * abs(lam)
+                assert p.u.shape == (dofs.free.n_edge,)
 
 
 @pytest.fixture
@@ -452,6 +467,13 @@ def dense_finite(forms):
                              eigvals_only=True)[forms.BT.shape[0]:]
 
 
+def dense_nearest(forms, sigma, count):
+    """The count finite eigenvalues nearest sigma, ascending, by the dense
+    eigh."""
+    lams = dense_finite(forms)
+    return np.sort(lams[np.argsort(np.abs(lams - sigma))[:count]])
+
+
 def dense_below(forms, sigma):
     return int(np.count_nonzero(dense_finite(forms) < sigma))
 
@@ -471,7 +493,6 @@ class TestColdStateSolve:
     @pytest.mark.parametrize("index", [0, 1])
     def test_lowest_pairs_of_the_spectrum(self, n, index, arnoldi_requests):
         forms, _ = _reduced_forms(generate_unit_square(n))
-        assert forms.n > es.DENSE_THRESHOLD
         sel = EigenSelection(index=index, nev=8, shift=9.0, tol=1e-8)
         spectrum = solve_gevp(forms, sel)
         state = solve_gevp(forms, sel, count=index + 2)
@@ -504,22 +525,19 @@ class TestColdStateSolve:
                        EigenSelection(nev=8, shift=30.0, tol=1e-8), count=2)
         assert arnoldi_requests == [(5, 23)]
 
-    def test_spectrum_solve_is_unchecked(self, square16_forms,
-                                         square16_finite):
+    def test_spectrum_solve_is_unchecked(self, square16_forms):
         # the same shift without a count returns the nev pairs nearest it
         pairs = solve_gevp(square16_forms,
                            EigenSelection(nev=5, shift=30.0, tol=1e-8))
-        lams = square16_finite
-        want = np.sort(lams[np.argsort(np.abs(lams - 30.0))[:5]])
-        np.testing.assert_allclose([p.lam for p in pairs], want,
+        np.testing.assert_allclose([p.lam for p in pairs],
+                                   dense_nearest(square16_forms, 30.0, 5),
                                    rtol=1e-10, atol=0.0)
 
-    def test_dense_path_counts_its_own(self):
-        # n = 4 goes dense: its lowest pairs 9.58, 9.83 and 20.02 lie below
+    def test_dense_path_counts_its_own(self, arnoldi_requests):
+        # n = 4 runs ARPACK: its lowest pairs 9.58, 9.83 and 20.02 lie below
         # sigma = 21, and the 5 pairs nearest it keep them; the 9 pairs
         # nearest sigma = 60 leave out the lowest of the 7 below it
         forms, _ = _reduced_forms(generate_unit_square(4))
-        assert forms.n <= es.DENSE_THRESHOLD
         assert dense_below(forms, 21.0) == 3
         pairs = solve_gevp(forms, EigenSelection(nev=6, shift=21.0, tol=1e-8),
                            count=2)
@@ -529,6 +547,17 @@ class TestColdStateSolve:
         with pytest.raises(InsufficientSpectrum, match="shift 60"):
             solve_gevp(forms, EigenSelection(nev=6, shift=60.0, tol=1e-8),
                        count=2)
+        assert arnoldi_requests == [(5, 23), (9, 35)]
+        # n = 2 leaves Arnoldi no room and runs dense: 8.81, 9.6 and 20.29
+        # lie below sigma = 21, and the 5 pairs nearest it keep them
+        forms, _ = _reduced_forms(generate_unit_square(2))
+        assert dense_below(forms, 21.0) == 3
+        pairs = solve_gevp(forms, EigenSelection(nev=6, shift=21.0, tol=1e-8),
+                           count=2)
+        np.testing.assert_allclose([p.lam for p in pairs],
+                                   dense_nearest(forms, 21.0, 5), rtol=1e-10,
+                                   atol=0.0)
+        assert len(arnoldi_requests) == 2
 
     @pytest.mark.parametrize("mesh", [generate_unit_square(8),
                                       generate_unit_square(12), l_shape(6)],
@@ -577,13 +606,11 @@ class TestLShapeReference:
         for pairs in ladder.values():
             assert all(p.divergence <= 1e-6 for p in pairs)
 
-    def test_dense_agrees_with_sparse(self, forms8, ladder, monkeypatch):
-        assert forms8.n > es.DENSE_THRESHOLD
-        monkeypatch.setattr(es, "DENSE_THRESHOLD", forms8.n)
-        dense = solve_gevp(forms8, self.SEL)
-        np.testing.assert_allclose([p.lam for p in dense],
-                                   [p.lam for p in ladder[8]],
-                                   rtol=1e-10, atol=0.0)
+    def test_dense_agrees_with_sparse(self, forms8, ladder):
+        np.testing.assert_allclose(
+            [p.lam for p in ladder[8]],
+            dense_nearest(forms8, self.SEL.shift, self.SEL.nev),
+            rtol=1e-10, atol=0.0)
 
 
 class TestWarmBlock:
@@ -670,7 +697,6 @@ def deformed16():
     mesh = generate_unit_square(16)
     q = random_feasible_control(mesh, np.random.default_rng(3), 0.1 / 16)
     forms, _ = _reduced_forms(mesh, q)
-    assert saddle_pencil(forms)[0].shape[0] > es.DENSE_THRESHOLD
     return forms
 
 

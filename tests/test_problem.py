@@ -31,6 +31,7 @@ from maxshape.reference_transform import metric_floor
 
 from conftest import (
     assert_entries_close,
+    desk_problem,
     kron_gram,
     l_shape,
     oracle_mesh,
@@ -650,28 +651,12 @@ class TestWarmStartAnchor:
         assert trials_after_rejection >= 1
 
 
-def _desk_problem(mesh, k_max):
-    """The desk recipe on mesh: lambda* = 1.05 lambda0 and the
-    cavity-scaled alpha = 100 (lambda0 / 6017)^2; returns the problem and
-    its optimizer configuration."""
-    probe = MaxwellShapeProblem(
-        mesh, ObjectiveParams(lambda_target=1.0, alpha=0.0),
-        EigenSelection(index=0, nev=8, shift=9.0, tol=1e-8), seed=0)
-    lam0 = probe.solve_state(probe.zero_control()).lam
-    lam_star = 1.05 * lam0
-    alpha = 100.0 * (lam0 / 6017.0) ** 2
-    params = ObjectiveParams(lambda_target=lam_star, alpha=alpha, beta=1e-6,
-                             epsilon=1e-4)
-    sel = EigenSelection(index=0, nev=8, shift=0.9 * lam_star, tol=1e-8)
-    return (MaxwellShapeProblem(mesh, params, sel, seed=0),
-            OptimizerConfig(tol=1e-7, k_max=k_max, b0_scale=1.0 / alpha))
-
-
 def _desk8_problem():
     """The desk recipe on the 8 x 8 square with k_max = 4.  Its fourth
     Armijo search starts with a trial whose cost floor lies above the
     right-hand side."""
-    return _desk_problem(generate_unit_square(8), k_max=4)
+    problem, _, cfg = desk_problem(generate_unit_square(8))
+    return problem, dataclasses.replace(cfg, k_max=4)
 
 
 @pytest.fixture
@@ -882,7 +867,7 @@ class TestMirrorSymmetry:
     @pytest.mark.parametrize("renumber", [False, True])
     @pytest.mark.parametrize("n", [8, 16])
     def test_riesz_gradient(self, n, renumber):
-        # n = 8 solves dense; n = 16 by ARPACK at q = 0, then warm from it.
+        # Both squares solve by ARPACK at q = 0, then warm from it.
         # The warm mode is as symmetric as its residual allows: at tol 1e-8
         # the gradient's mirror error reads about 1e-10.
         mesh = generate_unit_square(n)
@@ -904,7 +889,8 @@ class TestMirrorSymmetry:
         mesh = generate_unit_square(n)
         if renumber:
             mesh = _renumbered(mesh, n)
-        prob, cfg = _desk_problem(mesh, k_max=5)
+        prob, _, cfg = desk_problem(mesh)
+        cfg = dataclasses.replace(cfg, k_max=5)
         accepted = []
         q, records, _ = optimize(prob, prob.zero_control(), cfg,
                                  callback=lambda k, q, rec: accepted.append(q))

@@ -86,20 +86,22 @@ def test_bench_pairs_outlier_gauge_keeps_side_medians(load_tool):
 
 def test_solve_anatomy_smoke(load_tool):
     solve_anatomy = load_tool("solve_anatomy")
-    row = solve_anatomy.anatomy(16, repeats=2)
-    assert row["pencil"] == DofMap.from_mesh(generate_unit_square(16)).n_free
-    # bookkeeping is a difference of medians, whose noise can reach 0
-    # on two repeats
-    assert all(row[column] > 0.0 for column in solve_anatomy.COLUMNS
-               if column != "bookkeeping")
-    assert row["bookkeeping"] < row["warm solve"]
-    assert row["warm iterations"] >= 1
-    # the warm shift rose above the configured one toward the block
-    assert row["warm sigma"] > solve_anatomy.SIGMA
-    # one Arnoldi pass of ncv = 3 k + 8 vectors for k wanted pairs: nev = 8
-    # for the spectrum, index + 2 = 2 for the cold state solve
-    ncv = max(3 * 8 + 8, 30)
-    assert 0 < row["spectrum applies"] <= ncv + 1
-    assert 0 < row["cold state applies"] <= 3 * 2 + 9
-    table = solve_anatomy.table([row])
-    assert table.splitlines()[2].startswith("| 16 | 961 | ")
+    for n, pencil in ((8, 225), (16, 961)):
+        row = solve_anatomy.anatomy(n, repeats=2)
+        assert row["pencil"] == pencil == DofMap.from_mesh(
+            generate_unit_square(n)).n_free
+        # bookkeeping is a difference of medians, whose noise can reach 0
+        # on two repeats
+        assert all(row[column] > 0.0 for column in solve_anatomy.COLUMNS
+                   if column != "bookkeeping")
+        assert row["bookkeeping"] < row["warm solve"]
+        assert row["warm iterations"] >= 1
+        # the warm shift rose above the configured one toward the block
+        assert row["warm sigma"] > solve_anatomy.SIGMA
+        # one Arnoldi pass of ncv = 3 k + 8 vectors for k wanted pairs:
+        # nev = 8 for the spectrum, index + 2 = 2 for the cold state solve
+        ncv = max(3 * 8 + 8, 30)
+        assert 0 < row["spectrum applies"] <= ncv + 1
+        assert 0 < row["cold state applies"] <= 3 * 2 + 9
+        table = solve_anatomy.table([row])
+        assert table.splitlines()[2].startswith(f"| {n} | {pencil} | ")

@@ -2,7 +2,7 @@
 
     python3 tools/solve_anatomy.py [--out tools/solve_anatomy.json]
 
-For n = 16, 32 and 64 the script assembles the reduced pencil of the unit
+For n = 8, 16, 32 and 64 the script assembles the reduced pencil of the unit
 square at a random nodal deformation of size 0.05 / n, with the desk run's
 shift sigma = 0.9 * 1.05 * pi^2, and reports the median of 20 timings of
 each part of a problem's construction, of a state solve and of an Armijo
@@ -107,7 +107,7 @@ from maxshape.reference_transform import (  # noqa: E402
     metric_floor,
 )
 
-SIZES = (16, 32, 64)
+SIZES = (8, 16, 32, 64)
 REPEATS = 20
 SIGMA = 0.9 * 1.05 * np.pi ** 2
 SEED = 0
