@@ -101,8 +101,8 @@ class ShiftInvert:
     Problem, 1998, sec. 3.3): with diagonal pivots in symmetric mode,
     P S P^T = L U with U = D L^T, so S has as many negative eigenvalues
     as U's diagonal has negative entries.  Those are the eigenvalues of
-    (A, M) below sigma; for sigma > 0 they include the n_free_vertex
-    gradients, S G = -sigma M G, which below leaves out.
+    (A, M) below sigma; for sigma > 0 they include the gradients, one per
+    free vertex, S G = -sigma M G, which below leaves out.
 
     Raises:
         FactorizationFailed: either factorization failed.
@@ -214,19 +214,20 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     """Compute the finite eigenvalues nearest the shift, sorted ascending.
 
     A cold solve (no block) runs shift-invert Arnoldi from v0, an edge vector,
-    at the selection's shift sigma.  A spectrum solve (count None) returns the
-    nev pairs nearest sigma.  A state solve passes count, the lowest pairs it
-    keeps (index + 2), and a cold one returns the count + c pairs nearest
-    sigma, c the eigenvalues below sigma by the inertia of the factor of
-    A - sigma*M (ShiftInvert.below).  With all c pairs below sigma among them,
-    the lowest count returned pairs are the lowest count of the pencil.  A
-    warm solve starts block shift-invert iteration from block, reduced u
-    columns such as MixedEigenPair.block of a solve at a nearby deformation,
-    and computes the lowest index + 2 pairs it finds, at a shift no lower than
-    the selection's: a positive shift rises to (1 - WARM_SHIFT_MARGIN) times
-    the lowest Rayleigh quotient of the block's columns when that is larger.
-    Any pencil of at most 2 wanted + 12 DOFs (wanted: count, else nev) leaves
-    Arnoldi no room: the dense eigh(A, M) on the free edges solves it.
+    at the selection's shift sigma.  A spectrum solve (no count, no block)
+    returns the nev pairs nearest sigma.  A state solve passes count, the
+    lowest pairs it keeps (index + 2, also when a block comes without one),
+    and a cold one returns the count + c pairs nearest sigma, c the
+    eigenvalues below sigma by the inertia of the factor of A - sigma*M
+    (ShiftInvert.below).  With all c pairs below sigma among them, the lowest
+    count returned pairs are the lowest count of the pencil.  A warm solve
+    starts block shift-invert iteration from block, reduced u columns such as
+    MixedEigenPair.block of a solve at a nearby deformation, and computes the
+    lowest count pairs it finds, at a shift no lower than the selection's: a
+    positive shift rises to (1 - WARM_SHIFT_MARGIN) times the lowest Rayleigh
+    quotient of the block's columns when that is larger.  Any pencil of at
+    most 2 wanted + 12 DOFs (wanted: count, else nev) leaves Arnoldi no room:
+    the dense eigh(A, M) on the free edges solves it, block or not.
 
     Each returned eigenvector u is normalized to u^T M u = 1 and carries
     the relative pencil residual of (lam, [u; 0]) and its divergence
@@ -245,10 +246,12 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     """
     if sel.shift is None:
         raise ValueError("EigenSelection.shift must be set before solving")
-    n, n_e = forms.n, forms.n_edge
+    n, n_e = forms.layout.n, forms.layout.n_edge
     if v0 is not None and len(v0) != n_e:
         raise ValueError(f"v0 of length {len(v0)} cannot start a solve on "
                          f"{n_e} edge DOFs")
+    if count is None and block is not None:
+        count = sel.index + 2
     state = count is not None
     wanted = count if state else sel.nev_effective
     if n_e == 0:
@@ -264,7 +267,8 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
         below, (lams, u, au, mu) = _arpack_finite_spectrum(
             forms, sigma, wanted, state, sel, v0)
     else:
-        lams, u, au, mu = _block_finite_spectrum(forms, sigma, sel, block)
+        lams, u, au, mu = _block_finite_spectrum(forms, sigma, count, sel,
+                                                 block)
     found = int(np.count_nonzero(lams < sigma))
     if found < below:
         raise InsufficientSpectrum(
@@ -330,9 +334,9 @@ def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
     and the count + c pairs nearest sigma (_nearest)."""
     lams, vecs = scipy.linalg.eigh(forms.A.toarray(), forms.M.toarray())
     # A G = 0 and M is positive definite, so the gradients are the lowest
-    # pairs (lam ~ 0), which B^T u = 0 removes; there are n_free_vertex of
-    # them while dim ker A = n_free_vertex, as on a connected, simply
-    # connected mesh (a hole adds a lam ~ 0 harmonic pair, which stays).
+    # pairs (lam ~ 0), which B^T u = 0 removes: one per free vertex, as
+    # many as dim ker A on a connected, simply connected mesh (a hole adds
+    # a lam ~ 0 harmonic pair, which stays).
     grads = forms.BT.shape[0]
     lams, vecs = lams[grads:], vecs[:, grads:]
     below = int(np.count_nonzero(lams < sigma)) if state else 0
@@ -346,7 +350,7 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
     the factor of S (ShiftInvert.below)."""
     op = ShiftInvert(forms, sigma)
     below = op.below if state else 0
-    n = forms.n_edge
+    n = forms.layout.n_edge
     linear = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
     # No spare pairs: T maps gradients to theta = 0, and the |theta| filter
     # drops only Ritz values farthest from sigma, before any wanted pair.
@@ -373,9 +377,9 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
                            sigma, count + below)
 
 
-def _block_finite_spectrum(forms: AssembledForms, sigma: float,
+def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
                            sel: EigenSelection, block: np.ndarray):
-    """The lowest count = index + 2 pairs by block subspace iteration on
+    """The lowest count pairs by block subspace iteration on
     edge vectors (module docstring), ascending, with their A u and M u.
 
     S is factored at the warm shift (_warm_shift), which is sigma from
@@ -391,7 +395,7 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
     residual exceeds tol and half its value six steps before ends the
     solve as stalled.  The log's applies count the start filter's solves.
     """
-    a, m, n_e, count = forms.A, forms.M, forms.n_edge, sel.index + 2
+    a, m, n_e = forms.A, forms.M, forms.layout.n_edge
     if block.ndim != 2 or block.shape[0] != n_e or block.shape[1] + 1 < count:
         raise ValueError(f"block of shape {block.shape} cannot start "
                          f"{count} pairs on {n_e} edge DOFs")
@@ -444,7 +448,7 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float,
                 return w, x[:, :count], az, mz
     finally:
         log.debug("block solve: sigma=%.6g n=%d iterations=%d applies=%d",
-                  sigma, forms.n, iterations,
+                  sigma, forms.layout.n, iterations,
                   (iterations + 1) * x.shape[1])
     raise NoConvergence(
         f"block iteration did not converge in {BLOCK_MAXITER} iterations")

@@ -34,9 +34,9 @@ class DimensionMismatch(MeshError):
 class UnsupportedTopology(MeshError):
     """The mesh has a hole or more than one connected component.
 
-    The solver assumes dim ker A = n_free_vertex, the gradients alone,
-    which holds on a connected, simply connected domain; each hole adds a
-    harmonic field at lam = 0 that no path removes.
+    The solver assumes that the gradients, one per free vertex, span
+    ker A, which holds on a connected, simply connected domain; each hole
+    adds a harmonic field at lam = 0 that no path removes.
     """
 
 

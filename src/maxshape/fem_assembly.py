@@ -117,14 +117,6 @@ class AssembledForms:
     layout: "PencilLayout"
 
     @property
-    def n_edge(self) -> int:
-        return self.layout.n_edge
-
-    @property
-    def n(self) -> int:
-        return self.layout.n
-
-    @property
     def B(self) -> sp.csc_matrix:
         return self.BT.T
 
@@ -223,8 +215,8 @@ def minimum_degree_order(indptr: np.ndarray,
 
 @dataclass(frozen=True)
 class DofMap:
-    """Degree-of-freedom bookkeeping for the mixed pair of spaces, and the
-    fixed sparsity of its forms, full and on free DOFs.
+    """Degree-of-freedom bookkeeping for the mixed pair of spaces and the
+    fixed sparsity of its forms, full and on free DOFs, in two layouts.
 
     Tangential edge DOFs and vertex DOFs on the boundary are constrained
     (perfect electric conductor wall / homogeneous Dirichlet multiplier).
@@ -244,7 +236,6 @@ class DofMap:
     once, here, and every factorization keeps that order.
     """
 
-    constrained_edge: np.ndarray    # (E,) bool
     constrained_vertex: np.ndarray  # (V,) bool
     edge_slots: np.ndarray
     bt_slots: np.ndarray
@@ -303,16 +294,16 @@ class DofMap:
         edge = slots(full.edge_indptr, full.edge_indices)[fe][:, fe]
         order = np.argsort(minimum_degree_order(edge.indptr, edge.indices))
         edge = edge[order][:, order].sorted_indices()
-        free_edges = fe[order]
-        bt = slots(full.bt_indptr, full.bt_indices)[fv][:, free_edges]
+        fe = fe[order]
+        bt = slots(full.bt_indptr, full.bt_indices)[fv][:, fe]
         bt = bt.sorted_indices()
-        ends = mesh.edges[free_edges]
+        ends = mesh.edges[fe]
         vertex_number = np.cumsum(~cv) - 1
         free = PencilLayout(
             len(fe) + len(fv), len(fe), edge.indptr, edge.indices, bt.indptr,
-            bt.indices, free_edges,
+            bt.indices, fe,
             np.where(cv[ends], -1, vertex_number[ends]).astype(np.int32))
-        return cls(ce, cv, edge_slots.astype(np.int32),
+        return cls(cv, edge_slots.astype(np.int32),
                    bt_slots.astype(np.int32), full, free, edge.data - 1,
                    bt.data - 1)
 
@@ -321,35 +312,9 @@ class DofMap:
                     self.bt_free):
             arr.setflags(write=False)
 
-    @property
-    def n_edge(self) -> int:
-        return self.full.n_edge
-
-    @property
-    def n_vertex(self) -> int:
-        return self.full.n - self.full.n_edge
-
-    @property
-    def n_free_vertex(self) -> int:
-        return self.free.n - self.free.n_edge
-
-    @property
-    def n_total(self) -> int:
-        """Total DOF count of the assembled mixed system."""
-        return self.full.n
-
-    @property
-    def n_free(self) -> int:
-        return self.free.n
-
-    @property
-    def free_edges(self) -> np.ndarray:
-        """The mesh edge of each free edge DOF, in the free numbering."""
-        return self.free.edges
-
     def expand_edge(self, u_red: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.n_edge)
-        full[self.free_edges] = u_red
+        full = np.zeros(self.full.n_edge)
+        full[self.free.edges] = u_red
         return full
 
 

@@ -421,7 +421,7 @@ def test_cavity_reproduction():
                              beta=1e-6, epsilon=1e-4)
     sel = EigenSelection(index=0, nev=6, shift=0.9 * CAVITY_TARGET, tol=1e-5)
     problem = MaxwellShapeProblem(mesh, params, sel, seed=0)
-    print(f"cavity mixed system: {problem.dofs.n_total} DoFs")
+    print(f"cavity mixed system: {problem.dofs.full.n} DoFs")
 
     lam0 = problem.solve_state(problem.zero_control()).lam
     assert _report("6 initial eigenvalue", abs(lam0 - 6018.47) <= 0.005 * 6018.47,

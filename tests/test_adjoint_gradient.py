@@ -105,10 +105,10 @@ class TestMultiplierIsZero:
     def assert_psi_vanishes(mesh, dofs, q, state):
         # the multiplier the pair implies, with L = B^T G built here
         forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
-        grad = dofs.full.gradient[dofs.free_edges][
+        grad = dofs.full.gradient[dofs.free.edges][
             :, np.flatnonzero(~dofs.constrained_vertex)]
         psi = implied_multiplier(forms, grad, state.lam,
-                                 state.u[dofs.free_edges])
+                                 state.u[dofs.free.edges])
         assert np.abs(psi).max() <= 1e-8 * np.abs(state.u).max()
         assert state.divergence <= 1e-10
 
@@ -129,11 +129,13 @@ class TestMultiplierIsZero:
         (alpha, beta), vr = scipy.linalg.eig(
             k_mat.toarray(), mt.toarray(), homogeneous_eigvals=True)
         finite = np.abs(beta) > 1e-8 * np.abs(beta).max()
-        # one finite eigenvalue per edge DOF that is not a gradient
-        assert finite.sum() == dofs.free.n_edge - dofs.n_free_vertex
+        # one finite eigenvalue per edge DOF that is not a gradient, one
+        # gradient per free vertex
+        free = dofs.free
+        assert finite.sum() == free.n_edge - (free.n - free.n_edge)
         assert np.all(np.abs((alpha[finite] / beta[finite]).imag) <= 1e-8)
         x = vr[:, finite].real
-        n_e = forms.n_edge
+        n_e = forms.layout.n_edge
         assert np.all(np.abs(x[n_e:]).max(axis=0)
                       <= 1e-8 * np.abs(x[:n_e]).max(axis=0))
 

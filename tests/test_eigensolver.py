@@ -264,7 +264,7 @@ class TestSolveGevp:
     def test_warm_start_deterministic(self, square16_forms):
         sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
         rng = np.random.default_rng(7)
-        v0 = rng.standard_normal(square16_forms.n_edge)
+        v0 = rng.standard_normal(square16_forms.layout.n_edge)
         a = solve_gevp(square16_forms, sel, v0=v0.copy())
         b = solve_gevp(square16_forms, sel, v0=v0.copy())
         for pa, pb in zip(a, b):
@@ -274,8 +274,8 @@ class TestSolveGevp:
     def test_wrong_length_v0_raises(self, square16_forms):
         # v0 is an edge vector: the pencil's size is rejected too
         sel = EigenSelection(nev=6, shift=9.0, tol=1e-8)
-        n_e = square16_forms.n_edge
-        for n in (n_e - 1, n_e + 1, square16_forms.n):
+        n_e = square16_forms.layout.n_edge
+        for n in (n_e - 1, n_e + 1, square16_forms.layout.n):
             with pytest.raises(ValueError, match="v0"):
                 solve_gevp(square16_forms, sel, v0=np.ones(n))
 
@@ -285,20 +285,27 @@ class TestSolveGevp:
         dense, real = [], es._dense_finite_spectrum
 
         def spy(forms, sigma, count, state):
-            dense.append((forms.n, count))
+            dense.append((forms.layout.n, count))
             return real(forms, sigma, count, state)
 
         monkeypatch.setattr(es, "_dense_finite_spectrum", spy)
         sel = EigenSelection(nev=7, shift=9.0, tol=1e-8)
         square2, _ = _reduced_forms(generate_unit_square(2))
-        solve_gevp(square2, sel, count=2)
+        cold = solve_gevp(square2, sel, count=2)
         solve_gevp(square2, sel)
-        assert dense == [(9, 2), (9, 7)] and arnoldi_requests == []
+        # a block makes a state solve on the dense path too: count
+        # index + 2, not a spectrum of nev pairs
+        warm = solve_gevp(square2, sel, block=block_of(cold[:2]))
+        assert dense == [(9, 2), (9, 7), (9, 2)] and arnoldi_requests == []
+        assert [p.lam for p in warm] == [p.lam for p in cold]
+        for pw, pc in zip(warm, cold):
+            np.testing.assert_array_equal(pw.u, pc.u)
+        dense.clear()
         square4, _ = _reduced_forms(generate_unit_square(4))
         cold = solve_gevp(square4, sel, count=2)
         assert arnoldi_requests == [(2, 14)]
         warm = solve_gevp(square4, sel, block=block_of(cold), count=2)
-        assert dense == [(9, 2), (9, 7)] and arnoldi_requests == [(2, 14)]
+        assert dense == [] and arnoldi_requests == [(2, 14)]
         for pw, pc in zip(warm, cold):
             assert abs(pw.lam - pc.lam) <= 1e-8 * pc.lam
 
@@ -351,7 +358,7 @@ class TestShiftInvert:
         k_mat, mt = saddle_pencil(forms)
         saddle = spla.splu((k_mat - sigma * mt).tocsc())
         rng = np.random.default_rng(5)
-        n, n_e = k_mat.shape[0], forms.n_edge
+        n, n_e = k_mat.shape[0], forms.layout.n_edge
         for x in (rng.standard_normal(n_e), rng.standard_normal((n_e, 3))):
             rhs = np.zeros((n,) + x.shape[1:])
             rhs[:n_e] = forms.M @ x
@@ -434,7 +441,7 @@ class TestShiftInvert:
                 [np.column_stack([lo, lo + 1, hi + 1]),
                  np.column_stack([lo, hi + 1, hi])])
             forms, dofs = _reduced_forms(Mesh(vertices, triangles))
-            assert dofs.n_free_vertex == 0
+            assert dofs.free.n == dofs.free.n_edge
             assert saddle_pencil(forms)[0].shape[0] == n
             pairs = solve_gevp(forms, EigenSelection(nev=6, shift=0.05,
                                                      tol=1e-9))
@@ -726,7 +733,7 @@ class TestWarmEdgeIteration:
     def test_divergence_free_stays_divergence_free(self, deformed16):
         forms = deformed16
         grad = forms.layout.gradient
-        r = np.random.default_rng(7).standard_normal((forms.n_edge, 2))
+        r = np.random.default_rng(7).standard_normal((forms.layout.n_edge, 2))
         # M-orthogonal projection onto B^T u = 0: u = r - G L^{-1} B^T r
         lap = (forms.BT @ grad).tocsc()
         u = r - grad @ spla.spsolve(lap, forms.BT @ r)
@@ -782,10 +789,10 @@ class TestWarmEdgeIteration:
         forms = deformed16
         sel = EigenSelection(nev=6, shift=self.sigma, tol=1e-8)
         cold = solve_gevp(forms, sel)
-        assert factors == [(forms.n_edge,) * 2, (forms.B.shape[1],) * 2]
+        assert factors == [(forms.layout.n_edge,) * 2, (forms.B.shape[1],) * 2]
         factors.clear()
         solve_gevp(forms, sel, block=block_of(cold[:2]))
-        assert factors == [(forms.n_edge,) * 2]
+        assert factors == [(forms.layout.n_edge,) * 2]
 
 
 class TestWarmShift:
@@ -966,7 +973,7 @@ class TestRayleighRitzFailures:
     def test_rayleigh_ritz_matches_eigh(self, deformed16):
         # dsygvd is the LAPACK routine scipy.linalg.eigh(a, b) calls
         rng = np.random.default_rng(9)
-        y = rng.standard_normal((deformed16.n_edge, 3))
+        y = rng.standard_normal((deformed16.layout.n_edge, 3))
         a, m = y.T @ (deformed16.A @ y), y.T @ (deformed16.M @ y)
         a, m = 0.5 * (a + a.T), 0.5 * (m + m.T)
         w, c = scipy.linalg.eigh(a, m)

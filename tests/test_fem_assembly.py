@@ -153,7 +153,8 @@ class TestFormInvariants:
         dofs = DofMap.from_mesh(mesh)
         red = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
         g = red.layout.gradient
-        assert g.shape == (dofs.free.n_edge, dofs.n_free_vertex)
+        free = dofs.free
+        assert g.shape == (free.n_edge, free.n - free.n_edge)
         assert g is red.layout.gradient              # built once
         assert np.abs(red.B - red.M @ g).max() <= \
             1e-13 * np.abs(red.B).max()
@@ -172,7 +173,7 @@ class TestFormInvariants:
         red = apply_dirichlet(
             assemble_forms(square2, dofs, DeformationField.zero(square2)), dofs)
         eigs = np.linalg.eigvalsh(red.A.toarray())
-        n_fv = dofs.n_free_vertex
+        n_fv = dofs.free.n - dofs.free.n_edge
         assert np.all(np.abs(eigs[:n_fv]) <= 1e-12)
         assert eigs[n_fv] > 1e-8
 
@@ -205,7 +206,7 @@ class TestDofMapTopology:
                                       "square16", "shuffled_mesh"])
     def test_fixtures_accepted(self, name, request):
         mesh = request.getfixturevalue(name)
-        assert DofMap.from_mesh(mesh).n_edge == mesh.n_edges
+        assert DofMap.from_mesh(mesh).full.n_edge == mesh.n_edges
 
     @pytest.mark.parametrize("make", [
         lambda: l_shape(4),
@@ -216,19 +217,20 @@ class TestDofMapTopology:
     ], ids=["L-shape", "one triangle", "two triangles", "rectangle"])
     def test_other_meshes_accepted(self, make):
         mesh = make()
-        assert DofMap.from_mesh(mesh).n_vertex == mesh.n_vertices
+        full = DofMap.from_mesh(mesh).full
+        assert full.n - full.n_edge == mesh.n_vertices
 
 
 class TestApplyDirichlet:
     def test_n1_counts(self):
         mesh = generate_unit_square(1)
         dofs = DofMap.from_mesh(mesh)
-        assert dofs.n_free_vertex == 0
+        assert dofs.free.n - dofs.free.n_edge == 0
         assert dofs.free.n_edge == 1
 
     def test_n2_counts(self, square2):
         dofs = DofMap.from_mesh(square2)
-        assert dofs.n_free_vertex == 1
+        assert dofs.free.n - dofs.free.n_edge == 1
         assert dofs.free.n_edge == 8
 
     def test_reduction_shapes_and_content(self, square2, rng):
@@ -237,7 +239,7 @@ class TestApplyDirichlet:
         red = apply_dirichlet(forms, dofs)
         assert red.A.shape == (8, 8)
         assert red.B.shape == (8, 1)
-        fe, fv = dofs.free_edges, np.flatnonzero(~dofs.constrained_vertex)
+        fe, fv = dofs.free.edges, np.flatnonzero(~dofs.constrained_vertex)
         np.testing.assert_array_equal(red.A.toarray(),
                                       forms.A.toarray()[np.ix_(fe, fe)])
         np.testing.assert_array_equal(red.B.toarray(),
@@ -254,7 +256,7 @@ class TestApplyDirichlet:
     def test_expansion_zero_trace(self, square2, rng):
         dofs = DofMap.from_mesh(square2)
         u = dofs.expand_edge(rng.standard_normal(dofs.free.n_edge))
-        assert np.all(u[dofs.constrained_edge] == 0.0)
+        assert np.all(u[square2.boundary_edges] == 0.0)
 
 
 def _largest_angle(mesh):
@@ -295,15 +297,15 @@ def _coo_pencil(mesh, dofs, q):
     edges = mesh.triangle_edges
     rows = np.repeat(edges, 3, axis=1).ravel()
     cols = np.tile(edges, (1, 3)).ravel()
-    verts = dofs.n_edge + np.tile(mesh.triangles, (1, 3)).ravel()
-    shape = (dofs.n_total, dofs.n_total)
+    verts = dofs.full.n_edge + np.tile(mesh.triangles, (1, 3)).ravel()
+    shape = (dofs.full.n, dofs.full.n)
     b_vals = b_loc.ravel()
     k_mat = sp.coo_matrix(
         (np.concatenate([a_loc.ravel(), b_vals, b_vals]),
          (np.concatenate([rows, rows, verts]),
           np.concatenate([cols, verts, rows]))), shape=shape).tocsr()
     mt = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape).tocsr()
-    free = np.concatenate([dofs.free_edges, dofs.n_edge
+    free = np.concatenate([dofs.free.edges, dofs.full.n_edge
                            + np.flatnonzero(~dofs.constrained_vertex)])
     return (k_mat, mt, k_mat[np.ix_(free, free)].sorted_indices(),
             mt[np.ix_(free, free)].sorted_indices())
@@ -333,8 +335,8 @@ class TestFixedPattern:
         k_mat, mt, k_red, mt_red = _coo_pencil(mesh, dofs, q)
         for forms, k_want, mt_want in ((full, k_mat, mt),
                                        (red, k_red, mt_red)):
-            n_e = forms.n_edge
-            assert k_want.shape == (forms.n, forms.n)
+            n_e = forms.layout.n_edge
+            assert k_want.shape == (forms.layout.n, forms.layout.n)
             assert_same_sparse(forms.A, k_want[:n_e, :n_e])
             assert_same_sparse(forms.M, mt_want[:n_e, :n_e])
             assert_same_sparse(forms.BT, k_want[n_e:, :n_e])
@@ -395,8 +397,8 @@ class TestFixedPattern:
                                                                 request):
         mesh, _ = _pattern_mesh(n, request)
         dofs = DofMap.from_mesh(mesh)
-        ascending = np.flatnonzero(~dofs.constrained_edge)
-        free = dofs.free_edges
+        ascending = np.setdiff1d(np.arange(mesh.n_edges), mesh.boundary_edges)
+        free = dofs.free.edges
         np.testing.assert_array_equal(np.sort(free), ascending)
         assert np.any(np.diff(free) < 0)
         # the free layout's edge ends follow the same numbering
@@ -416,7 +418,7 @@ class TestFixedPattern:
         shift = apply_dirichlet(assemble_forms(
             mesh, dofs, random_feasible_control(mesh, rng, 0.1 / n)),
             dofs).edge_shift(9.3)
-        position = np.argsort(dofs.free_edges)    # of the k-th lowest edge
+        position = np.argsort(dofs.free.edges)    # of the k-th lowest edge
         ascending = shift[position][:, position].tocsc().sorted_indices()
         mmd = spla.splu(ascending, **SYMMETRIC_LU)
         natural = spla.splu(shift, **PATTERN_ORDER_LU)
@@ -432,7 +434,8 @@ class TestFixedPattern:
             square8, ObjectiveParams(lambda_target=9.0),
             EigenSelection(nev=6, shift=9.0, tol=1e-9), seed=3)
         dofs = problem.dofs
-        ascending = np.flatnonzero(~dofs.constrained_edge)
+        ascending = np.setdiff1d(np.arange(square8.n_edges),
+                                 square8.boundary_edges)
         for drawn, seed in ((problem._v0, 3),
                             (dofs.free.guard[:, 0], 0)):
             np.testing.assert_array_equal(
@@ -490,13 +493,13 @@ class TestPencilLayout:
         forms = assemble_forms(square4, dofs, q)
         if reduced:
             forms = apply_dirichlet(forms, dofs)
-        n_e = forms.n_edge
-        assert forms.n == (dofs.n_free if reduced else dofs.n_total)
-        assert n_e == (dofs.free.n_edge if reduced else dofs.n_edge)
+        layout = dofs.free if reduced else dofs.full
+        assert forms.layout is layout
+        n_e = layout.n_edge
         for mat in (forms.A, forms.M):
             assert mat.shape == (n_e, n_e)
             assert_same_sparse(mat, mat.T.tocsr())
-        assert forms.BT.shape == (forms.n - n_e, n_e)
+        assert forms.BT.shape == (layout.n - n_e, n_e)
 
     @pytest.mark.parametrize("reduced", [False, True])
     def test_edge_blocks_on_the_mass_layout(self, square4, rng, reduced):

@@ -19,8 +19,11 @@ import pytest
 
 import maxshape
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
 PACKAGE = Path(maxshape.__file__).resolve().parent
+# The code whose attribute reads keep a property alive; tests do not count.
+READERS = ("src", "tools", "benchmarks")
 
 
 def load_benchmark_module(name, monkeypatch):
@@ -87,6 +90,25 @@ def unread_parameters(source):
     return unread
 
 
+def unread_properties(sources, readers):
+    """The properties and cached properties, as Class.name, of the classes
+    in sources whose name no attribute read in readers names."""
+    read = {n.attr for source in readers for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for source in sources:
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                decorators = {getattr(d, "id", getattr(d, "attr", None))
+                              for d in getattr(item, "decorator_list", [])}
+                if ({"property", "cached_property"} & decorators
+                        and item.name not in read):
+                    unread.append(f"{cls.name}.{item.name}")
+    return sorted(unread)
+
+
 class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in maxshape.__all__:
@@ -101,6 +123,27 @@ class TestPublicSurface:
                              ids=lambda p: p.name)
     def test_every_parameter_is_read(self, path):
         assert unread_parameters(path.read_text()) == []
+
+    def test_every_property_is_read(self):
+        readers = [path.read_text() for top in READERS
+                   for path in sorted((ROOT / top).rglob("*.py"))]
+        sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+        assert unread_properties(sources, readers) == []
+
+    def test_unread_property_check(self):
+        source = ("import functools\n"
+                  "class C:\n"
+                  "    @property\n"
+                  "    def a(self): return self.b\n"
+                  "    @functools.cached_property\n"
+                  "    def b(self): return 1\n"
+                  "    @staticmethod\n"
+                  "    def c(): return 2\n"
+                  "    @property\n"
+                  "    def d(self): return 3\n")
+        assert unread_properties([source], [source]) == ["C.a", "C.d"]
+        assert unread_properties([source], [source, "C().d = 1\nC().a"]) \
+            == ["C.d"]
 
     def test_unread_parameter_check(self):
         source = ("def f(a, b, *args, c=1, _d=2, **kw):\n"

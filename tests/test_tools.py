@@ -89,7 +89,7 @@ def test_solve_anatomy_smoke(load_tool):
     for n, pencil in ((8, 225), (16, 961)):
         row = solve_anatomy.anatomy(n, repeats=2)
         assert row["pencil"] == pencil == DofMap.from_mesh(
-            generate_unit_square(n)).n_free
+            generate_unit_square(n)).free.n
         # bookkeeping is a difference of medians, whose noise can reach 0
         # on two repeats
         assert all(row[column] > 0.0 for column in solve_anatomy.COLUMNS

@@ -178,10 +178,10 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     edge = spla.splu(s_mat, **PATTERN_ORDER_LU)
     # the free edge x edge pattern in ascending edge order, which the
     # pattern's build orders
-    position = np.argsort(dofs.free_edges)
+    position = np.argsort(dofs.free.edges)
     ascending = s_mat[position][:, position].tocsc().sorted_indices()
     a, m = forms.A, forms.M
-    x = np.hstack([block, rng.standard_normal((forms.n_edge, 1))])
+    x = np.hstack([block, rng.standard_normal((forms.layout.n_edge, 1))])
     mx = m @ x
 
     def block_iteration():
@@ -213,7 +213,7 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
               "cold state applies": int(state["op_applies"])}
 
     op = ShiftInvert(forms, SIGMA)
-    v = rng.standard_normal(forms.n_edge)
+    v = rng.standard_normal(forms.layout.n_edge)
 
     def gram_and_factor():
         return spla.splu(assemble_control_gram(mesh).tocsc(), **SYMMETRIC_LU)
@@ -229,7 +229,7 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
                           repeats)
     solve_ms = median_ms(lambda: edge.solve(mx), repeats)
     return {
-        "n": n, "pencil": forms.n,
+        "n": n, "pencil": forms.layout.n,
         "grid": median_ms(lambda: generate_unit_square(n), repeats),
         "pattern": median_ms(lambda: DofMap.from_mesh(mesh), repeats),
         "ordering": median_ms(lambda: minimum_degree_order(
