@@ -12,31 +12,33 @@ make the gradients G phi the kernel of A.  A pencil too small for
 Arnoldi (solve_gevp) runs the symmetric-definite eigh(A, M) and drops
 those gradient pairs, the lowest, by their count.  With S = A - sigma*M
 the identities give S G = -sigma B, so S^{-1} M maps a gradient G phi to
--G phi / sigma and a divergence-free mode to u / (lam - sigma).
+-G phi / sigma and a divergence-free mode to u / (lam - sigma), and
+F = S^{-1} M + I/sigma maps the gradient to 0 exactly and the mode to
+theta = lam / (sigma (lam - sigma)) (Ericsson & Ruhe, Math. Comp. 35,
+1980).  Every other path factors S alone.
 
-A cold solve runs Arnoldi on T = P S^{-1} M, P = I - G L^{-1} B^T, with
-L = B^T G, the P1 stiffness matrix in the deformed metric: P removes the
-gradient part by one Poisson solve (Arbenz, Geus & Adam, Phys. Rev. ST
-Accel. Beams 4, 2001), so T maps gradients to 0, which a threshold
-discards, and each divergence-free mode to theta = 1 / (lam - sigma).
-T x is the edge block of (K - sigma*Mt)^{-1} [M x; 0] by block
-elimination (Benzi, Golub & Liesen, Acta Numerica 14, 2005).
+A cold solve runs Arnoldi on F, drops the Ritz values theta ~ 0 (the
+gradients) and maps the others back by lam = sigma^2 theta /
+(sigma theta - 1).  As lam grows, theta falls to 1/sigma, so a mode is
+ranked behind every mode above sigma where |theta| < 1/|sigma|: for
+sigma > 0 below sigma/2, for sigma < 0 everywhere.  The inertia of S's
+factor counts the eigenvalues below sigma, which the Ritz pairs must
+hold, or the solve raises.
 
 A warm solve, handed a block of vectors from a nearby deformation, runs
 block subspace iteration with Rayleigh-Ritz on the block and a fixed
 random guard column (Saad, Numerical Methods for Large Eigenvalue
-Problems, 2nd ed., ch. 5) with S alone, which is T on divergence-free
-vectors.  A positive shift first rises to just below the block's lowest
-Rayleigh quotient (Ericsson & Ruhe, Math. Comp. 35, 1980), never below
-the configured one; sigma below is the shift a path factors at.  The
-start block is filtered once by F = S^{-1} M + I/sigma,
-which annihilates gradients exactly and scales each divergence-free mode
-by lam / (sigma (lam - sigma)), never 0.  A step Y = S^{-1} M X takes
-the products M Y and A Y, and the next block X C has M X C = (M Y) C.
+Problems, 2nd ed., ch. 5) on S^{-1} M.  A positive shift first rises to
+just below the block's lowest Rayleigh quotient, never below the
+configured one; sigma below is the shift a path factors at.  The start
+block is filtered once by F, which annihilates gradients and scales each
+divergence-free mode by theta, never 0.  A step Y = S^{-1} M X takes the
+products M Y and A Y, and the next block X C has M X C = (M Y) C.
 
 Every path returns eigenvalues and edge vectors u, each checked as
 (lam, [u; 0]) against the pencil: G^T times its first row gives
-L psi = lam B^T u = 0 at an eigenpair (Kikuchi, CMAME 64, 1987).
+L psi = lam B^T u = 0 at an eigenpair (Kikuchi, CMAME 64, 1987), with
+L = B^T G the P1 stiffness matrix in the deformed metric.
 """
 
 from __future__ import annotations
@@ -69,17 +71,17 @@ BLOCK_MAXITER = 100
 # block, about 0.01 on the square instead of 0.05 at 0.9 lam*.
 WARM_SHIFT_MARGIN = 0.01
 
-# SuperLU settings for A - sigma*M and L = B^T G, which are symmetric:
-# minimum degree on the pattern of A^T + A with diagonal pivots and symmetric
-# mode (SuperLU Users' Guide; Li, ACM TOMS 31, 2005) gives about half the
-# fill of the general default, COLAMD on A^T A with partial pivoting.
-# Threshold 0 takes every diagonal pivot unless it is exactly zero; L is
-# positive definite, and small pivots of the indefinite A - sigma*M are not
-# guarded, so the pencil residual check in solve_gevp catches an inaccurate
-# factorization.  scipy's supernode settings, panel_size 20 and relax 10,
-# are sized for wide supernodes; those of these 2-D matrices are a few
-# columns wide, and single-column panels factor the pair 22-31 % faster at
-# the same fill (deformed squares at n = 16, 32 and 64, 2-vCPU VM).
+# SuperLU settings for the symmetric A - sigma*M: minimum degree on the
+# pattern of A^T + A with diagonal pivots and symmetric mode (SuperLU Users'
+# Guide; Li, ACM TOMS 31, 2005) gives about half the fill of the general
+# default, COLAMD on A^T A with partial pivoting.  Threshold 0 takes every
+# diagonal pivot unless it is exactly zero; small pivots of the indefinite
+# A - sigma*M are not guarded, so the pencil residual check in solve_gevp
+# catches an inaccurate factorization.  scipy's supernode settings,
+# panel_size 20 and relax 10, are sized for wide supernodes; those of these
+# 2-D matrices are a few columns wide, and single-column panels factor
+# 22-31 % faster at the same fill (deformed squares at n = 16, 32 and 64,
+# 2-vCPU VM).
 SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     panel_size=1, relax=4, options=dict(SymmetricMode=True))
 # A - sigma*M on free DOFs arrives in its pattern's minimum-degree numbering
@@ -91,10 +93,10 @@ _TINY = np.finfo(float).tiny
 
 
 class ShiftInvert:
-    """The cold solve's T = P S^{-1} M on edge vectors or column blocks
-    (module docstring), one LU of S = A - sigma*M and one of L = B^T G;
-    applies counts its calls.  sigma must not be 0 (S = A is singular on
-    the gradients) nor an eigenvalue of (A, M).
+    """The cold solve's F = S^{-1} M + I/sigma on edge vectors or column
+    blocks (module docstring) from one LU of S = A - sigma*M; applies
+    counts its calls.  sigma must not be 0 (S = A is singular on the
+    gradients) nor an eigenvalue of (A, M).
 
     below is the number of finite eigenvalues below sigma, by Sylvester's
     law of inertia on the factor of S (Parlett, The Symmetric Eigenvalue
@@ -105,42 +107,31 @@ class ShiftInvert:
     free vertex, S G = -sigma M G, which below leaves out.
 
     Raises:
-        FactorizationFailed: either factorization failed.
+        FactorizationFailed: the factorization failed.
     """
 
     def __init__(self, forms: AssembledForms, sigma: float):
         self.applies = 0
         self.m = forms.M
-        self.bt = forms.BT
-        self.g = forms.layout.gradient
+        self.sigma = sigma
         self.edge = _factor_shift(forms, sigma)
-        # read before L's factor and the Krylov workspace exist: SuperLU
-        # copies U, which is then dropped
+        # read before the Krylov workspace exists: SuperLU copies U, which
+        # is then dropped
         self.below = int(np.count_nonzero(self.edge.U.diagonal() < 0.0))
         if sigma > 0:
-            self.below -= self.bt.shape[0]
-        # L's CSR arrays are the CSC arrays of L^T: factor L^T without a
-        # conversion and solve with its transpose
-        self.vertex = _splu((self.bt @ self.g).T, "L = B^T G", sigma,
-                            SYMMETRIC_LU)
+            self.below -= forms.BT.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         self.applies += 1
-        z = self.edge.solve(self.m @ x)
-        return z - self.g @ self.vertex.solve(self.bt @ z, trans="T")
+        return self.edge.solve(self.m @ x) + x / self.sigma
 
 
 def _factor_shift(forms: AssembledForms, sigma: float):
-    return _splu(forms.edge_shift(sigma), "A - sigma*M", sigma,
-                 PATTERN_ORDER_LU)
-
-
-def _splu(mat: sp.csc_matrix, name: str, sigma: float, settings: dict):
     try:
-        return spla.splu(mat, **settings)
+        return spla.splu(forms.edge_shift(sigma), **PATTERN_ORDER_LU)
     except RuntimeError as exc:
         raise FactorizationFailed(
-            f"factorization of {name} failed at sigma={sigma:g}: "
+            f"factorization of A - sigma*M failed at sigma={sigma:g}: "
             f"{exc}") from exc
 
 
@@ -179,10 +170,13 @@ class EigenSelection:
     (adjoint_gradient.solve_state) raises rather than return a pair that
     does not, and a warm one relies on its guard column.  shift, finite, not
     0 and no eigenvalue, is the cold solve's transform target and the floor
-    of a warm one's (solve_gevp).  nev, the pairs a spectrum solve computes
-    (solve_gevp without a count, as ``maxshape eigs`` runs it), defaults to
-    max(6, index + 3) and is at least index + 2, the pairs solve_gevp checks
-    and select_and_normalize stacks.  A state solve ignores nev.
+    of a warm one's (solve_gevp).  A cold Arnoldi solve sees eigenvalues
+    above shift/2 only, and raises where it misses one below the shift:
+    always where one lies below shift/2, and at a negative shift.  nev, the
+    pairs a spectrum solve computes (solve_gevp without a count, as
+    ``maxshape eigs`` runs it), defaults to max(6, index + 3) and is at
+    least index + 2, the pairs solve_gevp checks and select_and_normalize
+    stacks.  A state solve ignores nev.
     """
 
     index: int = 0
@@ -213,21 +207,23 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
                count: int | None = None) -> list[MixedEigenPair]:
     """Compute the finite eigenvalues nearest the shift, sorted ascending.
 
-    A cold solve (no block) runs shift-invert Arnoldi from v0, an edge vector,
-    at the selection's shift sigma.  A spectrum solve (no count, no block)
-    returns the nev pairs nearest sigma.  A state solve passes count, the
-    lowest pairs it keeps (index + 2, also when a block comes without one),
-    and a cold one returns the count + c pairs nearest sigma, c the
-    eigenvalues below sigma by the inertia of the factor of A - sigma*M
-    (ShiftInvert.below).  With all c pairs below sigma among them, the lowest
-    count returned pairs are the lowest count of the pencil.  A warm solve
-    starts block shift-invert iteration from block, reduced u columns such as
-    MixedEigenPair.block of a solve at a nearby deformation, and computes the
-    lowest count pairs it finds, at a shift no lower than the selection's: a
-    positive shift rises to (1 - WARM_SHIFT_MARGIN) times the lowest Rayleigh
-    quotient of the block's columns when that is larger.  Any pencil of at
-    most 2 wanted + 12 DOFs (wanted: count, else nev) leaves Arnoldi no room:
-    the dense eigh(A, M) on the free edges solves it, block or not.
+    A cold solve (no block) runs Arnoldi on F = S^{-1} M + I/sigma from v0,
+    an edge vector, at the selection's shift sigma, S = A - sigma*M, and
+    asks for wanted + c Ritz pairs, c the eigenvalues below sigma by the
+    inertia of S's factor (ShiftInvert.below); unless all c lie below sigma
+    among them, it raises.  A spectrum solve (no count, no block) returns
+    the nev pairs nearest sigma among them.  A state solve passes count,
+    the lowest pairs it keeps (index + 2, also when a block comes without
+    one), and a cold one returns all count + c pairs, whose lowest count
+    are the lowest count of the pencil.  A warm solve starts block
+    shift-invert iteration from block, reduced u columns such as
+    MixedEigenPair.block of a solve at a nearby deformation, and computes
+    the lowest count pairs it finds, at a shift no lower than the
+    selection's: a positive shift rises to (1 - WARM_SHIFT_MARGIN) times
+    the lowest Rayleigh quotient of the block's columns when that is
+    larger.  Any pencil of at most 2 wanted + 12 DOFs (wanted: count, else
+    nev) leaves Arnoldi no room: the dense eigh(A, M) on the free edges
+    solves it, block or not.
 
     Each returned eigenvector u is normalized to u^T M u = 1 and carries
     the relative pencil residual of (lam, [u; 0]) and its divergence
@@ -236,13 +232,15 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     selection tolerance; the others only report their residual.
 
     Raises:
-        FactorizationFailed: A - sigma*M or B^T G is singular.
+        ValueError: no shift, or a v0 or block of the wrong shape.
+        FactorizationFailed: A - sigma*M is singular.
         NoConvergence: ARPACK failed, the iteration hit its cap or stalled,
             a warm Rayleigh-Ritz step met a non-finite value or failed, or a
             used pair exceeds the residual tolerance.
         InsufficientSpectrum: fewer finite eigenvalues than requested, or
-            a cold state solve found fewer than c pairs below sigma: the
-            nearest pairs above it left out some of the lowest.
+            a cold Arnoldi solve found fewer than c pairs below sigma or ran
+            at a negative sigma: F ranks some of the lowest pairs behind
+            the ones above sigma.
     """
     if sel.shift is None:
         raise ValueError("EigenSelection.shift must be set before solving")
@@ -252,29 +250,25 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
                          f"{n_e} edge DOFs")
     if count is None and block is not None:
         count = sel.index + 2
+    if block is not None and (block.ndim != 2 or block.shape[0] != n_e
+                              or block.shape[1] + 1 < count):
+        raise ValueError(f"block of shape {block.shape} cannot start "
+                         f"{count} pairs on {n_e} edge DOFs")
     state = count is not None
     wanted = count if state else sel.nev_effective
     if n_e == 0:
         raise InsufficientSpectrum("no free edge DOFs")
     sigma = float(sel.shift)
 
-    below = 0
     # Arnoldi's room: ARPACK returns at most n_edge - 2 pairs (Lehoucq 1998)
     if n <= 2 * wanted + 12:
-        below, (lams, u, au, mu) = _dense_finite_spectrum(forms, sigma,
-                                                          wanted, state)
+        lams, u, au, mu = _dense_finite_spectrum(forms, sigma, wanted, state)
     elif block is None:
-        below, (lams, u, au, mu) = _arpack_finite_spectrum(
-            forms, sigma, wanted, state, sel, v0)
+        lams, u, au, mu = _arpack_finite_spectrum(forms, sigma, wanted,
+                                                  state, sel, v0)
     else:
         lams, u, au, mu = _block_finite_spectrum(forms, sigma, count, sel,
                                                  block)
-    found = int(np.count_nonzero(lams < sigma))
-    if found < below:
-        raise InsufficientSpectrum(
-            f"{below} eigenvalues lie below the shift {sigma:g}, but only "
-            f"{found} of the {len(lams)} nearest it: the lowest pairs are "
-            f"missing; lower eigen.shift")
 
     # the residual and certificate do not depend on the scale of u
     btu_norm, mu_norm = _column_norms(forms.BT @ u), _column_norms(mu)
@@ -330,8 +324,9 @@ def _residuals(au: np.ndarray, mu: np.ndarray, lams,
 
 def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
                            state: bool):
-    """c, the finite eigenvalues below sigma for a state solve (else 0),
-    and the count + c pairs nearest sigma (_nearest)."""
+    """The count pairs nearest sigma (_nearest), or for a state solve the
+    lowest count + c, c the finite eigenvalues below sigma: the pairs a
+    cold Arnoldi solve returns."""
     lams, vecs = scipy.linalg.eigh(forms.A.toarray(), forms.M.toarray())
     # A G = 0 and M is positive definite, so the gradients are the lowest
     # pairs (lam ~ 0), which B^T u = 0 removes: one per free vertex, as
@@ -339,22 +334,29 @@ def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
     # a lam ~ 0 harmonic pair, which stays).
     grads = forms.BT.shape[0]
     lams, vecs = lams[grads:], vecs[:, grads:]
-    below = int(np.count_nonzero(lams < sigma)) if state else 0
-    return below, _nearest(forms, lams, vecs, sigma, count + below)
+    if state:
+        count += int(np.count_nonzero(lams < sigma))
+        lams, vecs = lams[:count], vecs[:, :count]
+    return _nearest(forms, lams, vecs, sigma, count)
 
 
 def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
                             state: bool, sel: EigenSelection,
                             v0: np.ndarray | None):
-    """As _dense_finite_spectrum, by Arnoldi on T, c from the inertia of
-    the factor of S (ShiftInvert.below)."""
+    """As _dense_finite_spectrum, by Arnoldi on F (module docstring) for
+    count + c Ritz pairs, c from the inertia of S's factor
+    (ShiftInvert.below), all of which a state solve keeps."""
+    if sigma < 0:
+        raise InsufficientSpectrum(
+            f"a cold solve at the negative shift {sigma:g} ranks every "
+            f"eigenvalue behind the highest: use a positive eigen.shift")
     op = ShiftInvert(forms, sigma)
-    below = op.below if state else 0
     n = forms.layout.n_edge
     linear = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
-    # No spare pairs: T maps gradients to theta = 0, and the |theta| filter
-    # drops only Ritz values farthest from sigma, before any wanted pair.
-    k = min(count + below, n - 2)
+    # No spare pairs: F maps gradients to theta = 0, which the |theta|
+    # filter drops, and ranks the pairs above sigma by their distance to
+    # it; the count check confirms that it kept the c below sigma.
+    k = min(count + op.below, n - 2)
     ncv = min(n, 3 * k + 8)
     if v0 is None:
         # fixed starting vector keeps repeated solves bit-identical
@@ -366,15 +368,22 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
         raise NoConvergence(f"ARPACK failed: {exc}") from exc
     finally:
         if log.isEnabledFor(logging.DEBUG):     # SuperLU copies L and U
-            fill = (lu.L.nnz + lu.U.nnz for lu in (op.edge, op.vertex))
             log.debug("arpack solve: sigma=%.6g n=%d k=%d ncv=%d below=%d "
-                      "fill=%d+%d op_applies=%d", sigma, n, k, ncv, op.below,
-                      *fill, op.applies)
+                      "fill=%d op_applies=%d", sigma, n, k, ncv, op.below,
+                      op.edge.L.nnz + op.edge.U.nnz, op.applies)
 
-    theta = theta.real
-    keep = np.abs(theta) >= 10.0 * sel.tol
-    return below, _nearest(forms, sigma + 1.0 / theta[keep], x.real[:, keep],
-                           sigma, count + below)
+    keep = np.abs(sigma * theta.real) >= 10.0 * sel.tol
+    theta = theta.real[keep]
+    lams = sigma * sigma * theta / (sigma * theta - 1.0)
+    found = int(np.count_nonzero(lams < sigma))
+    if found < op.below:
+        raise InsufficientSpectrum(
+            f"{op.below} eigenvalues lie below the shift {sigma:g}, but only "
+            f"{found} of the {len(lams)} Ritz pairs: F ranks them behind "
+            f"pairs above the shift, and every one below {0.5 * sigma:g}, "
+            f"half the shift, behind all; lower eigen.shift")
+    return _nearest(forms, lams, x.real[:, keep], sigma,
+                    count + op.below if state else count)
 
 
 def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
@@ -395,10 +404,7 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
     residual exceeds tol and half its value six steps before ends the
     solve as stalled.  The log's applies count the start filter's solves.
     """
-    a, m, n_e = forms.A, forms.M, forms.layout.n_edge
-    if block.ndim != 2 or block.shape[0] != n_e or block.shape[1] + 1 < count:
-        raise ValueError(f"block of shape {block.shape} cannot start "
-                         f"{count} pairs on {n_e} edge DOFs")
+    a, m = forms.A, forms.M
     # the guard has a component in any mode that moved next to the shift
     # since the block, which the block alone would miss
     x = np.hstack([block, forms.layout.guard])

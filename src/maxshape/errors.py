@@ -64,8 +64,7 @@ class EigenSolverError(MaxshapeError):
 
 
 class FactorizationFailed(EigenSolverError):
-    """A factor of the shift-invert solve, A - sigma*M or the vertex
-    stiffness L = B^T G, could not be factorized."""
+    """The shift-invert solve's A - sigma*M could not be factorized."""
 
 
 class NoConvergence(EigenSolverError):

@@ -133,9 +133,7 @@ class PencilLayout:
     """CSR sparsity of the forms on n DOFs, the n_edge edge DOFs first:
     edge_indptr and edge_indices of A and M (edge x edge), bt_indptr and
     bt_indices of B^T (vertex x edge).  edges[e] is the mesh edge of edge
-    DOF e, and edge_ends[e] holds the vertex numbers, counted from the
-    first vertex DOF, of its low and high endpoint, -1 for an endpoint
-    without a DOF here."""
+    DOF e."""
 
     n: int
     n_edge: int
@@ -144,11 +142,10 @@ class PencilLayout:
     bt_indptr: np.ndarray
     bt_indices: np.ndarray
     edges: np.ndarray
-    edge_ends: np.ndarray
 
     def __post_init__(self):
         for arr in (self.edge_indptr, self.edge_indices, self.bt_indptr,
-                    self.bt_indices, self.edges, self.edge_ends):
+                    self.bt_indices, self.edges):
             arr.setflags(write=False)
 
     def edge_draw(self, seed: int) -> np.ndarray:
@@ -159,12 +156,6 @@ class PencilLayout:
         draw[np.argsort(self.edges)] = \
             np.random.default_rng(seed).standard_normal(self.n_edge)
         return draw
-
-    @cached_property
-    def gradient(self) -> sp.csr_matrix:
-        """G, the gradient incidence on this layout's DOFs (edge x vertex):
-        B = M G and A G = 0 hold on the forms.  Built at first use."""
-        return _incidence(self.edge_ends, self.n - self.n_edge)
 
     @cached_property
     def guard(self) -> np.ndarray:
@@ -281,7 +272,7 @@ class DofMap:
             n_edge + n_vertex, n_edge,
             *_csr(*np.divmod(edge_keys, n_edge), n_edge),
             *_csr(*np.divmod(bt_keys, n_edge), n_vertex),
-            np.arange(n_edge), mesh.edges)
+            np.arange(n_edge))
 
         # The free layout is cut out of the full one: each entry's value is
         # its full slot + 1, so the cut's data, less 1, is the gather.
@@ -297,12 +288,9 @@ class DofMap:
         fe = fe[order]
         bt = slots(full.bt_indptr, full.bt_indices)[fv][:, fe]
         bt = bt.sorted_indices()
-        ends = mesh.edges[fe]
-        vertex_number = np.cumsum(~cv) - 1
         free = PencilLayout(
             len(fe) + len(fv), len(fe), edge.indptr, edge.indices, bt.indptr,
-            bt.indices, fe,
-            np.where(cv[ends], -1, vertex_number[ends]).astype(np.int32))
+            bt.indices, fe)
         return cls(cv, edge_slots.astype(np.int32),
                    bt_slots.astype(np.int32), full, free, edge.data - 1,
                    bt.data - 1)
@@ -373,15 +361,6 @@ def apply_dirichlet(forms: AssembledForms, dofs: DofMap) -> AssembledForms:
     return dofs.free.forms(forms.A.data[dofs.edge_free],
                            forms.M.data[dofs.edge_free],
                            forms.BT.data[dofs.bt_free])
-
-
-def _incidence(ends: np.ndarray, n_vertex: int) -> sp.csr_matrix:
-    """-1 at each edge's low end, +1 at its high end; ends < 0 are left out."""
-    signs = np.broadcast_to([-1.0, 1.0], ends.shape)
-    kept = ends >= 0
-    rows = np.broadcast_to(np.arange(len(ends))[:, None], ends.shape)
-    return sp.csr_matrix((signs[kept], (rows[kept], ends[kept])),
-                         shape=(len(ends), n_vertex))
 
 
 def assemble_scalar_h1(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:

@@ -241,6 +241,21 @@ def saddle_pencil(forms):
     return k_mat, mt
 
 
+def gradient_incidence(mesh, dofs, full=False):
+    """G, the gradient incidence (edge x vertex) on the free DOFs of dofs,
+    or on all of them if full: -1 at each edge's low end, +1 at its high
+    end, a constrained vertex of the free layout left out.  B = M G and
+    A G = 0 hold on the forms of that layout."""
+    layout = dofs.full if full else dofs.free
+    kept = np.full(mesh.n_vertices, full) | ~dofs.constrained_vertex
+    ends = np.where(kept, np.cumsum(kept) - 1, -1)[mesh.edges[layout.edges]]
+    on = ends >= 0
+    rows = np.broadcast_to(np.arange(len(ends))[:, None], ends.shape)
+    signs = np.broadcast_to([-1.0, 1.0], ends.shape)
+    return sp.csr_matrix((signs[on], (rows[on], ends[on])),
+                         shape=(len(ends), np.count_nonzero(kept)))
+
+
 def implied_multiplier(forms, grad, lam, u):
     """psi = lam L^{-1} B^T u, L = B^T G: the multiplier that G^T times
     the first pencil row A u + B psi = lam M u implies for a pair (lam, u)

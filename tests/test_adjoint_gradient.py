@@ -25,6 +25,7 @@ from maxshape import (
 from maxshape.problem import MaxwellShapeProblem
 
 from conftest import (
+    gradient_incidence,
     implied_multiplier,
     random_feasible_control,
     saddle_pencil,
@@ -105,10 +106,8 @@ class TestMultiplierIsZero:
     def assert_psi_vanishes(mesh, dofs, q, state):
         # the multiplier the pair implies, with L = B^T G built here
         forms = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
-        grad = dofs.full.gradient[dofs.free.edges][
-            :, np.flatnonzero(~dofs.constrained_vertex)]
-        psi = implied_multiplier(forms, grad, state.lam,
-                                 state.u[dofs.free.edges])
+        psi = implied_multiplier(forms, gradient_incidence(mesh, dofs),
+                                 state.lam, state.u[dofs.free.edges])
         assert np.abs(psi).max() <= 1e-8 * np.abs(state.u).max()
         assert state.divergence <= 1e-10
 

@@ -28,7 +28,12 @@ import maxshape.cli_runner as cli_runner
 from maxshape.errors import ConfigError
 from maxshape.problem import MaxwellShapeProblem
 
-from conftest import _whitney_local, dilation_control, random_feasible_control
+from conftest import (
+    _whitney_local,
+    dilation_control,
+    gradient_incidence,
+    random_feasible_control,
+)
 
 
 def config_text(extra="", mesh="mesh.unit_square = 4",
@@ -287,7 +292,8 @@ class TestCellFieldMagnitude:
     def test_gradient_of_x_under_dilation(self, square4, s):
         # u = G x is the edge-element interpolant of grad x = e_x, which is
         # exact; the deformation q = s (x - c) scales it by 1 / (1 + s).
-        grad = DofMap.from_mesh(square4).full.gradient
+        grad = gradient_incidence(square4, DofMap.from_mesh(square4),
+                                  full=True)
         u = grad @ square4.vertices[:, 0]
         mag = _cell_field_magnitude(square4, dilation_control(square4, s), u)
         assert mag.shape == (square4.n_triangles,)
@@ -415,6 +421,23 @@ class TestMain:
         ]))
         assert main(["eigs", "--config", str(cfg_file), "--nev", "4"]) == 0
         assert "lambda" in capsys.readouterr().out
+
+    def test_eigs_cli_shift_above_twice_a_low_eigenvalue(self, tmp_path,
+                                                         capsys):
+        # a cold solve cannot see eigenvalues below half the shift: at 30
+        # the square's 9.85 and 9.87 are missing among its 9 Ritz pairs
+        cfg_file = tmp_path / "e.cfg"
+        cfg_file.write_text("\n".join([
+            "mesh.unit_square = 16",
+            "objective.lambda_target = 9.87",
+            "eigen.shift = 30",
+        ]))
+        assert main(["eigs", "--config", str(cfg_file), "--nev", "6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: 3 eigenvalues lie below the shift 30, but only 1 of the "
+            "9 Ritz pairs")
 
     def test_check_gradient_cli(self, tmp_path):
         cfg_file = tmp_path / "g.cfg"

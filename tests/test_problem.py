@@ -32,6 +32,7 @@ from maxshape.reference_transform import metric_floor
 from conftest import (
     assert_entries_close,
     desk_problem,
+    gradient_incidence,
     kron_gram,
     l_shape,
     oracle_mesh,
@@ -789,7 +790,7 @@ class TestRitzBound:
         dofs = DofMap.from_mesh(mesh)
         forms = adjoint_gradient.state_forms(mesh, dofs,
                                              DeformationField.zero(mesh))
-        l_ref = (forms.BT @ forms.layout.gradient).toarray()
+        l_ref = (forms.BT @ gradient_incidence(mesh, dofs)).toarray()
         assert stiffness_floor(mesh, dofs) <= np.linalg.eigvalsh(l_ref)[0]
 
     def test_metric_floor_matches_svd(self, square8, rng):

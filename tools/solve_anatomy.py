@@ -22,7 +22,9 @@ timings next to it.  The parts:
 - assemble: assemble_forms and apply_dirichlet;
 - factor S: splu of S = A - sigma*M, which every sparse solve factors,
   as they do: in the pattern's order, which SuperLU keeps;
-- factor L: splu of L = B^T G (as L^T), which only cold solves factor;
+- inertia read: the count of negative entries of U's diagonal, which a
+  cold solve reads off S's factor (ShiftInvert.below); SuperLU copies the
+  whole U factor to give it;
 - block iteration: one iteration of the warm solve on a 3-column block,
   Y = S^{-1} (M X) with its sparse products M Y and A Y, the
   Rayleigh-Ritz step and the next block's M X = (M Y) C;
@@ -34,9 +36,9 @@ timings next to it.  The parts:
   3-column block (the start filter's and one per iteration), each timed
   as "block solve" in the record;
 - cold apply: one application of the cold solve's edge operator
-  T = P S^{-1} M, P = I - G L^{-1} B^T, to one edge vector;
-- spectrum solve: solve_gevp by ARPACK on T for the nev = 8 pairs
-  nearest sigma, as ``maxshape eigs`` runs it, with the applies of T it
+  F = S^{-1} M + I/sigma to one edge vector;
+- spectrum solve: solve_gevp by ARPACK on F for the nev = 8 pairs
+  nearest sigma, as ``maxshape eigs`` runs it, with the applies of F it
   made;
 - cold state solve: the same for the index + 2 = 2 pairs a problem's
   first state solve computes (solve_gevp's count), with its applies;
@@ -112,7 +114,7 @@ REPEATS = 20
 SIGMA = 0.9 * 1.05 * np.pi ** 2
 SEED = 0
 COLUMNS = ("grid", "pattern", "ordering", "Gram + H factor", "assemble",
-           "factor S", "factor L", "block iteration", "warm solve",
+           "factor S", "inertia read", "block iteration", "warm solve",
            "bookkeeping", "cold apply", "spectrum solve", "cold state solve",
            "Ritz floor")
 COUNTS = ("warm sigma", "warm iterations", "spectrum applies",
@@ -174,7 +176,6 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     block = select_and_normalize(solve_gevp(start, sel), sel, start.M).block
     forms = assemble(q)
     s_mat = forms.edge_shift(SIGMA)
-    l_mat = (forms.BT @ forms.layout.gradient).T
     edge = spla.splu(s_mat, **PATTERN_ORDER_LU)
     # the free edge x edge pattern in ascending edge order, which the
     # pattern's build orders
@@ -237,8 +238,8 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
         "Gram + H factor": median_ms(gram_and_factor, repeats),
         "assemble": median_ms(lambda: assemble(q), repeats),
         "factor S": factor_ms,
-        "factor L": median_ms(lambda: spla.splu(l_mat, **SYMMETRIC_LU),
-                              repeats),
+        "inertia read": median_ms(
+            lambda: np.count_nonzero(edge.U.diagonal() < 0.0), repeats),
         "block iteration": median_ms(block_iteration, repeats),
         "warm solve": warm_ms,
         "block solve": solve_ms,
