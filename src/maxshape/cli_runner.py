@@ -118,11 +118,7 @@ def parse_config(text: str) -> RunConfig:
             raw[key] = _KEY_TYPES[key](value)
             if isinstance(raw[key], float) and not math.isfinite(raw[key]):
                 raise ValueError(f"{value!r} is not finite")
-            # A - shift*M is singular at shift 0 (A has the gradients in its
-            # kernel), and the derived shift 0.9*lambda_target needs a
-            # positive target; negative shifts leave A + |shift|*M definite.
-            if key == "eigen.shift" and raw[key] == 0.0:
-                raise ValueError("shift 0 makes A - shift*M singular")
+            # the derived shift 0.9*lambda_target needs a positive target
             if key == "objective.lambda_target" and raw[key] <= 0.0:
                 raise ValueError(f"{value!r} is not > 0")
             # numpy's generators take no negative seed
@@ -274,7 +270,7 @@ def check_gradient(cfg: RunConfig, n_directions: int,
     a sequence of steps; ConfigError rejects it, before any mesh is built,
     unless it holds a step and every step is a number, finite and > 0.
     """
-    steps = sorted(_checked_steps(h, "h"), reverse=True)
+    steps = sorted(_checked_steps(h), reverse=True)
     problem = build_problem(cfg)
     rng = np.random.default_rng(cfg.seed)
     q = _feasible_control(problem, rng, q_inf)
@@ -306,13 +302,13 @@ def check_gradient(cfg: RunConfig, n_directions: int,
     return report, 0 if report["max_rel_error"] <= GRADIENT_REL_TOL else 1
 
 
-def _checked_steps(h, name: str) -> list[float]:
-    """The steps h as floats, checked; name names h in the error."""
+def _checked_steps(h) -> list[float]:
+    """The steps h as floats, checked."""
     steps = np.ravel(h).tolist()
     if not steps or not all(isinstance(step, numbers.Real)
                             and 0 < step < math.inf for step in steps):
-        raise ConfigError(f"{name} needs steps that are numbers, finite and "
-                          f"> 0, got {h!r}")
+        raise ConfigError(f"h needs steps that are numbers, finite and > 0, "
+                          f"got {h!r}")
     return [float(step) for step in steps]
 
 
@@ -410,13 +406,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _steps(text: str) -> list[float]:
-    """The comma-separated --h steps, checked as check_gradient checks
-    them, so that an error names the option."""
+    """The comma-separated --h steps as floats; check_gradient checks
+    their values."""
     try:
-        steps = [float(tok) for tok in text.split(",") if tok]
+        return [float(tok) for tok in text.split(",") if tok]
     except ValueError:
-        steps = [text]              # not numbers: rejected as such
-    return _checked_steps(steps, "--h")
+        raise ConfigError(f"--h needs comma-separated numbers, got {text!r}")
 
 
 def _setup_logging() -> None:

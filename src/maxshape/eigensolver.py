@@ -17,20 +17,19 @@ F = S^{-1} M + I/sigma maps the gradient to 0 exactly and the mode to
 theta = lam / (sigma (lam - sigma)) (Ericsson & Ruhe, Math. Comp. 35,
 1980).  Every other path factors S alone.
 
-A cold solve runs Arnoldi on F, drops the Ritz values theta ~ 0 (the
-gradients) and maps the others back by lam = sigma^2 theta /
-(sigma theta - 1).  As lam grows, theta falls to 1/sigma, so a mode is
-ranked behind every mode above sigma where |theta| < 1/|sigma|: for
-sigma > 0 below sigma/2, for sigma < 0 everywhere.  The inertia of S's
-factor counts the eigenvalues below sigma, which the Ritz pairs must
-hold, or the solve raises.
+The shift sigma is positive.  A cold solve runs Arnoldi on F, drops the
+Ritz values theta ~ 0 (the gradients) and maps the others back by
+lam = sigma^2 theta / (sigma theta - 1).  As lam grows, theta falls to
+1/sigma, so a mode below sigma/2 (theta < 1/sigma) is ranked behind every
+mode above sigma.  The inertia of S's factor counts the eigenvalues below
+sigma, which the Ritz pairs must hold, or the solve raises.
 
 A warm solve, handed a block of vectors from a nearby deformation, runs
 block subspace iteration with Rayleigh-Ritz on the block and a fixed
 random guard column (Saad, Numerical Methods for Large Eigenvalue
-Problems, 2nd ed., ch. 5) on S^{-1} M.  A positive shift first rises to
-just below the block's lowest Rayleigh quotient, never below the
-configured one; sigma below is the shift a path factors at.  The start
+Problems, 2nd ed., ch. 5) on S^{-1} M.  The shift first rises to just
+below the block's lowest Rayleigh quotient, never below the configured
+one; sigma below is the shift a path factors at.  The start
 block is filtered once by F, which annihilates gradients and scales each
 divergence-free mode by theta, never 0.  A step Y = S^{-1} M X takes the
 products M Y and A Y, and the next block X C has M X C = (M Y) C.
@@ -95,16 +94,16 @@ _TINY = np.finfo(float).tiny
 class ShiftInvert:
     """The cold solve's F = S^{-1} M + I/sigma on edge vectors or column
     blocks (module docstring) from one LU of S = A - sigma*M; applies
-    counts its calls.  sigma must not be 0 (S = A is singular on the
-    gradients) nor an eigenvalue of (A, M).
+    counts its calls.  sigma must be positive (S = A is singular on the
+    gradients at 0) and no eigenvalue of (A, M).
 
     below is the number of finite eigenvalues below sigma, by Sylvester's
     law of inertia on the factor of S (Parlett, The Symmetric Eigenvalue
     Problem, 1998, sec. 3.3): with diagonal pivots in symmetric mode,
     P S P^T = L U with U = D L^T, so S has as many negative eigenvalues
     as U's diagonal has negative entries.  Those are the eigenvalues of
-    (A, M) below sigma; for sigma > 0 they include the gradients, one per
-    free vertex, S G = -sigma M G, which below leaves out.
+    (A, M) below sigma > 0 and the gradients, one per free vertex,
+    S G = -sigma M G, which below leaves out.
 
     Raises:
         FactorizationFailed: the factorization failed.
@@ -117,9 +116,8 @@ class ShiftInvert:
         self.edge = _factor_shift(forms, sigma)
         # read before the Krylov workspace exists: SuperLU copies U, which
         # is then dropped
-        self.below = int(np.count_nonzero(self.edge.U.diagonal() < 0.0))
-        if sigma > 0:
-            self.below -= forms.BT.shape[0]
+        self.below = (int(np.count_nonzero(self.edge.U.diagonal() < 0.0))
+                      - forms.BT.shape[0])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         self.applies += 1
@@ -166,17 +164,16 @@ class MixedEigenPair:
 class EigenSelection:
     """Which eigenpair to compute and how accurately.
 
-    index counts finite eigenvalues from the smallest; a cold state solve
-    (adjoint_gradient.solve_state) raises rather than return a pair that
-    does not, and a warm one relies on its guard column.  shift, finite, not
-    0 and no eigenvalue, is the cold solve's transform target and the floor
-    of a warm one's (solve_gevp).  A cold Arnoldi solve sees eigenvalues
-    above shift/2 only, and raises where it misses one below the shift:
-    always where one lies below shift/2, and at a negative shift.  nev, the
-    pairs a spectrum solve computes (solve_gevp without a count, as
-    ``maxshape eigs`` runs it), defaults to max(6, index + 3) and is at
-    least index + 2, the pairs solve_gevp checks and select_and_normalize
-    stacks.  A state solve ignores nev.
+    index counts finite eigenvalues from the smallest: every solve returns
+    the lowest finite pairs, ascending (solve_gevp).  A cold solve raises
+    rather than miss one, and a warm one relies on its guard column.
+    shift, finite, > 0 and no eigenvalue, is the cold solve's transform
+    target and the floor of a warm one's.  A cold Arnoldi solve sees
+    eigenvalues above shift/2 only, and raises where it misses one below
+    the shift: always where one lies below shift/2.  nev, the pairs
+    solve_gevp returns without a count or a block (as ``maxshape eigs``
+    runs it), defaults to max(6, index + 3) and is at least index + 2, the
+    pairs solve_gevp checks and select_and_normalize stacks.
     """
 
     index: int = 0
@@ -189,12 +186,12 @@ class EigenSelection:
             raise ValueError("index must be >= 0")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and > 0")
-        if self.shift is not None and not 0 < abs(self.shift) < math.inf:
-            raise ValueError("shift must be finite and not 0")
+        if self.shift is not None and not 0 < self.shift < math.inf:
+            raise ValueError("shift must be finite and > 0")
         if self.nev is not None and self.nev < self.index + 2:
             raise ValueError(
-                "nev must be >= index + 2: a spectrum solve checks pairs "
-                "index +- 1, and select_and_normalize stacks index + 2")
+                "nev must be >= index + 2: a solve checks pairs index +- 1, "
+                "and select_and_normalize stacks index + 2")
 
     @property
     def nev_effective(self) -> int:
@@ -205,25 +202,21 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
                v0: np.ndarray | None = None,
                block: np.ndarray | None = None,
                count: int | None = None) -> list[MixedEigenPair]:
-    """Compute the finite eigenvalues nearest the shift, sorted ascending.
+    """Compute the lowest count finite eigenpairs, sorted ascending.
 
-    A cold solve (no block) runs Arnoldi on F = S^{-1} M + I/sigma from v0,
-    an edge vector, at the selection's shift sigma, S = A - sigma*M, and
-    asks for wanted + c Ritz pairs, c the eigenvalues below sigma by the
-    inertia of S's factor (ShiftInvert.below); unless all c lie below sigma
-    among them, it raises.  A spectrum solve (no count, no block) returns
-    the nev pairs nearest sigma among them.  A state solve passes count,
-    the lowest pairs it keeps (index + 2, also when a block comes without
-    one), and a cold one returns all count + c pairs, whose lowest count
-    are the lowest count of the pencil.  A warm solve starts block
+    Every path returns these pairs.  count defaults to index + 2 when a
+    block is given, else to the selection's nev.  A cold solve (no block)
+    runs Arnoldi on F = S^{-1} M + I/sigma from v0, an edge vector, at the
+    selection's shift sigma > 0, S = A - sigma*M, for count + c Ritz pairs,
+    c the eigenvalues below sigma by the inertia of S's factor
+    (ShiftInvert.below); unless all c lie below sigma among them, it
+    raises.  A warm solve starts block
     shift-invert iteration from block, reduced u columns such as
-    MixedEigenPair.block of a solve at a nearby deformation, and computes
-    the lowest count pairs it finds, at a shift no lower than the
-    selection's: a positive shift rises to (1 - WARM_SHIFT_MARGIN) times
-    the lowest Rayleigh quotient of the block's columns when that is
-    larger.  Any pencil of at most 2 wanted + 12 DOFs (wanted: count, else
-    nev) leaves Arnoldi no room: the dense eigh(A, M) on the free edges
-    solves it, block or not.
+    MixedEigenPair.block of a solve at a nearby deformation, at a shift no
+    lower than sigma: it rises to (1 - WARM_SHIFT_MARGIN) times the lowest
+    Rayleigh quotient of the block's columns when that is larger.  Any
+    pencil of at most 2 count + 12 DOFs leaves Arnoldi no room: the dense
+    eigh(A, M) on the free edges solves it, block or not.
 
     Each returned eigenvector u is normalized to u^T M u = 1 and carries
     the relative pencil residual of (lam, [u; 0]) and its divergence
@@ -238,9 +231,8 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
             a warm Rayleigh-Ritz step met a non-finite value or failed, or a
             used pair exceeds the residual tolerance.
         InsufficientSpectrum: fewer finite eigenvalues than requested, or
-            a cold Arnoldi solve found fewer than c pairs below sigma or ran
-            at a negative sigma: F ranks some of the lowest pairs behind
-            the ones above sigma.
+            a cold Arnoldi solve found fewer than c pairs below sigma: F
+            ranks some of the lowest pairs behind the ones above sigma.
     """
     if sel.shift is None:
         raise ValueError("EigenSelection.shift must be set before solving")
@@ -248,24 +240,22 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
     if v0 is not None and len(v0) != n_e:
         raise ValueError(f"v0 of length {len(v0)} cannot start a solve on "
                          f"{n_e} edge DOFs")
-    if count is None and block is not None:
-        count = sel.index + 2
+    if count is None:
+        count = sel.index + 2 if block is not None else sel.nev_effective
     if block is not None and (block.ndim != 2 or block.shape[0] != n_e
                               or block.shape[1] + 1 < count):
         raise ValueError(f"block of shape {block.shape} cannot start "
                          f"{count} pairs on {n_e} edge DOFs")
-    state = count is not None
-    wanted = count if state else sel.nev_effective
     if n_e == 0:
         raise InsufficientSpectrum("no free edge DOFs")
     sigma = float(sel.shift)
 
     # Arnoldi's room: ARPACK returns at most n_edge - 2 pairs (Lehoucq 1998)
-    if n <= 2 * wanted + 12:
-        lams, u, au, mu = _dense_finite_spectrum(forms, sigma, wanted, state)
+    if n <= 2 * count + 12:
+        lams, u, au, mu = _dense_finite_spectrum(forms, count)
     elif block is None:
-        lams, u, au, mu = _arpack_finite_spectrum(forms, sigma, wanted,
-                                                  state, sel, v0)
+        lams, u, au, mu = _arpack_finite_spectrum(forms, sigma, count, sel,
+                                                  v0)
     else:
         lams, u, au, mu = _block_finite_spectrum(forms, sigma, count, sel,
                                                  block)
@@ -289,14 +279,13 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
             for i in range(len(lams))]
 
 
-def _nearest(forms: AssembledForms, lams: np.ndarray, vecs: np.ndarray,
-             sigma: float, count: int):
-    """The count eigenvalues nearest sigma, ascending, and u, A u, M u."""
+def _lowest(forms: AssembledForms, lams: np.ndarray, vecs: np.ndarray,
+            count: int):
+    """The count lowest eigenvalues, ascending, and u, A u, M u."""
     if len(lams) < count:
         raise InsufficientSpectrum(
             f"found {len(lams)} finite eigenvalues, requested {count}")
-    order = np.argsort(np.abs(lams - sigma))[:count]
-    order = order[np.argsort(lams[order])]
+    order = np.argsort(lams)[:count]
     u = vecs[:, order]
     return lams[order], u, forms.A @ u, forms.M @ u
 
@@ -322,34 +311,22 @@ def _residuals(au: np.ndarray, mu: np.ndarray, lams,
     return num / np.maximum(np.abs(lams) * mu_norm, _TINY)
 
 
-def _dense_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
-                           state: bool):
-    """The count pairs nearest sigma (_nearest), or for a state solve the
-    lowest count + c, c the finite eigenvalues below sigma: the pairs a
-    cold Arnoldi solve returns."""
+def _dense_finite_spectrum(forms: AssembledForms, count: int):
+    """The lowest count finite pairs (_lowest) by the dense eigh(A, M)."""
     lams, vecs = scipy.linalg.eigh(forms.A.toarray(), forms.M.toarray())
     # A G = 0 and M is positive definite, so the gradients are the lowest
     # pairs (lam ~ 0), which B^T u = 0 removes: one per free vertex, as
     # many as dim ker A on a connected, simply connected mesh (a hole adds
     # a lam ~ 0 harmonic pair, which stays).
     grads = forms.BT.shape[0]
-    lams, vecs = lams[grads:], vecs[:, grads:]
-    if state:
-        count += int(np.count_nonzero(lams < sigma))
-        lams, vecs = lams[:count], vecs[:, :count]
-    return _nearest(forms, lams, vecs, sigma, count)
+    return _lowest(forms, lams[grads:], vecs[:, grads:], count)
 
 
 def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
-                            state: bool, sel: EigenSelection,
-                            v0: np.ndarray | None):
+                            sel: EigenSelection, v0: np.ndarray | None):
     """As _dense_finite_spectrum, by Arnoldi on F (module docstring) for
     count + c Ritz pairs, c from the inertia of S's factor
-    (ShiftInvert.below), all of which a state solve keeps."""
-    if sigma < 0:
-        raise InsufficientSpectrum(
-            f"a cold solve at the negative shift {sigma:g} ranks every "
-            f"eigenvalue behind the highest: use a positive eigen.shift")
+    (ShiftInvert.below): the c below sigma and the lowest count above."""
     op = ShiftInvert(forms, sigma)
     n = forms.layout.n_edge
     linear = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
@@ -382,8 +359,7 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
             f"{found} of the {len(lams)} Ritz pairs: F ranks them behind "
             f"pairs above the shift, and every one below {0.5 * sigma:g}, "
             f"half the shift, behind all; lower eigen.shift")
-    return _nearest(forms, lams, x.real[:, keep], sigma,
-                    count + op.below if state else count)
+    return _lowest(forms, lams, x.real[:, keep], count)
 
 
 def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
@@ -395,8 +371,8 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
     there on, in the debug line too.  Each iteration replaces X by the
     Ritz vectors of (A, M) on S^{-1} M X until the count lowest Ritz pairs
     meet the residual tolerance.  The block converges to the pairs nearest
-    sigma; keeping the lowest, not the nearest, ranks pairs as a cold
-    solve does when sigma lies above the tracked pair.  S^{-1} M grows the
+    sigma; keeping the lowest, as every path does, keeps the cold ranking
+    where sigma lies above the tracked pair.  S^{-1} M grows the
     gradient parts rounding leaves against a kept pair farther than sigma
     from the shift: while a kept Ritz vector's ||B^T u|| / ||M u|| then
     exceeds tol / 100, the next step applies F.  An inexact factor of S
@@ -446,7 +422,7 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
                     f"block iteration stalled: residual {res:.2e} did not "
                     f"halve over 6 steps, {iterations} iterations")
             # an F step leaves one solve's rounding: the next may stop
-            far = np.abs(w - sigma).max() > abs(sigma)
+            far = np.abs(w - sigma).max() > sigma
             gradients = far and not gradients and np.any(
                 _column_norms(forms.BT @ x[:, :count])
                 > 1e-2 * sel.tol * _column_norms(mz))
@@ -462,14 +438,11 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
 
 def _warm_shift(a: sp.spmatrix, block: np.ndarray, m_block: np.ndarray,
                 sigma: float) -> float:
-    """The shift a warm solve factors at: for sigma > 0 the larger of
-    sigma and (1 - WARM_SHIFT_MARGIN) times the lowest Rayleigh quotient
-    u^T A u / u^T M u of the block's columns, given M block; sigma
-    otherwise.  So the shift only rises toward the tracked pairs and never
-    crosses 0, where S = A is singular on the gradients.  A block with
-    gradient parts, which lower its quotients, keeps sigma."""
-    if not sigma > 0:
-        return sigma
+    """The shift a warm solve factors at: the larger of sigma and
+    (1 - WARM_SHIFT_MARGIN) times the lowest Rayleigh quotient
+    u^T A u / u^T M u of the block's columns, given M block.  So the shift
+    only rises toward the tracked pairs.  A block with gradient parts,
+    which lower its quotients, keeps sigma."""
     quotients = (np.einsum("ij,ij->j", block, a @ block)
                  / np.einsum("ij,ij->j", block, m_block))
     lifted = (1.0 - WARM_SHIFT_MARGIN) * float(quotients.min())

@@ -38,15 +38,14 @@ from conftest import (
 )
 
 
-def qz_nearest(forms, sigma, count):
-    """The count finite eigenvalues nearest sigma, ascending, by QZ on the
-    whole saddle pencil: the oracle of the sparse paths."""
+def qz_lowest(forms, count):
+    """The count lowest finite eigenvalues, ascending, by QZ on the whole
+    saddle pencil: the oracle of the sparse paths."""
     k_mat, mt = saddle_pencil(forms)
     alpha, beta = scipy.linalg.eig(k_mat.toarray(), mt.toarray(),
                                    right=False, homogeneous_eigvals=True)
     finite = np.abs(beta) > 1e-8 * np.abs(beta).max()
-    lams = (alpha[finite] / beta[finite]).real
-    return np.sort(lams[np.argsort(np.abs(lams - sigma))[:count]])
+    return np.sort((alpha[finite] / beta[finite]).real)[:count]
 
 
 def _reduced_forms(mesh, q=None):
@@ -189,11 +188,9 @@ class TestSolveGevp:
                 sel = EigenSelection(nev=6, shift=shift, tol=1e-9)
                 sparse = [p.lam for p in solve_gevp(forms, sel)]
                 assert len(sparse) == 6
-                np.testing.assert_allclose(sparse,
-                                           dense_nearest(forms, shift, 6),
+                np.testing.assert_allclose(sparse, dense_finite(forms)[:6],
                                            rtol=1e-7, atol=0.0)
-                np.testing.assert_allclose(sparse,
-                                           qz_nearest(forms, shift, 6),
+                np.testing.assert_allclose(sparse, qz_lowest(forms, 6),
                                            rtol=1e-10, atol=0.0)
 
     def test_arpack_failure_raises_no_convergence(self, square16_forms,
@@ -263,7 +260,7 @@ class TestSolveGevp:
         assert match is not None, lines[0]
         # Arnoldi runs on edge vectors
         assert int(match[1]) == n_e
-        # a spectrum solve asks for nev + c pairs with 3 k + 8 Krylov
+        # a solve without a count asks for nev + c pairs with 3 k + 8 Krylov
         # vectors; no eigenvalue of the square lies below 9, so c = 0
         assert (int(match[2]), int(match[3])) == (sel.nev, 3 * sel.nev + 8)
         assert int(match[4]) == 0
@@ -308,17 +305,17 @@ class TestSolveGevp:
         # by ARPACK cold and by block iteration warm
         dense, real = [], es._dense_finite_spectrum
 
-        def spy(forms, sigma, count, state):
+        def spy(forms, count):
             dense.append((forms.layout.n, count))
-            return real(forms, sigma, count, state)
+            return real(forms, count)
 
         monkeypatch.setattr(es, "_dense_finite_spectrum", spy)
         sel = EigenSelection(nev=7, shift=9.0, tol=1e-8)
         square2, _ = _reduced_forms(generate_unit_square(2))
         cold = solve_gevp(square2, sel, count=2)
         solve_gevp(square2, sel)
-        # a block makes a state solve on the dense path too: count
-        # index + 2, not a spectrum of nev pairs
+        # a block sets count to index + 2 on the dense path too, not to
+        # nev
         warm = solve_gevp(square2, sel, block=block_of(cold[:2]))
         assert dense == [(9, 2), (9, 7), (9, 2)] and arnoldi_requests == []
         assert [p.lam for p in warm] == [p.lam for p in cold]
@@ -332,6 +329,30 @@ class TestSolveGevp:
         assert dense == [] and arnoldi_requests == [(2, 14)]
         for pw, pc in zip(warm, cold):
             assert abs(pw.lam - pc.lam) <= 1e-8 * pc.lam
+
+    @pytest.mark.parametrize("path", ["dense", "cold", "warm"])
+    def test_every_path_returns_the_lowest_pairs(self, path, square16_forms,
+                                                 square16_finite,
+                                                 arnoldi_requests):
+        # the lowest count pairs wherever the shift lies: the 2 x 2 square's
+        # 8.81 and 9.6 lie far below sigma = 50, whose nearest are 48 and
+        # 57.6; the 16 x 16 square's 9.85 and 9.87 lie below sigma = 15
+        # (c = 2), whose nearest is 19.76
+        if path == "dense":
+            forms, _ = _reduced_forms(generate_unit_square(2))
+            pairs = solve_gevp(forms, EigenSelection(nev=2, shift=50.0,
+                                                     tol=1e-8))
+            want, requests = dense_finite(forms)[:2], []
+        else:
+            sel = EigenSelection(nev=8, shift=15.0, tol=1e-8)
+            pairs = solve_gevp(square16_forms, sel, count=2)
+            if path == "warm":
+                pairs = solve_gevp(square16_forms, sel,
+                                   block=block_of(pairs))
+            want, requests = square16_finite[:2], [(4, 20)]
+        np.testing.assert_allclose([p.lam for p in pairs], want, rtol=1e-10,
+                                   atol=0.0)
+        assert arnoldi_requests == requests
 
     def test_insufficient_spectrum(self):
         # n=2: 8 free edges, 1 free vertex -> exactly 7 finite eigenvalues.
@@ -409,7 +430,7 @@ class TestShiftInvert:
         sigma = 9.0
         pairs = solve_gevp(forms, EigenSelection(nev=8, shift=sigma,
                                                  tol=1e-8))
-        want = qz_nearest(forms, sigma, 8)
+        want = qz_lowest(forms, 8)
         got = np.array([p.lam for p in pairs])
         assert len(got) == 8
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
@@ -430,7 +451,7 @@ class TestShiftInvert:
         pairs = solve_gevp(forms, sel)
         got = np.array([p.lam for p in pairs])
         assert len(got) == 4
-        want = qz_nearest(forms, sigma, 4)
+        want = qz_lowest(forms, 4)
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
         assert all(p.residual <= sel.tol for p in pairs[:sel.index + 2])
         assert all(p.divergence <= es.DIVERGENCE_TOL for p in pairs)
@@ -476,7 +497,7 @@ class TestShiftInvert:
             pairs = solve_gevp(forms, EigenSelection(nev=6, shift=5e-4,
                                                      tol=1e-9))
             assert len(pairs) == 6
-            for p, lam in zip(pairs, qz_nearest(forms, 5e-4, 6)):
+            for p, lam in zip(pairs, qz_lowest(forms, 6)):
                 assert abs(p.lam - lam) <= 1e-8 * abs(lam)
                 assert p.u.shape == (dofs.free.n_edge,)
 
@@ -502,13 +523,6 @@ def dense_finite(forms):
     """The finite eigenvalues of (A, M), ascending, by the dense eigh."""
     return scipy.linalg.eigh(forms.A.toarray(), forms.M.toarray(),
                              eigvals_only=True)[forms.BT.shape[0]:]
-
-
-def dense_nearest(forms, sigma, count):
-    """The count finite eigenvalues nearest sigma, ascending, by the dense
-    eigh."""
-    lams = dense_finite(forms)
-    return np.sort(lams[np.argsort(np.abs(lams - sigma))[:count]])
 
 
 def dense_below(forms, sigma):
@@ -586,15 +600,6 @@ class TestColdStateSolve:
                        EigenSelection(nev=5, shift=30.0, tol=1e-8))
         assert arnoldi_requests == [(8, 32)]
 
-    def test_negative_shift_raises(self, square16_forms, arnoldi_requests):
-        # for sigma < 0, F maps a mode to theta in (1/sigma, 0), nearest 0
-        # for the lowest: Arnoldi would return the highest modes, and no
-        # count catches it, as none lies below sigma
-        with pytest.raises(InsufficientSpectrum, match="negative shift -2.5"):
-            solve_gevp(square16_forms,
-                       EigenSelection(nev=6, shift=-2.5, tol=1e-8))
-        assert arnoldi_requests == []
-
     def test_dense_path_counts_its_own(self, arnoldi_requests):
         # n = 4 runs ARPACK: its lowest pairs 9.58 and 9.83 lie below
         # sigma = 12, and the 4 Ritz pairs keep them; the 9 Ritz pairs at
@@ -604,21 +609,21 @@ class TestColdStateSolve:
         assert dense_below(forms, 12.0) == 2
         pairs = solve_gevp(forms, EigenSelection(nev=6, shift=12.0, tol=1e-8),
                            count=2)
-        assert len(pairs) == 4
-        np.testing.assert_allclose([p.lam for p in pairs[:2]],
+        assert len(pairs) == 2
+        np.testing.assert_allclose([p.lam for p in pairs],
                                    dense_finite(forms)[:2], rtol=1e-10)
         with pytest.raises(InsufficientSpectrum, match="shift 60"):
             solve_gevp(forms, EigenSelection(nev=6, shift=60.0, tol=1e-8),
                        count=2)
         assert arnoldi_requests == [(4, 20), (9, 35)]
         # n = 2 leaves Arnoldi no room and runs dense: 8.81, 9.6 and 20.29
-        # lie below sigma = 21, and the 5 pairs nearest it keep them
+        # lie below sigma = 21, and the dense solve needs no count of them
         forms, _ = _reduced_forms(generate_unit_square(2))
         assert dense_below(forms, 21.0) == 3
         pairs = solve_gevp(forms, EigenSelection(nev=6, shift=21.0, tol=1e-8),
                            count=2)
         np.testing.assert_allclose([p.lam for p in pairs],
-                                   dense_nearest(forms, 21.0, 5), rtol=1e-10,
+                                   dense_finite(forms)[:2], rtol=1e-10,
                                    atol=0.0)
         assert len(arnoldi_requests) == 2
 
@@ -630,7 +635,7 @@ class TestColdStateSolve:
         q = (random_feasible_control(mesh, np.random.default_rng(5), 0.02)
              if deformed else None)
         forms, _ = _reduced_forms(mesh, q)
-        for sigma in (-2.5, 1.0, 9.0, 9.9, 15.0, 30.0, 50.0):
+        for sigma in (1.0, 9.0, 9.9, 15.0, 30.0, 50.0):
             op = es.ShiftInvert(forms, sigma)
             # diagonal pivots: the factor is a congruence of S
             np.testing.assert_array_equal(op.edge.perm_r, op.edge.perm_c)
@@ -671,8 +676,7 @@ class TestLShapeReference:
 
     def test_dense_agrees_with_sparse(self, forms8, ladder):
         np.testing.assert_allclose(
-            [p.lam for p in ladder[8]],
-            dense_nearest(forms8, self.SEL.shift, self.SEL.nev),
+            [p.lam for p in ladder[8]], dense_finite(forms8)[:self.SEL.nev],
             rtol=1e-10, atol=0.0)
 
 
@@ -864,7 +868,7 @@ class TestWarmShift:
         assert self.warm_shift(square16_forms, block, 9.0) == pytest.approx(
             (1.0 - es.WARM_SHIFT_MARGIN) * lam0, rel=1e-12)
 
-    @pytest.mark.parametrize("sigma", [9.8, 12.0, 30.0, -1.0, -20.0])
+    @pytest.mark.parametrize("sigma", [9.8, 12.0, 30.0])
     def test_shift_kept_above_the_lift_or_below_zero(
             self, square16_forms, square16_pairs, sigma):
         block = block_of(square16_pairs[:2])
@@ -1116,6 +1120,12 @@ class TestEigenSelectionValidation:
         with pytest.raises(ValueError, match="shift"):
             EigenSelection(shift=shift)
 
-    def test_negative_or_unset_shift_accepted(self):
-        assert EigenSelection(shift=-2.5).shift == -2.5
+    def test_negative_shift_raises(self):
+        # for sigma < 0, F maps a mode to theta in (1/sigma, 0), nearest 0
+        # for the lowest: Arnoldi would return the highest modes, and no
+        # count catches it, as none lies below sigma.  An unset shift is
+        # accepted: MaxwellShapeProblem derives one.
+        with pytest.raises(ValueError, match=re.escape("shift must be finite "
+                                                       "and > 0")):
+            EigenSelection(shift=-2.5)
         assert EigenSelection().shift is None

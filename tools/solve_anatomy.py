@@ -37,9 +37,8 @@ timings next to it.  The parts:
   as "block solve" in the record;
 - cold apply: one application of the cold solve's edge operator
   F = S^{-1} M + I/sigma to one edge vector;
-- spectrum solve: solve_gevp by ARPACK on F for the nev = 8 pairs
-  nearest sigma, as ``maxshape eigs`` runs it, with the applies of F it
-  made;
+- spectrum solve: solve_gevp by ARPACK on F for the lowest nev = 8
+  pairs, as ``maxshape eigs`` runs it, with the applies of F it made;
 - cold state solve: the same for the index + 2 = 2 pairs a problem's
   first state solve computes (solve_gevp's count), with its applies;
 - Ritz floor: what an Armijo trial's cost floor adds to the state-free
