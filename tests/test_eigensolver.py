@@ -600,6 +600,17 @@ class TestColdStateSolve:
                        EigenSelection(nev=5, shift=30.0, tol=1e-8))
         assert arnoldi_requests == [(8, 32)]
 
+    def test_negative_shift_raises(self, square16_forms, arnoldi_requests):
+        # for sigma < 0, F maps a mode to theta in (1/sigma, 0), nearest 0
+        # for the lowest: Arnoldi would return the highest modes, and no
+        # count catches it, as none lies below sigma.  The selection refuses
+        # the shift before any solve starts.
+        with pytest.raises(ValueError, match=re.escape("shift must be finite "
+                                                       "and > 0")):
+            solve_gevp(square16_forms,
+                       EigenSelection(nev=6, shift=-2.5, tol=1e-8))
+        assert arnoldi_requests == []
+
     def test_dense_path_counts_its_own(self, arnoldi_requests):
         # n = 4 runs ARPACK: its lowest pairs 9.58 and 9.83 lie below
         # sigma = 12, and the 4 Ritz pairs keep them; the 9 Ritz pairs at
@@ -1121,10 +1132,9 @@ class TestEigenSelectionValidation:
             EigenSelection(shift=shift)
 
     def test_negative_shift_raises(self):
-        # for sigma < 0, F maps a mode to theta in (1/sigma, 0), nearest 0
-        # for the lowest: Arnoldi would return the highest modes, and no
-        # count catches it, as none lies below sigma.  An unset shift is
-        # accepted: MaxwellShapeProblem derives one.
+        # a negative shift would pick the highest modes (see
+        # TestColdStateSolve).  An unset shift is accepted:
+        # MaxwellShapeProblem derives one.
         with pytest.raises(ValueError, match=re.escape("shift must be finite "
                                                        "and > 0")):
             EigenSelection(shift=-2.5)
