@@ -12,8 +12,8 @@ zero, and the form part of the reduced derivative is
 
 Derivatives are (V, 2) arrays of nodal coefficients.  The Riesz map solves
 with the control Gram H, the scalar H1 block that both components carry,
-for both component columns at once, and the gradient leaves as a flat
-vector (x0, y0, x1, y1, ...).
+for both component columns at once, so the gradient is a (V, 2) array
+too.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class AdjointPair:
 @dataclass
 class QGradient:
     """Riesz representative of the reduced derivative in the control space:
-    its flat coefficients (x0, y0, x1, y1, ...) and its H1 norm."""
+    its (V, 2) nodal coefficients and its H1 norm."""
 
     vector: np.ndarray
     norm_q: float
@@ -128,13 +128,13 @@ def riesz_gradient(functional: np.ndarray, gram: sp.spmatrix,
         LinearSolveFailure: relative residual above 1e-10.
     """
     if not np.any(functional):
-        return QGradient(vector=np.zeros(functional.size), norm_q=0.0)
-    x = solve(functional)
+        return QGradient(vector=np.zeros(functional.shape), norm_q=0.0)
+    # C order like every control: np.vdot copies a Fortran-order array
+    x = np.ascontiguousarray(solve(functional))
     res = (np.linalg.norm(gram @ x - functional)
            / np.linalg.norm(functional))
     if res > 1e-10:
         raise LinearSolveFailure(f"Riesz solve residual {res:.3e} > 1e-10")
-    vector = x.ravel()
     # By the Riesz identity the squared norm is the duality pairing.
-    norm_sq = float(functional.ravel() @ vector)
-    return QGradient(vector=vector, norm_q=float(np.sqrt(max(norm_sq, 0.0))))
+    norm_sq = float(np.vdot(functional, x))
+    return QGradient(vector=x, norm_q=float(np.sqrt(max(norm_sq, 0.0))))

@@ -12,8 +12,9 @@ damping of the step keeps every stored curvature (d~, y) positive, so B_k
 stays positive definite and -B_k g is always a descent direction.
 
 All inner products here are taken in the control space's H1 inner product
-(u, v)_Q = u . Q v.  The caller applies the Gram Q; with the products
-stored beside the pairs, the recursion takes plain dot products only.
+(u, v)_Q = vdot(u, Q v).  The caller applies the Gram Q; with the products
+stored beside the pairs, the recursion takes plain dot products only, each
+an np.vdot over all entries, so controls may be arrays of any one shape.
 """
 
 from __future__ import annotations
@@ -111,13 +112,13 @@ class BfgsHistory:
         Raises:
             DegenerateCurvature: (d~, y) <= 0, which damping must prevent.
         """
-        s1 = float(d_tilde @ qy)
+        s1 = float(np.vdot(d_tilde, qy))
         if s1 <= 0.0:
             raise DegenerateCurvature(f"stored curvature {s1:.3e} <= 0")
         self.pairs.append(_DampedPair(
             d_tilde=np.array(d_tilde, copy=True), y=np.array(y, copy=True),
             qd=np.array(qd, copy=True), qy=np.array(qy, copy=True),
-            rho=1.0 / s1, yy=float(y @ qy)))
+            rho=1.0 / s1, yy=float(np.vdot(y, qy))))
 
 
 def apply_inverse_hessian(hist: BfgsHistory, g: np.ndarray) -> np.ndarray:
@@ -131,11 +132,11 @@ def apply_inverse_hessian(hist: BfgsHistory, g: np.ndarray) -> np.ndarray:
     v = np.array(g, dtype=np.float64, copy=True)
     alphas = []
     for p in reversed(hist.pairs):
-        alphas.append(p.rho * float(p.qd @ v))
+        alphas.append(p.rho * float(np.vdot(p.qd, v)))
         v -= alphas[-1] * p.y
     v *= hist.gamma
     for p, a in zip(hist.pairs, reversed(alphas)):
-        v += (a - p.rho * float(p.qy @ v)) * p.d_tilde
+        v += (a - p.rho * float(np.vdot(p.qy, v))) * p.d_tilde
     return v
 
 
@@ -150,10 +151,10 @@ def damp(y: np.ndarray, qy: np.ndarray, d_tilde: np.ndarray,
         DegenerateCurvature: (y, B_k y) <= 0 (operator invariant broken).
     """
     by = apply_inverse_hessian(hist, y)
-    yby = float(qy @ by)
+    yby = float(np.vdot(qy, by))
     if yby <= 0.0:
         raise DegenerateCurvature(f"(y, B y) = {yby:.3e} <= 0")
-    yd = float(qy @ d_tilde)
+    yd = float(np.vdot(qy, d_tilde))
     if yd >= xi * yby:
         return np.array(d_tilde, copy=True), 1.0
     theta = (1.0 - xi) * yby / (yby - yd)
@@ -238,14 +239,15 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
              ) -> tuple[np.ndarray, list[IterationRecord], OptimizeStatus]:
     """Damped inverse BFGS loop on the reduced problem.
 
-    `problem` provides six methods on flat coefficient vectors:
+    Controls, steps and gradients share one array shape, any shape, and
+    every inner product is an np.vdot.  `problem` provides six methods:
     gradient(q), the Riesz gradient (with .vector and .norm_q) and the
     state eigenpair (with .lam and .mode_overlap) at q; evaluate(q,
     lam=None), the objective, +inf where infeasible, with lam the known
     eigenvalue at q;
     cost_floor(q), a lower bound of evaluate(q) that solves no state, so
     that an Armijo trial it already rejects costs no eigensolve; q_apply(v),
-    the Gram map Q v of the control inner product (u, v)_Q = u . Q v;
+    the Gram map Q v of the control inner product (u, v)_Q = vdot(u, Q v);
     jacobian_range(q); and step_limit(d), the step t at which q + t d first
     moves some vertex by one shortest reference edge.  Each iterate applies
     Q to d, y and a damped d~ (an undamped d~ = t d stores t Q d).  One
@@ -297,8 +299,8 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
             t0 = min(1.0, FIRST_STEP * problem.step_limit(d))
         rec.t0 = t0
         qd = problem.q_apply(d)
-        g_dot_d = float(gvec @ qd)
-        d_norm = math.sqrt(max(float(d @ qd), 0.0))
+        g_dot_d = float(np.vdot(gvec, qd))
+        d_norm = math.sqrt(max(float(np.vdot(d, qd)), 0.0))
         if d_norm > 0 and grad.norm_q > 0:
             rec.cos_angle = -g_dot_d / (d_norm * grad.norm_q)
 
@@ -317,7 +319,7 @@ def optimize(problem, q0: np.ndarray, cfg: OptimizerConfig,
         d_step = t * d                     # equals q_new - q
         y = grad_new.vector - gvec
         qy = problem.q_apply(y)
-        if float(y @ qy) > 0.0:
+        if float(np.vdot(y, qy)) > 0.0:
             d_damped, theta = damp(y, qy, d_step, hist, cfg.xi)
             hist.push(d_damped, y, t * qd if theta == 1.0
                       else problem.q_apply(d_damped), qy)

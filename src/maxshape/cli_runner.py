@@ -137,18 +137,21 @@ def parse_config(text: str) -> RunConfig:
         return {key[len(prefix):]: value for key, value in raw.items()
                 if key.startswith(prefix)}
 
+    def build(name: str, cls, values: dict):
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}")
+
+    objective = build("objective", ObjectiveParams, section("objective."))
+    eigen = build("eigen", EigenSelection, section("eigen."))
     opt = section("optimizer.")
     if "rho" in opt:
         opt["rho_ls"] = opt.pop("rho")
-    try:
-        objective = ObjectiveParams(**section("objective."))
-        eigen = EigenSelection(**section("eigen."))
-        # CLI default: the initial inverse Hessian scales with 1 / alpha
-        opt.setdefault("b0_scale",
-                       1.0 / objective.alpha if objective.alpha > 0 else 1.0)
-        optimizer = OptimizerConfig(**opt)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    # CLI default: the initial inverse Hessian scales with 1 / alpha
+    opt.setdefault("b0_scale",
+                   1.0 / objective.alpha if objective.alpha > 0 else 1.0)
+    optimizer = build("optimizer", OptimizerConfig, opt)
 
     if raw.get("mesh.unit_square", 1) < 1:
         raise ConfigError("mesh.unit_square must be >= 1")
@@ -283,9 +286,9 @@ def check_gradient(cfg: RunConfig, n_directions: int,
 
     functional, _ = problem.derivative_functional(q)
     for i in range(n_directions):
-        p = rng.standard_normal(problem.n_control)
+        p = rng.standard_normal(q.shape)
         p /= problem.q_norm(p)
-        exact = float(functional.ravel() @ p)
+        exact = float(np.vdot(functional, p))
         rows = []
         for step in steps:
             j_plus = problem.evaluate(q + step * p)
@@ -317,7 +320,7 @@ def _feasible_control(problem: MaxwellShapeProblem, rng: np.random.Generator,
     if q_inf == 0.0:
         return problem.zero_control()
     for _ in range(100):
-        q = rng.uniform(-1.0, 1.0, size=problem.n_control)
+        q = rng.uniform(-1.0, 1.0, size=(problem.mesh.n_vertices, 2))
         q *= q_inf / np.abs(q).max()
         jq_min, _ = problem.jacobian_range(q)
         if jq_min > 2.0 * problem.params.epsilon:

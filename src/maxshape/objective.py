@@ -67,7 +67,7 @@ def state_free_terms(mesh: Mesh, q: DeformationField,
     jac = q.jacobian
     if jac.min() <= params.epsilon:
         return None
-    reg = 0.5 * params.alpha * float(q.flat @ (gram @ q.values).ravel())
+    reg = 0.5 * params.alpha * float(np.vdot(q.values, gram @ q.values))
     barrier = -params.beta * float(mesh.areas @ np.log(jac - params.epsilon))
     return reg, barrier
 

@@ -16,9 +16,9 @@ them, and one that never takes a Riesz gradient (``check_gradient``)
 never factors the Gram.  It alone chains state, adjoint, reduced
 derivative and Riesz map, and exposes the six methods the optimizer
 drives: gradient, evaluate, cost_floor, q_apply (the Gram map),
-jacobian_range and step_limit.  Controls cross this interface as flat
-coefficient vectors (x0, y0, x1, y1, ...); the Gram acts on their (V, 2)
-view, and derivatives are (V, 2) arrays.
+jacobian_range and step_limit.  Controls, steps, Riesz gradients and
+derivatives all cross this interface as (V, 2) arrays of nodal
+coefficients, one row per vertex; the Gram acts on their columns.
 """
 
 from __future__ import annotations
@@ -106,19 +106,19 @@ class MaxwellShapeProblem:
 
     # -- control helpers ----------------------------------------------------
 
-    @property
-    def n_control(self) -> int:
-        return 2 * self.mesh.n_vertices
-
     def zero_control(self) -> np.ndarray:
-        return np.zeros(self.n_control)
+        return np.zeros((self.mesh.n_vertices, 2))
 
     def field(self, q: np.ndarray) -> DeformationField:
         """The deformation field of control q: the same object as the last
         call's for an equal control, so every layer reads one set of
-        kinematic factors per control."""
-        if self._field is None or not np.array_equal(q, self._field.flat):
-            self._field = DeformationField.from_flat(self.mesh, q)
+        kinematic factors per control.
+
+        Raises:
+            ValueError: q is not a (V, 2) array.
+        """
+        if self._field is None or not np.array_equal(q, self._field.values):
+            self._field = DeformationField(self.mesh, q)
         return self._field
 
     def _state_free_terms(self, field: DeformationField):
@@ -154,7 +154,7 @@ class MaxwellShapeProblem:
         starts from the same block.
         """
         last = self._last_state
-        if last is not None and np.array_equal(q, last[0].flat):
+        if last is not None and np.array_equal(q, last[0].values):
             log.debug("reused state: lam=%.10g", last[1].lam)
             return last[1]
         start = self._anchor if self._anchor is not None else (
@@ -224,12 +224,12 @@ class MaxwellShapeProblem:
         return floor
 
     def q_apply(self, v: np.ndarray) -> np.ndarray:
-        """The Gram map: (u, v)_Q = u @ q_apply(v), H applied to each
+        """The Gram map: (u, v)_Q = vdot(u, q_apply(v)), H applied to each
         component of v."""
-        return (self.gram @ np.reshape(v, (-1, 2))).ravel()
+        return self.gram @ v
 
     def q_norm(self, u: np.ndarray) -> float:
-        return math.sqrt(max(float(u @ self.q_apply(u)), 0.0))
+        return math.sqrt(max(float(np.vdot(u, self.q_apply(u))), 0.0))
 
     def jacobian_range(self, q: np.ndarray) -> tuple[float, float]:
         return jacobian_range(self.field(q))
@@ -237,8 +237,7 @@ class MaxwellShapeProblem:
     def step_limit(self, d: np.ndarray) -> float:
         """h_min / max_v |d_v|: the step t at which q + t d first moves a
         vertex by the shortest reference edge."""
-        return self._h_min / float(np.linalg.norm(
-            np.reshape(d, (-1, 2)), axis=1).max())
+        return self._h_min / float(np.linalg.norm(d, axis=1).max())
 
     # -- derived quantities -------------------------------------------------
 

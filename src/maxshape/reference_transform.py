@@ -34,19 +34,6 @@ class DeformationField:
         self.mesh = mesh
         self.values = values
 
-    @classmethod
-    def zero(cls, mesh: Mesh) -> "DeformationField":
-        return cls(mesh, np.zeros((mesh.n_vertices, 2)))
-
-    @classmethod
-    def from_flat(cls, mesh: Mesh, vec: np.ndarray) -> "DeformationField":
-        return cls(mesh, np.asarray(vec, dtype=np.float64).reshape(-1, 2))
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Coefficients as a flat vector (x0, y0, x1, y1, ...)."""
-        return self.values.reshape(-1)
-
     @cached_property
     def gradient(self) -> np.ndarray:
         """(T, 2, 2) displacement gradients grad q on every triangle."""

@@ -276,6 +276,11 @@ def dilation_control(mesh, s, center=(0.5, 0.5)):
     return DeformationField(mesh, s * (mesh.vertices - np.asarray(center)))
 
 
+def zero_field(mesh):
+    """The undeformed field of mesh."""
+    return DeformationField(mesh, np.zeros((mesh.n_vertices, 2)))
+
+
 # -- quadrature-point oracles ------------------------------------------------
 # The element kernels that the Gram closed forms of fem_assembly replaced:
 # the Whitney basis tabulated at the edge midpoints, and the shape

@@ -29,6 +29,7 @@ from conftest import (
     implied_multiplier,
     random_feasible_control,
     saddle_pencil,
+    zero_field,
 )
 
 
@@ -81,7 +82,7 @@ def direct_adjoint_mismatch(mesh, dofs, q, sel, state, adj):
 class TestSolveState:
     def test_unit_square_ground_state(self, setup6):
         mesh, dofs, sel = setup6
-        state = solve_at(mesh, dofs, DeformationField.zero(mesh), sel)
+        state = solve_at(mesh, dofs, zero_field(mesh), sel)
         assert state.lam == pytest.approx(np.pi ** 2, rel=0.03)
         assert len(state.u) == mesh.n_edges
         assert np.all(state.u[mesh.boundary_edges] == 0.0)
@@ -89,7 +90,7 @@ class TestSolveState:
 
     def test_translation_invariance(self, setup6):
         mesh, dofs, sel = setup6
-        base = solve_at(mesh, dofs, DeformationField.zero(mesh), sel)
+        base = solve_at(mesh, dofs, zero_field(mesh), sel)
         shifted = solve_at(
             mesh, dofs,
             DeformationField(mesh, np.tile((0.4, -0.1), (mesh.n_vertices, 1))),
@@ -147,7 +148,7 @@ class TestMultiplierIsZero:
         for _ in range(2):
             q = random_feasible_control(square16, rng, 0.01)
             self.assert_psi_vanishes(square16, prob.dofs, q,
-                                     prob.solve_state(q.flat))
+                                     prob.solve_state(q.values))
 
 
 class TestEigenvalueDerivative:
@@ -178,14 +179,14 @@ class TestEigenvalueDerivative:
 class TestSolveAdjoint:
     def test_zero_at_target(self, setup6):
         mesh, dofs, sel = setup6
-        state = solve_at(mesh, dofs, DeformationField.zero(mesh), sel)
+        state = solve_at(mesh, dofs, zero_field(mesh), sel)
         adj = solve_adjoint(state, state.lam)
         assert np.all(adj.z == 0.0)
 
     def test_normalization_scaling(self, setup6):
         # m(u, z) = lambda_target - lambda for the mass-normalized state
         mesh, dofs, sel = setup6
-        q = DeformationField.zero(mesh)
+        q = zero_field(mesh)
         state = solve_at(mesh, dofs, q, sel)
         target = state.lam - 2.0
         adj = solve_adjoint(state, target)
@@ -196,7 +197,7 @@ class TestSolveAdjoint:
 
     def test_direct_solve_verification(self, setup6):
         mesh, dofs, sel = setup6
-        q = DeformationField.zero(mesh)
+        q = zero_field(mesh)
         state = solve_at(mesh, dofs, q, sel)
         adj = solve_adjoint(state, 0.9 * state.lam)
         err, ref = direct_adjoint_mismatch(mesh, dofs, q, sel, state, adj)
@@ -206,7 +207,7 @@ class TestSolveAdjoint:
 
     def test_verification_catches_corruption(self, setup6):
         mesh, dofs, sel = setup6
-        q = DeformationField.zero(mesh)
+        q = zero_field(mesh)
         state = solve_at(mesh, dofs, q, sel)
         corrupted = type(state)(lam=state.lam, u=2.0 * state.u,
                                 residual=state.residual)
@@ -219,19 +220,21 @@ class TestRieszGradient:
     def test_zero_functional(self, square4, gram4):
         grad = riesz_gradient(np.zeros((square4.n_vertices, 2)), *gram4)
         assert grad.norm_q == 0.0
-        assert grad.vector.shape == (2 * square4.n_vertices,)
+        assert grad.vector.shape == (square4.n_vertices, 2)
         assert np.all(grad.vector == 0.0)
 
     def test_gram_round_trip(self, square4, gram4, rng):
         gram, solve = gram4
         w = rng.standard_normal((square4.n_vertices, 2))
         grad = riesz_gradient(gram @ w, gram, solve)
-        np.testing.assert_allclose(grad.vector, w.ravel(), atol=1e-10)
+        np.testing.assert_allclose(grad.vector, w, atol=1e-10)
+        # the layout of every control, so products with it copy nothing
+        assert grad.vector.flags.c_contiguous
 
     def test_dual_norm_identity(self, square4, gram4, rng):
         func = rng.standard_normal((square4.n_vertices, 2))
         grad = riesz_gradient(func, *gram4)
-        pairing = float(func.ravel() @ grad.vector)
+        pairing = float(np.vdot(func, grad.vector))
         assert pairing == pytest.approx(grad.norm_q ** 2, rel=1e-10)
 
     def test_no_boundary_conditions_on_control(self, square4, gram4):
@@ -241,7 +244,7 @@ class TestRieszGradient:
         grad = riesz_gradient(coeffs, *gram4)
         assert grad.norm_q > 0
         vertex = square4.boundary_vertices[0]
-        assert np.abs(grad.vector.reshape(-1, 2)[vertex]).max() > 0
+        assert np.abs(grad.vector[vertex]).max() > 0
 
 
 class TestReducedDerivative:
@@ -249,7 +252,7 @@ class TestReducedDerivative:
         # lam = lam_*: the adjoint vanishes and only the cost's own
         # q-derivative survives; at q = 0 that is the barrier part alone.
         mesh, dofs, sel = setup6
-        q = DeformationField.zero(mesh)
+        q = zero_field(mesh)
         state = solve_at(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=state.lam, alpha=0.7,
                                  beta=1e-6, epsilon=1e-4)
@@ -264,7 +267,7 @@ class TestReducedDerivative:
         # at q = 0 the form terms annihilate constants; the alpha-term pairs
         # (q, p) = 0 as well, so the whole functional vanishes on constants
         mesh, dofs, sel = setup6
-        q = DeformationField.zero(mesh)
+        q = zero_field(mesh)
         state = solve_at(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=0.9 * state.lam, alpha=0.7)
         adj = solve_adjoint(state, params.lambda_target)
@@ -277,7 +280,7 @@ class TestReducedDerivative:
 
     def test_sign_invariance_of_state(self, setup6, gram6):
         mesh, dofs, sel = setup6
-        q = DeformationField.zero(mesh)
+        q = zero_field(mesh)
         state = solve_at(mesh, dofs, q, sel)
         params = ObjectiveParams(lambda_target=0.9 * state.lam, alpha=0.7)
         adj = solve_adjoint(state, params.lambda_target)
@@ -307,14 +310,14 @@ class TestFullGradientFiniteDifference:
         if q_inf == 0.0:
             q = prob.zero_control()
         else:
-            q = random_feasible_control(mesh, rng, q_inf).flat
+            q = random_feasible_control(mesh, rng, q_inf).values
         func, _ = prob.derivative_functional(q)
         h = 1e-5
         for _ in range(5):
-            p = rng.standard_normal(prob.n_control)
+            p = rng.standard_normal((mesh.n_vertices, 2))
             p /= prob.q_norm(p)
             fd = (prob.evaluate(q + h * p) - prob.evaluate(q - h * p)) / (2 * h)
-            exact = float(func.ravel() @ p)
+            exact = float(np.vdot(func, p))
             assert abs(exact - fd) <= 1e-4 * max(1.0, abs(fd))
 
     def test_descent_property(self, rng):
@@ -326,4 +329,4 @@ class TestFullGradientFiniteDifference:
         prob = MaxwellShapeProblem(mesh, params, sel, seed=2)
         grad, _ = prob.gradient(prob.zero_control())
         assert grad.norm_q > 0
-        assert grad.vector @ prob.q_apply(-grad.vector) < 0
+        assert np.vdot(grad.vector, prob.q_apply(-grad.vector)) < 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -410,6 +411,35 @@ class QuadraticProblem:
         return self.limit
 
 
+class VertexArrayProblem:
+    """A problem on flat vectors posed on (rows, 2) arrays: the layout of a
+    mesh's controls, one row per vertex."""
+
+    def __init__(self, flat, rows):
+        self.flat = flat
+        self.shape = (rows, 2)
+
+    def gradient(self, q):
+        grad, state = self.flat.gradient(q.ravel())
+        return SimpleNamespace(vector=grad.vector.reshape(self.shape),
+                               norm_q=grad.norm_q), state
+
+    def evaluate(self, q, lam=None):
+        return self.flat.evaluate(q.ravel(), lam)
+
+    def cost_floor(self, q):
+        return self.flat.cost_floor(q.ravel())
+
+    def q_apply(self, v):
+        return self.flat.q_apply(v.ravel()).reshape(self.shape)
+
+    def jacobian_range(self, q):
+        return self.flat.jacobian_range(q.ravel())
+
+    def step_limit(self, d):
+        return self.flat.step_limit(d.ravel())
+
+
 def record_trial_steps(monkeypatch):
     """Per Armijo search of optimize, the steps t of its trials q + t d."""
     searches = []
@@ -584,6 +614,22 @@ class TestOptimize:
         for rec, trials in zip(records, searches):
             assert trials[0] == pytest.approx(rec.t0, rel=1e-9)
         assert math.isnan(records[-1].t0)     # terminal iterate: no search
+
+    def test_vertex_arrays_give_the_flat_records(self, gram10, rng):
+        # optimize takes every inner product with np.vdot, which sums the
+        # entries in the order of the flat vector: the same bits
+        prob = self.make_problem(gram10, rng)
+        prob.limit = 0.3
+        cfg = OptimizerConfig(tol=1e-9, k_max=200, b0_scale=0.05)
+        q, records, status = optimize(prob, np.zeros(10), cfg)
+        grid_q, grid_records, grid_status = optimize(
+            VertexArrayProblem(prob, 5), np.zeros((5, 2)), cfg)
+        assert status is grid_status is OptimizeStatus.CONVERGED
+        assert len(records) > 5
+        assert grid_q.shape == (5, 2)
+        assert grid_q.tobytes() == q.tobytes()
+        np.testing.assert_equal([dataclasses.astuple(r) for r in grid_records],
+                                [dataclasses.astuple(r) for r in records])
 
     def test_log_lines(self, gram10, rng, caplog):
         prob = self.make_problem(gram10, rng)

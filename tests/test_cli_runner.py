@@ -118,7 +118,7 @@ class TestParseConfig:
     def test_zero_shift_rejected(self, value):
         # A - 0*M is singular: the first sparse solve would fail to factor
         with pytest.raises(ConfigError,
-                           match="^shift must be finite and > 0$"):
+                           match="^eigen: shift must be finite and > 0$"):
             parse_config(config_text(extra=f"eigen.shift = {value}"))
 
     def test_negative_shift_rejected(self, tmp_path, capsys):
@@ -126,13 +126,13 @@ class TestParseConfig:
         # behind the highest: the configuration is refused before any solve
         text = config_text(extra="eigen.shift = -2.5")
         with pytest.raises(ConfigError,
-                           match="^shift must be finite and > 0$"):
+                           match="^eigen: shift must be finite and > 0$"):
             parse_config(text)
         cfg_file = tmp_path / "n.cfg"
         cfg_file.write_text(text)
         assert main(["eigs", "--config", str(cfg_file)]) == 2
         assert capsys.readouterr().err == (
-            "configuration error: shift must be finite and > 0\n")
+            "configuration error: eigen: shift must be finite and > 0\n")
 
     @pytest.mark.parametrize("value", ["0", "-5", "-1e-300"])
     def test_non_positive_target_rejected(self, value):
@@ -151,8 +151,12 @@ class TestParseConfig:
             parse_config(config_text(extra=f"seed = {value}"))
 
     def test_invalid_parameter_range(self):
-        with pytest.raises(ConfigError):
+        # the section's own check names the section
+        message = "optimizer: gamma must lie in (0, 0.5)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(config_text(extra="optimizer.gamma = 0.9"))
+        with pytest.raises(ConfigError, match=r"^objective: epsilon must lie"):
+            parse_config(config_text(extra="objective.epsilon = 1.5"))
 
     @pytest.mark.parametrize("key", ["eigen.gap_min", "eigen.strict_gap"])
     def test_removed_gap_keys_are_unknown(self, key):

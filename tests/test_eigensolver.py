@@ -35,6 +35,7 @@ from conftest import (
     l_shape,
     random_feasible_control,
     saddle_pencil,
+    zero_field,
 )
 
 
@@ -50,7 +51,7 @@ def qz_lowest(forms, count):
 
 def _reduced_forms(mesh, q=None):
     dofs = DofMap.from_mesh(mesh)
-    field = q if q is not None else DeformationField.zero(mesh)
+    field = q if q is not None else zero_field(mesh)
     return apply_dirichlet(assemble_forms(mesh, dofs, field), dofs), dofs
 
 

@@ -43,6 +43,7 @@ from conftest import (
     saddle_pencil,
     two_squares,
     whitney_table,
+    zero_field,
 )
 
 
@@ -91,7 +92,7 @@ class TestHandAssembly:
         # give A entries of (curl_i)(curl_j)*area, computed by hand.
         mesh = parse_msh(TWO_TRIANGLE_MSH)
         dofs = DofMap.from_mesh(mesh)
-        forms = assemble_forms(mesh, dofs, DeformationField.zero(mesh))
+        forms = assemble_forms(mesh, dofs, zero_field(mesh))
         # edge order (lex): e0=(0,1) e1=(0,2) e2=(0,3) e3=(1,2) e4=(2,3)
         expected = np.array([
             [2.0, -2.0, 0.0, 2.0, 0.0],
@@ -107,7 +108,7 @@ class TestQuadratureExactness:
     @pytest.mark.parametrize("deform", ["zero", "random"])
     def test_forms_match_degree5_oracle(self, square4, rng, deform):
         if deform == "zero":
-            q = DeformationField.zero(square4)
+            q = zero_field(square4)
         else:
             q = random_feasible_control(square4, rng, 0.06)
         dofs = DofMap.from_mesh(square4)
@@ -129,7 +130,7 @@ class TestFormInvariants:
     @pytest.mark.parametrize("deform", ["zero", "random"])
     def test_de_rham_kernel(self, square4, rng, deform):
         dofs = DofMap.from_mesh(square4)
-        q = DeformationField.zero(square4) if deform == "zero" \
+        q = zero_field(square4) if deform == "zero" \
             else random_feasible_control(square4, rng, 0.05)
         forms = assemble_forms(square4, dofs, q)
         g_inc = gradient_incidence(square4, dofs, full=True)
@@ -150,7 +151,7 @@ class TestFormInvariants:
         # incidence on its DOFs: the identities the shift-invert solve uses.
         mesh = shuffled_mesh if case == "shuffled" else square16
         q = (random_feasible_control(mesh, rng, 0.02) if case == "random"
-             else DeformationField.zero(mesh))
+             else zero_field(mesh))
         dofs = DofMap.from_mesh(mesh)
         red = apply_dirichlet(assemble_forms(mesh, dofs, q), dofs)
         g = gradient_incidence(mesh, dofs)
@@ -171,7 +172,7 @@ class TestFormInvariants:
         # On free DOFs the kernel of A is exactly the discrete gradients.
         dofs = DofMap.from_mesh(square2)
         red = apply_dirichlet(
-            assemble_forms(square2, dofs, DeformationField.zero(square2)), dofs)
+            assemble_forms(square2, dofs, zero_field(square2)), dofs)
         eigs = np.linalg.eigvalsh(red.A.toarray())
         n_fv = dofs.free.n - dofs.free.n_edge
         assert np.all(np.abs(eigs[:n_fv]) <= 1e-12)
@@ -235,7 +236,7 @@ class TestApplyDirichlet:
 
     def test_reduction_shapes_and_content(self, square2, rng):
         dofs = DofMap.from_mesh(square2)
-        forms = assemble_forms(square2, dofs, DeformationField.zero(square2))
+        forms = assemble_forms(square2, dofs, zero_field(square2))
         red = apply_dirichlet(forms, dofs)
         assert red.A.shape == (8, 8)
         assert red.B.shape == (8, 1)
@@ -247,7 +248,7 @@ class TestApplyDirichlet:
 
     def test_rejects_forms_of_another_layout(self, square2):
         dofs = DofMap.from_mesh(square2)
-        forms = assemble_forms(square2, dofs, DeformationField.zero(square2))
+        forms = assemble_forms(square2, dofs, zero_field(square2))
         with pytest.raises(ValueError):
             apply_dirichlet(forms, DofMap.from_mesh(square2))
         with pytest.raises(ValueError):
@@ -329,7 +330,7 @@ class TestFixedPattern:
         mesh, n = _pattern_mesh(n, request)
         dofs = DofMap.from_mesh(mesh)
         q = (random_feasible_control(mesh, rng, 0.2 / n) if deformed
-             else DeformationField.zero(mesh))
+             else zero_field(mesh))
         full = assemble_forms(mesh, dofs, q)
         red = apply_dirichlet(full, dofs)
         k_mat, mt, k_red, mt_red = _coo_pencil(mesh, dofs, q)
@@ -352,7 +353,7 @@ class TestFixedPattern:
         # every control.
         dofs = DofMap.from_mesh(square4)
         red = apply_dirichlet(
-            assemble_forms(square4, dofs, DeformationField.zero(square4)), dofs)
+            assemble_forms(square4, dofs, zero_field(square4)), dofs)
         assert np.any(red.BT.data == 0.0)
         shifted = red.edge_shift(9.0)
         assert shifted.nnz == red.M.nnz == 172
@@ -367,7 +368,7 @@ class TestFixedPattern:
         two = apply_dirichlet(assemble_forms(
             square4, dofs, random_feasible_control(square4, rng, 0.05)), dofs)
         zero = apply_dirichlet(assemble_forms(
-            square4, dofs, DeformationField.zero(square4)), dofs)
+            square4, dofs, zero_field(square4)), dofs)
         matrices = [full.A, full.M, full.BT, one.A, one.M, one.BT,
                     two.A, two.M, two.BT, one.edge_shift(9.0), zero.A,
                     zero.BT, zero.edge_shift(9.0)]
@@ -448,7 +449,7 @@ class TestFixedPattern:
         problem = MaxwellShapeProblem(
             square8, ObjectiveParams(lambda_target=9.0),
             EigenSelection(nev=6, shift=9.0, tol=1e-9))
-        q = dilation_control(square8, 0.01).flat
+        q = dilation_control(square8, 0.01).values
         for scale in (0.0, 1.0, 2.0):
             problem.solve_state(scale * q)
         assert built == [square8]
@@ -483,7 +484,7 @@ class TestPencilLayout:
         # their CSR arrays as CSC relies on; B^T has a row per vertex DOF
         dofs = DofMap.from_mesh(square4)
         q = (random_feasible_control(square4, rng, 0.05) if deformed
-             else DeformationField.zero(square4))
+             else zero_field(square4))
         forms = assemble_forms(square4, dofs, q)
         if reduced:
             forms = apply_dirichlet(forms, dofs)
@@ -526,7 +527,7 @@ class TestEigenvalueScaling:
         dofs = DofMap.from_mesh(square4)
         sel = EigenSelection(nev=6, shift=15.0, tol=1e-9)
         base = solve_gevp(apply_dirichlet(
-            assemble_forms(square4, dofs, DeformationField.zero(square4)),
+            assemble_forms(square4, dofs, zero_field(square4)),
             dofs), sel)
         sel_s = EigenSelection(nev=6, shift=15.0 / (1 + s) ** 2, tol=1e-9)
         scaled = solve_gevp(apply_dirichlet(
@@ -540,7 +541,7 @@ class TestEigenvalueScaling:
         dofs = DofMap.from_mesh(square4)
         sel = EigenSelection(nev=6, shift=15.0, tol=1e-9)
         base = solve_gevp(apply_dirichlet(
-            assemble_forms(square4, dofs, DeformationField.zero(square4)),
+            assemble_forms(square4, dofs, zero_field(square4)),
             dofs), sel)
         shift_field = DeformationField(
             square4, np.tile((0.3, -0.2), (square4.n_vertices, 1)))
@@ -554,7 +555,7 @@ class TestShapeDerivative:
     def test_zero_state_gives_zero_functional(self, square2):
         zero = np.zeros(square2.n_edges)
         func = assemble_shape_derivative(
-            square2, DeformationField.zero(square2), zero, zero, 3.0)
+            square2, zero_field(square2), zero, zero, 3.0)
         assert func.shape == (square2.n_vertices, 2)
         assert np.all(func == 0.0)
 

@@ -16,6 +16,7 @@ from conftest import (
     holed_square,
     l_shape,
     two_squares,
+    zero_field,
 )
 
 
@@ -267,7 +268,7 @@ class TestMeshInvariants:
 
 class TestWriteVtk:
     def test_zero_deformation_points(self, square2):
-        text = write_vtk(square2, DeformationField.zero(square2))
+        text = write_vtk(square2, zero_field(square2))
         points = _read_vtk_points(text)
         np.testing.assert_allclose(points[:, :2], square2.vertices)
         np.testing.assert_allclose(points[:, 2], 0.0)
@@ -283,7 +284,7 @@ class TestWriteVtk:
         mesh = square4
         cell_field = np.arange(mesh.n_triangles, dtype=float)
         point_field = np.linspace(0.0, 1.0, mesh.n_vertices)
-        text = write_vtk(mesh, DeformationField.zero(mesh),
+        text = write_vtk(mesh, zero_field(mesh),
                          fields={"magnitude": cell_field, "height": point_field})
         parsed = _parse_vtk(text)
         assert parsed["n_points"] == mesh.n_vertices
@@ -347,7 +348,7 @@ class TestWriteVtk:
 
     def test_dimension_mismatch(self, square2):
         with pytest.raises(DimensionMismatch):
-            write_vtk(square2, DeformationField.zero(square2),
+            write_vtk(square2, zero_field(square2),
                       fields={"bad": np.zeros(7)})
 
 

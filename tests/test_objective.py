@@ -18,6 +18,7 @@ from conftest import (
     kron_gram,
     oracle_mesh,
     random_feasible_control,
+    zero_field,
 )
 
 
@@ -40,14 +41,14 @@ def value(mesh, q, lam, params, gram):
 class TestEvaluate:
     def test_reference_value_at_zero(self, square4, params, gram):
         # q = 0, lam = lam_*: only the barrier survives, -beta*|O|*ln(1-eps).
-        zero = DeformationField.zero(square4)
+        zero = zero_field(square4)
         val = value(square4, zero, 10.0, params, gram)
         expected = -params.beta * math.log(1.0 - params.epsilon)
         assert val == pytest.approx(expected, rel=1e-12)
         assert abs(val) < 2e-10
 
     def test_target_term(self, square4, params, gram):
-        zero = DeformationField.zero(square4)
+        zero = zero_field(square4)
         base = value(square4, zero, 10.0, params, gram)
         val = value(square4, zero, 11.0, params, gram)
         assert val - base == pytest.approx(0.5, rel=1e-12)
@@ -72,7 +73,8 @@ class TestEvaluate:
         params = ObjectiveParams(lambda_target=10.0, alpha=1.7, beta=0.0)
         val = value(mesh, q, params.lambda_target, params,
                        assemble_control_gram(mesh))
-        want = 0.5 * params.alpha * q.flat @ (kron_gram(mesh) @ q.flat)
+        flat = q.values.ravel()
+        want = 0.5 * params.alpha * flat @ (kron_gram(mesh) @ flat)
         assert abs(val - want) <= 1e-14 * want
 
     def test_infeasible_returns_inf(self, square4, params, gram):
@@ -113,14 +115,14 @@ class TestEvaluate:
 
 class TestDerivativeQ:
     def test_zero_on_constants_at_origin(self, square4, params, gram):
-        zero = DeformationField.zero(square4)
+        zero = zero_field(square4)
         func = derivative_q(square4, zero, params, gram)
         for c in range(2):
             assert abs(func[:, c].sum()) <= 1e-14
 
     def test_identity_gradient_direction(self, square4, params, gram):
         # pairing with p(x) = x gives -2*beta*|O|/(1-eps) at q = 0
-        zero = DeformationField.zero(square4)
+        zero = zero_field(square4)
         func = derivative_q(square4, zero, params, gram)
         p = square4.vertices.copy()
         expected = -2.0 * params.beta / (1.0 - params.epsilon)

@@ -22,7 +22,7 @@ import maxshape
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARKS = ROOT / "benchmarks"
 PACKAGE = Path(maxshape.__file__).resolve().parent
-# The code whose attribute reads keep a property alive; tests do not count.
+# The code whose attribute reads keep a method alive; tests do not count.
 READERS = ("src", "tools", "benchmarks")
 
 
@@ -90,9 +90,10 @@ def unread_parameters(source):
     return unread
 
 
-def unread_properties(sources, readers):
-    """The properties and cached properties, as Class.name, of the classes
-    in sources whose name no attribute read in readers names."""
+def unread_methods(sources, readers):
+    """The methods, as Class.name, of the classes in sources whose name no
+    attribute read in readers names: plain, class and static methods,
+    properties and cached properties; dunders are exempt."""
     read = {n.attr for source in readers for n in ast.walk(ast.parse(source))
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     unread = []
@@ -100,12 +101,12 @@ def unread_properties(sources, readers):
         for cls in ast.walk(ast.parse(source)):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            for item in cls.body:
-                decorators = {getattr(d, "id", getattr(d, "attr", None))
-                              for d in getattr(item, "decorator_list", [])}
-                if ({"property", "cached_property"} & decorators
-                        and item.name not in read):
-                    unread.append(f"{cls.name}.{item.name}")
+            unread += [f"{cls.name}.{item.name}" for item in cls.body
+                       if isinstance(item, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                       and not (item.name.startswith("__")
+                                and item.name.endswith("__"))
+                       and item.name not in read]
     return sorted(unread)
 
 
@@ -124,15 +125,16 @@ class TestPublicSurface:
     def test_every_parameter_is_read(self, path):
         assert unread_parameters(path.read_text()) == []
 
-    def test_every_property_is_read(self):
+    def test_every_method_is_read(self):
         readers = [path.read_text() for top in READERS
                    for path in sorted((ROOT / top).rglob("*.py"))]
         sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
-        assert unread_properties(sources, readers) == []
+        assert unread_methods(sources, readers) == []
 
-    def test_unread_property_check(self):
+    def test_unread_method_check(self):
         source = ("import functools\n"
                   "class C:\n"
+                  "    def __init__(self): self.e()\n"
                   "    @property\n"
                   "    def a(self): return self.b\n"
                   "    @functools.cached_property\n"
@@ -140,10 +142,14 @@ class TestPublicSurface:
                   "    @staticmethod\n"
                   "    def c(): return 2\n"
                   "    @property\n"
-                  "    def d(self): return 3\n")
-        assert unread_properties([source], [source]) == ["C.a", "C.d"]
-        assert unread_properties([source], [source, "C().d = 1\nC().a"]) \
-            == ["C.d"]
+                  "    def d(self): return 3\n"
+                  "    def e(self): return 4\n"
+                  "    @classmethod\n"
+                  "    def f(cls): return cls()\n")
+        assert unread_methods([source], [source]) == [
+            "C.a", "C.c", "C.d", "C.f"]
+        assert unread_methods([source], [source, "C().d = 1\nC().a\nC.f()"]) \
+            == ["C.c", "C.d"]
 
     def test_unread_parameter_check(self):
         source = ("def f(a, b, *args, c=1, _d=2, **kw):\n"
@@ -195,7 +201,8 @@ class TestBenchmarkBindings:
             maxshape.generate_unit_square(4),
             maxshape.ObjectiveParams(lambda_target=10.36),
             maxshape.EigenSelection())
-        q = 0.01 * np.sin(np.arange(problem.n_control))
+        n = problem.mesh.n_vertices
+        q = 0.01 * np.sin(np.arange(2 * n)).reshape(n, 2)
         assert workloads.divergence_certificate(problem, q) <= 1e-6
 
     def test_counting_problem_counts_one_repeat_per_step(self, monkeypatch):

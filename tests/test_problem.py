@@ -37,6 +37,7 @@ from conftest import (
     l_shape,
     oracle_mesh,
     random_feasible_control,
+    zero_field,
 )
 
 
@@ -91,7 +92,7 @@ def gram_builds(monkeypatch):
 
 @pytest.fixture
 def state_solves(monkeypatch):
-    """Flat controls whose forms maxshape.adjoint_gradient.solve_state
+    """The controls whose forms maxshape.adjoint_gradient.solve_state
     solved, in order."""
     seen, controls = [], {}
     real_forms, real_solve = (adjoint_gradient.state_forms,
@@ -99,7 +100,7 @@ def state_solves(monkeypatch):
 
     def assembled(mesh, dofs, q):
         forms = real_forms(mesh, dofs, q)
-        controls[id(forms)] = q.flat.copy()
+        controls[id(forms)] = q.values.copy()
         return forms
 
     def counted(forms, dofs, sel, **kwargs):
@@ -115,7 +116,7 @@ class TestEvaluate:
     def test_infeasible_control_is_inf(self, square8_problem):
         prob = square8_problem
         q = prob.zero_control()
-        q[0::2] = -2.0 * prob.mesh.vertices[:, 0]  # folds the mesh
+        q[:, 0] = -2.0 * prob.mesh.vertices[:, 0]  # folds the mesh
         assert prob.evaluate(q) == math.inf
 
     def test_solver_failure_is_inf(self, square8_problem, monkeypatch):
@@ -158,7 +159,8 @@ class TestGradient:
         # two-column solve with H must keep the component layout and scale
         flat = functional.ravel()
         expected = np.linalg.solve(kron_gram(prob.mesh), flat)
-        np.testing.assert_allclose(grad.vector, expected, rtol=1e-12,
+        assert grad.vector.shape == functional.shape
+        np.testing.assert_allclose(grad.vector.ravel(), expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max())
         assert grad.norm_q == pytest.approx(math.sqrt(flat @ expected),
                                             rel=1e-12)
@@ -223,11 +225,11 @@ class TestBuiltAtFirstUse:
 class TestInnerProduct:
     def test_symmetric_positive(self, square8_problem, rng):
         prob = square8_problem
-        u = rng.standard_normal(prob.n_control)
-        v = rng.standard_normal(prob.n_control)
-        assert u @ prob.q_apply(v) == pytest.approx(v @ prob.q_apply(u),
-                                                    rel=1e-12)
-        assert u @ prob.q_apply(u) > 0
+        u = rng.standard_normal((prob.mesh.n_vertices, 2))
+        v = rng.standard_normal((prob.mesh.n_vertices, 2))
+        assert np.vdot(u, prob.q_apply(v)) == pytest.approx(
+            np.vdot(v, prob.q_apply(u)), rel=1e-12)
+        assert np.vdot(u, prob.q_apply(u)) > 0
 
     @pytest.mark.parametrize("case", ["shuffled", "L4"])
     def test_gram_map_matches_kron_oracle(self, case, request, rng):
@@ -235,24 +237,24 @@ class TestInnerProduct:
         mesh = oracle_mesh(case, request)
         prob = MaxwellShapeProblem(mesh, ObjectiveParams(lambda_target=9.0),
                                    EigenSelection(index=0, nev=6))
-        v = rng.standard_normal(prob.n_control)
-        assert_entries_close(prob.q_apply(v), kron_gram(mesh) @ v,
-                             rtol=1e-14)
+        v = rng.standard_normal((mesh.n_vertices, 2))
+        assert_entries_close(prob.q_apply(v).ravel(),
+                             kron_gram(mesh) @ v.ravel(), rtol=1e-14)
 
     def test_norm_of_constant_field(self, square8_problem):
         # constant unit displacement: L2 part 1, gradient part 0
         prob = square8_problem
-        q = np.zeros(prob.n_control)
-        q[0::2] = 1.0
+        q = prob.zero_control()
+        q[:, 0] = 1.0
         assert prob.q_norm(q) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestStepLimit:
     def test_shortest_edge_over_largest_vertex_move(self, square8_problem):
         prob = square8_problem
-        d = np.zeros(prob.n_control)
-        d[2 * 5:2 * 5 + 2] = (3.0, -4.0)      # vertex 5 moves by 5
-        d[2 * 9] = 1.0
+        d = prob.zero_control()
+        d[5] = (3.0, -4.0)                    # vertex 5 moves by 5
+        d[9, 0] = 1.0
         # the 8 x 8 square's shortest edges are the sides, 1/8
         assert prob.step_limit(d) == pytest.approx((1.0 / 8.0) / 5.0,
                                                    rel=1e-14)
@@ -331,7 +333,7 @@ class TestLastStateMemo:
         q = prob.zero_control()
         prob.solve_state(q)
         moved = q.copy()
-        moved[5] = 1e-3
+        moved[2, 1] = 1e-3
         prob.solve_state(moved)
         assert len(state_solves) == 2
         np.testing.assert_array_equal(state_solves[1], moved)
@@ -340,7 +342,7 @@ class TestLastStateMemo:
         prob = _square8_problem()
         q = prob.zero_control()
         at_zero = prob.solve_state(q)
-        q[5] = 1e-2                 # the caller reuses its buffer
+        q[2, 1] = 1e-2              # the caller reuses its buffer
         moved = prob.solve_state(q)
         assert len(state_solves) == 2
         assert moved.lam != at_zero.lam
@@ -402,15 +404,15 @@ def _square16_problem():
 
 def _folding_control(prob):
     q = prob.zero_control()
-    q[0::2] = -2.0 * prob.mesh.vertices[:, 0]     # x -> -x on every triangle
+    q[:, 0] = -2.0 * prob.mesh.vertices[:, 0]     # x -> -x on every triangle
     return q
 
 
 def _smooth_control(prob, amplitude):
     x, y = prob.mesh.vertices[:, 0], prob.mesh.vertices[:, 1]
     q = prob.zero_control()
-    q[0::2] = amplitude * x * np.sin(np.pi * x) * np.sin(np.pi * y)
-    q[1::2] = amplitude * np.sin(2.0 * np.pi * x) * np.sin(np.pi * y)
+    q[:, 0] = amplitude * x * np.sin(np.pi * x) * np.sin(np.pi * y)
+    q[:, 1] = amplitude * np.sin(2.0 * np.pi * x) * np.sin(np.pi * y)
     return q
 
 
@@ -545,7 +547,7 @@ class TestOneFieldPerControl:
         field = prob.field(q)
         assert prob.field(q.copy()) is field
         moved = q.copy()
-        moved[5] += 1e-3
+        moved[2, 1] += 1e-3
         assert prob.field(moved) is not field
 
     def test_folded_control(self):
@@ -584,6 +586,29 @@ class TestOneFieldPerControl:
         assert sum(r.step > 0 for r in records) == 3
         assert len(computed) == len(set(computed))
         assert set(computed) == controls
+
+
+class TestControlLayout:
+    """A control is a (V, 2) array, one row per vertex, and nothing else."""
+
+    def test_equal_array_solves_once_on_one_field(self, state_solves):
+        prob = _square8_problem()
+        q = np.zeros((prob.mesh.n_vertices, 2))
+        state = prob.solve_state(q)
+        field = prob.field(q)
+        assert prob.solve_state(q.copy()) is state
+        assert prob.field(q.copy()) is field
+        assert len(state_solves) == 1
+
+    @pytest.mark.parametrize("method", ["field", "solve_state", "optimize"])
+    def test_flat_vector_raises_naming_its_shape(self, method):
+        prob = _square8_problem()
+        prob.solve_state(prob.zero_control())
+        flat = np.zeros(2 * prob.mesh.n_vertices)
+        call = {"field": prob.field, "solve_state": prob.solve_state,
+                "optimize": lambda q: optimize(prob, q, OptimizerConfig())}
+        with pytest.raises(ValueError, match=r"shape \(162,\)"):
+            call[method](flat)
 
 
 @pytest.fixture
@@ -789,7 +814,7 @@ class TestRitzBound:
             mesh = generate_unit_square(int(case[6:]))
         dofs = DofMap.from_mesh(mesh)
         forms = adjoint_gradient.state_forms(mesh, dofs,
-                                             DeformationField.zero(mesh))
+                                             zero_field(mesh))
         l_ref = (forms.BT @ gradient_incidence(mesh, dofs)).toarray()
         assert stiffness_floor(mesh, dofs) <= np.linalg.eigvalsh(l_ref)[0]
 
@@ -822,7 +847,7 @@ class TestRitzBound:
         for size in (1e-5, 1e-4, 1e-3, 1e-2):
             for d in (direction, rng.uniform(-1.0, 1.0, q0.shape)):
                 q = q0 + size / n * d / np.abs(d).max()
-                field = DeformationField.from_flat(mesh, q)
+                field = DeformationField(mesh, q)
                 theta, eps = eigensolver.ritz_ceiling(
                     adjoint_gradient.state_forms(mesh, prob.dofs, field),
                     anchor.block, index, metric_floor(field) * l_floor)
@@ -840,13 +865,11 @@ def _renumbered(mesh, seed):
     return Mesh(vertices, number[mesh.triangles])
 
 
-def _mirror_error(mesh, values):
-    """max |v(y, x) - (v_y, v_x)(x, y)| / max |v| of nodal values v, a
-    flat control or a (V, 2) array, on a mesh that (x, y) -> (y, x) maps
-    to itself."""
+def _mirror_error(mesh, v):
+    """max |v(y, x) - (v_y, v_x)(x, y)| / max |v| of (V, 2) nodal values v
+    on a mesh that (x, y) -> (y, x) maps to itself."""
     number = {tuple(p): i for i, p in enumerate(mesh.vertices)}
     mirror = [number[y, x] for x, y in mesh.vertices]
-    v = np.reshape(values, (-1, 2))
     return np.abs(v[mirror] - v[:, ::-1]).max() / np.abs(v).max()
 
 
@@ -855,7 +878,7 @@ def _mirror_control(mesh):
     control that (x, y) -> (y, x) maps to itself, components swapped."""
     x, y = mesh.vertices.T
     b = 0.01 * np.sin(np.pi * x) * np.sin(np.pi * y)
-    return np.column_stack([b * x * (1.0 - y), b * y * (1.0 - x)]).ravel()
+    return np.column_stack([b * x * (1.0 - y), b * y * (1.0 - x)])
 
 
 class TestMirrorSymmetry:

@@ -106,3 +106,17 @@ def test_solve_anatomy_smoke(load_tool):
         assert 0 < row["cold state applies"] <= 3 * 2 + 9
         table = solve_anatomy.table([row])
         assert table.splitlines()[2].startswith(f"| {n} | {pencil} | ")
+
+
+def test_output_digests_smoke(load_tool):
+    output_digests = load_tool("output_digests")
+    case = "fdcheck32 seed 0"
+    first = output_digests.digests(output_digests.ROOT, [("fdcheck32", 0)])
+    assert list(first) == [case]
+    assert 0.0 < float.fromhex(first[case]["max_rel_error"]) <= 1e-4
+    again = output_digests.digests(output_digests.ROOT, [("fdcheck32", 0)])
+    assert output_digests.differences(first, again) == []
+    moved = {case: {"max_rel_error": (0.5).hex()}}
+    assert output_digests.differences(first, moved) == [
+        f"{case} max_rel_error: parent {first[case]['max_rel_error']} "
+        f"change {(0.5).hex()}"]
