@@ -343,14 +343,15 @@ def _print_report(report: dict) -> None:
 # -- eigs -------------------------------------------------------------------
 
 def run_eigs(cfg: RunConfig, nev: int | None = None) -> int:
-    """Solve the eigenvalue problem at q = 0 and print the finite spectrum."""
+    """Solve the eigenvalue problem at q = 0 and print the finite spectrum.
+    An nev that EigenSelection rejects raises ConfigError naming --nev."""
     problem = build_problem(cfg)
     sel = problem.sel
     if nev is not None:
         try:
             sel = replace(sel, nev=nev)
         except ValueError as exc:
-            raise ConfigError(str(exc))
+            raise ConfigError(f"--nev: {exc}")
     forms = adjoint_gradient.state_forms(
         problem.mesh, problem.dofs, problem.field(problem.zero_control()))
     pairs = solve_gevp(forms, sel)

@@ -34,6 +34,15 @@ block is filtered once by F, which annihilates gradients and scales each
 divergence-free mode by theta, never 0.  A step Y = S^{-1} M X takes the
 products M Y and A Y, and the next block X C has M X C = (M Y) C.
 
+Every dense block of edge vectors, the start block, each step's blocks
+and their products, the returned u, A u, M u and B^T u and
+MixedEigenPair.block, is column-contiguous (Fortran order), the layout
+SuperLU's solves read and write: a column is one contiguous vector, and
+the column reductions and small Gram products of a step stream through
+memory.  scipy's sparse products read and write row-major blocks, so
+_products copies a block to that layout once for all the products a step
+takes and returns each product column-contiguous again.
+
 Every path returns eigenvalues and edge vectors u, each checked as
 (lam, [u; 0]) against the pencil: G^T times its first row gives
 L psi = lam B^T u = 0 at an eigenpair (Kikuchi, CMAME 64, 1987), with
@@ -114,8 +123,9 @@ class ShiftInvert:
         self.m = forms.M
         self.sigma = sigma
         self.edge = _factor_shift(forms, sigma)
-        # read before the Krylov workspace exists: SuperLU copies U, which
-        # is then dropped
+        # U's first access makes SuperLU convert both L and U to CSC, which
+        # the factor keeps until it is freed: the read costs memory and
+        # time (tools/solve_anatomy.py)
         self.below = (int(np.count_nonzero(self.edge.U.diagonal() < 0.0))
                       - forms.BT.shape[0])
 
@@ -143,11 +153,11 @@ class MixedEigenPair:
     divergence-free (spurious-free).  gap is the distance to the nearest
     other computed eigenvalue (NaN if none).  block, set by
     select_and_normalize, holds the reduced u columns of the computed pairs
-    up to the selected one's upper neighbour: the warm start of solve_gevp
-    at a nearby deformation.  mode_overlap, set by a warm state solve
-    (adjoint_gradient.solve_state), is |u_a^T M u| for u_a the start
-    block's column of the selected index: near 1 where the index keeps
-    its mode, near 0 where two modes swapped ranks (NaN after a cold
+    up to the selected one's upper neighbour, column-contiguous: the warm
+    start of solve_gevp at a nearby deformation.  mode_overlap, set by a
+    warm state solve (adjoint_gradient.solve_state), is |u_a^T M u| for u_a
+    the start block's column of the selected index: near 1 where the index
+    keeps its mode, near 0 where two modes swapped ranks (NaN after a cold
     solve).
     """
 
@@ -252,19 +262,19 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
 
     # Arnoldi's room: ARPACK returns at most n_edge - 2 pairs (Lehoucq 1998)
     if n <= 2 * count + 12:
-        lams, u, au, mu = _dense_finite_spectrum(forms, count)
+        lams, u, au, mu, btu = _dense_finite_spectrum(forms, count)
     elif block is None:
-        lams, u, au, mu = _arpack_finite_spectrum(forms, sigma, count, sel,
-                                                  v0)
+        lams, u, au, mu, btu = _arpack_finite_spectrum(forms, sigma, count,
+                                                       sel, v0)
     else:
-        lams, u, au, mu = _block_finite_spectrum(forms, sigma, count, sel,
-                                                 block)
+        lams, u, au, mu, btu = _block_finite_spectrum(forms, sigma, count,
+                                                      sel, block)
 
     # the residual and certificate do not depend on the scale of u
-    btu_norm, mu_norm = _column_norms(forms.BT @ u), _column_norms(mu)
+    btu_norm, mu_norm = _column_norms(btu), _column_norms(mu)
     res = _residuals(au, mu, lams, btu_norm, mu_norm)
     div = btu_norm / mu_norm
-    nrm = np.sqrt([u[:, i] @ mu[:, i] for i in range(len(lams))])
+    nrm = np.sqrt(np.einsum("ij,ij->j", u, mu))
     used = np.abs(np.arange(len(lams)) - sel.index) <= 1
     bad = ~(nrm > 0) | (used & ~(res <= sel.tol))
     if bad.any():
@@ -281,13 +291,31 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
 
 def _lowest(forms: AssembledForms, lams: np.ndarray, vecs: np.ndarray,
             count: int):
-    """The count lowest eigenvalues, ascending, and u, A u, M u."""
+    """The count lowest eigenvalues, ascending, and u, A u, M u, B^T u."""
     if len(lams) < count:
         raise InsufficientSpectrum(
             f"found {len(lams)} finite eigenvalues, requested {count}")
     order = np.argsort(lams)[:count]
-    u = vecs[:, order]
-    return lams[order], u, forms.A @ u, forms.M @ u
+    u = np.asfortranarray(vecs[:, order])
+    return (lams[order], u, *_products(u, forms.A, forms.M, forms.BT))
+
+
+def _products(x: np.ndarray, *mats) -> list[np.ndarray]:
+    """mat @ x for each sparse mat, column-contiguous like the block x
+    (module docstring).  scipy's sparse products read a row-major block,
+    so x is copied to that layout once for all of them, a column at a
+    time: on these tall, narrow blocks numpy's whole-block copy is slower
+    (48 against 25 us for 12160 x 3, 2-vCPU VM)."""
+    rows = np.empty(x.shape)
+    for j in range(x.shape[1]):
+        rows[:, j] = x[:, j]
+    return [np.asfortranarray(mat @ rows) for mat in mats]
+
+
+def _combine(y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The block y @ c, column-contiguous: the transposed product makes
+    BLAS write it in that layout."""
+    return (c.T @ y.T).T
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
@@ -344,7 +372,8 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
     except spla.ArpackError as exc:     # ArpackNoConvergence included
         raise NoConvergence(f"ARPACK failed: {exc}") from exc
     finally:
-        if log.isEnabledFor(logging.DEBUG):     # SuperLU copies L and U
+        # L and U: the CSC copies the inertia read made
+        if log.isEnabledFor(logging.DEBUG):
             log.debug("arpack solve: sigma=%.6g n=%d k=%d ncv=%d below=%d "
                       "fill=%d op_applies=%d", sigma, n, k, ncv, op.below,
                       op.edge.L.nnz + op.edge.U.nnz, op.applies)
@@ -365,7 +394,8 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
 def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
                            sel: EigenSelection, block: np.ndarray):
     """The lowest count pairs by block subspace iteration on
-    edge vectors (module docstring), ascending, with their A u and M u.
+    edge vectors (module docstring), ascending, with their A u, M u and
+    B^T u.
 
     S is factored at the warm shift (_warm_shift), which is sigma from
     there on, in the debug line too.  Each iteration replaces X by the
@@ -383,12 +413,14 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
     a, m = forms.A, forms.M
     # the guard has a component in any mode that moved next to the shift
     # since the block, which the block alone would miss
-    x = np.hstack([block, forms.layout.guard])
-    mx = m @ x
-    sigma = _warm_shift(a, block, mx[:, :block.shape[1]], sigma)
+    p = block.shape[1]
+    x = np.empty((forms.layout.n_edge, p + 1), order="F")
+    x[:, :p], x[:, p:] = block, forms.layout.guard
+    ax, mx = _products(x, a, m)
+    sigma = _warm_shift(x[:, :p], ax[:, :p], mx[:, :p], sigma)
     edge = _factor_shift(forms, sigma)
     x = edge.solve(mx) + x / sigma                  # F x
-    mx = m @ x
+    (mx,) = _products(x, m)
     iterations, gradients, residuals = 0, False, []
 
     try:
@@ -397,7 +429,7 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
             y = edge.solve(mx)
             if gradients:
                 y += x / sigma                      # F x
-            my, ay = m @ y, a @ y
+            ay, my = _products(y, a, m)
             ar, mr = y.T @ ay, y.T @ my
             if not (np.isfinite(ar).all() and np.isfinite(mr).all()):
                 raise NoConvergence(
@@ -409,12 +441,12 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
             if info != 0:
                 raise NoConvergence(
                     f"block Rayleigh-Ritz failed: LAPACK dsygvd info {info}")
-            x = y @ c
-            mx = my @ c
+            x, mx = _combine(y, c), _combine(my, c)
             # dsygvd sorts ascending: the first count Ritz pairs are the
             # lowest
-            w, az, mz = w[:count], ay @ c[:, :count], mx[:, :count]
-            res = _residuals(az, mz, w).max()
+            w, az, mz = w[:count], _combine(ay, c[:, :count]), mx[:, :count]
+            mz_norm = _column_norms(mz)
+            res = _residuals(az, mz, w, mu_norm=mz_norm).max()
             residuals.append(res)
             if len(residuals) > 6 and res > max(sel.tol,
                                                 0.5 * residuals[-7]):
@@ -422,12 +454,13 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
                     f"block iteration stalled: residual {res:.2e} did not "
                     f"halve over 6 steps, {iterations} iterations")
             # an F step leaves one solve's rounding: the next may stop
-            far = np.abs(w - sigma).max() > sigma
-            gradients = far and not gradients and np.any(
-                _column_norms(forms.BT @ x[:, :count])
-                > 1e-2 * sel.tol * _column_norms(mz))
+            check = not gradients and np.abs(w - sigma).max() > sigma
+            if check or res <= sel.tol:
+                (btz,) = _products(x[:, :count], forms.BT)
+            gradients = check and np.any(
+                _column_norms(btz) > 1e-2 * sel.tol * mz_norm)
             if not gradients and res <= sel.tol:
-                return w, x[:, :count], az, mz
+                return w, x[:, :count], az, mz, btz
     finally:
         log.debug("block solve: sigma=%.6g n=%d iterations=%d applies=%d",
                   sigma, forms.layout.n, iterations,
@@ -436,14 +469,14 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
         f"block iteration did not converge in {BLOCK_MAXITER} iterations")
 
 
-def _warm_shift(a: sp.spmatrix, block: np.ndarray, m_block: np.ndarray,
+def _warm_shift(block: np.ndarray, a_block: np.ndarray, m_block: np.ndarray,
                 sigma: float) -> float:
     """The shift a warm solve factors at: the larger of sigma and
     (1 - WARM_SHIFT_MARGIN) times the lowest Rayleigh quotient
-    u^T A u / u^T M u of the block's columns, given M block.  So the shift
-    only rises toward the tracked pairs.  A block with gradient parts,
-    which lower its quotients, keeps sigma."""
-    quotients = (np.einsum("ij,ij->j", block, a @ block)
+    u^T A u / u^T M u of the block's columns, given A block and M block.
+    So the shift only rises toward the tracked pairs.  A block with
+    gradient parts, which lower its quotients, keeps sigma."""
+    quotients = (np.einsum("ij,ij->j", block, a_block)
                  / np.einsum("ij,ij->j", block, m_block))
     lifted = (1.0 - WARM_SHIFT_MARGIN) * float(quotients.min())
     return lifted if lifted > sigma else sigma      # a NaN keeps sigma
@@ -464,13 +497,14 @@ def ritz_ceiling(forms: AssembledForms, block: np.ndarray, index: int,
     eigenvalue theta of (X^T A X, X^T M X - eps I) at least lambda_index.
     Returns (inf, eps) where X^T M X - eps I is not positive definite.
     """
-    btx = forms.BT @ block
+    # BLAS's Gram products round by the layout: one layout, one result
+    block = np.asfortranarray(block)
+    btx, mx, ax = _products(block, forms.BT, forms.M, forms.A)
     eps = float(np.linalg.eigvalsh(btx.T @ btx)[-1]) / l_floor
-    mr = block.T @ (forms.M @ block)
+    mr = block.T @ mx
     try:
         # eigh reads the lower triangles only
-        theta = scipy.linalg.eigh(block.T @ (forms.A @ block),
-                                  mr - eps * np.eye(len(mr)),
+        theta = scipy.linalg.eigh(block.T @ ax, mr - eps * np.eye(len(mr)),
                                   eigvals_only=True)
     except np.linalg.LinAlgError:
         return math.inf, eps
@@ -507,6 +541,7 @@ def select_and_normalize(pairs: list[MixedEigenPair], sel: EigenSelection,
         log.warning("divergence certificate %.3e above %.1e at lam=%.6g",
                     chosen.divergence, DIVERGENCE_TOL, chosen.lam)
 
-    block = np.column_stack([p.u for p in pairs[:sel.index + 2]])
+    # the transpose of the stacked rows is column-contiguous
+    block = np.array([p.u for p in pairs[:sel.index + 2]]).T
     return MixedEigenPair(lam=chosen.lam, u=u, residual=chosen.residual,
                           divergence=chosen.divergence, gap=gap, block=block)

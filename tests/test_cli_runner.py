@@ -435,6 +435,21 @@ class TestMain:
         assert main(["eigs", "--config", str(cfg_file), "--nev", "4"]) == 0
         assert "lambda" in capsys.readouterr().out
 
+    def test_eigs_cli_rejected_nev_names_the_flag(self, tmp_path, capsys):
+        cfg_file = tmp_path / "e.cfg"
+        cfg_file.write_text("\n".join([
+            "mesh.unit_square = 4",
+            "objective.lambda_target = 9.87",
+            "eigen.shift = 9.0",
+        ]))
+        assert main(["eigs", "--config", str(cfg_file), "--nev", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "configuration error: --nev: nev must be >= index + 2: a solve "
+            "checks pairs index +- 1, and select_and_normalize stacks "
+            "index + 2\n")
+
     def test_eigs_cli_shift_above_twice_a_low_eigenvalue(self, tmp_path,
                                                          capsys):
         # a cold solve cannot see eigenvalues below half the shift: at 30

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 import re
 
 import numpy as np
@@ -24,6 +25,7 @@ from maxshape.errors import (
     InsufficientSpectrum,
     NoConvergence,
 )
+from maxshape.fem_assembly import stiffness_floor
 from maxshape.mesh_io import Mesh
 from maxshape.reference_transform import jacobian_range
 
@@ -871,7 +873,7 @@ class TestWarmShift:
 
     @staticmethod
     def warm_shift(forms, block, sigma):
-        return es._warm_shift(forms.A, block, forms.M @ block, sigma)
+        return es._warm_shift(block, forms.A @ block, forms.M @ block, sigma)
 
     def test_rises_to_just_below_the_lowest_quotient(self, square16_forms,
                                                      square16_pairs):
@@ -1009,6 +1011,47 @@ class TestWarmProducts:
             residual = es._residuals(forms.A @ p.u, forms.M @ p.u, p.lam,
                                      np.linalg.norm(forms.BT @ p.u))
             assert residual <= sel.tol
+
+
+class TestBlockLayout:
+    """Dense blocks are column-contiguous (module docstring); a block's
+    memory order changes no bit of a result."""
+
+    @pytest.mark.parametrize("case", ["square", "far neighbour"])
+    def test_warm_solve_ignores_the_block_order(self, case, deformed16,
+                                                 square16_pairs):
+        if case == "square":
+            forms, sel = deformed16, EigenSelection(nev=6, shift=9.0, tol=1e-8)
+            block = block_of(square16_pairs[:2])
+        else:
+            forms, sel, block = far_neighbour_case()
+        rows = solve_gevp(forms, sel, block=np.ascontiguousarray(block))
+        columns = solve_gevp(forms, sel, block=np.asfortranarray(block))
+        assert len(rows) == len(columns) == 2
+        for pr, pc in zip(rows, columns):
+            assert (pr.lam, pr.residual, pr.divergence) == (
+                pc.lam, pc.residual, pc.divergence)
+            assert np.array_equal(pr.u, pc.u)
+
+    def test_ritz_ceiling_ignores_the_block_order(self, square16_forms,
+                                                  square16_pairs, grad16):
+        forms = square16_forms
+        phi = np.random.default_rng(4).standard_normal((forms.B.shape[1], 2))
+        block = block_of(square16_pairs[:2]) + 1e-3 * (grad16 @ phi)
+        mesh = generate_unit_square(16)
+        l_floor = stiffness_floor(mesh, DofMap.from_mesh(mesh))
+        rows = es.ritz_ceiling(forms, np.ascontiguousarray(block), 0, l_floor)
+        columns = es.ritz_ceiling(forms, np.asfortranarray(block), 0, l_floor)
+        assert rows[1] > 0.0 and math.isfinite(rows[0])
+        assert rows == columns
+
+    def test_anchor_block_is_column_contiguous(self, square16_forms,
+                                               square16_pairs):
+        sel = EigenSelection(index=1, nev=7, shift=9.0, tol=1e-8)
+        block = select_and_normalize(square16_pairs, sel,
+                                     square16_forms.M).block
+        assert block.shape == (square16_forms.layout.n_edge, 3)
+        assert block.flags.f_contiguous
 
 
 class TestRayleighRitzFailures:

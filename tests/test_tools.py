@@ -104,6 +104,8 @@ def test_solve_anatomy_smoke(load_tool):
         # solve
         assert 0 < row["spectrum applies"] <= 2 * (3 * 8 + 8)
         assert 0 < row["cold state applies"] <= 3 * 2 + 9
+        # U's first read makes SuperLU keep CSC copies of L and U
+        assert row["inertia read MB"] > 0.0
         table = solve_anatomy.table([row])
         assert table.splitlines()[2].startswith(f"| {n} | {pencil} | ")
 
@@ -111,12 +113,41 @@ def test_solve_anatomy_smoke(load_tool):
 def test_output_digests_smoke(load_tool):
     output_digests = load_tool("output_digests")
     case = "fdcheck32 seed 0"
-    first = output_digests.digests(output_digests.ROOT, [("fdcheck32", 0)])
-    assert list(first) == [case]
-    assert 0.0 < float.fromhex(first[case]["max_rel_error"]) <= 1e-4
-    again = output_digests.digests(output_digests.ROOT, [("fdcheck32", 0)])
+    first, values = output_digests.digests(output_digests.ROOT,
+                                           [("fdcheck32", 0)])
+    assert list(first) == list(values) == [case]
+    error = values[case]["max_rel_error"]
+    assert 0.0 < error <= 1e-4
+    assert first[case]["max_rel_error"] == error.hex()
+    again, _ = output_digests.digests(output_digests.ROOT, [("fdcheck32", 0)])
     assert output_digests.differences(first, again) == []
     moved = {case: {"max_rel_error": (0.5).hex()}}
     assert output_digests.differences(first, moved) == [
         f"{case} max_rel_error: parent {first[case]['max_rel_error']} "
         f"change {(0.5).hex()}"]
+    assert output_digests.deviations(values, {case: {"max_rel_error": 0.5}}) \
+        == [f"{case} max_rel_error: parent {error:.6e} change 5.000000e-01"]
+
+
+def test_output_digests_deviations(load_tool):
+    output_digests = load_tool("output_digests")
+    csv = "k,lambda,step\n0,10,1\n1,9.5,0.25\n"
+    parent = {"desk16 seed 0": {"lam": [10.0, 9.0], "J": [1.0, 0.5],
+                                "g_Q": [2.0, 1.0]},
+              "run64 seed 0": {"iterations_csv": csv}}
+    change = {"desk16 seed 0": {"lam": [10.0, 9.0 * (1 + 1e-12)],
+                                "J": [1.0, 0.5, 0.25], "g_Q": [2.0, 1.0]},
+              "run64 seed 0": {"iterations_csv": csv.replace("0.25", "0.5")}}
+    lines = output_digests.deviations(parent, change)
+    assert lines[0].startswith("desk16 seed 0 lam: largest relative "
+                               "difference 1e-12 over 2 iterates")
+    assert lines[1:] == [
+        "desk16 seed 0 J: largest relative difference 0 over the first 2 "
+        "iterates (parent 2, change 3)",
+        "desk16 seed 0 g_Q: largest relative difference 0 over 2 iterates",
+        "run64 seed 0 iterations_csv: largest relative difference 0.5 over "
+        "6 numbers in 2 rows"]
+    assert output_digests.relative_difference(1.0, float("inf")) \
+        == float("inf")
+    assert output_digests.relative_difference(float("nan"), 1.0) \
+        == float("inf")

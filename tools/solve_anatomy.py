@@ -23,18 +23,26 @@ timings next to it.  The parts:
 - factor S: splu of S = A - sigma*M, which every sparse solve factors,
   as they do: in the pattern's order, which SuperLU keeps;
 - inertia read: the count of negative entries of U's diagonal, which a
-  cold solve reads off S's factor (ShiftInvert.below); SuperLU copies the
-  whole U factor to give it;
+  cold solve reads off S's factor right after factoring it
+  (ShiftInvert.below), timed as that first read on a fresh factor: U's
+  first access makes SuperLU convert both L and U to CSC, which the
+  factor then keeps until it is freed, so later reads cost far less;
+  "inertia read MB" is the memory the conversion holds (tracemalloc);
 - block iteration: one iteration of the warm solve on a 3-column block,
   Y = S^{-1} (M X) with its sparse products M Y and A Y, the
-  Rayleigh-Ritz step and the next block's M X = (M Y) C;
+  Rayleigh-Ritz step and the next block's M X = (M Y) C, on the
+  column-contiguous blocks of the warm path (eigensolver module
+  docstring);
 - warm solve: solve_gevp from the block of a cold solve at a deformation
   0.005 / n away, with the shift it factored at (warm sigma: sigma or,
   when larger, just below the block's lowest Rayleigh quotient) and the
   block iterations k it took;
 - bookkeeping: the warm solve less factor S and its k + 1 solves with the
   3-column block (the start filter's and one per iteration), each timed
-  as "block solve" in the record;
+  as "block solve" in the record, on a column-contiguous block as the
+  warm path solves.  The three are timed back to back in each
+  repeat (paired_ms), and the bookkeeping is the median of the repeats'
+  differences;
 - cold apply: one application of the cold solve's edge operator
   F = S^{-1} M + I/sigma to one edge vector;
 - spectrum solve: solve_gevp by ARPACK on F for the lowest nev = 8
@@ -66,6 +74,7 @@ import re
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS",
@@ -97,6 +106,8 @@ from maxshape.eigensolver import (  # noqa: E402
     PATTERN_ORDER_LU,
     SYMMETRIC_LU,
     ShiftInvert,
+    _combine,
+    _products,
     ritz_ceiling,
 )
 from maxshape.fem_assembly import (  # noqa: E402
@@ -117,7 +128,7 @@ COLUMNS = ("grid", "pattern", "ordering", "Gram + H factor", "assemble",
            "bookkeeping", "cold apply", "spectrum solve", "cold state solve",
            "Ritz floor")
 COUNTS = ("warm sigma", "warm iterations", "spectrum applies",
-          "cold state applies")
+          "cold state applies", "inertia read MB")
 
 
 def random_field(mesh, rng, size: float) -> np.ndarray:
@@ -125,22 +136,48 @@ def random_field(mesh, rng, size: float) -> np.ndarray:
     return vals * size / np.abs(vals).max()
 
 
-def median_ms(fn, repeats: int) -> float:
+def median_ms(fn, repeats: int, fresh=None) -> float:
     """The median of repeats timings of fn in reference milliseconds, each
     scaled by the gauge's samples just before and just after it.  The
     reference kernel evicts fn's data from the caches, so an untimed call
-    follows each sample."""
+    follows each sample.  Given fresh, every call is fn(fresh()), its
+    argument made untimed just before it."""
     gauge = Gauge()
     gauge.sample()
     times = []
+    make = (lambda: ()) if fresh is None else (lambda: (fresh(),))
     for _ in range(repeats):
-        fn()
+        fn(*make())
+        args = make()
         start = time.perf_counter()
-        fn()
+        fn(*args)
         wall = time.perf_counter() - start
         gauge.sample()
         times.append(wall * REF_S / statistics.fmean(gauge.samples[-2:]))
     return 1e3 * statistics.median(times)
+
+
+def paired_ms(fns: dict, repeats: int) -> dict[str, list[float]]:
+    """repeats timings of each of fns in reference milliseconds, taken as
+    median_ms takes them, but all of fns back to back in each repeat and
+    scaled by the gauge's samples around the repeat: a difference of
+    samples of one repeat is not moved by the host's drift between
+    repeats, which a difference of separate medians is."""
+    gauge = Gauge()
+    gauge.sample()
+    times = {name: [] for name in fns}
+    for _ in range(repeats):
+        walls = {}
+        for name, fn in fns.items():
+            fn()
+            start = time.perf_counter()
+            fn()
+            walls[name] = time.perf_counter() - start
+        gauge.sample()
+        scale = 1e3 * REF_S / statistics.fmean(gauge.samples[-2:])
+        for name, wall in walls.items():
+            times[name].append(wall * scale)
+    return times
 
 
 class _SolveCounts(logging.Handler):
@@ -181,14 +218,15 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     position = np.argsort(dofs.free.edges)
     ascending = s_mat[position][:, position].tocsc().sorted_indices()
     a, m = forms.A, forms.M
-    x = np.hstack([block, rng.standard_normal((forms.layout.n_edge, 1))])
-    mx = m @ x
+    x = np.asfortranarray(
+        np.hstack([block, rng.standard_normal((forms.layout.n_edge, 1))]))
+    (mx,) = _products(x, m)
 
     def block_iteration():
         y = edge.solve(mx)
-        my, ay = m @ y, a @ y
+        ay, my = _products(y, a, m)
         _, c = scipy.linalg.eigh(y.T @ ay, y.T @ my)
-        return y @ c, my @ c
+        return _combine(y, c), _combine(my, c)
 
     counter = _SolveCounts()
     log = logging.getLogger("maxshape.eigensolver")
@@ -196,8 +234,11 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     log.addHandler(counter)
     log.setLevel(logging.DEBUG)
     try:
-        warm_ms = median_ms(lambda: solve_gevp(forms, sel, block=block),
-                            repeats)
+        # the parts of the bookkeeping, timed in pairs
+        warm_parts = paired_ms({
+            "warm solve": lambda: solve_gevp(forms, sel, block=block),
+            "factor S": lambda: spla.splu(s_mat, **PATTERN_ORDER_LU),
+            "block solve": lambda: edge.solve(mx)}, repeats)
         warm = counter.last["block solve"]
         spectrum_ms = median_ms(lambda: solve_gevp(forms, sel), repeats)
         spectrum = counter.last["arpack solve"]
@@ -210,7 +251,8 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
     counts = {"warm sigma": float(warm["sigma"]),
               "warm iterations": int(warm["iterations"]),
               "spectrum applies": int(spectrum["op_applies"]),
-              "cold state applies": int(state["op_applies"])}
+              "cold state applies": int(state["op_applies"]),
+              "inertia read MB": inertia_mb(s_mat)}
 
     op = ShiftInvert(forms, SIGMA)
     v = rng.standard_normal(forms.layout.n_edge)
@@ -225,9 +267,7 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
         return ritz_ceiling(assemble(trial), block, sel.index,
                             metric_floor(trial) * l_floor)
 
-    factor_ms = median_ms(lambda: spla.splu(s_mat, **PATTERN_ORDER_LU),
-                          repeats)
-    solve_ms = median_ms(lambda: edge.solve(mx), repeats)
+    solves = counts["warm iterations"] + 1
     return {
         "n": n, "pencil": forms.layout.n,
         "grid": median_ms(lambda: generate_unit_square(n), repeats),
@@ -236,20 +276,35 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
             ascending.indptr, ascending.indices), repeats),
         "Gram + H factor": median_ms(gram_and_factor, repeats),
         "assemble": median_ms(lambda: assemble(q), repeats),
-        "factor S": factor_ms,
+        "factor S": statistics.median(warm_parts["factor S"]),
         "inertia read": median_ms(
-            lambda: np.count_nonzero(edge.U.diagonal() < 0.0), repeats),
+            lambda lu: np.count_nonzero(lu.U.diagonal() < 0.0), repeats,
+            fresh=lambda: spla.splu(s_mat, **PATTERN_ORDER_LU)),
         "block iteration": median_ms(block_iteration, repeats),
-        "warm solve": warm_ms,
-        "block solve": solve_ms,
-        "bookkeeping": warm_ms - factor_ms
-        - (counts["warm iterations"] + 1) * solve_ms,
+        "warm solve": statistics.median(warm_parts["warm solve"]),
+        "block solve": statistics.median(warm_parts["block solve"]),
+        "bookkeeping": statistics.median(
+            total - factor - solves * solve
+            for total, factor, solve in zip(*warm_parts.values())),
         "cold apply": median_ms(lambda: op.apply(v), repeats),
         "spectrum solve": spectrum_ms,
         "cold state solve": state_ms,
         "Ritz floor": median_ms(ritz_floor, repeats),
         **counts,
     }
+
+
+def inertia_mb(s_mat) -> float:
+    """The memory, in MB, that the first read of U's diagonal makes a
+    fresh factor of s_mat hold: SuperLU's CSC copies of L and U."""
+    lu = spla.splu(s_mat, **PATTERN_ORDER_LU)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lu.U.diagonal()
+        return (tracemalloc.get_traced_memory()[0] - before) / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def table(rows: list[dict]) -> str:
