@@ -35,7 +35,7 @@ divergence-free mode by theta, never 0.  A step Y = S^{-1} M X takes the
 products M Y and A Y, and the next block X C has M X C = (M Y) C.
 
 Every dense block of edge vectors, the start block, each step's blocks
-and their products, the returned u, A u, M u and B^T u and
+and their products, the returned u, M u and B^T u and
 MixedEigenPair.block, is column-contiguous (Fortran order), the layout
 SuperLU's solves read and write: a column is one contiguous vector, and
 the column reductions and small Gram products of a step stream through
@@ -262,18 +262,18 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
 
     # Arnoldi's room: ARPACK returns at most n_edge - 2 pairs (Lehoucq 1998)
     if n <= 2 * count + 12:
-        lams, u, au, mu, btu = _dense_finite_spectrum(forms, count)
+        lams, u, mu, btu, norms = _dense_finite_spectrum(forms, count)
     elif block is None:
-        lams, u, au, mu, btu = _arpack_finite_spectrum(forms, sigma, count,
-                                                       sel, v0)
+        lams, u, mu, btu, norms = _arpack_finite_spectrum(forms, sigma,
+                                                          count, sel, v0)
     else:
-        lams, u, au, mu, btu = _block_finite_spectrum(forms, sigma, count,
-                                                      sel, block)
+        lams, u, mu, btu, norms = _block_finite_spectrum(forms, sigma, count,
+                                                         sel, block)
 
     # the residual and certificate do not depend on the scale of u
-    btu_norm, mu_norm = _column_norms(btu), _column_norms(mu)
-    res = _residuals(au, mu, lams, btu_norm, mu_norm)
-    div = btu_norm / mu_norm
+    btu_norm = _column_norms(btu)
+    res = _residuals(*norms, lams, btu_norm)
+    div = btu_norm / norms[1]
     nrm = np.sqrt(np.einsum("ij,ij->j", u, mu))
     used = np.abs(np.arange(len(lams)) - sel.index) <= 1
     bad = ~(nrm > 0) | (used & ~(res <= sel.tol))
@@ -291,13 +291,15 @@ def solve_gevp(forms: AssembledForms, sel: EigenSelection,
 
 def _lowest(forms: AssembledForms, lams: np.ndarray, vecs: np.ndarray,
             count: int):
-    """The count lowest eigenvalues, ascending, and u, A u, M u, B^T u."""
+    """The count lowest eigenvalues, ascending, u, M u, B^T u and the
+    _residual_norms of the pairs."""
     if len(lams) < count:
         raise InsufficientSpectrum(
             f"found {len(lams)} finite eigenvalues, requested {count}")
     order = np.argsort(lams)[:count]
-    u = np.asfortranarray(vecs[:, order])
-    return (lams[order], u, *_products(u, forms.A, forms.M, forms.BT))
+    lams, u = lams[order], np.asfortranarray(vecs[:, order])
+    au, mu, btu = _products(u, forms.A, forms.M, forms.BT)
+    return lams, u, mu, btu, _residual_norms(au, mu, lams)
 
 
 def _products(x: np.ndarray, *mats) -> list[np.ndarray]:
@@ -323,20 +325,23 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j" if x.ndim == 2 else "i,i->", x, x))
 
 
-def _residuals(au: np.ndarray, mu: np.ndarray, lams,
-               btu_norm: np.ndarray | None = None,
-               mu_norm: np.ndarray | None = None):
-    """The relative residual of each pair (lam, u), u a vector or the
-    columns of a block: ||A u - lam M u|| / (|lam| ||M u||) and, given
+def _residual_norms(au: np.ndarray, mu: np.ndarray, lams
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """||A u - lam M u|| and ||M u|| of each pair (lam, u), u a vector or
+    the columns of a block: what _residuals reads."""
+    return _column_norms(au - mu * lams), _column_norms(mu)
+
+
+def _residuals(r_norm: np.ndarray, mu_norm: np.ndarray, lams,
+               btu_norm: np.ndarray | None = None):
+    """The relative residual of each pair (lam, u) from its
+    _residual_norms: ||A u - lam M u|| / (|lam| ||M u||) and, given
     ||B^T u||, the pencil residual ||K x - lam Mt x|| / (|lam| ||Mt x||) at
     x = [u; 0], where K x - lam Mt x = [A u - lam M u; B^T u] and
-    Mt x = [M u; 0].  mu_norm, if given, is ||M u||."""
-    num = _column_norms(au - mu * lams)
+    Mt x = [M u; 0]."""
     if btu_norm is not None:
-        num = np.hypot(num, btu_norm)
-    if mu_norm is None:
-        mu_norm = _column_norms(mu)
-    return num / np.maximum(np.abs(lams) * mu_norm, _TINY)
+        r_norm = np.hypot(r_norm, btu_norm)
+    return r_norm / np.maximum(np.abs(lams) * mu_norm, _TINY)
 
 
 def _dense_finite_spectrum(forms: AssembledForms, count: int):
@@ -394,8 +399,8 @@ def _arpack_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
 def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
                            sel: EigenSelection, block: np.ndarray):
     """The lowest count pairs by block subspace iteration on
-    edge vectors (module docstring), ascending, with their A u, M u and
-    B^T u.
+    edge vectors (module docstring), ascending, with their M u, B^T u and
+    _residual_norms, those the last stop test took.
 
     S is factored at the warm shift (_warm_shift), which is sigma from
     there on, in the debug line too.  Each iteration replaces X by the
@@ -445,8 +450,8 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
             # dsygvd sorts ascending: the first count Ritz pairs are the
             # lowest
             w, az, mz = w[:count], _combine(ay, c[:, :count]), mx[:, :count]
-            mz_norm = _column_norms(mz)
-            res = _residuals(az, mz, w, mu_norm=mz_norm).max()
+            norms = _residual_norms(az, mz, w)
+            res = _residuals(*norms, w).max()
             residuals.append(res)
             if len(residuals) > 6 and res > max(sel.tol,
                                                 0.5 * residuals[-7]):
@@ -458,9 +463,9 @@ def _block_finite_spectrum(forms: AssembledForms, sigma: float, count: int,
             if check or res <= sel.tol:
                 (btz,) = _products(x[:, :count], forms.BT)
             gradients = check and np.any(
-                _column_norms(btz) > 1e-2 * sel.tol * mz_norm)
+                _column_norms(btz) > 1e-2 * sel.tol * norms[1])
             if not gradients and res <= sel.tol:
-                return w, x[:, :count], az, mz, btz
+                return w, x[:, :count], mz, btz, norms
     finally:
         log.debug("block solve: sigma=%.6g n=%d iterations=%d applies=%d",
                   sigma, forms.layout.n, iterations,

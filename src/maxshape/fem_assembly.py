@@ -11,7 +11,7 @@ under the affine element map; orienting every edge from its low to its high
 vertex index makes the tangential trace globally single-valued.
 
 The deformation never moves the mesh: it enters the integrands only through
-the per-triangle kinematic factors (jacobian, inverse-transpose gradient).
+the per-triangle kinematic factors (jacobian, adjugate-pulled gradients).
 All integrands are polynomial of degree <= 2 once those factors are frozen,
 so the three-point edge-midpoint rule integrates every form exactly.
 """
@@ -39,16 +39,13 @@ QP_WEIGHT = 1.0 / 3.0
 LOCAL_INCIDENCE = np.diff(np.eye(3)[np.array(LOCAL_EDGES)], axis=1)[:, 0]
 
 
-# The pairs (v, w), v <= w, of a symmetric 3 x 3 element array.
-_UPPER = np.triu_indices(3)
-
 # j_{0,1}, the first positive zero of the Bessel function J_0.
 BESSEL_J01 = 2.404825557695773
 
 
 def _gram_map() -> tuple[np.ndarray, np.ndarray]:
-    """The fixed linear map from the Gram of the pulled gradients,
-    Gamma[v, w] = (DF^-T grad lam_v) . (DF^-T grad lam_w), to the element
+    """The fixed linear maps between the Gram of the pulled gradients,
+    Gamma[v, w] = (DF^-T grad lam_v) . (DF^-T grad lam_w), and the element
     matrices before their weight and edge signs.
 
     The pulled Whitney function of local edge k = (a, b) is
@@ -59,11 +56,16 @@ def _gram_map() -> tuple[np.ndarray, np.ndarray]:
         sum_p N_k . N_l = s_k s_l (Q[a,c] Gamma[b,d] - Q[a,d] Gamma[b,c]
                                    - Q[b,c] Gamma[a,d] + Q[b,d] Gamma[a,c])
 
-    for l = (c, d) and Q = EDGE_MIDPOINTS^T EDGE_MIDPOINTS.  Returns the
-    (6, 15) map from Gamma's distinct entries (the _UPPER pairs) to the m
-    entries of the _UPPER pairs (k, l) and then the nine b entries (k, v),
-    and the (3, 3) index of each m[k, l] among the six, which makes m
-    exactly symmetric.
+    for l = (c, d) and Q = EDGE_MIDPOINTS^T EDGE_MIDPOINTS.  local_forms
+    reads Gamma through h_v = J DF^-T grad lam_v, v = 1, 2: as
+    grad lam_0 = -grad lam_1 - grad lam_2, J^2 Gamma = D H D^T for the
+    Gram H of h_1 and h_2 and D = [[-1, -1], [1, 0], [0, 1]].  Returns the
+    (3, 18) map from (H[1, 1], H[1, 2], H[2, 2]) to J^2 times the nine m
+    entries [k, l] and then the nine b entries [k, v], and the (9, 9) map
+    from the products of the mass coefficients [k, l] to the symmetric
+    coefficient C[v, w] they put on Gamma.  All entries are exact binary
+    fractions, so m[k, l] and m[l, k] are equal columns: a matmul computes
+    them alike, and m is exactly symmetric.
     """
     eye = np.eye(3)
     a, b = np.array(LOCAL_EDGES).T
@@ -79,23 +81,19 @@ def _gram_map() -> tuple[np.ndarray, np.ndarray]:
     m = (coef(a, a) * outer(e_b, e_b) - coef(a, b) * outer(e_b, e_a)
          - coef(b, a) * outer(e_a, e_b) + coef(b, b) * outer(e_a, e_a))
     bk = outer(LOCAL_INCIDENCE, eye)
-    v, w = _UPPER
+    v, w = np.triu_indices(3)            # Gamma's distinct entries
 
     def fold(c):                         # Gamma[w, v] is Gamma[v, w]
         return c[..., v, w] + (v != w) * c[..., w, v]
 
-    gmap = np.vstack([fold(m)[_UPPER], fold(bk).reshape(9, -1)]).T
-    sym = np.zeros((3, 3), dtype=np.intp)
-    sym[_UPPER] = sym.T[_UPPER] = np.arange(6)
-    return gmap, sym
+    gmap = np.vstack([fold(m).reshape(9, -1), fold(bk).reshape(9, -1)]).T
+    d = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    dd = d[v, :, None] * d[w, None, :]   # [(v, w), i, j] = D[v, i] D[w, j]
+    fold_h = np.array([dd[:, 0, 0], dd[:, 0, 1] + dd[:, 1, 0], dd[:, 1, 1]])
+    return fold_h @ gmap, 0.5 * (m + m.transpose(0, 1, 3, 2)).reshape(9, 9)
 
 
-_GRAM_MAP, _M_INDEX = _gram_map()
-# The transpose of its mass columns: the (9, 9) map from the products of the
-# mass coefficients (k, l) to the symmetric coefficient C[v, w] they put on
-# Gamma; C's two off-diagonal entries share Gamma's distinct entry.
-_COEF_MAP = (_GRAM_MAP[:, _M_INDEX.ravel()].T[:, _M_INDEX.ravel()]
-             * np.where(np.eye(3), 1.0, 0.5).ravel())
+_PRODUCT_MAP, _COEF_MAP = _gram_map()
 
 
 @dataclass
@@ -124,8 +122,9 @@ class AssembledForms:
         """A - sigma*M in CSC: both are exactly symmetric, so their CSR
         index arrays are the CSC arrays."""
         a, m = self.A, self.M
-        return sp.csc_matrix((a.data - sigma * m.data, a.indices, a.indptr),
-                             shape=a.shape)
+        data = m.data * -sigma              # one temporary: a - sigma*m
+        data += a.data
+        return sp.csc_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 
 @dataclass(frozen=True)
@@ -315,22 +314,19 @@ def local_forms(mesh: Mesh, q: DeformationField
     Raises:
         InadmissibleDeformation: jacobian <= 0 on some triangle.
     """
-    tg = q.pulled_gradients                          # DF^-T grad(lam)
-    jac = q.jacobian
-    areas = mesh.areas
-    v, u = _UPPER
-    x, y = tg[..., 0], tg[..., 1]
-    gram = x[:, v] * x[:, u] + y[:, v] * y[:, u]     # Gamma[v, u], v <= u
-    unsigned = gram @ _GRAM_MAP                      # (T, 15), see _gram_map
+    (x1, y1), (x2, y2) = q.adjugate_gradients((1, 2))
+    products = np.stack([x1 * x1 + y1 * y1, x1 * x2 + y1 * y2,
+                         x2 * x2 + y2 * y2], axis=1)
+    areas, jac = mesh.areas, q.jacobian
+    # (|T| / 3) J Gamma = (|T| / (3 J)) J^2 Gamma, see _gram_map
+    unsigned = ((QP_WEIGHT * areas / jac)[:, None] * products) @ _PRODUCT_MAP
 
-    w = QP_WEIGHT * areas * jac
     signs = mesh.triangle_edge_signs
-    m_loc = ((w[:, None] * (signs[:, v] * signs[:, u]))
-             * unsigned[:, :6])[:, _M_INDEX]
-    b_loc = (w[:, None] * signs)[:, :, None] * unsigned[:, 6:].reshape(-1, 3, 3)
+    pairs = signs[:, :, None] * signs[:, None, :]
+    m_loc = pairs * unsigned[:, :9].reshape(-1, 3, 3)
+    b_loc = signs[:, :, None] * unsigned[:, 9:].reshape(-1, 3, 3)
     # the curl of local edge k's Whitney function is s_k / |T|
-    a_loc = ((1.0 / (areas * jac))[:, None] * signs)[:, :, None] \
-        * signs[:, None, :]
+    a_loc = (1.0 / (areas * jac))[:, None, None] * pairs
     return a_loc, b_loc, m_loc
 
 
@@ -425,9 +421,10 @@ def assemble_shape_derivative(mesh: Mesh, q: DeformationField, u: np.ndarray,
     eigenpair (lam, u), whose multiplier is zero, the functional at v = u
     is lam', the shape derivative of the eigenvalue.
 
-    It is the exact q-derivative of local_forms' element form: with su, sv
-    the signed local coefficients of u and v, w = |T| / 3, P = DF^-T grad(lam)
-    and C the symmetric coefficient that lam m(u, v) puts on the Gram
+    It is the exact q-derivative of the element form that local_forms
+    reads from h = J P (_gram_map): with su, sv the signed local
+    coefficients of u and v, w = |T| / 3, P = DF^-T grad(lam) and C the
+    symmetric coefficient that lam m(u, v) puts on the Gram
     Gamma = P P^T (_COEF_MAP), triangle t adds
     f = sum(su) sum(sv) / (|T| J) - w J <C, Gamma>.  As dJ = J P[v', c] and
     dP[v] = -P[v, c] P[v'] in the nodal direction (v', c), f' is row v',

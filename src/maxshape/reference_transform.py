@@ -3,9 +3,9 @@
 The control is a continuous piecewise-linear displacement field q on the
 reference mesh; the physical domain is the image of x + q(x).  Its gradient
 is constant per triangle, so all kinematic quantities (deformation gradient,
-jacobian, inverse transpose) are per-triangle as well.  The field owns
-them: each is computed for all triangles at once, at most once per field,
-and every layer reads them from it.  The mesh coordinates are never moved:
+jacobian, pulled hat gradients) are per-triangle as well.  The field owns
+them, computed for all triangles at once; no layer forms DF^-1, as vectors
+pull back through the adjugate.  The mesh coordinates are never moved:
 the deformation enters assembly only through these factors.
 """
 
@@ -21,8 +21,8 @@ from .mesh_io import Mesh
 class DeformationField:
     """Per-vertex displacement, the control variable of the optimization.
 
-    values is a private, read-only (V, 2) copy, so each kinematic factor
-    below is computed at most once per field, on first use.
+    values is a private, read-only (V, 2) copy, so each cached factor below
+    is computed at most once per field; adjugate_gradients on every call.
     """
 
     def __init__(self, mesh: Mesh, values: np.ndarray):
@@ -46,25 +46,32 @@ class DeformationField:
         g = self.gradient
         return (1.0 + g[:, 0, 0]) * (1.0 + g[:, 1, 1]) - g[:, 0, 1] * g[:, 1, 0]
 
-    @cached_property
-    def inv_t(self) -> np.ndarray:
-        """(T, 2, 2) DF^-T on every triangle, for DF = I + grad q.
+    def adjugate_gradients(self, vertices: tuple[int, ...] = (0, 1, 2)
+                           ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each local vertex v in vertices, the x and y components, each
+        (T,), of its hat gradient pulled through the adjugate,
+        h_v = adj(DF)^T grad lam_v = J DF^-T grad lam_v: for
+        DF = [[a, b], [c, d]], h = (d g_x - c g_y, a g_y - b g_x).
 
         Raises:
-            InadmissibleDeformation: J <= 0 on some triangle, on every access.
+            InadmissibleDeformation: J <= 0 on some triangle, on every call.
         """
-        jac = self.jacobian
-        require_jacobian_above(jac, 0.0)
-        df = np.eye(2) + self.gradient
-        return np.stack([df[:, 1, 1], -df[:, 1, 0], -df[:, 0, 1], df[:, 0, 0]],
-                        axis=1).reshape(-1, 2, 2) / jac[:, None, None]
+        require_jacobian_above(self.jacobian, 0.0)
+        g = self.gradient
+        a, b, c, d = 1.0 + g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], 1.0 + g[:, 1, 1]
+        grads = self.mesh.barycentric_gradients
+        return [(d * gx - c * gy, a * gy - b * gx)
+                for gx, gy in (grads[:, v].T for v in vertices)]
 
     @cached_property
     def pulled_gradients(self) -> np.ndarray:
-        """(T, 3, 2) transformed hat-function gradients DF^-T grad(lam_v);
-        raises as inv_t does."""
-        return self.mesh.barycentric_gradients @ np.ascontiguousarray(
-            self.inv_t.transpose(0, 2, 1))
+        """(T, 3, 2) hat gradients DF^-T grad lam_v, adjugate_gradients / J;
+        raises as that does."""
+        pulled = np.empty((len(self.jacobian), 3, 2))
+        for v, (hx, hy) in enumerate(self.adjugate_gradients()):
+            pulled[:, v, 0], pulled[:, v, 1] = hx, hy
+        pulled /= self.jacobian[:, None, None]
+        return pulled
 
 
 def require_jacobian_above(jac: np.ndarray, floor: float) -> None:

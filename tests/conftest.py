@@ -320,6 +320,12 @@ def whitney_table(mesh):
     return values, curls
 
 
+def inverse_transpose(q):
+    """(T, 2, 2) DF^-T of q by np.linalg.inv: the oracle of the adjugate
+    kinematics, which form no inverse."""
+    return np.linalg.inv(np.eye(2) + q.gradient).transpose(0, 2, 1)
+
+
 def inv_t_derivative(q, weight):
     """(T, 3, 2) derivatives of <weight, DF^-T> in the nodal directions.
 
@@ -327,14 +333,14 @@ def inv_t_derivative(q, weight):
     -(DF^-T grad lam_v)(DF^-1 e_c)^T, so entry [t, v, c], its pairing with
     the (T, 2, 2) weight, is row v, column c of -(DF^-T grad lam) weight DF^-1.
     """
-    df_inv = np.ascontiguousarray(q.inv_t.transpose(0, 2, 1))
+    df_inv = np.ascontiguousarray(inverse_transpose(q).transpose(0, 2, 1))
     return -(q.pulled_gradients @ (weight @ df_inv))
 
 
 def _quadrature_shape_derivative(mesh, q, u, psi, z, chi, lam):
     """(V, 2) coefficients of -a'(u,z) - b'(z,psi) - b'(u,chi) + lam m'(u,z)
     by the product rule on the forms summed over the edge midpoints."""
-    inv_t, jac = q.inv_t, q.jacobian
+    inv_t, jac = inverse_transpose(q), q.jacobian
     values, curls = whitney_table(mesh)
     areas = mesh.areas
     w = QP_WEIGHT * areas

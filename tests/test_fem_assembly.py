@@ -38,6 +38,7 @@ from conftest import (
     dilation_control,
     gradient_incidence,
     holed_square,
+    inverse_transpose,
     l_shape,
     random_feasible_control,
     saddle_pencil,
@@ -272,7 +273,7 @@ def _largest_angle(mesh):
 def _einsum_local_forms(mesh, q):
     """b_loc and m_loc as midpoint sums of DF^-T N: the element einsums that
     the Gram closed form of local_forms replaced."""
-    jac, inv_t = q.jacobian, q.inv_t
+    jac, inv_t = q.jacobian, inverse_transpose(q)
     values, _ = whitney_table(mesh)
     tn = np.einsum("tij,tkpj->tkpi", inv_t, values)
     tg = np.einsum("tij,tvj->tvi", inv_t, mesh.barycentric_gradients)
@@ -345,6 +346,17 @@ class TestFixedPattern:
             assert_same_sparse(red.edge_shift(sigma),
                                (red.A - sigma * red.M).tocsc())
         assert_same_sparse(red.BT, red.B.T.tocsr())
+
+    def test_edge_shift_rounds_as_a_minus_sigma_m(self, square16, rng):
+        # built as m * -sigma, then += a: each entry is the one rounding
+        # of a - sigma * m on a deformed pencil
+        dofs = DofMap.from_mesh(square16)
+        red = apply_dirichlet(assemble_forms(
+            square16, dofs, random_feasible_control(square16, rng, 0.01)),
+            dofs)
+        for sigma in (9.0, 9.3, 40.0 / 3.0):
+            np.testing.assert_array_equal(red.edge_shift(sigma).data,
+                                          red.A.data - sigma * red.M.data)
 
     def test_edge_shift_keeps_the_mass_pattern(self, square4):
         # At q = 0 entries of B cancel exactly and stay explicit zeros of
@@ -472,6 +484,20 @@ class TestFixedPattern:
         assert_entries_close(m_loc, m_want)
         assert_entries_close(b_loc, b_want)
         assert np.array_equal(m_loc, m_loc.transpose(0, 2, 1))
+
+    def test_local_forms_match_einsum_oracle_on_a_sheared_field(
+            self, square16, rng):
+        # DF ~ [[1, 3], [0, 0.01]]: the adjugate-pulled gradients carry no
+        # 1 / J, so the forms keep the oracle's accuracy at J ~ 1e-2
+        y = square16.vertices[:, 1]
+        shear = np.column_stack([3.0 * y, -0.99 * y])
+        q = DeformationField(
+            square16, shear + rng.uniform(-1e-5, 1e-5, shear.shape))
+        assert 5e-3 < q.jacobian.min() < 2e-2
+        _, b_loc, m_loc = local_forms(square16, q)
+        b_want, m_want = _einsum_local_forms(square16, q)
+        assert_entries_close(m_loc, m_want, rtol=1e-12)
+        assert_entries_close(b_loc, b_want, rtol=1e-12)
 
 
 class TestPencilLayout:

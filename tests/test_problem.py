@@ -33,6 +33,7 @@ from conftest import (
     assert_entries_close,
     desk_problem,
     gradient_incidence,
+    inverse_transpose,
     kron_gram,
     l_shape,
     oracle_mesh,
@@ -558,7 +559,21 @@ class TestOneFieldPerControl:
         assert field.jacobian.min() < 0.0
         for _ in range(2):
             with pytest.raises(InadmissibleDeformation):
-                field.inv_t
+                field.pulled_gradients
+
+    def test_state_assembly_leaves_the_pulled_gradients(self):
+        # state forms and the cost floor read J and the adjugate-pulled
+        # gradients; only derivatives cache DF^-T grad lam
+        prob = _square8_problem()
+        q = _smooth_control(prob, 0.02)
+        new = DeformationField(prob.mesh, q)
+        adjoint_gradient.state_forms(prob.mesh, prob.dofs, new)
+        prob.gradient(prob.zero_control())      # the anchor of the Ritz bound
+        assert prob._anchor is not None
+        assert np.isfinite(prob.cost_floor(q))
+        for field in (new, prob.field(q)):
+            assert "jacobian" in field.__dict__
+            assert "pulled_gradients" not in field.__dict__
 
     def test_optimize_computes_one_gradient_per_control(self, monkeypatch):
         computed = []
@@ -826,7 +841,8 @@ class TestRitzBound:
         fields.append(DeformationField(
             square8, np.column_stack([x + 0.3 * y, -0.5 * y])))
         for field in fields:
-            sigma_min = np.linalg.svd(field.inv_t, compute_uv=False)[:, -1]
+            sigma_min = np.linalg.svd(inverse_transpose(field),
+                                      compute_uv=False)[:, -1]
             want = float((field.jacobian * sigma_min ** 2).min())
             assert metric_floor(field) == pytest.approx(want, rel=1e-12)
 

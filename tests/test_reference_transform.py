@@ -10,6 +10,7 @@ from conftest import (
     assert_entries_close,
     dilation_control,
     inv_t_derivative,
+    inverse_transpose,
     random_feasible_control,
     zero_field,
 )
@@ -24,9 +25,11 @@ def affine_field(mesh, g):
 
 
 def kinematics_of(grad_q):
-    """J and DF^-T for the displacement gradient grad_q, via the batched code."""
+    """J and DF^-T for the displacement gradient grad_q, via the batched code:
+    on TRIANGLE grad lam_1 and grad lam_2 are e_1 and e_2, so the pulled
+    gradients of vertices 1 and 2 are the columns of DF^-T."""
     q = affine_field(TRIANGLE, grad_q)
-    return q.jacobian[0], q.inv_t[0]
+    return q.jacobian[0], q.pulled_gradients[0, 1:].T
 
 
 def jacobian_derivative_along(grad_q, grad_p):
@@ -43,7 +46,7 @@ UNIT_WEIGHTS = np.eye(4).reshape(4, 2, 2)
 def nodal_inv_t_derivative(q):
     """(T, 3, 2, 2, 2) derivatives of DF^-T in the nodal directions, entry
     (i, j) of [t, v, c] read from inv_t_derivative with weight e_i e_j^T."""
-    entries = [inv_t_derivative(q, np.broadcast_to(e, q.inv_t.shape))
+    entries = [inv_t_derivative(q, np.broadcast_to(e, q.gradient.shape))
                for e in UNIT_WEIGHTS]
     return np.stack(entries, axis=-1).reshape(*entries[0].shape, 2, 2)
 
@@ -171,8 +174,10 @@ class TestInvTDerivative:
         for t, v, c in ((0, 0, 0), (5, 1, 1), (17, 2, 0)):
             p = np.zeros((square4.n_vertices, 2))
             p[square4.triangles[t, v], c] = 1.0
-            plus = DeformationField(square4, q.values + h * p).inv_t
-            minus = DeformationField(square4, q.values - h * p).inv_t
+            plus = inverse_transpose(DeformationField(square4,
+                                                      q.values + h * p))
+            minus = inverse_transpose(DeformationField(square4,
+                                                       q.values - h * p))
             fd = (plus[t] - minus[t]) / (2 * h)
             np.testing.assert_allclose(d_inv_t[t, v, c], fd, atol=1e-7)
 
@@ -236,7 +241,8 @@ class TestMatmulKernels:
     def test_pulled_gradients(self, square16, rng):
         q = random_feasible_control(square16, rng, 0.01)
         assert_entries_close(q.pulled_gradients, np.einsum(
-            "tij,tvj->tvi", q.inv_t, square16.barycentric_gradients))
+            "tij,tvj->tvi", inverse_transpose(q),
+            square16.barycentric_gradients))
 
 
 class TestJacobianRange:
@@ -280,7 +286,7 @@ class TestDeformationField:
 
     def test_kinematics_computed_once(self, square4, rng):
         q = random_feasible_control(square4, rng, 0.01)
-        for name in ("gradient", "jacobian", "inv_t", "pulled_gradients"):
+        for name in ("gradient", "jacobian", "pulled_gradients"):
             assert getattr(q, name) is getattr(q, name)
 
     def test_folded_field(self, square4):
@@ -290,7 +296,7 @@ class TestDeformationField:
         assert jacobian_range(q) == pytest.approx((-1.0, -1.0), rel=1e-14)
         for _ in range(2):                  # raises on every access
             with pytest.raises(InadmissibleDeformation):
-                q.inv_t
+                q.adjugate_gradients()
             with pytest.raises(InadmissibleDeformation):
                 q.pulled_gradients
 

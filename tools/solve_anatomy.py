@@ -19,7 +19,10 @@ timings next to it.  The parts:
 - Gram + H factor: assemble_control_gram, the scalar H1 block H that both
   components of a control carry, and splu of H, which a problem builds at
   its first use of the Gram;
-- assemble: assemble_forms and apply_dirichlet;
+- assemble: assemble_forms and apply_dirichlet on a new DeformationField
+  at the deformation, made untimed before each call: a state solve's
+  field is new, so the kinematics that assembly reads (the displacement
+  gradient, J and the adjugate-pulled hat gradients) are timed with it;
 - factor S: splu of S = A - sigma*M, which every sparse solve factors,
   as they do: in the pattern's order, which SuperLU keeps;
 - inertia read: the count of negative entries of U's diagonal, which a
@@ -275,7 +278,9 @@ def anatomy(n: int, repeats: int = REPEATS, seed: int = SEED) -> dict:
         "ordering": median_ms(lambda: minimum_degree_order(
             ascending.indptr, ascending.indices), repeats),
         "Gram + H factor": median_ms(gram_and_factor, repeats),
-        "assemble": median_ms(lambda: assemble(q), repeats),
+        "assemble": median_ms(
+            assemble, repeats,
+            fresh=lambda: DeformationField(mesh, q.values)),
         "factor S": statistics.median(warm_parts["factor S"]),
         "inertia read": median_ms(
             lambda lu: np.count_nonzero(lu.U.diagonal() < 0.0), repeats,
